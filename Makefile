@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench cover vet fmt sweep recover-sweep fuzz-short bound experiments examples clean soak model trajectory serve load serve-smoke chaos repl-smoke chaos-repl shard-smoke chaos-shard writeopt-smoke chaos-writeopt
+.PHONY: all build test race bench cover vet fmt sweep recover-sweep fuzz-short bound experiments examples clean soak model trajectory serve load serve-smoke chaos repl-smoke chaos-repl shard-smoke chaos-shard writeopt-smoke chaos-writeopt perf-pairs
 
 all: build vet test
 
@@ -154,3 +154,10 @@ examples:
 
 clean:
 	$(GO) clean ./...
+
+# Alternating parent/change benchmark pairs + the claim rule (benchmark/
+# README.md "Claiming a gain"): make perf-pairs PARENT=<ref> WORKLOAD=<name>
+# [PAIRS=10] [SEED=1]. Run once per listed workload and once more with a
+# second SEED; needs an otherwise idle machine.
+perf-pairs:
+	scripts/perf_pairs.sh $(PARENT) $(WORKLOAD) $(or $(PAIRS),10) $(or $(SEED),1)

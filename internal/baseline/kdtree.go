@@ -76,7 +76,7 @@ func OpenKDTree(store eio.Store, hdr eio.PageID) (*KDTree, error) {
 func (t *KDTree) HeaderID() eio.PageID { return t.hdr }
 
 func (t *KDTree) loadHdr() (eio.PageID, int, error) {
-	raw, err := t.rs.Get(t.hdr)
+	raw, err := t.rs.Get(t.hdr, nil)
 	if err != nil {
 		return eio.NilPage, 0, fmt.Errorf("baseline: kd header: %w", err)
 	}
@@ -109,7 +109,7 @@ func cmpAxis(p, q geom.Point, axis int) int {
 }
 
 func (t *KDTree) readNode(id eio.PageID) (*kdNode, error) {
-	raw, err := t.rs.Get(id)
+	raw, err := t.rs.Get(id, nil)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: kd node: %w", err)
 	}

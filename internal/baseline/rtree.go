@@ -152,7 +152,7 @@ func OpenRTree(store eio.Store, hdr eio.PageID) (*RTree, error) {
 func (t *RTree) HeaderID() eio.PageID { return t.hdr }
 
 func (t *RTree) loadHdr() (eio.PageID, int, error) {
-	raw, err := t.rs.Get(t.hdr)
+	raw, err := t.rs.Get(t.hdr, nil)
 	if err != nil {
 		return eio.NilPage, 0, fmt.Errorf("baseline: rtree header: %w", err)
 	}
@@ -478,7 +478,7 @@ func (t *RTree) freeRec(id eio.PageID) error {
 // --- serialization ---
 
 func (t *RTree) readNode(id eio.PageID) (*rtNode, error) {
-	raw, err := t.rs.Get(id)
+	raw, err := t.rs.Get(id, nil)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: rtree node: %w", err)
 	}

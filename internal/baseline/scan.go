@@ -57,7 +57,7 @@ func OpenScan(store eio.Store, hdr eio.PageID) (*Scan, error) {
 func (s *Scan) HeaderID() eio.PageID { return s.hdr }
 
 func (s *Scan) loadMeta() (*scanMeta, error) {
-	raw, err := s.rs.Get(s.hdr)
+	raw, err := s.rs.Get(s.hdr, nil)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: scan header: %w", err)
 	}
@@ -120,7 +120,7 @@ func (s *Scan) Insert(p geom.Point) error {
 		return s.storeMeta(m)
 	}
 	tail := m.blocks[len(m.blocks)-1]
-	pts, err := eio.ReadPointBlock(nil, s.store, tail, m.tailN)
+	pts, err := eio.ReadPointBlock(nil, s.store, tail, m.tailN, make([]byte, s.store.PageSize()))
 	if err != nil {
 		return err
 	}
@@ -134,8 +134,11 @@ func (s *Scan) Insert(p geom.Point) error {
 
 // locate finds p, returning its block index and offset.
 func (s *Scan) locate(m *scanMeta, p geom.Point) (bool, int, int, error) {
+	page := make([]byte, s.store.PageSize())
+	var pts []geom.Point
 	for bi, id := range m.blocks {
-		pts, err := eio.ReadPointBlock(nil, s.store, id, s.blockCount(m, bi))
+		var err error
+		pts, err = eio.ReadPointBlock(pts[:0], s.store, id, s.blockCount(m, bi), page)
 		if err != nil {
 			return false, 0, 0, err
 		}
@@ -159,7 +162,8 @@ func (s *Scan) Delete(p geom.Point) (bool, error) {
 		return false, err
 	}
 	tailIdx := len(m.blocks) - 1
-	tail, err := eio.ReadPointBlock(nil, s.store, m.blocks[tailIdx], m.tailN)
+	page := make([]byte, s.store.PageSize())
+	tail, err := eio.ReadPointBlock(nil, s.store, m.blocks[tailIdx], m.tailN, page)
 	if err != nil {
 		return false, err
 	}
@@ -171,7 +175,7 @@ func (s *Scan) Delete(p geom.Point) (bool, error) {
 			return false, err
 		}
 	} else {
-		pts, err := eio.ReadPointBlock(nil, s.store, m.blocks[bi], s.blockCount(m, bi))
+		pts, err := eio.ReadPointBlock(nil, s.store, m.blocks[bi], s.blockCount(m, bi), page)
 		if err != nil {
 			return false, err
 		}
@@ -204,8 +208,10 @@ func (s *Scan) Query(dst []geom.Point, q geom.Rect) ([]geom.Point, error) {
 	if err != nil {
 		return dst, err
 	}
+	page := make([]byte, s.store.PageSize())
+	var pts []geom.Point
 	for bi, id := range m.blocks {
-		pts, err := eio.ReadPointBlock(nil, s.store, id, s.blockCount(m, bi))
+		pts, err = eio.ReadPointBlock(pts[:0], s.store, id, s.blockCount(m, bi), page)
 		if err != nil {
 			return dst, err
 		}

@@ -478,6 +478,7 @@ func (c *Concurrent) runBatch(batch []*pendingOp) {
 		c.fail(batch, fmt.Errorf("core: concurrent: publish epoch: %w", err))
 		return
 	}
+	c.dropStaleView()
 	recordPhases()
 	if applyErr != nil {
 		c.fail(batch, applyErr)
@@ -589,6 +590,21 @@ func (c *Concurrent) acquire() (*epochView, error) {
 		c.snap.Unpin(old.epoch)
 	}
 	return v, nil
+}
+
+// dropStaleView unpins the cached reader view once a commit has made it
+// stale and no query holds it. Without this the view stays pinned until the
+// next reader arrives, and under a write-only stream the SnapStore would
+// retain a pre-image of every page every later batch touches. Versions
+// captured by the batch that just committed are collected at the next
+// Commit. Callers hold wmu.
+func (c *Concurrent) dropStaleView() {
+	c.vmu.Lock()
+	if v := c.cur; v != nil && v.refs == 0 && v.epoch != c.snap.Epoch() {
+		c.cur = nil
+		c.snap.Unpin(v.epoch)
+	}
+	c.vmu.Unlock()
 }
 
 // release drops one reference; the epoch unpins once the view is neither

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rangesearch/internal/eio"
+	"rangesearch/internal/eio/eiotest"
 	"rangesearch/internal/epst"
 	"rangesearch/internal/geom"
 )
@@ -452,4 +453,206 @@ func TestConcurrentDestroyWithReaders(t *testing.T) {
 	if st := snap.SnapStats(); st.PendingFrees != 0 {
 		t.Fatalf("deferred frees not reclaimed after close: %+v", st)
 	}
+}
+
+// TestConcurrentDropsStaleViewAfterCommit is the regression test for the
+// pinned-forever reader view: one query caches an epoch view; a write-only
+// stream must not leave that epoch pinned (every later batch would then
+// retain a pre-image of every page it touches — RSS 17 MiB → 1.7 GiB in
+// 40 k writes on the serving stack). After each commit the writer drops the
+// stale, idle view, so the versions held never exceed one batch's worth and
+// no pin survives.
+func TestConcurrentDropsStaleViewAfterCommit(t *testing.T) {
+	c, snap, _ := newConcurrentThreeSided(t, ConcurrentOptions{})
+	if err := c.Insert(geom.Point{X: -1, Y: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query(nil, geom.Rect{XLo: -10, XHi: 10, YLo: -10, YHi: geom.MaxCoord}); err != nil {
+		t.Fatal(err)
+	}
+	if st := snap.SnapStats(); st.Pins != 1 {
+		t.Fatalf("after one query: %d pins, want the cached view's 1", st.Pins)
+	}
+	for i := 0; i < 5000; i++ {
+		before := snap.Stats().Writes
+		if err := c.Insert(geom.Point{X: int64(i), Y: int64(i % 97)}); err != nil {
+			t.Fatal(err)
+		}
+		st := snap.SnapStats()
+		if st.Pins != 0 {
+			t.Fatalf("insert %d: %d pins, want 0 (stale view not dropped)", i, st.Pins)
+		}
+		// A batch captures at most one pre-image per page it writes, so
+		// whatever is still held after its commit is bounded by that.
+		if wrote := int64(snap.Stats().Writes - before); st.Versions > wrote {
+			t.Fatalf("insert %d: %d page versions held after a batch that wrote %d pages", i, st.Versions, wrote)
+		}
+	}
+	// Readers still work, on a fresh view, and Close leaves nothing pinned.
+	if n, err := c.Len(); err != nil || n != 5001 {
+		t.Fatalf("Len = %d, %v; want 5001", n, err)
+	}
+	c.Close()
+	if st := snap.SnapStats(); st.Pins != 0 {
+		t.Fatalf("after Close: %d pins", st.Pins)
+	}
+}
+
+// TestConcurrentQueryAllocs bounds the serving layer's own cost on top of
+// the allocation-free index query: pinning and releasing the shared epoch
+// view allocates nothing once the view exists.
+func TestConcurrentQueryAllocs(t *testing.T) {
+	if !eiotest.PoolsRecycle() {
+		t.Skip("sync.Pool does not recycle on this build (race detector): the per-query scratch is sometimes rebuilt")
+	}
+	c, _, _ := newConcurrentThreeSided(t, ConcurrentOptions{})
+	defer c.Close()
+	for i := 0; i < 3000; i++ {
+		if err := c.Insert(geom.Point{X: int64(i), Y: int64((i * 31) % 1000)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := make([]geom.Point, 0, 3000)
+	q := geom.Rect{XLo: 500, XHi: 2500, YLo: 300, YHi: geom.MaxCoord}
+	const maxAllocs = 0
+	if n := testing.AllocsPerRun(50, func() {
+		got, err := c.Query(dst[:0], q)
+		if err != nil || len(got) == 0 {
+			t.Fatalf("Query: %d points, %v", len(got), err)
+		}
+	}); n > maxAllocs {
+		t.Errorf("Concurrent.Query: %v allocs/op, want ≤ %d", n, maxAllocs)
+	}
+}
+
+// TestConcurrentQueryResultsDoNotAliasScratch runs 8 readers against one
+// shared epoch view (half through a Snapshot, half through Query) beside a
+// writer. Every reader keeps a result, lets other queries — its own and
+// seven other goroutines' — recycle the pooled scratch, and only then
+// checks the kept result against the model: a returned slice that aliased
+// pooled memory would have been overwritten by then. Run it under -race.
+func TestConcurrentQueryResultsDoNotAliasScratch(t *testing.T) {
+	c, _, _ := newConcurrentThreeSided(t, ConcurrentOptions{})
+	defer c.Close()
+	// Readers query x < 100000, where the set is static; the writer churns
+	// x ≥ 1000000, so the model of the queried region never changes.
+	static := map[geom.Point]bool{}
+	for i := 0; i < 4000; i++ {
+		p := geom.Point{X: int64(i*37%100000 + 1), Y: int64(i*101%5000 + 1)}
+		if static[p] {
+			continue
+		}
+		static[p] = true
+		if err := c.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := func(q geom.Rect) []geom.Point {
+		var out []geom.Point
+		for p := range static {
+			if q.Contains(p) {
+				out = append(out, p)
+			}
+		}
+		geom.SortByX(out)
+		return out
+	}
+	shared, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shared.Close()
+
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			p := geom.Point{X: 1000000 + int64(i%500), Y: int64(i)}
+			if err := c.Insert(p); err != nil {
+				t.Errorf("writer insert: %v", err)
+				return
+			}
+			if i%3 == 0 {
+				if _, err := c.Delete(p); err != nil {
+					t.Errorf("writer delete: %v", err)
+					return
+				}
+			}
+		}
+	}()
+
+	var readers sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			query := c.Query
+			if g%2 == 0 {
+				query = shared.Query
+			}
+			rng := newSplitMix(uint64(g) + 1)
+			rect := func() geom.Rect {
+				lo := int64(rng.next() % 90000)
+				return geom.Rect{XLo: lo, XHi: lo + int64(rng.next()%20000), YLo: int64(rng.next() % 4000), YHi: geom.MaxCoord}
+			}
+			for iter := 0; iter < 60; iter++ {
+				q := rect()
+				kept, err := query(nil, q)
+				if err != nil {
+					t.Errorf("reader %d: %v", g, err)
+					return
+				}
+				// Recycle the scratch a few times before looking at kept.
+				scratchDst := make([]geom.Point, 0, 64)
+				for k := 0; k < 3; k++ {
+					if _, err := query(scratchDst[:0], rect()); err != nil {
+						t.Errorf("reader %d: %v", g, err)
+						return
+					}
+				}
+				geom.SortByX(kept)
+				if w := want(q); !equalPoints(kept, w) {
+					t.Errorf("reader %d iter %d: query %v returned %d points, model has %d (result changed after the scratch was reused?)",
+						g, iter, q, len(kept), len(w))
+					return
+				}
+			}
+		}(g)
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+}
+
+// splitMix is a tiny per-goroutine generator (math/rand's global source
+// would serialize the readers on its lock).
+type splitMix struct{ s uint64 }
+
+func newSplitMix(seed uint64) *splitMix { return &splitMix{s: seed * 0x9e3779b97f4a7c15} }
+
+func (r *splitMix) next() uint64 {
+	r.s += 0x9e3779b97f4a7c15
+	z := r.s
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+func equalPoints(a, b []geom.Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

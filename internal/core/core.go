@@ -18,8 +18,12 @@
 //
 // All structures store a *set* of distinct points whose coordinates avoid
 // the geom.MinCoord / geom.MaxCoord sentinels, and live entirely on an
-// eio.Store — nothing is cached in memory between operations, so measured
-// store I/Os are the structures' true external-memory cost.
+// eio.Store. No page, node or catalog contents are kept in memory between
+// operations — every operation re-reads what it needs from the store, so
+// measured store I/Os are the structures' true external-memory cost. What
+// IS kept is working memory: page and record buffers are recycled from one
+// operation to the next (buffers are reused, their contents never are), so
+// a steady-state query allocates nothing beyond the dst it appends to.
 package core
 
 import (
@@ -138,16 +142,21 @@ func (s *ThreeSided) Delete(p geom.Point) (bool, error) {
 
 // Query implements Index.
 func (s *ThreeSided) Query(dst []geom.Point, q geom.Rect) ([]geom.Point, error) {
-	res, err := s.t.Query3(nil, geom.Query3{XLo: q.XLo, XHi: q.XHi, YLo: q.YLo})
+	base := len(dst)
+	dst, err := s.t.Query3(dst, geom.Query3{XLo: q.XLo, XHi: q.XHi, YLo: q.YLo})
 	if err != nil {
-		return dst, err
+		return dst[:base], err
 	}
-	for _, p := range res {
+	if q.YHi == geom.MaxCoord {
+		return dst, nil // open-topped: nothing to filter
+	}
+	keep := dst[:base]
+	for _, p := range dst[base:] {
 		if p.Y <= q.YHi {
-			dst = append(dst, p)
+			keep = append(keep, p)
 		}
 	}
-	return dst, nil
+	return keep, nil
 }
 
 // Query3 answers a native 3-sided query at the optimal bound.

@@ -1,9 +1,6 @@
 package eio
 
-import (
-	"encoding/binary"
-	"hash/crc32"
-)
+import "hash/crc32"
 
 // castagnoli is the CRC-32C polynomial table used for all on-disk
 // checksums (the same polynomial iSCSI, ext4 and Btrfs use; hardware
@@ -17,9 +14,15 @@ func crc32c(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 // mixed in ahead of the contents so that a page written to the wrong
 // offset (a misdirected write) also fails verification, not just a page
 // whose bytes were damaged in place.
+//
+// The id's eight little-endian bytes are folded in with the table directly:
+// handing crc32.Update a stack array makes it escape (the package
+// dispatches through a function value), which would cost one heap
+// allocation per page read or written.
 func pageCRC(id PageID, data []byte) uint32 {
-	var idb [8]byte
-	binary.LittleEndian.PutUint64(idb[:], uint64(id))
-	c := crc32.Update(0, castagnoli, idb[:])
-	return crc32.Update(c, castagnoli, data)
+	c := ^uint32(0)
+	for shift := 0; shift < 64; shift += 8 {
+		c = castagnoli[byte(c)^byte(id>>shift)] ^ (c >> 8)
+	}
+	return crc32.Update(^c, castagnoli, data)
 }

@@ -117,6 +117,15 @@ var (
 //   - Write requires len(buf) == PageSize() — a page write is always a
 //     whole page, never a prefix or an extension. Any other length fails
 //     with ErrPageSize before any I/O is performed.
+//
+// Buffer ownership (what lets callers and stores recycle their buffers):
+// buf belongs to the caller before, during and after every call. Read
+// copies the page into it and Write copies the page out of it before
+// returning; no implementation keeps a reference to buf past the call, and
+// none hands out its own memory (a pool frame, a transaction image, a file
+// transfer slot) — so the caller may reuse buf at once, and a store may
+// overwrite its internal buffers on the next operation. After a failed
+// Read the contents of buf[:PageSize()] are unspecified.
 type Store interface {
 	// PageSize returns the size of every page in bytes.
 	PageSize() int

@@ -331,7 +331,7 @@ func TestRecordStoreRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rs.Get(id)
+		got, err := rs.Get(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +357,7 @@ func TestRecordStoreUpdateGrowShrink(t *testing.T) {
 	if err := rs.Update(id, big); err != nil {
 		t.Fatal(err)
 	}
-	got, err := rs.Get(id)
+	got, err := rs.Get(id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestRecordStoreUpdateGrowShrink(t *testing.T) {
 	if err := rs.Update(id, small); err != nil {
 		t.Fatal(err)
 	}
-	got, err = rs.Get(id)
+	got, err = rs.Get(id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestRecordStoreIOCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem.ResetStats()
-	if _, err := rs.Get(id); err != nil {
+	if _, err := rs.Get(id, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := uint64(rs.PagesFor(len(data)))
@@ -434,7 +434,7 @@ func TestPointBlockRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPointBlock(nil, mem, id, len(pts))
+	got, err := ReadPointBlock(nil, mem, id, len(pts), make([]byte, mem.PageSize()))
 	if err != nil {
 		t.Fatal(err)
 	}

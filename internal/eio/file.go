@@ -50,6 +50,10 @@ type FileStore struct {
 	seq      uint64 // v2: superblock sequence number of the last flush
 	stats    Stats
 	closed   bool
+	// slot is the one transfer buffer every v2 page read and write goes
+	// through (page + trailer). It is guarded by mu like the file offset
+	// bookkeeping, so no page operation allocates.
+	slot []byte
 }
 
 var _ Store = (*FileStore)(nil)
@@ -77,7 +81,7 @@ func CreateFileStore(path string, pageSize int) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eio: create file store: %w", err)
 	}
-	fs := &FileStore{f: f, ver: 2, pageSize: pageSize, npages: 1}
+	fs := &FileStore{f: f, ver: 2, pageSize: pageSize, npages: 1, slot: make([]byte, pageSize+pageTrailerSize)}
 	// Write both superblock slots so a fresh store is recoverable even if
 	// the very first update tears one of them.
 	if err := fs.writeSuper(); err == nil {
@@ -119,10 +123,15 @@ func attachFile(f *os.File, path string) (*FileStore, error) {
 	}
 	if n >= 40 && binary.LittleEndian.Uint64(hdr[0:]) == fileMagic {
 		// Format v1: single superblock in page slot 0.
+		pageSize := int(binary.LittleEndian.Uint64(hdr[8:]))
+		if pageSize < 32 || pageSize > 1<<30 {
+			return nil, fmt.Errorf("eio: %s: v1 superblock page size %d", path, pageSize)
+		}
 		return &FileStore{
 			f:        f,
 			ver:      1,
-			pageSize: int(binary.LittleEndian.Uint64(hdr[8:])),
+			slot:     make([]byte, pageSize),
+			pageSize: pageSize,
 			npages:   binary.LittleEndian.Uint64(hdr[16:]),
 			freeHead: PageID(binary.LittleEndian.Uint64(hdr[24:])),
 			nfree:    binary.LittleEndian.Uint64(hdr[32:]),
@@ -150,6 +159,7 @@ func attachFile(f *os.File, path string) (*FileStore, error) {
 		freeHead: bestSuper.freeHead,
 		nfree:    bestSuper.nfree,
 		seq:      bestSuper.seq,
+		slot:     make([]byte, bestSuper.pageSize+pageTrailerSize),
 	}, nil
 }
 
@@ -238,34 +248,49 @@ func (fs *FileStore) writePage(id PageID, data []byte, flags uint32) error {
 		}
 		return nil
 	}
-	slot := make([]byte, fs.slotSize())
-	copy(slot, data)
-	binary.LittleEndian.PutUint32(slot[fs.pageSize:], pageCRC(id, slot[:fs.pageSize]))
-	binary.LittleEndian.PutUint32(slot[fs.pageSize+4:], flags)
-	if _, err := fs.f.WriteAt(slot, fs.off(id)); err != nil {
+	copy(fs.slot, data)
+	return fs.writeSlot(id, flags)
+}
+
+// writeZeroPage writes an all-zero page whose first 8 bytes hold next (the
+// free-list link of a free node; 0 for a fresh data page). Callers hold mu.
+func (fs *FileStore) writeZeroPage(id PageID, next PageID, flags uint32) error {
+	clear(fs.slot[:fs.pageSize])
+	binary.LittleEndian.PutUint64(fs.slot, uint64(next))
+	if fs.ver == 1 {
+		if _, err := fs.f.WriteAt(fs.slot[:fs.pageSize], fs.off(id)); err != nil {
+			return fmt.Errorf("eio: write page %d: %w", id, err)
+		}
+		return nil
+	}
+	return fs.writeSlot(id, flags)
+}
+
+// writeSlot seals the page image in fs.slot with its trailer and writes it
+// as page id (format v2). Callers hold mu.
+func (fs *FileStore) writeSlot(id PageID, flags uint32) error {
+	binary.LittleEndian.PutUint32(fs.slot[fs.pageSize:], pageCRC(id, fs.slot[:fs.pageSize]))
+	binary.LittleEndian.PutUint32(fs.slot[fs.pageSize+4:], flags)
+	if _, err := fs.f.WriteAt(fs.slot, fs.off(id)); err != nil {
 		return fmt.Errorf("eio: write page %d: %w", id, err)
 	}
 	return nil
 }
 
-// readPage reads page id into buf[:pageSize], verifying the v2 trailer,
-// and returns the trailer flags (pageFlagData for v1). Callers hold mu.
-func (fs *FileStore) readPage(id PageID, buf []byte) (uint32, error) {
-	if fs.ver == 1 {
-		if _, err := fs.f.ReadAt(buf[:fs.pageSize], fs.off(id)); err != nil {
-			return 0, fmt.Errorf("eio: read page %d: %w", id, err)
-		}
-		return pageFlagData, nil
-	}
-	slot := make([]byte, fs.slotSize())
-	if _, err := fs.f.ReadAt(slot, fs.off(id)); err != nil {
+// readSlot reads page id into fs.slot[:pageSize], verifying the v2 trailer,
+// and returns the trailer flags (pageFlagData for v1). The image is valid
+// until the next page operation. Callers hold mu.
+func (fs *FileStore) readSlot(id PageID) (uint32, error) {
+	if _, err := fs.f.ReadAt(fs.slot[:fs.slotSize()], fs.off(id)); err != nil {
 		return 0, fmt.Errorf("eio: read page %d: %w", id, err)
 	}
-	if binary.LittleEndian.Uint32(slot[fs.pageSize:]) != pageCRC(id, slot[:fs.pageSize]) {
+	if fs.ver == 1 {
+		return pageFlagData, nil
+	}
+	if binary.LittleEndian.Uint32(fs.slot[fs.pageSize:]) != pageCRC(id, fs.slot[:fs.pageSize]) {
 		return 0, fmt.Errorf("eio: page %d: %w", id, ErrChecksum)
 	}
-	copy(buf[:fs.pageSize], slot)
-	return binary.LittleEndian.Uint32(slot[fs.pageSize+4:]), nil
+	return binary.LittleEndian.Uint32(fs.slot[fs.pageSize+4:]), nil
 }
 
 // PageSize implements Store.
@@ -279,38 +304,30 @@ func (fs *FileStore) Alloc() (PageID, error) {
 		return NilPage, fmt.Errorf("eio: alloc on closed store")
 	}
 	fs.stats.Allocs++
-	zero := make([]byte, fs.pageSize)
 	if fs.freeHead != NilPage {
 		id := fs.freeHead
-		var next PageID
 		if fs.ver == 1 {
-			var nb [8]byte
-			if _, err := fs.f.ReadAt(nb[:], fs.off(id)); err != nil {
+			if _, err := fs.f.ReadAt(fs.slot[:8], fs.off(id)); err != nil {
 				return NilPage, fmt.Errorf("eio: pop free list: %w", err)
 			}
-			next = PageID(binary.LittleEndian.Uint64(nb[:]))
-		} else {
-			buf := make([]byte, fs.pageSize)
-			if _, err := fs.readPage(id, buf); err != nil {
-				return NilPage, fmt.Errorf("eio: pop free list: %w", err)
-			}
-			// The next pointer lives in the first 8 bytes. After a crash
-			// the head may be a page whose allocation was never committed
-			// (trailer says data, contents zeroed): its zero next pointer
-			// simply ends the list, which conservatively leaks the
-			// remainder — detected and reported by VerifyFile.
-			next = PageID(binary.LittleEndian.Uint64(buf[:8]))
+		} else if _, err := fs.readSlot(id); err != nil {
+			return NilPage, fmt.Errorf("eio: pop free list: %w", err)
 		}
-		fs.freeHead = next
+		// The next pointer lives in the first 8 bytes. After a crash the
+		// head may be a page whose allocation was never committed (trailer
+		// says data, contents zeroed): its zero next pointer simply ends
+		// the list, which conservatively leaks the remainder — detected
+		// and reported by VerifyFile.
+		fs.freeHead = PageID(binary.LittleEndian.Uint64(fs.slot[:8]))
 		fs.nfree--
-		if err := fs.writePage(id, zero, pageFlagData); err != nil {
+		if err := fs.writeZeroPage(id, NilPage, pageFlagData); err != nil {
 			return NilPage, fmt.Errorf("eio: zero reused page: %w", err)
 		}
 		return id, nil
 	}
 	id := PageID(fs.npages)
 	fs.npages++
-	if err := fs.writePage(id, zero, pageFlagData); err != nil {
+	if err := fs.writeZeroPage(id, NilPage, pageFlagData); err != nil {
 		return NilPage, fmt.Errorf("eio: extend file: %w", err)
 	}
 	return id, nil
@@ -330,17 +347,12 @@ func (fs *FileStore) Free(id PageID) error {
 	}
 	fs.stats.Frees++
 	if fs.ver == 1 {
-		var next [8]byte
-		binary.LittleEndian.PutUint64(next[:], uint64(fs.freeHead))
-		if _, err := fs.f.WriteAt(next[:], fs.off(id)); err != nil {
+		binary.LittleEndian.PutUint64(fs.slot[:8], uint64(fs.freeHead))
+		if _, err := fs.f.WriteAt(fs.slot[:8], fs.off(id)); err != nil {
 			return fmt.Errorf("eio: push free list: %w", err)
 		}
-	} else {
-		node := make([]byte, fs.pageSize)
-		binary.LittleEndian.PutUint64(node[:8], uint64(fs.freeHead))
-		if err := fs.writePage(id, node, pageFlagFree); err != nil {
-			return fmt.Errorf("eio: push free list: %w", err)
-		}
+	} else if err := fs.writeZeroPage(id, fs.freeHead, pageFlagFree); err != nil {
+		return fmt.Errorf("eio: push free list: %w", err)
 	}
 	fs.freeHead = id
 	fs.nfree++
@@ -359,13 +371,14 @@ func (fs *FileStore) Read(id PageID, buf []byte) error {
 		return fmt.Errorf("eio: read buffer %d bytes: %w", len(buf), ErrPageSize)
 	}
 	fs.stats.Reads++
-	flags, err := fs.readPage(id, buf)
+	flags, err := fs.readSlot(id)
 	if err != nil {
 		return err
 	}
 	if flags == pageFlagFree {
 		return fmt.Errorf("eio: page %d is freed: %w", id, ErrBadPage)
 	}
+	copy(buf[:fs.pageSize], fs.slot)
 	return nil
 }
 
@@ -437,10 +450,9 @@ func (fs *FileStore) LivePageIDs() ([]PageID, error) {
 		return nil, fmt.Errorf("eio: access to closed store")
 	}
 	var ids []PageID
-	buf := make([]byte, fs.pageSize)
 	for id := PageID(1); uint64(id) < fs.npages; id++ {
 		fs.stats.Reads++
-		flags, err := fs.readPage(id, buf)
+		flags, err := fs.readSlot(id)
 		if err != nil {
 			ids = append(ids, id) // torn page: conservatively live
 			continue
@@ -473,8 +485,7 @@ func (fs *FileStore) EnsurePage(id PageID) error {
 		return fmt.Errorf("eio: access to closed store")
 	}
 	if uint64(id) < fs.npages {
-		buf := make([]byte, fs.pageSize)
-		flags, err := fs.readPage(id, buf)
+		flags, err := fs.readSlot(id)
 		if err != nil {
 			return nil // torn page: a follow-up Write rewrites it whole
 		}
@@ -483,9 +494,8 @@ func (fs *FileStore) EnsurePage(id PageID) error {
 		}
 		return nil
 	}
-	zero := make([]byte, fs.pageSize)
 	for next := PageID(fs.npages); next <= id; next++ {
-		if err := fs.writePage(next, zero, pageFlagData); err != nil {
+		if err := fs.writeZeroPage(next, NilPage, pageFlagData); err != nil {
 			return fmt.Errorf("eio: ensure page %d: %w", next, err)
 		}
 		fs.npages++

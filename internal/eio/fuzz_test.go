@@ -30,7 +30,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("put: %v", err)
 		}
-		got, err := rs.Get(id)
+		got, err := rs.Get(id, nil)
 		if err != nil {
 			t.Fatalf("get: %v", err)
 		}
@@ -42,7 +42,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		if err := rs.Update(id, mutated); err != nil {
 			t.Fatalf("update: %v", err)
 		}
-		got, err = rs.Get(id)
+		got, err = rs.Get(id, nil)
 		if err != nil || !bytes.Equal(got, mutated) {
 			t.Fatalf("update round trip: %v", err)
 		}

@@ -38,14 +38,6 @@ func EncodePoints(buf []byte, pts []geom.Point) int {
 	return len(pts) * PointSize
 }
 
-// DecodePoints unpacks n points from buf, appending to dst.
-func DecodePoints(dst []geom.Point, buf []byte, n int) []geom.Point {
-	for i := 0; i < n; i++ {
-		dst = append(dst, GetPoint(buf, i*PointSize))
-	}
-	return dst
-}
-
 // WritePointBlock allocates (if id is NilPage) or overwrites a page with
 // pts and returns the page id. len(pts) must be at most BlockCapacity.
 func WritePointBlock(s Store, id PageID, pts []geom.Point) (PageID, error) {
@@ -59,19 +51,28 @@ func WritePointBlock(s Store, id PageID, pts []geom.Point) (PageID, error) {
 			return NilPage, err
 		}
 	}
-	buf := make([]byte, s.PageSize())
-	EncodePoints(buf, pts)
-	if err := s.Write(id, buf); err != nil {
+	page := borrowPage(s.PageSize())
+	defer returnPage(page)
+	clear((*page)[EncodePoints(*page, pts):])
+	if err := s.Write(id, *page); err != nil {
 		return NilPage, err
 	}
 	return id, nil
 }
 
-// ReadPointBlock reads n points from page id, appending to dst.
-func ReadPointBlock(dst []geom.Point, s Store, id PageID, n int) ([]geom.Point, error) {
-	buf := make([]byte, s.PageSize())
-	if err := s.Read(id, buf); err != nil {
+// ReadPointBlock reads page id into page — caller-owned scratch of at least
+// one page, overwritten — and appends its first n points to dst. Callers
+// that filter rather than collect read the page themselves and walk it with
+// GetPoint.
+func ReadPointBlock(dst []geom.Point, s Store, id PageID, n int, page []byte) ([]geom.Point, error) {
+	if n < 0 || n > BlockCapacity(s.PageSize()) {
+		return dst, fmt.Errorf("eio: point block %d: count %d exceeds block capacity: %w", id, n, ErrBadRecord)
+	}
+	if err := s.Read(id, page); err != nil {
 		return dst, err
 	}
-	return DecodePoints(dst, buf, n), nil
+	for i := 0; i < n; i++ {
+		dst = append(dst, GetPoint(page, i*PointSize))
+	}
+	return dst, nil
 }

@@ -1,7 +1,6 @@
 package eio
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 )
@@ -21,21 +20,36 @@ type PoolStats struct {
 //
 // Writes are buffered (write-back): a page is written to the backing store
 // only when it is evicted or on Flush/Close.
+//
+// The pool owns its frames: at most Cap page buffers are ever allocated
+// (on first use) and they are kept for the pool's life. A miss on a full
+// pool moves the incoming page into the frame of the page it evicts, so
+// steady-state traffic allocates nothing.
 type Pool struct {
 	mu      sync.Mutex
 	backing Store
 	cap     int
-	frames  map[PageID]*list.Element
-	lru     *list.List // front = most recent; values are *frame
+	frames  []frame          // every frame ever allocated, resident or spare
+	index   map[PageID]int32 // resident page → its frame
+	head    int32            // most recently used resident frame, or noFrame
+	tail    int32            // least recently used resident frame, or noFrame
+	spare   int32            // frames released by Free, linked through next
+	n       int              // resident frames
 	pstats  PoolStats
 	closed  bool
 }
 
+// frame is one pooled page. Resident frames form a doubly linked LRU list
+// through prev/next (indices into Pool.frames); spare frames a singly
+// linked one through next.
 type frame struct {
-	id    PageID
-	data  []byte
-	dirty bool
+	id         PageID
+	data       []byte
+	dirty      bool
+	prev, next int32
 }
+
+const noFrame int32 = -1
 
 var _ Store = (*Pool)(nil)
 
@@ -47,8 +61,10 @@ func NewPool(backing Store, capacity int) *Pool {
 	return &Pool{
 		backing: backing,
 		cap:     capacity,
-		frames:  make(map[PageID]*list.Element, capacity),
-		lru:     list.New(),
+		index:   make(map[PageID]int32),
+		head:    noFrame,
+		tail:    noFrame,
+		spare:   noFrame,
 	}
 }
 
@@ -63,9 +79,7 @@ func (p *Pool) Alloc() (PageID, error) {
 	if err != nil {
 		return NilPage, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.insertLocked(&frame{id: id, data: make([]byte, p.backing.PageSize()), dirty: true}); err != nil {
+	if err := p.adopt(id); err != nil {
 		// The eviction write-back failed; release the page we just
 		// allocated so it is not leaked (best-effort — the insert error
 		// is the one worth reporting).
@@ -75,12 +89,33 @@ func (p *Pool) Alloc() (PageID, error) {
 	return id, nil
 }
 
+// adopt inserts a freshly allocated page into the pool as a zeroed dirty
+// frame (the id comes from the backing store: this pool's Alloc, or the
+// shared one of a ShardedPool).
+func (p *Pool) adopt(id PageID) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return fmt.Errorf("eio: alloc on closed pool")
+	}
+	fr, err := p.insertLocked(id)
+	if err != nil {
+		return err
+	}
+	clear(fr.data)
+	fr.dirty = true
+	return nil
+}
+
 // Free implements Store. A pooled copy is dropped without write-back.
 func (p *Pool) Free(id PageID) error {
 	p.mu.Lock()
-	if el, ok := p.frames[id]; ok {
-		p.lru.Remove(el)
-		delete(p.frames, id)
+	if i, ok := p.index[id]; ok {
+		p.unlinkLocked(i)
+		p.n--
+		delete(p.index, id)
+		p.frames[i].next = p.spare
+		p.spare = i
 	}
 	p.mu.Unlock()
 	return p.backing.Free(id)
@@ -96,24 +131,28 @@ func (p *Pool) Read(id PageID, buf []byte) error {
 	// Validate up front so behavior does not depend on cache state: the
 	// backing store would reject a short buffer on a miss, so a hit must
 	// reject it too rather than silently truncating.
-	if len(buf) < p.backing.PageSize() {
+	ps := p.backing.PageSize()
+	if len(buf) < ps {
 		return fmt.Errorf("eio: read buffer %d bytes: %w", len(buf), ErrPageSize)
 	}
-	if el, ok := p.frames[id]; ok {
+	if i, ok := p.index[id]; ok {
 		p.pstats.Hits++
-		p.lru.MoveToFront(el)
-		copy(buf, el.Value.(*frame).data)
+		p.touchLocked(i)
+		copy(buf, p.frames[i].data)
 		return nil
 	}
 	p.pstats.Misses++
-	fr := &frame{id: id, data: make([]byte, p.backing.PageSize())}
-	if err := p.backing.Read(id, fr.data); err != nil {
+	// The page goes to the caller's buffer first: the victim's frame still
+	// holds the victim until its write-back (after this read) has succeeded.
+	if err := p.backing.Read(id, buf); err != nil {
 		return err
 	}
-	if err := p.insertLocked(fr); err != nil {
+	fr, err := p.insertLocked(id)
+	if err != nil {
 		return err
 	}
-	copy(buf, fr.data)
+	copy(fr.data, buf[:ps])
+	fr.dirty = false
 	return nil
 }
 
@@ -127,37 +166,91 @@ func (p *Pool) Write(id PageID, buf []byte) error {
 	if len(buf) != p.backing.PageSize() {
 		return fmt.Errorf("eio: write buffer %d bytes: %w", len(buf), ErrPageSize)
 	}
-	if el, ok := p.frames[id]; ok {
+	if i, ok := p.index[id]; ok {
 		p.pstats.Hits++
-		fr := el.Value.(*frame)
+		fr := &p.frames[i]
 		copy(fr.data, buf)
 		fr.dirty = true
-		p.lru.MoveToFront(el)
+		p.touchLocked(i)
 		return nil
 	}
 	p.pstats.Misses++
-	fr := &frame{id: id, data: make([]byte, p.backing.PageSize()), dirty: true}
+	fr, err := p.insertLocked(id)
+	if err != nil {
+		return err
+	}
 	copy(fr.data, buf)
-	return p.insertLocked(fr)
+	fr.dirty = true
+	return nil
 }
 
-// insertLocked adds fr to the pool, evicting the LRU frame if full.
-func (p *Pool) insertLocked(fr *frame) error {
-	for p.lru.Len() >= p.cap {
-		tail := p.lru.Back()
-		victim := tail.Value.(*frame)
+// insertLocked makes page id resident at the front of the LRU list and
+// returns its frame, whose contents and dirty flag the caller must set. On
+// a full pool the LRU frame is evicted (written back first if dirty) and
+// reused; otherwise a spare frame is taken or a new one allocated.
+func (p *Pool) insertLocked(id PageID) (*frame, error) {
+	var i int32
+	switch {
+	case p.n >= p.cap:
+		i = p.tail
+		victim := &p.frames[i]
 		if victim.dirty {
 			p.pstats.Writeback++
 			if err := p.backing.Write(victim.id, victim.data); err != nil {
-				return fmt.Errorf("eio: evict page %d: %w", victim.id, err)
+				return nil, fmt.Errorf("eio: evict page %d: %w", victim.id, err)
 			}
 		}
 		p.pstats.Evictions++
-		p.lru.Remove(tail)
-		delete(p.frames, victim.id)
+		p.unlinkLocked(i)
+		p.n--
+		delete(p.index, victim.id)
+	case p.spare != noFrame:
+		i = p.spare
+		p.spare = p.frames[i].next
+	default:
+		i = int32(len(p.frames))
+		p.frames = append(p.frames, frame{data: make([]byte, p.backing.PageSize())})
 	}
-	p.frames[fr.id] = p.lru.PushFront(fr)
-	return nil
+	p.frames[i].id = id
+	p.pushFrontLocked(i)
+	p.n++
+	p.index[id] = i
+	return &p.frames[i], nil
+}
+
+// pushFrontLocked links frame i in as the most recently used.
+func (p *Pool) pushFrontLocked(i int32) {
+	fr := &p.frames[i]
+	fr.prev, fr.next = noFrame, p.head
+	if p.head != noFrame {
+		p.frames[p.head].prev = i
+	} else {
+		p.tail = i
+	}
+	p.head = i
+}
+
+// unlinkLocked removes frame i from the LRU list.
+func (p *Pool) unlinkLocked(i int32) {
+	fr := &p.frames[i]
+	if fr.prev != noFrame {
+		p.frames[fr.prev].next = fr.next
+	} else {
+		p.head = fr.next
+	}
+	if fr.next != noFrame {
+		p.frames[fr.next].prev = fr.prev
+	} else {
+		p.tail = fr.prev
+	}
+}
+
+// touchLocked moves resident frame i to the front of the LRU list.
+func (p *Pool) touchLocked(i int32) {
+	if p.head != i {
+		p.unlinkLocked(i)
+		p.pushFrontLocked(i)
+	}
 }
 
 // Flush writes every dirty pooled page to the backing store.
@@ -167,9 +260,10 @@ func (p *Pool) Flush() error {
 	return p.flushLocked()
 }
 
+// flushLocked writes dirty frames back in LRU order, most recent first.
 func (p *Pool) flushLocked() error {
-	for el := p.lru.Front(); el != nil; el = el.Next() {
-		fr := el.Value.(*frame)
+	for i := p.head; i != noFrame; i = p.frames[i].next {
+		fr := &p.frames[i]
 		if fr.dirty {
 			p.pstats.Writeback++
 			if err := p.backing.Write(fr.id, fr.data); err != nil {
@@ -213,8 +307,8 @@ func (p *Pool) Dirty() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
-	for el := p.lru.Front(); el != nil; el = el.Next() {
-		if el.Value.(*frame).dirty {
+	for i := p.head; i != noFrame; i = p.frames[i].next {
+		if p.frames[i].dirty {
 			n++
 		}
 	}
@@ -228,7 +322,7 @@ func (p *Pool) Cap() int { return p.cap }
 func (p *Pool) Resident() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.lru.Len()
+	return p.n
 }
 
 // Pages implements Store.

@@ -30,7 +30,7 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := rs.Get(id)
+		got, err := rs.Get(id, nil)
 		if err != nil || !bytes.Equal(got, data) {
 			return false
 		}

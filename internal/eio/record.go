@@ -3,6 +3,7 @@ package eio
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // RecordStore stores variable-length byte records on a Store as chains of
@@ -13,9 +14,51 @@ import (
 // Chain layout: every page starts with an 8-byte next-page id; the first
 // page additionally carries the record length as 8 bytes. The record id is
 // the id of its first page.
+//
+// Aliasing rules: Get reads a record into caller-owned memory (a RecordBuf)
+// and returns a slice of it, valid until that RecordBuf is next passed to
+// Get; a RecordStore itself keeps no buffer and no state besides the Store,
+// so one may be shared by concurrent readers. Put and Update do not retain
+// data.
 type RecordStore struct {
 	s Store
 }
+
+// RecordBuf is caller-owned, reusable memory for RecordStore.Get. The zero
+// value is ready to use; it grows to the largest record read through it and
+// never shrinks. A RecordBuf must not be used by two Gets at once.
+type RecordBuf struct {
+	b []byte // len == cap: chain pages are read straight into it
+}
+
+// grow returns the buffer extended to at least n bytes, contents preserved.
+func (rb *RecordBuf) grow(n int) []byte {
+	if n > len(rb.b) {
+		nb := make([]byte, max(n, 2*len(rb.b)))
+		copy(nb, rb.b)
+		rb.b = nb
+	}
+	return rb.b
+}
+
+// pageBufs recycles the page-sized transfer buffers of operations that
+// have no caller-supplied scratch (record writes, chain walks, point-block
+// writes). Only buffers are recycled, never their contents: every borrower
+// overwrites the whole page before using it.
+var pageBufs sync.Pool
+
+// borrowPage returns a page buffer of exactly ps bytes with arbitrary
+// contents; hand it back with returnPage.
+func borrowPage(ps int) *[]byte {
+	if b, _ := pageBufs.Get().(*[]byte); b != nil && cap(*b) >= ps {
+		*b = (*b)[:ps]
+		return b
+	}
+	b := make([]byte, ps)
+	return &b
+}
+
+func returnPage(b *[]byte) { pageBufs.Put(b) }
 
 const (
 	chainNextOff  = 0
@@ -68,7 +111,9 @@ func (r *RecordStore) Update(id PageID, data []byte) error {
 // are released best-effort so a failed grow does not leak.
 func (r *RecordStore) write(reuse PageID, data []byte) (PageID, error) {
 	ps := r.s.PageSize()
-	buf := make([]byte, ps)
+	page := borrowPage(ps)
+	defer returnPage(page)
+	buf := *page
 
 	// Collect reusable pages from the old chain.
 	var reusable []PageID
@@ -149,34 +194,54 @@ func freeAll(s Store, ids []PageID) {
 	}
 }
 
-// Get reads the record id in full.
-func (r *RecordStore) Get(id PageID) ([]byte, error) {
+// maxRecordLen bounds the length a head page may claim.
+const maxRecordLen = 1 << 40
+
+// Get reads the record id into buf and returns its bytes. The result
+// aliases buf's memory and is valid until buf is next passed to Get; a nil
+// buf reads into fresh memory the caller then owns.
+//
+// Every chain page is read straight into buf at the position its payload
+// belongs, so a record costs no copy beyond the store's own and buf grows
+// only as pages actually arrive — a corrupt head page claiming a huge
+// length fails with ErrBadRecord after the chain runs out, not after the
+// runtime has been asked for that much memory.
+func (r *RecordStore) Get(id PageID, buf *RecordBuf) ([]byte, error) {
 	if id == NilPage {
 		return nil, fmt.Errorf("eio: get of nil record: %w", ErrBadRecord)
 	}
+	if buf == nil {
+		buf = new(RecordBuf)
+	}
 	ps := r.s.PageSize()
-	buf := make([]byte, ps)
-	if err := r.s.Read(id, buf); err != nil {
+	b := buf.grow(ps)
+	if err := r.s.Read(id, b[:ps]); err != nil {
 		return nil, err
 	}
-	next := PageID(binary.LittleEndian.Uint64(buf[chainNextOff:]))
-	length := int(binary.LittleEndian.Uint64(buf[8:]))
-	if length < 0 || length > 1<<40 {
+	next := PageID(binary.LittleEndian.Uint64(b[chainNextOff:]))
+	length := binary.LittleEndian.Uint64(b[8:])
+	if length > maxRecordLen {
 		return nil, fmt.Errorf("eio: record %d length %d: %w", id, length, ErrBadRecord)
 	}
-	out := make([]byte, 0, length)
-	out = append(out, buf[chainHdrFirst:min(ps, chainHdrFirst+length)]...)
-	for next != NilPage && len(out) < length {
-		if err := r.s.Read(next, buf); err != nil {
+	want := chainHdrFirst + int(length) // end of the payload within b
+	end := min(ps, want)
+	for next != NilPage && end < want {
+		// The page's 8-byte header lands on the payload's last 8 bytes:
+		// set them aside for the read and put them back afterwards.
+		at := end - chainHdrRest
+		b = buf.grow(at + ps)
+		saved := binary.LittleEndian.Uint64(b[at:])
+		if err := r.s.Read(next, b[at:at+ps]); err != nil {
 			return nil, err
 		}
-		next = PageID(binary.LittleEndian.Uint64(buf[chainNextOff:]))
-		out = append(out, buf[chainHdrRest:min(ps, chainHdrRest+length-len(out))]...)
+		next = PageID(binary.LittleEndian.Uint64(b[at:]))
+		binary.LittleEndian.PutUint64(b[at:], saved)
+		end = min(at+ps, want)
 	}
-	if len(out) != length {
-		return nil, fmt.Errorf("eio: record %d truncated (%d of %d bytes): %w", id, len(out), length, ErrBadRecord)
+	if end != want {
+		return nil, fmt.Errorf("eio: record %d truncated (%d of %d bytes): %w", id, end-chainHdrFirst, length, ErrBadRecord)
 	}
-	return out, nil
+	return b[chainHdrFirst:want:want], nil
 }
 
 // Delete frees every page of the record id.
@@ -203,8 +268,9 @@ func (r *RecordStore) Chain(id PageID) ([]PageID, error) { return r.chain(id) }
 
 // chain returns the page ids of record id in order.
 func (r *RecordStore) chain(id PageID) ([]PageID, error) {
-	ps := r.s.PageSize()
-	buf := make([]byte, ps)
+	page := borrowPage(r.s.PageSize())
+	defer returnPage(page)
+	buf := *page
 	var pages []PageID
 	for cur := id; cur != NilPage; {
 		if err := r.s.Read(cur, buf); err != nil {

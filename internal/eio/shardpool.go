@@ -193,15 +193,3 @@ func (sp *ShardedPool) Close() error {
 	}
 	return err
 }
-
-// adopt inserts a freshly allocated page into the pool as a zeroed dirty
-// frame (the ShardedPool alloc path: the id comes from the shared backing
-// store, not from this shard's Pool.Alloc).
-func (p *Pool) adopt(id PageID) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return fmt.Errorf("eio: alloc on closed pool")
-	}
-	return p.insertLocked(&frame{id: id, data: make([]byte, p.backing.PageSize()), dirty: true})
-}

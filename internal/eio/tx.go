@@ -263,7 +263,7 @@ func NewTxStore(inner Store, opts TxOptions) (*TxStore, error) {
 func OpenTxStore(inner Store, dir PageID) (*TxStore, error) {
 	t := &TxStore{inner: inner, ps: inner.PageSize(), dir: dir}
 	rs := NewRecordStore(inner)
-	raw, err := rs.Get(dir)
+	raw, err := rs.Get(dir, nil)
 	if err != nil {
 		return nil, fmt.Errorf("eio: tx: read directory %d: %w", dir, err)
 	}

@@ -48,7 +48,7 @@ type TxLayerInfo struct {
 	Anchors  [2]AnchorInfo `json:"anchors"`
 	// Applied is the winning anchor's LSN — the durable position of the
 	// store, and the position a log-shipping stream resumes from.
-	Applied uint64 `json:"applied"`
+	Applied uint64        `json:"applied"`
 	Record  WALRecordInfo `json:"record"`
 }
 
@@ -61,7 +61,7 @@ func InspectTxLayer(inner Store, dir PageID) (TxLayerInfo, error) {
 	info.Dir = dir
 	t := &TxStore{inner: inner, ps: inner.PageSize(), dir: dir}
 	rs := NewRecordStore(inner)
-	raw, err := rs.Get(dir)
+	raw, err := rs.Get(dir, nil)
 	if err != nil {
 		return info, fmt.Errorf("eio: inspect: read directory %d: %w", dir, err)
 	}

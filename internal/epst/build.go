@@ -14,14 +14,14 @@ import (
 // every node takes the min(B, available) topmost points of each child's
 // subtree into the child's Y-set, and the remainder trickles down —
 // exactly the invariants of Section 3.3.
-func (t *Tree) bulkBuild(pts []geom.Point) (eio.PageID, int, error) {
+func (t *Tree) bulkBuild(sc *scratch, pts []geom.Point) (eio.PageID, int, error) {
 	type built struct {
 		id     eio.PageID
 		maxKey geom.Point
 		weight int64
 	}
 	if len(pts) == 0 {
-		id, err := t.writeNode(eio.NilPage, &node{level: 0})
+		id, err := t.writeNode(sc, eio.NilPage, &node{level: 0})
 		return id, 0, err
 	}
 
@@ -46,7 +46,7 @@ func (t *Tree) bulkBuild(pts []geom.Point) (eio.PageID, int, error) {
 		for j := lo; j < hi; j++ {
 			n.keys[j-lo] = keyEntry{p: pts[j], here: true}
 		}
-		id, err := t.writeNode(eio.NilPage, n)
+		id, err := t.writeNode(sc, eio.NilPage, n)
 		if err != nil {
 			return eio.NilPage, 0, err
 		}
@@ -67,7 +67,7 @@ func (t *Tree) bulkBuild(pts []geom.Point) (eio.PageID, int, error) {
 			if len(cur.entries) == 0 {
 				return nil
 			}
-			id, err := t.writeNode(eio.NilPage, cur)
+			id, err := t.writeNode(sc, eio.NilPage, cur)
 			if err != nil {
 				return err
 			}
@@ -93,7 +93,7 @@ func (t *Tree) bulkBuild(pts []geom.Point) (eio.PageID, int, error) {
 	root := level[0].id
 
 	// Fill pass: distribute points into Y-sets top-down.
-	if err := t.fill(root, pts); err != nil {
+	if err := t.fill(sc, root, pts); err != nil {
 		return eio.NilPage, 0, err
 	}
 	_ = leafIDs
@@ -114,8 +114,9 @@ func (t *Tree) levelCap(level int) int64 {
 
 // fill assigns pts (the points of id's subtree not absorbed above, sorted
 // by composite key) to id's auxiliary structures.
-func (t *Tree) fill(id eio.PageID, pts []geom.Point) error {
-	n, err := t.readNode(id)
+func (t *Tree) fill(sc *scratch, id eio.PageID, pts []geom.Point) error {
+	defer sc.release(sc.used)
+	n, err := t.readNode(sc, id)
 	if err != nil {
 		return err
 	}
@@ -127,7 +128,7 @@ func (t *Tree) fill(id eio.PageID, pts []geom.Point) error {
 		for i := range n.keys {
 			n.keys[i].here = present[n.keys[i].p]
 		}
-		return t.writeBack(id, n)
+		return t.writeBack(sc, id, n)
 	}
 	// Partition pts among children by composite range (pts is sorted, and
 	// child ranges are consecutive).
@@ -154,7 +155,7 @@ func (t *Tree) fill(id eio.PageID, pts []geom.Point) error {
 		n.entries[i].ysize = int32(len(ys))
 
 		rest := subtract(childPts, ys)
-		if err := t.fill(n.entries[i].child, rest); err != nil {
+		if err := t.fill(sc, n.entries[i].child, rest); err != nil {
 			return err
 		}
 	}
@@ -163,7 +164,7 @@ func (t *Tree) fill(id eio.PageID, pts []geom.Point) error {
 		return err
 	}
 	n.q = q
-	return t.writeBack(id, n)
+	return t.writeBack(sc, id, n)
 }
 
 // createQ builds a small structure over pts and returns its catalog id.
@@ -201,8 +202,9 @@ func subtract(pts, drop []geom.Point) []geom.Point {
 }
 
 // collect appends every stored point in id's subtree to out.
-func (t *Tree) collect(id eio.PageID, out *[]geom.Point) error {
-	n, err := t.readNode(id)
+func (t *Tree) collect(sc *scratch, id eio.PageID, out *[]geom.Point) error {
+	defer sc.release(sc.used)
+	n, err := t.readNode(sc, id)
 	if err != nil {
 		return err
 	}
@@ -214,7 +216,7 @@ func (t *Tree) collect(id eio.PageID, out *[]geom.Point) error {
 		}
 		return nil
 	}
-	q, err := t.openQ(n.q)
+	q, err := t.openQ(sc, n.q)
 	if err != nil {
 		return err
 	}
@@ -224,7 +226,7 @@ func (t *Tree) collect(id eio.PageID, out *[]geom.Point) error {
 	}
 	*out = append(*out, pts...)
 	for i := range n.entries {
-		if err := t.collect(n.entries[i].child, out); err != nil {
+		if err := t.collect(sc, n.entries[i].child, out); err != nil {
 			return err
 		}
 	}
@@ -232,13 +234,14 @@ func (t *Tree) collect(id eio.PageID, out *[]geom.Point) error {
 }
 
 // freeSubtree releases every record and small structure under id.
-func (t *Tree) freeSubtree(id eio.PageID) error {
-	n, err := t.readNode(id)
+func (t *Tree) freeSubtree(sc *scratch, id eio.PageID) error {
+	defer sc.release(sc.used)
+	n, err := t.readNode(sc, id)
 	if err != nil {
 		return err
 	}
 	if n.level > 0 {
-		q, err := t.openQ(n.q)
+		q, err := t.openQ(sc, n.q)
 		if err != nil {
 			return err
 		}
@@ -246,7 +249,7 @@ func (t *Tree) freeSubtree(id eio.PageID) error {
 			return err
 		}
 		for i := range n.entries {
-			if err := t.freeSubtree(n.entries[i].child); err != nil {
+			if err := t.freeSubtree(sc, n.entries[i].child); err != nil {
 				return err
 			}
 		}
@@ -256,16 +259,16 @@ func (t *Tree) freeSubtree(id eio.PageID) error {
 
 // rebuild reconstructs the whole tree from its live points (the paper's
 // global rebuilding step for lazy deletions).
-func (t *Tree) rebuild(m *meta) error {
+func (t *Tree) rebuild(sc *scratch, m *meta) error {
 	var pts []geom.Point
-	if err := t.collect(m.root, &pts); err != nil {
+	if err := t.collect(sc, m.root, &pts); err != nil {
 		return err
 	}
-	if err := t.freeSubtree(m.root); err != nil {
+	if err := t.freeSubtree(sc, m.root); err != nil {
 		return err
 	}
 	geom.SortByX(pts)
-	root, height, err := t.bulkBuild(pts)
+	root, height, err := t.bulkBuild(sc, pts)
 	if err != nil {
 		return err
 	}
@@ -273,16 +276,18 @@ func (t *Tree) rebuild(m *meta) error {
 	m.height = height
 	m.live = int64(len(pts))
 	m.basis = m.live
-	return t.storeMeta(m)
+	return t.storeMeta(sc, m)
 }
 
 // Destroy frees the whole tree including its header.
 func (t *Tree) Destroy() error {
-	m, err := t.loadMeta()
+	sc := getScratch()
+	defer putScratch(sc)
+	m, err := t.loadMeta(sc)
 	if err != nil {
 		return err
 	}
-	if err := t.freeSubtree(m.root); err != nil {
+	if err := t.freeSubtree(sc, m.root); err != nil {
 		return err
 	}
 	return t.rs.Delete(t.hdr)
@@ -290,12 +295,14 @@ func (t *Tree) Destroy() error {
 
 // All returns every stored point (unordered).
 func (t *Tree) All() ([]geom.Point, error) {
-	m, err := t.loadMeta()
+	sc := getScratch()
+	defer putScratch(sc)
+	m, err := t.loadMeta(sc)
 	if err != nil {
 		return nil, err
 	}
 	var pts []geom.Point
-	if err := t.collect(m.root, &pts); err != nil {
+	if err := t.collect(sc, m.root, &pts); err != nil {
 		return nil, err
 	}
 	if int64(len(pts)) != m.live {

@@ -19,11 +19,13 @@ import (
 //     leaves respect the 2k−1 cap;
 //  5. every point is stored exactly once and every key has its point.
 func (t *Tree) CheckInvariants() error {
-	m, err := t.loadMeta()
+	sc := getScratch()
+	defer putScratch(sc)
+	m, err := t.loadMeta(sc)
 	if err != nil {
 		return err
 	}
-	res, err := t.check(m.root, m.height)
+	res, err := t.check(sc, m.root, m.height)
 	if err != nil {
 		return err
 	}
@@ -45,8 +47,9 @@ type checkRes struct {
 	keys   []geom.Point // all keys of the subtree
 }
 
-func (t *Tree) check(id eio.PageID, level int) (*checkRes, error) {
-	n, err := t.readNode(id)
+func (t *Tree) check(sc *scratch, id eio.PageID, level int) (*checkRes, error) {
+	defer sc.release(sc.used)
+	n, err := t.readNode(sc, id)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +79,7 @@ func (t *Tree) check(id eio.PageID, level int) (*checkRes, error) {
 		return res, nil
 	}
 
-	q, err := t.openQ(n.q)
+	q, err := t.openQ(sc, n.q)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +100,7 @@ func (t *Tree) check(id eio.PageID, level int) (*checkRes, error) {
 	var totalY int
 	for i := range n.entries {
 		e := &n.entries[i]
-		sub, err := t.check(e.child, level-1)
+		sub, err := t.check(sc, e.child, level-1)
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +229,9 @@ type LevelProfile struct {
 // Profile walks the tree and returns a per-level breakdown — the data
 // behind cmd/rsinspect's report.
 func (t *Tree) Profile() ([]LevelProfile, error) {
-	m, err := t.loadMeta()
+	sc := getScratch()
+	defer putScratch(sc)
+	m, err := t.loadMeta(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +242,8 @@ func (t *Tree) Profile() ([]LevelProfile, error) {
 	}
 	var walk func(id eio.PageID) error
 	walk = func(id eio.PageID) error {
-		n, err := t.readNode(id)
+		defer sc.release(sc.used)
+		n, err := t.readNode(sc, id)
 		if err != nil {
 			return err
 		}
@@ -252,7 +258,7 @@ func (t *Tree) Profile() ([]LevelProfile, error) {
 			}
 			return nil
 		}
-		q, err := t.openQ(n.q)
+		q, err := t.openQ(sc, n.q)
 		if err != nil {
 			return err
 		}
@@ -291,7 +297,8 @@ func (t *Tree) Profile() ([]LevelProfile, error) {
 	counts := make([]int, m.height+1)
 	var countChildren func(id eio.PageID) error
 	countChildren = func(id eio.PageID) error {
-		n, err := t.readNode(id)
+		defer sc.release(sc.used)
+		n, err := t.readNode(sc, id)
 		if err != nil {
 			return err
 		}

@@ -47,6 +47,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"rangesearch/internal/eio"
 	"rangesearch/internal/geom"
@@ -56,7 +58,9 @@ import (
 // ErrDuplicate reports insertion of a point already present.
 var ErrDuplicate = errors.New("epst: duplicate point")
 
-// Tree is a handle to an external priority search tree on an eio.Store.
+// Tree is a handle to an external priority search tree on an eio.Store. It
+// holds no data and no buffers, so any number of goroutines may query one
+// Tree at once; every operation works in a scratch of its own.
 type Tree struct {
 	store eio.Store
 	rs    *eio.RecordStore
@@ -65,6 +69,60 @@ type Tree struct {
 	a     int // branching parameter
 	k     int // leaf parameter
 	alpha int // smallstruct sweep parameter
+}
+
+// scratch is the working memory of one tree operation, taken from
+// scratchPool at the public entry point and returned when it ends. It is
+// per operation and not per Tree because one Tree (a reader's epoch view)
+// serves concurrent queries. Buffers are recycled between operations,
+// their contents never are: every view below is re-read from the store.
+type scratch struct {
+	small smallstruct.Scratch // every node structure the operation opens works here
+	hdr   eio.RecordBuf       // the header record
+	path  []eio.RecordBuf     // read path: the node record at each depth (root = 0); a node's view stays valid while the search is below it
+	rec   eio.RecordBuf       // update path: the record being decoded (decode copies out of it)
+	nodes []*node             // update path: decoded nodes, recycled with their slices
+	used  int                 // nodes[:used] are held by the running operation
+	ys    []geom.Point        // the Y-set last retrieved by ySet
+	enc   []byte              // the record being written
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+func putScratch(sc *scratch) {
+	sc.used = 0
+	scratchPool.Put(sc)
+}
+
+// newNode returns an empty node that is held until release gives it back
+// or the operation ends. Nodes held at the same time are distinct (the
+// update path holds a whole root-to-leaf path while it recurses below it);
+// nodes and their slices are reused once released.
+func (sc *scratch) newNode(level int) *node {
+	if sc.used == len(sc.nodes) {
+		sc.nodes = append(sc.nodes, new(node))
+	}
+	n := sc.nodes[sc.used]
+	sc.used++
+	*n = node{level: level, entries: n.entries[:0], keys: n.keys[:0]}
+	return n
+}
+
+// release gives back every node decoded since sc.used was mark. A walker
+// that keeps no node past its own return starts with
+// `defer sc.release(sc.used)`, so a whole-tree walk holds one node per
+// level, not one per tree node; only the root-to-leaf paths of insertKey
+// and Delete stay held to the end of the operation.
+func (sc *scratch) release(mark int) { sc.used = mark }
+
+// pathBuf returns the record buffer for the node at depth.
+func (sc *scratch) pathBuf(depth int) *eio.RecordBuf {
+	for len(sc.path) <= depth {
+		sc.path = append(sc.path, eio.RecordBuf{})
+	}
+	return &sc.path[depth]
 }
 
 // meta is the persistent header.
@@ -167,12 +225,14 @@ func Build(store eio.Store, opts Options, pts []geom.Point) (*Tree, error) {
 	sorted := make([]geom.Point, len(pts))
 	copy(sorted, pts)
 	geom.SortByX(sorted)
-	root, height, err := t.bulkBuild(sorted)
+	sc := getScratch()
+	defer putScratch(sc)
+	root, height, err := t.bulkBuild(sc, sorted)
 	if err != nil {
 		return nil, err
 	}
 	m := &meta{root: root, height: height, live: int64(len(pts)), basis: int64(len(pts)), a: int32(a), k: int32(k)}
-	t.hdr, err = t.rs.Put(encodeMeta(m))
+	t.hdr, err = t.rs.Put(encodeMeta(nil, m))
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +252,9 @@ func Open(store eio.Store, hdr eio.PageID, alpha int) (*Tree, error) {
 		alpha = smallstruct.DefaultAlpha
 	}
 	t.alpha = alpha
-	m, err := t.loadMeta()
+	sc := getScratch()
+	defer putScratch(sc)
+	m, err := t.loadMeta(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -211,31 +273,29 @@ func (t *Tree) Params() (a, k int) { return t.a, t.k }
 
 // Len returns the number of stored points.
 func (t *Tree) Len() (int, error) {
-	m, err := t.loadMeta()
-	if err != nil {
-		return 0, err
-	}
-	return int(m.live), nil
+	sc := getScratch()
+	defer putScratch(sc)
+	m, err := t.loadMeta(sc)
+	return int(m.live), err
 }
 
 // Height returns the base-tree height (0 = root is a leaf).
 func (t *Tree) Height() (int, error) {
-	m, err := t.loadMeta()
-	if err != nil {
-		return 0, err
-	}
-	return m.height, nil
+	sc := getScratch()
+	defer putScratch(sc)
+	m, err := t.loadMeta(sc)
+	return m.height, err
 }
 
-func (t *Tree) loadMeta() (*meta, error) {
-	raw, err := t.rs.Get(t.hdr)
+func (t *Tree) loadMeta(sc *scratch) (meta, error) {
+	raw, err := t.rs.Get(t.hdr, &sc.hdr)
 	if err != nil {
-		return nil, fmt.Errorf("epst: load header: %w", err)
+		return meta{}, fmt.Errorf("epst: load header: %w", err)
 	}
 	if len(raw) != metaSize {
-		return nil, fmt.Errorf("epst: header length %d", len(raw))
+		return meta{}, fmt.Errorf("epst: header length %d", len(raw))
 	}
-	return &meta{
+	return meta{
 		root:   eio.PageID(binary.LittleEndian.Uint64(raw[0:])),
 		height: int(binary.LittleEndian.Uint32(raw[8:])),
 		live:   int64(binary.LittleEndian.Uint64(raw[12:])),
@@ -245,27 +305,37 @@ func (t *Tree) loadMeta() (*meta, error) {
 	}, nil
 }
 
-func (t *Tree) storeMeta(m *meta) error {
-	if err := t.rs.Update(t.hdr, encodeMeta(m)); err != nil {
+func (t *Tree) storeMeta(sc *scratch, m *meta) error {
+	sc.enc = encodeMeta(sc.enc[:0], m)
+	if err := t.rs.Update(t.hdr, sc.enc); err != nil {
 		return fmt.Errorf("epst: store header: %w", err)
 	}
 	return nil
 }
 
-func encodeMeta(m *meta) []byte {
-	out := make([]byte, metaSize)
+// encodeMeta appends the serialized header to dst.
+func encodeMeta(dst []byte, m *meta) []byte {
+	dst, out := extend(dst, metaSize)
 	binary.LittleEndian.PutUint64(out[0:], uint64(m.root))
 	binary.LittleEndian.PutUint32(out[8:], uint32(m.height))
 	binary.LittleEndian.PutUint64(out[12:], uint64(m.live))
 	binary.LittleEndian.PutUint64(out[20:], uint64(m.basis))
 	binary.LittleEndian.PutUint32(out[28:], uint32(m.a))
 	binary.LittleEndian.PutUint32(out[32:], uint32(m.k))
-	return out
+	return dst
 }
 
-// openQ attaches to a node's small structure.
-func (t *Tree) openQ(id eio.PageID) (*smallstruct.Struct, error) {
-	return smallstruct.Open(t.store, id, t.alpha)
+// extend grows dst by n zeroed bytes and returns it with the new tail.
+func extend(dst []byte, n int) (whole, tail []byte) {
+	off := len(dst)
+	dst = slices.Grow(dst, n)[:off+n]
+	clear(dst[off:])
+	return dst, dst[off:]
+}
+
+// openQ attaches to a node's small structure, which works in sc.small.
+func (t *Tree) openQ(sc *scratch, id eio.PageID) (smallstruct.Struct, error) {
+	return smallstruct.OpenScratch(t.store, id, t.alpha, &sc.small)
 }
 
 // newSmall creates a small structure over pts on the tree's store.
@@ -273,23 +343,23 @@ func newSmall(t *Tree, pts []geom.Point) (*smallstruct.Struct, error) {
 	return smallstruct.Create(t.store, t.alpha, pts)
 }
 
-// childRange returns the composite key range (lo, hi] of child i of n:
-// keys strictly greater than the previous child's maxKey and at most the
-// child's own maxKey (the last child's hi is +∞).
-func childRange(n *node, i int) (lo, hi geom.Point, loOpen bool) {
-	hi = n.entries[i].maxKey
-	if i == len(n.entries)-1 {
+// keyRange returns the composite key range (lo, hi] of a child given its
+// own maxKey and its left neighbour's: keys strictly greater than prev and
+// at most own. The first child's range is closed at −∞ (prev is ignored),
+// the last child's hi is +∞.
+func keyRange(prev, own geom.Point, first, last bool) (lo, hi geom.Point, loOpen bool) {
+	hi = own
+	if last {
 		hi = geom.Point{X: geom.MaxCoord, Y: geom.MaxCoord}
 	}
-	if i == 0 {
+	if first {
 		return geom.Point{X: geom.MinCoord, Y: geom.MinCoord}, hi, false
 	}
-	return n.entries[i-1].maxKey, hi, true
+	return prev, hi, true
 }
 
-// inChildRange reports whether p belongs to child i's composite range.
-func inChildRange(n *node, i int, p geom.Point) bool {
-	lo, hi, loOpen := childRange(n, i)
+// inKeyRange reports whether p lies in the range keyRange returned.
+func inKeyRange(lo, hi geom.Point, loOpen bool, p geom.Point) bool {
 	if loOpen {
 		if !lo.Less(p) {
 			return false
@@ -300,60 +370,122 @@ func inChildRange(n *node, i int, p geom.Point) bool {
 	return !hi.Less(p)
 }
 
-// ySet retrieves Y(child i) of node n from q: the points of Q within the
-// child's composite range. It queries by x-interval and filters by
-// composite range, so shared boundary x-values cost extra reads but stay
-// correct.
-func (t *Tree) ySet(q *smallstruct.Struct, n *node, i int) ([]geom.Point, error) {
-	lo, hi, _ := childRange(n, i)
-	raw, err := q.Query3(nil, geom.Query3{XLo: lo.X, XHi: hi.X, YLo: geom.MinCoord})
+// keyed is what the in-node searches read of a node. The record view and
+// the decoded node both provide it, so each search below exists once; the
+// type parameter keeps a nodeView from being boxed on the query path.
+type keyed interface {
+	count() int              // children (internal node) or keys (leaf)
+	maxKey(i int) geom.Point // internal node: child i's maxKey
+	keyAt(i int) geom.Point  // leaf: key i's point
+}
+
+// routeChild returns the index of the child whose composite range contains
+// p: the first child with maxKey ≥ p (maxKeys ascend), or the last child.
+func routeChild[N keyed](n N, p geom.Point) int {
+	lo, hi := 0, n.count()-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if n.maxKey(mid).Less(p) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// lowerBoundKey returns the first index i of a leaf with keyAt(i) ≥ p.
+func lowerBoundKey[N keyed](n N, p geom.Point) int {
+	lo, hi := 0, n.count()
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if n.keyAt(mid).Less(p) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// childRange returns the composite key range of child i of n.
+func childRange[N keyed](n N, i int) (lo, hi geom.Point, loOpen bool) {
+	var prev geom.Point
+	if i > 0 {
+		prev = n.maxKey(i - 1)
+	}
+	return keyRange(prev, n.maxKey(i), i == 0, i == n.count()-1)
+}
+
+// inChildRange reports whether p belongs to child i's composite range.
+func inChildRange[N keyed](n N, i int, p geom.Point) bool {
+	lo, hi, loOpen := childRange(n, i)
+	return inKeyRange(lo, hi, loOpen, p)
+}
+
+func (n *node) count() int {
+	if n.level == 0 {
+		return len(n.keys)
+	}
+	return len(n.entries)
+}
+func (n *node) maxKey(i int) geom.Point { return n.entries[i].maxKey }
+func (n *node) keyAt(i int) geom.Point  { return n.keys[i].p }
+
+// ySet retrieves Y(child i) of node n from q into sc.ys: the points of Q
+// within the child's composite range. It queries by x-interval and filters
+// by composite range, so shared boundary x-values cost extra reads but stay
+// correct. The result is valid until the next ySet.
+func (t *Tree) ySet(sc *scratch, q *smallstruct.Struct, n *node, i int) ([]geom.Point, error) {
+	lo, hi, loOpen := childRange(n, i)
+	raw, err := q.Query3(sc.ys[:0], geom.Query3{XLo: lo.X, XHi: hi.X, YLo: geom.MinCoord})
+	sc.ys = raw
 	if err != nil {
 		return nil, err
 	}
 	out := raw[:0]
 	for _, p := range raw {
-		if inChildRange(n, i, p) {
+		if inKeyRange(lo, hi, loOpen, p) {
 			out = append(out, p)
 		}
 	}
 	return out, nil
 }
 
-// routeChild returns the index of the child whose composite range contains
-// p: the first child with maxKey ≥ p, or the last child.
-func routeChild(n *node, p geom.Point) int {
-	for i := range n.entries {
-		if !n.entries[i].maxKey.Less(p) {
-			return i
-		}
-	}
-	return len(n.entries) - 1
-}
-
 // --- node serialization ---
 
 const nodeEntrySize = 16 + 8 + 8 + 4
 
-func encodeNode(n *node) []byte {
+// Record layouts. A leaf is level(4) count(4) then leafKeySize bytes per
+// key (point, stored-here flag); an internal node is level(4) count(4)
+// q(8) then nodeEntrySize bytes per child (maxKey, child, weight, ysize).
+const (
+	leafHdrSize = 8
+	leafKeySize = eio.PointSize + 1
+	nodeHdrSize = 16
+)
+
+// encodeNode appends the serialized node to dst.
+func encodeNode(dst []byte, n *node) []byte {
 	if n.level == 0 {
-		out := make([]byte, 8+17*len(n.keys))
+		dst, out := extend(dst, leafHdrSize+leafKeySize*len(n.keys))
 		binary.LittleEndian.PutUint32(out[0:], uint32(n.level))
 		binary.LittleEndian.PutUint32(out[4:], uint32(len(n.keys)))
-		off := 8
+		off := leafHdrSize
 		for _, ke := range n.keys {
 			eio.PutPoint(out, off, ke.p)
 			if ke.here {
-				out[off+16] = 1
+				out[off+eio.PointSize] = 1
 			}
-			off += 17
+			off += leafKeySize
 		}
-		return out
+		return dst
 	}
-	out := make([]byte, 16+nodeEntrySize*len(n.entries))
+	dst, out := extend(dst, nodeHdrSize+nodeEntrySize*len(n.entries))
 	binary.LittleEndian.PutUint32(out[0:], uint32(n.level))
 	binary.LittleEndian.PutUint32(out[4:], uint32(len(n.entries)))
 	binary.LittleEndian.PutUint64(out[8:], uint64(n.q))
-	off := 16
+	off := nodeHdrSize
 	for i := range n.entries {
 		e := &n.entries[i]
 		eio.PutPoint(out, off, e.maxKey)
@@ -362,84 +494,126 @@ func encodeNode(n *node) []byte {
 		binary.LittleEndian.PutUint32(out[off+32:], uint32(e.ysize))
 		off += nodeEntrySize
 	}
-	return out
+	return dst
 }
 
-func decodeNode(raw []byte) (*node, error) {
-	if len(raw) < 8 {
-		return nil, fmt.Errorf("epst: node record too short")
-	}
-	level := int(binary.LittleEndian.Uint32(raw[0:]))
-	count := int(binary.LittleEndian.Uint32(raw[4:]))
-	n := &node{level: level}
-	if level == 0 {
-		if len(raw) != 8+17*count {
-			return nil, fmt.Errorf("epst: leaf record length %d for %d keys", len(raw), count)
-		}
-		n.keys = make([]keyEntry, count)
-		off := 8
-		for i := 0; i < count; i++ {
-			n.keys[i] = keyEntry{p: eio.GetPoint(raw, off), here: raw[off+16] == 1}
-			off += 17
-		}
-		return n, nil
-	}
-	if len(raw) != 16+nodeEntrySize*count {
-		return nil, fmt.Errorf("epst: node record length %d for %d entries", len(raw), count)
-	}
-	n.q = eio.PageID(binary.LittleEndian.Uint64(raw[8:]))
-	n.entries = make([]entry, count)
-	off := 16
-	for i := 0; i < count; i++ {
-		n.entries[i] = entry{
-			maxKey: eio.GetPoint(raw, off),
-			child:  eio.PageID(binary.LittleEndian.Uint64(raw[off+16:])),
-			weight: int64(binary.LittleEndian.Uint64(raw[off+24:])),
-			ysize:  int32(binary.LittleEndian.Uint32(raw[off+32:])),
-		}
-		off += nodeEntrySize
-	}
-	return n, nil
+// nodeView reads a node record in place: entry(i) and key(i) decode one
+// child entry or leaf key from the record bytes on demand, and the in-node
+// searches (routeChild, childRange, lowerBoundKey) read the bytes through
+// keyed, so visiting a node allocates nothing. A view is
+// valid as long as the bytes it was made from.
+type nodeView struct {
+	raw   []byte
+	level int
+	n     int // child entries (level > 0) or keys (level 0)
 }
 
-func (t *Tree) readNode(id eio.PageID) (*node, error) {
-	raw, err := t.rs.Get(id)
+// viewNode validates raw's framing and returns a view of it.
+func viewNode(raw []byte) (nodeView, error) {
+	if len(raw) < leafHdrSize {
+		return nodeView{}, fmt.Errorf("epst: node record too short")
+	}
+	v := nodeView{
+		raw:   raw,
+		level: int(binary.LittleEndian.Uint32(raw[0:])),
+		n:     int(binary.LittleEndian.Uint32(raw[4:])),
+	}
+	if v.level == 0 {
+		if len(raw) != leafHdrSize+leafKeySize*v.n {
+			return nodeView{}, fmt.Errorf("epst: leaf record length %d for %d keys", len(raw), v.n)
+		}
+		return v, nil
+	}
+	if len(raw) != nodeHdrSize+nodeEntrySize*v.n {
+		return nodeView{}, fmt.Errorf("epst: node record length %d for %d entries", len(raw), v.n)
+	}
+	return v, nil
+}
+
+// q returns an internal node's small-structure catalog id.
+func (v nodeView) q() eio.PageID { return eio.PageID(binary.LittleEndian.Uint64(v.raw[8:])) }
+
+func (v nodeView) count() int { return v.n }
+
+// maxKey returns child entry i's maxKey.
+func (v nodeView) maxKey(i int) geom.Point { return eio.GetPoint(v.raw, nodeHdrSize+i*nodeEntrySize) }
+
+// keyAt returns the point of leaf key i.
+func (v nodeView) keyAt(i int) geom.Point { return eio.GetPoint(v.raw, leafHdrSize+i*leafKeySize) }
+
+// entry decodes child entry i of an internal node.
+func (v nodeView) entry(i int) entry {
+	off := nodeHdrSize + i*nodeEntrySize
+	return entry{
+		maxKey: eio.GetPoint(v.raw, off),
+		child:  eio.PageID(binary.LittleEndian.Uint64(v.raw[off+16:])),
+		weight: int64(binary.LittleEndian.Uint64(v.raw[off+24:])),
+		ysize:  int32(binary.LittleEndian.Uint32(v.raw[off+32:])),
+	}
+}
+
+// key decodes key i of a leaf.
+func (v nodeView) key(i int) keyEntry {
+	off := leafHdrSize + i*leafKeySize
+	return keyEntry{p: eio.GetPoint(v.raw, off), here: v.raw[off+eio.PointSize] == 1}
+}
+
+// decode copies the node out of the record bytes into a node of sc: the
+// mutable form the update path edits and re-encodes.
+func (v nodeView) decode(sc *scratch) *node {
+	n := sc.newNode(v.level)
+	if v.level == 0 {
+		for i := 0; i < v.n; i++ {
+			n.keys = append(n.keys, v.key(i))
+		}
+		return n
+	}
+	n.q = v.q()
+	for i := 0; i < v.n; i++ {
+		n.entries = append(n.entries, v.entry(i))
+	}
+	return n
+}
+
+// viewNodeAt reads node id into the path buffer for depth and returns a
+// view of it, valid until the operation reads another node at that depth.
+func (t *Tree) viewNodeAt(sc *scratch, id eio.PageID, depth int) (nodeView, error) {
+	raw, err := t.rs.Get(id, sc.pathBuf(depth))
+	if err != nil {
+		return nodeView{}, fmt.Errorf("epst: read node: %w", err)
+	}
+	return viewNode(raw)
+}
+
+// readNode reads and decodes node id for the update path.
+func (t *Tree) readNode(sc *scratch, id eio.PageID) (*node, error) {
+	raw, err := t.rs.Get(id, &sc.rec)
 	if err != nil {
 		return nil, fmt.Errorf("epst: read node: %w", err)
 	}
-	return decodeNode(raw)
+	v, err := viewNode(raw)
+	if err != nil {
+		return nil, err
+	}
+	return v.decode(sc), nil
 }
 
-func (t *Tree) writeNode(id eio.PageID, n *node) (eio.PageID, error) {
-	raw := encodeNode(n)
+func (t *Tree) writeNode(sc *scratch, id eio.PageID, n *node) (eio.PageID, error) {
+	sc.enc = encodeNode(sc.enc[:0], n)
 	if id == eio.NilPage {
-		nid, err := t.rs.Put(raw)
+		nid, err := t.rs.Put(sc.enc)
 		if err != nil {
 			return eio.NilPage, fmt.Errorf("epst: write node: %w", err)
 		}
 		return nid, nil
 	}
-	if err := t.rs.Update(id, raw); err != nil {
+	if err := t.rs.Update(id, sc.enc); err != nil {
 		return eio.NilPage, fmt.Errorf("epst: update node: %w", err)
 	}
 	return id, nil
 }
 
-func (t *Tree) writeBack(id eio.PageID, n *node) error {
-	_, err := t.writeNode(id, n)
+func (t *Tree) writeBack(sc *scratch, id eio.PageID, n *node) error {
+	_, err := t.writeNode(sc, id, n)
 	return err
-}
-
-// lowerBoundKeys returns the first index i with keys[i].p ≥ p.
-func lowerBoundKeys(keys []keyEntry, p geom.Point) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys[mid].p.Less(p) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

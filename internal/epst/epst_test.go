@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rangesearch/internal/eio"
+	"rangesearch/internal/eio/eiotest"
 	"rangesearch/internal/geom"
 )
 
@@ -593,5 +594,129 @@ func TestAllMatchesContents(t *testing.T) {
 	}
 	if !equalPts(sorted(all), sorted(pts[30:])) {
 		t.Fatal("All() does not match live contents")
+	}
+}
+
+// TestQuery3AllocFree: a warm query into a pre-sized dst allocates nothing
+// regardless of how many pages it visits — node records and catalogs are
+// read through views over the per-query scratch, points go from page
+// buffers straight into dst. Contains, MaxY and Len ride the same path.
+func TestQuery3AllocFree(t *testing.T) {
+	if !eiotest.PoolsRecycle() {
+		t.Skip("sync.Pool does not recycle on this build (race detector): the per-query scratch is sometimes rebuilt")
+	}
+	rng := rand.New(rand.NewSource(11))
+	store := eio.NewMemStore(256) // B = 16: a tall tree, multi-page catalogs
+	pts := distinctPoints(rng, 6000, 100000)
+	tr, err := Build(store, Options{}, pts[:5000])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Leave the per-node update buffers non-empty, tombstones included.
+	for _, p := range pts[5000:] {
+		if err := tr.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := make(map[geom.Point]bool, len(pts))
+	for _, p := range pts {
+		m[p] = true
+	}
+	for _, p := range pts[:500] {
+		if _, err := tr.Delete(p); err != nil {
+			t.Fatal(err)
+		}
+		delete(m, p)
+	}
+	if h, err := tr.Height(); err != nil || h < 2 {
+		t.Fatalf("height %d (%v); the guard wants a multi-level tree", h, err)
+	}
+	dst := make([]geom.Point, 0, len(pts))
+	for _, q := range []geom.Query3{
+		{XLo: 0, XHi: 100000, YLo: 0},         // the whole tree: every node
+		{XLo: 20000, XHi: 60000, YLo: 70000},  // a wide slab
+		{XLo: 31000, XHi: 31500, YLo: 0},      // a narrow column to the leaves
+		{XLo: 99999, XHi: 100000, YLo: 99999}, // (nearly) nothing
+	} {
+		store.ResetStats()
+		var got []geom.Point
+		n := testing.AllocsPerRun(10, func() {
+			var err error
+			if got, err = tr.Query3(dst[:0], q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 0 {
+			t.Errorf("Query3(%v) reading %d pages per run: %v allocs/op, want 0", q, store.Stats().Reads/11, n)
+		}
+		if !equalPts(sorted(got), brute3(m, q)) {
+			t.Errorf("Query3(%v) into a reused dst: wrong result (%d points)", q, len(got))
+		}
+	}
+	probe := pts[2500]
+	if n := testing.AllocsPerRun(20, func() {
+		if ok, err := tr.Contains(probe); err != nil || !ok {
+			t.Fatalf("Contains(%v) = %v, %v", probe, ok, err)
+		}
+		if _, ok, err := tr.MaxY(); err != nil || !ok {
+			t.Fatalf("MaxY: %v, %v", ok, err)
+		}
+		if n, err := tr.Len(); err != nil || n != len(m) {
+			t.Fatalf("Len = %d, %v; want %d", n, err, len(m))
+		}
+	}); n != 0 {
+		t.Errorf("Contains+MaxY+Len: %v allocs/op, want 0", n)
+	}
+}
+
+// TestWalkersHoldOneNodePerLevel: whole-tree walks (the rebuild's collect,
+// free and fill passes, All, CheckInvariants, Profile, AppendAllPages) and
+// the bubble-up recursion give their decoded nodes back as they return, so
+// the scratch's high-water mark is the tree's height, not its node count.
+func TestWalkersHoldOneNodePerLevel(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	store := eio.NewMemStore(128)
+	pts := distinctPoints(rng, 3000, 1<<20)
+	tr, err := Build(store, Options{A: 2, K: 4}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := new(scratch) // fresh, so len(sc.nodes) is this test's high-water mark
+	m, err := tr.loadMeta(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.height < 5 {
+		t.Fatalf("height %d; the guard wants a tall tree", m.height)
+	}
+	perLevel := m.height + 1
+	var all []geom.Point
+	if err := tr.collect(sc, m.root, &all); err != nil || len(all) != len(pts) {
+		t.Fatalf("collect: %d points, %v", len(all), err)
+	}
+	if _, err := tr.check(sc, m.root, m.height); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.appendSubtree(sc, nil, m.root); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := tr.extractTop(sc, m.root); err != nil || !ok {
+		t.Fatalf("extractTop: %v, %v", ok, err)
+	}
+	m.live--
+	if err := tr.rebuild(sc, &m); err != nil {
+		t.Fatal(err)
+	}
+	if sc.used != 0 {
+		t.Errorf("walkers left %d nodes held", sc.used)
+	}
+	if len(sc.nodes) > perLevel {
+		t.Errorf("walkers held %d decoded nodes at once on a tree of height %d, want ≤ %d", len(sc.nodes), m.height, perLevel)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := tr.Len(); err != nil || n != len(pts)-1 {
+		t.Fatalf("Len after rebuild = %d, %v", n, err)
 	}
 }

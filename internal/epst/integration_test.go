@@ -110,11 +110,12 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 		}},
 	}
 	for i, n := range nodes {
-		raw := encodeNode(n)
-		got, err := decodeNode(raw)
+		raw := encodeNode(nil, n)
+		v, err := viewNode(raw)
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
+		got := v.decode(new(scratch))
 		if got.level != n.level || got.q != n.q ||
 			len(got.keys) != len(n.keys) || len(got.entries) != len(n.entries) {
 			t.Fatalf("node %d: shape mismatch", i)
@@ -130,16 +131,16 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 			}
 		}
 		// Re-encoding is byte-identical (layout determinism).
-		raw2 := encodeNode(got)
+		raw2 := encodeNode(nil, got)
 		if string(raw) != string(raw2) {
 			t.Fatalf("node %d: re-encode differs", i)
 		}
 	}
 	// Corrupt input is rejected, not crashed on.
-	if _, err := decodeNode([]byte{1, 2, 3}); err == nil {
+	if _, err := viewNode([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short record accepted")
 	}
-	if _, err := decodeNode(make([]byte, 40)); err == nil {
+	if _, err := viewNode(make([]byte, 40)); err == nil {
 		t.Fatal("inconsistent record accepted")
 	}
 }

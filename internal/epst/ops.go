@@ -9,57 +9,65 @@ import (
 )
 
 // Query3 appends every stored point satisfying q to dst (Section 3.3.1).
-// Cost: O(log_B N + T/B) I/Os.
+// Cost: O(log_B N + T/B) I/Os. Points are filtered from page buffers
+// straight into dst; with room in dst a query allocates nothing.
 func (t *Tree) Query3(dst []geom.Point, q geom.Query3) ([]geom.Point, error) {
 	if q.Empty() {
 		return dst, nil
 	}
-	m, err := t.loadMeta()
+	sc := getScratch()
+	defer putScratch(sc)
+	m, err := t.loadMeta(sc)
 	if err != nil {
 		return dst, err
 	}
-	return t.query(m.root, dst, q)
+	return t.query(sc, m.root, 0, dst, q)
 }
 
-func (t *Tree) query(id eio.PageID, dst []geom.Point, q geom.Query3) ([]geom.Point, error) {
-	n, err := t.readNode(id)
+func (t *Tree) query(sc *scratch, id eio.PageID, depth int, dst []geom.Point, q geom.Query3) ([]geom.Point, error) {
+	n, err := t.viewNodeAt(sc, id, depth)
 	if err != nil {
 		return dst, err
 	}
 	if n.level == 0 {
-		for _, ke := range n.keys {
-			if ke.here && q.Contains(ke.p) {
+		for i := 0; i < n.n; i++ {
+			if ke := n.key(i); ke.here && q.Contains(ke.p) {
 				dst = append(dst, ke.p)
 			}
 		}
 		return dst, nil
 	}
-	qs, err := t.openQ(n.q)
+	qs, err := t.openQ(sc, n.q())
 	if err != nil {
 		return dst, err
 	}
-	res, err := qs.Query3(nil, q)
+	// This node's own results are dst[from:to]; the children append after
+	// them (and may move dst), so they are addressed by index.
+	from := len(dst)
+	dst, err = qs.Query3(dst, q)
 	if err != nil {
 		return dst, err
 	}
-	dst = append(dst, res...)
+	to := len(dst)
 
 	leftIdx := routeChild(n, geom.Point{X: q.XLo, Y: geom.MinCoord})
 	rightIdx := routeChild(n, geom.Point{X: q.XHi, Y: geom.MaxCoord})
 	for i := leftIdx; i <= rightIdx; i++ {
+		e := n.entry(i)
 		visit := false
 		if i == leftIdx || i == rightIdx {
 			// Children on the search paths for x = a and x = b.
 			visit = true
-		} else if ys := int(n.entries[i].ysize); ys > 0 {
+		} else if ys := int(e.ysize); ys > 0 {
 			// Interior child: visit only when its entire Y-set satisfied
 			// the query. Y-sets smaller than B/2 imply (by the paper's
 			// third invariant) that nothing is stored below, so such
 			// children never need a visit even when fully reported.
 			if 2*ys >= t.b {
+				lo, hi, loOpen := childRange(n, i)
 				cnt := 0
-				for _, p := range res {
-					if inChildRange(n, i, p) {
+				for _, p := range dst[from:to] {
+					if inKeyRange(lo, hi, loOpen, p) {
 						cnt++
 					}
 				}
@@ -67,7 +75,7 @@ func (t *Tree) query(id eio.PageID, dst []geom.Point, q geom.Query3) ([]geom.Poi
 			}
 		}
 		if visit {
-			dst, err = t.query(n.entries[i].child, dst, q)
+			dst, err = t.query(sc, e.child, depth+1, dst, q)
 			if err != nil {
 				return dst, err
 			}
@@ -79,21 +87,29 @@ func (t *Tree) query(id eio.PageID, dst []geom.Point, q geom.Query3) ([]geom.Poi
 // Contains reports whether p is stored. A point is live exactly when its
 // key is present in its leaf, so a single root-to-leaf search suffices.
 func (t *Tree) Contains(p geom.Point) (bool, error) {
-	m, err := t.loadMeta()
+	sc := getScratch()
+	defer putScratch(sc)
+	return t.contains(sc, p)
+}
+
+func (t *Tree) contains(sc *scratch, p geom.Point) (bool, error) {
+	m, err := t.loadMeta(sc)
 	if err != nil {
 		return false, err
 	}
 	id := m.root
 	for {
-		n, err := t.readNode(id)
+		// The search never looks back at a node, so one buffer serves the
+		// whole path.
+		n, err := t.viewNodeAt(sc, id, 0)
 		if err != nil {
 			return false, err
 		}
 		if n.level == 0 {
-			i := lowerBoundKeys(n.keys, p)
-			return i < len(n.keys) && n.keys[i].p == p, nil
+			i := lowerBoundKey(n, p)
+			return i < n.n && n.key(i).p == p, nil
 		}
-		id = n.entries[routeChild(n, p)].child
+		id = n.entry(routeChild(n, p)).child
 	}
 }
 
@@ -101,25 +117,27 @@ func (t *Tree) Contains(p geom.Point) (bool, error) {
 // the tree is empty. Cost: O(1) small-structure reads at the root (the
 // global top always lives in the root's structure, or in the root leaf).
 func (t *Tree) MaxY() (geom.Point, bool, error) {
-	m, err := t.loadMeta()
+	sc := getScratch()
+	defer putScratch(sc)
+	m, err := t.loadMeta(sc)
 	if err != nil {
 		return geom.Point{}, false, err
 	}
-	n, err := t.readNode(m.root)
+	n, err := t.viewNodeAt(sc, m.root, 0)
 	if err != nil {
 		return geom.Point{}, false, err
 	}
 	if n.level == 0 {
 		var best geom.Point
 		found := false
-		for _, ke := range n.keys {
-			if ke.here && (!found || best.YLess(ke.p)) {
+		for i := 0; i < n.n; i++ {
+			if ke := n.key(i); ke.here && (!found || best.YLess(ke.p)) {
 				best, found = ke.p, true
 			}
 		}
 		return best, found, nil
 	}
-	q, err := t.openQ(n.q)
+	q, err := t.openQ(sc, n.q())
 	if err != nil {
 		return geom.Point{}, false, err
 	}
@@ -131,33 +149,35 @@ func (t *Tree) MaxY() (geom.Point, bool, error) {
 // their auxiliary structures as needed), then the point trickles down
 // through Y-sets to its proper depth.
 func (t *Tree) Insert(p geom.Point) error {
-	ok, err := t.Contains(p)
+	sc := getScratch()
+	defer putScratch(sc)
+	ok, err := t.contains(sc, p)
 	if err != nil {
 		return err
 	}
 	if ok {
 		return fmt.Errorf("epst: insert %v: %w", p, ErrDuplicate)
 	}
-	m, err := t.loadMeta()
+	m, err := t.loadMeta(sc)
 	if err != nil {
 		return err
 	}
-	if err := t.insertKey(m, p); err != nil {
+	if err := t.insertKey(sc, &m, p); err != nil {
 		return err
 	}
-	if err := t.place(m.root, p); err != nil {
+	if err := t.place(sc, m.root, p); err != nil {
 		return err
 	}
 	m.live++
 	if m.live > m.basis {
 		m.basis = m.live
 	}
-	return t.storeMeta(m)
+	return t.storeMeta(sc, &m)
 }
 
 // insertKey inserts p's key into the base tree, splitting overweight nodes
 // bottom-up and reorganizing their auxiliary structures (Figure 5).
-func (t *Tree) insertKey(m *meta, p geom.Point) error {
+func (t *Tree) insertKey(sc *scratch, m *meta, p geom.Point) error {
 	type pathEl struct {
 		id  eio.PageID
 		n   *node
@@ -166,7 +186,7 @@ func (t *Tree) insertKey(m *meta, p geom.Point) error {
 	var path []pathEl
 	id := m.root
 	for {
-		n, err := t.readNode(id)
+		n, err := t.readNode(sc, id)
 		if err != nil {
 			return err
 		}
@@ -182,7 +202,7 @@ func (t *Tree) insertKey(m *meta, p geom.Point) error {
 	// Add the key to the leaf; the point itself is placed by place()
 	// afterwards, so the key starts as "absorbed above".
 	leaf := path[len(path)-1].n
-	pos := lowerBoundKeys(leaf.keys, p)
+	pos := lowerBoundKey(leaf, p)
 	leaf.keys = append(leaf.keys, keyEntry{})
 	copy(leaf.keys[pos+1:], leaf.keys[pos:])
 	leaf.keys[pos] = keyEntry{p: p, here: false}
@@ -233,7 +253,7 @@ func (t *Tree) insertKey(m *meta, p geom.Point) error {
 			right = t.splitEntries(n)
 		}
 		if right == nil {
-			if err := t.writeBack(el.id, n); err != nil {
+			if err := t.writeBack(sc, el.id, n); err != nil {
 				return err
 			}
 			continue
@@ -243,7 +263,7 @@ func (t *Tree) insertKey(m *meta, p geom.Point) error {
 		if n.level > 0 {
 			// Split Q_v by the boundary: Y-sets never straddle it, so each
 			// child keeps its Y-set intact on its side.
-			qv, err := t.openQ(n.q)
+			qv, err := t.openQ(sc, n.q)
 			if err != nil {
 				return err
 			}
@@ -269,11 +289,11 @@ func (t *Tree) insertKey(m *meta, p geom.Point) error {
 				return err
 			}
 		}
-		rightID, err := t.writeNode(eio.NilPage, right)
+		rightID, err := t.writeNode(sc, eio.NilPage, right)
 		if err != nil {
 			return err
 		}
-		if err := t.writeBack(el.id, n); err != nil {
+		if err := t.writeBack(sc, el.id, n); err != nil {
 			return err
 		}
 
@@ -282,11 +302,11 @@ func (t *Tree) insertKey(m *meta, p geom.Point) error {
 			// of the boundary, then refill both halves to B/2 by bubbling
 			// points up from the respective subtrees (Figure 5(b)).
 			parent := path[i-1]
-			qp, err := t.openQ(parent.n.q)
+			qp, err := t.openQ(sc, parent.n.q)
 			if err != nil {
 				return err
 			}
-			yv, err := t.ySet(qp, parent.n, parent.idx)
+			yv, err := t.ySet(sc, &qp, parent.n, parent.idx)
 			if err != nil {
 				return err
 			}
@@ -297,11 +317,11 @@ func (t *Tree) insertKey(m *meta, p geom.Point) error {
 				}
 			}
 			leftY, rightY := leftCnt, int32(len(yv))-leftCnt
-			leftY, err = t.refillY(qp, el.id, leftY)
+			leftY, err = t.refillY(sc, &qp, el.id, leftY)
 			if err != nil {
 				return err
 			}
-			rightY, err = t.refillY(qp, rightID, rightY)
+			rightY, err = t.refillY(sc, &qp, rightID, rightY)
 			if err != nil {
 				return err
 			}
@@ -331,17 +351,17 @@ func (t *Tree) insertKey(m *meta, p geom.Point) error {
 				{maxKey: nodeMaxKey(right), child: rightID, weight: nodeWeight(right)},
 			},
 		}
-		qr, err := t.openQ(qRoot)
+		qr, err := t.openQ(sc, qRoot)
 		if err != nil {
 			return err
 		}
-		if newRoot.entries[0].ysize, err = t.refillY(qr, el.id, 0); err != nil {
+		if newRoot.entries[0].ysize, err = t.refillY(sc, &qr, el.id, 0); err != nil {
 			return err
 		}
-		if newRoot.entries[1].ysize, err = t.refillY(qr, rightID, 0); err != nil {
+		if newRoot.entries[1].ysize, err = t.refillY(sc, &qr, rightID, 0); err != nil {
 			return err
 		}
-		rootID, err := t.writeNode(eio.NilPage, newRoot)
+		rootID, err := t.writeNode(sc, eio.NilPage, newRoot)
 		if err != nil {
 			return err
 		}
@@ -354,9 +374,9 @@ func (t *Tree) insertKey(m *meta, p geom.Point) error {
 // refillY bubbles points up from the subtree rooted at childID into the
 // parent structure qp until the Y-set holds B/2 points or the subtree runs
 // dry. It returns the resulting Y-set size.
-func (t *Tree) refillY(qp *smallstruct.Struct, childID eio.PageID, ysize int32) (int32, error) {
+func (t *Tree) refillY(sc *scratch, qp *smallstruct.Struct, childID eio.PageID, ysize int32) (int32, error) {
 	for int(ysize) < t.yHalf() {
-		top, ok, err := t.extractTop(childID)
+		top, ok, err := t.extractTop(sc, childID)
 		if err != nil {
 			return ysize, err
 		}
@@ -415,27 +435,27 @@ func nodeMaxKey(n *node) geom.Point {
 
 // place trickles point p down from the root into its proper Y-set or leaf
 // (the recursive procedure at the start of Section 3.3.2).
-func (t *Tree) place(rootID eio.PageID, p geom.Point) error {
+func (t *Tree) place(sc *scratch, rootID eio.PageID, p geom.Point) error {
 	id := rootID
 	for {
-		n, err := t.readNode(id)
+		n, err := t.readNode(sc, id)
 		if err != nil {
 			return err
 		}
 		if n.level == 0 {
-			i := lowerBoundKeys(n.keys, p)
+			i := lowerBoundKey(n, p)
 			if i >= len(n.keys) || n.keys[i].p != p {
 				return fmt.Errorf("epst: place: key %v missing from leaf", p)
 			}
 			n.keys[i].here = true
-			return t.writeBack(id, n)
+			return t.writeBack(sc, id, n)
 		}
 		i := routeChild(n, p)
-		q, err := t.openQ(n.q)
+		q, err := t.openQ(sc, n.q)
 		if err != nil {
 			return err
 		}
-		ys, err := t.ySet(q, n, i)
+		ys, err := t.ySet(sc, &q, n, i)
 		if err != nil {
 			return err
 		}
@@ -450,7 +470,7 @@ func (t *Tree) place(rootID eio.PageID, p geom.Point) error {
 		}
 		n.entries[i].ysize++
 		if int(n.entries[i].ysize) <= t.b {
-			return t.writeBack(id, n)
+			return t.writeBack(sc, id, n)
 		}
 		// Overflow: the lowest point of Y(v_i) is evicted and trickles
 		// into the child.
@@ -464,7 +484,7 @@ func (t *Tree) place(rootID eio.PageID, p geom.Point) error {
 			return err
 		}
 		n.entries[i].ysize--
-		if err := t.writeBack(id, n); err != nil {
+		if err := t.writeBack(sc, id, n); err != nil {
 			return err
 		}
 		p = low
@@ -487,8 +507,9 @@ func belowAll(p geom.Point, ys []geom.Point) bool {
 // bubbling up a replacement from below when the donor Y-set falls under
 // B/2 (the bubble-up operation of Section 3.3.2). ok is false if the
 // subtree stores nothing.
-func (t *Tree) extractTop(id eio.PageID) (geom.Point, bool, error) {
-	n, err := t.readNode(id)
+func (t *Tree) extractTop(sc *scratch, id eio.PageID) (geom.Point, bool, error) {
+	defer sc.release(sc.used)
+	n, err := t.readNode(sc, id)
 	if err != nil {
 		return geom.Point{}, false, err
 	}
@@ -503,12 +524,12 @@ func (t *Tree) extractTop(id eio.PageID) (geom.Point, bool, error) {
 			return geom.Point{}, false, nil
 		}
 		n.keys[best].here = false
-		if err := t.writeBack(id, n); err != nil {
+		if err := t.writeBack(sc, id, n); err != nil {
 			return geom.Point{}, false, err
 		}
 		return n.keys[best].p, true, nil
 	}
-	q, err := t.openQ(n.q)
+	q, err := t.openQ(sc, n.q)
 	if err != nil {
 		return geom.Point{}, false, err
 	}
@@ -522,7 +543,7 @@ func (t *Tree) extractTop(id eio.PageID) (geom.Point, bool, error) {
 	i := routeChild(n, top)
 	n.entries[i].ysize--
 	if 2*int(n.entries[i].ysize) < t.b {
-		r, ok2, err := t.extractTop(n.entries[i].child)
+		r, ok2, err := t.extractTop(sc, n.entries[i].child)
 		if err != nil {
 			return geom.Point{}, false, err
 		}
@@ -533,7 +554,7 @@ func (t *Tree) extractTop(id eio.PageID) (geom.Point, bool, error) {
 			n.entries[i].ysize++
 		}
 	}
-	if err := t.writeBack(id, n); err != nil {
+	if err := t.writeBack(sc, id, n); err != nil {
 		return geom.Point{}, false, err
 	}
 	return top, true, nil
@@ -544,7 +565,9 @@ func (t *Tree) extractTop(id eio.PageID) (geom.Point, bool, error) {
 // Y-set is refilled by a bubble-up, the key leaves the base tree, and a
 // global rebuild runs once the live count halves (Section 3.3.2).
 func (t *Tree) Delete(p geom.Point) (bool, error) {
-	m, err := t.loadMeta()
+	sc := getScratch()
+	defer putScratch(sc)
+	m, err := t.loadMeta(sc)
 	if err != nil {
 		return false, err
 	}
@@ -559,12 +582,12 @@ func (t *Tree) Delete(p geom.Point) (bool, error) {
 	storedAt := -1 // index into path of the node whose Q stores p
 	id := m.root
 	for {
-		n, err := t.readNode(id)
+		n, err := t.readNode(sc, id)
 		if err != nil {
 			return false, err
 		}
 		if n.level == 0 {
-			pos := lowerBoundKeys(n.keys, p)
+			pos := lowerBoundKey(n, p)
 			if pos >= len(n.keys) || n.keys[pos].p != p {
 				return false, nil
 			}
@@ -573,11 +596,11 @@ func (t *Tree) Delete(p geom.Point) (bool, error) {
 		}
 		idx := routeChild(n, p)
 		if storedAt < 0 {
-			q, err := t.openQ(n.q)
+			q, err := t.openQ(sc, n.q)
 			if err != nil {
 				return false, err
 			}
-			ys, err := t.ySet(q, n, idx)
+			ys, err := t.ySet(sc, &q, n, idx)
 			if err != nil {
 				return false, err
 			}
@@ -596,14 +619,14 @@ func (t *Tree) Delete(p geom.Point) (bool, error) {
 	// are never clobbered by stale path copies.
 	leafEl := path[len(path)-1]
 	leafEl.n.keys = append(leafEl.n.keys[:leafEl.idx], leafEl.n.keys[leafEl.idx+1:]...)
-	if err := t.writeBack(leafEl.id, leafEl.n); err != nil {
+	if err := t.writeBack(sc, leafEl.id, leafEl.n); err != nil {
 		return false, err
 	}
 	for i := len(path) - 2; i >= 0; i-- {
 		el := path[i]
 		el.n.entries[el.idx].weight--
 		if storedAt == i {
-			q, err := t.openQ(el.n.q)
+			q, err := t.openQ(sc, el.n.q)
 			if err != nil {
 				return false, err
 			}
@@ -612,7 +635,7 @@ func (t *Tree) Delete(p geom.Point) (bool, error) {
 			}
 			el.n.entries[el.idx].ysize--
 			if 2*int(el.n.entries[el.idx].ysize) < t.b {
-				r, ok, err := t.extractTop(el.n.entries[el.idx].child)
+				r, ok, err := t.extractTop(sc, el.n.entries[el.idx].child)
 				if err != nil {
 					return false, err
 				}
@@ -624,17 +647,17 @@ func (t *Tree) Delete(p geom.Point) (bool, error) {
 				}
 			}
 		}
-		if err := t.writeBack(el.id, el.n); err != nil {
+		if err := t.writeBack(sc, el.id, el.n); err != nil {
 			return false, err
 		}
 	}
 
 	m.live--
 	if m.live*2 < m.basis {
-		if err := t.rebuild(m); err != nil {
+		if err := t.rebuild(sc, &m); err != nil {
 			return false, err
 		}
 		return true, nil
 	}
-	return true, t.storeMeta(m)
+	return true, t.storeMeta(sc, &m)
 }

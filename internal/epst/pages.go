@@ -11,11 +11,13 @@ func (t *Tree) AppendAllPages(dst []eio.PageID) ([]eio.PageID, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := t.loadMeta()
+	sc := getScratch()
+	defer putScratch(sc)
+	m, err := t.loadMeta(sc)
 	if err != nil {
 		return nil, err
 	}
-	return t.appendSubtree(dst, m.root)
+	return t.appendSubtree(sc, dst, m.root)
 }
 
 func (t *Tree) appendRecord(dst []eio.PageID, id eio.PageID) ([]eio.PageID, error) {
@@ -26,19 +28,20 @@ func (t *Tree) appendRecord(dst []eio.PageID, id eio.PageID) ([]eio.PageID, erro
 	return append(dst, chain...), nil
 }
 
-func (t *Tree) appendSubtree(dst []eio.PageID, id eio.PageID) ([]eio.PageID, error) {
+func (t *Tree) appendSubtree(sc *scratch, dst []eio.PageID, id eio.PageID) ([]eio.PageID, error) {
+	defer sc.release(sc.used)
 	dst, err := t.appendRecord(dst, id)
 	if err != nil {
 		return nil, err
 	}
-	n, err := t.readNode(id)
+	n, err := t.readNode(sc, id)
 	if err != nil {
 		return nil, err
 	}
 	if n.level == 0 {
 		return dst, nil
 	}
-	q, err := t.openQ(n.q)
+	q, err := t.openQ(sc, n.q)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +50,7 @@ func (t *Tree) appendSubtree(dst []eio.PageID, id eio.PageID) ([]eio.PageID, err
 		return nil, err
 	}
 	for i := range n.entries {
-		dst, err = t.appendSubtree(dst, n.entries[i].child)
+		dst, err = t.appendSubtree(sc, dst, n.entries[i].child)
 		if err != nil {
 			return nil, err
 		}

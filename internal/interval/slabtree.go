@@ -288,13 +288,16 @@ func (t *SlabTree) readListPage(bl blockList, k int) ([]geom.Interval, error) {
 	if k == len(bl.pages)-1 {
 		cnt = bl.count - k*t.b
 	}
-	pts, err := eio.ReadPointBlock(nil, t.store, bl.pages[k], cnt)
-	if err != nil {
+	if cnt < 0 || cnt > t.b {
+		return nil, fmt.Errorf("interval: list page %d holds %d intervals (block capacity %d)", k, cnt, t.b)
+	}
+	page := make([]byte, t.store.PageSize())
+	if err := t.store.Read(bl.pages[k], page); err != nil {
 		return nil, err
 	}
-	out := make([]geom.Interval, len(pts))
-	for i, p := range pts {
-		out[i] = geom.IntervalFromPoint(p)
+	out := make([]geom.Interval, cnt)
+	for i := range out {
+		out[i] = geom.IntervalFromPoint(eio.GetPoint(page, i*eio.PointSize))
 	}
 	return out, nil
 }
@@ -448,7 +451,7 @@ func (t *SlabTree) writeNode(n *slabNode) (eio.PageID, error) {
 }
 
 func (t *SlabTree) readNode(id eio.PageID) (*slabNode, error) {
-	raw, err := t.rs.Get(id)
+	raw, err := t.rs.Get(id, nil)
 	if err != nil {
 		return nil, fmt.Errorf("interval: read slab node: %w", err)
 	}

@@ -211,7 +211,7 @@ func (t *Tree) Height() (int, error) {
 }
 
 func (t *Tree) loadMeta() (*meta, error) {
-	raw, err := t.rs.Get(t.hdr)
+	raw, err := t.rs.Get(t.hdr, nil)
 	if err != nil {
 		return nil, fmt.Errorf("range4: load header: %w", err)
 	}
@@ -318,7 +318,7 @@ func decodeNode(raw []byte) (*node, error) {
 }
 
 func (t *Tree) readNode(id eio.PageID) (*node, error) {
-	raw, err := t.rs.Get(id)
+	raw, err := t.rs.Get(id, nil)
 	if err != nil {
 		return nil, fmt.Errorf("range4: read node: %w", err)
 	}

@@ -229,13 +229,41 @@ func TestResilientBusyRetry(t *testing.T) {
 		t.Fatalf("Flush: %v", err)
 	}
 
+	// The batch holds the token for as long as this machine needs to apply
+	// 2000 inserts, so the retry budget is a wall-clock one: each backoff
+	// waits for the blocker's response or a millisecond, whichever comes
+	// first, and 60 000 attempts bound the wait at a minute. Once the
+	// token is free the remaining inserts go through without sleeping.
+	released := make(chan struct{})
+	var blockerResp Response
+	var blockerErr error
+	go func() {
+		blockerResp, blockerErr = blocker.Recv()
+		close(released)
+	}()
+	// Let the batch take the token first: an insert that won the race
+	// would shed the blocker instead of the other way round.
+	for m.InFlight() == 0 {
+		select {
+		case <-released:
+			t.Fatalf("blocker batch finished before taking the token: %+v / %v", blockerResp, blockerErr)
+		default:
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
 	var hinted time.Duration
 	rc := NewResilient(ts.addr, ResilientOptions{
 		Retry: RetryPolicy{
-			MaxAttempts: 200,
+			MaxAttempts: 60000,
 			BaseDelay:   time.Microsecond,
 			MaxDelay:    10 * time.Microsecond,
-			Sleep:       func(d time.Duration) { hinted += d; time.Sleep(50 * time.Microsecond) },
+			Sleep: func(d time.Duration) {
+				hinted += d
+				select {
+				case <-released:
+				case <-time.After(time.Millisecond):
+				}
+			},
 		},
 		Seed: 6,
 	})
@@ -250,8 +278,9 @@ func TestResilientBusyRetry(t *testing.T) {
 			t.Fatalf("insert %d: status %d, want OK after BUSY retries", i, resp.Status)
 		}
 	}
-	if _, err := blocker.Recv(); err != nil {
-		t.Fatalf("batch Recv: %v", err)
+	<-released
+	if blockerErr != nil || blockerResp.Status != StatusOK {
+		t.Fatalf("batch Recv: %+v / %v", blockerResp, blockerErr)
 	}
 	if m.Busy() > 0 {
 		if rc.Stats().BusyRetries == 0 {

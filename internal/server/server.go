@@ -324,6 +324,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 32*1024)
 	bw := bufio.NewWriterSize(conn, 32*1024)
 	var respBuf []byte
+	ce := connExec{s: s}
+	defer ce.close()
 	for {
 		if s.isDraining() {
 			bw.Flush()
@@ -373,7 +375,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				replyStart = time.Now()
 				respBuf = append(respBuf[:0], cached...)
 			} else {
-				resp = s.executeWithDeadline(req, sp)
+				resp = ce.do(req, sp)
 				replyStart = time.Now()
 				respBuf = EncodeResponse(respBuf[:0], op, resp)
 			}
@@ -434,45 +436,110 @@ func (s *Server) completeIdem(req Request, resp Response) {
 	s.idem.store(*req.Idem, EncodeResponse(nil, req.Op, resp))
 }
 
-// executeWithDeadline runs one request under the configured execution
-// deadline. On expiry the caller gets StatusTimeout while the request
-// keeps running detached; its real outcome still lands in the dedup
-// window (for IDEM writes), so a retry observes the original execution.
-func (s *Server) executeWithDeadline(req Request, sp *trace.Span) Response {
+// connExec executes one connection's requests, in order, under the
+// configured execution deadline. With a deadline, requests run on a
+// long-lived executor goroutine the connection hands them to, so neither a
+// goroutine, a channel nor a timer is made per request and the executor's
+// stack stays grown to the depth the index recursion needs. A response's
+// Points alias the executor's result buffer and are valid until the
+// connection's next do.
+type connExec struct {
+	s     *Server
+	ex    *executor   // nil until the first request, and after a detach
+	timer *time.Timer // reused across requests; stopped between them
+	pts   []geom.Point
+}
+
+// executor is one request-running goroutine. Both channels hold one
+// element: the connection sends only when the executor is idle, and the
+// executor's send never blocks even when nobody is left to receive.
+type executor struct {
+	reqs  chan execReq
+	resps chan Response
+}
+
+type execReq struct {
+	req Request
+	sp  *trace.Span
+}
+
+// do runs one request. On deadline expiry the caller gets StatusTimeout
+// while the request keeps running on its executor, now detached: its real
+// outcome still lands in the dedup window (for IDEM writes), so a retry
+// observes the original execution; the executor then exits and the
+// connection's next request starts a fresh one.
+func (c *connExec) do(req Request, sp *trace.Span) Response {
+	s := c.s
 	if s.cfg.RequestTimeout <= 0 {
-		resp := s.handle(req, sp)
+		resp := s.handle(req, sp, &c.pts)
 		s.completeIdem(req, resp)
 		return resp
 	}
-	ch := make(chan Response, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if m := s.cfg.Metrics; m != nil {
-					m.panics.Add(1)
-				}
-				s.logf("server: %s handler panic: %v\n%s", OpName(req.Op), r, debug.Stack())
-				ch <- Response{Status: StatusErr, Msg: "server: internal error"}
-			}
-		}()
-		// A detached execution (deadline already expired) keeps recording
-		// into sp — every span counter is atomic, so the record the server
-		// already emitted was merely a consistent partial view.
-		resp := s.handle(req, sp)
-		s.completeIdem(req, resp)
-		ch <- resp
-	}()
-	timer := time.NewTimer(s.cfg.RequestTimeout)
-	defer timer.Stop()
+	if c.ex == nil {
+		c.ex = &executor{reqs: make(chan execReq, 1), resps: make(chan Response, 1)}
+		go s.runExecutor(c.ex)
+	}
+	if c.timer == nil {
+		c.timer = time.NewTimer(s.cfg.RequestTimeout)
+	} else {
+		c.timer.Reset(s.cfg.RequestTimeout)
+	}
+	c.ex.reqs <- execReq{req: req, sp: sp}
 	select {
-	case resp := <-ch:
+	case resp := <-c.ex.resps:
+		if !c.timer.Stop() {
+			// Fired between the response and here, and this select did not
+			// take the tick: wait for it (go.mod's go 1.22 keeps the
+			// buffered timer channel, whose send may land after Stop
+			// returns) so the next Reset starts clean.
+			<-c.timer.C
+		}
 		return resp
-	case <-timer.C:
+	case <-c.timer.C:
 		if m := s.cfg.Metrics; m != nil {
 			m.timeouts.Add(1)
 		}
+		c.close()
 		return Response{Status: StatusTimeout}
 	}
+}
+
+// close lets the executor go: it finishes the request it is running, if
+// any, and exits.
+func (c *connExec) close() {
+	if c.ex != nil {
+		close(c.ex.reqs)
+		c.ex = nil
+	}
+}
+
+// runExecutor is the executor goroutine: it runs requests until its
+// connection closes or detaches it.
+func (s *Server) runExecutor(ex *executor) {
+	var pts []geom.Point
+	for r := range ex.reqs {
+		ex.resps <- s.executeIsolated(r.req, r.sp, &pts)
+	}
+}
+
+// executeIsolated runs one request, converting a handler panic into an
+// error response so it costs the request, not the executor or the server.
+func (s *Server) executeIsolated(req Request, sp *trace.Span, pts *[]geom.Point) (resp Response) {
+	defer func() {
+		if r := recover(); r != nil {
+			if m := s.cfg.Metrics; m != nil {
+				m.panics.Add(1)
+			}
+			s.logf("server: %s handler panic: %v\n%s", OpName(req.Op), r, debug.Stack())
+			resp = Response{Status: StatusErr, Msg: "server: internal error"}
+		}
+	}()
+	// A detached execution (deadline already expired) keeps recording
+	// into sp — every span counter is atomic, so the record the server
+	// already emitted was merely a consistent partial view.
+	resp = s.handle(req, sp, pts)
+	s.completeIdem(req, resp)
+	return resp
 }
 
 // noteWriteErr classifies a response-write failure: a deadline miss means
@@ -521,10 +588,18 @@ func (s *Server) release() {
 	}
 }
 
+// maxKeptResult bounds, in points (16 B each), the result buffer a
+// connection or executor keeps between requests: a larger result is
+// garbage once its reply is encoded, as every result was before buffers
+// were reused.
+const maxKeptResult = 1 << 16
+
 // handle executes one admitted request against the index. A non-nil sp
 // records the request's phases: admission here, the index phases inside
-// core.Concurrent's traced entry points.
-func (s *Server) handle(req Request, sp *trace.Span) Response {
+// core.Concurrent's traced entry points. Query results are collected in
+// *pts, the caller's reusable buffer (kept up to maxKeptResult points),
+// which the response's Points alias.
+func (s *Server) handle(req Request, sp *trace.Span, pts *[]geom.Point) Response {
 	switch req.Op {
 	case OpPing:
 		return Response{Status: StatusOK, Data: req.Data}
@@ -603,11 +678,14 @@ func (s *Server) handle(req Request, sp *trace.Span) Response {
 		}
 		return Response{Status: StatusOK, Found: found, LSN: s.idx.AppliedLSN(), Term: s.curTerm()}
 	case OpQuery3, OpQuery4:
-		pts, err := s.idx.QueryTraced(nil, req.Rect, sp)
+		res, err := s.idx.QueryTraced((*pts)[:0], req.Rect, sp)
 		if err != nil {
 			return s.errResponse(err)
 		}
-		return Response{Status: StatusOK, Points: pts}
+		if cap(res) <= maxKeptResult {
+			*pts = res
+		}
+		return Response{Status: StatusOK, Points: res}
 	case OpBatch:
 		return s.handleBatch(req.Batch, sp)
 	default:

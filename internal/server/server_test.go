@@ -13,6 +13,7 @@ import (
 	"rangesearch/internal/eio"
 	"rangesearch/internal/epst"
 	"rangesearch/internal/geom"
+	"rangesearch/internal/trace"
 )
 
 // testServer is an in-process rsserve: SnapStore over a MemStore, a
@@ -381,4 +382,39 @@ func TestServerShutdownInterruptsIdleConns(t *testing.T) {
 		t.Fatal("Shutdown hung on an idle connection")
 	}
 	ts.assertScrubClean(t)
+}
+
+// rangeBackend answers a query [0, XHi] with XHi+1 points appended to dst;
+// every other Backend method is absent (nil embedded interface).
+type rangeBackend struct{ Backend }
+
+func (rangeBackend) QueryTraced(dst []geom.Point, q geom.Rect, _ *trace.Span) ([]geom.Point, error) {
+	for x := int64(0); x <= q.XHi; x++ {
+		dst = append(dst, geom.Point{X: x})
+	}
+	return dst, nil
+}
+
+// TestResultBufferRetentionIsBounded: the per-connection result buffer is
+// reused between queries, but a result beyond maxKeptResult points is not
+// kept — one huge query must not pin its memory on the connection.
+func TestResultBufferRetentionIsBounded(t *testing.T) {
+	srv := New(rangeBackend{}, Config{})
+	var pts []geom.Point
+	query := func(n int) {
+		t.Helper()
+		resp := srv.handle(Request{Op: OpQuery3, Rect: geom.Rect{XHi: int64(n - 1)}}, nil, &pts)
+		if resp.Status != StatusOK || len(resp.Points) != n {
+			t.Fatalf("query for %d points: status %d, %d points", n, resp.Status, len(resp.Points))
+		}
+	}
+	query(100)
+	if cap(pts) < 100 {
+		t.Fatalf("a small result was not kept for reuse (cap %d)", cap(pts))
+	}
+	query(maxKeptResult + 1000)
+	if cap(pts) > maxKeptResult {
+		t.Errorf("a %d-point result left a %d-point buffer behind (bound %d)", maxKeptResult+1000, cap(pts), maxKeptResult)
+	}
+	query(100)
 }

@@ -29,15 +29,23 @@ func (c *captureRecorder) RecordSpan(r trace.Record) {
 	c.mu.Unlock()
 }
 
+// find returns the span recorded for id. The server emits a span after it
+// has flushed the reply, so a client that already holds the response may
+// be ahead of the recorder: find waits (up to 5 s) for the span to land.
 func (c *captureRecorder) find(id trace.ID) (trace.Record, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, r := range c.recs {
-		if r.TraceID == id.String() {
-			return r, true
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		c.mu.Lock()
+		for _, r := range c.recs {
+			if r.TraceID == id.String() {
+				c.mu.Unlock()
+				return r, true
+			}
+		}
+		c.mu.Unlock()
+		if time.Now().After(deadline) {
+			return trace.Record{}, false
 		}
 	}
-	return trace.Record{}, false
 }
 
 func (c *captureRecorder) all() []trace.Record {

@@ -13,12 +13,14 @@ func (s *Struct) AppendAllPages(dst []eio.PageID) ([]eio.PageID, error) {
 		return nil, err
 	}
 	dst = append(dst, chain...)
-	cat, err := s.loadCatalog()
+	sc := s.borrow()
+	defer s.release(sc)
+	cat, err := s.loadCatalog(sc)
 	if err != nil {
 		return nil, err
 	}
-	for i := range cat.blocks {
-		dst = append(dst, cat.blocks[i].page)
+	for i := 0; i < cat.nb; i++ {
+		dst = append(dst, cat.block(i).page)
 	}
 	return dst, nil
 }

@@ -27,6 +27,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"rangesearch/internal/eio"
 	"rangesearch/internal/geom"
@@ -42,16 +44,55 @@ const DefaultAlpha = 2
 // Struct is a handle to a small structure stored on an eio.Store. The
 // handle itself holds no point data; every operation reads the catalog
 // record (O(1) pages) and the index blocks it needs.
+//
+// A handle from Create or Open borrows a Scratch for the length of each
+// operation and is safe for concurrent queries. A handle from OpenScratch
+// works in the Scratch it was given and belongs to that Scratch's owner.
 type Struct struct {
 	store   eio.Store
-	rs      *eio.RecordStore
+	rs      eio.RecordStore
 	b       int
 	alpha   int
 	bufCap  int // 0 = default B/2
 	catalog eio.PageID
+	sc      *Scratch // nil: borrow one per operation
 }
 
-// catalogData is the decoded catalog.
+// Scratch is the working memory of one operation at a time: the page
+// buffer index blocks are read into, the buffer holding the catalog record
+// and, on the update path, the decoded catalog and its re-encoding. Nothing
+// in it outlives the operation — results are appended to the caller's dst
+// or returned by value — so one Scratch serves any number of consecutive
+// operations on any number of handles, and steady-state operations
+// allocate nothing. The zero value is ready to use.
+type Scratch struct {
+	page  []byte        // one index block; overwritten by every block read
+	rec   eio.RecordBuf // the catalog record the running operation reads
+	dead  []geom.Point  // tombstones that can hide a point of the running query
+	order []int32       // MaxY: block indices by decreasing topY
+	probe []geom.Point  // update path: result of the membership probe
+	cat   catalogData   // update path: decoded catalog (slices reused)
+	enc   []byte        // update path: encoded catalog
+}
+
+// scratchPool lends Scratches to handles that have none of their own.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+func (s *Struct) borrow() *Scratch {
+	if s.sc != nil {
+		return s.sc
+	}
+	return scratchPool.Get().(*Scratch)
+}
+
+func (s *Struct) release(sc *Scratch) {
+	if s.sc == nil {
+		scratchPool.Put(sc)
+	}
+}
+
+// catalogData is the decoded catalog, used where the catalog is mutated
+// (Insert, Delete, rebuild); everything else reads a catalogView.
 type catalogData struct {
 	blocks []blockMeta
 	ins    []geom.Point // buffered insertions, not yet in blocks
@@ -80,7 +121,7 @@ func Create(store eio.Store, alpha int, pts []geom.Point) (*Struct, error) {
 	}
 	s := &Struct{
 		store: store,
-		rs:    eio.NewRecordStore(store),
+		rs:    *eio.NewRecordStore(store),
 		b:     eio.BlockCapacity(store.PageSize()),
 		alpha: alpha,
 	}
@@ -101,7 +142,7 @@ func Create(store eio.Store, alpha int, pts []geom.Point) (*Struct, error) {
 	if err != nil {
 		return nil, err
 	}
-	id, err := s.rs.Put(encodeCatalog(cat))
+	id, err := s.rs.Put(encodeCatalog(nil, cat))
 	if err != nil {
 		return nil, err
 	}
@@ -111,21 +152,35 @@ func Create(store eio.Store, alpha int, pts []geom.Point) (*Struct, error) {
 
 // Open attaches to a structure previously created on store.
 func Open(store eio.Store, catalog eio.PageID, alpha int) (*Struct, error) {
+	s, err := OpenScratch(store, catalog, alpha, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &s, nil
+}
+
+// OpenScratch is Open for callers that run many operations back to back
+// (the priority search tree opens one structure per node it visits): the
+// handle is returned by value and works in sc instead of borrowing a
+// Scratch per operation. It must not be used concurrently with anything
+// else that uses sc. A nil sc gives a handle that borrows, as Open's does.
+func OpenScratch(store eio.Store, catalog eio.PageID, alpha int, sc *Scratch) (Struct, error) {
 	if alpha == 0 {
 		alpha = DefaultAlpha
 	}
-	s := &Struct{
+	s := Struct{
 		store:   store,
-		rs:      eio.NewRecordStore(store),
+		rs:      *eio.NewRecordStore(store),
 		b:       eio.BlockCapacity(store.PageSize()),
 		alpha:   alpha,
 		catalog: catalog,
+		sc:      sc,
 	}
 	// Validate eagerly so a dangling id fails here, not mid-query.
-	if _, err := s.loadCatalog(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	w := s.borrow()
+	_, err := s.loadCatalog(w)
+	s.release(w)
+	return s, err
 }
 
 // CatalogID returns the record id that identifies this structure on its
@@ -195,19 +250,35 @@ func (s *Struct) writeScheme(pts []geom.Point) (*catalogData, error) {
 	return cat, nil
 }
 
-// loadCatalog reads and decodes the catalog record.
-func (s *Struct) loadCatalog() (*catalogData, error) {
-	raw, err := s.rs.Get(s.catalog)
+// loadCatalog reads the catalog record into sc and returns a view of it,
+// valid until sc reads another record.
+func (s *Struct) loadCatalog(sc *Scratch) (catalogView, error) {
+	raw, err := s.rs.Get(s.catalog, &sc.rec)
 	if err != nil {
-		return nil, fmt.Errorf("smallstruct: load catalog: %w", err)
+		return catalogView{}, fmt.Errorf("smallstruct: load catalog: %w", err)
 	}
-	return decodeCatalog(raw)
+	return viewCatalog(raw)
 }
 
-// storeCatalog re-encodes and writes the catalog record in place.
-func (s *Struct) storeCatalog(cat *catalogData) error {
-	if err := s.rs.Update(s.catalog, encodeCatalog(cat)); err != nil {
+// storeCatalog re-encodes (into sc) and writes the catalog record in place.
+func (s *Struct) storeCatalog(sc *Scratch, cat *catalogData) error {
+	sc.enc = encodeCatalog(sc.enc[:0], cat)
+	if err := s.rs.Update(s.catalog, sc.enc); err != nil {
 		return fmt.Errorf("smallstruct: store catalog: %w", err)
+	}
+	return nil
+}
+
+// readBlock reads index block m into sc.page.
+func (s *Struct) readBlock(sc *Scratch, m *blockMeta) error {
+	if m.count < 0 || int(m.count) > s.b {
+		return fmt.Errorf("smallstruct: block %d holds %d points (capacity %d)", m.page, m.count, s.b)
+	}
+	if ps := s.store.PageSize(); len(sc.page) < ps {
+		sc.page = make([]byte, ps)
+	}
+	if err := s.store.Read(m.page, sc.page); err != nil {
+		return fmt.Errorf("smallstruct: read block: %w", err)
 	}
 	return nil
 }
@@ -223,149 +294,161 @@ func (m *blockMeta) activeFor(c int64) bool {
 // Query3 appends to dst every live point satisfying q and returns the
 // extended slice. Cost: O(1) catalog pages + O(t+1) block reads.
 func (s *Struct) Query3(dst []geom.Point, q geom.Query3) ([]geom.Point, error) {
-	cat, err := s.loadCatalog()
+	sc := s.borrow()
+	defer s.release(sc)
+	cat, err := s.loadCatalog(sc)
 	if err != nil {
 		return dst, err
 	}
-	return s.query3(dst, cat, q)
+	return s.query3(sc, dst, cat, q)
 }
 
-func (s *Struct) query3(dst []geom.Point, cat *catalogData, q geom.Query3) ([]geom.Point, error) {
+// query3 filters the covering blocks straight from the page buffer into
+// dst; nothing it appends aliases sc.
+func (s *Struct) query3(sc *Scratch, dst []geom.Point, cat catalogView, q geom.Query3) ([]geom.Point, error) {
 	if q.Empty() {
 		return dst, nil
 	}
-	dead := tombstones(cat)
-	for i := range cat.blocks {
-		m := &cat.blocks[i]
+	// Only a tombstone inside q can hide a point inside q.
+	dead := sc.dead[:0]
+	for i := 0; i < cat.nd; i++ {
+		if p := cat.del(i); q.Contains(p) {
+			dead = append(dead, p)
+		}
+	}
+	sc.dead = dead
+	for i := 0; i < cat.nb; i++ {
+		m := cat.block(i)
 		if !m.activeFor(q.YLo) || m.xlo > q.XHi || m.xhi < q.XLo || q.YLo > m.topY {
 			continue
 		}
-		pts, err := eio.ReadPointBlock(nil, s.store, m.page, int(m.count))
-		if err != nil {
-			return dst, fmt.Errorf("smallstruct: read block: %w", err)
+		if err := s.readBlock(sc, &m); err != nil {
+			return dst, err
 		}
-		for _, p := range pts {
-			if q.Contains(p) && !dead[p] {
+		for j := 0; j < int(m.count); j++ {
+			if p := eio.GetPoint(sc.page, j*eio.PointSize); q.Contains(p) && !containsPoint(dead, p) {
 				dst = append(dst, p)
 			}
 		}
 	}
-	for _, p := range cat.ins {
-		if q.Contains(p) {
+	for i := 0; i < cat.ni; i++ {
+		if p := cat.ins(i); q.Contains(p) {
 			dst = append(dst, p)
 		}
 	}
 	return dst, nil
 }
 
-// tombstones returns the buffered deletions as a set.
-func tombstones(cat *catalogData) map[geom.Point]bool {
-	if len(cat.dels) == 0 {
-		return nil
+func containsPoint(pts []geom.Point, p geom.Point) bool {
+	for _, q := range pts {
+		if q == p {
+			return true
+		}
 	}
-	dead := make(map[geom.Point]bool, len(cat.dels))
-	for _, p := range cat.dels {
-		dead[p] = true
-	}
-	return dead
+	return false
+}
+
+// stored reports whether p is live, probing with the degenerate query at p.
+func (s *Struct) stored(sc *Scratch, cat catalogView, p geom.Point) (bool, error) {
+	var err error
+	sc.probe, err = s.query3(sc, sc.probe[:0], cat, geom.Query3{XLo: p.X, XHi: p.X, YLo: p.Y})
+	return containsPoint(sc.probe, p), err
 }
 
 // Contains reports whether p is stored (live).
 func (s *Struct) Contains(p geom.Point) (bool, error) {
-	got, err := s.Query3(nil, geom.Query3{XLo: p.X, XHi: p.X, YLo: p.Y})
+	sc := s.borrow()
+	defer s.release(sc)
+	cat, err := s.loadCatalog(sc)
 	if err != nil {
 		return false, err
 	}
-	for _, q := range got {
-		if q == p {
-			return true, nil
-		}
-	}
-	return false, nil
+	return s.stored(sc, cat, p)
 }
 
 // Insert adds p. It returns ErrDuplicate if p is already stored.
 // Cost: O(1) I/Os amortized.
 func (s *Struct) Insert(p geom.Point) error {
-	cat, err := s.loadCatalog()
+	sc := s.borrow()
+	defer s.release(sc)
+	view, err := s.loadCatalog(sc)
 	if err != nil {
 		return err
 	}
 	// A buffered tombstone for p cancels out (reinsertion after delete).
-	for i, d := range cat.dels {
-		if d == p {
+	for i := 0; i < view.nd; i++ {
+		if view.del(i) == p {
+			cat := view.decode(&sc.cat)
 			cat.dels = append(cat.dels[:i], cat.dels[i+1:]...)
-			return s.storeCatalog(cat)
+			return s.storeCatalog(sc, cat)
 		}
 	}
-	present, err := s.query3(nil, cat, geom.Query3{XLo: p.X, XHi: p.X, YLo: p.Y})
+	present, err := s.stored(sc, view, p)
 	if err != nil {
 		return err
 	}
-	for _, q := range present {
-		if q == p {
-			return fmt.Errorf("smallstruct: insert %v: %w", p, ErrDuplicate)
-		}
+	if present {
+		return fmt.Errorf("smallstruct: insert %v: %w", p, ErrDuplicate)
 	}
+	cat := view.decode(&sc.cat)
 	cat.ins = append(cat.ins, p)
 	if len(cat.ins)+len(cat.dels) >= s.bufferCap() {
-		return s.rebuild(cat)
+		return s.rebuild(sc, cat)
 	}
-	return s.storeCatalog(cat)
+	return s.storeCatalog(sc, cat)
 }
 
 // Delete removes p, reporting whether it was present.
 // Cost: O(1) I/Os amortized.
 func (s *Struct) Delete(p geom.Point) (bool, error) {
-	cat, err := s.loadCatalog()
+	sc := s.borrow()
+	defer s.release(sc)
+	view, err := s.loadCatalog(sc)
 	if err != nil {
 		return false, err
 	}
 	// If p is still in the insert buffer, cancel it there.
-	for i, q := range cat.ins {
-		if q == p {
+	for i := 0; i < view.ni; i++ {
+		if view.ins(i) == p {
+			cat := view.decode(&sc.cat)
 			cat.ins = append(cat.ins[:i], cat.ins[i+1:]...)
-			return true, s.storeCatalog(cat)
+			return true, s.storeCatalog(sc, cat)
 		}
 	}
-	present, err := s.query3(nil, cat, geom.Query3{XLo: p.X, XHi: p.X, YLo: p.Y})
-	if err != nil {
+	present, err := s.stored(sc, view, p)
+	if err != nil || !present {
 		return false, err
 	}
-	found := false
-	for _, q := range present {
-		if q == p {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return false, nil
-	}
+	cat := view.decode(&sc.cat)
 	cat.dels = append(cat.dels, p)
 	if len(cat.ins)+len(cat.dels) >= s.bufferCap() {
-		return true, s.rebuild(cat)
+		return true, s.rebuild(sc, cat)
 	}
-	return true, s.storeCatalog(cat)
+	return true, s.storeCatalog(sc, cat)
 }
 
 // all returns the live point set: the stored base partition (the initial
 // blocks of the last rebuild partition the base set exactly, so no
 // deduplication is needed) minus tombstones, plus the insert buffer.
-func (s *Struct) all(cat *catalogData) ([]geom.Point, error) {
-	dead := tombstones(cat)
+func (s *Struct) all(sc *Scratch, cat *catalogData) ([]geom.Point, error) {
+	var dead map[geom.Point]bool
+	if len(cat.dels) > 0 {
+		dead = make(map[geom.Point]bool, len(cat.dels))
+		for _, p := range cat.dels {
+			dead[p] = true
+		}
+	}
 	var out []geom.Point
 	for i := range cat.blocks {
 		m := &cat.blocks[i]
 		if !m.initial {
 			continue
 		}
-		pts, err := eio.ReadPointBlock(nil, s.store, m.page, int(m.count))
-		if err != nil {
-			return nil, fmt.Errorf("smallstruct: read block: %w", err)
+		if err := s.readBlock(sc, m); err != nil {
+			return nil, err
 		}
-		for _, p := range pts {
-			if !dead[p] {
+		for j := 0; j < int(m.count); j++ {
+			if p := eio.GetPoint(sc.page, j*eio.PointSize); !dead[p] {
 				out = append(out, p)
 			}
 		}
@@ -376,28 +459,32 @@ func (s *Struct) all(cat *catalogData) ([]geom.Point, error) {
 
 // All returns every live point. Cost: O(n/B·α/(α−1) + 1) I/Os.
 func (s *Struct) All() ([]geom.Point, error) {
-	cat, err := s.loadCatalog()
+	sc := s.borrow()
+	defer s.release(sc)
+	view, err := s.loadCatalog(sc)
 	if err != nil {
 		return nil, err
 	}
-	return s.all(cat)
+	return s.all(sc, view.decode(&sc.cat))
 }
 
 // Len returns the number of live points (reads only the catalog, which
 // records per-block counts, but must reconcile tombstones against the base
 // partition; tombstone points are always base points, so Len is exact).
 func (s *Struct) Len() (int, error) {
-	cat, err := s.loadCatalog()
+	sc := s.borrow()
+	defer s.release(sc)
+	cat, err := s.loadCatalog(sc)
 	if err != nil {
 		return 0, err
 	}
 	n := 0
-	for i := range cat.blocks {
-		if cat.blocks[i].initial {
-			n += int(cat.blocks[i].count)
+	for i := 0; i < cat.nb; i++ {
+		if m := cat.block(i); m.initial {
+			n += int(m.count)
 		}
 	}
-	return n - len(cat.dels) + len(cat.ins), nil
+	return n - cat.nd + cat.ni, nil
 }
 
 // MaxY returns the live point with the largest y-coordinate (ties broken
@@ -405,39 +492,35 @@ func (s *Struct) Len() (int, error) {
 // Cost: O(1) I/Os amortized — extra block reads are charged to the
 // tombstones that caused them.
 func (s *Struct) MaxY() (geom.Point, bool, error) {
-	cat, err := s.loadCatalog()
+	sc := s.borrow()
+	defer s.release(sc)
+	cat, err := s.loadCatalog(sc)
 	if err != nil {
 		return geom.Point{}, false, err
 	}
-	return s.maxY(cat)
-}
-
-func (s *Struct) maxY(cat *catalogData) (geom.Point, bool, error) {
-	dead := tombstones(cat)
 	var best geom.Point
 	found := false
 	better := func(p geom.Point) bool {
 		return !found || p.Y > best.Y || (p.Y == best.Y && p.X > best.X)
 	}
-	for _, p := range cat.ins {
-		if better(p) {
+	for i := 0; i < cat.ni; i++ {
+		if p := cat.ins(i); better(p) {
 			best, found = p, true
 		}
 	}
 	// Visit blocks in decreasing topY until the bound says stop. The
-	// catalog is small (O(B) entries), so selection is done in memory.
-	order := make([]int, len(cat.blocks))
-	for i := range order {
-		order[i] = i
-	}
-	// Insertion-sort by topY descending (catalog is short).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && cat.blocks[order[j]].topY > cat.blocks[order[j-1]].topY; j-- {
+	// catalog is small (O(B) entries), so selection is done in memory:
+	// insertion sort, stable like the catalog order it starts from.
+	order := sc.order[:0]
+	for i := 0; i < cat.nb; i++ {
+		order = append(order, int32(i))
+		for j := i; j > 0 && cat.topY(int(order[j])) > cat.topY(int(order[j-1])); j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
+	sc.order = order
 	for _, bi := range order {
-		m := &cat.blocks[bi]
+		m := cat.block(int(bi))
 		// Strict: a block with topY == best.Y may still hold an equal-y
 		// point with a larger x, which wins the tiebreak.
 		if found && best.Y > m.topY {
@@ -448,12 +531,11 @@ func (s *Struct) maxY(cat *catalogData) (geom.Point, bool, error) {
 		// for "current maximum" we want points live right now, i.e. at
 		// every threshold — every stored non-tombstoned point is a copy of
 		// a live point, so any copy is a valid answer.
-		pts, err := eio.ReadPointBlock(nil, s.store, m.page, int(m.count))
-		if err != nil {
-			return best, found, fmt.Errorf("smallstruct: read block: %w", err)
+		if err := s.readBlock(sc, &m); err != nil {
+			return best, found, err
 		}
-		for _, p := range pts {
-			if !dead[p] && better(p) {
+		for j := 0; j < int(m.count); j++ {
+			if p := eio.GetPoint(sc.page, j*eio.PointSize); better(p) && !cat.isDead(p) {
 				best, found = p, true
 			}
 		}
@@ -462,8 +544,8 @@ func (s *Struct) maxY(cat *catalogData) (geom.Point, bool, error) {
 }
 
 // rebuild reconstructs the scheme from the live set and resets the buffer.
-func (s *Struct) rebuild(cat *catalogData) error {
-	pts, err := s.all(cat)
+func (s *Struct) rebuild(sc *Scratch, cat *catalogData) error {
+	pts, err := s.all(sc, cat)
 	if err != nil {
 		return err
 	}
@@ -474,7 +556,7 @@ func (s *Struct) rebuild(cat *catalogData) error {
 	if err != nil {
 		return err
 	}
-	if err := s.storeCatalog(ncat); err != nil {
+	if err := s.storeCatalog(sc, ncat); err != nil {
 		return err
 	}
 	for i := range cat.blocks {
@@ -488,22 +570,26 @@ func (s *Struct) rebuild(cat *catalogData) error {
 // Rebuild forces an immediate rebuild (used by tests and by the priority
 // search tree after bulk manipulation).
 func (s *Struct) Rebuild() error {
-	cat, err := s.loadCatalog()
+	sc := s.borrow()
+	defer s.release(sc)
+	view, err := s.loadCatalog(sc)
 	if err != nil {
 		return err
 	}
-	return s.rebuild(cat)
+	return s.rebuild(sc, view.decode(&sc.cat))
 }
 
 // Destroy frees every page owned by the structure, including the catalog.
 // The handle must not be used afterwards.
 func (s *Struct) Destroy() error {
-	cat, err := s.loadCatalog()
+	sc := s.borrow()
+	defer s.release(sc)
+	cat, err := s.loadCatalog(sc)
 	if err != nil {
 		return err
 	}
-	for i := range cat.blocks {
-		if err := s.store.Free(cat.blocks[i].page); err != nil {
+	for i := 0; i < cat.nb; i++ {
+		if err := s.store.Free(cat.block(i).page); err != nil {
 			return err
 		}
 	}
@@ -512,30 +598,38 @@ func (s *Struct) Destroy() error {
 
 // Blocks returns the number of index blocks currently allocated.
 func (s *Struct) Blocks() (int, error) {
-	cat, err := s.loadCatalog()
-	if err != nil {
-		return 0, err
-	}
-	return len(cat.blocks), nil
+	sc := s.borrow()
+	defer s.release(sc)
+	cat, err := s.loadCatalog(sc)
+	return cat.nb, err
 }
 
 // CatalogPages returns the number of pages the catalog record occupies —
 // the "O(1) catalog blocks" of Lemma 1.
 func (s *Struct) CatalogPages() (int, error) {
-	raw, err := s.rs.Get(s.catalog)
+	sc := s.borrow()
+	defer s.release(sc)
+	cat, err := s.loadCatalog(sc)
 	if err != nil {
 		return 0, err
 	}
-	return s.rs.PagesFor(len(raw)), nil
+	return s.rs.PagesFor(len(cat.raw)), nil
 }
 
-// encodeCatalog serializes the catalog.
-func encodeCatalog(cat *catalogData) []byte {
-	out := make([]byte, 12+blockMetaSize*len(cat.blocks)+eio.PointSize*(len(cat.ins)+len(cat.dels)))
+// Catalog record layout: three uint32 counts (blocks, buffered insertions,
+// buffered deletions), then the block entries, then the two point lists.
+const catalogHdrSize = 12
+
+// encodeCatalog appends the serialized catalog to dst.
+func encodeCatalog(dst []byte, cat *catalogData) []byte {
+	off := len(dst)
+	n := catalogHdrSize + blockMetaSize*len(cat.blocks) + eio.PointSize*(len(cat.ins)+len(cat.dels))
+	dst = slices.Grow(dst, n)[:off+n]
+	out := dst[off:] // every byte of it is written below
 	binary.LittleEndian.PutUint32(out[0:], uint32(len(cat.blocks)))
 	binary.LittleEndian.PutUint32(out[4:], uint32(len(cat.ins)))
 	binary.LittleEndian.PutUint32(out[8:], uint32(len(cat.dels)))
-	off := 12
+	off = catalogHdrSize
 	for i := range cat.blocks {
 		m := &cat.blocks[i]
 		binary.LittleEndian.PutUint64(out[off:], uint64(m.page))
@@ -563,48 +657,89 @@ func encodeCatalog(cat *catalogData) []byte {
 		eio.PutPoint(out, off, p)
 		off += eio.PointSize
 	}
-	return out
+	return dst
 }
 
-// decodeCatalog is the inverse of encodeCatalog.
-func decodeCatalog(raw []byte) (*catalogData, error) {
-	if len(raw) < 12 {
-		return nil, fmt.Errorf("smallstruct: catalog too short (%d bytes)", len(raw))
+// catalogView reads a catalog record in place: block(i), ins(i) and del(i)
+// decode one entry from the record bytes on demand, so reading a catalog
+// allocates nothing. A view is valid as long as the bytes it was made from.
+type catalogView struct {
+	raw        []byte
+	nb, ni, nd int // block entries, buffered insertions, buffered deletions
+}
+
+// viewCatalog validates raw's framing and returns a view of it.
+func viewCatalog(raw []byte) (catalogView, error) {
+	if len(raw) < catalogHdrSize {
+		return catalogView{}, fmt.Errorf("smallstruct: catalog too short (%d bytes)", len(raw))
 	}
-	nb := int(binary.LittleEndian.Uint32(raw[0:]))
-	ni := int(binary.LittleEndian.Uint32(raw[4:]))
-	nd := int(binary.LittleEndian.Uint32(raw[8:]))
-	want := 12 + blockMetaSize*nb + eio.PointSize*(ni+nd)
-	if len(raw) != want {
-		return nil, fmt.Errorf("smallstruct: catalog length %d, want %d", len(raw), want)
+	c := catalogView{
+		raw: raw,
+		nb:  int(binary.LittleEndian.Uint32(raw[0:])),
+		ni:  int(binary.LittleEndian.Uint32(raw[4:])),
+		nd:  int(binary.LittleEndian.Uint32(raw[8:])),
 	}
-	cat := &catalogData{
-		blocks: make([]blockMeta, nb),
-		ins:    make([]geom.Point, 0, ni),
-		dels:   make([]geom.Point, 0, nd),
+	if want := catalogHdrSize + blockMetaSize*c.nb + eio.PointSize*(c.ni+c.nd); len(raw) != want {
+		return catalogView{}, fmt.Errorf("smallstruct: catalog length %d, want %d", len(raw), want)
 	}
-	off := 12
-	for i := 0; i < nb; i++ {
-		m := &cat.blocks[i]
-		m.page = eio.PageID(binary.LittleEndian.Uint64(raw[off:]))
-		m.count = int32(binary.LittleEndian.Uint32(raw[off+8:]))
-		flags := binary.LittleEndian.Uint32(raw[off+12:])
-		m.initial = flags&1 != 0
-		m.retiredAt = flags&2 != 0
-		m.xlo = int64(binary.LittleEndian.Uint64(raw[off+16:]))
-		m.xhi = int64(binary.LittleEndian.Uint64(raw[off+24:]))
-		m.yact = int64(binary.LittleEndian.Uint64(raw[off+32:]))
-		m.yret = int64(binary.LittleEndian.Uint64(raw[off+40:]))
-		m.topY = int64(binary.LittleEndian.Uint64(raw[off+48:]))
-		off += blockMetaSize
+	return c, nil
+}
+
+// block decodes block entry i.
+func (c catalogView) block(i int) blockMeta {
+	e := c.raw[catalogHdrSize+i*blockMetaSize:][:blockMetaSize]
+	flags := binary.LittleEndian.Uint32(e[12:])
+	return blockMeta{
+		page:      eio.PageID(binary.LittleEndian.Uint64(e[0:])),
+		count:     int32(binary.LittleEndian.Uint32(e[8:])),
+		initial:   flags&1 != 0,
+		retiredAt: flags&2 != 0,
+		xlo:       int64(binary.LittleEndian.Uint64(e[16:])),
+		xhi:       int64(binary.LittleEndian.Uint64(e[24:])),
+		yact:      int64(binary.LittleEndian.Uint64(e[32:])),
+		yret:      int64(binary.LittleEndian.Uint64(e[40:])),
+		topY:      int64(binary.LittleEndian.Uint64(e[48:])),
 	}
-	for i := 0; i < ni; i++ {
-		cat.ins = append(cat.ins, eio.GetPoint(raw, off))
-		off += eio.PointSize
+}
+
+// topY is block(i).topY without decoding the rest of the entry.
+func (c catalogView) topY(i int) int64 {
+	return int64(binary.LittleEndian.Uint64(c.raw[catalogHdrSize+i*blockMetaSize+48:]))
+}
+
+// ins returns buffered insertion i.
+func (c catalogView) ins(i int) geom.Point {
+	return eio.GetPoint(c.raw, catalogHdrSize+c.nb*blockMetaSize+i*eio.PointSize)
+}
+
+// del returns buffered deletion (tombstone) i.
+func (c catalogView) del(i int) geom.Point {
+	return eio.GetPoint(c.raw, catalogHdrSize+c.nb*blockMetaSize+(c.ni+i)*eio.PointSize)
+}
+
+// isDead reports whether p is tombstoned.
+func (c catalogView) isDead(p geom.Point) bool {
+	for i := 0; i < c.nd; i++ {
+		if c.del(i) == p {
+			return true
+		}
 	}
-	for i := 0; i < nd; i++ {
-		cat.dels = append(cat.dels, eio.GetPoint(raw, off))
-		off += eio.PointSize
+	return false
+}
+
+// decode copies the catalog out of the record bytes into cat, reusing
+// cat's slices, and returns cat: the mutable form the update path edits
+// and re-encodes.
+func (c catalogView) decode(cat *catalogData) *catalogData {
+	cat.blocks, cat.ins, cat.dels = cat.blocks[:0], cat.ins[:0], cat.dels[:0]
+	for i := 0; i < c.nb; i++ {
+		cat.blocks = append(cat.blocks, c.block(i))
 	}
-	return cat, nil
+	for i := 0; i < c.ni; i++ {
+		cat.ins = append(cat.ins, c.ins(i))
+	}
+	for i := 0; i < c.nd; i++ {
+		cat.dels = append(cat.dels, c.del(i))
+	}
+	return cat
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rangesearch/internal/eio"
+	"rangesearch/internal/eio/eiotest"
 	"rangesearch/internal/geom"
 )
 
@@ -482,5 +483,64 @@ func TestSortStability(t *testing.T) {
 	geom.SortByX(pts)
 	if !sort.SliceIsSorted(pts, func(i, j int) bool { return pts[i].Less(pts[j]) }) {
 		t.Fatal("not sorted")
+	}
+}
+
+// TestQuery3AllocFree: a warm query into a pre-sized dst allocates nothing,
+// however many catalog pages and blocks it visits and whatever sits in the
+// update buffers — the catalog is read through a view, blocks are filtered
+// from the scratch page straight into dst.
+func TestQuery3AllocFree(t *testing.T) {
+	if !eiotest.PoolsRecycle() {
+		t.Skip("sync.Pool does not recycle on this build (race detector): the per-query scratch is sometimes rebuilt")
+	}
+	rng := rand.New(rand.NewSource(7))
+	store := eio.NewMemStore(256) // B = 16
+	pts := distinctPoints(rng, 1500, 4000)
+	s, err := Create(store, 2, pts[:1400])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetBufferCap(1 << 20) // keep the buffered updates buffered
+	for _, p := range pts[1400:] {
+		if err := s.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range pts[:60] {
+		if _, err := s.Delete(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pages, err := s.CatalogPages(); err != nil || pages < 3 {
+		t.Fatalf("catalog occupies %d pages (%v); the guard wants a multi-page catalog", pages, err)
+	}
+	dst := make([]geom.Point, 0, len(pts))
+	for _, q := range []geom.Query3{
+		{XLo: 0, XHi: 4000, YLo: 0},       // everything: every block
+		{XLo: 1000, XHi: 1400, YLo: 2000}, // a corner
+		{XLo: 5, XHi: 5, YLo: 5},          // a probe
+	} {
+		store.ResetStats()
+		var got []geom.Point
+		n := testing.AllocsPerRun(20, func() {
+			var err error
+			if got, err = s.Query3(dst[:0], q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 0 {
+			t.Errorf("Query3(%v) reading %d pages per run: %v allocs/op, want 0",
+				q, store.Stats().Reads/21, n)
+		}
+		want := 0
+		for _, p := range pts[60:] {
+			if q.Contains(p) {
+				want++
+			}
+		}
+		if len(got) != want {
+			t.Errorf("Query3(%v) reported %d points, want %d", q, len(got), want)
+		}
 	}
 }

@@ -126,7 +126,7 @@ func (t *Tree) HeaderID() eio.PageID { return t.header }
 func (t *Tree) Params() (a, k int) { return t.a, t.k }
 
 func (t *Tree) loadMeta() (*meta, error) {
-	raw, err := t.rs.Get(t.header)
+	raw, err := t.rs.Get(t.header, nil)
 	if err != nil {
 		return nil, fmt.Errorf("wbtree: load header: %w", err)
 	}
@@ -793,7 +793,7 @@ func lowerBound(items []geom.Point, p geom.Point) int {
 // --- serialization ---
 
 func (t *Tree) readNode(id eio.PageID) (*node, error) {
-	raw, err := t.rs.Get(id)
+	raw, err := t.rs.Get(id, nil)
 	if err != nil {
 		return nil, fmt.Errorf("wbtree: read node: %w", err)
 	}
