@@ -226,7 +226,7 @@ func bootScrub(tx *eio.TxStore, hdr eio.PageID) (*eio.ScrubReport, error) {
 }
 
 // buildFile assembles (creating or reopening) a file-backed stack.
-func buildFile(path string, pageSize int, durable bool, walPages, poolCap, poolShards int, scrubOnBoot bool) (*stack, error) {
+func buildFile(path string, pageSize int, durable bool, walPages, poolCap int, scrubOnBoot bool) (*stack, error) {
 	_, statErr := os.Stat(path)
 	fresh := os.IsNotExist(statErr)
 
@@ -248,7 +248,7 @@ func buildFile(path string, pageSize int, durable bool, walPages, poolCap, poolS
 			m.Anchor = tx.Anchor()
 			base = tx
 		} else if poolCap > 0 {
-			base = eio.NewShardedPool(fs, poolCap, poolShards)
+			base = eio.NewShardedPool(fs, poolCap, eio.DefaultPoolShards)
 		}
 		snap := eio.NewSnapStore(base, 0)
 		tracer := eio.NewTraceStore(snap)
@@ -297,7 +297,7 @@ func buildFile(path string, pageSize int, durable bool, walPages, poolCap, poolS
 		}
 		base = tx
 	} else if poolCap > 0 {
-		base = eio.NewShardedPool(fs, poolCap, poolShards)
+		base = eio.NewShardedPool(fs, poolCap, eio.DefaultPoolShards)
 	}
 	snap := eio.NewSnapStore(base, 0)
 	tracer := eio.NewTraceStore(snap)
@@ -378,7 +378,6 @@ func main() {
 		durable = flag.Bool("durable", true, "file stores: WAL-backed atomic commits (crash-recoverable)")
 		wal     = flag.Int("wal", eio.DefaultWALPages, "WAL capacity in pages for durable stores")
 		poolCap = flag.Int("pool", 0, "non-durable file stores: buffer-pool capacity in pages (0 = none)")
-		shards  = flag.Int("shards", eio.DefaultPoolShards, "buffer-pool shard count")
 
 		maxInFlight = flag.Int("max-inflight", 64, "admission gate: max RPCs in flight before BUSY")
 		maxBatch    = flag.Int("max-batch", server.DefaultMaxBatchOps, "max operations in one BATCH request")
@@ -470,7 +469,7 @@ func main() {
 	case *mem:
 		st, err = buildMem(*page)
 	default:
-		st, err = buildFile(*store, *page, *durable, *wal, *poolCap, *shards, *scrubBoot)
+		st, err = buildFile(*store, *page, *durable, *wal, *poolCap, *scrubBoot)
 		if err == nil && st.m.Role == "replica" {
 			_, _ = st.drainClean()
 			err = fmt.Errorf("store %s last ran as a replica; start it with -replicate-from, or -force-primary to take over", *store)
@@ -553,7 +552,7 @@ func main() {
 				PageSize:   mSnap.PageSize,
 				Dir:        uint64(mSnap.Anchor),
 				Hdr:        uint64(mSnap.Hdr),
-				DurableLSN: rn.node.AppliedLSN,
+				DurableLSN: rn.appliedLSN,
 				Logf:       logf,
 			})
 			rn.shipper.SetOnPromote(rn.promote)
@@ -609,19 +608,18 @@ func main() {
 		fmt.Printf("rsserve: metrics on http://%s/debug/vars (Prometheus: /metrics, spans: /spans)\n", ms.Addr())
 	}
 
-	// The server fronts a Backend: the bare engine on a standalone node,
-	// the role-aware repl.Node when replication is on (so a follower's
-	// writes answer NOTPRIMARY and a promotion swaps the engine without
-	// restarting the server).
-	var backend server.Backend
+	// The server fronts a core.Engine: the bare engine (or the write buffer
+	// in front of it) on a standalone node, the role-aware repl.Node when
+	// replication is on (so a follower's writes answer NOTPRIMARY and a
+	// promotion swaps the engine without restarting the server).
+	var engine core.Engine
 	var replInfoFn func() server.ReplInfo
-	var termFn func() uint64
 	switch {
 	case rn != nil:
-		backend = node
+		engine = node
 		replInfoFn = rn.replInfo
 	case node != nil:
-		backend = node
+		engine = node
 		n, sh, tx := node, shipper, st.tx
 		replInfoFn = func() server.ReplInfo {
 			role, term := n.Role()
@@ -631,24 +629,13 @@ func main() {
 			}
 			return info
 		}
+	case buf != nil:
+		engine = buf
 	default:
-		if buf != nil {
-			backend = buf
-		} else {
-			backend = st.conc
-		}
-	}
-	if node != nil {
-		// (term, LSN) barrier checks and write-ack stamping read the term
-		// through the node so it stays coherent with the engine swap.
-		n := node
-		termFn = func() uint64 {
-			_, term := n.Role()
-			return term
-		}
+		engine = st.conc
 	}
 
-	srv := server.New(backend, server.Config{
+	srv := server.New(engine, server.Config{
 		MaxInFlight:    *maxInFlight,
 		MaxBatchOps:    *maxBatch,
 		IdleTimeout:    *idleT,
@@ -657,7 +644,6 @@ func main() {
 		RetryAfterHint: *retryAfter,
 		Idem:           server.IdemConfig{MaxClients: *idemClients, Window: *idemWindow},
 		Repl:           replInfoFn,
-		Term:           termFn,
 		Metrics:        metrics,
 		WriteBuffer:    wbStats,
 		TraceSample:    *traceSample,

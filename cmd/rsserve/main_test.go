@@ -15,7 +15,7 @@ import (
 func writeStoreWithManifest(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "points.db")
-	st, err := buildFile(path, 4096, true, eio.DefaultWALPages, 0, 0, true)
+	st, err := buildFile(path, 4096, true, eio.DefaultWALPages, 0, true)
 	if err != nil {
 		t.Fatalf("create store: %v", err)
 	}
@@ -27,7 +27,7 @@ func writeStoreWithManifest(t *testing.T) string {
 
 func reopenWantErr(t *testing.T, path, wantSubstr string) {
 	t.Helper()
-	st, err := buildFile(path, 4096, true, eio.DefaultWALPages, 0, 0, true)
+	st, err := buildFile(path, 4096, true, eio.DefaultWALPages, 0, true)
 	if err == nil {
 		st.drainClean()
 		t.Fatalf("reopen with bad manifest succeeded, want error containing %q", wantSubstr)
@@ -95,7 +95,7 @@ func TestManifestMissing(t *testing.T) {
 // create, write, drain, reopen, read back.
 func TestReopenRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "points.db")
-	st, err := buildFile(path, 4096, true, eio.DefaultWALPages, 0, 0, true)
+	st, err := buildFile(path, 4096, true, eio.DefaultWALPages, 0, true)
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestReopenRoundTrip(t *testing.T) {
 		t.Fatalf("drainClean: leaked=%d err=%v", leaked, err)
 	}
 
-	st2, err := buildFile(path, 4096, true, eio.DefaultWALPages, 0, 0, true)
+	st2, err := buildFile(path, 4096, true, eio.DefaultWALPages, 0, true)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

@@ -594,10 +594,17 @@ func (rn *replicaNode) manifestSnapshot() manifest {
 	return *rn.m
 }
 
+// appliedLSN is the node's durable position: the follower's published
+// LSN, the engine's own after a promotion.
+func (rn *replicaNode) appliedLSN() uint64 {
+	_, lsn := rn.node.Position()
+	return lsn
+}
+
 // replInfo is the STATS callback.
 func (rn *replicaNode) replInfo() server.ReplInfo {
 	role, term := rn.node.Role()
-	info := server.ReplInfo{Role: role, Term: term, AppliedLSN: rn.node.AppliedLSN()}
+	info := server.ReplInfo{Role: role, Term: term, AppliedLSN: rn.appliedLSN()}
 	if f := rn.follower.Load(); f != nil {
 		info.PrimaryLSN = f.PrimaryLSN()
 		info.StalenessMs = float64(time.Since(f.LastContact()).Microseconds()) / 1e3

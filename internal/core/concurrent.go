@@ -48,13 +48,14 @@ type ContentionRecorder interface {
 // query keeps no mutable state in the Index value, only in the store.
 type OpenFunc func(eio.Store) (Index, error)
 
+// maxBatch caps the number of logical operations coalesced into one group
+// commit. With a Durable writer every batch is one WAL record, so maxBatch
+// times the per-op page footprint must fit the TxStore's WAL
+// (eio.ErrTxOverflow fails the batch otherwise).
+const maxBatch = 64
+
 // ConcurrentOptions configures NewConcurrent.
 type ConcurrentOptions struct {
-	// MaxBatch caps the number of logical operations coalesced into one
-	// group commit (default 64). With a Durable writer every batch is one
-	// WAL record, so MaxBatch times the per-op page footprint must fit the
-	// TxStore's WAL (eio.ErrTxOverflow fails the batch otherwise).
-	MaxBatch int
 	// Recorder, when non-nil, receives lock-wait and batch-size signals.
 	Recorder ContentionRecorder
 	// Tracer, when non-nil, is the TraceStore the writer index performs
@@ -75,7 +76,7 @@ type ConcurrentOptions struct {
 //     epoch for its duration; Snapshot hands out a longer-lived pinned
 //     view with a stable Epoch stamp.
 //   - Writers from any number of goroutines are coalesced into group
-//     commits: one leader drains the queue, applies up to MaxBatch
+//     commits: one leader drains the queue, applies up to maxBatch
 //     operations, and publishes a single new epoch. When the writer Index
 //     is a *Durable, the batch runs inside Durable.Batch — one WAL record
 //     and one fsync schedule for the whole group.
@@ -97,8 +98,7 @@ type Concurrent struct {
 	open    OpenFunc
 	tracer  *eio.TraceStore // writer-path tracer for span I/O attribution
 
-	maxBatch int
-	rec      ContentionRecorder
+	rec ContentionRecorder
 
 	// gate, when set, runs after every committed group (locally durable,
 	// epoch published) and before the batch's waiters release — the
@@ -109,33 +109,30 @@ type Concurrent struct {
 	qmu   sync.Mutex
 	queue []*pendingOp
 
-	wmu sync.Mutex // commit leadership: held while a batch is applied
+	wmu   sync.Mutex   // commit leadership: held while a batch is applied
+	batch []*pendingOp // the leader's batch, reused from one take to the next
 
 	vmu sync.Mutex
 	cur *epochView
 }
 
-var _ Index = (*Concurrent)(nil)
-
-type opKind uint8
-
-const (
-	opInsert opKind = iota
-	opDelete
+var (
+	_ Index  = (*Concurrent)(nil)
+	_ Engine = (*Concurrent)(nil)
 )
 
+// pendingOp is one queued operation of an Apply run. The run's ops live in
+// one slab and commit in queue order, so only the last one carries the
+// channel its submitter waits on.
 type pendingOp struct {
-	kind  opKind
-	p     geom.Point
-	done  chan struct{}
-	found bool
-	err   error
+	BatchOp
+	res  *BatchResult  // the op's slot in the slice Apply returns
+	done chan struct{} // last op of a run only; closed once it is resolved
 
 	// Tracing state, set only for sampled requests; the zero values cost
 	// untraced operations nothing.
 	sp  *trace.Span // span the leader records phases and I/O into
-	tok *byte       // identity of the submitAll call that enqueued the op
-	enq time.Time   // enqueue time, for the queue/leadership phase
+	enq time.Time   // first op of a run only: enqueue time, for the queue/leadership phase
 }
 
 // epochView is one reader-side Index instance fixed at a pinned epoch,
@@ -155,34 +152,30 @@ func NewConcurrent(writer Index, snap *eio.SnapStore, open OpenFunc, opts Concur
 	if writer == nil || snap == nil || open == nil {
 		return nil, fmt.Errorf("core: concurrent: writer, snap and open are all required")
 	}
-	maxBatch := opts.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = 64
-	}
 	d, _ := writer.(*Durable)
 	return &Concurrent{
-		snap:     snap,
-		writer:   writer,
-		durable:  d,
-		open:     open,
-		tracer:   opts.Tracer,
-		maxBatch: maxBatch,
-		rec:      opts.Recorder,
+		snap:    snap,
+		writer:  writer,
+		durable: d,
+		open:    open,
+		tracer:  opts.Tracer,
+		rec:     opts.Recorder,
 	}, nil
 }
 
 // Epoch returns the current committed epoch (the stamp new snapshots get).
 func (c *Concurrent) Epoch() uint64 { return c.snap.Epoch() }
 
-// AppliedLSN returns the durable log position of the writer's TxStore — the
-// coordinate replication staleness is measured in. Monotonic, persistent
-// across restarts, and always ≥ the LSN of any already-acknowledged write.
-// Zero when the writer is not durable (no WAL, nothing to ship).
-func (c *Concurrent) AppliedLSN() uint64 {
+// Position implements Engine. The LSN is the durable log position of the
+// writer's TxStore — monotonic, persistent across restarts, and always ≥
+// the LSN of any already-acknowledged write; zero when the writer is not
+// durable (no WAL, nothing to ship). A bare Concurrent is un-replicated and
+// serves at term 0; repl.Node supplies the term of a replicated one.
+func (c *Concurrent) Position() (term, lsn uint64) {
 	if c.durable == nil {
-		return 0
+		return 0, 0
 	}
-	return c.durable.Tx().AppliedLSN()
+	return 0, c.durable.Tx().AppliedLSN()
 }
 
 // SetCommitGate installs the post-commit gate described on the field (nil
@@ -214,178 +207,106 @@ func (c *Concurrent) PageSize() int { return c.snap.PageSize() }
 
 // --- write path: group commit ------------------------------------------
 
-// Insert implements Index: the point is committed as part of a group batch
-// before the call returns.
-func (c *Concurrent) Insert(p geom.Point) error {
-	op := &pendingOp{kind: opInsert, p: p, done: make(chan struct{})}
-	c.submit(op)
-	return op.err
-}
-
-// Delete implements Index, committed as part of a group batch.
-func (c *Concurrent) Delete(p geom.Point) (bool, error) {
-	op := &pendingOp{kind: opDelete, p: p, done: make(chan struct{})}
-	c.submit(op)
-	return op.found, op.err
-}
-
-// InsertTraced is Insert with the group-commit machinery recording phase
-// timings (queue/leadership wait, execute, WAL append, sync, commit) and
-// exact page I/O into sp. A nil sp is exactly Insert.
-func (c *Concurrent) InsertTraced(p geom.Point, sp *trace.Span) error {
-	if sp == nil {
-		return c.Insert(p)
-	}
-	op := &pendingOp{kind: opInsert, p: p, done: make(chan struct{}), sp: sp, tok: new(byte), enq: time.Now()}
-	c.submit(op)
-	return op.err
-}
-
-// DeleteTraced is Delete with span recording; a nil sp is exactly Delete.
-func (c *Concurrent) DeleteTraced(p geom.Point, sp *trace.Span) (bool, error) {
-	if sp == nil {
-		return c.Delete(p)
-	}
-	op := &pendingOp{kind: opDelete, p: p, done: make(chan struct{}), sp: sp, tok: new(byte), enq: time.Now()}
-	c.submit(op)
-	return op.found, op.err
-}
-
-// submit enqueues op and blocks until some leader commits it. The caller
-// that wins the leadership lock drains the queue and commits on behalf of
-// everyone waiting — classic group commit, no background goroutine.
-func (c *Concurrent) submit(op *pendingOp) {
-	c.submitAll([]*pendingOp{op})
-}
-
-// submitAll enqueues ops (in order, as one contiguous run) and blocks until
-// every one of them has been committed or failed. The queue is FIFO and
-// leaders drain it from the head, so once the last op is done the earlier
-// ones are too.
-func (c *Concurrent) submitAll(ops []*pendingOp) {
+// Apply implements Engine: ops join the group-commit queue as one
+// contiguous run, eligible for coalescing — with each other and with other
+// callers' runs — into as few as ⌈len(ops)/maxBatch⌉ group commits, which
+// is how one client BATCH request becomes few WAL records.
+//
+// A non-nil sp records the run: per-operation execute time and page I/O
+// accumulate, the batch-level WAL/sync/commit phases are added once per
+// group commit the run lands in, and the queue/leadership phase is measured
+// on the run's first operation. When the run spans several group commits
+// the phase sum approximates (slightly undercounts) the run's wall time —
+// exact attribution holds for single-operation requests.
+func (c *Concurrent) Apply(ops []BatchOp, sp *trace.Span) []BatchResult {
 	if len(ops) == 0 {
-		return
+		return nil
 	}
+	res := make([]BatchResult, len(ops))
+	run := make([]pendingOp, len(ops))
+	for i, op := range ops {
+		run[i] = pendingOp{BatchOp: op, res: &res[i], sp: sp}
+	}
+	first, last := &run[0], &run[len(run)-1]
+	last.done = make(chan struct{})
+	if sp != nil {
+		first.enq = time.Now()
+	}
+
 	c.qmu.Lock()
-	c.queue = append(c.queue, ops...)
+	for i := range run {
+		c.queue = append(c.queue, &run[i])
+	}
 	c.qmu.Unlock()
 
-	last := ops[len(ops)-1]
-	tok := ops[0].tok // non-nil only for traced runs
+	// Whoever wins the leadership lock drains the queue and commits on
+	// behalf of everyone waiting — classic group commit, no background
+	// goroutine. The queue is FIFO and leaders drain it from the head, so
+	// once the run's last op is resolved the earlier ones are too.
 	start := time.Now()
 	c.wmu.Lock()
 	if c.rec != nil {
 		c.rec.RecordLockWait(time.Since(start))
 	}
-	for !done(last) {
-		batch := c.take(tok)
+	for !resolved(last) {
+		batch := c.take(first)
 		if len(batch) == 0 {
-			break // ops were committed by a previous leader
+			break // the run was committed by a previous leader
 		}
 		c.runBatch(batch)
 	}
 	c.wmu.Unlock()
-	for _, op := range ops {
-		<-op.done
-	}
-}
-
-// BatchOp is one operation of a client-assembled write batch (see
-// ApplyBatch). Delete is false for an insert of P, true for a delete.
-type BatchOp struct {
-	Delete bool
-	P      geom.Point
-}
-
-// BatchResult is the per-operation outcome of an ApplyBatch entry: Found
-// mirrors Delete's return value, Err the operation's error (benign
-// per-operation outcomes such as ErrDuplicate stay per-entry; a failed
-// group commit fails every entry of its group).
-type BatchResult struct {
-	Found bool
-	Err   error
-}
-
-// ApplyBatch submits ops as one contiguous run of the group-commit queue
-// and blocks until all of them are committed (or failed). Compared with
-// calling Insert/Delete once per operation from the same goroutine, the
-// whole run is eligible for coalescing into as few as
-// ⌈len(ops)/MaxBatch⌉ group commits — the entry point network servers use
-// to turn one client BATCH request into few WAL records. Results are
-// positional.
-func (c *Concurrent) ApplyBatch(ops []BatchOp) []BatchResult {
-	return c.ApplyBatchTraced(ops, nil)
-}
-
-// ApplyBatchTraced is ApplyBatch recording into one span for the whole
-// run: per-operation execute time and page I/O accumulate, the batch-
-// level WAL/sync/commit phases are added once per group commit the run
-// lands in, and the queue/leadership phase is measured on the run's
-// first operation. When the run spans several group commits the phase
-// sum approximates (slightly undercounts) the run's wall time — exact
-// attribution holds for single-operation requests. A nil sp is exactly
-// ApplyBatch.
-func (c *Concurrent) ApplyBatchTraced(ops []BatchOp, sp *trace.Span) []BatchResult {
-	if len(ops) == 0 {
-		return nil
-	}
-	pend := make([]*pendingOp, len(ops))
-	for i, op := range ops {
-		kind := opInsert
-		if op.Delete {
-			kind = opDelete
-		}
-		pend[i] = &pendingOp{kind: kind, p: op.P, done: make(chan struct{}), sp: sp}
-	}
-	if sp != nil {
-		pend[0].tok = new(byte)
-		pend[0].enq = time.Now()
-	}
-	c.submitAll(pend)
-	res := make([]BatchResult, len(ops))
-	for i, op := range pend {
-		res[i] = BatchResult{Found: op.found, Err: op.err}
-	}
+	<-last.done
 	return res
 }
 
-func done(op *pendingOp) bool {
+// Insert implements Index over Apply.
+func (c *Concurrent) Insert(p geom.Point) error {
+	return c.Apply([]BatchOp{{P: p}}, nil)[0].Err
+}
+
+// Delete implements Index over Apply.
+func (c *Concurrent) Delete(p geom.Point) (bool, error) {
+	r := c.Apply([]BatchOp{{Delete: true, P: p}}, nil)[0]
+	return r.Found, r.Err
+}
+
+func resolved(last *pendingOp) bool {
 	select {
-	case <-op.done:
+	case <-last.done:
 		return true
 	default:
 		return false
 	}
 }
 
-// take removes up to MaxBatch operations from the head of the queue.
-// tok identifies the calling leader's own submitAll run: a traced
-// operation leaving the queue records its wait as the leadership phase
-// when this leader enqueued it itself (it waited to BECOME the leader)
-// and as the queue phase when another submitter did (it waited FOR a
-// leader). The two intervals are the same enqueue→drain span viewed
-// from different sides, so recording exactly one of them keeps a span's
-// phases disjoint.
-func (c *Concurrent) take(tok *byte) []*pendingOp {
+// take moves up to maxBatch operations from the head of the queue into the
+// leader's batch. own is the first op of the calling leader's run: a traced
+// run leaving the queue records its wait as the leadership phase when this
+// leader enqueued it itself (it waited to BECOME the leader) and as the
+// queue phase when another submitter did (it waited FOR a leader). The two
+// intervals are the same enqueue→drain span viewed from different sides, so
+// recording exactly one of them keeps a span's phases disjoint. Callers
+// hold wmu.
+func (c *Concurrent) take(own *pendingOp) []*pendingOp {
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
 	n := len(c.queue)
-	if n > c.maxBatch {
-		n = c.maxBatch
+	if n > maxBatch {
+		n = maxBatch
 	}
-	batch := make([]*pendingOp, n)
-	copy(batch, c.queue[:n])
+	c.batch = append(c.batch[:0], c.queue[:n]...)
 	c.queue = c.queue[:copy(c.queue, c.queue[n:])]
-	for _, op := range batch {
+	for _, op := range c.batch {
 		if op.sp != nil && !op.enq.IsZero() {
 			ph := trace.PhaseQueue
-			if op.tok != nil && op.tok == tok {
+			if op == own {
 				ph = trace.PhaseLeadership
 			}
 			op.sp.AddPhase(ph, time.Since(op.enq))
 		}
 	}
-	return batch
+	return c.batch
 }
 
 // benign reports errors that are a legitimate per-operation outcome rather
@@ -419,11 +340,10 @@ func (c *Concurrent) runBatch(batch []*pendingOp) {
 					c.tracer.SetSink(eio.NewSpanSink(op.sp))
 				}
 			}
-			switch op.kind {
-			case opInsert:
-				op.err = idx.Insert(op.p)
-			case opDelete:
-				op.found, op.err = idx.Delete(op.p)
+			if op.Delete {
+				op.res.Found, op.res.Err = idx.Delete(op.P)
+			} else {
+				op.res.Err = idx.Insert(op.P)
 			}
 			if op.sp != nil {
 				if c.tracer != nil {
@@ -433,8 +353,8 @@ func (c *Concurrent) runBatch(batch []*pendingOp) {
 				execSum += d
 				op.sp.AddPhase(trace.PhaseExecute, d)
 			}
-			if op.err != nil && !benign(op.err) {
-				return op.err
+			if err := op.res.Err; err != nil && !benign(err) {
+				return err
 			}
 		}
 		return nil
@@ -451,7 +371,7 @@ func (c *Concurrent) runBatch(batch []*pendingOp) {
 		applyErr = apply(c.writer)
 	}
 
-	// recordPhases must run before any op.done closes: the waiter on the
+	// recordPhases must run before any run is released: the waiter on the
 	// other side finishes and emits the span as soon as it unblocks.
 	recordPhases := func() {
 		if traced {
@@ -496,9 +416,7 @@ func (c *Concurrent) runBatch(batch []*pendingOp) {
 	if c.rec != nil {
 		c.rec.RecordBatch(len(batch), time.Since(start))
 	}
-	for _, op := range batch {
-		close(op.done)
-	}
+	releaseRuns(batch)
 }
 
 // recordBatchPhases distributes the batch-level commit cost over the
@@ -538,11 +456,19 @@ func (c *Concurrent) recordBatchPhases(batch []*pendingOp, start time.Time, exec
 // err and releases the waiters.
 func (c *Concurrent) fail(batch []*pendingOp, err error) {
 	for _, op := range batch {
-		if op.err == nil || benign(op.err) {
-			op.err = err
-			op.found = false
+		if op.res.Err == nil || benign(op.res.Err) {
+			*op.res = BatchResult{Err: err}
 		}
-		close(op.done)
+	}
+	releaseRuns(batch)
+}
+
+// releaseRuns unblocks the submitter of every run that ends in batch.
+func releaseRuns(batch []*pendingOp) {
+	for _, op := range batch {
+		if op.done != nil {
+			close(op.done)
+		}
 	}
 }
 
@@ -618,28 +544,24 @@ func (c *Concurrent) release(v *epochView) {
 	c.vmu.Unlock()
 }
 
-// Query implements Index: one query against the current epoch's snapshot.
-// It costs the same store I/Os as the identical query on the underlying
-// index run serially.
-func (c *Concurrent) Query(dst []geom.Point, q geom.Rect) ([]geom.Point, error) {
-	v, err := c.acquire()
-	if err != nil {
-		return dst, err
-	}
-	defer c.release(v)
-	return v.idx.Query(dst, q)
-}
-
-// QueryTraced is Query with the query's execute time and exact page
-// reads recorded into sp. A traced query opens a PRIVATE view over its
-// pinned epoch — a per-query TraceStore whose sink is attached only
-// after the structure header loads, so the span counts exactly the
-// reads the query itself performs (the same accounting boundary as
-// obs.Instrumented) — at the cost of re-reading the header instead of
-// sharing the cached epoch view. A nil sp is exactly Query.
-func (c *Concurrent) QueryTraced(dst []geom.Point, q geom.Rect, sp *trace.Span) ([]geom.Point, error) {
+// Report implements Engine: one query against the current epoch's
+// snapshot. It costs the same store I/Os as the identical query on the
+// underlying index run serially.
+//
+// A non-nil sp records the query's execute time and exact page reads. For
+// that a traced query opens a PRIVATE view over its pinned epoch — a
+// per-query TraceStore whose sink is attached only after the structure
+// header loads, so the span counts exactly the reads the query itself
+// performs (the same accounting boundary as obs.Instrumented) — at the cost
+// of re-reading the header instead of sharing the cached epoch view.
+func (c *Concurrent) Report(dst []geom.Point, q geom.Rect, sp *trace.Span) ([]geom.Point, error) {
 	if sp == nil {
-		return c.Query(dst, q)
+		v, err := c.acquire()
+		if err != nil {
+			return dst, err
+		}
+		defer c.release(v)
+		return v.idx.Query(dst, q)
 	}
 	start := time.Now()
 	defer func() { sp.AddPhase(trace.PhaseExecute, time.Since(start)) }()
@@ -653,6 +575,11 @@ func (c *Concurrent) QueryTraced(dst []geom.Point, q geom.Rect, sp *trace.Span) 
 	ts.SetSink(eio.NewSpanSink(sp))
 	defer ts.SetSink(nil)
 	return idx.Query(dst, q)
+}
+
+// Query implements Index over Report.
+func (c *Concurrent) Query(dst []geom.Point, q geom.Rect) ([]geom.Point, error) {
+	return c.Report(dst, q, nil)
 }
 
 // Len implements Index against the current snapshot.

@@ -13,6 +13,7 @@ import (
 	"rangesearch/internal/eio/eiotest"
 	"rangesearch/internal/epst"
 	"rangesearch/internal/geom"
+	"rangesearch/internal/trace"
 )
 
 // newConcurrentThreeSided builds a ThreeSided on a fresh SnapStore over a
@@ -158,12 +159,45 @@ func TestConcurrentGroupCommit(t *testing.T) {
 			}
 		}(w)
 	}
+	// Beside them, one traced run long enough to span several group
+	// commits: 150 inserts, a duplicate of the first, 49 deletes. Results
+	// are positional whatever the run was interleaved with.
+	const runIns, runDel = 150, 49
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var run []BatchOp
+		for i := 0; i < runIns; i++ {
+			run = append(run, BatchOp{P: geom.Point{X: int64(10000 + i), Y: 1}})
+		}
+		run = append(run, run[0])
+		for i := 0; i < runDel; i++ {
+			run = append(run, BatchOp{Delete: true, P: run[i].P})
+		}
+		sp := trace.New(trace.ID{}, "batch")
+		for i, r := range c.Apply(run, sp) {
+			switch {
+			case i < runIns && r.Err != nil:
+				t.Errorf("run op %d (insert): %v", i, r.Err)
+			case i == runIns && !errors.Is(r.Err, ErrDuplicate):
+				t.Errorf("run op %d (duplicate insert): %v", i, r.Err)
+			case i > runIns && (r.Err != nil || !r.Found):
+				t.Errorf("run op %d (delete): found=%v err=%v", i, r.Found, r.Err)
+			}
+		}
+		if sp.Phase(trace.PhaseExecute) == 0 || sp.Phase(trace.PhaseCommit) == 0 {
+			t.Errorf("traced run recorded no execute/commit time: %+v", sp.Record().Phases)
+		}
+	}()
 	wg.Wait()
-	if n, err := c.Len(); err != nil || n != writers*per {
-		t.Fatalf("Len = (%d, %v), want %d", n, err, writers*per)
+	if n, err := c.Len(); err != nil || n != writers*per+runIns-runDel {
+		t.Fatalf("Len = (%d, %v), want %d", n, err, writers*per+runIns-runDel)
 	}
-	if got := rec.ops.Load(); got != writers*per {
-		t.Fatalf("recorder saw %d committed ops, want %d", got, writers*per)
+	if got, want := rec.ops.Load(), int64(writers*per+runIns+1+runDel); got != want {
+		t.Fatalf("recorder saw %d committed ops, want %d", got, want)
+	}
+	if got := rec.maxBatch.Load(); got > 64 {
+		t.Fatalf("a group commit carried %d ops, cap is 64", got)
 	}
 	if rec.batches.Load() == 0 {
 		t.Fatal("no batches recorded")
@@ -522,6 +556,42 @@ func TestConcurrentQueryAllocs(t *testing.T) {
 		}
 	}); n > maxAllocs {
 		t.Errorf("Concurrent.Query: %v allocs/op, want ≤ %d", n, maxAllocs)
+	}
+}
+
+// TestConcurrentApplyAllocs pins the cost of the one write entry point: a
+// one-op Apply with a nil span — what a wire INSERT or DELETE becomes —
+// allocates no more than Concurrent.Insert / Delete did before Apply
+// replaced them (15 and 5 on this stack, measured at the commit that still
+// had the separate entry points; the three that are Concurrent's own are
+// the run slab, its done channel and the result slice). Both operations
+// leave the structure unchanged, so every run costs the same.
+func TestConcurrentApplyAllocs(t *testing.T) {
+	if !eiotest.PoolsRecycle() {
+		t.Skip("sync.Pool does not recycle on this build (race detector): the per-operation scratch is sometimes rebuilt")
+	}
+	c, _, _ := newConcurrentThreeSided(t, ConcurrentOptions{})
+	defer c.Close()
+	for i := 0; i < 3000; i++ {
+		if err := c.Insert(geom.Point{X: int64(i), Y: int64((i * 31) % 1000)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		ops       []BatchOp
+		maxAllocs float64
+	}{
+		{"insert of a stored point", []BatchOp{{P: geom.Point{X: 1500, Y: (1500 * 31) % 1000}}}, 15},
+		{"delete of an absent point", []BatchOp{{Delete: true, P: geom.Point{X: 1500, Y: 5}}}, 5},
+	} {
+		if n := testing.AllocsPerRun(200, func() {
+			if r := c.Apply(tc.ops, nil)[0]; r.Found || (r.Err != nil && !errors.Is(r.Err, ErrDuplicate)) {
+				t.Fatalf("%s: %+v", tc.name, r)
+			}
+		}); n > tc.maxAllocs {
+			t.Errorf("Apply, %s: %v allocs/op, want ≤ %v", tc.name, n, tc.maxAllocs)
+		}
 	}
 }
 

@@ -48,14 +48,25 @@ func ExampleFourSided() {
 	// Output: [(5,5)]
 }
 
-// ExampleSynced shares one index between goroutines.
-func ExampleSynced() {
-	store := eio.NewMemStore(1024)
-	inner, err := core.NewThreeSided(store, epst.Options{})
+// ExampleConcurrent shares one index between goroutines: writers from any
+// goroutine are group-committed, readers see committed snapshots.
+func ExampleConcurrent() {
+	snap := eio.NewSnapStore(eio.NewMemStore(1024), 0)
+	inner, err := core.NewThreeSided(snap, epst.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	idx := core.NewSynced(inner)
+	if _, err := snap.Commit(); err != nil {
+		log.Fatal(err)
+	}
+	hdr := inner.HeaderID()
+	idx, err := core.NewConcurrent(inner, snap,
+		func(s eio.Store) (core.Index, error) { return core.OpenThreeSided(s, hdr) },
+		core.ConcurrentOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer idx.Close()
 
 	done := make(chan struct{})
 	go func() {

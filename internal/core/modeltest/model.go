@@ -7,11 +7,14 @@
 // artifact, so a one-in-a-million interleaving becomes a deterministic
 // regression test.
 //
-// The harness is structure-agnostic (anything implementing core.Index) and
-// is run in CI over the full wrapper matrix: the paper's two structures
-// (epst-backed ThreeSided and range4-backed FourSided), each plain, behind
-// Synced, behind Durable (WAL transactions), behind Concurrent (group
-// commit + snapshot reads), and behind Concurrent-over-Durable.
+// The harness is structure-agnostic (anything implementing core.Index, or
+// core.Engine through OverEngine) and is run in CI over the full wrapper
+// matrix: the paper's two structures (epst-backed ThreeSided and
+// range4-backed FourSided), each plain, behind Durable (WAL transactions)
+// and behind the write buffer, and — through the engine surface a server
+// serves, once untraced and once with a live span per operation — behind
+// Concurrent (group commit + snapshot reads), Concurrent-over-Durable, the
+// write buffer over that, and a primary repl.Node over that.
 package modeltest
 
 import (

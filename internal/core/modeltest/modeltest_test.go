@@ -3,6 +3,7 @@ package modeltest
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"rangesearch/internal/core"
@@ -10,6 +11,7 @@ import (
 	"rangesearch/internal/epst"
 	"rangesearch/internal/geom"
 	"rangesearch/internal/range4"
+	"rangesearch/internal/repl"
 	"rangesearch/internal/wbuf"
 )
 
@@ -59,42 +61,65 @@ func durably(mk func(eio.Store) (core.Index, error)) Factory {
 	}
 }
 
+// ioCount is a TraceSink counting page reads+writes — the same events an
+// eio.SpanSink folds into a span's IOs().
+type ioCount struct{ n atomic.Int64 }
+
+func (c *ioCount) Emit(e eio.TraceEvent) {
+	if e.Op == eio.OpRead || e.Op == eio.OpWrite {
+		c.n.Add(1)
+	}
+}
+
 // concurrently stacks Concurrent (group commit + snapshot reads) on a
 // structure living on a SnapStore; durable additionally routes batches
-// through Durable.Batch over a TxStore.
+// through Durable.Batch over a TxStore. The writer sits on the TraceStore
+// Concurrent attributes span I/O through, with a second, always-counting
+// TraceStore beneath it; every reader view counts its page reads from the
+// moment its header has loaded — the boundary a traced query's span uses.
 func concurrently(
 	create func(eio.Store) (core.Index, eio.PageID, error),
 	open func(eio.Store, eio.PageID) (core.Index, error),
 	durable bool,
-) Factory {
-	return func() (core.Index, func(), error) {
+) EngineFactory {
+	return func() (core.Engine, func() (int64, int64), func(), error) {
 		var base eio.Store = eio.NewMemStore(512)
 		var tx *eio.TxStore
 		if durable {
 			var err error
 			tx, err = eio.NewTxStore(base, eio.TxOptions{WALPages: walPages})
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			base = tx
 		}
 		snap := eio.NewSnapStore(base, 0)
-		idx, hdr, err := create(snap)
+		var writerIOs, viewIOs ioCount
+		counted := eio.NewTraceStore(snap)
+		counted.SetSink(&writerIOs)
+		tracer := eio.NewTraceStore(counted)
+		idx, hdr, err := create(tracer)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if _, err := snap.Commit(); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		writer := idx
 		if durable {
 			writer = core.NewDurable(idx, tx)
 		}
-		c, err := core.NewConcurrent(writer, snap, func(s eio.Store) (core.Index, error) { return open(s, hdr) }, core.ConcurrentOptions{})
+		c, err := core.NewConcurrent(writer, snap, func(view eio.Store) (core.Index, error) {
+			cv := eio.NewTraceStore(view)
+			vidx, err := open(cv, hdr)
+			cv.SetSink(&viewIOs)
+			return vidx, err
+		}, core.ConcurrentOptions{Tracer: tracer})
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		return c, func() { snap.Close() }, nil
+		ios := func() (int64, int64) { return writerIOs.n.Load(), viewIOs.n.Load() }
+		return c, ios, func() { snap.Close() }, nil
 	}
 }
 
@@ -122,18 +147,24 @@ func openFourSided(s eio.Store, hdr eio.PageID) (core.Index, error) {
 	return core.OpenFourSided(s, hdr)
 }
 
-// bufferedly decorates a factory with the write buffer, using a small
-// flush threshold so a 10k-op replay exercises dozens of flush/merge
-// cycles, not just the staging path. No journal: crash recovery has its
-// own sweep in internal/wbuf; here the differential target is the
-// buffer/merge/flush semantics.
+// buffer decorates base with the write buffer, using a small flush
+// threshold so a 10k-op replay exercises dozens of flush/merge cycles, not
+// just the staging path. No journal: crash recovery has its own sweep in
+// internal/wbuf; here the differential target is the buffer/merge/flush
+// semantics.
+func buffer(base core.Index) (*wbuf.Buffered, error) {
+	return wbuf.NewBuffered(base, wbuf.Options{MaxOps: 64})
+}
+
+// bufferedly buffers a bare index: flushes go through Durable.Batch or
+// per-operation calls.
 func bufferedly(mk Factory) Factory {
 	return func() (core.Index, func(), error) {
 		idx, closeFn, err := mk()
 		if err != nil {
 			return nil, nil, err
 		}
-		b, err := wbuf.NewBuffered(idx, wbuf.Options{MaxOps: 64})
+		b, err := buffer(idx)
 		if err != nil {
 			closeFn()
 			return nil, nil, err
@@ -142,35 +173,74 @@ func bufferedly(mk Factory) Factory {
 	}
 }
 
-// configs is the full differential matrix: both paper structures crossed
-// with every wrapper in the serving stack.
-func configs() []Config {
-	syncedly := func(mk Factory) Factory {
-		return func() (core.Index, func(), error) {
-			idx, closeFn, err := mk()
-			if err != nil {
-				return nil, nil, err
-			}
-			return core.NewSynced(idx), closeFn, nil
+// bufferedEngine buffers a Concurrent engine, the stack rsserve
+// -write-buffer serves: flushes, traced reads and the position go through
+// the base's engine surface.
+func bufferedEngine(mk EngineFactory) EngineFactory {
+	return func() (core.Engine, func() (int64, int64), func(), error) {
+		eng, ios, closeFn, err := mk()
+		if err != nil {
+			return nil, nil, nil, err
 		}
+		b, err := buffer(eng.(*core.Concurrent))
+		if err != nil {
+			closeFn()
+			return nil, nil, nil, err
+		}
+		return b, ios, func() { b.Close(); closeFn() }, nil
 	}
-	epstDurable := durably(func(s eio.Store) (core.Index, error) { return core.NewThreeSided(s, epst.Options{}) })
+}
+
+// asPrimary fronts a Concurrent engine with a repl.Node in the primary
+// role, the stack rsserve -repl-listen serves.
+func asPrimary(mk EngineFactory) EngineFactory {
+	return func() (core.Engine, func() (int64, int64), func(), error) {
+		eng, ios, closeFn, err := mk()
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return repl.NewNode(eng.(*core.Concurrent), true, 1, nil), ios, closeFn, nil
+	}
+}
+
+// engine expands one engine stack into its two cells: every operation
+// through Apply/Report with a nil span, and again with a live one.
+func engine(name string, mk EngineFactory) []Config {
 	return []Config{
+		{Name: name, New: OverEngine(mk, false)},
+		{Name: name + "-traced", New: OverEngine(mk, true)},
+	}
+}
+
+// configs is the full differential matrix: both paper structures crossed
+// with every wrapper in the serving stack. The bare structures and their
+// single-caller wrappers are driven through core.Index; everything a server
+// can serve is driven through core.Engine, untraced and traced.
+func configs() []Config {
+	epstDurable := durably(func(s eio.Store) (core.Index, error) { return core.NewThreeSided(s, epst.Options{}) })
+	cfgs := []Config{
 		{Name: "epst-plain", New: epstFactory},
-		{Name: "epst-synced", New: syncedly(epstFactory)},
 		{Name: "epst-durable", New: epstDurable},
-		{Name: "epst-concurrent", New: concurrently(createThreeSided, openThreeSided, false)},
-		{Name: "epst-concurrent-durable", New: concurrently(createThreeSided, openThreeSided, true)},
 		{Name: "epst-buffered", New: bufferedly(epstFactory)},
 		{Name: "epst-buffered-durable", New: bufferedly(epstDurable)},
-		{Name: "epst-buffered-concurrent", New: bufferedly(concurrently(createThreeSided, openThreeSided, true))},
 		{Name: "range4-plain", New: range4Factory},
-		{Name: "range4-synced", New: syncedly(range4Factory)},
 		{Name: "range4-durable", New: durably(func(s eio.Store) (core.Index, error) { return core.NewFourSided(s, range4.Options{}) })},
-		{Name: "range4-concurrent", New: concurrently(createFourSided, openFourSided, false)},
-		{Name: "range4-concurrent-durable", New: concurrently(createFourSided, openFourSided, true)},
 		{Name: "range4-buffered", New: bufferedly(range4Factory)},
 	}
+	for _, e := range []struct {
+		name string
+		mk   EngineFactory
+	}{
+		{"epst-concurrent", concurrently(createThreeSided, openThreeSided, false)},
+		{"epst-concurrent-durable", concurrently(createThreeSided, openThreeSided, true)},
+		{"epst-buffered-concurrent", bufferedEngine(concurrently(createThreeSided, openThreeSided, true))},
+		{"epst-primary-concurrent-durable", asPrimary(concurrently(createThreeSided, openThreeSided, true))},
+		{"range4-concurrent", concurrently(createFourSided, openFourSided, false)},
+		{"range4-concurrent-durable", concurrently(createFourSided, openFourSided, true)},
+	} {
+		cfgs = append(cfgs, engine(e.name, e.mk)...)
+	}
+	return cfgs
 }
 
 // seeds is the fixed CI seed matrix. Adding a seed here reruns history;

@@ -67,9 +67,6 @@ func contractFactories(t *testing.T) map[string]func() Store {
 			}
 			return tx
 		},
-		"retry": func() Store {
-			return NewRetryStore(NewMemStore(128), RetryPolicy{})
-		},
 	}
 }
 
@@ -274,6 +271,24 @@ func TestFaultStoreModes(t *testing.T) {
 	}
 	if f.Ops() != start+4 {
 		t.Fatalf("Ops() = %d, want %d", f.Ops(), start+4)
+	}
+
+	// FailRun fails exactly the next n ops of one kind; SetTransient makes
+	// injected errors additionally wrap ErrTransient.
+	f.SetTransient(true)
+	f.FailRun(OpWrite, 2)
+	for i := 0; i < 2; i++ {
+		if err := f.Write(id, buf); !errors.Is(err, ErrTransient) || !errors.Is(err, ErrInjected) {
+			t.Fatalf("burst write %d: want ErrTransient+ErrInjected, got %v", i, err)
+		}
+	}
+	if err := f.Write(id, buf); err != nil {
+		t.Fatalf("write after a 2-op burst: %v", err)
+	}
+	f.SetTransient(false)
+	f.FailRun(OpRead, 1)
+	if err := f.Read(id, buf); !errors.Is(err, ErrInjected) || errors.Is(err, ErrTransient) {
+		t.Fatalf("permanent fault: %v", err)
 	}
 
 	// The trace retains the recent ops, oldest first, marking the injection.

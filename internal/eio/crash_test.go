@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -398,17 +399,17 @@ func TestCrashStoreDropsUnsyncedWrites(t *testing.T) {
 	}
 }
 
-// TestFileStoreV1Compat handcrafts a v1-format file and checks that it
-// still opens, reads, writes and verifies.
+// TestFileStoreV1Compat handcrafts a v1-format file (what the first build
+// wrote: no checksums, one superblock in page slot 0) and checks that both
+// entry points reject it by name instead of misparsing it, and leave the
+// file untouched.
 func TestFileStoreV1Compat(t *testing.T) {
 	const ps = 64
 	path := filepath.Join(t.TempDir(), "v1.db")
 	img := make([]byte, 2*ps)
-	binary.LittleEndian.PutUint64(img[0:], fileMagic)
+	binary.LittleEndian.PutUint64(img[0:], fileMagicV1)
 	binary.LittleEndian.PutUint64(img[8:], ps)
 	binary.LittleEndian.PutUint64(img[16:], 2) // npages: superblock + 1 data page
-	binary.LittleEndian.PutUint64(img[24:], 0) // free head
-	binary.LittleEndian.PutUint64(img[32:], 0) // nfree
 	for i := 0; i < ps; i++ {
 		img[ps+i] = byte(i)
 	}
@@ -416,59 +417,23 @@ func TestFileStoreV1Compat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fs, err := OpenFileStore(path)
+	if fs, err := OpenFileStore(path); err == nil {
+		fs.Close()
+		t.Fatal("OpenFileStore accepted a v1 file")
+	} else if !strings.Contains(err.Error(), "unsupported format v1") {
+		t.Fatalf("OpenFileStore: %v, want an unsupported-format-v1 error", err)
+	}
+	if rep, err := VerifyFile(path); err == nil {
+		t.Fatalf("VerifyFile accepted a v1 file: %+v", rep)
+	} else if !strings.Contains(err.Error(), "unsupported format v1") {
+		t.Fatalf("VerifyFile: %v, want an unsupported-format-v1 error", err)
+	}
+	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Version() != 1 {
-		t.Fatalf("Version() = %d, want 1", fs.Version())
-	}
-	buf := make([]byte, ps)
-	if err := fs.Read(1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[10] != 10 {
-		t.Fatal("v1 page content wrong")
-	}
-	// Round-trip the v1 write/free/alloc paths.
-	if err := fs.Write(1, bytes.Repeat([]byte{9}, ps)); err != nil {
-		t.Fatal(err)
-	}
-	id, err := fs.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Free(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	fs2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs2.Version() != 1 {
-		t.Fatal("v1 store silently changed format")
-	}
-	id2, err := fs2.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id2 != id {
-		t.Fatalf("v1 free list not reused: got %d want %d", id2, id)
-	}
-	if err := fs2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := VerifyFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Version != 1 || rep.Damaged() {
-		t.Fatalf("v1 verify: %+v", rep)
+	if !bytes.Equal(after, img) {
+		t.Fatal("rejecting a v1 file modified it")
 	}
 }
 

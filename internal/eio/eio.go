@@ -89,8 +89,8 @@ var (
 	// ErrCrashed reports an operation on a CrashStore after Crash().
 	ErrCrashed = errors.New("eio: store has crashed")
 	// ErrTransient marks a fault that may succeed if retried (a momentary
-	// device or transport error rather than corruption). RetryStore retries
-	// exactly the errors wrapping it.
+	// device or transport error rather than corruption). FaultStore injects
+	// it in transient mode; whoever sees it may retry the same operation.
 	ErrTransient = errors.New("eio: transient fault")
 	// ErrTxOverflow reports a transaction writing more distinct pages than
 	// its TxStore's WAL region can hold in one redo record.

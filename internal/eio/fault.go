@@ -164,9 +164,7 @@ func (f *FaultStore) FailNth(n int) {
 
 // FailRun arms a burst fault: the next n operations of kind op all fail,
 // then the kind disarms. Combined with SetTransient this models a device
-// that is briefly unreachable — exactly what RetryStore's bounded backoff
-// must ride out (a run shorter than the retry budget succeeds; a longer
-// one surfaces the error). n ≤ 0 disarms the kind.
+// that is briefly unreachable. n ≤ 0 disarms the kind.
 func (f *FaultStore) FailRun(op Op, n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -178,9 +176,8 @@ func (f *FaultStore) FailRun(op Op, n int) {
 }
 
 // SetTransient marks every injected fault as retryable: injected errors
-// additionally wrap ErrTransient, so a RetryStore above this FaultStore
-// retries them while still passing genuine corruption through. Off by
-// default — historically every injected fault was fatal.
+// additionally wrap ErrTransient, so a caller can tell them from genuine
+// corruption. Off by default — historically every injected fault was fatal.
 func (f *FaultStore) SetTransient(on bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -12,7 +12,7 @@ import (
 // this repository persist to and reopen from disk, exercising the exact
 // code path the simulator models.
 //
-// Format v2 (the default for new stores) is crash-aware:
+// The on-disk format (v2) is crash-aware:
 //
 //   - The file starts with two fixed 64-byte superblock slots. Every flush
 //     writes one slot, alternating, with a monotonically increasing
@@ -36,21 +36,20 @@ import (
 // Sync; pages allocated later are unreferenced tail garbage and pages
 // freed later simply remain allocated.
 //
-// Format v1 (no checksums, single superblock in page slot 0) is still
-// detected and fully supported on open, so files created by older builds
-// keep working.
+// Format v1 (no checksums, single superblock in page slot 0) was last
+// written by the first build of this repository; opening such a file is
+// rejected with an "unsupported format v1" error rather than misparsed.
 type FileStore struct {
 	mu       sync.Mutex
 	f        *os.File
-	ver      int // format version: 1 or 2
 	pageSize int
 	npages   uint64 // total pages ever allocated, incl. reserved page 0
 	freeHead PageID
 	nfree    uint64
-	seq      uint64 // v2: superblock sequence number of the last flush
+	seq      uint64 // superblock sequence number of the last flush
 	stats    Stats
 	closed   bool
-	// slot is the one transfer buffer every v2 page read and write goes
+	// slot is the one transfer buffer every page read and write goes
 	// through (page + trailer). It is guarded by mu like the file offset
 	// bookkeeping, so no page operation allocates.
 	slot []byte
@@ -59,10 +58,9 @@ type FileStore struct {
 var _ Store = (*FileStore)(nil)
 
 const (
-	fileMagic   = uint64(0x41525356_50414745) // "ARSVPAGE" — format v1
-	fileMagicV2 = uint64(0x41525356_50473032) // "ARSVPG02" — format v2
+	fileMagicV1 = uint64(0x41525356_50414745) // "ARSVPAGE" — recognised only to be rejected
+	fileMagicV2 = uint64(0x41525356_50473032) // "ARSVPG02"
 
-	// Format v2 layout constants.
 	superSlotSize   = 64                // one superblock copy
 	superRegionSize = 2 * superSlotSize // slots A and B
 	pageTrailerSize = 8                 // 4-byte CRC-32C + 4-byte flags
@@ -71,8 +69,7 @@ const (
 	pageFlagFree    = uint32(1)         // trailer flag: free-list node
 )
 
-// CreateFileStore creates (truncating) a file-backed store at path using
-// format v2.
+// CreateFileStore creates (truncating) a file-backed store at path.
 func CreateFileStore(path string, pageSize int) (*FileStore, error) {
 	if pageSize < 32 {
 		return nil, fmt.Errorf("eio: page size %d too small for file store", pageSize)
@@ -81,7 +78,7 @@ func CreateFileStore(path string, pageSize int) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eio: create file store: %w", err)
 	}
-	fs := &FileStore{f: f, ver: 2, pageSize: pageSize, npages: 1, slot: make([]byte, pageSize+pageTrailerSize)}
+	fs := &FileStore{f: f, pageSize: pageSize, npages: 1, slot: make([]byte, pageSize+pageTrailerSize)}
 	// Write both superblock slots so a fresh store is recoverable even if
 	// the very first update tears one of them.
 	if err := fs.writeSuper(); err == nil {
@@ -98,9 +95,9 @@ func CreateFileStore(path string, pageSize int) (*FileStore, error) {
 }
 
 // OpenFileStore opens an existing file-backed store created by
-// CreateFileStore, detecting the format version. For a v2 store it
-// recovers from the newest valid superblock slot, so a torn superblock
-// write rolls back to the previous committed state instead of failing.
+// CreateFileStore. It recovers from the newest valid superblock slot, so a
+// torn superblock write rolls back to the previous committed state instead
+// of failing.
 func OpenFileStore(path string) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -121,21 +118,8 @@ func attachFile(f *os.File, path string) (*FileStore, error) {
 	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("eio: read superblock: %w", err)
 	}
-	if n >= 40 && binary.LittleEndian.Uint64(hdr[0:]) == fileMagic {
-		// Format v1: single superblock in page slot 0.
-		pageSize := int(binary.LittleEndian.Uint64(hdr[8:]))
-		if pageSize < 32 || pageSize > 1<<30 {
-			return nil, fmt.Errorf("eio: %s: v1 superblock page size %d", path, pageSize)
-		}
-		return &FileStore{
-			f:        f,
-			ver:      1,
-			slot:     make([]byte, pageSize),
-			pageSize: pageSize,
-			npages:   binary.LittleEndian.Uint64(hdr[16:]),
-			freeHead: PageID(binary.LittleEndian.Uint64(hdr[24:])),
-			nfree:    binary.LittleEndian.Uint64(hdr[32:]),
-		}, nil
+	if n >= 8 && binary.LittleEndian.Uint64(hdr[0:]) == fileMagicV1 {
+		return nil, fmt.Errorf("eio: %s: unsupported format v1 (no checksums; nothing has written it since the first build)", path)
 	}
 	if n < superRegionSize {
 		return nil, fmt.Errorf("eio: %s is not a page store (too short)", path)
@@ -153,7 +137,6 @@ func attachFile(f *os.File, path string) (*FileStore, error) {
 	}
 	return &FileStore{
 		f:        f,
-		ver:      2,
 		pageSize: bestSuper.pageSize,
 		npages:   bestSuper.npages,
 		freeHead: bestSuper.freeHead,
@@ -172,7 +155,7 @@ type superState struct {
 	seq      uint64
 }
 
-// parseSuperSlot decodes and validates one 64-byte v2 superblock slot.
+// parseSuperSlot decodes and validates one 64-byte superblock slot.
 func parseSuperSlot(b []byte) (superState, bool) {
 	if binary.LittleEndian.Uint64(b[0:]) != fileMagicV2 {
 		return superState{}, false
@@ -193,22 +176,10 @@ func parseSuperSlot(b []byte) (superState, bool) {
 	return st, true
 }
 
-// writeSuper flushes the current allocation state. v1 rewrites the single
-// page-0 superblock; v2 bumps the sequence number and writes the alternate
-// slot, leaving the previous superblock intact as a fallback.
+// writeSuper flushes the current allocation state: it bumps the sequence
+// number and writes the alternate slot, leaving the previous superblock
+// intact as a fallback.
 func (fs *FileStore) writeSuper() error {
-	if fs.ver == 1 {
-		buf := make([]byte, fs.pageSize)
-		binary.LittleEndian.PutUint64(buf[0:], fileMagic)
-		binary.LittleEndian.PutUint64(buf[8:], uint64(fs.pageSize))
-		binary.LittleEndian.PutUint64(buf[16:], fs.npages)
-		binary.LittleEndian.PutUint64(buf[24:], uint64(fs.freeHead))
-		binary.LittleEndian.PutUint64(buf[32:], fs.nfree)
-		if _, err := fs.f.WriteAt(buf, 0); err != nil {
-			return fmt.Errorf("eio: write superblock: %w", err)
-		}
-		return nil
-	}
 	fs.seq++
 	var buf [superSlotSize]byte
 	binary.LittleEndian.PutUint64(buf[0:], fileMagicV2)
@@ -226,28 +197,14 @@ func (fs *FileStore) writeSuper() error {
 }
 
 // slotSize is the on-disk footprint of one page.
-func (fs *FileStore) slotSize() int {
-	if fs.ver == 1 {
-		return fs.pageSize
-	}
-	return fs.pageSize + pageTrailerSize
-}
+func (fs *FileStore) slotSize() int { return fs.pageSize + pageTrailerSize }
 
 func (fs *FileStore) off(id PageID) int64 {
-	if fs.ver == 1 {
-		return int64(id) * int64(fs.pageSize)
-	}
 	return superRegionSize + int64(id-1)*int64(fs.slotSize())
 }
 
 // writePage writes data (one page) with a fresh trailer. Callers hold mu.
 func (fs *FileStore) writePage(id PageID, data []byte, flags uint32) error {
-	if fs.ver == 1 {
-		if _, err := fs.f.WriteAt(data, fs.off(id)); err != nil {
-			return fmt.Errorf("eio: write page %d: %w", id, err)
-		}
-		return nil
-	}
 	copy(fs.slot, data)
 	return fs.writeSlot(id, flags)
 }
@@ -257,17 +214,11 @@ func (fs *FileStore) writePage(id PageID, data []byte, flags uint32) error {
 func (fs *FileStore) writeZeroPage(id PageID, next PageID, flags uint32) error {
 	clear(fs.slot[:fs.pageSize])
 	binary.LittleEndian.PutUint64(fs.slot, uint64(next))
-	if fs.ver == 1 {
-		if _, err := fs.f.WriteAt(fs.slot[:fs.pageSize], fs.off(id)); err != nil {
-			return fmt.Errorf("eio: write page %d: %w", id, err)
-		}
-		return nil
-	}
 	return fs.writeSlot(id, flags)
 }
 
 // writeSlot seals the page image in fs.slot with its trailer and writes it
-// as page id (format v2). Callers hold mu.
+// as page id. Callers hold mu.
 func (fs *FileStore) writeSlot(id PageID, flags uint32) error {
 	binary.LittleEndian.PutUint32(fs.slot[fs.pageSize:], pageCRC(id, fs.slot[:fs.pageSize]))
 	binary.LittleEndian.PutUint32(fs.slot[fs.pageSize+4:], flags)
@@ -277,15 +228,12 @@ func (fs *FileStore) writeSlot(id PageID, flags uint32) error {
 	return nil
 }
 
-// readSlot reads page id into fs.slot[:pageSize], verifying the v2 trailer,
-// and returns the trailer flags (pageFlagData for v1). The image is valid
-// until the next page operation. Callers hold mu.
+// readSlot reads page id into fs.slot[:pageSize], verifying the trailer,
+// and returns the trailer flags. The image is valid until the next page
+// operation. Callers hold mu.
 func (fs *FileStore) readSlot(id PageID) (uint32, error) {
-	if _, err := fs.f.ReadAt(fs.slot[:fs.slotSize()], fs.off(id)); err != nil {
+	if _, err := fs.f.ReadAt(fs.slot, fs.off(id)); err != nil {
 		return 0, fmt.Errorf("eio: read page %d: %w", id, err)
-	}
-	if fs.ver == 1 {
-		return pageFlagData, nil
 	}
 	if binary.LittleEndian.Uint32(fs.slot[fs.pageSize:]) != pageCRC(id, fs.slot[:fs.pageSize]) {
 		return 0, fmt.Errorf("eio: page %d: %w", id, ErrChecksum)
@@ -306,11 +254,7 @@ func (fs *FileStore) Alloc() (PageID, error) {
 	fs.stats.Allocs++
 	if fs.freeHead != NilPage {
 		id := fs.freeHead
-		if fs.ver == 1 {
-			if _, err := fs.f.ReadAt(fs.slot[:8], fs.off(id)); err != nil {
-				return NilPage, fmt.Errorf("eio: pop free list: %w", err)
-			}
-		} else if _, err := fs.readSlot(id); err != nil {
+		if _, err := fs.readSlot(id); err != nil {
 			return NilPage, fmt.Errorf("eio: pop free list: %w", err)
 		}
 		// The next pointer lives in the first 8 bytes. After a crash the
@@ -333,8 +277,7 @@ func (fs *FileStore) Alloc() (PageID, error) {
 	return id, nil
 }
 
-// Free implements Store. Under format v2 the page is rewritten as a zeroed
-// free-list node with a valid checksum, so a later verification scan can
+// Free implements Store. The page is rewritten as a zeroed free-list node with a valid checksum, so a later verification scan can
 // tell freed pages from damaged ones.
 func (fs *FileStore) Free(id PageID) error {
 	if id == NilPage {
@@ -346,12 +289,7 @@ func (fs *FileStore) Free(id PageID) error {
 		return err
 	}
 	fs.stats.Frees++
-	if fs.ver == 1 {
-		binary.LittleEndian.PutUint64(fs.slot[:8], uint64(fs.freeHead))
-		if _, err := fs.f.WriteAt(fs.slot[:8], fs.off(id)); err != nil {
-			return fmt.Errorf("eio: push free list: %w", err)
-		}
-	} else if err := fs.writeZeroPage(id, fs.freeHead, pageFlagFree); err != nil {
+	if err := fs.writeZeroPage(id, fs.freeHead, pageFlagFree); err != nil {
 		return fmt.Errorf("eio: push free list: %w", err)
 	}
 	fs.freeHead = id
@@ -359,8 +297,7 @@ func (fs *FileStore) Free(id PageID) error {
 	return nil
 }
 
-// Read implements Store. Under format v2 a trailer mismatch fails with
-// ErrChecksum and reading a freed page fails with ErrBadPage.
+// Read implements Store. A trailer mismatch fails with ErrChecksum and reading a freed page fails with ErrBadPage.
 func (fs *FileStore) Read(id PageID, buf []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -502,9 +439,6 @@ func (fs *FileStore) EnsurePage(id PageID) error {
 	}
 	return nil
 }
-
-// Version reports the on-disk format version (1 or 2).
-func (fs *FileStore) Version() int { return fs.ver }
 
 // Sync flushes the superblock and file contents to stable storage,
 // committing all allocation state written so far.

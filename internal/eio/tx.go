@@ -131,8 +131,8 @@ func (r RecoveryInfo) String() string {
 // they reach the inner store (WAL append + in-place apply).
 //
 // TxStore serializes transactions internally but, like every wrapper, does
-// not add multi-writer semantics: one logical updater at a time, as
-// documented on core.Synced.
+// not add multi-writer semantics: one logical updater at a time —
+// core.Concurrent's commit leader in a serving stack.
 type TxStore struct {
 	mu    sync.RWMutex // reads share the lock so snapshot readers scale
 	inner Store

@@ -12,27 +12,26 @@ import (
 type SuperSlotStatus struct {
 	// Valid reports whether the slot's magic and checksum verify.
 	Valid bool `json:"valid"`
-	// Seq is the slot's sequence number (0 for v1 or invalid slots).
+	// Seq is the slot's sequence number (0 for invalid slots).
 	Seq uint64 `json:"seq"`
 }
 
 // VerifyReport is the result of an offline integrity scan of a store file.
 type VerifyReport struct {
-	// Version is the detected format version (1 or 2).
+	// Version is the format version (always 2; a v1 file is rejected).
 	Version int `json:"version"`
 	// PageSize is the committed page size.
 	PageSize int `json:"page_size"`
 	// NPages is the number of page slots the superblock commits to,
 	// including the reserved page 0.
 	NPages uint64 `json:"npages"`
-	// Super describes both superblock slots (v1 stores fill only Super[0]).
+	// Super describes both superblock slots.
 	Super [2]SuperSlotStatus `json:"super"`
-	// ActiveSlot is the slot recovery would use (v2; 0 for v1).
+	// ActiveSlot is the slot recovery would use.
 	ActiveSlot int `json:"active_slot"`
-	// BadPages lists pages whose checksum failed (v2 only — v1 pages
-	// carry no checksums and cannot be verified).
+	// BadPages lists pages whose checksum failed.
 	BadPages []PageID `json:"bad_pages,omitempty"`
-	// FreePages is the number of pages with the free flag set (v2).
+	// FreePages is the number of pages with the free flag set.
 	FreePages uint64 `json:"free_pages"`
 	// NFree is the free-page count the superblock claims.
 	NFree uint64 `json:"nfree"`
@@ -63,33 +62,26 @@ func (r *VerifyReport) String() string {
 		fmt.Fprintf(&b, "format v%d  page size %d B  %d page slots (%d free per superblock)\n",
 			r.Version, r.PageSize, r.NPages-1, r.NFree)
 	}
-	if r.Version == 2 {
-		for i, s := range r.Super {
-			state := "INVALID"
-			if s.Valid {
-				state = fmt.Sprintf("valid seq=%d", s.Seq)
-			}
-			active := ""
-			if s.Valid && i == r.ActiveSlot {
-				active = "  <- active"
-			}
-			fmt.Fprintf(&b, "superblock slot %d: %s%s\n", i, state, active)
+	for i, s := range r.Super {
+		state := "INVALID"
+		if s.Valid {
+			state = fmt.Sprintf("valid seq=%d", s.Seq)
 		}
-		if noSuper {
-			fmt.Fprintf(&b, "page checksums: not scanned (no superblock commits a page count)\n")
-			return b.String()
+		active := ""
+		if s.Valid && i == r.ActiveSlot {
+			active = "  <- active"
 		}
-		if len(r.BadPages) == 0 {
-			fmt.Fprintf(&b, "page checksums: all %d OK (%d data, %d free)\n",
-				r.NPages-1, r.NPages-1-r.FreePages, r.FreePages)
-		} else {
-			fmt.Fprintf(&b, "page checksums: %d BAD: %v\n", len(r.BadPages), r.BadPages)
-		}
-	} else if noSuper {
-		fmt.Fprintf(&b, "superblock: INVALID\n")
+		fmt.Fprintf(&b, "superblock slot %d: %s%s\n", i, state, active)
+	}
+	if noSuper {
+		fmt.Fprintf(&b, "page checksums: not scanned (no superblock commits a page count)\n")
 		return b.String()
+	}
+	if len(r.BadPages) == 0 {
+		fmt.Fprintf(&b, "page checksums: all %d OK (%d data, %d free)\n",
+			r.NPages-1, r.NPages-1-r.FreePages, r.FreePages)
 	} else {
-		fmt.Fprintf(&b, "superblock: valid (v1 stores carry no page checksums)\n")
+		fmt.Fprintf(&b, "page checksums: %d BAD: %v\n", len(r.BadPages), r.BadPages)
 	}
 	if r.FreeListNote != "" {
 		fmt.Fprintf(&b, "free list: %s\n", r.FreeListNote)
@@ -116,8 +108,8 @@ func VerifyFile(path string) (*VerifyReport, error) {
 		return nil, fmt.Errorf("eio: verify: read header: %w", err)
 	}
 
-	if n >= 40 && binary.LittleEndian.Uint64(hdr[0:]) == fileMagic {
-		return verifyV1(f, hdr[:n])
+	if n >= 8 && binary.LittleEndian.Uint64(hdr[0:]) == fileMagicV1 {
+		return nil, fmt.Errorf("eio: verify: %s: unsupported format v1 (no checksums; nothing has written it since the first build)", path)
 	}
 	if n < superRegionSize {
 		return nil, fmt.Errorf("eio: verify: %s is not a page store (too short)", path)
@@ -194,45 +186,6 @@ func VerifyFile(path string) (*VerifyReport, error) {
 	}
 	if r.FreeListNote == "" && r.FreeReachable != r.NFree {
 		r.FreeListNote = fmt.Sprintf("%d reachable but superblock claims %d (leak after crash?)", r.FreeReachable, r.NFree)
-	}
-	return r, nil
-}
-
-// verifyV1 checks what little a v1 file allows: superblock sanity and the
-// free-list walk.
-func verifyV1(f *os.File, hdr []byte) (*VerifyReport, error) {
-	r := &VerifyReport{
-		Version:  1,
-		PageSize: int(binary.LittleEndian.Uint64(hdr[8:])),
-		NPages:   binary.LittleEndian.Uint64(hdr[16:]),
-		NFree:    binary.LittleEndian.Uint64(hdr[32:]),
-	}
-	r.Super[0] = SuperSlotStatus{Valid: r.PageSize >= 32 && r.NPages > 0}
-	if !r.Super[0].Valid {
-		return r, nil
-	}
-	seen := make(map[PageID]bool)
-	id := PageID(binary.LittleEndian.Uint64(hdr[24:]))
-	for id != NilPage {
-		if uint64(id) >= r.NPages {
-			r.FreeListNote = fmt.Sprintf("walk hit out-of-range page %d after %d hops", id, r.FreeReachable)
-			break
-		}
-		if seen[id] {
-			r.FreeListNote = fmt.Sprintf("walk revisited page %d: cycle", id)
-			break
-		}
-		seen[id] = true
-		r.FreeReachable++
-		var nb [8]byte
-		if _, err := f.ReadAt(nb[:], int64(id)*int64(r.PageSize)); err != nil {
-			r.FreeListNote = fmt.Sprintf("read of free page %d failed: %v", id, err)
-			break
-		}
-		id = PageID(binary.LittleEndian.Uint64(nb[:]))
-	}
-	if r.FreeListNote == "" && r.FreeReachable != r.NFree {
-		r.FreeListNote = fmt.Sprintf("%d reachable but superblock claims %d", r.FreeReachable, r.NFree)
 	}
 	return r, nil
 }

@@ -17,8 +17,7 @@ import (
 //
 // Operations serialize on an internal mutex — exact attribution needs
 // exclusive use of the store's counters, so an Instrumented index is also
-// a safely shareable one (it subsumes core.Synced, at the cost of query
-// parallelism). If the measured store is an *eio.TraceStore, each
+// a safely shareable one (at the cost of query parallelism). If the measured store is an *eio.TraceStore, each
 // operation additionally labels its trace events with the operation name,
 // so store-level traces and index-level records line up.
 type Instrumented struct {

@@ -11,23 +11,37 @@ import (
 	"rangesearch/internal/geom"
 )
 
-// TestConcurrentTracedSyncedIndex drives a core.Synced index over a
-// TraceStore with every sink attached at once, from many goroutines, so
-// `go test -race` proves the whole observation path — store, scope labels,
-// ring, JSONL, histograms — is data-race free while queries run in
+// TestConcurrentTracedIndex drives a core.Concurrent index whose writer
+// and every reader view sit on TraceStores sharing one set of sinks, from
+// many goroutines, so `go test -race` proves the whole observation path —
+// store, ring, JSONL, histograms — is data-race free while queries run in
 // parallel with updates.
-func TestConcurrentTracedSyncedIndex(t *testing.T) {
-	ts := eio.NewTraceStore(eio.NewMemStore(1024))
+func TestConcurrentTracedIndex(t *testing.T) {
+	snap := eio.NewSnapStore(eio.NewMemStore(1024), 0)
+	ts := eio.NewTraceStore(snap)
 	ring := NewRingSink(1024)
 	hist := NewHistSink()
 	jsonl := NewJSONLSink(io.Discard)
-	ts.SetSink(MultiSink{ring, hist, jsonl})
+	sinks := MultiSink{ring, hist, jsonl}
+	ts.SetSink(sinks)
 
 	idx, err := core.NewThreeSided(ts, epst.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	synced := core.NewSynced(idx)
+	if _, err := snap.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	hdr := idx.HeaderID()
+	conc, err := core.NewConcurrent(idx, snap, func(view eio.Store) (core.Index, error) {
+		vts := eio.NewTraceStore(view)
+		vts.SetSink(sinks)
+		return core.OpenThreeSided(vts, hdr)
+	}, core.ConcurrentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conc.Close()
 
 	const (
 		writers = 4
@@ -41,12 +55,12 @@ func TestConcurrentTracedSyncedIndex(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				p := geom.Point{X: int64(w*perG + i), Y: int64((w*perG + i) * 31 % 9973)}
-				if err := synced.Insert(p); err != nil {
+				if err := conc.Insert(p); err != nil {
 					t.Errorf("insert: %v", err)
 					return
 				}
 				if i%3 == 0 {
-					if _, err := synced.Delete(p); err != nil {
+					if _, err := conc.Delete(p); err != nil {
 						t.Errorf("delete: %v", err)
 						return
 					}
@@ -60,13 +74,13 @@ func TestConcurrentTracedSyncedIndex(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				lo := int64(i * 4 % 800)
-				if _, err := synced.Query(nil, geom.Rect{XLo: lo, XHi: lo + 100, YLo: 0, YHi: geom.MaxCoord}); err != nil {
+				if _, err := conc.Query(nil, geom.Rect{XLo: lo, XHi: lo + 100, YLo: 0, YHi: geom.MaxCoord}); err != nil {
 					t.Errorf("query: %v", err)
 					return
 				}
 				// Exercise sink churn while I/Os are in flight.
 				if i%50 == 0 && r == 0 {
-					ts.SetSink(MultiSink{ring, hist, jsonl})
+					ts.SetSink(sinks)
 				}
 			}
 		}(r)
@@ -82,7 +96,7 @@ func TestConcurrentTracedSyncedIndex(t *testing.T) {
 	if hist.Latency(eio.OpRead).Count() == 0 {
 		t.Fatal("no read latencies aggregated")
 	}
-	n, err := synced.Len()
+	n, err := conc.Len()
 	if err != nil {
 		t.Fatal(err)
 	}

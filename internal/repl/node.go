@@ -18,18 +18,18 @@ type FencedIndex struct {
 
 var _ core.Index = (*FencedIndex)(nil)
 
-func (f *FencedIndex) Insert(geom.Point) error          { return core.ErrNotPrimary }
-func (f *FencedIndex) Delete(geom.Point) (bool, error)  { return false, core.ErrNotPrimary }
-func (f *FencedIndex) Destroy() error                   { return core.ErrNotPrimary }
-func (f *FencedIndex) Len() (int, error)                { return f.Reads.Len() }
+func (f *FencedIndex) Insert(geom.Point) error         { return core.ErrNotPrimary }
+func (f *FencedIndex) Delete(geom.Point) (bool, error) { return false, core.ErrNotPrimary }
+func (f *FencedIndex) Destroy() error                  { return core.ErrNotPrimary }
+func (f *FencedIndex) Len() (int, error)               { return f.Reads.Len() }
 func (f *FencedIndex) Query(dst []geom.Point, q geom.Rect) ([]geom.Point, error) {
 	return f.Reads.Query(dst, q)
 }
 
 // Node fronts a serving engine whose role can change at runtime: a
 // primary accepting writes, a follower applying a replication stream, or
-// a fenced ex-primary refusing writes. It implements the server Backend
-// surface; reads delegate under a shared lock, writes check the role
+// a fenced ex-primary refusing writes. It is the core.Engine a replicated
+// server serves; reads delegate under a shared lock, writes check the role
 // first, and Promote swaps the whole engine under the exclusive lock so
 // in-flight readers drain before the follower stack is torn down.
 type Node struct {
@@ -38,10 +38,12 @@ type Node struct {
 	primary bool
 	fenced  bool
 	term    uint64
-	applied func() uint64 // follower durable position; nil → conc.AppliedLSN
+	applied func() uint64 // follower durable position; nil → the engine's own
 }
 
-// NewNode builds a node over conc. applied overrides AppliedLSN while
+var _ core.Engine = (*Node)(nil)
+
+// NewNode builds a node over conc. applied overrides the engine's LSN while
 // the node is a follower (the replica applier tracks it, not the
 // engine); pass nil on a primary.
 func NewNode(conc *core.Concurrent, primary bool, term uint64, applied func() uint64) *Node {
@@ -116,56 +118,27 @@ func (n *Node) Engine() *core.Concurrent {
 	return n.conc
 }
 
-func (n *Node) writable() (*core.Concurrent, error) {
+// Apply implements core.Engine (primary only): on a follower or a fenced
+// node every entry fails with core.ErrNotPrimary.
+func (n *Node) Apply(ops []core.BatchOp, sp *trace.Span) []core.BatchResult {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	if !n.primary || n.fenced {
-		return nil, core.ErrNotPrimary
-	}
-	return n.conc, nil
-}
-
-// InsertTraced inserts p (primary only).
-func (n *Node) InsertTraced(p geom.Point, sp *trace.Span) error {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	c, err := n.writable()
-	if err != nil {
-		return err
-	}
-	return c.InsertTraced(p, sp)
-}
-
-// DeleteTraced removes p (primary only).
-func (n *Node) DeleteTraced(p geom.Point, sp *trace.Span) (bool, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	c, err := n.writable()
-	if err != nil {
-		return false, err
-	}
-	return c.DeleteTraced(p, sp)
-}
-
-// ApplyBatchTraced applies a write batch (primary only); on a follower
-// every entry fails with core.ErrNotPrimary.
-func (n *Node) ApplyBatchTraced(ops []core.BatchOp, sp *trace.Span) []core.BatchResult {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	c, err := n.writable()
-	if err != nil {
 		res := make([]core.BatchResult, len(ops))
 		for i := range res {
-			res[i] = core.BatchResult{Err: err}
+			res[i].Err = core.ErrNotPrimary
 		}
 		return res
 	}
-	return c.ApplyBatchTraced(ops, sp)
+	return n.conc.Apply(ops, sp)
 }
 
-// QueryTraced answers q from the current epoch — identical on every role.
-func (n *Node) QueryTraced(dst []geom.Point, q geom.Rect, sp *trace.Span) ([]geom.Point, error) {
+// Report implements core.Engine: q answered from the current epoch —
+// identical on every role.
+func (n *Node) Report(dst []geom.Point, q geom.Rect, sp *trace.Span) ([]geom.Point, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return n.conc.QueryTraced(dst, q, sp)
+	return n.conc.Report(dst, q, sp)
 }
 
 // Len reports the point count of the current epoch.
@@ -189,14 +162,17 @@ func (n *Node) PageSize() int {
 	return n.conc.PageSize()
 }
 
-// AppliedLSN is the node's durable position: the engine's on a primary,
-// the replica applier's on a follower (the engine under a follower has
-// no TxStore of its own driving commits).
-func (n *Node) AppliedLSN() uint64 {
+// Position implements core.Engine: the node's term and durable LSN — the
+// engine's on a primary, the replica applier's on a follower (the engine
+// under a follower has no TxStore of its own driving commits). Both are
+// read under the one lock Promote, Rebind and Fence swap them under, so a
+// caller never sees the term of one timeline beside the LSN of another.
+func (n *Node) Position() (term, lsn uint64) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if n.applied != nil {
-		return n.applied()
+		return n.term, n.applied()
 	}
-	return n.conc.AppliedLSN()
+	_, lsn = n.conc.Position()
+	return n.term, lsn
 }

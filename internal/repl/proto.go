@@ -3,7 +3,7 @@
 // page snapshot for bootstrap) to any number of replicas, a replica-side
 // Replica loop that replays them through eio.TxReplica into a read-only
 // serving stack, and a Node that fronts either role behind the
-// server.Backend surface so one rsserve process can be primary, replica,
+// core.Engine surface so one rsserve process can be primary, replica,
 // or a replica promoted to primary mid-flight.
 //
 // # Sub-protocol

@@ -10,9 +10,7 @@ import (
 )
 
 // RetryPolicy bounds the reconnect and retry behavior of a
-// ResilientClient: bounded exponential backoff with equal jitter, the same
-// shape eio.RetryStore applies to transient storage faults, lifted to the
-// network layer.
+// ResilientClient: bounded exponential backoff with equal jitter.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per operation — and per
 	// reconnect episode — including the first. Zero selects 10.

@@ -19,23 +19,6 @@ import (
 	"rangesearch/internal/trace"
 )
 
-// Backend is what the server serves: the traced entry points of
-// core.Concurrent plus the durable-position probe the read barrier needs.
-// *core.Concurrent satisfies it directly; repl.Node wraps one to serve a
-// replica (reads delegate, writes fail core.ErrNotPrimary until promotion).
-type Backend interface {
-	InsertTraced(p geom.Point, sp *trace.Span) error
-	DeleteTraced(p geom.Point, sp *trace.Span) (bool, error)
-	QueryTraced(dst []geom.Point, q geom.Rect, sp *trace.Span) ([]geom.Point, error)
-	ApplyBatchTraced(ops []core.BatchOp, sp *trace.Span) []core.BatchResult
-	Len() (int, error)
-	Epoch() uint64
-	PageSize() int
-	// AppliedLSN is the LSN of the last locally durable commit: what a
-	// BARRIER envelope compares against, and what write acks carry.
-	AppliedLSN() uint64
-}
-
 // ReplInfo is a node's replication identity, reported inside STATS when
 // the server is given a ReplInfo callback. All fields are point-in-time.
 type ReplInfo struct {
@@ -114,12 +97,6 @@ type Config struct {
 	// write-buffer snapshot (depth, flush counts, journal size). Nil
 	// omits the section (unbuffered node).
 	WriteBuffer func() obs.WriteBufferStats
-	// Term, when non-nil, reports the node's current replication term for
-	// (term, LSN) read barriers and write-ack stamping. It must be
-	// coherent with the serving engine: a caller observing term T must be
-	// served by an engine on timeline T (the repl.Node swaps both under
-	// one lock). Nil means an un-replicated node, which serves at term 0.
-	Term func() uint64
 	// Metrics, when non-nil, receives every signal the server emits; use
 	// PublishMetrics to put it on the expvar surface. Nil disables.
 	Metrics *Metrics
@@ -150,7 +127,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server serves the wire protocol over a core.Concurrent index. It is
+// Server serves the wire protocol over a core.Engine — a *core.Concurrent,
+// a wbuf.Buffered in front of one, or a role-switching repl.Node. It is
 // robust by construction:
 //
 //   - per-connection read (idle) and write deadlines, so a stalled or
@@ -166,7 +144,7 @@ func (c Config) withDefaults() Config {
 // core.Concurrent already performs: one WAL record and fsync schedule per
 // committed group, however many clients contributed.
 type Server struct {
-	idx Backend
+	idx core.Engine
 	cfg Config
 
 	gate  chan struct{}
@@ -185,7 +163,7 @@ type Server struct {
 }
 
 // New builds a Server over idx.
-func New(idx Backend, cfg Config) *Server {
+func New(idx core.Engine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		idx:        idx,
@@ -596,9 +574,9 @@ const maxKeptResult = 1 << 16
 
 // handle executes one admitted request against the index. A non-nil sp
 // records the request's phases: admission here, the index phases inside
-// core.Concurrent's traced entry points. Query results are collected in
-// *pts, the caller's reusable buffer (kept up to maxKeptResult points),
-// which the response's Points alias.
+// the engine. Query results are collected in *pts, the caller's reusable
+// buffer (kept up to maxKeptResult points), which the response's Points
+// alias.
 func (s *Server) handle(req Request, sp *trace.Span, pts *[]geom.Point) Response {
 	switch req.Op {
 	case OpPing:
@@ -625,15 +603,10 @@ func (s *Server) handle(req Request, sp *trace.Span, pts *[]geom.Point) Response
 	// write), a node at the term must have applied the LSN, and a node
 	// below the term is always stale — its numerically-high LSNs may name
 	// a divergent pre-promotion suffix. A current primary is never stale:
-	// its term is the newest and its AppliedLSN ≥ every LSN it ever acked.
+	// its term is the newest and its LSN ≥ every LSN it ever acked.
 	if req.MinLSN > 0 || req.MinTerm > 0 {
-		term := s.curTerm()
-		stale := term < req.MinTerm
-		lsn := s.idx.AppliedLSN()
-		if !stale && term == req.MinTerm {
-			stale = lsn < req.MinLSN
-		}
-		if stale {
+		term, lsn := s.idx.Position()
+		if term < req.MinTerm || (term == req.MinTerm && lsn < req.MinLSN) {
 			if m := s.cfg.Metrics; m != nil {
 				m.stale.Add(1)
 			}
@@ -663,22 +636,22 @@ func (s *Server) handle(req Request, sp *trace.Span, pts *[]geom.Point) Response
 
 	switch req.Op {
 	case OpInsert:
-		err := s.idx.InsertTraced(req.P, sp)
-		if errors.Is(err, core.ErrDuplicate) {
-			return Response{Status: StatusOK, Duplicate: true, LSN: s.idx.AppliedLSN(), Term: s.curTerm()}
-		}
-		if err != nil {
+		res, ack := s.write([]core.BatchOp{{P: req.P}}, sp)
+		if err := res[0].Err; errors.Is(err, core.ErrDuplicate) {
+			ack.Duplicate = true
+		} else if err != nil {
 			return s.errResponse(err)
 		}
-		return Response{Status: StatusOK, LSN: s.idx.AppliedLSN(), Term: s.curTerm()}
+		return ack
 	case OpDelete:
-		found, err := s.idx.DeleteTraced(req.P, sp)
-		if err != nil {
+		res, ack := s.write([]core.BatchOp{{Delete: true, P: req.P}}, sp)
+		if err := res[0].Err; err != nil {
 			return s.errResponse(err)
 		}
-		return Response{Status: StatusOK, Found: found, LSN: s.idx.AppliedLSN(), Term: s.curTerm()}
+		ack.Found = res[0].Found
+		return ack
 	case OpQuery3, OpQuery4:
-		res, err := s.idx.QueryTraced((*pts)[:0], req.Rect, sp)
+		res, err := s.idx.Report((*pts)[:0], req.Rect, sp)
 		if err != nil {
 			return s.errResponse(err)
 		}
@@ -693,10 +666,22 @@ func (s *Server) handle(req Request, sp *trace.Span, pts *[]geom.Point) Response
 	}
 }
 
-// handleBatch submits the whole batch to the group-commit queue at once
-// (one contiguous run, as few commits as MaxBatch allows) and folds the
-// per-operation outcomes into result codes. A non-benign failure fails
-// the whole request.
+// write is the one write call behind INSERT, DELETE and BATCH: ops go to
+// the engine as one run, and the acknowledgement is stamped with the
+// position read after they committed. That position may run ahead of the
+// one the run committed at (another writer's commit, or a promotion, in
+// between); that only tightens the client's barrier, and synchronous
+// replication guarantees every committed write is already part of any
+// newer term's timeline.
+func (s *Server) write(ops []core.BatchOp, sp *trace.Span) ([]core.BatchResult, Response) {
+	res := s.idx.Apply(ops, sp)
+	term, lsn := s.idx.Position()
+	return res, Response{Status: StatusOK, LSN: lsn, Term: term}
+}
+
+// handleBatch submits the whole batch as one run (as few group commits as
+// the engine's batch cap allows) and folds the per-operation outcomes into
+// result codes. A non-benign failure fails the whole request.
 func (s *Server) handleBatch(entries []BatchEntry, sp *trace.Span) Response {
 	if len(entries) == 0 {
 		return Response{Status: StatusOK}
@@ -705,7 +690,7 @@ func (s *Server) handleBatch(entries []BatchEntry, sp *trace.Span) Response {
 	for i, e := range entries {
 		ops[i] = core.BatchOp{Delete: e.Kind == BatchDelete, P: e.P}
 	}
-	results := s.idx.ApplyBatchTraced(ops, sp)
+	results, ack := s.write(ops, sp)
 	codes := make([]byte, len(results))
 	for i, r := range results {
 		switch {
@@ -719,19 +704,8 @@ func (s *Server) handleBatch(entries []BatchEntry, sp *trace.Span) Response {
 			return s.errResponse(r.Err)
 		}
 	}
-	return Response{Status: StatusOK, Results: codes, LSN: s.idx.AppliedLSN(), Term: s.curTerm()}
-}
-
-// curTerm is the node's replication term (0 on an un-replicated node).
-// A term read after a write committed may run ahead of the term the
-// write committed under; that only tightens the client's barrier, and
-// synchronous replication guarantees every committed write is already
-// part of any newer term's timeline.
-func (s *Server) curTerm() uint64 {
-	if s.cfg.Term == nil {
-		return 0
-	}
-	return s.cfg.Term()
+	ack.Results = codes
+	return ack
 }
 
 // StatsSnapshot is the JSON payload of a STATS response: the index's
@@ -776,6 +750,7 @@ func (s *Server) handleStats() Response {
 	if err != nil {
 		return s.errResponse(err)
 	}
+	_, lsn := s.idx.Position()
 	snap := StatsSnapshot{
 		UptimeS:         time.Since(s.start).Seconds(),
 		Epoch:           s.idx.Epoch(),
@@ -783,7 +758,7 @@ func (s *Server) handleStats() Response {
 		InFlight:        len(s.gate),
 		MaxInFlight:     s.cfg.MaxInFlight,
 		TraceSampleRate: s.traceRate(),
-		AppliedLSN:      s.idx.AppliedLSN(),
+		AppliedLSN:      lsn,
 	}
 	snap.IdemClients, snap.IdemEntries = s.idem.stats()
 	if s.cfg.Repl != nil {

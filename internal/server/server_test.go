@@ -385,10 +385,10 @@ func TestServerShutdownInterruptsIdleConns(t *testing.T) {
 }
 
 // rangeBackend answers a query [0, XHi] with XHi+1 points appended to dst;
-// every other Backend method is absent (nil embedded interface).
-type rangeBackend struct{ Backend }
+// every other Engine method is absent (nil embedded interface).
+type rangeBackend struct{ core.Engine }
 
-func (rangeBackend) QueryTraced(dst []geom.Point, q geom.Rect, _ *trace.Span) ([]geom.Point, error) {
+func (rangeBackend) Report(dst []geom.Point, q geom.Rect, _ *trace.Span) ([]geom.Point, error) {
 	for x := int64(0); x <= q.XHi; x++ {
 		dst = append(dst, geom.Point{X: x})
 	}

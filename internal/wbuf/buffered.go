@@ -41,7 +41,7 @@ type Options struct {
 	Journal string
 	// FlushChunk bounds how many collapsed operations one Durable.Batch
 	// transaction may carry, so a flush never overflows the WAL.
-	// 0 means DefaultFlushChunk. Concurrent bases chunk internally and
+	// 0 means DefaultFlushChunk. Engine bases chunk internally and
 	// ignore it.
 	FlushChunk int
 }
@@ -70,9 +70,13 @@ type entry struct {
 // in-memory deltas (journaled for crash safety when Options.Journal is
 // set), queries merge the deltas with base results in canonical (x,y)
 // order, and crossing a size/age threshold bulk-flushes the buffer
-// through the strongest batch interface the base offers —
-// *core.Concurrent.ApplyBatch, *core.Durable.Batch, or plain
-// per-operation calls.
+// through the strongest batch interface the base offers — Engine.Apply,
+// *core.Durable.Batch, or plain per-operation calls.
+//
+// Over a core.Engine base (the serving stack: a *core.Concurrent) Buffered
+// is itself a core.Engine — spans, epoch, page size and position pass
+// through to the base. Over a bare core.Index (bench, model tests) those
+// are untraced and zero.
 //
 // Buffered must be the base's only writer: the staged deltas cache
 // base-membership facts (entry.baseHas) that a side-channel write would
@@ -81,6 +85,7 @@ type entry struct {
 type Buffered struct {
 	mu   sync.RWMutex
 	base core.Index
+	eng  core.Engine // base as an Engine, resolved once in NewBuffered; nil for a bare Index
 	ents map[geom.Point]entry
 	net  int // inserts minus deletes staged (Len delta)
 
@@ -102,7 +107,10 @@ type Buffered struct {
 	flushOps   obs.Histogram
 }
 
-var _ core.Index = (*Buffered)(nil)
+var (
+	_ core.Index  = (*Buffered)(nil)
+	_ core.Engine = (*Buffered)(nil)
+)
 
 // NewBuffered wraps base. When opts.Journal names a file, an existing
 // journal is replayed through the staging logic first — restoring every
@@ -116,6 +124,7 @@ func NewBuffered(base core.Index, opts Options) (*Buffered, error) {
 		opts: opts,
 		stop: make(chan struct{}),
 	}
+	b.eng, _ = base.(core.Engine)
 	if opts.Journal != "" {
 		j, replay, err := OpenJournal(opts.Journal)
 		if err != nil {
@@ -191,7 +200,7 @@ func (b *Buffered) probe(p geom.Point) (bool, error) {
 // operation's outcome exactly as the undecorated index would: inserting
 // a visible point is core.ErrDuplicate, deleting reports found. It does
 // NOT journal or flush — only replay uses it, where the journal records
-// already exist; live writes go through write().
+// already exist; live writes go through Apply.
 func (b *Buffered) stage(p geom.Point, del bool) (found bool, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -234,11 +243,13 @@ func (b *Buffered) stageLocked(p geom.Point, del bool) (found bool, err error) {
 	return del, nil
 }
 
-// write is the one live update path: it stages ops and appends their
+// Apply implements core.Engine and is the one live update path: it stages
+// ops — visible at once, the base untouched — and appends them as one
 // journal record under a single b.mu hold, flushes synchronously if the
-// buffer crossed the size threshold (attributed to sp's flush phase),
-// and finally group-commits the journal fsync outside the lock
-// (attributed to sp's sync phase).
+// buffer crossed the size threshold (attributed to sp's flush phase), and
+// finally group-commits the journal fsync outside the lock (attributed to
+// sp's sync phase). Results are positional; benign outcomes (duplicate
+// insert, absent delete) stay per-entry.
 //
 // The append MUST happen while b.mu is still held: Journal.Append
 // assigns the record's sequence number, and replay is last-op-wins in
@@ -252,7 +263,10 @@ func (b *Buffered) stageLocked(p geom.Point, del bool) (found bool, err error) {
 // The flush-before-sync order is safe: a flush makes the staged ops
 // durable through the base's own WAL, superseding their journal records
 // entirely (Reset marks them synced, so skipping Sync loses nothing).
-func (b *Buffered) write(ops []core.BatchOp, sp *trace.Span) []core.BatchResult {
+func (b *Buffered) Apply(ops []core.BatchOp, sp *trace.Span) []core.BatchResult {
+	if len(ops) == 0 {
+		return nil
+	}
 	start := time.Now()
 	res := make([]core.BatchResult, len(ops))
 	var staged []core.BatchOp
@@ -288,60 +302,33 @@ func (b *Buffered) write(ops []core.BatchOp, sp *trace.Span) []core.BatchResult 
 	if werr != nil {
 		for i := range res {
 			if res[i].Err == nil {
-				res[i].Err = werr
+				res[i] = core.BatchResult{Err: werr}
 			}
 		}
 	}
 	return res
 }
 
-// Insert implements core.Index: the point becomes visible (and, with a
-// journal, durable) without touching the base structure.
-func (b *Buffered) Insert(p geom.Point) error { return b.InsertTraced(p, nil) }
-
-// InsertTraced is Insert recording journal-sync time and any triggered
-// flush into sp. A nil sp is exactly Insert.
-func (b *Buffered) InsertTraced(p geom.Point, sp *trace.Span) error {
-	return b.write([]core.BatchOp{{P: p}}, sp)[0].Err
+// Insert implements core.Index over Apply.
+func (b *Buffered) Insert(p geom.Point) error {
+	return b.Apply([]core.BatchOp{{P: p}}, nil)[0].Err
 }
 
-// Delete implements core.Index via a tombstone.
-func (b *Buffered) Delete(p geom.Point) (bool, error) { return b.DeleteTraced(p, nil) }
-
-// DeleteTraced is Delete with span recording; a nil sp is exactly Delete.
-func (b *Buffered) DeleteTraced(p geom.Point, sp *trace.Span) (bool, error) {
-	r := b.write([]core.BatchOp{{Delete: true, P: p}}, sp)[0]
-	if r.Err != nil {
-		return false, r.Err
-	}
-	return r.Found, nil
+// Delete implements core.Index over Apply (a tombstone).
+func (b *Buffered) Delete(p geom.Point) (bool, error) {
+	r := b.Apply([]core.BatchOp{{Delete: true, P: p}}, nil)[0]
+	return r.Found, r.Err
 }
 
-// ApplyBatchTraced stages a client batch as one journal record and one
-// group-committed fsync, mirroring core.Concurrent's batch entry point.
-// Results are positional; benign outcomes (duplicate insert, absent
-// delete) stay per-entry.
-func (b *Buffered) ApplyBatchTraced(ops []core.BatchOp, sp *trace.Span) []core.BatchResult {
-	if len(ops) == 0 {
-		return nil
-	}
-	return b.write(ops, sp)
+// Query implements core.Index over Report.
+func (b *Buffered) Query(dst []geom.Point, q geom.Rect) ([]geom.Point, error) {
+	return b.Report(dst, q, nil)
 }
 
-// ApplyBatch is ApplyBatchTraced without a span.
-func (b *Buffered) ApplyBatch(ops []core.BatchOp) []core.BatchResult {
-	return b.ApplyBatchTraced(ops, nil)
-}
-
-// Query implements core.Index by merge-on-read: base results minus
+// Report implements core.Engine by merge-on-read: base results minus
 // points the buffer overrides, plus pending inserts inside q, in
 // canonical (x, y) order.
-func (b *Buffered) Query(dst []geom.Point, q geom.Rect) ([]geom.Point, error) {
-	return b.QueryTraced(dst, q, nil)
-}
-
-// QueryTraced is Query with span recording; a nil sp is exactly Query.
-func (b *Buffered) QueryTraced(dst []geom.Point, q geom.Rect, sp *trace.Span) ([]geom.Point, error) {
+func (b *Buffered) Report(dst []geom.Point, q geom.Rect, sp *trace.Span) ([]geom.Point, error) {
 	start := time.Now()
 	defer func() { sp.AddPhase(trace.PhaseExecute, time.Since(start)) }()
 	b.mu.RLock()
@@ -374,16 +361,11 @@ func (b *Buffered) QueryTraced(dst []geom.Point, q geom.Rect, sp *trace.Span) ([
 	return dst, nil
 }
 
-// queryBase routes the read through the base's traced entry point when
-// it has one, so snapshot-epoch acquisition and page I/O attribute to
-// the span.
+// queryBase hands the read, span and all, to an Engine base, so
+// snapshot-epoch acquisition and page I/O attribute to the span.
 func (b *Buffered) queryBase(dst []geom.Point, q geom.Rect, sp *trace.Span) ([]geom.Point, error) {
-	if sp != nil {
-		if tq, ok := b.base.(interface {
-			QueryTraced([]geom.Point, geom.Rect, *trace.Span) ([]geom.Point, error)
-		}); ok {
-			return tq.QueryTraced(dst, q, sp)
-		}
+	if b.eng != nil {
+		return b.eng.Report(dst, q, sp)
 	}
 	return b.base.Query(dst, q)
 }
@@ -472,15 +454,15 @@ func (b *Buffered) applyToBase(ops []core.BatchOp, sp *trace.Span) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	switch base := b.base.(type) {
-	case *core.Concurrent:
-		for _, r := range base.ApplyBatchTraced(ops, sp) {
+	if b.eng != nil {
+		for _, r := range b.eng.Apply(ops, sp) {
 			if !benign(r.Err) {
 				return fmt.Errorf("wbuf: flush: %w", r.Err)
 			}
 		}
 		return nil
-	case *core.Durable:
+	}
+	if base, ok := b.base.(*core.Durable); ok {
 		for len(ops) > 0 {
 			chunk := ops
 			if len(chunk) > b.opts.FlushChunk {
@@ -495,9 +477,8 @@ func (b *Buffered) applyToBase(ops []core.BatchOp, sp *trace.Span) error {
 			}
 		}
 		return nil
-	default:
-		return applyOps(b.base, ops)
 	}
+	return applyOps(b.base, ops)
 }
 
 func applyOps(idx core.Index, ops []core.BatchOp) error {
@@ -580,32 +561,31 @@ func (b *Buffered) Destroy() error {
 	return b.base.Destroy()
 }
 
-// Epoch delegates to a concurrent base (0 otherwise) so Buffered can
-// stand in as a server backend.
+// Epoch implements core.Engine: the base's committed epoch.
 func (b *Buffered) Epoch() uint64 {
-	if e, ok := b.base.(interface{ Epoch() uint64 }); ok {
-		return e.Epoch()
+	if b.eng != nil {
+		return b.eng.Epoch()
 	}
 	return 0
 }
 
-// PageSize delegates to a concurrent base (0 otherwise).
+// PageSize implements core.Engine: the base's page size.
 func (b *Buffered) PageSize() int {
-	if e, ok := b.base.(interface{ PageSize() int }); ok {
-		return e.PageSize()
+	if b.eng != nil {
+		return b.eng.PageSize()
 	}
 	return 0
 }
 
-// AppliedLSN delegates to a concurrent base (0 otherwise). Note the
-// nuance: buffered writes are durable in the sidecar journal, not the
-// base WAL, so AppliedLSN advances at flush time — read barriers
-// against *this node* still see every buffered write via merge-on-read.
-func (b *Buffered) AppliedLSN() uint64 {
-	if e, ok := b.base.(interface{ AppliedLSN() uint64 }); ok {
-		return e.AppliedLSN()
+// Position implements core.Engine: the base's position. Note the nuance:
+// buffered writes are durable in the sidecar journal, not the base WAL, so
+// the LSN advances at flush time — read barriers against *this node* still
+// see every buffered write via merge-on-read.
+func (b *Buffered) Position() (term, lsn uint64) {
+	if b.eng != nil {
+		return b.eng.Position()
 	}
-	return 0
+	return 0, 0
 }
 
 // WriteBufferStats implements obs.WriteBufferSource.

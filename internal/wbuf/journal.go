@@ -4,7 +4,7 @@
 // deltas with the base structure, so a write costs a tiny journal
 // append instead of a full O(log_B N) structural update. The buffer is
 // bulk-flushed through the existing group-commit plumbing
-// (core.Durable.Batch / core.Concurrent.ApplyBatch) when it crosses a
+// (core.Durable.Batch / core.Engine.Apply) when it crosses a
 // size or age threshold, dropping amortized update I/O toward
 // o(log_B N) — the tradeoff Yi's dynamic-indexability bound says
 // buffering is *required* to reach.

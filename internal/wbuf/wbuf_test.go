@@ -343,7 +343,7 @@ func TestBufferedBatch(t *testing.T) {
 		{Delete: true, P: geom.Point{X: 2, Y: 2}}, // absent
 		{P: geom.Point{X: 3, Y: 3}},
 	}
-	res := b.ApplyBatch(ops)
+	res := b.Apply(ops, nil)
 	if res[0].Err != nil {
 		t.Fatalf("op0: %v", res[0].Err)
 	}

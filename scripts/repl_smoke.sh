@@ -11,8 +11,8 @@
 # kill-loop version of the same claims.
 set -eu
 
-GO=${GO:-go}
 WORKDIR=$(mktemp -d /tmp/repl-smoke.XXXXXX)
+. "$(dirname "$0")/lib.sh"
 P_PID=""
 R1_PID=""
 R2_PID=""
@@ -33,22 +33,7 @@ R1_REPL=127.0.0.1:19136
 R2_ADDR=127.0.0.1:19037
 R2_REPL=127.0.0.1:19137
 
-echo "== build =="
-$GO build -o "$WORKDIR/bin/" ./cmd/rsserve ./cmd/rsload ./cmd/rsinspect
-
-# wait_up ADDR LOG: poll until an rsload ping-sized run succeeds.
-wait_up() {
-    i=0
-    until "$WORKDIR/bin/rsload" -addr "$1" -workers 1 -duration 100ms >/dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -ge 100 ]; then
-            echo "node on $1 never came up:" >&2
-            cat "$2" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
+build ./cmd/rsserve ./cmd/rsload ./cmd/rsinspect
 
 echo "== boot primary ($P_ADDR, shipping on $P_REPL, sync=2) =="
 "$WORKDIR/bin/rsserve" -store "$WORKDIR/p.db" -addr "$P_ADDR" \
@@ -101,8 +86,7 @@ done
 # Re-point the surviving replica at the new primary: drain it cleanly
 # and restart it replicating from r1's shipping port (the handshake
 # re-clones across the term bump and adopts term 1).
-kill -TERM "$R2_PID"
-wait "$R2_PID" || { echo "r2 drain failed" >&2; cat "$WORKDIR/r2.log" >&2; exit 1; }
+drain "$R2_PID" "$WORKDIR/r2.log" r2
 "$WORKDIR/bin/rsserve" -store "$WORKDIR/r2.db" -addr "$R2_ADDR" \
     -repl-listen "$R2_REPL" -repl-sync 1 \
     -replicate-from "$R1_REPL" >>"$WORKDIR/r2.log" 2>&1 &
@@ -116,11 +100,9 @@ echo "== phase 2: verified load against the promoted primary =="
     -json "$WORKDIR/load2.json"
 
 echo "== drain survivors =="
-kill -TERM "$R1_PID"
-wait "$R1_PID" || { echo "promoted primary drain failed" >&2; cat "$WORKDIR/r1.log" >&2; exit 1; }
+drain "$R1_PID" "$WORKDIR/r1.log" "promoted primary"
 R1_PID=""
-kill -TERM "$R2_PID"
-wait "$R2_PID" || { echo "r2 drain failed" >&2; cat "$WORKDIR/r2.log" >&2; exit 1; }
+drain "$R2_PID" "$WORKDIR/r2.log" r2
 R2_PID=""
 
 echo "== post-mortem: WAL layer + checksums on the survivors =="

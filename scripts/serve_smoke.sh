@@ -9,9 +9,9 @@
 # non-empty. CI runs this; `make serve-smoke` runs it locally.
 set -eu
 
-GO=${GO:-go}
 WORKDIR=$(mktemp -d /tmp/rsserve-smoke.XXXXXX)
 trap 'rm -rf "$WORKDIR"' EXIT
+. "$(dirname "$0")/lib.sh"
 
 STORE="$WORKDIR/smoke.db"
 ADDR=${ADDR:-127.0.0.1:9135}
@@ -21,8 +21,7 @@ WORKERS=${WORKERS:-6}
 JSON_OUT=${JSON_OUT:-$WORKDIR/load.json}
 SPANS="$WORKDIR/spans.jsonl"
 
-echo "== build =="
-$GO build -o "$WORKDIR/bin/" ./cmd/rsserve ./cmd/rsload ./cmd/rsinspect
+build ./cmd/rsserve ./cmd/rsload ./cmd/rsinspect
 
 echo "== boot rsserve ($STORE, traced, metrics on $METRICS_ADDR) =="
 "$WORKDIR/bin/rsserve" -store "$STORE" -addr "$ADDR" \
@@ -30,18 +29,7 @@ echo "== boot rsserve ($STORE, traced, metrics on $METRICS_ADDR) =="
     -spans "$SPANS" >"$WORKDIR/server.log" 2>&1 &
 SERVER_PID=$!
 
-# Wait for the listener (the PING path is exercised by rsload itself).
-i=0
-until "$WORKDIR/bin/rsload" -addr "$ADDR" -workers 1 -duration 100ms >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -ge 50 ]; then
-        echo "rsserve never came up:" >&2
-        cat "$WORKDIR/server.log" >&2
-        kill "$SERVER_PID" 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.1
-done
+wait_up "$ADDR" "$WORKDIR/server.log"
 
 echo "== rsload ($WORKERS workers, $DURATION, verified, traced) =="
 "$WORKDIR/bin/rsload" -addr "$ADDR" -workers "$WORKERS" -duration "$DURATION" \
@@ -55,31 +43,12 @@ grep -q '^rangesearch_server_main' "$WORKDIR/metrics.prom" || {
 }
 
 echo "== drain (SIGTERM) =="
-kill -TERM "$SERVER_PID"
-SERVER_STATUS=0
-wait "$SERVER_PID" || SERVER_STATUS=$?
+drain "$SERVER_PID" "$WORKDIR/server.log" rsserve
 cat "$WORKDIR/server.log"
-if [ "$SERVER_STATUS" -ne 0 ]; then
-    echo "rsserve exited $SERVER_STATUS (want 0: clean drain, no leaked pages)" >&2
-    exit 1
-fi
 
 echo "== independent post-mortem: checksums + leak scrub =="
-"$WORKDIR/bin/rsinspect" verify -store "$STORE"
-MANIFEST="$STORE.manifest.json"
-hdr=$(sed -n 's/.*"hdr"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$MANIFEST")
-anchor=$(sed -n 's/.*"anchor"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$MANIFEST")
-[ -n "$hdr" ] || { echo "no hdr in $MANIFEST" >&2; exit 1; }
-SCRUB="$WORKDIR/bin/rsinspect scrub -store $STORE -kind epst -hdr $hdr -dry -json"
-if [ -n "$anchor" ]; then
-    SCRUB="$SCRUB -anchor $anchor"
-fi
-$SCRUB | tee "$WORKDIR/scrub.json"
-# The report omits "leaked" entirely when the set is empty.
-if grep -q '"leaked"' "$WORKDIR/scrub.json"; then
-    echo "scrub reports leaked pages" >&2
-    exit 1
-fi
+verify_scrub "$STORE" "$WORKDIR/scrub.json"
+cat "$WORKDIR/scrub.json"
 
 echo "== span log readable and non-empty =="
 [ -s "$SPANS" ] || { echo "span log $SPANS is empty" >&2; exit 1; }

@@ -12,9 +12,9 @@
 # locally.
 set -eu
 
-GO=${GO:-go}
 WORKDIR=$(mktemp -d /tmp/rsshard-smoke.XXXXXX)
 trap 'rm -rf "$WORKDIR"' EXIT
+. "$(dirname "$0")/lib.sh"
 
 ROUTER_ADDR=${ROUTER_ADDR:-127.0.0.1:9140}
 METRICS_ADDR=${METRICS_ADDR:-127.0.0.1:9146}
@@ -27,21 +27,7 @@ DOMAIN=${DOMAIN:-60000}
 SPEC="x<20000@$S0,x<40000@$S1,rest@$S2"
 JSON_OUT=${JSON_OUT:-$WORKDIR/load.json}
 
-echo "== build =="
-$GO build -o "$WORKDIR/bin/" ./cmd/rsserve ./cmd/rsrouter ./cmd/rsload ./cmd/rsinspect
-
-wait_ready() {
-    i=0
-    until "$WORKDIR/bin/rsload" -addr "$1" -workers 1 -duration 100ms >/dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -ge 50 ]; then
-            echo "$2 never came up:" >&2
-            cat "$WORKDIR/$2.log" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
+build ./cmd/rsserve ./cmd/rsrouter ./cmd/rsload ./cmd/rsinspect
 
 echo "== boot 3 shards ($SPEC) =="
 SHARD_PIDS=""
@@ -52,15 +38,15 @@ for addr in "$S0" "$S1" "$S2"; do
     SHARD_PIDS="$SHARD_PIDS $!"
     n=$((n + 1))
 done
-wait_ready "$S0" shard0
-wait_ready "$S1" shard1
-wait_ready "$S2" shard2
+wait_up "$S0" "$WORKDIR/shard0.log"
+wait_up "$S1" "$WORKDIR/shard1.log"
+wait_up "$S2" "$WORKDIR/shard2.log"
 
 echo "== boot rsrouter ($ROUTER_ADDR, metrics on $METRICS_ADDR) =="
 "$WORKDIR/bin/rsrouter" -addr "$ROUTER_ADDR" -shards "$SPEC" \
     -metrics "$METRICS_ADDR" >"$WORKDIR/router.log" 2>&1 &
 ROUTER_PID=$!
-wait_ready "$ROUTER_ADDR" router
+wait_up "$ROUTER_ADDR" "$WORKDIR/router.log"
 
 echo "== rsload -cluster ($WORKERS workers, $DURATION, verified through the router) =="
 "$WORKDIR/bin/rsload" -addr "$ROUTER_ADDR" -cluster -verify \
@@ -85,23 +71,12 @@ grep -q '^rangesearch_router_main' "$WORKDIR/metrics.prom" || {
 }
 
 echo "== drain fleet (SIGTERM router first, then shards) =="
-kill -TERM "$ROUTER_PID"
-STATUS=0
-wait "$ROUTER_PID" || STATUS=$?
+drain "$ROUTER_PID" "$WORKDIR/router.log" rsrouter
 cat "$WORKDIR/router.log"
-if [ "$STATUS" -ne 0 ]; then
-    echo "rsrouter exited $STATUS (want 0: clean drain)" >&2
-    exit 1
-fi
+n=0
 for pid in $SHARD_PIDS; do
-    kill -TERM "$pid"
-    STATUS=0
-    wait "$pid" || STATUS=$?
-    if [ "$STATUS" -ne 0 ]; then
-        echo "a shard exited $STATUS (want 0: clean drain, no leaked pages)" >&2
-        cat "$WORKDIR"/shard*.log >&2
-        exit 1
-    fi
+    drain "$pid" "$WORKDIR/shard$n.log" "shard$n"
+    n=$((n + 1))
 done
 
 echo "== independent post-mortem: per-shard checksums + scrub + point counts =="
@@ -109,17 +84,7 @@ SUM=0
 n=0
 while [ "$n" -lt 3 ]; do
     STORE="$WORKDIR/shard$n.db"
-    "$WORKDIR/bin/rsinspect" verify -store "$STORE"
-    MANIFEST="$STORE.manifest.json"
-    hdr=$(sed -n 's/.*"hdr"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$MANIFEST")
-    anchor=$(sed -n 's/.*"anchor"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$MANIFEST")
-    [ -n "$hdr" ] || { echo "no hdr in $MANIFEST" >&2; exit 1; }
-    "$WORKDIR/bin/rsinspect" scrub -store "$STORE" -kind epst -hdr "$hdr" -anchor "$anchor" \
-        -dry -json >"$WORKDIR/scrub$n.json"
-    if grep -q '"leaked"' "$WORKDIR/scrub$n.json"; then
-        echo "shard$n scrub reports leaked pages" >&2
-        exit 1
-    fi
+    verify_scrub "$STORE" "$WORKDIR/scrub$n.json"
     # splitplan doubles as the offline point counter (and proves each
     # store's x-distribution is re-plannable).
     "$WORKDIR/bin/rsinspect" splitplan -store "$STORE" -n 2 -json >"$WORKDIR/splitplan$n.json"

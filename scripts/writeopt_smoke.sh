@@ -12,9 +12,9 @@
 # locally.
 set -eu
 
-GO=${GO:-go}
 WORKDIR=$(mktemp -d /tmp/rsserve-writeopt.XXXXXX)
 trap 'rm -rf "$WORKDIR"' EXIT
+. "$(dirname "$0")/lib.sh"
 
 STORE="$WORKDIR/writeopt.db"
 JOURNAL="$STORE.wbuf"
@@ -27,8 +27,7 @@ WORKERS=${WORKERS:-6}
 BUF_OPS=${BUF_OPS:-200000}
 BUF_AGE=${BUF_AGE:-10m}
 
-echo "== build =="
-$GO build -o "$WORKDIR/bin/" ./cmd/rsserve ./cmd/rsload ./cmd/rsinspect
+build ./cmd/rsserve ./cmd/rsload ./cmd/rsinspect
 
 boot() {
     "$WORKDIR/bin/rsserve" -store "$STORE" -addr "$ADDR" \
@@ -36,17 +35,7 @@ boot() {
         -write-buffer -write-buffer-ops "$BUF_OPS" -write-buffer-age "$BUF_AGE" \
         >"$1" 2>&1 &
     SERVER_PID=$!
-    i=0
-    until "$WORKDIR/bin/rsload" -addr "$ADDR" -workers 1 -duration 100ms >/dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -ge 50 ]; then
-            echo "rsserve never came up:" >&2
-            cat "$1" >&2
-            kill "$SERVER_PID" 2>/dev/null || true
-            exit 1
-        fi
-        sleep 0.1
-    done
+    wait_up "$ADDR" "$1"
 }
 
 echo "== boot rsserve -write-buffer ($STORE, flush at $BUF_OPS ops / $BUF_AGE) =="
@@ -86,34 +75,16 @@ grep -q '^rangesearch_wbuf_serve' "$WORKDIR/metrics.prom" || {
 }
 
 echo "== drain (SIGTERM): buffer folds into the base, journal truncates =="
-kill -TERM "$SERVER_PID"
-SERVER_STATUS=0
-wait "$SERVER_PID" || SERVER_STATUS=$?
+drain "$SERVER_PID" "$WORKDIR/server2.log" rsserve
 cat "$WORKDIR/server2.log"
-if [ "$SERVER_STATUS" -ne 0 ]; then
-    echo "rsserve exited $SERVER_STATUS (want 0: clean drain, buffer folded, no leaks)" >&2
-    exit 1
-fi
 if [ -s "$JOURNAL" ]; then
     echo "journal still holds $(wc -c <"$JOURNAL") bytes after a clean drain" >&2
     exit 1
 fi
 
 echo "== independent post-mortem: checksums + leak scrub =="
-"$WORKDIR/bin/rsinspect" verify -store "$STORE"
-MANIFEST="$STORE.manifest.json"
-hdr=$(sed -n 's/.*"hdr"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$MANIFEST")
-anchor=$(sed -n 's/.*"anchor"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$MANIFEST")
-[ -n "$hdr" ] || { echo "no hdr in $MANIFEST" >&2; exit 1; }
-SCRUB="$WORKDIR/bin/rsinspect scrub -store $STORE -kind epst -hdr $hdr -dry -json"
-if [ -n "$anchor" ]; then
-    SCRUB="$SCRUB -anchor $anchor"
-fi
-$SCRUB | tee "$WORKDIR/scrub.json"
-if grep -q '"leaked"' "$WORKDIR/scrub.json"; then
-    echo "scrub reports leaked pages" >&2
-    exit 1
-fi
+verify_scrub "$STORE" "$WORKDIR/scrub.json"
+cat "$WORKDIR/scrub.json"
 
 if [ -n "${ARTIFACT_DIR:-}" ]; then
     mkdir -p "$ARTIFACT_DIR"
