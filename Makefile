@@ -27,17 +27,23 @@ cover:
 sweep:
 	$(GO) test ./internal/... -run 'FaultSweep|CrashRecovery' -v
 
-# Recovery sweeps: crash each structure's scripted update at EVERY mutating
-# backing-store operation, reopen, run WAL recovery, and assert the state
-# is exactly pre-op or post-op with invariants intact and a clean file.
+# Recovery sweeps: crash each structure's scripted update (from a
+# checkpointed image and from one with a non-empty WAL ring) and a scripted
+# multi-lap commit HISTORY at EVERY mutating backing-store operation, under
+# every disk model (process death, write cache dropped, arbitrary subset of
+# unsynced writes survived, the same with a torn write), reopen, run WAL
+# recovery, and assert the state is exactly pre-op or post-op — a prefix
+# holding every acknowledged commit — with invariants intact and a clean
+# file.
 recover-sweep:
-	$(GO) test ./internal/... -run 'TestRecoverySweep|TestTxRecoverySweepRaw|TestJournalRecoverySweep' -v
+	$(GO) test ./internal/... -run 'TestRecoverySweep|TestTxRecoverySweepRaw|TestTxRecoverySweepHistory|TestJournalRecoverySweep' -v
 
 # Short coverage-guided fuzz of the hostile-input parsers: WAL records,
-# anchors, whole store files, and the rsserve wire-protocol decoders.
+# whole WAL rings under recovery, anchors, whole store files, and the rsserve wire-protocol decoders.
 # CI runs this; longer runs are manual.
 fuzz-short:
 	$(GO) test ./internal/eio -run '^$$' -fuzz 'FuzzWALRecord' -fuzztime 10s
+	$(GO) test ./internal/eio -run '^$$' -fuzz 'FuzzWALRing' -fuzztime 10s
 	$(GO) test ./internal/eio -run '^$$' -fuzz 'FuzzAnchor' -fuzztime 10s
 	$(GO) test ./internal/eio -run '^$$' -fuzz 'FuzzVerifyFile' -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz 'FuzzDecodeRequest' -fuzztime 10s

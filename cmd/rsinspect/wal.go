@@ -10,14 +10,16 @@ import (
 )
 
 // walMain implements `rsinspect wal -store FILE [-anchor ID] [-json]`: an
-// offline, read-only decode of a store's transactional layer — anchors,
-// the current WAL record and its commit state — via eio.InspectTxLayer.
+// offline, read-only decode of a store's transactional layer — anchors and
+// every record in the WAL ring with its commit state — via
+// eio.InspectTxLayer.
 // Without -anchor the directory id is taken from the serving manifest
 // (<store>.manifest.json) rsserve writes next to the store, which also
 // contributes the node's replication role and term to the report. The
 // exit code distinguishes damage from inability to check: 0 when the WAL
-// region is healthy ("applied", "committed-unapplied" or "empty"), 2 on
-// a torn or future record, 1 on usage or I/O errors.
+// region is healthy (every record "applied", "committed-unapplied" or
+// "stale"), 2 on a torn record or a checksum-bad WAL page, 1 on usage or
+// I/O errors.
 func walMain(args []string) {
 	fs := flag.NewFlagSet("wal", flag.ContinueOnError)
 	storePath := fs.String("store", "", "path to a file store with a transactional layer")
@@ -65,9 +67,7 @@ func walMain(args []string) {
 		fatal(err)
 	}
 
-	healthy := info.Record.State == "applied" ||
-		info.Record.State == "committed-unapplied" ||
-		info.Record.State == "empty"
+	healthy := info.Healthy()
 
 	if *asJSON {
 		out := struct {
@@ -82,8 +82,8 @@ func walMain(args []string) {
 			fatal(err)
 		}
 	} else {
-		fmt.Printf("tx layer: dir p%d  wal pages %d (capacity %d images)  applied lsn %d\n",
-			info.Dir, len(info.WALPages), info.Capacity, info.Applied)
+		fmt.Printf("tx layer: dir p%d  wal pages %d (capacity %d images)  checkpoint lsn %d  +%d unapplied\n",
+			info.Dir, len(info.WALPages), info.Capacity, info.Applied, info.Unapplied)
 		if haveManifest && (mf.Role != "" || mf.Term != 0) {
 			fmt.Printf("manifest: role %s  term %d\n", mf.Role, mf.Term)
 		}
@@ -94,14 +94,14 @@ func walMain(args []string) {
 				fmt.Printf("anchor %d: p%-8d INVALID (torn or never written)\n", i, a.Page)
 			}
 		}
-		r := info.Record
-		fmt.Printf("record: state %s  lsn %d  %d page images  %d bytes", r.State, r.LSN, r.Pages, r.Bytes)
-		if r.TornPages > 0 {
-			fmt.Printf("  TORN PAGES %d", r.TornPages)
+		if info.TornPages > 0 {
+			fmt.Printf("wal region: TORN PAGES %d\n", info.TornPages)
 		}
-		fmt.Println()
-		if len(r.PageIDs) > 0 {
-			fmt.Printf("  targets:")
+		if len(info.Records) == 0 {
+			fmt.Println("ring: empty")
+		}
+		for _, r := range info.Records {
+			fmt.Printf("record @%-4d %-19s lsn %d  %d page images  %d bytes  targets:", r.Page, r.State, r.LSN, r.Pages, r.Bytes)
 			for _, id := range r.PageIDs {
 				fmt.Printf(" p%d", id)
 			}

@@ -9,7 +9,8 @@
 //
 //	-mem                volatile:  SnapStore(MemStore)
 //	-store X            durable:   SnapStore(TxStore(FileStore)), WAL
-//	                    group commits, crash-recoverable (default)
+//	                    group commits — one fsync per commit, a checkpoint
+//	                    per lap of the -wal ring — crash-recoverable (default)
 //	-store X -durable=false -pool N
 //	                    volatile cache: SnapStore(ShardedPool(FileStore))
 //
@@ -19,9 +20,11 @@
 // flags beyond -store. A corrupt, truncated, or incomplete manifest fails
 // startup with a diagnostic instead of misopening the store. Reopening a
 // durable store runs WAL crash recovery first, exactly like rsinspect
-// recover, then (unless -boot-scrub=false) reclaims any pages a crash
-// stranded mid-copy-on-write, so a SIGKILL/restart cycle converges back to
-// a leak-free store.
+// recover — every committed record since the last checkpoint is replayed,
+// at most one -wal region of redo — then (unless -boot-scrub=false)
+// reclaims the pages a crash stranded (frees held for the next checkpoint,
+// copy-on-write in flight), so a SIGKILL/restart cycle converges back to a
+// leak-free store.
 //
 // Write-optimized mode (-write-buffer) puts the dynamic-indexability
 // buffered-update decorator (internal/wbuf) between the server and the
@@ -37,9 +40,9 @@
 //
 // On SIGTERM/SIGINT the server drains: the listener closes, in-flight
 // requests finish and flush, the write buffer (if any) folds into the
-// base and truncates its journal, the last epoch commits, and the
-// process exits 0 only if the store is verifiably scrub-clean (no leaked
-// pages) and synced. `rsinspect scrub -dry` on the store afterwards must
+// base and truncates its journal, the last epoch commits, the WAL
+// checkpoints, and the process exits 0 only if the store is verifiably
+// scrub-clean (no leaked pages) and synced. `rsinspect scrub -dry` on the store afterwards must
 // find nothing — the CI smoke job asserts exactly that.
 //
 // Usage:
@@ -196,8 +199,8 @@ func buildMem(pageSize int) (*stack, error) {
 }
 
 // bootScrub reclaims pages a SIGKILL stranded: SnapStore defers frees to
-// the next epoch commit, so a crash leaks (never corrupts) the pages of
-// in-flight copy-on-write updates. After WAL recovery the tree is
+// the next epoch commit and TxStore holds them to the next checkpoint, so
+// a crash leaks (never corrupts) the pages freed since the last one. After WAL recovery the tree is
 // consistent, so anything outside its exact reachability set (plus the
 // transactional metadata) is garbage — free it before serving resumes.
 func bootScrub(tx *eio.TxStore, hdr eio.PageID) (*eio.ScrubReport, error) {
@@ -281,9 +284,8 @@ func buildFile(path string, pageSize int, durable bool, walPages, poolCap int, s
 			fs.Close()
 			return nil, fmt.Errorf("WAL recovery: %w", err)
 		}
-		if ri := tx.Recovery(); ri.Replayed || ri.WALRepaired > 0 || ri.AnchorsRepaired > 0 {
-			fmt.Printf("rsserve: WAL recovery: replayed=%v pages_redone=%d wal_repaired=%d anchors_repaired=%d\n",
-				ri.Replayed, ri.PagesRedone, ri.WALRepaired, ri.AnchorsRepaired)
+		if ri := tx.Recovery(); ri.Dirty() {
+			fmt.Printf("rsserve: WAL recovery: %s\n", ri)
 		}
 		if scrubOnBoot {
 			rep, err := bootScrub(tx, m.Hdr)
@@ -336,8 +338,9 @@ func finish(snap *eio.SnapStore, tracer *eio.TraceStore, idx *core.ThreeSided, t
 }
 
 // drainClean runs the shutdown storage protocol: unpin the serving view,
-// commit the final epoch (applying deferred frees), verify page-exact
-// reachability, sync, close. It returns the number of leaked pages.
+// commit the final epoch (handing deferred frees down), verify page-exact
+// reachability, checkpoint and sync (releasing the held frees), close. It
+// returns the number of leaked pages.
 func (s *stack) drainClean() (int, error) {
 	s.conc.Close()
 	if _, err := s.snap.Commit(); err != nil {

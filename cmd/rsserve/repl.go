@@ -35,8 +35,9 @@ import (
 )
 
 // cutSnapshot clones every live page (data and tx meta alike) under the
-// write barrier: the TxStore is quiescent there, so the file image and
-// the anchors agree at exactly AppliedLSN.
+// write barrier, which checkpoints first: the TxStore is quiescent there
+// with nothing left to replay, so the file image and the anchors agree at
+// exactly AppliedLSN.
 func cutSnapshot(st *stack) func() (*repl.Snapshot, error) {
 	return func() (*repl.Snapshot, error) {
 		var snap *repl.Snapshot
@@ -523,8 +524,12 @@ func (rn *replicaNode) doPromote() (uint64, uint64, error) {
 		return 0, 0, fmt.Errorf("persist term %d: %w", newTerm, err)
 	}
 
-	// Writable stack over the same file. The apply loop is drained, so
-	// anchors are exact and OpenTxStore's recovery is a no-op.
+	// Writable stack over the same file. The apply loop is drained; a
+	// checkpoint makes the anchors exact, so OpenTxStore's recovery is a
+	// no-op (no replay writing behind the old stack's pinned readers).
+	if err := rn.txr.Checkpoint(); err != nil {
+		return 0, 0, fmt.Errorf("promote: checkpoint: %w", err)
+	}
 	tx, err := eio.OpenTxStore(rn.fs, rn.m.Anchor)
 	if err != nil {
 		return 0, 0, fmt.Errorf("promote: reopen tx layer: %w", err)
@@ -648,6 +653,9 @@ func (rn *replicaNode) drain() (int, error) {
 	rn.st.conc.Close()
 	if _, err := rn.st.snap.Commit(); err != nil {
 		return 0, fmt.Errorf("final commit: %w", err)
+	}
+	if err := rn.txr.Checkpoint(); err != nil { // a drained replica reopens with nothing to replay
+		return 0, fmt.Errorf("checkpoint: %w", err)
 	}
 	if err := rn.st.snap.Close(); err != nil { // closes the FileStore too
 		return 0, fmt.Errorf("close: %w", err)

@@ -77,9 +77,10 @@ type ConcurrentOptions struct {
 //     view with a stable Epoch stamp.
 //   - Writers from any number of goroutines are coalesced into group
 //     commits: one leader drains the queue, applies up to maxBatch
-//     operations, and publishes a single new epoch. When the writer Index
-//     is a *Durable, the batch runs inside Durable.Batch — one WAL record
-//     and one fsync schedule for the whole group.
+//     operations — absorbing those that arrive while it is executing —
+//     and publishes a single new epoch. When the writer Index is a
+//     *Durable, the batch runs inside Durable.Batch — one WAL record and
+//     one fsync for the whole group.
 //
 // Per-operation I/O bounds are preserved: a snapshot query reads exactly
 // the pages the same query would read serially (version-chain hits cost no
@@ -188,15 +189,21 @@ func (c *Concurrent) SetCommitGate(fn func() error) {
 	c.wmu.Unlock()
 }
 
-// Barrier acquires commit leadership, runs fn while no group commit can be
-// in flight, and releases. While fn runs the writer's store is quiescent —
-// the TxStore has no open transaction and its anchors exactly describe the
-// on-disk state — which is what a replication bootstrap needs to cut a
+// Barrier acquires commit leadership, checkpoints a durable writer's store,
+// runs fn while no group commit can be in flight, and releases. While fn
+// runs the writer's store is quiescent — the TxStore has no open
+// transaction, no record left to replay, and its anchors exactly describe
+// the on-disk state — which is what a replication bootstrap needs to cut a
 // consistent full-store snapshot. Writers queue behind fn (and may shed
 // BUSY under admission control); readers are unaffected.
 func (c *Concurrent) Barrier(fn func() error) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if c.durable != nil {
+		if err := c.durable.Sync(); err != nil {
+			return err
+		}
+	}
 	return fn()
 }
 
@@ -249,11 +256,11 @@ func (c *Concurrent) Apply(ops []BatchOp, sp *trace.Span) []BatchResult {
 		c.rec.RecordLockWait(time.Since(start))
 	}
 	for !resolved(last) {
-		batch := c.take(first)
-		if len(batch) == 0 {
+		c.batch = c.batch[:0]
+		if len(c.take(first)) == 0 {
 			break // the run was committed by a previous leader
 		}
-		c.runBatch(batch)
+		c.runBatch(first)
 	}
 	c.wmu.Unlock()
 	<-last.done
@@ -280,24 +287,22 @@ func resolved(last *pendingOp) bool {
 	}
 }
 
-// take moves up to maxBatch operations from the head of the queue into the
-// leader's batch. own is the first op of the calling leader's run: a traced
-// run leaving the queue records its wait as the leadership phase when this
-// leader enqueued it itself (it waited to BECOME the leader) and as the
-// queue phase when another submitter did (it waited FOR a leader). The two
-// intervals are the same enqueue→drain span viewed from different sides, so
-// recording exactly one of them keeps a span's phases disjoint. Callers
-// hold wmu.
+// take moves operations from the head of the queue onto the end of the
+// leader's batch, up to maxBatch in all, and returns the ones it added. own
+// is the first op of the calling leader's run: a traced run leaving the
+// queue records its wait as the leadership phase when this leader enqueued
+// it itself (it waited to BECOME the leader) and as the queue phase when
+// another submitter did (it waited FOR a leader). The two intervals are the
+// same enqueue→drain span viewed from different sides, so recording exactly
+// one of them keeps a span's phases disjoint. Callers hold wmu.
 func (c *Concurrent) take(own *pendingOp) []*pendingOp {
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
-	n := len(c.queue)
-	if n > maxBatch {
-		n = maxBatch
-	}
-	c.batch = append(c.batch[:0], c.queue[:n]...)
+	had := len(c.batch)
+	n := min(len(c.queue), maxBatch-had)
+	c.batch = append(c.batch, c.queue[:n]...)
 	c.queue = c.queue[:copy(c.queue, c.queue[n:])]
-	for _, op := range c.batch {
+	for _, op := range c.batch[had:] {
 		if op.sp != nil && !op.enq.IsZero() {
 			ph := trace.PhaseQueue
 			if op == own {
@@ -306,7 +311,7 @@ func (c *Concurrent) take(own *pendingOp) []*pendingOp {
 			op.sp.AddPhase(ph, time.Since(op.enq))
 		}
 	}
-	return c.batch
+	return c.batch[had:]
 }
 
 // benign reports errors that are a legitimate per-operation outcome rather
@@ -316,52 +321,55 @@ func benign(err error) bool {
 	return errors.Is(err, ErrDuplicate) || errors.Is(err, ErrCoordRange)
 }
 
-// runBatch applies the batch through the writer index and publishes one
-// new epoch. Callers hold wmu.
-func (c *Concurrent) runBatch(batch []*pendingOp) {
+// runBatch applies the leader's batch (c.batch, as take filled it) through
+// the writer index and publishes one new epoch. own is the first op of the
+// leader's own run, for take. Callers hold wmu.
+func (c *Concurrent) runBatch(own *pendingOp) {
 	start := time.Now()
 	traced := false
-	for _, op := range batch {
-		if op.sp != nil {
-			traced = true
-			break
-		}
-	}
 	var execSum time.Duration
+	// apply executes what the leader took and then whatever has queued up
+	// meanwhile, until the queue is empty or the batch full: a writer that
+	// arrives while the leader is executing rides this commit's fsync instead
+	// of waiting it out and then paying its own. No timer and no wait — the
+	// leader only ever takes what is already there.
 	apply := func(idx Index) error {
-		for _, op := range batch {
-			var opStart time.Time
-			if op.sp != nil {
-				opStart = time.Now()
-				if c.tracer != nil {
-					// Exclusive under wmu: readers run on snapshot views,
-					// never through the writer tracer, so the swap cannot
-					// misattribute a concurrent reader's I/O.
-					c.tracer.SetSink(eio.NewSpanSink(op.sp))
+		for ops := c.batch; len(ops) > 0; ops = c.take(own) {
+			for _, op := range ops {
+				var opStart time.Time
+				if op.sp != nil {
+					traced = true
+					opStart = time.Now()
+					if c.tracer != nil {
+						// Exclusive under wmu: readers run on snapshot views,
+						// never through the writer tracer, so the swap cannot
+						// misattribute a concurrent reader's I/O.
+						c.tracer.SetSink(eio.NewSpanSink(op.sp))
+					}
 				}
-			}
-			if op.Delete {
-				op.res.Found, op.res.Err = idx.Delete(op.P)
-			} else {
-				op.res.Err = idx.Insert(op.P)
-			}
-			if op.sp != nil {
-				if c.tracer != nil {
-					c.tracer.SetSink(nil)
+				if op.Delete {
+					op.res.Found, op.res.Err = idx.Delete(op.P)
+				} else {
+					op.res.Err = idx.Insert(op.P)
 				}
-				d := time.Since(opStart)
-				execSum += d
-				op.sp.AddPhase(trace.PhaseExecute, d)
-			}
-			if err := op.res.Err; err != nil && !benign(err) {
-				return err
+				if op.sp != nil {
+					if c.tracer != nil {
+						c.tracer.SetSink(nil)
+					}
+					d := time.Since(opStart)
+					execSum += d
+					op.sp.AddPhase(trace.PhaseExecute, d)
+				}
+				if err := op.res.Err; err != nil && !benign(err) {
+					return err
+				}
 			}
 		}
 		return nil
 	}
 
 	var txBefore eio.TxTimings
-	if traced && c.durable != nil {
+	if c.durable != nil {
 		txBefore = c.durable.Tx().Timings()
 	}
 	var applyErr error
@@ -370,6 +378,8 @@ func (c *Concurrent) runBatch(batch []*pendingOp) {
 	} else {
 		applyErr = apply(c.writer)
 	}
+
+	batch := c.batch // complete: apply has returned, nothing joins after the commit point
 
 	// recordPhases must run before any run is released: the waiter on the
 	// other side finishes and emits the span as soon as it unblocks.
@@ -420,23 +430,23 @@ func (c *Concurrent) runBatch(batch []*pendingOp) {
 }
 
 // recordBatchPhases distributes the batch-level commit cost over the
-// traced members of a just-committed (or failed) group. WAL-append and
-// sync time come from the TxStore's cumulative timing counters — the
-// leader serialized with the commit, so the delta is exactly this
-// batch's. The commit phase is the remainder of the batch wall time not
-// already attributed to execute/WAL/sync: the in-place apply, anchor
-// write, deferred frees and epoch publish. All three are properties of
-// the whole group (one WAL record, one fsync schedule), so each traced
-// span in the group carries the full value once — the span answers
+// traced members of a just-committed (or failed) group. WAL-append, sync
+// and checkpoint time come from the TxStore's cumulative timing counters —
+// the leader serialized with the commit, so the delta is exactly this
+// batch's, and a checkpoint (the ring was full) shows up on the commit
+// that ran it, as its own phase, rather than inflating every commit's
+// sync. The commit phase is the remainder of the batch wall time not
+// already attributed: the in-place apply and the epoch publish. All four
+// are properties of the whole group (one WAL record, one fsync), so each
+// traced span in the group carries the full value once — the span answers
 // "what did this request wait through", not "what share did it consume".
 func (c *Concurrent) recordBatchPhases(batch []*pendingOp, start time.Time, execSum time.Duration, txBefore eio.TxTimings) {
 	batchDur := time.Since(start)
-	var wal, fsync time.Duration
+	var delta eio.TxTimings
 	if c.durable != nil {
-		delta := c.durable.Tx().Timings().Sub(txBefore)
-		wal, fsync = delta.WALAppend, delta.Sync
+		delta = c.durable.Tx().Timings().Sub(txBefore)
 	}
-	commit := batchDur - execSum - wal - fsync
+	commit := batchDur - execSum - delta.WALAppend - delta.Sync - delta.Checkpoint
 	if commit < 0 {
 		commit = 0
 	}
@@ -446,8 +456,9 @@ func (c *Concurrent) recordBatchPhases(batch []*pendingOp, start time.Time, exec
 			continue
 		}
 		prev = op.sp
-		op.sp.AddPhase(trace.PhaseWALAppend, wal)
-		op.sp.AddPhase(trace.PhaseSync, fsync)
+		op.sp.AddPhase(trace.PhaseWALAppend, delta.WALAppend)
+		op.sp.AddPhase(trace.PhaseSync, delta.Sync)
+		op.sp.AddPhase(trace.PhaseCheckpoint, delta.Checkpoint)
 		op.sp.AddPhase(trace.PhaseCommit, commit)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -268,6 +269,83 @@ func TestConcurrentDurableGroupCommit(t *testing.T) {
 	}
 	if int64(n)+dups.Load() != writers*per {
 		t.Fatalf("Len %d + dups %d != %d submitted", n, dups.Load(), writers*per)
+	}
+	t.Run("late-join", testConcurrentLateJoin)
+}
+
+// holdStore is a pass-through whose next Read runs a one-shot hook first:
+// the test's handle for stopping a commit leader in the middle of an op.
+type holdStore struct {
+	eio.Store
+	hook atomic.Pointer[func()]
+}
+
+func (h *holdStore) Read(id eio.PageID, buf []byte) error {
+	if f := h.hook.Swap(nil); f != nil {
+		(*f)()
+	}
+	return h.Store.Read(id, buf)
+}
+
+// testConcurrentLateJoin pins that a leader absorbs a writer that arrives
+// while it is executing — deterministically: the leader is held inside its
+// first op until the second writer is in the queue, so the outcome does not
+// depend on timing. Both writes must then commit as ONE batch: one WAL
+// record, one LSN, one RecordBatch of size 2.
+func testConcurrentLateJoin(t *testing.T) {
+	tx, err := eio.NewTxStore(eio.NewMemStore(512), eio.TxOptions{WALPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := eio.NewSnapStore(tx, 0)
+	hold := &holdStore{Store: snap}
+	idx, err := NewThreeSided(hold, epst.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := idx.HeaderID()
+	if _, err := snap.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rec := &countingRecorder{}
+	c, err := NewConcurrent(NewDurable(idx, tx), snap,
+		func(s eio.Store) (Index, error) { return OpenThreeSided(s, hdr) },
+		ConcurrentOptions{Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lsn0 := c.Position()
+
+	executing, release := make(chan struct{}), make(chan struct{})
+	hook := func() { close(executing); <-release }
+	hold.hook.Store(&hook)
+	lsns := make(chan uint64, 2)
+	write := func(x int64) {
+		if err := c.Insert(geom.Point{X: x, Y: 1}); err != nil {
+			t.Errorf("insert %d: %v", x, err)
+		}
+		_, lsn := c.Position()
+		lsns <- lsn
+	}
+	go write(1)
+	<-executing // the leader took its own op and is inside it
+	go write(2)
+	for queued := 0; queued == 0; runtime.Gosched() {
+		c.qmu.Lock()
+		queued = len(c.queue)
+		c.qmu.Unlock()
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if lsn := <-lsns; lsn != lsn0+1 {
+			t.Fatalf("a writer was acknowledged at lsn %d, want both at %d", lsn, lsn0+1)
+		}
+	}
+	if b, ops := rec.batches.Load(), rec.ops.Load(); b != 1 || ops != 2 {
+		t.Fatalf("recorder saw %d batches carrying %d ops, want one batch of 2", b, ops)
+	}
+	if n, err := c.Len(); err != nil || n != 2 {
+		t.Fatalf("Len = %d, %v", n, err)
 	}
 }
 

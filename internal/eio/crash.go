@@ -3,6 +3,7 @@ package eio
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 )
 
@@ -31,9 +32,13 @@ type syncer interface {
 //     behind — the committed superblock never points at them.
 //   - Sync flushes buffered writes in order, applies deferred frees, and
 //     then syncs the inner store, making everything durable.
-//   - Crash drops all un-synced work. In torn-write mode the last buffered
-//     write is additionally applied as a partial prefix with a stale
-//     checksum trailer — the worst-case image a power loss can leave.
+//   - Crash drops all un-synced work. In subset-survival mode an arbitrary
+//     subset of the buffered writes reaches the disk first, in arbitrary
+//     order, while frees and the allocation state stay lost — what a
+//     write cache that reorders between barriers can leave. In torn-write
+//     mode the last buffered write that did not survive is additionally
+//     applied as a partial prefix with a stale checksum trailer — the
+//     worst-case image a power loss can leave.
 //
 // After Crash the CrashStore is dead (every operation fails with
 // ErrCrashed) and the inner store holds the post-crash disk image: close
@@ -43,6 +48,7 @@ type CrashStore struct {
 	inner   Store
 	rng     *rand.Rand
 	torn    bool
+	subset  bool
 	crashed bool
 
 	log   []pendingWrite      // buffered writes, oldest first
@@ -73,6 +79,18 @@ func (c *CrashStore) SetTornWrites(on bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.torn = on
+}
+
+// SetSubsetSurvival toggles partial survival on Crash: each un-synced write
+// independently reaches the inner store or not (with a per-crash
+// probability drawn from the seed, up to "all of them"), in shuffled order,
+// while deferred frees and everything the inner store commits only on Sync
+// are lost. A protocol that applies writes unsynced across many commits
+// must recover from every such image, not just from "nothing survived".
+func (c *CrashStore) SetSubsetSurvival(on bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.subset = on
 }
 
 // Crashed reports whether Crash has been called.
@@ -190,7 +208,14 @@ func (c *CrashStore) Sync() error {
 	}
 	c.log = c.log[:0]
 	clear(c.index)
+	// In id order, not map order: the inner free list — and with it every
+	// later Alloc — must come out the same on every run of a seed.
+	ids := make([]PageID, 0, len(c.freed))
 	for id := range c.freed {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
 		if err := c.inner.Free(id); err != nil {
 			return fmt.Errorf("eio: sync free: %w", err)
 		}
@@ -204,10 +229,12 @@ func (c *CrashStore) Sync() error {
 	return nil
 }
 
-// Crash simulates power loss: every un-synced write and free is dropped.
-// In torn-write mode the most recent buffered write is applied as a
-// partial prefix (at least one byte, never the whole slot) with a stale
-// checksum trailer. It returns the id of the torn page, or NilPage.
+// Crash simulates power loss: every un-synced write and free is dropped —
+// except, in subset-survival mode, the writes the seed lets through. In
+// torn-write mode the most recent buffered write that did not survive is
+// applied as a partial prefix (at least one byte, never the whole slot)
+// with a stale checksum trailer. It returns the id of the torn page, or
+// NilPage.
 //
 // The CrashStore is unusable afterwards; the inner store holds the
 // post-crash image. For a FileStore, call CloseCrash and reopen the path
@@ -219,6 +246,19 @@ func (c *CrashStore) Crash() (PageID, error) {
 		return NilPage, fmt.Errorf("eio: crash: %w", ErrCrashed)
 	}
 	c.crashed = true
+	if c.subset {
+		p := float64(1+c.rng.Intn(4)) / 4
+		for _, i := range c.rng.Perm(len(c.log)) {
+			w := &c.log[i]
+			if w.id == NilPage || c.rng.Float64() >= p {
+				continue
+			}
+			if err := c.inner.Write(w.id, w.data); err != nil {
+				return NilPage, fmt.Errorf("eio: surviving write of page %d: %w", w.id, err)
+			}
+			w.id = NilPage // on disk whole: not a candidate for tearing
+		}
+	}
 	torn := NilPage
 	if c.torn {
 		for i := len(c.log) - 1; i >= 0; i-- {

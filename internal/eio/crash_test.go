@@ -399,6 +399,66 @@ func TestCrashStoreDropsUnsyncedWrites(t *testing.T) {
 	}
 }
 
+// TestCrashStoreSubsetSurvival pins the subset-survival disk model: across
+// seeds a crash leaves every mix of old and new page images — whole pages
+// only, synced state untouched, frees and the torn-write candidate aside —
+// and a given seed leaves the same mix every time.
+func TestCrashStoreSubsetSurvival(t *testing.T) {
+	const pages = 6
+	image := func(seed int64) string {
+		mem := NewMemStore(64)
+		cs := NewCrashStore(mem, seed)
+		cs.SetSubsetSurvival(true)
+		var ids [pages]PageID
+		for i := range ids {
+			ids[i], _ = cs.Alloc()
+			if err := cs.Write(ids[i], bytes.Repeat([]byte{1}, 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids[:pages-1] {
+			if err := cs.Write(id, bytes.Repeat([]byte{2}, 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cs.Free(ids[pages-1]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cs.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		buf := make([]byte, 64)
+		for _, id := range ids {
+			if err := mem.Read(id, buf); err != nil {
+				t.Fatalf("seed %d: page %d: %v (a free survived the crash?)", seed, id, err)
+			}
+			if !bytes.Equal(buf, bytes.Repeat(buf[:1], 64)) || buf[0] < 1 || buf[0] > 2 {
+				t.Fatalf("seed %d: page %d is neither image whole: % x", seed, id, buf[:8])
+			}
+			got = append(got, '0'+buf[0])
+		}
+		return string(got)
+	}
+	seen := map[string]bool{}
+	for seed := int64(0); seed < 64; seed++ {
+		img := image(seed)
+		if img != image(seed) {
+			t.Fatalf("seed %d does not reproduce", seed)
+		}
+		if img[pages-1] != '1' {
+			t.Fatalf("seed %d: unwritten page changed: %s", seed, img)
+		}
+		seen[img] = true
+	}
+	if !seen["111111"] || !seen["222221"] || len(seen) < 8 {
+		t.Fatalf("64 seeds produced only %d distinct images (none/all survived: %v/%v)", len(seen), seen["111111"], seen["222221"])
+	}
+}
+
 // TestFileStoreV1Compat handcrafts a v1-format file (what the first build
 // wrote: no checksums, one superblock in page slot 0) and checks that both
 // entry points reject it by name instead of misparsing it, and leave the

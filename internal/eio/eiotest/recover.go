@@ -15,9 +15,10 @@ import (
 // RecoveryWorkload scripts one structure operation for the crash-recovery
 // sweep: RecoverySweep builds the structure once on a transactional
 // file-backed store, then crashes the backing store at EVERY mutating
-// operation the scripted op performs, reopens the file, runs recovery
-// (eio.OpenTxStore), and asserts that the structure's full state is
-// exactly the pre-op or the post-op state with invariants intact and a
+// operation the scripted op's commit and the checkpoint after it perform,
+// reopens the file, runs recovery (eio.OpenTxStore), and asserts that the
+// structure's full state is exactly the pre-op or the post-op state — the
+// post-op state once the commit returned — with invariants intact and a
 // clean eio.VerifyFile.
 type RecoveryWorkload struct {
 	// Name labels sweep sub-tests.
@@ -34,6 +35,12 @@ type RecoveryWorkload struct {
 	// one deterministic logical update (an Insert or a Delete). The
 	// harness runs it inside a single transaction; it must change State.
 	Op func(st eio.Store, hdr eio.PageID) error
+	// Prefix, when set, is a second deterministic update independent of
+	// Op. The sweep then runs a second time with Prefix committed but NOT
+	// checkpointed before Op: the crashed image holds a non-empty WAL ring,
+	// recovery has to replay Prefix's record and then (maybe) Op's, and the
+	// recovered state must contain Prefix either way.
+	Prefix func(st eio.Store, hdr eio.PageID) error
 	// State opens the structure on st, audits its invariants, and returns
 	// a canonical dump of its full contents. Two calls returning the same
 	// string mean the same logical state.
@@ -48,47 +55,55 @@ type RecoveryWorkload struct {
 	MaxRuns int
 }
 
-// RecoverySweep crashes w.Op at every backing-store mutating operation
-// (writes, allocs, frees and syncs) and asserts before-or-after recovery
-// semantics. Each crash point runs twice: against the bare FileStore
-// (writes reach the file immediately; the crash truncates the op) and
-// under an eio.CrashStore with torn writes (unsynced writes vanish and the
-// last in-flight one is torn — the worst image a power loss can leave).
+// crashVariants are the disk models each crash point runs under: the bare
+// FileStore (writes reach the file immediately; the crash truncates the
+// op), an eio.CrashStore with torn writes (unsynced writes vanish and the
+// last in-flight one is torn) and a CrashStore in subset-survival mode (an
+// arbitrary subset of the unsynced writes reaches the disk, allocation
+// state stale, one of the others torn).
+var crashVariants = []string{"direct", "cached", "subset"}
+
+// RecoverySweep crashes w.Op's transaction and the checkpoint that follows
+// it at every backing-store mutating operation (writes, allocs, frees and
+// syncs) and asserts before-or-after recovery semantics under each of
+// crashVariants — from a checkpointed pre-op image and, when w.Prefix is
+// set, again from one whose WAL ring is not empty.
 func RecoverySweep(t *testing.T, w RecoveryWorkload) {
 	t.Helper()
 	dir := t.TempDir()
 	pre := filepath.Join(dir, "preop.db")
+	hdr, anchor := buildPreOp(t, w, pre)
 
-	// Build the pre-op image.
-	hdr, anchor, stateBefore := buildPreOp(t, w, pre)
-
-	// Baseline: run the op uncrashed on a copy, counting its mutating
-	// store operations and capturing the post-op state.
-	total, stateAfter := baselineOp(t, w, pre, dir, hdr, anchor)
-	if stateAfter == stateBefore {
-		t.Fatalf("%s: op did not change the structure state", w.Name)
-	}
-
-	ks := sampleOps(total, w.MaxRuns)
-	t.Logf("%s: recovery sweep over %d of %d mutating ops", w.Name, len(ks), total)
-	for _, k := range ks {
-		k := k
-		for _, cached := range []bool{false, true} {
-			cached := cached
-			variant := "direct"
-			if cached {
-				variant = "cached"
+	for _, ring := range []bool{false, true} {
+		label := ""
+		if ring {
+			if w.Prefix == nil {
+				break
 			}
-			t.Run(fmt.Sprintf("%s/op%d/%s", w.Name, k, variant), func(t *testing.T) {
-				recoverOne(t, w, pre, dir, hdr, anchor, k, cached, stateBefore, stateAfter)
-			})
+			label = "ring/"
+		}
+		r := sweepRun{w: w, pre: pre, dir: dir, hdr: hdr, anchor: anchor, ring: ring}
+		// Baseline: run uncrashed on a copy, counting the mutating store
+		// operations and capturing the states on either side of the op.
+		total := r.run(t, "baseline", 0)
+		if r.after == r.before {
+			t.Fatalf("%s: op did not change the structure state", w.Name)
+		}
+		ks := sampleOps(total, w.MaxRuns)
+		t.Logf("%s%s: recovery sweep over %d of %d mutating ops", w.Name, label, len(ks), total)
+		for _, k := range ks {
+			for _, variant := range crashVariants {
+				t.Run(fmt.Sprintf("%s/%sop%d/%s", w.Name, label, k, variant), func(t *testing.T) {
+					r.run(t, variant, k)
+				})
+			}
 		}
 	}
 }
 
 // buildPreOp creates the structure on a fresh transactional FileStore at
-// path and returns its header, the TxStore anchor, and the pre-op state.
-func buildPreOp(t *testing.T, w RecoveryWorkload, path string) (eio.PageID, eio.PageID, string) {
+// path and returns its header and the TxStore anchor.
+func buildPreOp(t *testing.T, w RecoveryWorkload, path string) (eio.PageID, eio.PageID) {
 	t.Helper()
 	fs, err := eio.CreateFileStore(path, w.PageSize)
 	if err != nil {
@@ -102,8 +117,7 @@ func buildPreOp(t *testing.T, w RecoveryWorkload, path string) (eio.PageID, eio.
 	if err != nil {
 		t.Fatalf("%s: build: %v", w.Name, err)
 	}
-	state, err := w.State(tx, hdr)
-	if err != nil {
+	if _, err := w.State(tx, hdr); err != nil {
 		t.Fatalf("%s: pre-op state: %v", w.Name, err)
 	}
 	anchor := tx.Anchor()
@@ -117,51 +131,30 @@ func buildPreOp(t *testing.T, w RecoveryWorkload, path string) (eio.PageID, eio.
 	if rep.Damaged() {
 		t.Fatalf("%s: pre-op file damaged:\n%s", w.Name, rep)
 	}
-	return hdr, anchor, state
+	return hdr, anchor
 }
 
-// baselineOp runs the op to completion on a copy of the pre-op image,
-// returning the number of mutating store ops it performed and the post-op
-// state.
-func baselineOp(t *testing.T, w RecoveryWorkload, pre, dir string, hdr, anchor eio.PageID) (int, string) {
-	t.Helper()
-	path := filepath.Join(dir, "baseline.db")
-	copyFile(t, pre, path)
-	fs, err := eio.OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("%s: open baseline copy: %v", w.Name, err)
-	}
-	cp := newCrashPoint(fs, 0)
-	tx, err := eio.OpenTxStore(cp, anchor)
-	if err != nil {
-		t.Fatalf("%s: open tx layer: %v", w.Name, err)
-	}
-	if r := tx.Recovery(); r.Dirty() {
-		t.Fatalf("%s: clean image needed recovery: %s", w.Name, r)
-	}
-	if err := tx.Update(func() error { return w.Op(tx, hdr) }); err != nil {
-		t.Fatalf("%s: baseline op failed: %v", w.Name, err)
-	}
-	total := cp.count()
-	state, err := w.State(tx, hdr)
-	if err != nil {
-		t.Fatalf("%s: post-op state: %v", w.Name, err)
-	}
-	if err := tx.Close(); err != nil {
-		t.Fatalf("%s: close baseline store: %v", w.Name, err)
-	}
-	if total == 0 {
-		t.Fatalf("%s: op performed no mutating store operations", w.Name)
-	}
-	return total, state
+// sweepRun is one pre-op image of a workload and the states that may
+// follow it: before is the state the op starts from (with the prefix
+// commit in it when ring is set), after the state once the op committed.
+type sweepRun struct {
+	w             RecoveryWorkload
+	pre, dir      string
+	hdr, anchor   eio.PageID
+	ring          bool
+	before, after string
 }
 
-// recoverOne crashes the op at mutating operation k, recovers, and checks
-// before-or-after semantics.
-func recoverOne(t *testing.T, w RecoveryWorkload, pre, dir string, hdr, anchor eio.PageID, k int, cached bool, stateBefore, stateAfter string) {
+// run executes the op's transaction and the checkpoint after it on a copy
+// of the pre-op image under one disk model. With k == 0 (the baseline) it
+// runs to completion, records before/after and returns the number of
+// mutating store operations; with k > 0 it crashes at the k-th, recovers,
+// and checks before-or-after semantics.
+func (r *sweepRun) run(t *testing.T, variant string, k int) int {
 	t.Helper()
-	path := filepath.Join(dir, fmt.Sprintf("crash-%d-%v.db", k, cached))
-	copyFile(t, pre, path)
+	w := r.w
+	path := filepath.Join(r.dir, fmt.Sprintf("run-%v-%d-%s.db", r.ring, k, variant))
+	copyFile(t, r.pre, path)
 	defer os.Remove(path)
 
 	fs, err := eio.OpenFileStore(path)
@@ -170,18 +163,51 @@ func recoverOne(t *testing.T, w RecoveryWorkload, pre, dir string, hdr, anchor e
 	}
 	var base eio.Store = fs
 	var cs *eio.CrashStore
-	if cached {
+	if variant == "cached" || variant == "subset" {
 		cs = eio.NewCrashStore(fs, int64(1000+k))
 		cs.SetTornWrites(true)
+		cs.SetSubsetSurvival(variant == "subset")
 		base = cs
 	}
-	cp := newCrashPoint(base, k)
-	tx, err := eio.OpenTxStore(cp, anchor)
+	cp := NewCrashPoint(base)
+	tx, err := eio.OpenTxStore(cp, r.anchor)
 	if err != nil {
 		t.Fatalf("open tx layer: %v", err)
 	}
+	if ri := tx.Recovery(); ri.Dirty() {
+		t.Fatalf("clean image needed recovery: %s", ri)
+	}
+	if r.ring {
+		// Committed, not checkpointed: its record stays in the ring.
+		if err := tx.Update(func() error { return w.Prefix(tx, r.hdr) }); err != nil {
+			t.Fatalf("prefix commit failed: %v", err)
+		}
+	}
+	if k == 0 {
+		if r.before, err = w.State(tx, r.hdr); err != nil {
+			t.Fatalf("pre-op state: %v", err)
+		}
+	}
 
-	err = updateGuarded(tx, func() error { return w.Op(tx, hdr) })
+	cp.Arm(k)
+	err = updateGuarded(tx, func() error { return w.Op(tx, r.hdr) })
+	committed := err == nil
+	if committed {
+		err = tx.Sync() // the checkpoint: apply barrier, anchor, held frees
+	}
+	if k == 0 {
+		if err != nil {
+			t.Fatalf("baseline op failed: %v", err)
+		}
+		total := cp.Count()
+		if r.after, err = w.State(tx, r.hdr); err != nil {
+			t.Fatalf("post-op state: %v", err)
+		}
+		if err := tx.Close(); err != nil {
+			t.Fatalf("close baseline store: %v", err)
+		}
+		return total
+	}
 	if err == nil {
 		t.Fatalf("crash at mutating op %d was not reached (op finished)", k)
 	}
@@ -192,7 +218,8 @@ func recoverOne(t *testing.T, w RecoveryWorkload, pre, dir string, hdr, anchor e
 	if !errors.Is(err, eio.ErrCrashed) {
 		t.Fatalf("crash at op %d surfaced as a non-crash error: %v", k, err)
 	}
-	if cached {
+	acked := tx.AppliedLSN()
+	if cs != nil {
 		if _, err := cs.Crash(); err != nil {
 			t.Fatalf("crash cache: %v", err)
 		}
@@ -206,24 +233,25 @@ func recoverOne(t *testing.T, w RecoveryWorkload, pre, dir string, hdr, anchor e
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
-	tx2, err := eio.OpenTxStore(fs2, anchor)
+	tx2, err := eio.OpenTxStore(fs2, r.anchor)
 	if err != nil {
 		t.Fatalf("recovery failed (crash at op %d): %v", k, err)
 	}
-	state, err := w.State(tx2, hdr)
+	if got := tx2.AppliedLSN(); got < acked {
+		t.Fatalf("crash at op %d: recovered lsn %d below acknowledged lsn %d (recovery %s)", k, got, acked, tx2.Recovery())
+	}
+	state, err := w.State(tx2, r.hdr)
 	if err != nil {
 		t.Fatalf("post-recovery state audit failed (crash at op %d, recovery %s): %v", k, tx2.Recovery(), err)
 	}
-	switch state {
-	case stateBefore, stateAfter:
-	default:
-		t.Fatalf("crash at op %d recovered to a third state (recovery %s):\npre:  %s\npost: %s\ngot:  %s",
-			k, tx2.Recovery(), stateBefore, stateAfter, state)
+	if state != r.after && (committed || state != r.before) {
+		t.Fatalf("crash at op %d (op committed: %v) recovered to the wrong state (recovery %s):\npre:  %s\npost: %s\ngot:  %s",
+			k, committed, tx2.Recovery(), r.before, r.after, state)
 	}
 
 	// Scrub leaked allocations; the logical state must not move.
 	if w.Reachable != nil {
-		reach, err := w.Reachable(tx2, hdr)
+		reach, err := w.Reachable(tx2, r.hdr)
 		if err != nil {
 			t.Fatalf("reachability walk failed (crash at op %d): %v", k, err)
 		}
@@ -235,7 +263,7 @@ func recoverOne(t *testing.T, w RecoveryWorkload, pre, dir string, hdr, anchor e
 		if err != nil {
 			t.Fatalf("scrub failed (crash at op %d): %v", k, err)
 		}
-		after, err := w.State(tx2, hdr)
+		after, err := w.State(tx2, r.hdr)
 		if err != nil {
 			t.Fatalf("post-scrub state audit failed (crash at op %d, %s): %v", k, rep, err)
 		}
@@ -254,6 +282,7 @@ func recoverOne(t *testing.T, w RecoveryWorkload, pre, dir string, hdr, anchor e
 	if rep.Damaged() {
 		t.Fatalf("recovered file damaged (crash at op %d):\n%s", k, rep)
 	}
+	return 0
 }
 
 // updateGuarded runs tx.Update(fn) converting panics into errors.
@@ -278,32 +307,40 @@ func copyFile(t *testing.T, src, dst string) {
 	}
 }
 
-// crashPoint wraps a store and simulates fail-stop process death at the
-// k-th mutating operation (Write, Alloc, Free or Sync): that operation and
-// every operation after it — reads included — fail with eio.ErrCrashed
-// without reaching the inner store. Unlike FaultStore's one-shot faults,
-// nothing executes past the crash, so the disk image is frozen exactly as
-// the crash left it.
-type crashPoint struct {
+// CrashPoint wraps a store and simulates fail-stop process death at the
+// k-th mutating operation (Write, Alloc, Free or Sync) after Arm: that
+// operation and every operation after it — reads included — fail with
+// eio.ErrCrashed without reaching the inner store. Unlike FaultStore's
+// one-shot faults, nothing executes past the crash, so the disk image is
+// frozen exactly as the crash left it.
+type CrashPoint struct {
 	mu    sync.Mutex
 	inner eio.Store
-	n     int // mutating operations seen
+	n     int // mutating operations seen since Arm
 	k     int // crash at the k-th (0 = never, count only)
 	dead  bool
 }
 
-func newCrashPoint(inner eio.Store, k int) *crashPoint {
-	return &crashPoint{inner: inner, k: k}
+// NewCrashPoint wraps inner, counting only until Arm sets a crash point.
+func NewCrashPoint(inner eio.Store) *CrashPoint { return &CrashPoint{inner: inner} }
+
+// Arm restarts the count and sets the crash point: the k-th mutating
+// operation from now dies (k == 0 never does).
+func (c *CrashPoint) Arm(k int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.n, c.k = 0, k
 }
 
-func (c *crashPoint) count() int {
+// Count returns the mutating operations seen since Arm.
+func (c *CrashPoint) Count() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.n
 }
 
 // trip counts a mutating operation and reports whether the store is dead.
-func (c *crashPoint) trip() error {
+func (c *CrashPoint) trip() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.dead {
@@ -318,23 +355,23 @@ func (c *crashPoint) trip() error {
 	return nil
 }
 
-func (c *crashPoint) PageSize() int { return c.inner.PageSize() }
+func (c *CrashPoint) PageSize() int { return c.inner.PageSize() }
 
-func (c *crashPoint) Alloc() (eio.PageID, error) {
+func (c *CrashPoint) Alloc() (eio.PageID, error) {
 	if err := c.trip(); err != nil {
 		return eio.NilPage, err
 	}
 	return c.inner.Alloc()
 }
 
-func (c *crashPoint) Free(id eio.PageID) error {
+func (c *CrashPoint) Free(id eio.PageID) error {
 	if err := c.trip(); err != nil {
 		return err
 	}
 	return c.inner.Free(id)
 }
 
-func (c *crashPoint) Read(id eio.PageID, buf []byte) error {
+func (c *CrashPoint) Read(id eio.PageID, buf []byte) error {
 	c.mu.Lock()
 	dead := c.dead
 	c.mu.Unlock()
@@ -344,7 +381,7 @@ func (c *crashPoint) Read(id eio.PageID, buf []byte) error {
 	return c.inner.Read(id, buf)
 }
 
-func (c *crashPoint) Write(id eio.PageID, buf []byte) error {
+func (c *CrashPoint) Write(id eio.PageID, buf []byte) error {
 	if err := c.trip(); err != nil {
 		return err
 	}
@@ -353,7 +390,7 @@ func (c *crashPoint) Write(id eio.PageID, buf []byte) error {
 
 // Sync is a mutating operation too: a crash can land exactly on the
 // durability barrier, the most interesting point of a commit.
-func (c *crashPoint) Sync() error {
+func (c *CrashPoint) Sync() error {
 	if err := c.trip(); err != nil {
 		return err
 	}
@@ -363,7 +400,7 @@ func (c *crashPoint) Sync() error {
 	return nil
 }
 
-func (c *crashPoint) Stats() eio.Stats { return c.inner.Stats() }
-func (c *crashPoint) ResetStats()      { c.inner.ResetStats() }
-func (c *crashPoint) Pages() int       { return c.inner.Pages() }
-func (c *crashPoint) Close() error     { return c.inner.Close() }
+func (c *CrashPoint) Stats() eio.Stats { return c.inner.Stats() }
+func (c *CrashPoint) ResetStats()      { c.inner.ResetStats() }
+func (c *CrashPoint) Pages() int       { return c.inner.Pages() }
+func (c *CrashPoint) Close() error     { return c.inner.Close() }

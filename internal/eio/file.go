@@ -254,20 +254,26 @@ func (fs *FileStore) Alloc() (PageID, error) {
 	fs.stats.Allocs++
 	if fs.freeHead != NilPage {
 		id := fs.freeHead
-		if _, err := fs.readSlot(id); err != nil {
+		flags, err := fs.readSlot(id)
+		if err != nil {
 			return NilPage, fmt.Errorf("eio: pop free list: %w", err)
 		}
-		// The next pointer lives in the first 8 bytes. After a crash the
-		// head may be a page whose allocation was never committed (trailer
-		// says data, contents zeroed): its zero next pointer simply ends
-		// the list, which conservatively leaks the remainder — detected
-		// and reported by VerifyFile.
-		fs.freeHead = PageID(binary.LittleEndian.Uint64(fs.slot[:8]))
-		fs.nfree--
-		if err := fs.writeZeroPage(id, NilPage, pageFlagData); err != nil {
-			return NilPage, fmt.Errorf("eio: zero reused page: %w", err)
+		if flags == pageFlagFree {
+			// The next pointer lives in the first 8 bytes.
+			fs.freeHead = PageID(binary.LittleEndian.Uint64(fs.slot[:8]))
+			fs.nfree--
+			if err := fs.writeZeroPage(id, NilPage, pageFlagData); err != nil {
+				return NilPage, fmt.Errorf("eio: zero reused page: %w", err)
+			}
+			return id, nil
 		}
-		return id, nil
+		// A head that holds a data page: a crash kept a write to the page
+		// but lost the superblock that popped it — possibly a committed
+		// image WAL replay put back, so it must not be handed out, and its
+		// first bytes are no free-list link. The list ends here, which
+		// conservatively leaks the remainder (VerifyFile reports it as
+		// drift); allocation continues by extending the file.
+		fs.freeHead, fs.nfree = NilPage, 0
 	}
 	id := PageID(fs.npages)
 	fs.npages++

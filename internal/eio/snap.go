@@ -58,9 +58,13 @@ type SnapStore struct {
 	pins  map[uint64]int
 
 	// Writer batch state: pages captured (or allocated) since the last
-	// Commit/Abort, and frees deferred by the current batch.
+	// Commit/Abort, and frees deferred by the current batch. spare holds
+	// the page buffers of versions gc dropped, for the next captures to
+	// reuse (a write-only stream captures and drops the same few pages'
+	// worth every commit); it is bounded and, like batch, guarded by wmu.
 	wmu   sync.Mutex
 	batch map[PageID]bool
+	spare [][]byte
 
 	pendingFrees atomic.Int64 // deferred frees not yet applied to inner
 	versionReads atomic.Uint64
@@ -87,6 +91,9 @@ var _ Store = (*SnapStore)(nil)
 // DefaultSnapStripes is the lock-striping width used when NewSnapStore is
 // given a non-positive stripe count.
 const DefaultSnapStripes = 64
+
+// maxSpareVersions bounds the recycled version buffers a SnapStore keeps.
+const maxSpareVersions = 64
 
 // NewSnapStore wraps inner. stripes is the lock-striping width (use 0 for
 // DefaultSnapStripes).
@@ -168,7 +175,12 @@ func (s *SnapStore) capture(id PageID) error {
 	st := s.stripe(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	data := make([]byte, s.ps)
+	var data []byte
+	if n := len(s.spare); n > 0 {
+		data, s.spare = s.spare[n-1], s.spare[:n-1]
+	} else {
+		data = make([]byte, s.ps)
+	}
 	if err := s.inner.Read(id, data); err != nil {
 		return fmt.Errorf("eio: snap: capture page %d: %w", id, err)
 	}
@@ -209,12 +221,12 @@ func (s *SnapStore) Abort() {
 		st := s.stripe(id)
 		st.mu.Lock()
 		if vs := st.versions[id]; len(vs) > 0 && vs[len(vs)-1].validThrough == epoch {
+			s.recycle(vs[len(vs)-1:])
 			if len(vs) == 1 {
 				delete(st.versions, id)
 			} else {
 				st.versions[id] = vs[:len(vs)-1]
 			}
-			s.versionsHeld.Add(-1)
 		}
 		if f, ok := st.freed[id]; ok && f == epoch+1 {
 			delete(st.freed, id)
@@ -223,6 +235,19 @@ func (s *SnapStore) Abort() {
 		st.mu.Unlock()
 	}
 	clear(s.batch)
+}
+
+// recycle drops versions no reader can reach any more — a view copies a
+// version's bytes out under the stripe lock its caller holds, it never
+// keeps them — and banks their buffers for later captures. Callers hold
+// wmu and the versions' stripe lock.
+func (s *SnapStore) recycle(vs []pageVersion) {
+	s.versionsHeld.Add(-int64(len(vs)))
+	for _, v := range vs {
+		if len(s.spare) < maxSpareVersions {
+			s.spare = append(s.spare, v.data)
+		}
+	}
 }
 
 // gc drops versions unreadable by every pin and applies mature deferred
@@ -237,7 +262,7 @@ func (s *SnapStore) gc(minPin uint64) error {
 				continue
 			}
 			if vs, ok := st.versions[id]; ok {
-				s.versionsHeld.Add(-int64(len(vs)))
+				s.recycle(vs)
 				delete(st.versions, id)
 			}
 			delete(st.freed, id)
@@ -248,11 +273,11 @@ func (s *SnapStore) gc(minPin uint64) error {
 		}
 		for id, vs := range st.versions {
 			keep := vs[:0]
-			for _, v := range vs {
+			for i, v := range vs {
 				if v.validThrough >= minPin {
 					keep = append(keep, v)
 				} else {
-					s.versionsHeld.Add(-1)
+					s.recycle(vs[i : i+1])
 				}
 			}
 			if len(keep) == 0 {

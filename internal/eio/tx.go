@@ -2,9 +2,9 @@ package eio
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -18,44 +18,65 @@ import (
 //	    magic "TXDR" | version | anchor A id | anchor B id | WAL page ids
 //	anchor pages A and B (one page each, written alternately)
 //	    magic "TXAN" | seq | applied LSN | CRC-32C
-//	WAL region (fixed set of preallocated pages)
-//	    one redo record, always starting at WAL byte offset 0:
+//	WAL region (fixed set of preallocated pages): an append-only ring of
+//	redo records, each starting on a page boundary, the first at page 0:
 //	    magic "WALR" | page count m | LSN | m × (page id | page image) | CRC-32C
 //
-// Commit protocol (the order is the whole point):
+// Commit protocol — one durability barrier per acknowledged commit:
 //
-//	 1. checkpoint barrier: Sync the inner store, making the PREVIOUS
-//	    commit's anchor and in-place writes and this transaction's page
-//	    allocations durable before the old WAL record is overwritten
-//	 2. write the redo record into the WAL pages
-//	 3. Sync — the commit point: after this the transaction is durable
-//	 4. apply the buffered writes in place, in first-write order
-//	 5. Sync — the apply barrier: the data a new anchor will vouch for
-//	    must be durable before the anchor can possibly be
-//	 6. write the new anchor (seq+1, LSN) into the alternate anchor slot
-//	 7. apply deferred frees
+//	1. append the redo record at the ring's tail (checkpoint first if it
+//	   does not fit)
+//	2. Sync — the commit point. After it the transaction is durable, and
+//	   because the inner store's Sync also commits its allocation state,
+//	   so are the pages the transaction allocated
+//	3. run the commit hook (log shipping)
+//	4. apply the images in place, UNSYNCED, and return
 //
-// Step 5 looks redundant — replay would redo lost apply writes — but it
-// is load-bearing: an anchor page embeds a checksum of its own payload,
-// and crc32(m ‖ crc32(m)) is a length-dependent CONSTANT, so the outer
-// page-trailer CRC is identical for every self-consistent anchor payload.
-// A torn write that replaces the anchor payload therefore still passes
-// the page checksum: the new anchor can survive a crash that dropped
-// every apply write it vouches for. With the apply barrier first, an
-// anchor claiming LSN N can only ever be durable after N's data is.
+// Checkpoint — lazy: when the next record does not fit, on Sync and Close:
 //
-// Frees are never logged: replaying a record therefore never writes to a
-// page the same transaction freed, which keeps replay idempotent. A crash
-// between steps 3 and 6 leaks at most the freed pages and free-list
-// ordering — exactly the class VerifyFile reports as drift, not damage,
-// and that Scrub reclaims.
+//	a. Sync — every image applied since the last checkpoint is durable
+//	b. write the alternate anchor with applied = N, the last committed LSN
+//	c. Sync — the anchor is durable
+//	d. release the held frees; the ring's tail returns to page 0
 //
-// OpenTxStore recovers: it picks the valid anchor with the highest seq,
-// parses the WAL record, and redoes it iff its LSN is applied+1. Torn WAL
-// pages (checksum failures) make the record parse fail — the transaction
-// never reached its commit point and vanishes. Recovery then repairs the
-// file for a clean VerifyFile: checksum-bad WAL pages are rewritten with
-// zeros and invalid anchor slots are rewritten from the surviving one.
+// Why each barrier is there. (2) is the commit. (a) must precede (b): an
+// anchor page embeds a checksum of its own payload, and
+// crc32(m ‖ crc32(m)) is a length-dependent CONSTANT, so the outer
+// page-trailer CRC is identical for every self-consistent anchor payload —
+// a torn write that replaces the anchor payload still passes the page
+// checksum, and the new anchor could survive a crash that dropped the
+// applies it vouches for. Ordering, not checksums, guarantees that an
+// anchor claiming LSN N is only ever durable after N's data is. (c) must
+// precede the first record of the next lap: were record N+1 to overwrite
+// the ring while the durable anchor still said N-k, recovery would find no
+// record continuing N-k and come back at an LSN below commits it had
+// acknowledged (the data would be whole, the log position wrong).
+//
+// Recovery (OpenTxStore) picks the valid anchor with the highest seq and
+// replays, in ring order, every CRC-valid record whose LSN continues
+// applied+1, +2, …, stopping at the first that does not: records left from
+// an earlier lap all carry LSN ≤ applied, and a record torn by the crash
+// fails its CRC — it never reached its commit point and vanishes. Replay is
+// at most one WAL region of redo, ends with a checkpoint, and recovers an
+// LSN ≥ every acknowledged commit (each is either under the anchor or a
+// durable link of the chain), so LSNs never regress across a crash.
+// Recovery then repairs the file for a clean VerifyFile: checksum-bad WAL
+// pages are zeroed, invalid anchor slots rewritten from the surviving one.
+//
+// Because several records may be replayed over in-place state that ran
+// ahead of the anchor, a page must not change owner while a record that
+// writes it is still in the ring. So frees are never logged and EVERY free
+// — inside a transaction or not — is held until the checkpoint that
+// retires those records; the inner allocator cannot hand the page out
+// before then. A crash therefore leaks at most the frees held since the
+// last checkpoint (one ring lap of commits) plus the in-flight
+// transaction's allocations — the class VerifyFile reports as drift, not
+// damage, and that Scrub reclaims. Replay also tolerates an allocation
+// state staler than the record it replays (the record and the superblock
+// become durable in the same barrier, and a crash inside it may keep one
+// without the other): ids past the end of the store are materialized
+// (PageEnsurer), and FileStore ends its free list at a head that replay
+// turned back into a data page instead of handing it out.
 
 // WAL and anchor format constants.
 const (
@@ -75,6 +96,12 @@ const (
 	// zero. With page size B it admits roughly DefaultWALPages·B/(B+8)
 	// distinct page images per transaction.
 	DefaultWALPages = 64
+
+	// keptRecordImages bounds the record buffer a TxStore keeps from one
+	// transaction to the next: a commit that grew it past this many images
+	// (a bulk load, a write-buffer flush) drops it instead, so one large
+	// transaction does not pin its footprint for the life of the store.
+	keptRecordImages = 32
 )
 
 // TxOptions configures NewTxStore.
@@ -85,16 +112,18 @@ type TxOptions struct {
 	// exactly the I/Os of the wrapped store.
 	Disabled bool
 	// WALPages is the number of pages preallocated for the redo log; it
-	// bounds how many distinct pages one transaction may write. Zero
-	// selects DefaultWALPages.
+	// bounds how many distinct pages one transaction may write, and how
+	// many commits share one checkpoint. Zero selects DefaultWALPages.
 	WALPages int
 }
 
 // RecoveryInfo describes what OpenTxStore had to do to the file.
 type RecoveryInfo struct {
-	// Replayed reports whether a committed-but-unapplied record was redone.
+	// Replayed reports whether committed-but-unapplied records were redone.
 	Replayed bool
-	// LSN is the log sequence number of the redone record (0 if none).
+	// Records counts the records redone, in LSN order.
+	Records int
+	// LSN is the log sequence number of the last redone record (0 if none).
 	LSN uint64
 	// PagesRedone counts page images written back during replay.
 	PagesRedone int
@@ -114,88 +143,107 @@ func (r RecoveryInfo) String() string {
 	if !r.Dirty() {
 		return "clean (nothing to recover)"
 	}
-	return fmt.Sprintf("replayed=%v lsn=%d pages_redone=%d wal_repaired=%d anchors_repaired=%d",
-		r.Replayed, r.LSN, r.PagesRedone, r.WALRepaired, r.AnchorsRepaired)
+	return fmt.Sprintf("replayed=%v records=%d lsn=%d pages_redone=%d wal_repaired=%d anchors_repaired=%d",
+		r.Replayed, r.Records, r.LSN, r.PagesRedone, r.WALRepaired, r.AnchorsRepaired)
 }
 
 // TxStore wraps any Store with write-ahead-logged transactions. Outside a
-// transaction every operation passes straight through. Inside one (Begin …
-// Commit), Writes are buffered in memory, Frees are deferred, and Allocs
-// pass through (ids must come from the inner store); Commit makes the
-// whole batch atomic: after a crash at ANY backing-store operation, reopen
-// with OpenTxStore and the store holds exactly the pre-transaction or the
-// post-transaction image — never a mix.
+// transaction reads, writes and allocations pass straight through. Inside
+// one (Begin … Commit), Writes are buffered in memory and Allocs pass
+// through (ids must come from the inner store); Commit makes the whole
+// batch atomic: after a crash at ANY backing-store operation, reopen with
+// OpenTxStore and the store holds exactly the pre-transaction or the
+// post-transaction image — never a mix — on top of every transaction
+// whose Commit returned. Frees, in a transaction or not, reach the inner
+// store at the next checkpoint (see the protocol note above); until then
+// the page reads as freed and is not counted by Pages.
 //
 // A TxStore is a wrapper in the sense documented on Store: it keeps no
 // Stats of its own, so buffered transaction writes are counted only when
 // they reach the inner store (WAL append + in-place apply).
 //
 // TxStore serializes transactions internally but, like every wrapper, does
-// not add multi-writer semantics: one logical updater at a time —
-// core.Concurrent's commit leader in a serving stack.
+// not add multi-writer semantics: one logical updater at a time.
 type TxStore struct {
 	mu    sync.RWMutex // reads share the lock so snapshot readers scale
-	inner Store
-	ps    int
-
+	inner Store        // durability root: WAL region, anchors, barriers
+	// apply receives the page images of committed records: inner, except
+	// under a TxReplica, which routes them through its SnapStore so pinned
+	// readers keep their epoch. ensure, when inner supports it,
+	// materializes page ids its allocator has not handed out (see
+	// PageEnsurer).
+	apply    Store
+	ensure   PageEnsurer
+	ps       int
 	disabled bool
 
 	dir      PageID // directory record id; pass to OpenTxStore
 	anchors  [2]PageID
 	walIDs   []PageID
-	slot     int    // anchor slot holding the current state
+	slot     int    // anchor slot holding the current checkpoint
 	seq      uint64 // seq of the current anchor
-	applied  uint64 // LSN of the last applied (and durable-on-replay) commit
-	dirty    bool   // in-place writes since the last inner Sync
+	applied  uint64 // LSN of the last committed record
+	tail     int    // WAL pages holding records the anchor does not cover
 	recovery RecoveryInfo
 
 	inTx      bool
-	committed bool // this tx passed its commit point (step 3)
-	writes    map[PageID][]byte
-	order     []PageID // first-write order of writes
-	allocs    []PageID
-	frees     map[PageID]struct{}
-	freeOrder []PageID
+	committed bool // this tx passed its commit point
+	// rec is the open transaction's redo record, built in place: header
+	// space, then one (id | image) slot per distinct page written, in
+	// first-write order. Commit seals it and writes WAL pages and in-place
+	// pages straight from it. slots maps a page id to its slot number.
+	rec    []byte
+	slots  map[PageID]int
+	allocs []PageID
+	// dead holds every page freed but not yet released to the inner store:
+	// txFrees (the open transaction's, dropped again by Rollback) and held
+	// (committed, waiting for the next checkpoint), both in free order.
+	dead    map[PageID]struct{}
+	txFrees []PageID
+	held    []PageID
+	pad     []byte // one page: a record's zero-padded last WAL page, an anchor
 
-	// hook, when set, is invoked synchronously during Commit immediately
-	// after the commit point (step 3) with the record's LSN and its encoded
-	// bytes. This is the log-shipping tap: at that instant the record is
-	// durable on the primary but the WAL region will be overwritten by the
-	// NEXT commit, so a replication shipper must copy it out here or lose
-	// it. The hook runs under the store lock — it must not call back into
-	// the store and must not block.
-	hook func(lsn uint64, record []byte)
+	hook func(lsn uint64, record []byte) // the log-shipping tap; see SetCommitHook
 
-	// Cumulative commit-phase timing, atomic so Timings can be read from
-	// outside the store lock (a group-commit leader snapshots the deltas
-	// around one Batch to attribute WAL and sync time to request spans).
-	walNs  atomic.Int64 // time appending WAL record pages (step 2)
-	syncNs atomic.Int64 // time in durability barriers (steps 1, 3, 5)
+	tm TxTimings // cumulative commit-phase counters, guarded by mu
 }
 
-// TxTimings is a cumulative wall-time breakdown of Commit's expensive
-// phases. Counters only ever grow; subtract two snapshots to attribute
-// one commit's cost.
+// TxTimings is a cumulative breakdown of Commit's expensive phases.
+// Counters only ever grow; subtract two snapshots to attribute one
+// commit's cost. A commit pays one barrier (Sync) and, when its record did
+// not fit the ring, the checkpoint it ran first — so over any interval the
+// barriers issued are Commits + 2·Checkpoints.
 type TxTimings struct {
-	// WALAppend is time spent writing redo-record pages (step 2).
+	// WALAppend is time spent writing redo-record pages.
 	WALAppend time.Duration
-	// Sync is time spent in the three durability barriers (steps 1, 3, 5).
+	// Sync is time spent in commit-point barriers, one per commit.
 	Sync time.Duration
+	// Checkpoint is time spent in checkpoints (two barriers, the anchor
+	// write and the release of held frees).
+	Checkpoint time.Duration
+	// Commits counts commit points passed; Checkpoints counts checkpoints
+	// run, whoever triggered them (a full ring, Sync, Close, recovery).
+	Commits, Checkpoints uint64
 }
 
 // Sub returns the per-interval delta a − b.
 func (a TxTimings) Sub(b TxTimings) TxTimings {
-	return TxTimings{WALAppend: a.WALAppend - b.WALAppend, Sync: a.Sync - b.Sync}
+	return TxTimings{
+		WALAppend:   a.WALAppend - b.WALAppend,
+		Sync:        a.Sync - b.Sync,
+		Checkpoint:  a.Checkpoint - b.Checkpoint,
+		Commits:     a.Commits - b.Commits,
+		Checkpoints: a.Checkpoints - b.Checkpoints,
+	}
 }
 
-// Timings returns the cumulative commit-phase timing counters. Safe to
-// call concurrently with commits; a reader that snapshots before and
-// after a commit it serialized with sees exactly that commit's cost.
+// Timings returns the cumulative commit-phase counters. A reader that
+// snapshots before and after a commit it serialized with (a group-commit
+// leader around one Batch) sees exactly that commit's cost.
 func (t *TxStore) Timings() TxTimings {
-	return TxTimings{
-		WALAppend: time.Duration(t.walNs.Load()),
-		Sync:      time.Duration(t.syncNs.Load()),
-	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.tm
 }
 
 var _ Store = (*TxStore)(nil)
@@ -205,13 +253,22 @@ func maxTxImages(pageSize, walPages int) int {
 	return (walPages*pageSize - walHdrSize - walCRCSize) / (8 + pageSize)
 }
 
+func newTxStore(inner Store) *TxStore {
+	t := &TxStore{inner: inner, apply: inner, ps: inner.PageSize()}
+	t.ensure, _ = inner.(PageEnsurer)
+	t.slots = map[PageID]int{}
+	t.dead = map[PageID]struct{}{}
+	t.pad = make([]byte, t.ps)
+	return t
+}
+
 // NewTxStore initializes a transactional layer on inner, allocating its
 // directory, anchor and WAL pages, and returns the handle. Persist
 // Anchor() alongside your structure headers: it is the id OpenTxStore
 // needs to reopen and recover the store.
 func NewTxStore(inner Store, opts TxOptions) (*TxStore, error) {
-	t := &TxStore{inner: inner, ps: inner.PageSize(), disabled: opts.Disabled}
-	if t.disabled {
+	t := newTxStore(inner)
+	if t.disabled = opts.Disabled; t.disabled {
 		return t, nil
 	}
 	if t.ps < minTxPageSize {
@@ -256,19 +313,14 @@ func NewTxStore(inner Store, opts TxOptions) (*TxStore, error) {
 
 // OpenTxStore attaches to a transactional layer created by NewTxStore
 // (dir is the id NewTxStore returned from Anchor) and runs crash
-// recovery: a committed-but-unapplied record is replayed, a torn
+// recovery: committed-but-unapplied records are replayed in order, a torn
 // (uncommitted) record is discarded, and damaged WAL/anchor pages are
 // repaired so VerifyFile reports the file clean. Recovery() tells what
 // happened.
 func OpenTxStore(inner Store, dir PageID) (*TxStore, error) {
-	t := &TxStore{inner: inner, ps: inner.PageSize(), dir: dir}
-	rs := NewRecordStore(inner)
-	raw, err := rs.Get(dir, nil)
-	if err != nil {
-		return nil, fmt.Errorf("eio: tx: read directory %d: %w", dir, err)
-	}
-	if err := t.decodeDir(raw); err != nil {
-		return nil, err
+	t := newTxStore(inner)
+	if err := t.loadDir(dir); err != nil {
+		return nil, fmt.Errorf("eio: tx: %w", err)
 	}
 	if err := t.recover(); err != nil {
 		return nil, err
@@ -282,32 +334,24 @@ func (t *TxStore) Anchor() PageID { return t.dir }
 
 // AppliedLSN returns the log sequence number of the last committed
 // transaction — the position a log-shipping stream is at. It is 0 for a
-// fresh or disabled store and increases by exactly one per non-empty
-// commit.
+// fresh or disabled store, increases by exactly one per non-empty commit,
+// and never regresses across a crash and reopen.
 func (t *TxStore) AppliedLSN() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.applied
 }
 
-// SetCommitHook installs (or, with nil, removes) the commit tap described
-// on the hook field: fn runs inside every Commit right after the commit
-// point with the durable record's LSN and encoded bytes. fn must copy the
-// bytes if it retains them, must not block, and must not call back into
-// the store. One hook at a time; installing replaces the previous one.
+// SetCommitHook installs (or, with nil, removes) the commit tap: fn runs
+// inside every Commit right after the commit point with the durable
+// record's LSN and encoded bytes — a view of the transaction buffer, valid
+// only for the call. fn runs under the store lock: it must copy the bytes
+// if it retains them, must not block, and must not call back into the
+// store. One hook at a time; installing replaces the previous one.
 func (t *TxStore) SetCommitHook(fn func(lsn uint64, record []byte)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.hook = fn
-}
-
-// WALCapacity returns the maximum number of distinct page images one
-// commit record can carry (0 for a disabled store).
-func (t *TxStore) WALCapacity() int {
-	if t.disabled {
-		return 0
-	}
-	return maxTxImages(t.ps, len(t.walIDs))
 }
 
 // Recovery reports what OpenTxStore did; zero for a freshly created store.
@@ -344,18 +388,24 @@ func (t *TxStore) encodeDir() []byte {
 	return buf
 }
 
-func (t *TxStore) decodeDir(buf []byte) error {
+// loadDir reads and decodes the directory record at dir.
+func (t *TxStore) loadDir(dir PageID) error {
+	t.dir = dir
+	buf, err := NewRecordStore(t.inner).Get(dir, nil)
+	if err != nil {
+		return fmt.Errorf("read directory %d: %w", dir, err)
+	}
 	if len(buf) < dirHdrSize || string(buf[:4]) != dirMagic {
-		return fmt.Errorf("eio: tx: bad directory record: %w", ErrBadRecord)
+		return fmt.Errorf("bad directory record: %w", ErrBadRecord)
 	}
 	if v := binary.LittleEndian.Uint16(buf[4:]); v != txVersion {
-		return fmt.Errorf("eio: tx: directory version %d unsupported", v)
+		return fmt.Errorf("directory version %d unsupported", v)
 	}
 	t.anchors[0] = PageID(binary.LittleEndian.Uint64(buf[8:]))
 	t.anchors[1] = PageID(binary.LittleEndian.Uint64(buf[16:]))
 	n := int(binary.LittleEndian.Uint32(buf[24:]))
 	if n < 1 || len(buf) < dirHdrSize+8*n {
-		return fmt.Errorf("eio: tx: directory truncated: %w", ErrBadRecord)
+		return fmt.Errorf("directory truncated: %w", ErrBadRecord)
 	}
 	t.walIDs = make([]PageID, n)
 	for i := range t.walIDs {
@@ -386,176 +436,143 @@ func decodeAnchor(buf []byte) (seq, applied uint64, err error) {
 }
 
 func (t *TxStore) writeAnchor(slot int, seq, applied uint64) error {
-	page := make([]byte, t.ps)
-	copy(page, encodeAnchor(seq, applied))
-	if err := t.inner.Write(t.anchors[slot], page); err != nil {
+	clear(t.pad)
+	copy(t.pad, encodeAnchor(seq, applied))
+	if err := t.inner.Write(t.anchors[slot], t.pad); err != nil {
 		return fmt.Errorf("eio: tx: write anchor %d: %w", slot, err)
 	}
 	return nil
 }
 
-// walWrite is one page image inside a redo record.
-type walWrite struct {
-	id    PageID
-	image []byte
-}
-
-// encodeWALRecord serializes a redo record for the given images.
-func encodeWALRecord(lsn uint64, writes []walWrite, pageSize int) []byte {
-	buf := make([]byte, walHdrSize+len(writes)*(8+pageSize)+walCRCSize)
-	copy(buf, walMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(writes)))
-	binary.LittleEndian.PutUint64(buf[8:], lsn)
-	off := walHdrSize
-	for _, w := range writes {
-		binary.LittleEndian.PutUint64(buf[off:], uint64(w.id))
-		copy(buf[off+8:], w.image)
-		off += 8 + pageSize
-	}
-	binary.LittleEndian.PutUint32(buf[off:], crc32c(buf[:off]))
-	return buf
-}
-
-// decodeWALRecord parses a redo record from the raw WAL bytes. Torn,
-// bit-flipped or truncated input returns an error, never a panic and
-// never a partially trusted record (the CRC covers everything).
-func decodeWALRecord(buf []byte, pageSize int) (lsn uint64, writes []walWrite, err error) {
-	if pageSize <= 0 {
-		return 0, nil, fmt.Errorf("eio: tx: bad page size %d", pageSize)
-	}
-	if len(buf) < walHdrSize+walCRCSize || string(buf[:4]) != walMagic {
-		return 0, nil, fmt.Errorf("eio: tx: no WAL record: %w", ErrBadRecord)
-	}
-	m := int(binary.LittleEndian.Uint32(buf[4:]))
-	if m < 0 || m > (len(buf)-walHdrSize-walCRCSize)/(8+pageSize) {
-		return 0, nil, fmt.Errorf("eio: tx: WAL record count %d exceeds region: %w", m, ErrBadRecord)
-	}
-	end := walHdrSize + m*(8+pageSize)
-	if crc32c(buf[:end]) != binary.LittleEndian.Uint32(buf[end:]) {
-		return 0, nil, fmt.Errorf("eio: tx: WAL record: %w", ErrChecksum)
-	}
-	lsn = binary.LittleEndian.Uint64(buf[8:])
-	writes = make([]walWrite, 0, m)
-	off := walHdrSize
-	for i := 0; i < m; i++ {
-		id := PageID(binary.LittleEndian.Uint64(buf[off:]))
-		img := make([]byte, pageSize)
-		copy(img, buf[off+8:off+8+pageSize])
-		writes = append(writes, walWrite{id: id, image: img})
-		off += 8 + pageSize
-	}
-	return lsn, writes, nil
-}
-
-// WALPageImage is one page image inside a decoded redo record, as exposed
-// by DecodeWALRecord to consumers outside the transactional layer
-// (replication appliers, offline inspectors).
-type WALPageImage struct {
-	ID    PageID
-	Image []byte
-}
-
-// DecodeWALRecord parses the raw bytes of a TxStore redo record — the unit
-// a commit hook ships — and returns its LSN and page images in first-write
-// order. Torn, bit-flipped or truncated input returns an error (wrapping
-// ErrBadRecord or ErrChecksum), never a partially trusted record.
-func DecodeWALRecord(buf []byte, pageSize int) (lsn uint64, pages []WALPageImage, err error) {
-	lsn, writes, err := decodeWALRecord(buf, pageSize)
-	if err != nil {
-		return 0, nil, err
-	}
-	pages = make([]WALPageImage, len(writes))
-	for i, w := range writes {
-		pages[i] = WALPageImage{ID: w.id, Image: w.image}
-	}
-	return lsn, pages, nil
-}
-
-// --- recovery ----------------------------------------------------------
-
-// recover reads the anchors and the WAL, replays a committed record, and
-// repairs whatever the crash tore. Called with no lock (single-owner
-// during open).
-func (t *TxStore) recover() error {
-	var (
-		seqs    [2]uint64
-		applied [2]uint64
-		valid   [2]bool
-	)
+// readAnchors decodes both anchor slots and returns the index of the valid
+// one with the highest seq (-1 if neither decodes).
+func (t *TxStore) readAnchors() (seqs, lsns [2]uint64, valid [2]bool, best int) {
+	best = -1
 	buf := make([]byte, t.ps)
-	for i := 0; i < 2; i++ {
+	for i := range t.anchors {
 		if err := t.inner.Read(t.anchors[i], buf); err != nil {
-			continue // torn anchor: slot invalid, repaired below
+			continue // torn anchor: slot invalid
 		}
 		s, a, err := decodeAnchor(buf)
 		if err != nil {
 			continue
 		}
-		seqs[i], applied[i], valid[i] = s, a, true
-	}
-	switch {
-	case valid[0] && valid[1]:
-		if seqs[0] >= seqs[1] {
-			t.slot = 0
-		} else {
-			t.slot = 1
+		seqs[i], lsns[i], valid[i] = s, a, true
+		if best < 0 || s > seqs[best] {
+			best = i
 		}
-	case valid[0]:
-		t.slot = 0
-	case valid[1]:
-		t.slot = 1
-	default:
+	}
+	return
+}
+
+// readWAL returns the bytes of the whole WAL region. Checksum-bad pages
+// contribute zeros (a record spanning one then fails its CRC — the
+// torn-tail discard) and are listed in torn.
+func (t *TxStore) readWAL() (wal []byte, torn []PageID) {
+	wal = make([]byte, len(t.walIDs)*t.ps)
+	for i, id := range t.walIDs {
+		if err := t.inner.Read(id, wal[i*t.ps:(i+1)*t.ps]); err != nil {
+			clear(wal[i*t.ps : (i+1)*t.ps])
+			torn = append(torn, id)
+		}
+	}
+	return wal, torn
+}
+
+// walRecordSize is the encoded length of a record carrying m page images;
+// walRecordPages the WAL pages it occupies (records start page-aligned).
+func walRecordSize(m, pageSize int) int { return walHdrSize + m*(8+pageSize) + walCRCSize }
+func walRecordPages(m, pageSize int) int {
+	return (walRecordSize(m, pageSize) + pageSize - 1) / pageSize
+}
+
+// sealWALRecord completes a record whose m image slots are already in
+// place after the header space of rec: it stamps the header, appends the
+// CRC and returns the encoded record (sharing rec's memory when it fits).
+func sealWALRecord(rec []byte, lsn uint64, m, pageSize int) []byte {
+	rec = rec[:walRecordSize(m, pageSize)-walCRCSize]
+	copy(rec, walMagic)
+	binary.LittleEndian.PutUint32(rec[4:], uint32(m))
+	binary.LittleEndian.PutUint64(rec[8:], lsn)
+	return binary.LittleEndian.AppendUint32(rec, crc32c(rec))
+}
+
+// checkWALRecord validates the redo record at the head of buf and returns
+// its LSN and image count. Torn, bit-flipped or truncated input returns an
+// error (wrapping ErrBadRecord or ErrChecksum), never a panic and never a
+// partially trusted record: the CRC covers everything.
+func checkWALRecord(buf []byte, pageSize int) (lsn uint64, m int, err error) {
+	if pageSize <= 0 {
+		return 0, 0, fmt.Errorf("eio: tx: bad page size %d", pageSize)
+	}
+	if len(buf) < walHdrSize+walCRCSize || string(buf[:4]) != walMagic {
+		return 0, 0, fmt.Errorf("eio: tx: no WAL record: %w", ErrBadRecord)
+	}
+	m = int(binary.LittleEndian.Uint32(buf[4:]))
+	if m < 0 || m > (len(buf)-walHdrSize-walCRCSize)/(8+pageSize) {
+		return 0, 0, fmt.Errorf("eio: tx: WAL record count %d exceeds region: %w", m, ErrBadRecord)
+	}
+	end := walRecordSize(m, pageSize) - walCRCSize
+	if crc32c(buf[:end]) != binary.LittleEndian.Uint32(buf[end:]) {
+		return 0, 0, fmt.Errorf("eio: tx: WAL record: %w", ErrChecksum)
+	}
+	return binary.LittleEndian.Uint64(buf[8:]), m, nil
+}
+
+// walImage returns the i-th (page id, image) slot of a record as a view.
+func walImage(rec []byte, pageSize, i int) (PageID, []byte) {
+	off := walHdrSize + i*(8+pageSize)
+	return PageID(binary.LittleEndian.Uint64(rec[off:])), rec[off+8 : off+8+pageSize]
+}
+
+// --- recovery ----------------------------------------------------------
+
+// recover reads the anchors and the ring, replays the chain of committed
+// records the anchor does not cover, and repairs whatever the crash tore.
+// Called with no lock (single-owner during open).
+func (t *TxStore) recover() error {
+	seqs, lsns, valid, best := t.readAnchors()
+	if best < 0 {
 		return fmt.Errorf("eio: tx: both anchor slots invalid: %w", ErrChecksum)
 	}
-	t.seq, t.applied = seqs[t.slot], applied[t.slot]
+	t.slot, t.seq, t.applied = best, seqs[best], lsns[best]
 
-	// Read the WAL region; checksum-bad pages contribute zero bytes (the
-	// record CRC then fails, which is the torn-tail discard) and are
-	// remembered for repair.
-	wal := make([]byte, 0, len(t.walIDs)*t.ps)
-	var torn []PageID
-	for _, id := range t.walIDs {
-		if err := t.inner.Read(id, buf); err != nil {
-			torn = append(torn, id)
-			wal = append(wal, make([]byte, t.ps)...)
-			continue
+	// Redo, in ring order, every record continuing the anchor's LSN.
+	// Idempotent: images never target a page whose owner changed while the
+	// record was in the ring (frees are held), and the anchor moves only
+	// after every image is back in place and durable.
+	wal, torn := t.readWAL()
+	for off := 0; off < len(wal); {
+		lsn, m, err := checkWALRecord(wal[off:], t.ps)
+		if err != nil || lsn != t.applied+1 {
+			break
 		}
-		wal = append(wal, buf[:t.ps]...)
-	}
-
-	lsn, writes, err := decodeWALRecord(wal, t.ps)
-	if err == nil && lsn == t.applied+1 {
-		// Committed but (possibly) not fully applied: redo. Idempotent —
-		// images never target pages the same transaction freed, and the
-		// anchor is bumped only after every image is back in place.
-		for _, w := range writes {
-			if err := t.inner.Write(w.id, w.image); err != nil {
-				return fmt.Errorf("eio: tx: replay page %d: %w", w.id, err)
+		for i := 0; i < m; i++ {
+			id, img := walImage(wal[off:], t.ps, i)
+			if err := t.writeImage(id, img); err != nil {
+				return fmt.Errorf("eio: tx: replay lsn %d: %w", lsn, err)
 			}
 		}
-		// Same apply barrier as Commit: the redone images must be durable
-		// before an anchor claiming this LSN can be.
-		if err := t.syncInner(); err != nil {
-			return fmt.Errorf("eio: tx: replay sync: %w", err)
-		}
 		t.applied = lsn
-		t.seq++
-		t.slot = 1 - t.slot
-		if err := t.writeAnchor(t.slot, t.seq, t.applied); err != nil {
-			return err
+		t.recovery.Records++
+		t.recovery.PagesRedone += m
+		t.tail += walRecordPages(m, t.ps)
+		off = t.tail * t.ps
+	}
+	if t.recovery.Records > 0 {
+		if err := t.checkpointLocked(); err != nil {
+			return fmt.Errorf("eio: tx: replay: %w", err)
 		}
-		t.recovery.Replayed = true
-		t.recovery.LSN = lsn
-		t.recovery.PagesRedone = len(writes)
+		t.recovery.Replayed, t.recovery.LSN = true, t.applied
 		valid[t.slot] = true // just rewritten
 	}
 
 	// Repair torn WAL pages so VerifyFile comes back clean. A page inside
-	// a valid record's span can never be in torn (its bytes passed the
+	// a replayed record's span can never be in torn (its bytes passed the
 	// CRC), so zeroing these loses nothing.
-	zero := make([]byte, t.ps)
+	clear(t.pad)
 	for _, id := range torn {
-		if err := t.inner.Write(id, zero); err != nil {
+		if err := t.inner.Write(id, t.pad); err != nil {
 			return fmt.Errorf("eio: tx: repair WAL page %d: %w", id, err)
 		}
 		t.recovery.WALRepaired++
@@ -593,13 +610,8 @@ func (t *TxStore) Begin() error {
 		return fmt.Errorf("eio: tx: transaction already open")
 	}
 	t.inTx = true
-	t.committed = false
 	if !t.disabled {
-		t.writes = make(map[PageID][]byte)
-		t.order = t.order[:0]
-		t.allocs = t.allocs[:0]
-		t.frees = make(map[PageID]struct{})
-		t.freeOrder = t.freeOrder[:0]
+		t.rec = append(t.rec[:0], make([]byte, walHdrSize)...)
 	}
 	return nil
 }
@@ -617,94 +629,128 @@ func (t *TxStore) Commit() error {
 		t.inTx = false
 		return nil
 	}
-	if len(t.order) == 0 && len(t.freeOrder) == 0 {
-		// Nothing to make atomic. Allocations, if any, still need the
-		// checkpoint barrier so they survive reopen.
+	if len(t.slots) == 0 && len(t.txFrees) == 0 {
+		// Nothing to make atomic. Allocations, if any, still need a
+		// barrier so they survive reopen.
 		if len(t.allocs) > 0 {
 			if err := t.syncInnerTimed(); err != nil {
 				return err
 			}
-			t.dirty = false
 		}
 		t.endTxLocked()
 		return nil
 	}
-
-	// 1. Checkpoint barrier: the previous commit's in-place state and this
-	// transaction's allocations must be durable before the WAL record that
-	// protects them is overwritten.
-	if t.dirty || len(t.allocs) > 0 {
-		if err := t.syncInnerTimed(); err != nil {
-			return fmt.Errorf("eio: tx: checkpoint sync: %w", err)
-		}
-		t.dirty = false
+	rec := sealWALRecord(t.rec, t.applied+1, len(t.slots), t.ps)
+	t.rec = rec[:len(rec)-walCRCSize] // keep a grown buffer; Write appends after the slots
+	if err := t.logAndApply(t.applied+1, len(t.slots), rec); err != nil {
+		return err
 	}
+	t.held = append(t.held, t.txFrees...)
+	t.endTxLocked()
+	return nil
+}
 
-	// 2. Append the redo record over the WAL region.
-	lsn := t.applied + 1
-	images := make([]walWrite, 0, len(t.order))
-	for _, id := range t.order {
-		images = append(images, walWrite{id: id, image: t.writes[id]})
-	}
-	rec := encodeWALRecord(lsn, images, t.ps)
-	if len(rec) > len(t.walIDs)*t.ps {
+// logAndApply is the commit protocol for one sealed record of m images
+// (steps 1–4 of the note at the top of the file): TxStore.Commit runs it on
+// the transaction buffer, TxReplica.ApplyRecord on a shipped record.
+// Callers hold mu.
+func (t *TxStore) logAndApply(lsn uint64, m int, rec []byte) error {
+	pages := walRecordPages(m, t.ps)
+	if pages > len(t.walIDs) {
 		return fmt.Errorf("eio: tx: %d page images exceed WAL capacity %d: %w",
-			len(images), maxTxImages(t.ps, len(t.walIDs)), ErrTxOverflow)
+			m, maxTxImages(t.ps, len(t.walIDs)), ErrTxOverflow)
 	}
-	full := rec // the append loop below consumes rec; the commit hook needs it whole
-	page := make([]byte, t.ps)
-	walStart := time.Now()
-	for i := 0; len(rec) > 0; i++ {
-		n := copy(page, rec)
-		for j := n; j < t.ps; j++ {
-			page[j] = 0
+	if t.tail+pages > len(t.walIDs) {
+		if err := t.checkpointLocked(); err != nil {
+			return err
 		}
-		if err := t.inner.Write(t.walIDs[i], page); err != nil {
+	}
+	walStart := time.Now()
+	for i := 0; i < pages; i++ {
+		page := rec[i*t.ps:]
+		if len(page) >= t.ps {
+			page = page[:t.ps]
+		} else {
+			clear(t.pad[copy(t.pad, page):])
+			page = t.pad
+		}
+		if err := t.inner.Write(t.walIDs[t.tail+i], page); err != nil {
 			return fmt.Errorf("eio: tx: WAL append: %w", err)
 		}
-		rec = rec[n:]
 	}
-	t.walNs.Add(int64(time.Since(walStart)))
+	t.tm.WALAppend += time.Since(walStart)
 
-	// 3. Commit point.
 	if err := t.syncInnerTimed(); err != nil {
 		return fmt.Errorf("eio: tx: commit sync: %w", err)
 	}
 	t.committed = true
-	if t.hook != nil {
-		t.hook(lsn, full)
-	}
-
-	// 4. Apply in place, in first-write order. A crash anywhere in here
-	// is resolved by replay.
-	for _, id := range t.order {
-		if err := t.inner.Write(id, t.writes[id]); err != nil {
-			return fmt.Errorf("eio: tx: apply page %d: %w", id, err)
-		}
-	}
-
-	// 5. Apply barrier: the anchor about to claim this LSN must never
-	// become durable ahead of the data it vouches for (see the protocol
-	// note at the top of the file — a torn anchor write can pass the page
-	// checksum, so ordering, not checksums, carries this guarantee).
-	if err := t.syncInnerTimed(); err != nil {
-		return fmt.Errorf("eio: tx: apply sync: %w", err)
-	}
-
-	// 6–7. Bump the anchor, release deferred frees.
 	t.applied = lsn
-	t.seq++
-	t.slot = 1 - t.slot
-	if err := t.writeAnchor(t.slot, t.seq, t.applied); err != nil {
-		return err
+	t.tail += pages
+	t.tm.Commits++
+	if t.hook != nil {
+		t.hook(lsn, rec)
 	}
-	for _, id := range t.freeOrder {
-		if err := t.inner.Free(id); err != nil {
-			return fmt.Errorf("eio: tx: deferred free of page %d: %w", id, err)
+
+	// Apply in place, in first-write order, unsynced: until the next
+	// checkpoint the record in the ring is what makes these durable.
+	for i := 0; i < m; i++ {
+		id, img := walImage(rec, t.ps, i)
+		if err := t.writeImage(id, img); err != nil {
+			return err
 		}
 	}
-	t.dirty = true
-	t.endTxLocked()
+	return nil
+}
+
+// writeImage puts one committed page image in place through the apply
+// store, materializing the page first when the store has never handed its
+// id out.
+func (t *TxStore) writeImage(id PageID, img []byte) error {
+	err := t.apply.Write(id, img)
+	if err != nil && t.ensure != nil && errors.Is(err, ErrBadPage) {
+		if err = t.ensure.EnsurePage(id); err == nil {
+			err = t.apply.Write(id, img)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("eio: tx: apply page %d: %w", id, err)
+	}
+	return nil
+}
+
+// checkpointLocked retires every record in the ring (steps a–d of the note
+// at the top of the file): afterwards the anchor names the last committed
+// LSN, nothing can be replayed, and the held frees have reached the inner
+// store. Callers hold mu.
+func (t *TxStore) checkpointLocked() error {
+	if t.tail == 0 && len(t.held) == 0 {
+		return nil
+	}
+	start := time.Now()
+	defer func() {
+		t.tm.Checkpoint += time.Since(start)
+		t.tm.Checkpoints++
+	}()
+	if t.tail > 0 {
+		if err := t.syncInner(); err != nil {
+			return fmt.Errorf("eio: tx: checkpoint apply sync: %w", err)
+		}
+		if err := t.writeAnchor(1-t.slot, t.seq+1, t.applied); err != nil {
+			return err
+		}
+		if err := t.syncInner(); err != nil {
+			return fmt.Errorf("eio: tx: checkpoint anchor sync: %w", err)
+		}
+		t.slot, t.seq, t.tail = 1-t.slot, t.seq+1, 0
+	}
+	for i, id := range t.held {
+		delete(t.dead, id)
+		if err := t.inner.Free(id); err != nil {
+			t.held = t.held[:copy(t.held, t.held[i+1:])]
+			return fmt.Errorf("eio: tx: held free of page %d: %w", id, err)
+		}
+	}
+	t.held = t.held[:0]
 	return nil
 }
 
@@ -718,28 +764,35 @@ func (t *TxStore) Rollback() error {
 		return fmt.Errorf("eio: tx: no open transaction")
 	}
 	if !t.disabled && !t.committed {
+		// No record in the ring can name a page this transaction was just
+		// handed, so these go straight back to the inner store.
 		for i := len(t.allocs) - 1; i >= 0; i-- {
 			_ = t.inner.Free(t.allocs[i])
 		}
+	}
+	for _, id := range t.txFrees {
+		delete(t.dead, id)
 	}
 	t.endTxLocked()
 	return nil
 }
 
-// endTxLocked clears transaction state. Callers hold mu.
+// endTxLocked clears transaction state, keeping the record buffer and its
+// index for the next transaction unless this one outgrew keptRecordImages
+// (then they start over at a typical transaction's size). Callers hold mu.
 func (t *TxStore) endTxLocked() {
 	t.inTx = false
 	t.committed = false
-	t.writes = nil
-	t.order = nil
-	t.allocs = nil
-	t.frees = nil
-	t.freeOrder = nil
+	if cap(t.rec) > walRecordSize(keptRecordImages, t.ps) {
+		t.rec, t.slots = make([]byte, 0, walRecordSize(keptRecordImages/4, t.ps)), map[PageID]int{}
+	} else {
+		clear(t.slots)
+	}
+	t.allocs, t.txFrees = t.allocs[:0], t.txFrees[:0]
 }
 
-// Update runs fn inside one transaction: Begin, fn, then Commit on
-// success or Rollback on failure. This is the unit core.Durable maps
-// index operations onto.
+// Update runs fn inside one transaction: Begin, fn, then Commit on success
+// or Rollback on failure — the unit core.Durable maps index operations onto.
 func (t *TxStore) Update(fn func() error) error {
 	if err := t.Begin(); err != nil {
 		return err
@@ -769,12 +822,12 @@ func (t *TxStore) syncInner() error {
 	return nil
 }
 
-// syncInnerTimed is syncInner with the barrier's wall time folded into
-// the cumulative sync counter; Commit uses it for its three barriers.
+// syncInnerTimed is syncInner with the barrier's wall time folded into the
+// cumulative commit-sync counter.
 func (t *TxStore) syncInnerTimed() error {
 	start := time.Now()
 	err := t.syncInner()
-	t.syncNs.Add(int64(time.Since(start)))
+	t.tm.Sync += time.Since(start)
 	return err
 }
 
@@ -800,29 +853,38 @@ func (t *TxStore) Alloc() (PageID, error) {
 	return id, nil
 }
 
-// Free implements Store. Inside a transaction the free is deferred until
-// after the commit point, so a crash can never hand a committed page's
-// storage to a new owner mid-transaction.
+// Free implements Store. The page reads as freed at once, but the inner
+// free waits for the checkpoint that retires every record which may still
+// rewrite the page — so neither a crash nor a replay can hand a committed
+// page's storage to a new owner. With nothing in the ring and no open
+// transaction there is nothing to wait for and the free passes through.
 func (t *TxStore) Free(id PageID) error {
 	if id == NilPage {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.inTx || t.disabled {
+	if t.disabled || (!t.inTx && t.tail == 0) {
 		return t.inner.Free(id)
 	}
-	if _, dead := t.frees[id]; dead {
+	if _, dead := t.dead[id]; dead {
 		return fmt.Errorf("eio: tx: page %d already freed: %w", id, ErrBadPage)
 	}
-	t.frees[id] = struct{}{}
-	t.freeOrder = append(t.freeOrder, id)
-	if _, ok := t.writes[id]; ok {
-		delete(t.writes, id)
-		for i, w := range t.order {
-			if w == id {
-				t.order = append(t.order[:i], t.order[i+1:]...)
-				break
+	t.dead[id] = struct{}{}
+	if !t.inTx {
+		t.held = append(t.held, id)
+		return nil
+	}
+	t.txFrees = append(t.txFrees, id)
+	if i, ok := t.slots[id]; ok {
+		// Close the freed page's slot so the record stays dense and in
+		// first-write order.
+		off := walHdrSize + i*(8+t.ps)
+		t.rec = append(t.rec[:off], t.rec[off+8+t.ps:]...)
+		delete(t.slots, id)
+		for k, j := range t.slots {
+			if j > i {
+				t.slots[k] = j - 1
 			}
 		}
 	}
@@ -836,53 +898,68 @@ func (t *TxStore) Free(id PageID) error {
 func (t *TxStore) Read(id PageID, buf []byte) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if !t.inTx || t.disabled {
-		return t.inner.Read(id, buf)
+	if len(t.dead) > 0 {
+		if _, dead := t.dead[id]; dead {
+			return fmt.Errorf("eio: tx: page %d is freed: %w", id, ErrBadPage)
+		}
 	}
-	if len(buf) < t.ps {
-		return fmt.Errorf("eio: read buffer %d bytes: %w", len(buf), ErrPageSize)
-	}
-	if _, dead := t.frees[id]; dead {
-		return fmt.Errorf("eio: tx: page %d is freed: %w", id, ErrBadPage)
-	}
-	if data, ok := t.writes[id]; ok {
-		copy(buf, data)
-		return nil
+	if t.inTx && !t.disabled {
+		if len(buf) < t.ps {
+			return fmt.Errorf("eio: read buffer %d bytes: %w", len(buf), ErrPageSize)
+		}
+		if i, ok := t.slots[id]; ok {
+			_, img := walImage(t.rec, t.ps, i)
+			copy(buf, img)
+			return nil
+		}
 	}
 	return t.inner.Read(id, buf)
 }
 
-// Write implements Store. Inside a transaction the page image is buffered
-// until Commit; the inner store is untouched.
+// Write implements Store. Inside a transaction the page image goes into
+// its slot of the record buffer until Commit; the inner store is
+// untouched. A write outside a transaction passes through — after a
+// checkpoint if the ring still holds records, which replay would
+// otherwise put back over it.
 func (t *TxStore) Write(id PageID, buf []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if _, dead := t.dead[id]; dead {
+		return fmt.Errorf("eio: tx: page %d is freed: %w", id, ErrBadPage)
+	}
 	if !t.inTx || t.disabled {
+		if err := t.checkpointLocked(); err != nil {
+			return err
+		}
 		return t.inner.Write(id, buf)
 	}
 	if len(buf) != t.ps {
 		return fmt.Errorf("eio: write buffer %d bytes: %w", len(buf), ErrPageSize)
 	}
-	if _, dead := t.frees[id]; dead {
-		return fmt.Errorf("eio: tx: page %d is freed: %w", id, ErrBadPage)
+	if i, ok := t.slots[id]; ok {
+		_, img := walImage(t.rec, t.ps, i)
+		copy(img, buf)
+		return nil
 	}
-	if _, ok := t.writes[id]; !ok {
-		if len(t.writes)+1 > maxTxImages(t.ps, len(t.walIDs)) {
-			return fmt.Errorf("eio: tx: transaction exceeds WAL capacity of %d page images: %w",
-				maxTxImages(t.ps, len(t.walIDs)), ErrTxOverflow)
-		}
-		t.order = append(t.order, id)
+	if len(t.slots)+1 > maxTxImages(t.ps, len(t.walIDs)) {
+		return fmt.Errorf("eio: tx: transaction exceeds WAL capacity of %d page images: %w",
+			maxTxImages(t.ps, len(t.walIDs)), ErrTxOverflow)
 	}
-	data := make([]byte, t.ps)
-	copy(data, buf)
-	t.writes[id] = data
+	t.slots[id] = len(t.slots)
+	t.rec = append(binary.LittleEndian.AppendUint64(t.rec, uint64(id)), buf...)
 	return nil
 }
 
-// Sync delegates to the inner store's durability barrier, if any.
+// Sync makes everything written so far durable and exact: it checkpoints
+// (so the anchors name the last committed LSN, nothing is left to replay
+// and every held free is released) and then runs the inner store's
+// durability barrier, if any.
 func (t *TxStore) Sync() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if err := t.checkpointLocked(); err != nil {
+		return err
+	}
 	return t.syncInner()
 }
 
@@ -903,27 +980,39 @@ func (t *TxStore) Stats() Stats { return t.inner.Stats() }
 // transaction's buffers are NOT reset — only accounting is.
 func (t *TxStore) ResetStats() { t.inner.ResetStats() }
 
-// Pages implements Store, counting deferred frees as already gone.
+// Pages implements Store, counting freed pages as gone whether or not
+// their free has reached the inner store yet.
 func (t *TxStore) Pages() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.inner.Pages()
-	if t.inTx && !t.disabled {
-		n -= len(t.frees)
-	}
-	return n
+	return t.inner.Pages() - len(t.dead)
 }
 
-// LivePageIDs implements PageLister when the inner store does.
+// LivePageIDs implements PageLister when the inner store does; like Pages
+// it leaves out pages whose free is still held.
 func (t *TxStore) LivePageIDs() ([]PageID, error) {
 	pl, ok := t.inner.(PageLister)
 	if !ok {
 		return nil, fmt.Errorf("eio: tx: inner store cannot enumerate pages")
 	}
-	return pl.LivePageIDs()
+	ids, err := pl.LivePageIDs()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if err != nil || len(t.dead) == 0 {
+		return ids, err
+	}
+	live := ids[:0]
+	for _, id := range ids {
+		if _, dead := t.dead[id]; !dead {
+			live = append(live, id)
+		}
+	}
+	return live, nil
 }
 
-// Close rolls back any open transaction and closes the inner store.
+// Close rolls back any open transaction, checkpoints (a cleanly closed
+// store reopens with nothing to replay and nothing leaked) and closes the
+// inner store.
 func (t *TxStore) Close() error {
 	t.mu.Lock()
 	inTx := t.inTx
@@ -931,5 +1020,11 @@ func (t *TxStore) Close() error {
 	if inTx {
 		_ = t.Rollback()
 	}
-	return t.inner.Close()
+	t.mu.Lock()
+	err := t.checkpointLocked()
+	t.mu.Unlock()
+	if cerr := t.inner.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

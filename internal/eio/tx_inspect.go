@@ -14,14 +14,11 @@ type AnchorInfo struct {
 	LSN   uint64 `json:"lsn,omitempty"`
 }
 
-// WALRecordInfo describes the redo record currently occupying the WAL
-// region. TxStore keeps exactly one record (each commit overwrites the
-// region), so "the WAL" is this record plus the two anchors that interpret
-// it.
+// WALRecordInfo describes one redo record found in the WAL ring.
 type WALRecordInfo struct {
-	// Valid reports whether the region parses as a checksummed record.
-	Valid bool `json:"valid"`
-	// LSN is the record's log sequence number (0 when invalid).
+	// Page is the index, within the WAL region, of the record's first page.
+	Page int `json:"page"`
+	// LSN is the record's log sequence number (0 for a torn record).
 	LSN uint64 `json:"lsn"`
 	// Pages is the number of page images the record carries.
 	Pages int `json:"pages"`
@@ -30,14 +27,14 @@ type WALRecordInfo struct {
 	// PageIDs lists the target page id of each image, in apply order.
 	PageIDs []PageID `json:"page_ids,omitempty"`
 	// State classifies the record against the winning anchor:
-	// "applied" (lsn ≤ anchor LSN — already replayed, kept as history),
-	// "committed-unapplied" (lsn = anchor+1 — OpenTxStore would redo it),
-	// "future" (lsn > anchor+1 — impossible in a healthy file),
-	// "torn" (checksum or parse failure — a commit died before its commit
-	// point) or "empty" (zeroed region of a store that never committed).
+	// "committed-unapplied" (its LSN continues the chain anchor+1, +2, … from
+	// the ring's first page — OpenTxStore would redo it), "applied" (the
+	// current lap's records at or below the anchor, kept as history),
+	// "stale" (a valid record left from an earlier lap, or one recovery
+	// will not reach because the chain broke before it) or "torn" (record
+	// magic but a failed CRC — a commit died before its commit point; the
+	// walk cannot size it and stops there).
 	State string `json:"state"`
-	// TornPages counts WAL-region pages that failed their page checksum.
-	TornPages int `json:"torn_pages"`
 }
 
 // TxLayerInfo is the full decoded transactional layer of a store.
@@ -46,10 +43,27 @@ type TxLayerInfo struct {
 	WALPages []PageID      `json:"wal_pages"`
 	Capacity int           `json:"capacity"` // max page images per record
 	Anchors  [2]AnchorInfo `json:"anchors"`
-	// Applied is the winning anchor's LSN — the durable position of the
-	// store, and the position a log-shipping stream resumes from.
-	Applied uint64        `json:"applied"`
-	Record  WALRecordInfo `json:"record"`
+	// Applied is the winning anchor's LSN: the position of the last
+	// checkpoint. The store's durable position — where a log-shipping
+	// stream resumes — is Applied + Unapplied.
+	Applied uint64 `json:"applied"`
+	// Unapplied counts the committed-unapplied records recovery would redo.
+	Unapplied int `json:"unapplied"`
+	// Records lists every record the walk from the ring's first page found,
+	// in ring order. The walk ends at the first position that does not
+	// parse: free space, or the torn record listed last.
+	Records []WALRecordInfo `json:"records"`
+	// TornPages counts WAL-region pages that failed their page checksum.
+	TornPages int `json:"torn_pages"`
+}
+
+// Healthy reports whether recovery would find nothing damaged: no torn
+// record and no checksum-bad WAL page. (Both are what a crash legitimately
+// leaves and OpenTxStore discards and repairs; a cleanly closed store has
+// neither.)
+func (i TxLayerInfo) Healthy() bool {
+	n := len(i.Records)
+	return i.TornPages == 0 && (n == 0 || i.Records[n-1].State != "torn")
 }
 
 // InspectTxLayer reads and decodes the transactional layer rooted at dir
@@ -57,81 +71,52 @@ type TxLayerInfo struct {
 // without modifying anything. It works on crashed files: torn anchors and
 // WAL pages are reported, not repaired.
 func InspectTxLayer(inner Store, dir PageID) (TxLayerInfo, error) {
-	var info TxLayerInfo
-	info.Dir = dir
-	t := &TxStore{inner: inner, ps: inner.PageSize(), dir: dir}
-	rs := NewRecordStore(inner)
-	raw, err := rs.Get(dir, nil)
-	if err != nil {
-		return info, fmt.Errorf("eio: inspect: read directory %d: %w", dir, err)
-	}
-	if err := t.decodeDir(raw); err != nil {
+	info := TxLayerInfo{Dir: dir}
+	t := newTxStore(inner)
+	if err := t.loadDir(dir); err != nil {
 		return info, fmt.Errorf("eio: inspect: %w", err)
 	}
 	info.WALPages = t.walIDs
 	info.Capacity = maxTxImages(t.ps, len(t.walIDs))
 
-	buf := make([]byte, t.ps)
-	best := -1
-	for i := 0; i < 2; i++ {
-		info.Anchors[i].Page = t.anchors[i]
-		if err := inner.Read(t.anchors[i], buf); err != nil {
-			continue
-		}
-		seq, lsn, err := decodeAnchor(buf)
-		if err != nil {
-			continue
-		}
-		info.Anchors[i] = AnchorInfo{Page: t.anchors[i], Valid: true, Seq: seq, LSN: lsn}
-		if best < 0 || seq > info.Anchors[best].Seq {
-			best = i
-		}
+	seqs, lsns, valid, best := t.readAnchors()
+	for i := range info.Anchors {
+		info.Anchors[i] = AnchorInfo{Page: t.anchors[i], Valid: valid[i], Seq: seqs[i], LSN: lsns[i]}
 	}
 	if best >= 0 {
-		info.Applied = info.Anchors[best].LSN
+		info.Applied = lsns[best]
 	}
 
-	wal := make([]byte, 0, len(t.walIDs)*t.ps)
-	empty := true
-	for _, id := range t.walIDs {
-		if err := inner.Read(id, buf); err != nil {
-			info.Record.TornPages++
-			wal = append(wal, make([]byte, t.ps)...)
-			continue
-		}
-		for _, b := range buf[:t.ps] {
-			if b != 0 {
-				empty = false
-				break
+	wal, torn := t.readWAL()
+	info.TornPages = len(torn)
+	next, chain := info.Applied+1, true // the LSN recovery expects, while the chain holds
+	var prev uint64
+	for off := 0; off < len(wal); {
+		lsn, m, err := checkWALRecord(wal[off:], t.ps)
+		if err != nil {
+			if string(wal[off:off+4]) == walMagic {
+				info.Records = append(info.Records, WALRecordInfo{Page: off / t.ps, State: "torn"})
 			}
+			break
 		}
-		wal = append(wal, buf[:t.ps]...)
-	}
-
-	lsn, writes, err := decodeWALRecord(wal, t.ps)
-	switch {
-	case err == nil:
-		info.Record.Valid = true
-		info.Record.LSN = lsn
-		info.Record.Pages = len(writes)
-		info.Record.Bytes = walHdrSize + len(writes)*(8+t.ps) + walCRCSize
-		for _, w := range writes {
-			info.Record.PageIDs = append(info.Record.PageIDs, w.id)
+		r := WALRecordInfo{Page: off / t.ps, LSN: lsn, Pages: m, Bytes: walRecordSize(m, t.ps)}
+		for i := 0; i < m; i++ {
+			id, _ := walImage(wal[off:], t.ps, i)
+			r.PageIDs = append(r.PageIDs, id)
 		}
 		switch {
-		case best < 0:
-			info.Record.State = "committed-unapplied" // no anchor to compare against
-		case lsn <= info.Applied:
-			info.Record.State = "applied"
-		case lsn == info.Applied+1:
-			info.Record.State = "committed-unapplied"
+		case chain && lsn == next:
+			r.State = "committed-unapplied"
+			next++
+			info.Unapplied++
+		case chain && info.Unapplied == 0 && lsn <= info.Applied && (off == 0 || lsn == prev+1):
+			r.State = "applied"
 		default:
-			info.Record.State = "future"
+			r.State, chain = "stale", false
 		}
-	case empty && info.Record.TornPages == 0:
-		info.Record.State = "empty"
-	default:
-		info.Record.State = "torn"
+		prev = lsn
+		info.Records = append(info.Records, r)
+		off += walRecordPages(m, t.ps) * t.ps
 	}
 	return info, nil
 }

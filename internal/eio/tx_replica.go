@@ -1,183 +1,88 @@
 package eio
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // PageEnsurer is implemented by stores that can materialize an arbitrary
 // page id so a subsequent Write succeeds (FileStore.EnsurePage). Replica
 // appliers need it: shipped records reference the PRIMARY's page ids, which
-// the replica's own allocator has never handed out.
+// the replica's own allocator has never handed out. Crash recovery needs it
+// for the ids of a record that became durable without its allocations.
 type PageEnsurer interface {
 	EnsurePage(id PageID) error
 }
 
 // TxReplica replays shipped redo records into a replica's store through the
-// exact commit protocol TxStore uses — same WAL region, same anchors, same
-// barrier order — so a replica file is protocol-identical to a primary file:
-// a crashed replica recovers with the ordinary OpenTxStore machinery, and a
-// promoted replica IS a primary, no conversion step.
+// very commit routine TxStore.Commit runs — append at the ring's tail, one
+// Sync (the local commit point: the record now survives a replica crash
+// without help from the primary), apply unsynced, checkpoint lazily — so a
+// replica file is protocol-identical to a primary file: a crashed replica
+// recovers with the ordinary OpenTxStore machinery, and a promoted replica
+// IS a primary, no conversion step.
 //
-// Per record, ApplyRecord runs:
-//
-//	1. checkpoint barrier (previous apply durable before its WAL record
-//	   is overwritten)
-//	2. write the shipped record into the local WAL region
-//	3. Sync — the local commit point: the record now survives a replica
-//	   crash without help from the primary
-//	4. apply the page images in record order, materializing unseen ids
-//	5. Sync — the apply barrier
-//	6. bump the anchor (seq+1, record LSN)
-//
-// Writes in step 4 go through the apply store — a SnapStore in the serving
-// stack — so pinned readers keep their epoch; WAL and anchor writes (steps
-// 2 and 6) go straight to the inner store, whose pages no query ever reads.
+// Page images go through the apply store — a SnapStore in the serving
+// stack — so pinned readers keep their epoch; WAL and anchor writes go
+// straight to the inner store, whose pages no query ever reads.
 //
 // Frees are never shipped (TxStore never logs them), so a replica
 // accumulates pages its primary has freed. That is the documented
 // leak-never-corrupt trade-off: Scrub reclaims them at promotion.
 type TxReplica struct {
-	mu      sync.Mutex
-	inner   Store       // durability root: WAL region, anchors, sync barriers
-	apply   Store       // data-page writes (SnapStore for epoch-isolated readers)
-	ensure  PageEnsurer // materializes primary-chosen page ids, when supported
-	ps      int
-	dir     PageID
-	anchors [2]PageID
-	walIDs  []PageID
-	slot    int
-	seq     uint64
-	applied uint64
-
-	recovery RecoveryInfo
+	tx *TxStore
 }
 
 // OpenTxReplica attaches a replica applier to a store holding a TxStore
 // layout (dir is the directory id, the same value TxStore.Anchor returns on
 // the primary). It first runs full OpenTxStore crash recovery on inner —
-// a record the replica persisted locally but did not finish applying is
+// records the replica persisted locally but had not checkpointed are
 // redone — then resumes applying shipped records from the recovered LSN.
 // apply receives the data-page writes and may be nil to write straight to
 // inner.
 func OpenTxReplica(inner, apply Store, dir PageID) (*TxReplica, error) {
-	if apply == nil {
-		apply = inner
-	}
 	t, err := OpenTxStore(inner, dir)
 	if err != nil {
 		return nil, fmt.Errorf("eio: replica: %w", err)
 	}
-	r := &TxReplica{
-		inner:    inner,
-		apply:    apply,
-		ps:       t.ps,
-		dir:      dir,
-		anchors:  t.anchors,
-		walIDs:   t.walIDs,
-		slot:     t.slot,
-		seq:      t.seq,
-		applied:  t.applied,
-		recovery: t.recovery,
+	if apply != nil {
+		t.apply = apply
 	}
-	if pe, ok := inner.(PageEnsurer); ok {
-		r.ensure = pe
-	}
-	return r, nil
+	return &TxReplica{tx: t}, nil
 }
 
-// AppliedLSN returns the LSN of the last fully applied record.
-func (r *TxReplica) AppliedLSN() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.applied
-}
+// AppliedLSN returns the LSN of the last applied, locally durable record.
+func (r *TxReplica) AppliedLSN() uint64 { return r.tx.AppliedLSN() }
 
 // Recovery reports what the OpenTxStore pass inside OpenTxReplica did.
-func (r *TxReplica) Recovery() RecoveryInfo { return r.recovery }
+func (r *TxReplica) Recovery() RecoveryInfo { return r.tx.recovery }
 
 // Dir returns the directory id the applier was opened with.
-func (r *TxReplica) Dir() PageID { return r.dir }
+func (r *TxReplica) Dir() PageID { return r.tx.dir }
+
+// Checkpoint makes the file exact: every applied image durable, the anchor
+// at AppliedLSN, nothing left to replay. Promotion and clean shutdown call
+// it before handing the file to OpenTxStore.
+func (r *TxReplica) Checkpoint() error { return r.tx.Sync() }
 
 // ApplyRecord verifies and applies one shipped redo record. It returns
 // (false, nil) for a duplicate (LSN ≤ applied — reconnects resend the tail)
 // and an error for a gap or a corrupt record; (true, nil) means the record
 // is applied and locally durable.
 func (r *TxReplica) ApplyRecord(rec []byte) (bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	lsn, writes, err := decodeWALRecord(rec, r.ps)
+	t := r.tx
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	lsn, m, err := checkWALRecord(rec, t.ps)
 	if err != nil {
 		return false, fmt.Errorf("eio: replica: shipped record: %w", err)
 	}
-	if lsn <= r.applied {
+	if lsn <= t.applied {
 		return false, nil
 	}
-	if lsn != r.applied+1 {
+	if lsn != t.applied+1 {
 		return false, fmt.Errorf("eio: replica: record lsn %d does not follow applied %d: %w",
-			lsn, r.applied, ErrBadRecord)
+			lsn, t.applied, ErrBadRecord)
 	}
-	if len(rec) > len(r.walIDs)*r.ps {
-		return false, fmt.Errorf("eio: replica: record of %d bytes exceeds local WAL region: %w",
-			len(rec), ErrTxOverflow)
-	}
-
-	// 1. Checkpoint barrier: the previous record's apply and anchor must be
-	// durable before the WAL record that could redo them is overwritten.
-	if err := r.syncInner(); err != nil {
-		return false, fmt.Errorf("eio: replica: checkpoint sync: %w", err)
-	}
-
-	// 2–3. Persist the record locally, then the commit point.
-	page := make([]byte, r.ps)
-	rest := rec
-	for i := 0; len(rest) > 0; i++ {
-		n := copy(page, rest)
-		for j := n; j < r.ps; j++ {
-			page[j] = 0
-		}
-		if err := r.inner.Write(r.walIDs[i], page); err != nil {
-			return false, fmt.Errorf("eio: replica: WAL append: %w", err)
-		}
-		rest = rest[n:]
-	}
-	if err := r.syncInner(); err != nil {
-		return false, fmt.Errorf("eio: replica: commit sync: %w", err)
-	}
-
-	// 4. Apply in record order through the apply store.
-	for _, w := range writes {
-		if r.ensure != nil {
-			if err := r.ensure.EnsurePage(w.id); err != nil {
-				return false, fmt.Errorf("eio: replica: materialize page %d: %w", w.id, err)
-			}
-		}
-		if err := r.apply.Write(w.id, w.image); err != nil {
-			return false, fmt.Errorf("eio: replica: apply page %d: %w", w.id, err)
-		}
-	}
-
-	// 5. Apply barrier: the anchor about to claim this LSN must never be
-	// durable ahead of the data it vouches for.
-	if err := r.syncInner(); err != nil {
-		return false, fmt.Errorf("eio: replica: apply sync: %w", err)
-	}
-
-	// 6. Bump the anchor.
-	r.applied = lsn
-	r.seq++
-	r.slot = 1 - r.slot
-	pg := make([]byte, r.ps)
-	copy(pg, encodeAnchor(r.seq, r.applied))
-	if err := r.inner.Write(r.anchors[r.slot], pg); err != nil {
-		return false, fmt.Errorf("eio: replica: write anchor: %w", err)
+	if err := t.logAndApply(lsn, m, rec[:walRecordSize(m, t.ps)]); err != nil {
+		return false, fmt.Errorf("eio: replica: %w", err)
 	}
 	return true, nil
-}
-
-func (r *TxReplica) syncInner() error {
-	if s, ok := r.inner.(syncer); ok {
-		return s.Sync()
-	}
-	return nil
 }

@@ -63,38 +63,42 @@ func TestRecoverySweep(t *testing.T) {
 		}
 		return tr.HeaderID(), nil
 	}
+	insertOp := func(st eio.Store, hdr eio.PageID) error {
+		tr, err := epst.Open(st, hdr, 0)
+		if err != nil {
+			return err
+		}
+		return tr.Insert(geom.Point{X: 64, Y: 1000})
+	}
+	deleteOp := func(st eio.Store, hdr eio.PageID) error {
+		tr, err := epst.Open(st, hdr, 0)
+		if err != nil {
+			return err
+		}
+		found, err := tr.Delete(sweepPoints()[17])
+		if err == nil && !found {
+			return fmt.Errorf("delete target missing")
+		}
+		return err
+	}
 	eiotest.RecoverySweep(t, eiotest.RecoveryWorkload{
-		Name:     "epst-insert",
-		PageSize: 128,
-		WALPages: 512,
-		Build:    build,
-		Op: func(st eio.Store, hdr eio.PageID) error {
-			tr, err := epst.Open(st, hdr, 0)
-			if err != nil {
-				return err
-			}
-			return tr.Insert(geom.Point{X: 64, Y: 1000})
-		},
+		Name:      "epst-insert",
+		PageSize:  128,
+		WALPages:  512,
+		Build:     build,
+		Op:        insertOp,
+		Prefix:    deleteOp,
 		State:     epstState,
 		Reachable: epstReachable,
 		MaxRuns:   60,
 	})
 	eiotest.RecoverySweep(t, eiotest.RecoveryWorkload{
-		Name:     "epst-delete",
-		PageSize: 128,
-		WALPages: 512,
-		Build:    build,
-		Op: func(st eio.Store, hdr eio.PageID) error {
-			tr, err := epst.Open(st, hdr, 0)
-			if err != nil {
-				return err
-			}
-			found, err := tr.Delete(sweepPoints()[17])
-			if err == nil && !found {
-				return fmt.Errorf("delete target missing")
-			}
-			return err
-		},
+		Name:      "epst-delete",
+		PageSize:  128,
+		WALPages:  512,
+		Build:     build,
+		Op:        deleteOp,
+		Prefix:    insertOp,
 		State:     epstState,
 		Reachable: epstReachable,
 		MaxRuns:   60,

@@ -69,38 +69,42 @@ func TestRecoverySweep(t *testing.T) {
 		}
 		return s.HeaderID(), nil
 	}
+	insertOp := func(st eio.Store, hdr eio.PageID) error {
+		s, err := interval.Open(st, hdr, 0)
+		if err != nil {
+			return err
+		}
+		return s.Insert(geom.Interval{Lo: 40, Hi: 2000})
+	}
+	deleteOp := func(st eio.Store, hdr eio.PageID) error {
+		s, err := interval.Open(st, hdr, 0)
+		if err != nil {
+			return err
+		}
+		found, err := s.Delete(sweepIntervals()[9])
+		if err == nil && !found {
+			return fmt.Errorf("delete target missing")
+		}
+		return err
+	}
 	eiotest.RecoverySweep(t, eiotest.RecoveryWorkload{
-		Name:     "interval-insert",
-		PageSize: 128,
-		WALPages: 512,
-		Build:    build,
-		Op: func(st eio.Store, hdr eio.PageID) error {
-			s, err := interval.Open(st, hdr, 0)
-			if err != nil {
-				return err
-			}
-			return s.Insert(geom.Interval{Lo: 40, Hi: 2000})
-		},
+		Name:      "interval-insert",
+		PageSize:  128,
+		WALPages:  512,
+		Build:     build,
+		Op:        insertOp,
+		Prefix:    deleteOp,
 		State:     intervalState,
 		Reachable: intervalReachable,
 		MaxRuns:   60,
 	})
 	eiotest.RecoverySweep(t, eiotest.RecoveryWorkload{
-		Name:     "interval-delete",
-		PageSize: 128,
-		WALPages: 512,
-		Build:    build,
-		Op: func(st eio.Store, hdr eio.PageID) error {
-			s, err := interval.Open(st, hdr, 0)
-			if err != nil {
-				return err
-			}
-			found, err := s.Delete(sweepIntervals()[9])
-			if err == nil && !found {
-				return fmt.Errorf("delete target missing")
-			}
-			return err
-		},
+		Name:      "interval-delete",
+		PageSize:  128,
+		WALPages:  512,
+		Build:     build,
+		Op:        deleteOp,
+		Prefix:    insertOp,
 		State:     intervalState,
 		Reachable: intervalReachable,
 		MaxRuns:   60,

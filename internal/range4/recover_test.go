@@ -66,40 +66,44 @@ func TestRecoverySweep(t *testing.T) {
 		}
 		return tr.HeaderID(), nil
 	}
+	insertOp := func(st eio.Store, hdr eio.PageID) error {
+		tr, err := range4.Open(st, hdr)
+		if err != nil {
+			return err
+		}
+		return tr.Insert(geom.Point{X: 42, Y: 1000})
+	}
+	deleteOp := func(st eio.Store, hdr eio.PageID) error {
+		tr, err := range4.Open(st, hdr)
+		if err != nil {
+			return err
+		}
+		found, err := tr.Delete(sweepPoints()[5])
+		if err == nil && !found {
+			return fmt.Errorf("delete target missing")
+		}
+		return err
+	}
 	eiotest.RecoverySweep(t, eiotest.RecoveryWorkload{
-		Name:     "range4-insert",
-		PageSize: 128,
-		WALPages: 512,
-		Build:    build,
-		Op: func(st eio.Store, hdr eio.PageID) error {
-			tr, err := range4.Open(st, hdr)
-			if err != nil {
-				return err
-			}
-			return tr.Insert(geom.Point{X: 42, Y: 1000})
-		},
+		Name:      "range4-insert",
+		PageSize:  128,
+		WALPages:  512,
+		Build:     build,
+		Op:        insertOp,
+		Prefix:    deleteOp,
 		State:     range4State,
 		Reachable: range4Reachable,
-		MaxRuns:   40,
+		MaxRuns:   60,
 	})
 	eiotest.RecoverySweep(t, eiotest.RecoveryWorkload{
-		Name:     "range4-delete",
-		PageSize: 128,
-		WALPages: 512,
-		Build:    build,
-		Op: func(st eio.Store, hdr eio.PageID) error {
-			tr, err := range4.Open(st, hdr)
-			if err != nil {
-				return err
-			}
-			found, err := tr.Delete(sweepPoints()[5])
-			if err == nil && !found {
-				return fmt.Errorf("delete target missing")
-			}
-			return err
-		},
+		Name:      "range4-delete",
+		PageSize:  128,
+		WALPages:  512,
+		Build:     build,
+		Op:        deleteOp,
+		Prefix:    insertOp,
 		State:     range4State,
 		Reachable: range4Reachable,
-		MaxRuns:   40,
+		MaxRuns:   60,
 	})
 }

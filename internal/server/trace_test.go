@@ -398,3 +398,35 @@ func instrumentedReference(t *testing.T, preload int, point geom.Point, rect geo
 	}
 	return recs[0], recs[1]
 }
+
+// TestStatsOnWriteOnlyNodeLeavesNoPin is the monitoring-poll regression
+// where it bit: a STATS every 100 acknowledged writes into a write-only
+// durable stream. STATS reads Len through a snapshot view; if that view
+// stayed pinned until the next reader, every later commit would retain a
+// pre-image of every page it touched (one poll once took RSS from 17 MiB to
+// 1.7 GiB). After every acknowledged write the pins must be back to 0 and
+// the versions held bounded by what one batch can write.
+func TestStatsOnWriteOnlyNodeLeavesNoPin(t *testing.T) {
+	ts := newTracedServer(t, Config{}, true)
+	cl := ts.dial(t)
+	writes := 1000
+	if testing.Short() {
+		writes = 300
+	}
+	// One group commit is one WAL record, so it cannot write more distinct
+	// pages than the WAL region has.
+	const maxVersions = eio.DefaultWALPages
+	for i := 0; i < writes; i++ {
+		if dup, err := cl.Insert(geom.Point{X: int64(i * 7 % 1009), Y: int64(i)}); err != nil || dup {
+			t.Fatalf("insert %d: dup=%v err=%v", i, dup, err)
+		}
+		if st := ts.snap.SnapStats(); st.Pins != 0 || st.Versions > maxVersions {
+			t.Fatalf("after acked write %d: %d pins, %d versions held (bound %d)", i, st.Pins, st.Versions, maxVersions)
+		}
+		if i%100 == 99 {
+			if _, err := cl.Stats(); err != nil {
+				t.Fatalf("stats after write %d: %v", i, err)
+			}
+		}
+	}
+}

@@ -66,57 +66,63 @@ func TestRecoverySweep(t *testing.T) {
 		}
 		return s.CatalogID(), nil
 	}
-	eiotest.RecoverySweep(t, eiotest.RecoveryWorkload{
-		Name:     "smallstruct-insert",
-		PageSize: 128,
-		WALPages: 256,
-		Build:    build,
-		Op: func(st eio.Store, hdr eio.PageID) error {
-			s, err := smallstruct.Open(st, hdr, 0)
-			if err != nil {
-				return err
-			}
-			return s.Insert(geom.Point{X: 35, Y: 500})
-		},
-		State:     smallState,
-		Reachable: smallReachable,
-		MaxRuns:   50,
-	})
-	eiotest.RecoverySweep(t, eiotest.RecoveryWorkload{
-		Name:     "smallstruct-delete",
-		PageSize: 128,
-		WALPages: 256,
-		Build:    build,
-		Op: func(st eio.Store, hdr eio.PageID) error {
-			s, err := smallstruct.Open(st, hdr, 0)
-			if err != nil {
-				return err
-			}
-			found, err := s.Delete(sweepPoints()[6])
-			if err == nil && !found {
-				return fmt.Errorf("delete target missing")
-			}
+	insertOp := func(st eio.Store, hdr eio.PageID) error {
+		s, err := smallstruct.Open(st, hdr, 0)
+		if err != nil {
 			return err
-		},
+		}
+		return s.Insert(geom.Point{X: 35, Y: 500})
+	}
+	deleteOp := func(st eio.Store, hdr eio.PageID) error {
+		s, err := smallstruct.Open(st, hdr, 0)
+		if err != nil {
+			return err
+		}
+		found, err := s.Delete(sweepPoints()[6])
+		if err == nil && !found {
+			return fmt.Errorf("delete target missing")
+		}
+		return err
+	}
+	rebuildOp := func(st eio.Store, hdr eio.PageID) error {
+		s, err := smallstruct.Open(st, hdr, 0)
+		if err != nil {
+			return err
+		}
+		// Force the insert through a full rebuild: every block is
+		// rewritten and the old ones freed inside one transaction.
+		s.SetBufferCap(1)
+		return s.Insert(geom.Point{X: 36, Y: 501})
+	}
+	eiotest.RecoverySweep(t, eiotest.RecoveryWorkload{
+		Name:      "smallstruct-insert",
+		PageSize:  128,
+		WALPages:  256,
+		Build:     build,
+		Op:        insertOp,
+		Prefix:    deleteOp,
 		State:     smallState,
 		Reachable: smallReachable,
 		MaxRuns:   50,
 	})
 	eiotest.RecoverySweep(t, eiotest.RecoveryWorkload{
-		Name:     "smallstruct-rebuild",
-		PageSize: 128,
-		WALPages: 256,
-		Build:    build,
-		Op: func(st eio.Store, hdr eio.PageID) error {
-			s, err := smallstruct.Open(st, hdr, 0)
-			if err != nil {
-				return err
-			}
-			// Force the insert through a full rebuild: every block is
-			// rewritten and the old ones freed inside one transaction.
-			s.SetBufferCap(1)
-			return s.Insert(geom.Point{X: 36, Y: 501})
-		},
+		Name:      "smallstruct-delete",
+		PageSize:  128,
+		WALPages:  256,
+		Build:     build,
+		Op:        deleteOp,
+		Prefix:    insertOp,
+		State:     smallState,
+		Reachable: smallReachable,
+		MaxRuns:   50,
+	})
+	eiotest.RecoverySweep(t, eiotest.RecoveryWorkload{
+		Name:      "smallstruct-rebuild",
+		PageSize:  128,
+		WALPages:  256,
+		Build:     build,
+		Op:        rebuildOp,
+		Prefix:    deleteOp,
 		State:     smallState,
 		Reachable: smallReachable,
 		MaxRuns:   50,

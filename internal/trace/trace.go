@@ -73,17 +73,20 @@ func ParseID(s string) (ID, error) {
 //	leadership   waiting to acquire the single-writer leadership lock
 //	execute      running the index operation itself (tree reads/writes)
 //	wal_append   writing WAL record pages inside TxStore.Commit
-//	sync         durability barriers (checkpoint, commit-point, apply)
-//	commit       the rest of commit: in-place apply, anchor, epoch publish
+//	sync         the commit-point durability barrier, one per commit
+//	commit       the rest of commit: in-place apply, epoch publish
 //	reply_flush  encoding the response and flushing it to the socket
 //	flush        draining a write buffer into the base structure (the
 //	             bulk apply a buffered write triggered by crossing the
 //	             size threshold; see internal/wbuf)
+//	checkpoint   the WAL checkpoint a commit ran because its record did not
+//	             fit the ring: two barriers, the anchor, the held frees
 //
 // Reads have only admission, execute and reply_flush; the group-commit
 // phases stay zero. The flush phase is zero for every request except the
 // unlucky buffered write that crossed the flush threshold and paid for
-// the whole drain.
+// the whole drain; the checkpoint phase likewise, for the one commit in a
+// ring lap that found the WAL full.
 type Phase int
 
 const (
@@ -96,6 +99,7 @@ const (
 	PhaseCommit
 	PhaseReplyFlush
 	PhaseFlush
+	PhaseCheckpoint
 
 	// NumPhases is the number of defined phases; valid phases are
 	// 0 <= p < NumPhases.
@@ -112,6 +116,7 @@ var phaseNames = [NumPhases]string{
 	"commit",
 	"reply_flush",
 	"flush",
+	"checkpoint",
 }
 
 // String returns the snake_case phase name used in JSON records,

@@ -65,38 +65,42 @@ func TestRecoverySweep(t *testing.T) {
 		}
 		return tr.HeaderID(), nil
 	}
+	insertOp := func(st eio.Store, hdr eio.PageID) error {
+		tr, err := wbtree.Open(st, hdr)
+		if err != nil {
+			return err
+		}
+		return tr.Insert(geom.Point{X: 55, Y: 999})
+	}
+	deleteOp := func(st eio.Store, hdr eio.PageID) error {
+		tr, err := wbtree.Open(st, hdr)
+		if err != nil {
+			return err
+		}
+		found, err := tr.Delete(sweepPoints()[11])
+		if err == nil && !found {
+			return fmt.Errorf("delete target missing")
+		}
+		return err
+	}
 	eiotest.RecoverySweep(t, eiotest.RecoveryWorkload{
-		Name:     "wbtree-insert",
-		PageSize: 128,
-		WALPages: 256,
-		Build:    build,
-		Op: func(st eio.Store, hdr eio.PageID) error {
-			tr, err := wbtree.Open(st, hdr)
-			if err != nil {
-				return err
-			}
-			return tr.Insert(geom.Point{X: 55, Y: 999})
-		},
+		Name:      "wbtree-insert",
+		PageSize:  128,
+		WALPages:  256,
+		Build:     build,
+		Op:        insertOp,
+		Prefix:    deleteOp,
 		State:     wbtreeState,
 		Reachable: wbtreeReachable,
 		MaxRuns:   50,
 	})
 	eiotest.RecoverySweep(t, eiotest.RecoveryWorkload{
-		Name:     "wbtree-delete",
-		PageSize: 128,
-		WALPages: 256,
-		Build:    build,
-		Op: func(st eio.Store, hdr eio.PageID) error {
-			tr, err := wbtree.Open(st, hdr)
-			if err != nil {
-				return err
-			}
-			found, err := tr.Delete(sweepPoints()[11])
-			if err == nil && !found {
-				return fmt.Errorf("delete target missing")
-			}
-			return err
-		},
+		Name:      "wbtree-delete",
+		PageSize:  128,
+		WALPages:  256,
+		Build:     build,
+		Op:        deleteOp,
+		Prefix:    insertOp,
 		State:     wbtreeState,
 		Reachable: wbtreeReachable,
 		MaxRuns:   50,
