@@ -34,9 +34,11 @@ sweep:
 # unsynced writes survived, the same with a torn write), reopen, run WAL
 # recovery, and assert the state is exactly pre-op or post-op — a prefix
 # holding every acknowledged commit — with invariants intact and a clean
-# file.
+# file. Each sweep runs with TxStore's built-in page cache and again with a
+# tiny one that steals; the cache's coherence schedule and the pins on what
+# a commit writes before its ack run with them.
 recover-sweep:
-	$(GO) test ./internal/... -run 'TestRecoverySweep|TestTxRecoverySweepRaw|TestTxRecoverySweepHistory|TestJournalRecoverySweep' -v
+	$(GO) test ./internal/... -run 'TestRecoverySweep|TestTxRecoverySweepRaw|TestTxRecoverySweepHistory|TestJournalRecoverySweep|TestTxCacheCoherence|TestTxCommitForcesOnlyLog|TestTxRunWrite' -v
 
 # Short coverage-guided fuzz of the hostile-input parsers: WAL records,
 # whole WAL rings under recovery, anchors, whole store files, and the rsserve wire-protocol decoders.

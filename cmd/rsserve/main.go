@@ -9,8 +9,10 @@
 //
 //	-mem                volatile:  SnapStore(MemStore)
 //	-store X            durable:   SnapStore(TxStore(FileStore)), WAL
-//	                    group commits — one fsync per commit, a checkpoint
-//	                    per lap of the -wal ring — crash-recoverable (default)
+//	                    group commits — one fsync per commit, which forces
+//	                    the log only: committed pages sit in TxStore's own
+//	                    fixed write-back cache until a checkpoint, once per
+//	                    lap of the -wal ring — crash-recoverable (default)
 //	-store X -durable=false -pool N
 //	                    volatile cache: SnapStore(ShardedPool(FileStore))
 //
@@ -337,6 +339,15 @@ func finish(snap *eio.SnapStore, tracer *eio.TraceStore, idx *core.ThreeSided, t
 	return &stack{conc: conc, idx: idx, snap: snap, tx: tx, m: m}, nil
 }
 
+// publishTxCache exports the counters of a durable stack's page cache
+// (hits, misses, evictions, write-backs, dirty frames) as
+// "rangesearch.pool.tx"; a promotion calls it again for the new stack.
+func publishTxCache(tx *eio.TxStore) {
+	if tx != nil && tx.Cache() != nil {
+		obs.PublishPool("tx", tx.Cache())
+	}
+}
+
 // drainClean runs the shutdown storage protocol: unpin the serving view,
 // commit the final epoch (handing deferred frees down), verify page-exact
 // reachability, checkpoint and sync (releasing the held frees), close. It
@@ -380,7 +391,7 @@ func main() {
 		page    = flag.Int("page", 4096, "page size in bytes when creating a store")
 		durable = flag.Bool("durable", true, "file stores: WAL-backed atomic commits (crash-recoverable)")
 		wal     = flag.Int("wal", eio.DefaultWALPages, "WAL capacity in pages for durable stores")
-		poolCap = flag.Int("pool", 0, "non-durable file stores: buffer-pool capacity in pages (0 = none)")
+		poolCap = flag.Int("pool", 0, "non-durable file stores: buffer-pool capacity in pages (0 = none); a durable store has TxStore's built-in page cache instead")
 
 		maxInFlight = flag.Int("max-inflight", 64, "admission gate: max RPCs in flight before BUSY")
 		maxBatch    = flag.Int("max-batch", server.DefaultMaxBatchOps, "max operations in one BATCH request")
@@ -578,6 +589,9 @@ func main() {
 
 	metrics := &server.Metrics{}
 	server.PublishMetrics("main", metrics)
+	if st != nil {
+		publishTxCache(st.tx)
+	}
 	var wbStats func() obs.WriteBufferStats
 	if buf != nil {
 		obs.PublishWriteBuffer("serve", buf)

@@ -551,6 +551,7 @@ func (rn *replicaNode) doPromote() (uint64, uint64, error) {
 	// stack now owns).
 	rn.txrA.Store(nil)
 	old := rn.node.Promote(newStack.conc, newTerm)
+	publishTxCache(tx)
 	rn.st = newStack
 	rn.txr = nil
 	old.Close()

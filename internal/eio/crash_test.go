@@ -538,3 +538,90 @@ func TestVerifyCleanStore(t *testing.T) {
 		t.Fatalf("Version = %d", rep.Version)
 	}
 }
+
+// TestSuperblockWrittenOnlyWhenBehind pins FileStore.Sync's economy: a slot
+// is rewritten only while one of the two is behind the allocation state in
+// memory — two Syncs after a change, then none — and a slot a crash tore is
+// brought back by the next Sync of the reopened store.
+func TestSuperblockWrittenOnlyWhenBehind(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "super.db")
+	fs, err := CreateFileStore(path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := func() [2]uint64 {
+		t.Helper()
+		var hdr [superRegionSize]byte
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.ReadAt(hdr[:], 0); err != nil {
+			t.Fatal(err)
+		}
+		var out [2]uint64 // a slot that does not parse reads as 0
+		for i := range out {
+			if st, ok := parseSuperSlot(hdr[i*superSlotSize : (i+1)*superSlotSize]); ok {
+				out[i] = st.seq
+			}
+		}
+		return out
+	}
+	sync := func() [2]uint64 {
+		t.Helper()
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return seqs()
+	}
+	fresh := seqs()
+	if got := sync(); got != fresh {
+		t.Fatalf("Sync of an unchanged fresh store rewrote a slot: %v -> %v", fresh, got)
+	}
+	id, err := fs.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, two := sync(), sync()
+	if one == fresh || two == one || two[0] == fresh[0] || two[1] == fresh[1] {
+		t.Fatalf("after an Alloc two Syncs must write one slot each: %v, %v, %v", fresh, one, two)
+	}
+	if err := fs.Write(id, bytes.Repeat([]byte{1}, 64)); err != nil { // page writes move no allocation state
+		t.Fatal(err)
+	}
+	if got := sync(); got != two {
+		t.Fatalf("third Sync rewrote a slot: %v -> %v", two, got)
+	}
+	if err := fs.CloseCrash(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tear the newer slot: the reopened store runs on the other and its
+	// first Sync rewrites the torn one, although nothing was allocated.
+	newest := int64(0)
+	if two[1] > two[0] {
+		newest = 1
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xFF, 0xFF, 0xFF, 0xFF}, newest*superSlotSize+20); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if torn := seqs(); torn[newest] != 0 || torn[1-newest] != two[1-newest] {
+		t.Fatalf("tearing slot %d left %v", newest, torn)
+	}
+	if fs, err = OpenFileStore(path); err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if repaired := sync(); repaired[newest] == 0 || repaired[1-newest] != two[1-newest] {
+		t.Fatalf("Sync after a torn slot left %v, want slot %d valid again and the other untouched", repaired, newest)
+	}
+	if rep, err := VerifyFile(path); err != nil || rep.Damaged() {
+		t.Fatalf("verify: %v\n%s", err, rep)
+	}
+}

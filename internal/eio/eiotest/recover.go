@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,7 +16,8 @@ import (
 // RecoveryWorkload scripts one structure operation for the crash-recovery
 // sweep: RecoverySweep builds the structure once on a transactional
 // file-backed store, then crashes the backing store at EVERY mutating
-// operation the scripted op's commit and the checkpoint after it perform,
+// operation the scripted op's commit and the checkpoint after it perform
+// (WAL append, barriers, cache flush and steal writes, anchor, held frees),
 // reopens the file, runs recovery (eio.OpenTxStore), and asserts that the
 // structure's full state is exactly the pre-op or the post-op state — the
 // post-op state once the commit returned — with invariants intact and a
@@ -63,26 +65,37 @@ type RecoveryWorkload struct {
 // state stale, one of the others torn).
 var crashVariants = []string{"direct", "cached", "subset"}
 
+// smallCacheFrames is the TxStore page cache of the second pass of every
+// sweep: small enough that one scripted op's reads and its commit evict
+// dirty frames, so steal writes are among the operations crashed.
+const smallCacheFrames = 4
+
 // RecoverySweep crashes w.Op's transaction and the checkpoint that follows
 // it at every backing-store mutating operation (writes, allocs, frees and
 // syncs) and asserts before-or-after recovery semantics under each of
 // crashVariants — from a checkpointed pre-op image and, when w.Prefix is
-// set, again from one whose WAL ring is not empty.
+// set, again from one whose WAL ring is not empty; each with the built-in
+// page cache (every in-place write is a checkpoint flush) and again with
+// one of smallCacheFrames frames (some are steals, between the commit
+// point and the checkpoint).
 func RecoverySweep(t *testing.T, w RecoveryWorkload) {
 	t.Helper()
 	dir := t.TempDir()
 	pre := filepath.Join(dir, "preop.db")
 	hdr, anchor := buildPreOp(t, w, pre)
 
-	for _, ring := range []bool{false, true} {
-		label := ""
-		if ring {
-			if w.Prefix == nil {
-				break
-			}
-			label = "ring/"
+	for _, pass := range []struct{ small, ring bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
+		if pass.ring && w.Prefix == nil {
+			continue
 		}
-		r := sweepRun{w: w, pre: pre, dir: dir, hdr: hdr, anchor: anchor, ring: ring}
+		prefix := w.Name + "/" // of this pass's sub-test names
+		if pass.small {
+			prefix += "smallcache/"
+		}
+		if pass.ring {
+			prefix += "ring/"
+		}
+		r := sweepRun{w: w, pre: pre, dir: dir, hdr: hdr, anchor: anchor, ring: pass.ring, small: pass.small}
 		// Baseline: run uncrashed on a copy, counting the mutating store
 		// operations and capturing the states on either side of the op.
 		total := r.run(t, "baseline", 0)
@@ -90,10 +103,10 @@ func RecoverySweep(t *testing.T, w RecoveryWorkload) {
 			t.Fatalf("%s: op did not change the structure state", w.Name)
 		}
 		ks := sampleOps(total, w.MaxRuns)
-		t.Logf("%s%s: recovery sweep over %d of %d mutating ops", w.Name, label, len(ks), total)
+		t.Logf("%s: recovery sweep over %d of %d mutating ops", strings.TrimSuffix(prefix, "/"), len(ks), total)
 		for _, k := range ks {
 			for _, variant := range crashVariants {
-				t.Run(fmt.Sprintf("%s/%sop%d/%s", w.Name, label, k, variant), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%sop%d/%s", prefix, k, variant), func(t *testing.T) {
 					r.run(t, variant, k)
 				})
 			}
@@ -141,8 +154,16 @@ type sweepRun struct {
 	w             RecoveryWorkload
 	pre, dir      string
 	hdr, anchor   eio.PageID
-	ring          bool
+	ring, small   bool
 	before, after string
+}
+
+// openTx opens the transactional layer with the cache this run sweeps.
+func (r *sweepRun) openTx(st eio.Store) (*eio.TxStore, error) {
+	if r.small {
+		return eio.OpenTxStoreFrames(st, r.anchor, smallCacheFrames)
+	}
+	return eio.OpenTxStore(st, r.anchor)
 }
 
 // run executes the op's transaction and the checkpoint after it on a copy
@@ -153,7 +174,7 @@ type sweepRun struct {
 func (r *sweepRun) run(t *testing.T, variant string, k int) int {
 	t.Helper()
 	w := r.w
-	path := filepath.Join(r.dir, fmt.Sprintf("run-%v-%d-%s.db", r.ring, k, variant))
+	path := filepath.Join(r.dir, fmt.Sprintf("run-%v-%v-%d-%s.db", r.small, r.ring, k, variant))
 	copyFile(t, r.pre, path)
 	defer os.Remove(path)
 
@@ -170,7 +191,7 @@ func (r *sweepRun) run(t *testing.T, variant string, k int) int {
 		base = cs
 	}
 	cp := NewCrashPoint(base)
-	tx, err := eio.OpenTxStore(cp, r.anchor)
+	tx, err := r.openTx(cp)
 	if err != nil {
 		t.Fatalf("open tx layer: %v", err)
 	}
@@ -233,7 +254,7 @@ func (r *sweepRun) run(t *testing.T, variant string, k int) int {
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
-	tx2, err := eio.OpenTxStore(fs2, r.anchor)
+	tx2, err := r.openTx(fs2)
 	if err != nil {
 		t.Fatalf("recovery failed (crash at op %d): %v", k, err)
 	}

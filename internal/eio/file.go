@@ -47,12 +47,27 @@ type FileStore struct {
 	freeHead PageID
 	nfree    uint64
 	seq      uint64 // superblock sequence number of the last flush
-	stats    Stats
-	closed   bool
+	// onDisk is the allocation state each superblock slot holds (zero for a
+	// slot that did not parse): Sync and Close rewrite a slot only while
+	// one of the two is behind the state in memory.
+	onDisk [2]allocState
+	stats  Stats
+	closed bool
 	// slot is the one transfer buffer every page read and write goes
 	// through (page + trailer). It is guarded by mu like the file offset
 	// bookkeeping, so no page operation allocates.
 	slot []byte
+	// run is WriteRun's transfer buffer, maxRunSlots slots, made on first
+	// use (only a WAL writer needs it) and kept.
+	run []byte
+}
+
+// allocState is what a superblock commits besides its sequence number.
+// npages is never 0 in a written slot, so the zero value matches no state.
+type allocState struct {
+	npages   uint64
+	freeHead PageID
+	nfree    uint64
 }
 
 var _ Store = (*FileStore)(nil)
@@ -126,9 +141,14 @@ func attachFile(f *os.File, path string) (*FileStore, error) {
 	}
 	best := -1
 	var bestSuper superState
+	var onDisk [2]allocState
 	for slot := 0; slot < 2; slot++ {
 		st, ok := parseSuperSlot(hdr[slot*superSlotSize : (slot+1)*superSlotSize])
-		if ok && (best < 0 || st.seq > bestSuper.seq) {
+		if !ok {
+			continue
+		}
+		onDisk[slot] = allocState{st.npages, st.freeHead, st.nfree}
+		if best < 0 || st.seq > bestSuper.seq {
 			best, bestSuper = slot, st
 		}
 	}
@@ -142,6 +162,7 @@ func attachFile(f *os.File, path string) (*FileStore, error) {
 		freeHead: bestSuper.freeHead,
 		nfree:    bestSuper.nfree,
 		seq:      bestSuper.seq,
+		onDisk:   onDisk,
 		slot:     make([]byte, bestSuper.pageSize+pageTrailerSize),
 	}, nil
 }
@@ -189,11 +210,32 @@ func (fs *FileStore) writeSuper() error {
 	binary.LittleEndian.PutUint64(buf[32:], fs.nfree)
 	binary.LittleEndian.PutUint64(buf[40:], fs.seq)
 	binary.LittleEndian.PutUint32(buf[48:], crc32c(buf[:48]))
-	off := int64(fs.seq%2) * superSlotSize
-	if _, err := fs.f.WriteAt(buf[:], off); err != nil {
+	slot := fs.seq % 2
+	fs.onDisk[slot] = allocState{} // unknown until the write returns
+	if _, err := fs.f.WriteAt(buf[:], int64(slot)*superSlotSize); err != nil {
 		return fmt.Errorf("eio: write superblock: %w", err)
 	}
+	fs.onDisk[slot] = fs.allocState()
 	return nil
+}
+
+// allocState returns the allocation state in memory. Callers hold mu.
+func (fs *FileStore) allocState() allocState {
+	return allocState{fs.npages, fs.freeHead, fs.nfree}
+}
+
+// commitSuper writes the superblock unless BOTH slots already hold the
+// current allocation state — most barriers follow an operation that
+// allocated and freed nothing, and the slot is a second dirty block, far
+// from the data, in every one of them. Both, not just the newer: a slot can
+// be torn by a crash after the write that filled it returned, and reopening
+// must then find the same state in the other.
+func (fs *FileStore) commitSuper() error {
+	cur := fs.allocState()
+	if fs.onDisk[0] == cur && fs.onDisk[1] == cur {
+		return nil
+	}
+	return fs.writeSuper()
 }
 
 // slotSize is the on-disk footprint of one page.
@@ -220,12 +262,19 @@ func (fs *FileStore) writeZeroPage(id PageID, next PageID, flags uint32) error {
 // writeSlot seals the page image in fs.slot with its trailer and writes it
 // as page id. Callers hold mu.
 func (fs *FileStore) writeSlot(id PageID, flags uint32) error {
-	binary.LittleEndian.PutUint32(fs.slot[fs.pageSize:], pageCRC(id, fs.slot[:fs.pageSize]))
-	binary.LittleEndian.PutUint32(fs.slot[fs.pageSize+4:], flags)
+	sealSlot(fs.slot, id, flags)
 	if _, err := fs.f.WriteAt(fs.slot, fs.off(id)); err != nil {
 		return fmt.Errorf("eio: write page %d: %w", id, err)
 	}
 	return nil
+}
+
+// sealSlot stamps the trailer of a slot (page image + trailer space) that
+// is about to be written as page id.
+func sealSlot(slot []byte, id PageID, flags uint32) {
+	ps := len(slot) - pageTrailerSize
+	binary.LittleEndian.PutUint32(slot[ps:], pageCRC(id, slot[:ps]))
+	binary.LittleEndian.PutUint32(slot[ps+4:], flags)
 }
 
 // readSlot reads page id into fs.slot[:pageSize], verifying the trailer,
@@ -339,6 +388,49 @@ func (fs *FileStore) Write(id PageID, buf []byte) error {
 	return fs.writePage(id, buf, pageFlagData)
 }
 
+// maxRunSlots bounds WriteRun's transfer buffer: a longer run goes out in
+// several system calls.
+const maxRunSlots = 16
+
+// WriteRun writes data over the consecutive pages first, first+1, … with
+// one system call per maxRunSlots pages instead of one per page — the shape
+// of a WAL append. data need not end on a page boundary: the last page is
+// zero-padded. Each page gets its own trailer and counts as one write I/O,
+// exactly as if it had gone through Write.
+func (fs *FileStore) WriteRun(first PageID, data []byte) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	n := (len(data) + fs.pageSize - 1) / fs.pageSize
+	if n == 0 {
+		return nil
+	}
+	if err := fs.check(first); err != nil {
+		return err
+	}
+	if err := fs.check(first + PageID(n-1)); err != nil {
+		return err
+	}
+	ss := fs.slotSize()
+	if fs.run == nil {
+		fs.run = make([]byte, maxRunSlots*ss)
+	}
+	for ; n > 0; n -= maxRunSlots {
+		k := min(n, maxRunSlots)
+		for i := 0; i < k; i++ {
+			slot := fs.run[i*ss : (i+1)*ss]
+			clear(slot[copy(slot[:fs.pageSize], data):fs.pageSize])
+			data = data[min(len(data), fs.pageSize):]
+			sealSlot(slot, first+PageID(i), pageFlagData)
+		}
+		fs.stats.Writes += uint64(k)
+		if _, err := fs.f.WriteAt(fs.run[:k*ss], fs.off(first)); err != nil {
+			return fmt.Errorf("eio: write pages %d..%d: %w", first, first+PageID(k-1), err)
+		}
+		first += PageID(k)
+	}
+	return nil
+}
+
 // writeRaw overwrites the first len(prefix) bytes of page id's on-disk slot
 // without touching the rest or updating the checksum trailer — exactly the
 // shape a torn write leaves behind. It is the simulation hook used by
@@ -446,12 +538,13 @@ func (fs *FileStore) EnsurePage(id PageID) error {
 	return nil
 }
 
-// Sync flushes the superblock and file contents to stable storage,
-// committing all allocation state written so far.
+// Sync flushes the superblock (if it is behind, see commitSuper) and file
+// contents to stable storage, committing all allocation state written so
+// far.
 func (fs *FileStore) Sync() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.writeSuper(); err != nil {
+	if err := fs.commitSuper(); err != nil {
 		return err
 	}
 	if err := fs.f.Sync(); err != nil {
@@ -468,7 +561,7 @@ func (fs *FileStore) Close() error {
 		return nil
 	}
 	fs.closed = true
-	if err := fs.writeSuper(); err != nil {
+	if err := fs.commitSuper(); err != nil {
 		fs.f.Close()
 		return err
 	}

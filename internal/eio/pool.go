@@ -2,6 +2,7 @@ package eio
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -184,6 +185,18 @@ func (p *Pool) Write(id PageID, buf []byte) error {
 	return nil
 }
 
+// refresh copies buf over the pooled copy of page id, if there is one, and
+// marks it clean: the caller has just written buf to the backing store
+// itself (a write-through), and a stale copy must not outlive that.
+func (p *Pool) refresh(id PageID, buf []byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if i, ok := p.index[id]; ok {
+		copy(p.frames[i].data, buf)
+		p.frames[i].dirty = false
+	}
+}
+
 // insertLocked makes page id resident at the front of the LRU list and
 // returns its frame, whose contents and dirty flag the caller must set. On
 // a full pool the LRU frame is evicted (written back first if dirty) and
@@ -253,24 +266,42 @@ func (p *Pool) touchLocked(i int32) {
 	}
 }
 
-// Flush writes every dirty pooled page to the backing store.
+// Flush writes every dirty pooled page to the backing store, in ascending
+// page id: the write-back a checkpoint waits for is as sequential as the
+// dirty set allows, and the order of backing-store operations does not
+// depend on the access history (a CrashStore seed replays the same image).
 func (p *Pool) Flush() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.flushLocked()
+	return flushFrames(p.appendDirtyLocked(nil))
 }
 
-// flushLocked writes dirty frames back in LRU order, most recent first.
-func (p *Pool) flushLocked() error {
+// dirtyFrame is one frame awaiting write-back and the pool that owns it.
+type dirtyFrame struct {
+	p  *Pool
+	fr *frame
+}
+
+// appendDirtyLocked appends p's dirty frames to dst. Callers hold p.mu.
+func (p *Pool) appendDirtyLocked(dst []dirtyFrame) []dirtyFrame {
 	for i := p.head; i != noFrame; i = p.frames[i].next {
-		fr := &p.frames[i]
-		if fr.dirty {
-			p.pstats.Writeback++
-			if err := p.backing.Write(fr.id, fr.data); err != nil {
-				return fmt.Errorf("eio: flush page %d: %w", fr.id, err)
-			}
-			fr.dirty = false
+		if fr := &p.frames[i]; fr.dirty {
+			dst = append(dst, dirtyFrame{p, fr})
 		}
+	}
+	return dst
+}
+
+// flushFrames writes the given dirty frames back in ascending page id.
+// Callers hold the lock of every pool that owns one.
+func flushFrames(dirty []dirtyFrame) error {
+	sort.Slice(dirty, func(i, j int) bool { return dirty[i].fr.id < dirty[j].fr.id })
+	for _, d := range dirty {
+		d.p.pstats.Writeback++
+		if err := d.p.backing.Write(d.fr.id, d.fr.data); err != nil {
+			return fmt.Errorf("eio: flush page %d: %w", d.fr.id, err)
+		}
+		d.fr.dirty = false
 	}
 	return nil
 }
@@ -346,7 +377,7 @@ func (p *Pool) Close() error {
 		p.mu.Unlock()
 		return nil
 	}
-	err := p.flushLocked()
+	err := flushFrames(p.appendDirtyLocked(nil))
 	p.closed = true
 	p.mu.Unlock()
 	if cerr := p.backing.Close(); err == nil {

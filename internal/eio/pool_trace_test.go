@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -84,14 +85,33 @@ func (r *refLRU) free(id PageID) {
 	}
 }
 
-func (r *refLRU) flush() {
-	for _, id := range r.order {
-		if r.dirty[id] {
-			r.stats.Writeback++
-			r.log = append(r.log, fmt.Sprintf("W%d", id))
-			r.dirty[id] = false
+// refLRUs is the reference for one pool: a single LRU for a Pool, one per
+// shard for a ShardedPool.
+type refLRUs []*refLRU
+
+// flush writes back the dirty pages of every given LRU — one for a Pool,
+// every shard's for a ShardedPool — in ascending page id, NOT in recency or
+// shard order: Flush is pinned to be a sequential sweep of the dirty set,
+// the same whatever the access history was. It returns the transfers.
+func (refs refLRUs) flush() []string {
+	var log []string
+	owner := map[PageID]*refLRU{}
+	var ids []PageID
+	for _, r := range refs {
+		for id, d := range r.dirty {
+			if d {
+				ids = append(ids, id)
+				owner[id] = r
+			}
 		}
 	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		owner[id].stats.Writeback++
+		owner[id].dirty[id] = false
+		log = append(log, fmt.Sprintf("W%d", id))
+	}
+	return log
 }
 
 // transferLog is a pass-through Store recording the page transfers it sees.
@@ -124,7 +144,8 @@ type poolUnderTest interface {
 // checks, after every single operation, that PoolStats, residency and the
 // order of backing-store transfers are exactly what the reference LRU
 // predicts — per shard for the sharded pool, whose shards are independent
-// LRUs over id mod S. Page contents are checked against a shadow copy.
+// LRUs over id mod S, except that a flush sweeps the dirty pages of all
+// shards in ascending id. Page contents are checked against a shadow copy.
 func TestPoolTraceMatchesReferenceLRU(t *testing.T) {
 	const ps = 32
 	for _, cfg := range []struct{ cap, shards int }{{1, 0}, {3, 0}, {8, 0}, {4, 2}, {32, 16}, {9, 4}} {
@@ -133,10 +154,10 @@ func TestPoolTraceMatchesReferenceLRU(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000*cfg.cap + cfg.shards)))
 			backing := &transferLog{Store: NewMemStore(ps)}
 			var pool poolUnderTest
-			var refs []*refLRU
+			var refs refLRUs
 			if cfg.shards == 0 {
 				pool = NewPool(backing, cfg.cap)
-				refs = []*refLRU{newRefLRU(cfg.cap)}
+				refs = refLRUs{newRefLRU(cfg.cap)}
 			} else {
 				sp := NewShardedPool(backing, cfg.cap, cfg.shards)
 				pool = sp
@@ -178,9 +199,7 @@ func TestPoolTraceMatchesReferenceLRU(t *testing.T) {
 					if err := pool.Flush(); err != nil {
 						t.Fatal(err)
 					}
-					for _, r := range refs {
-						r.flush()
-					}
+					wantLog = append(wantLog, refs.flush()...)
 				case k < 55:
 					id := ids[rng.Intn(len(ids))]
 					desc = fmt.Sprintf("write %d", id)

@@ -85,14 +85,24 @@ func (sp *ShardedPool) Read(id PageID, buf []byte) error { return sp.shard(id).R
 // Write implements Store (write-back, like Pool).
 func (sp *ShardedPool) Write(id PageID, buf []byte) error { return sp.shard(id).Write(id, buf) }
 
-// Flush writes every dirty pooled page in every shard to the backing store.
+// Flush writes every dirty pooled page in every shard to the backing
+// store, in ascending page id across shards (see Pool.Flush). It holds
+// every shard's lock for the duration, taken in shard order.
 func (sp *ShardedPool) Flush() error {
 	for _, p := range sp.shards {
-		if err := p.Flush(); err != nil {
-			return err
-		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
 	}
-	return nil
+	return sp.flushLocked()
+}
+
+// flushLocked is Flush for a caller holding every shard's lock.
+func (sp *ShardedPool) flushLocked() error {
+	var dirty []dirtyFrame
+	for _, p := range sp.shards {
+		dirty = p.appendDirtyLocked(dirty)
+	}
+	return flushFrames(dirty)
 }
 
 // Stats implements Store, reporting the shared backing store's counters —
@@ -177,15 +187,15 @@ func (sp *ShardedPool) LivePageIDs() ([]PageID, error) {
 
 // Close flushes every shard and closes the backing store once.
 func (sp *ShardedPool) Close() error {
-	var err error
 	for _, p := range sp.shards {
 		p.mu.Lock()
-		if !p.closed {
-			if ferr := p.flushLocked(); ferr != nil && err == nil {
-				err = ferr
-			}
-			p.closed = true
-		}
+	}
+	var err error
+	if !sp.shards[0].closed { // shards close together
+		err = sp.flushLocked()
+	}
+	for _, p := range sp.shards {
+		p.closed = true
 		p.mu.Unlock()
 	}
 	if cerr := sp.backing.Close(); err == nil {

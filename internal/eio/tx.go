@@ -22,24 +22,52 @@ import (
 //	redo records, each starting on a page boundary, the first at page 0:
 //	    magic "WALR" | page count m | LSN | m × (page id | page image) | CRC-32C
 //
-// Commit protocol — one durability barrier per acknowledged commit:
+// Commit protocol — one durability barrier per acknowledged commit, and it
+// forces the log, not the pages:
 //
 //	1. append the redo record at the ring's tail (checkpoint first if it
-//	   does not fit)
+//	   does not fit) — one contiguous write when the inner store has a run
+//	   write and the ring's page ids are consecutive
 //	2. Sync — the commit point. After it the transaction is durable, and
 //	   because the inner store's Sync also commits its allocation state,
 //	   so are the pages the transaction allocated
 //	3. run the commit hook (log shipping)
-//	4. apply the images in place, UNSYNCED, and return
+//	4. hand the images to the page cache, which marks their frames dirty,
+//	   and return: nothing is written in place on the way to the ack
 //
 // Checkpoint — lazy: when the next record does not fit, on Sync and Close:
 //
-//	a. Sync — every image applied since the last checkpoint is durable
+//	a0. flush the cache — every dirty frame is written in place, in
+//	    ascending page id
+//	a. Sync — every image committed since the last checkpoint is durable
+//	   in place
 //	b. write the alternate anchor with applied = N, the last committed LSN
 //	c. Sync — the anchor is durable
 //	d. release the held frees; the ring's tail returns to page 0
 //
-// Why each barrier is there. (2) is the commit. (a) must precede (b): an
+// The page cache is a fixed-capacity write-back Pool over the inner store
+// (no-force/steal, as in every textbook buffer manager). It holds data
+// pages only: committed images enter it at step 4, reads fill it, and the
+// open transaction's images stay in the record buffer until they commit. So
+// a dirty frame is always an image whose record has passed its commit point
+// and is still in the ring, and evicting one (steal) — on a read miss, or at
+// step 4 of a later commit — is an ordinary unsynced in-place write of a
+// committed image: exactly what step 4 did for every image before the cache
+// existed. Recovery, the ring, the held frees and the on-disk format are
+// those of a store without a cache; a crash merely loses every frame, and
+// the ring redoes them. WAL pages, anchors and barriers never go through
+// the cache. A hot page (a tree's header, root and root catalog are in
+// nearly every record) is written in place once per checkpoint instead of
+// once per commit, and a commit-point barrier no longer has the previous
+// commit's in-place writes to flush next to its own record.
+//
+// There is no cache on a disabled store, nor under a TxReplica (its images
+// go to the SnapStore its readers are pinned on), nor during recovery:
+// replay writes straight to the inner store, before the cache is made,
+// because writeImage's EnsurePage fallback needs the immediate ErrBadPage a
+// write-back pool would defer to some later eviction.
+//
+// Why each barrier is there. (2) is the commit. (a0, a) must precede (b): an
 // anchor page embeds a checksum of its own payload, and
 // crc32(m ‖ crc32(m)) is a length-dependent CONSTANT, so the outer
 // page-trailer CRC is identical for every self-consistent anchor payload —
@@ -102,6 +130,12 @@ const (
 	// (a bulk load, a write-buffer flush) drops it instead, so one large
 	// transaction does not pin its footprint for the life of the store.
 	keptRecordImages = 32
+
+	// txCacheFrames is the capacity of the page cache (see the protocol
+	// note): 384 KiB of 4 KiB pages, enough for the upper levels of a tree
+	// plus the leaf paths of recent updates. Chosen by measurement
+	// (EXPERIMENTS.md "PR 18"); not an option, like keptRecordImages.
+	txCacheFrames = 96
 )
 
 // TxOptions configures NewTxStore.
@@ -148,8 +182,9 @@ func (r RecoveryInfo) String() string {
 }
 
 // TxStore wraps any Store with write-ahead-logged transactions. Outside a
-// transaction reads, writes and allocations pass straight through. Inside
-// one (Begin … Commit), Writes are buffered in memory and Allocs pass
+// transaction writes and allocations pass straight through and reads are
+// served from the page cache (see the protocol note). Inside one
+// (Begin … Commit), Writes are buffered in memory and Allocs pass
 // through (ids must come from the inner store); Commit makes the whole
 // batch atomic: after a crash at ANY backing-store operation, reopen with
 // OpenTxStore and the store holds exactly the pre-transaction or the
@@ -159,21 +194,28 @@ func (r RecoveryInfo) String() string {
 // the page reads as freed and is not counted by Pages.
 //
 // A TxStore is a wrapper in the sense documented on Store: it keeps no
-// Stats of its own, so buffered transaction writes are counted only when
-// they reach the inner store (WAL append + in-place apply).
+// Stats of its own, so transaction writes are counted only when they reach
+// the inner store (the WAL append, and the cache's write-back of the
+// image), and reads only when the cache misses.
 //
 // TxStore serializes transactions internally but, like every wrapper, does
 // not add multi-writer semantics: one logical updater at a time.
 type TxStore struct {
 	mu    sync.RWMutex // reads share the lock so snapshot readers scale
 	inner Store        // durability root: WAL region, anchors, barriers
-	// apply receives the page images of committed records: inner, except
-	// under a TxReplica, which routes them through its SnapStore so pinned
-	// readers keep their epoch. ensure, when inner supports it,
-	// materializes page ids its allocator has not handed out (see
-	// PageEnsurer).
+	// cache is the write-back page cache over inner, nil when there is
+	// none (see the protocol note). data is where data pages are read and
+	// freed and apply where the images of committed records go: both the
+	// cache, or inner without one — except under a TxReplica, which routes
+	// the images through its SnapStore so pinned readers keep their epoch.
+	// ensure, when inner supports it, materializes page ids its allocator
+	// has not handed out (see PageEnsurer); run writes consecutive pages
+	// in one call and is set only when the WAL region is one such run.
+	cache    *Pool
+	data     Store
 	apply    Store
 	ensure   PageEnsurer
+	run      runWriter
 	ps       int
 	disabled bool
 
@@ -218,8 +260,8 @@ type TxTimings struct {
 	WALAppend time.Duration
 	// Sync is time spent in commit-point barriers, one per commit.
 	Sync time.Duration
-	// Checkpoint is time spent in checkpoints (two barriers, the anchor
-	// write and the release of held frees).
+	// Checkpoint is time spent in checkpoints (the cache flush, two
+	// barriers, the anchor write and the release of held frees).
 	Checkpoint time.Duration
 	// Commits counts commit points passed; Checkpoints counts checkpoints
 	// run, whoever triggered them (a full ring, Sync, Close, recovery).
@@ -253,8 +295,14 @@ func maxTxImages(pageSize, walPages int) int {
 	return (walPages*pageSize - walHdrSize - walCRCSize) / (8 + pageSize)
 }
 
+// runWriter is implemented by stores that can write consecutive pages in
+// one call (FileStore.WriteRun).
+type runWriter interface {
+	WriteRun(first PageID, data []byte) error
+}
+
 func newTxStore(inner Store) *TxStore {
-	t := &TxStore{inner: inner, apply: inner, ps: inner.PageSize()}
+	t := &TxStore{inner: inner, data: inner, apply: inner, ps: inner.PageSize()}
 	t.ensure, _ = inner.(PageEnsurer)
 	t.slots = map[PageID]int{}
 	t.dead = map[PageID]struct{}{}
@@ -262,11 +310,33 @@ func newTxStore(inner Store) *TxStore {
 	return t
 }
 
+// start finishes construction once the layout is known and recovery, if
+// any, is done: it makes the page cache (frames > 0) and picks the run
+// write when the WAL region allows it.
+func (t *TxStore) start(frames int) {
+	if frames > 0 {
+		t.cache = NewPool(t.inner, frames)
+		t.data, t.apply = t.cache, t.cache
+	}
+	for i, id := range t.walIDs {
+		if id != t.walIDs[0]+PageID(i) {
+			return
+		}
+	}
+	t.run, _ = t.inner.(runWriter)
+}
+
 // NewTxStore initializes a transactional layer on inner, allocating its
 // directory, anchor and WAL pages, and returns the handle. Persist
 // Anchor() alongside your structure headers: it is the id OpenTxStore
 // needs to reopen and recover the store.
 func NewTxStore(inner Store, opts TxOptions) (*TxStore, error) {
+	return newTxStoreFrames(inner, opts, txCacheFrames)
+}
+
+// newTxStoreFrames is NewTxStore with the cache capacity as a parameter
+// (0 = no cache), for tests that need steal evictions in small workloads.
+func newTxStoreFrames(inner Store, opts TxOptions, frames int) (*TxStore, error) {
 	t := newTxStore(inner)
 	if t.disabled = opts.Disabled; t.disabled {
 		return t, nil
@@ -308,6 +378,7 @@ func NewTxStore(inner Store, opts TxOptions) (*TxStore, error) {
 	if err := t.syncInner(); err != nil {
 		return nil, err
 	}
+	t.start(frames)
 	return t, nil
 }
 
@@ -318,6 +389,16 @@ func NewTxStore(inner Store, opts TxOptions) (*TxStore, error) {
 // repaired so VerifyFile reports the file clean. Recovery() tells what
 // happened.
 func OpenTxStore(inner Store, dir PageID) (*TxStore, error) {
+	return OpenTxStoreFrames(inner, dir, txCacheFrames)
+}
+
+// OpenTxStoreFrames is OpenTxStore with the page cache's capacity given
+// instead of the built-in one (0 = no cache). It exists for the crash
+// harnesses (eiotest.RecoverySweep, the history sweep), which shrink the
+// cache so that flushes and steal evictions happen inside their small
+// scripted workloads, and for OpenTxReplica, which runs without one; a
+// serving stack has no reason to call it.
+func OpenTxStoreFrames(inner Store, dir PageID, frames int) (*TxStore, error) {
 	t := newTxStore(inner)
 	if err := t.loadDir(dir); err != nil {
 		return nil, fmt.Errorf("eio: tx: %w", err)
@@ -325,8 +406,13 @@ func OpenTxStore(inner Store, dir PageID) (*TxStore, error) {
 	if err := t.recover(); err != nil {
 		return nil, err
 	}
+	t.start(frames)
 	return t, nil
 }
+
+// Cache returns the page cache, for its counters (PoolStats, Dirty, …), or
+// nil when the store runs without one.
+func (t *TxStore) Cache() *Pool { return t.cache }
 
 // Anchor returns the directory record id to pass to OpenTxStore, or
 // NilPage for a disabled (pass-through) TxStore.
@@ -666,16 +752,22 @@ func (t *TxStore) logAndApply(lsn uint64, m int, rec []byte) error {
 		}
 	}
 	walStart := time.Now()
-	for i := 0; i < pages; i++ {
-		page := rec[i*t.ps:]
-		if len(page) >= t.ps {
-			page = page[:t.ps]
-		} else {
-			clear(t.pad[copy(t.pad, page):])
-			page = t.pad
-		}
-		if err := t.inner.Write(t.walIDs[t.tail+i], page); err != nil {
+	if t.run != nil {
+		if err := t.run.WriteRun(t.walIDs[t.tail], rec); err != nil {
 			return fmt.Errorf("eio: tx: WAL append: %w", err)
+		}
+	} else {
+		for i := 0; i < pages; i++ {
+			page := rec[i*t.ps:]
+			if len(page) >= t.ps {
+				page = page[:t.ps]
+			} else {
+				clear(t.pad[copy(t.pad, page):])
+				page = t.pad
+			}
+			if err := t.inner.Write(t.walIDs[t.tail+i], page); err != nil {
+				return fmt.Errorf("eio: tx: WAL append: %w", err)
+			}
 		}
 	}
 	t.tm.WALAppend += time.Since(walStart)
@@ -691,8 +783,10 @@ func (t *TxStore) logAndApply(lsn uint64, m int, rec []byte) error {
 		t.hook(lsn, rec)
 	}
 
-	// Apply in place, in first-write order, unsynced: until the next
-	// checkpoint the record in the ring is what makes these durable.
+	// Apply, in first-write order: into the cache (a dirty frame, written
+	// in place when it is evicted or at the checkpoint), or in place and
+	// unsynced without one. Until the next checkpoint the record in the
+	// ring is what makes these durable.
 	for i := 0; i < m; i++ {
 		id, img := walImage(rec, t.ps, i)
 		if err := t.writeImage(id, img); err != nil {
@@ -702,9 +796,10 @@ func (t *TxStore) logAndApply(lsn uint64, m int, rec []byte) error {
 	return nil
 }
 
-// writeImage puts one committed page image in place through the apply
-// store, materializing the page first when the store has never handed its
-// id out.
+// writeImage hands one committed page image to the apply store,
+// materializing the page first when the store has never handed its id out
+// (only a store that writes in place reports that: recovery's and a
+// replica's, never the cache).
 func (t *TxStore) writeImage(id PageID, img []byte) error {
 	err := t.apply.Write(id, img)
 	if err != nil && t.ensure != nil && errors.Is(err, ErrBadPage) {
@@ -732,6 +827,13 @@ func (t *TxStore) checkpointLocked() error {
 		t.tm.Checkpoints++
 	}()
 	if t.tail > 0 {
+		// Frames are dirtied only by committed records, so an empty ring
+		// means a clean cache.
+		if t.cache != nil {
+			if err := t.cache.Flush(); err != nil {
+				return fmt.Errorf("eio: tx: checkpoint: %w", err)
+			}
+		}
 		if err := t.syncInner(); err != nil {
 			return fmt.Errorf("eio: tx: checkpoint apply sync: %w", err)
 		}
@@ -745,7 +847,7 @@ func (t *TxStore) checkpointLocked() error {
 	}
 	for i, id := range t.held {
 		delete(t.dead, id)
-		if err := t.inner.Free(id); err != nil {
+		if err := t.data.Free(id); err != nil {
 			t.held = t.held[:copy(t.held, t.held[i+1:])]
 			return fmt.Errorf("eio: tx: held free of page %d: %w", id, err)
 		}
@@ -767,7 +869,7 @@ func (t *TxStore) Rollback() error {
 		// No record in the ring can name a page this transaction was just
 		// handed, so these go straight back to the inner store.
 		for i := len(t.allocs) - 1; i >= 0; i-- {
-			_ = t.inner.Free(t.allocs[i])
+			_ = t.data.Free(t.allocs[i])
 		}
 	}
 	for _, id := range t.txFrees {
@@ -865,7 +967,7 @@ func (t *TxStore) Free(id PageID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.disabled || (!t.inTx && t.tail == 0) {
-		return t.inner.Free(id)
+		return t.data.Free(id)
 	}
 	if _, dead := t.dead[id]; dead {
 		return fmt.Errorf("eio: tx: page %d already freed: %w", id, ErrBadPage)
@@ -891,10 +993,12 @@ func (t *TxStore) Free(id PageID) error {
 	return nil
 }
 
-// Read implements Store: buffered transaction writes win over the inner
-// store, so a transaction reads its own uncommitted data. Reads take only
-// the shared lock (the transaction buffers are mutated exclusively), so
-// concurrent readers proceed in parallel.
+// Read implements Store: buffered transaction writes win over the cache,
+// and the cache over the inner store, so a transaction reads its own
+// uncommitted data and everyone reads the last committed image. Reads take
+// only the shared lock (the transaction buffers are mutated exclusively);
+// the cache has its own. A miss on a full cache may write a dirty frame in
+// place — see "steal" in the protocol note.
 func (t *TxStore) Read(id PageID, buf []byte) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -913,14 +1017,14 @@ func (t *TxStore) Read(id PageID, buf []byte) error {
 			return nil
 		}
 	}
-	return t.inner.Read(id, buf)
+	return t.data.Read(id, buf)
 }
 
 // Write implements Store. Inside a transaction the page image goes into
 // its slot of the record buffer until Commit; the inner store is
-// untouched. A write outside a transaction passes through — after a
+// untouched. A write outside a transaction is written through — after a
 // checkpoint if the ring still holds records, which replay would
-// otherwise put back over it.
+// otherwise put back over it — and refreshes the cached copy, if any.
 func (t *TxStore) Write(id PageID, buf []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -931,7 +1035,11 @@ func (t *TxStore) Write(id PageID, buf []byte) error {
 		if err := t.checkpointLocked(); err != nil {
 			return err
 		}
-		return t.inner.Write(id, buf)
+		if err := t.inner.Write(id, buf); err != nil || t.cache == nil {
+			return err
+		}
+		t.cache.refresh(id, buf)
+		return nil
 	}
 	if len(buf) != t.ps {
 		return fmt.Errorf("eio: write buffer %d bytes: %w", len(buf), ErrPageSize)
@@ -961,15 +1069,6 @@ func (t *TxStore) Sync() error {
 		return err
 	}
 	return t.syncInner()
-}
-
-// writeRaw delegates torn writes so crash simulators compose with TxStore.
-func (t *TxStore) writeRaw(id PageID, prefix []byte) error {
-	rw, ok := t.inner.(rawWriter)
-	if !ok {
-		return fmt.Errorf("eio: inner store does not support raw writes")
-	}
-	return rw.writeRaw(id, prefix)
 }
 
 // Stats implements Store, reporting the inner store's counters: buffered

@@ -19,16 +19,32 @@ import (
 // list and by extending the file, freeing, and writing → freeing →
 // re-allocating → rewriting the same page across commits — is killed at
 // every mutating inner-store operation (WAL append, commit sync, each
-// in-place write, each checkpoint step, each held free) under every disk
-// model, and recovery must land on the state after some prefix of commits
-// that includes every commit whose Commit returned.
+// cache flush and steal write, each checkpoint step, each held free) under
+// every disk model, and recovery must land on the state after some prefix
+// of commits that includes every commit whose Commit returned. It runs
+// twice: with the built-in page cache, which holds the whole history's
+// working set (in-place writes happen only at checkpoints), and with one of
+// histSmallCache frames, which steals — writes committed images in place
+// between checkpoints, from commits and from reads. A crash drops every
+// frame either way.
 
 const (
 	histPS      = 128
 	histWAL     = 12 // pages: a lap is three to five commits
 	histCommits = 24
 	histSeed    = 7
+
+	histSmallCache = 3 // frames; the history keeps 6 to 12 pages live
 )
+
+// histOpen opens the transactional layer with the built-in cache or the
+// small one.
+func histOpen(st eio.Store, anchor eio.PageID, small bool) (*eio.TxStore, error) {
+	if small {
+		return eio.OpenTxStoreFrames(st, anchor, histSmallCache)
+	}
+	return eio.OpenTxStore(st, anchor)
+}
 
 // histModel is the logical content of the store: the commit that last
 // wrote each live page.
@@ -212,56 +228,67 @@ func TestTxRecoverySweepHistory(t *testing.T) {
 		return path, fs
 	}
 
-	// Baseline: the uncrashed history, its op count and its coverage.
-	_, fs := open("baseline.db")
-	cp := eiotest.NewCrashPoint(fs)
-	tx, err := eio.OpenTxStore(cp, anchor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := tx.Timings()
-	base := runHistory(tx, setup)
-	if base.err != nil {
-		t.Fatalf("baseline history failed: %v", base.err)
-	}
-	total := cp.Count()
-	tm := tx.Timings().Sub(before)
-	if tm.Checkpoints < 4 { // three laps forced by a full ring + the closing one
-		t.Fatalf("history lapped the ring %d times, want >= 3 (%d commits)", tm.Checkpoints-1, tm.Commits)
-	}
-	if !base.reused || !base.grew {
-		t.Fatalf("history coverage: reused a freed page %v, extended the file %v — want both", base.reused, base.grew)
-	}
-	histCheck(t, tx, base.states[histCommits], "baseline")
-	if err := tx.Close(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("history: %d commits, %d checkpoints, %d mutating ops", tm.Commits, tm.Checkpoints, total)
+	for _, small := range []bool{false, true} {
+		label, prefix := "built-in cache", "" // sub-test names: <mode>, smallcache/<mode>
+		if small {
+			label, prefix = "small cache", "smallcache/"
+		}
+		// Baseline: the uncrashed history, its op count and its coverage.
+		_, fs := open("baseline.db")
+		cp := eiotest.NewCrashPoint(fs)
+		tx, err := histOpen(cp, anchor, small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := tx.Timings()
+		base := runHistory(tx, setup)
+		if base.err != nil {
+			t.Fatalf("baseline history failed: %v", base.err)
+		}
+		total := cp.Count()
+		tm := tx.Timings().Sub(before)
+		if tm.Checkpoints < 4 { // three laps forced by a full ring + the closing one
+			t.Fatalf("history lapped the ring %d times, want >= 3 (%d commits)", tm.Checkpoints-1, tm.Commits)
+		}
+		if !base.reused || !base.grew {
+			t.Fatalf("history coverage: reused a freed page %v, extended the file %v — want both", base.reused, base.grew)
+		}
+		ps := tx.Cache().PoolStats()
+		if stolen := ps.Evictions > 0; stolen != small {
+			t.Fatalf("%s: %d evictions — the small cache must steal, the built-in one must hold the history", label, ps.Evictions)
+		}
+		histCheck(t, tx, base.states[histCommits], "baseline")
+		if err := tx.Close(); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s history: %d commits, %d checkpoints, %d mutating ops, %d evictions, %d write-backs",
+			label, tm.Commits, tm.Checkpoints, total, ps.Evictions, ps.Writeback)
 
-	step := 1
-	if testing.Short() {
-		step = 5
-	}
-	for _, mode := range []string{"direct", "drop-all", "subset", "subset+torn"} {
-		t.Run(mode, func(t *testing.T) {
-			// Until the history outruns the crash point: a write cache in
-			// the stack defers frees, so page ids — and with them the op
-			// count — need not match the baseline's.
-			k := 1
-			for histCrashAt(t, open, anchor, setup, mode, k) {
-				k += step
-			}
-			if k < total/2 {
-				t.Fatalf("sweep covered only %d ops of about %d", k, total)
-			}
-		})
+		step := 1
+		if testing.Short() {
+			step = 5
+		}
+		for _, mode := range []string{"direct", "drop-all", "subset", "subset+torn"} {
+			t.Run(prefix+mode, func(t *testing.T) {
+				// Until the history outruns the crash point: a write cache in
+				// the stack defers frees, so page ids — and with them the op
+				// count — need not match the baseline's.
+				k := 1
+				for histCrashAt(t, open, anchor, setup, mode, small, k) {
+					k += step
+				}
+				if k < total/2 {
+					t.Fatalf("sweep covered only %d ops of about %d", k, total)
+				}
+			})
+		}
 	}
 }
 
 // histCrashAt kills the history at its k-th mutating operation under one
 // disk model, recovers, and checks everything the protocol promises. It
 // returns false when the history finished before reaching operation k.
-func histCrashAt(t *testing.T, open func(string) (string, *eio.FileStore), anchor eio.PageID, setup histModel, mode string, k int) bool {
+func histCrashAt(t *testing.T, open func(string) (string, *eio.FileStore), anchor eio.PageID, setup histModel, mode string, small bool, k int) bool {
 	t.Helper()
 	when := fmt.Sprintf("%s, crash at op %d", mode, k)
 	path, fs := open(fmt.Sprintf("crash-%s-%d.db", mode, k))
@@ -275,7 +302,7 @@ func histCrashAt(t *testing.T, open func(string) (string, *eio.FileStore), ancho
 		base = cs
 	}
 	cp := eiotest.NewCrashPoint(base)
-	tx, err := eio.OpenTxStore(cp, anchor)
+	tx, err := histOpen(cp, anchor, small)
 	if err != nil {
 		t.Fatalf("%s: open: %v", when, err)
 	}
@@ -302,7 +329,7 @@ func histCrashAt(t *testing.T, open func(string) (string, *eio.FileStore), ancho
 	if err != nil {
 		t.Fatalf("%s: reopen: %v", when, err)
 	}
-	tx2, err := eio.OpenTxStore(fs2, anchor)
+	tx2, err := histOpen(fs2, anchor, small)
 	if err != nil {
 		t.Fatalf("%s: recovery: %v", when, err)
 	}

@@ -38,7 +38,7 @@ type TxReplica struct {
 // apply receives the data-page writes and may be nil to write straight to
 // inner.
 func OpenTxReplica(inner, apply Store, dir PageID) (*TxReplica, error) {
-	t, err := OpenTxStore(inner, dir)
+	t, err := OpenTxStoreFrames(inner, dir, 0) // no cache: see the note in tx.go
 	if err != nil {
 		return nil, fmt.Errorf("eio: replica: %w", err)
 	}

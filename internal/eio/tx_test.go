@@ -44,10 +44,10 @@ func decodeWALRecord(buf []byte, pageSize int) (uint64, []walWrite, error) {
 
 // TestTxCommitAtomic exercises the happy path: a multi-page transaction
 // commits, the data is visible, and an uncommitted transaction rolls back
-// without a trace.
+// without a trace. (What reaches the inner store, and when, is
+// TestTxCommitForcesOnlyLog's.)
 func TestTxCommitAtomic(t *testing.T) {
-	mem := NewMemStore(128)
-	tx, err := NewTxStore(mem, TxOptions{WALPages: 8})
+	tx, err := NewTxStore(NewMemStore(128), TxOptions{WALPages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestTxCommitAtomic(t *testing.T) {
 	}
 	buf := make([]byte, 128)
 	for i, id := range ids {
-		if err := mem.Read(id, buf); err != nil {
+		if err := tx.Read(id, buf); err != nil {
 			t.Fatal(err)
 		}
 		if buf[0] != byte(i+1) {
@@ -101,7 +101,7 @@ func TestTxCommitAtomic(t *testing.T) {
 	if got := tx.Pages(); got != pages {
 		t.Fatalf("rolled-back tx leaked pages: %d -> %d", pages, got)
 	}
-	if err := mem.Read(ids[0], buf); err != nil {
+	if err := tx.Read(ids[0], buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 1 {

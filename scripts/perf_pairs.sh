@@ -4,8 +4,8 @@
 # runs the same workload with the same seed on both sides, the side that
 # goes first alternates from pair to pair, each side appends to its own
 # -out file, and `go run ./benchmark compare` applies the claim rule at the
-# end. Nothing under benchmark/ is touched; the parent is built from a git
-# worktree that is removed again on exit.
+# end. Nothing under benchmark/ is touched; the parent is built from a
+# `git archive` export of its tree that is removed again on exit.
 #
 #   scripts/perf_pairs.sh <parent-ref> <workload> [pairs=10] [first-seed=1]
 #
@@ -33,9 +33,10 @@ mkdir -p "$out"
 rm -f "$out/parent.jsonl" "$out/change.jsonl"
 
 parent_dir=$root/.bench_build/perf/parent-tree
-git worktree remove --force "$parent_dir" 2>/dev/null || true
-git worktree add --detach "$parent_dir" "$parent_ref" >/dev/null
-trap 'git -C "$root" worktree remove --force "$parent_dir"' EXIT
+rm -rf "$parent_dir"
+mkdir -p "$parent_dir"
+trap 'rm -rf "$parent_dir"' EXIT
+git archive "$parent_ref" | tar -x -C "$parent_dir"
 
 # build <checkout>: what benchmark/run.sh does, minus the run.
 build() {

@@ -41,6 +41,10 @@ grep -q '^rangesearch_server_main' "$WORKDIR/metrics.prom" || {
     echo "/metrics carries no rangesearch_server_main samples" >&2
     exit 1
 }
+grep -q '^rangesearch_pool_tx' "$WORKDIR/metrics.prom" || {
+    echo "/metrics carries no rangesearch_pool_tx samples (the durable stack's page cache)" >&2
+    exit 1
+}
 
 echo "== drain (SIGTERM) =="
 drain "$SERVER_PID" "$WORKDIR/server.log" rsserve
