@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench cover vet fmt sweep recover-sweep fuzz-short bound experiments examples clean soak model trajectory serve load serve-smoke chaos repl-smoke chaos-repl shard-smoke chaos-shard writeopt-smoke chaos-writeopt perf-pairs
+.PHONY: all build test race bench bench-write cover vet fmt sweep recover-sweep fuzz-short bound experiments examples clean soak model trajectory serve load serve-smoke chaos repl-smoke chaos-repl shard-smoke chaos-shard writeopt-smoke chaos-writeopt perf-pairs
 
 all: build vet test
 
@@ -148,6 +148,14 @@ chaos-writeopt:
 # Operation-level + per-experiment benchmarks (quick instances).
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# The write path's two micro-benchmarks: the rebuild of the root's Θ(B²)
+# structure (8 344 points, B = 256) and one durable update on the stack
+# rsserve assembles (ns, allocs and logical I/Os per update). Run them on
+# the parent commit too before claiming anything; CI runs them once each
+# so they cannot rot.
+bench-write:
+	$(GO) test -run '^$$' -bench 'BenchmarkOpSmallStructRebuild|BenchmarkOpEPSTUpdateDurable' -benchmem $(BENCHFLAGS) .
 
 # Full-size experiment tables (the numbers recorded in EXPERIMENTS.md).
 experiments:

@@ -2,6 +2,7 @@ package rangesearch
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"rangesearch/internal/bench"
@@ -165,6 +166,126 @@ func BenchmarkOpSmallStructQuery(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(store.Stats().IOs())/float64(b.N), "ios/op")
+}
+
+// BenchmarkOpSmallStructRebuild rebuilds the node structure a durable
+// write pays for once per B/2 updates at the root of the repo benchmark's
+// tree: 8 344 points at B = 256, with a buffered insertion and a cancelled
+// tombstone to merge in. `make bench-write` runs it.
+func BenchmarkOpSmallStructRebuild(b *testing.B) {
+	store := eio.NewMemStore(4096)
+	pts := bench.Uniform(13, 8344+1, 1<<30)
+	created, err := smallstruct.Create(store, 2, pts[:8344])
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sc smallstruct.Scratch
+	s := smallstruct.OpenScratch(store, created.CatalogID(), 2, &sc)
+	extra := pts[8344]
+	rebuild := func(i int) {
+		// Insert and Delete, not Add and Remove: this runs on the parent
+		// commit too.
+		if err := s.Insert(extra); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Delete(pts[i%8344]); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Rebuild(); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Insert(pts[i%8344]); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Delete(extra); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rebuild(0)
+	store.ResetStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rebuild(i + 1)
+	}
+	b.ReportMetric(float64(store.Stats().IOs())/float64(b.N), "ios/op")
+}
+
+// BenchmarkOpEPSTUpdateDurable is the repo benchmark's write_durable
+// workload without the wire: the stack cmd/rsserve assembles for a durable
+// store — Durable(ThreeSided) on SnapStore(TxStore(FileStore)), 4 KiB
+// pages, a 1024-page WAL — preloaded with 16 384 points, then half inserts,
+// half deletes so the tree keeps its size, one transaction (and one fsync)
+// per update. ios/op counts the page reads and writes the index issues to
+// the top of that stack, which is what the benchmark's epst.ios_per_write
+// counts.
+func BenchmarkOpEPSTUpdateDurable(b *testing.B) {
+	fs, err := eio.CreateFileStore(filepath.Join(b.TempDir(), "bench.db"), 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tx, err := eio.NewTxStore(fs, eio.TxOptions{WALPages: 1024})
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := eio.NewSnapStore(tx, 0)
+	defer snap.Close()
+	counted := &ioCounter{Store: snap}
+	idx, err := core.NewThreeSided(counted, epst.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := core.NewDurable(idx, tx)
+	pts := bench.Uniform(17, 16384+b.N/2+1, 1<<40)
+	for lo := 0; lo < 16384; lo += 64 {
+		if err := d.Batch(func(x core.Index) error {
+			for _, p := range pts[lo : lo+64] {
+				if err := x.Insert(p); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := snap.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	counted.ios = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			err = d.Insert(pts[16384+i/2])
+		} else {
+			_, err = d.Delete(pts[i/2])
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := snap.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(counted.ios)/float64(b.N), "ios/op")
+}
+
+// ioCounter counts the page reads and writes passing through it.
+type ioCounter struct {
+	eio.Store
+	ios int
+}
+
+func (c *ioCounter) Read(id eio.PageID, buf []byte) error {
+	c.ios++
+	return c.Store.Read(id, buf)
+}
+
+func (c *ioCounter) Write(id eio.PageID, buf []byte) error {
+	c.ios++
+	return c.Store.Write(id, buf)
 }
 
 func BenchmarkOpIntervalStab(b *testing.B) {

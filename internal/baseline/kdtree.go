@@ -167,7 +167,7 @@ func (t *KDTree) writeNode(id eio.PageID, n *kdNode) (eio.PageID, error) {
 	if id == eio.NilPage {
 		return t.rs.Put(raw)
 	}
-	return id, t.rs.Update(id, raw)
+	return id, t.rs.Update(id, raw, nil)
 }
 
 // Insert implements Index.

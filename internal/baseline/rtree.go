@@ -134,7 +134,7 @@ func BuildRTree(store eio.Store, m int, pts []geom.Point) (*RTree, error) {
 	hdr := make([]byte, 16)
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(level[0].id))
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(t.m))
-	return t, t.rs.Update(t.hdr, hdr)
+	return t, t.rs.Update(t.hdr, hdr, nil)
 }
 
 // OpenRTree re-attaches to an R-tree.
@@ -296,7 +296,7 @@ func (t *RTree) Insert(p geom.Point) error {
 			hdr := make([]byte, 16)
 			binary.LittleEndian.PutUint64(hdr[0:], uint64(rootID))
 			binary.LittleEndian.PutUint64(hdr[8:], uint64(t.m))
-			if err := t.rs.Update(t.hdr, hdr); err != nil {
+			if err := t.rs.Update(t.hdr, hdr, nil); err != nil {
 				return err
 			}
 			continue
@@ -554,7 +554,7 @@ func (t *RTree) writeNode(id eio.PageID, n *rtNode) (eio.PageID, error) {
 	if id == eio.NilPage {
 		return t.rs.Put(raw)
 	}
-	return id, t.rs.Update(id, raw)
+	return id, t.rs.Update(id, raw, nil)
 }
 
 func (t *RTree) writeBack(id eio.PageID, n *rtNode) error {

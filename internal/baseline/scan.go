@@ -86,7 +86,7 @@ func encodeScanMeta(m *scanMeta) []byte {
 }
 
 func (s *Scan) storeMeta(m *scanMeta) error {
-	return s.rs.Update(s.hdr, encodeScanMeta(m))
+	return s.rs.Update(s.hdr, encodeScanMeta(m), nil)
 }
 
 func (s *Scan) blockCount(m *scanMeta, i int) int {

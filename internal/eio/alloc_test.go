@@ -167,3 +167,122 @@ func TestPageCRCMatchesLibrary(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordStoreUpdateThroughBuf: an Update of the record a RecordBuf last
+// read takes the chain from the buffer — zero reads, zero allocations, the
+// same chain as a walking Update would leave — across growing and
+// shrinking; a buffer that has since read another record, or whose Update
+// failed, makes Update walk again instead of trusting it.
+func TestRecordStoreUpdateThroughBuf(t *testing.T) {
+	mem := NewMemStore(128)
+	faulty := NewFaultStore(mem)
+	rs := NewRecordStore(faulty)
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	id, err := rs.Put(fill(100, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := rs.Put(fill(300, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf RecordBuf
+	base := mem.Pages()
+	for i, size := range []int{100, 300, 301, 120, 500, 90} { // 1, 3, 3, 1, 5, 1 pages
+		data := fill(size, byte(10+i))
+		if _, err := rs.Get(id, &buf); err != nil {
+			t.Fatal(err)
+		}
+		mem.ResetStats()
+		if err := rs.Update(id, data, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if st := mem.Stats(); st.Reads != 0 || int(st.Writes) != rs.PagesFor(size) {
+			t.Errorf("Update to %d bytes after a Get into the same buffer: %d reads, %d writes; want 0 and %d", size, st.Reads, st.Writes, rs.PagesFor(size))
+		}
+		// The buffer describes the new chain: a second Update needs no Get.
+		mem.ResetStats()
+		if err := rs.Update(id, data, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if r := mem.Stats().Reads; r != 0 {
+			t.Errorf("second Update through the buffer: %d reads", r)
+		}
+		if got, err := rs.Get(id, nil); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("record after Update to %d bytes: %v, equal=%v", size, err, bytes.Equal(got, data))
+		}
+		if got, want := mem.Pages(), base-1+rs.PagesFor(size); got != want {
+			t.Fatalf("after Update to %d bytes the store holds %d pages, want %d", size, got, want)
+		}
+	}
+
+	// Warm, same-size rewrite: nothing to allocate.
+	data := fill(300, 7)
+	if err := rs.Update(id, data, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if err := rs.Update(id, data, &buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Update through a warm buffer: %v allocs/op, want 0", n)
+	}
+
+	// The buffer moves on to another record: Update of id walks.
+	if _, err := rs.Get(other, &buf); err != nil {
+		t.Fatal(err)
+	}
+	mem.ResetStats()
+	if err := rs.Update(id, data, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if r := mem.Stats().Reads; int(r) != rs.PagesFor(len(data)) {
+		t.Errorf("Update through a buffer holding another record: %d reads, want a %d-page walk", r, rs.PagesFor(len(data)))
+	}
+
+	// A failed Update leaves the buffer describing nothing.
+	faulty.FailAfter(OpWrite, 2)
+	if err := rs.Update(id, data, &buf); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Update with the second write failing: %v", err)
+	}
+	faulty.Disarm()
+	mem.ResetStats()
+	if err := rs.Update(id, data, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if r := mem.Stats().Reads; r == 0 {
+		t.Error("Update after a failed Update trusted the buffer")
+	}
+}
+
+// TestRecordStoreShrinkReadableAfterFault: a record that shrinks across a
+// page boundary stays readable whichever of the Update's writes fails —
+// its head goes first, so the old length never outlives the pages it needs.
+func TestRecordStoreShrinkReadableAfterFault(t *testing.T) {
+	for k := 1; k <= 3; k++ {
+		mem := NewMemStore(128)
+		faulty := NewFaultStore(mem)
+		rs := NewRecordStore(faulty)
+		id, err := rs.Put(bytes.Repeat([]byte{1}, 600)) // 6 pages
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf RecordBuf
+		if _, err := rs.Get(id, &buf); err != nil {
+			t.Fatal(err)
+		}
+		faulty.FailAfter(OpWrite, k)
+		if err := rs.Update(id, bytes.Repeat([]byte{2}, 300), &buf); !errors.Is(err, ErrInjected) {
+			t.Fatalf("write %d failing: Update returned %v", k, err)
+		}
+		faulty.Disarm()
+		got, err := rs.Get(id, nil)
+		if err != nil {
+			t.Fatalf("write %d failing: record unreadable afterwards: %v", k, err)
+		}
+		if len(got) != 600 && len(got) != 300 {
+			t.Fatalf("write %d failing: record reads as %d bytes", k, len(got))
+		}
+	}
+}

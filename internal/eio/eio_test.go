@@ -354,7 +354,7 @@ func TestRecordStoreUpdateGrowShrink(t *testing.T) {
 	before := mem.Pages()
 
 	big := bytes.Repeat([]byte{2}, 900)
-	if err := rs.Update(id, big); err != nil {
+	if err := rs.Update(id, big, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := rs.Get(id, nil)
@@ -369,7 +369,7 @@ func TestRecordStoreUpdateGrowShrink(t *testing.T) {
 	}
 
 	small := bytes.Repeat([]byte{3}, 5)
-	if err := rs.Update(id, small); err != nil {
+	if err := rs.Update(id, small, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err = rs.Get(id, nil)

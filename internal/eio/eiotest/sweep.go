@@ -45,6 +45,16 @@ type Workload struct {
 	// indices evenly (always including the first and last). 0 means the
 	// package default (400).
 	MaxRuns int
+	// Ops, when set, is the operation count the sweep is laid out for.
+	// Sub-test names are operation indices, and under sampling every index
+	// depends on the total, so the names (and the history of any one of
+	// them) only stay put while the total does. When a change makes the
+	// structure do less I/O for the same script, lengthen the script to
+	// just under Ops; the sweep tops the run up to exactly Ops with
+	// single-page reads, each of which must surface its fault like any
+	// other operation. A script that performs more than Ops fails the
+	// sweep: trim it, or re-lay the sweep by raising Ops.
+	Ops int
 }
 
 // defaultMaxRuns bounds sweep time for op-heavy workloads.
@@ -72,6 +82,9 @@ func Sweep(t *testing.T, w Workload) {
 	}
 	if total == 0 {
 		t.Fatalf("%s: workload performed no store operations", w.Name)
+	}
+	if w.Ops > 0 && total != w.Ops {
+		t.Fatalf("%s: the script performs %d store operations, the sweep is laid out for %d", w.Name, total, w.Ops)
 	}
 
 	ks := sampleOps(total, w.MaxRuns)
@@ -129,13 +142,27 @@ func (p panicError) Error() string { return fmt.Sprintf("panic: %v", p.value) }
 
 // runGuarded invokes w.Run converting panics into errors, so the sweep can
 // report them with the failing operation index instead of dying.
-func runGuarded(w Workload, st eio.Store) (check func() error, err error) {
+func runGuarded(w Workload, st *eio.FaultStore) (check func() error, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = panicError{value: r, stack: debug.Stack()}
 		}
 	}()
-	return w.Run(st)
+	if check, err = w.Run(st); err != nil || int(st.Ops()) >= w.Ops {
+		return check, err
+	}
+	// Top the run up to w.Ops (see Workload.Ops).
+	ids, err := st.LivePageIDs()
+	if err != nil || len(ids) == 0 {
+		return check, fmt.Errorf("%s: no live page to top the run up with: %v", w.Name, err)
+	}
+	buf := make([]byte, st.PageSize())
+	for int(st.Ops()) < w.Ops {
+		if err := st.Read(ids[0], buf); err != nil {
+			return check, err
+		}
+	}
+	return check, nil
 }
 
 // checkGuarded invokes check converting panics into errors.

@@ -40,7 +40,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}
 		// Update to a mutated payload, then delete; nothing may leak.
 		mutated := append(append([]byte{0x42}, data...), 0x17)
-		if err := rs.Update(id, mutated); err != nil {
+		if err := rs.Update(id, mutated, nil); err != nil {
 			t.Fatalf("update: %v", err)
 		}
 		got, err = rs.Get(id, nil)

@@ -27,8 +27,14 @@ type RecordStore struct {
 // RecordBuf is caller-owned, reusable memory for RecordStore.Get. The zero
 // value is ready to use; it grows to the largest record read through it and
 // never shrinks. A RecordBuf must not be used by two Gets at once.
+//
+// It also remembers which pages the record it last read occupies, so an
+// Update of that record through it writes without walking the chain again —
+// provided nothing else rewrote the record between the Get and the Update.
 type RecordBuf struct {
-	b []byte // len == cap: chain pages are read straight into it
+	b     []byte   // len == cap: chain pages are read straight into it
+	id    PageID   // the record chain describes; NilPage: none
+	chain []PageID // its pages, head first
 }
 
 // grow returns the buffer extended to at least n bytes, contents preserved.
@@ -85,31 +91,36 @@ func (r *RecordStore) PagesFor(n int) int {
 
 // Put writes data as a new record and returns its id.
 func (r *RecordStore) Put(data []byte) (PageID, error) {
-	return r.write(NilPage, data)
+	return r.write(NilPage, data, nil)
 }
 
 // Update rewrites the record id with data, reusing the existing chain's
 // pages and allocating or freeing pages as the length changes. The record
-// keeps its id.
-func (r *RecordStore) Update(id PageID, data []byte) error {
+// keeps its id. buf is the RecordBuf the caller read the record with: if it
+// still describes id the chain is taken from there and Update issues no
+// read; a nil buf, or one that has read something else since, walks the
+// chain first. Either way buf describes the new chain afterwards.
+func (r *RecordStore) Update(id PageID, data []byte, buf *RecordBuf) error {
 	if id == NilPage {
 		return fmt.Errorf("eio: update of nil record: %w", ErrBadRecord)
 	}
-	_, err := r.write(id, data)
+	_, err := r.write(id, data, buf)
 	return err
 }
 
 // write stores data in a chain starting at reuse (NilPage to allocate a
-// fresh chain) and returns the chain head.
+// fresh chain) and returns the chain head. The old chain comes from buf
+// when buf describes reuse, else from a walk.
 //
 // The operation order is chosen for failure atomicity of the chain
 // structure: tail pages are written first, the head page — which commits
 // the new length and the link into the rest of the chain — second, and
-// surplus pages of a shrinking record are freed only after the head no
-// longer references them. An I/O failure at any point therefore leaves a
-// walkable chain (never a link to a freed page); freshly allocated pages
-// are released best-effort so a failed grow does not leak.
-func (r *RecordStore) write(reuse PageID, data []byte) (PageID, error) {
+// surplus pages of a shrinking record are freed only after no page links
+// to them any more. An I/O failure at any point therefore leaves a chain
+// that reads (never a link to a freed page, never fewer pages than the
+// head's length asks for); freshly allocated pages are released
+// best-effort so a failed grow does not leak.
+func (r *RecordStore) write(reuse PageID, data []byte, rb *RecordBuf) (PageID, error) {
 	ps := r.s.PageSize()
 	page := borrowPage(ps)
 	defer returnPage(page)
@@ -117,12 +128,19 @@ func (r *RecordStore) write(reuse PageID, data []byte) (PageID, error) {
 
 	// Collect reusable pages from the old chain.
 	var reusable []PageID
-	if reuse != NilPage {
+	switch {
+	case reuse == NilPage:
+	case rb != nil && rb.id == reuse:
+		reusable = rb.chain
+	default:
 		var err error
-		reusable, err = r.chain(reuse)
-		if err != nil {
+		if reusable, err = r.chain(reuse); err != nil {
 			return NilPage, err
 		}
+	}
+	if rb != nil {
+		// Whatever happens below, rb no longer describes the old chain.
+		rb.id = NilPage
 	}
 	need := r.PagesFor(len(data))
 	var surplus []PageID
@@ -131,14 +149,13 @@ func (r *RecordStore) write(reuse PageID, data []byte) (PageID, error) {
 		surplus = pages[need:]
 		pages = pages[:need]
 	}
-	var fresh []PageID
+	kept := len(pages) // pages[kept:] are freshly allocated
 	for len(pages) < need {
 		id, err := r.s.Alloc()
 		if err != nil {
-			freeAll(r.s, fresh)
+			freeAll(r.s, pages[kept:])
 			return NilPage, fmt.Errorf("eio: grow record: %w", err)
 		}
-		fresh = append(fresh, id)
 		pages = append(pages, id)
 	}
 
@@ -168,20 +185,27 @@ func (r *RecordStore) write(reuse PageID, data []byte) (PageID, error) {
 		}
 		return nil
 	}
-	for i := 1; i < need; i++ {
-		if err := writePage(i); err != nil {
-			freeAll(r.s, fresh)
+	// A shrinking record is the exception to tail-first: the rewritten tail
+	// ends the chain early, which under the old head's length would read as
+	// truncated, so its head goes first, the old, longer tail still on it.
+	first := 1
+	if len(surplus) > 0 {
+		first = 0
+	}
+	for i := first; i < need+first; i++ {
+		if err := writePage(i % need); err != nil {
+			freeAll(r.s, pages[kept:])
 			return NilPage, err
 		}
-	}
-	if err := writePage(0); err != nil {
-		freeAll(r.s, fresh)
-		return NilPage, err
 	}
 	for _, id := range surplus {
 		if err := r.s.Free(id); err != nil {
 			return NilPage, fmt.Errorf("eio: shrink record: %w", err)
 		}
+	}
+	if rb != nil {
+		rb.chain = append(rb.chain[:0], pages...)
+		rb.id = pages[0]
 	}
 	return pages[0], nil
 }
@@ -213,6 +237,8 @@ func (r *RecordStore) Get(id PageID, buf *RecordBuf) ([]byte, error) {
 	if buf == nil {
 		buf = new(RecordBuf)
 	}
+	buf.id = NilPage
+	buf.chain = append(buf.chain[:0], id)
 	ps := r.s.PageSize()
 	b := buf.grow(ps)
 	if err := r.s.Read(id, b[:ps]); err != nil {
@@ -234,12 +260,16 @@ func (r *RecordStore) Get(id PageID, buf *RecordBuf) ([]byte, error) {
 		if err := r.s.Read(next, b[at:at+ps]); err != nil {
 			return nil, err
 		}
+		buf.chain = append(buf.chain, next)
 		next = PageID(binary.LittleEndian.Uint64(b[at:]))
 		binary.LittleEndian.PutUint64(b[at:], saved)
 		end = min(at+ps, want)
 	}
 	if end != want {
 		return nil, fmt.Errorf("eio: record %d truncated (%d of %d bytes): %w", id, end-chainHdrFirst, length, ErrBadRecord)
+	}
+	if next == NilPage { // else the chain runs past its payload: Update walks and trims it
+		buf.id = id
 	}
 	return b[chainHdrFirst:want:want], nil
 }

@@ -128,7 +128,7 @@ func (t *Tree) fill(sc *scratch, id eio.PageID, pts []geom.Point) error {
 		for i := range n.keys {
 			n.keys[i].here = present[n.keys[i].p]
 		}
-		return t.writeBack(sc, id, n)
+		return t.writeBack(sc, n)
 	}
 	// Partition pts among children by composite range (pts is sorted, and
 	// child ranges are consecutive).
@@ -164,7 +164,7 @@ func (t *Tree) fill(sc *scratch, id eio.PageID, pts []geom.Point) error {
 		return err
 	}
 	n.q = q
-	return t.writeBack(sc, id, n)
+	return t.writeBack(sc, n)
 }
 
 // createQ builds a small structure over pts and returns its catalog id.
@@ -216,10 +216,7 @@ func (t *Tree) collect(sc *scratch, id eio.PageID, out *[]geom.Point) error {
 		}
 		return nil
 	}
-	q, err := t.openQ(sc, n.q)
-	if err != nil {
-		return err
-	}
+	q := t.openQ(sc, n.q)
 	pts, err := q.All()
 	if err != nil {
 		return err
@@ -241,10 +238,7 @@ func (t *Tree) freeSubtree(sc *scratch, id eio.PageID) error {
 		return err
 	}
 	if n.level > 0 {
-		q, err := t.openQ(sc, n.q)
-		if err != nil {
-			return err
-		}
+		q := t.openQ(sc, n.q)
 		if err := q.Destroy(); err != nil {
 			return err
 		}

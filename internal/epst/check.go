@@ -79,10 +79,7 @@ func (t *Tree) check(sc *scratch, id eio.PageID, level int) (*checkRes, error) {
 		return res, nil
 	}
 
-	q, err := t.openQ(sc, n.q)
-	if err != nil {
-		return nil, err
-	}
+	q := t.openQ(sc, n.q)
 	qAll, err := q.All()
 	if err != nil {
 		return nil, err
@@ -258,10 +255,7 @@ func (t *Tree) Profile() ([]LevelProfile, error) {
 			}
 			return nil
 		}
-		q, err := t.openQ(sc, n.q)
-		if err != nil {
-			return err
-		}
+		q := t.openQ(sc, n.q)
 		qn, err := q.Len()
 		if err != nil {
 			return err

@@ -79,12 +79,14 @@ type Tree struct {
 type scratch struct {
 	small smallstruct.Scratch // every node structure the operation opens works here
 	hdr   eio.RecordBuf       // the header record
-	path  []eio.RecordBuf     // read path: the node record at each depth (root = 0); a node's view stays valid while the search is below it
-	rec   eio.RecordBuf       // update path: the record being decoded (decode copies out of it)
-	nodes []*node             // update path: decoded nodes, recycled with their slices
-	used  int                 // nodes[:used] are held by the running operation
-	ys    []geom.Point        // the Y-set last retrieved by ySet
-	enc   []byte              // the record being written
+	// path holds node records: a query's node at each depth (root = 0), its
+	// view valid while the search is below it; an update's held node i, so
+	// that writing it back finds the record's pages without walking them.
+	path  []eio.RecordBuf
+	nodes []*node      // update path: decoded nodes, recycled with their slices
+	used  int          // nodes[:used] are held by the running operation
+	ys    []geom.Point // the Y-set last retrieved by ySet
+	enc   []byte       // the record being written
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -93,36 +95,37 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 func putScratch(sc *scratch) {
 	sc.used = 0
+	sc.small.Reset() // the next operation may see another store, or this one changed
 	scratchPool.Put(sc)
 }
 
 // newNode returns an empty node that is held until release gives it back
-// or the operation ends. Nodes held at the same time are distinct (the
-// update path holds a whole root-to-leaf path while it recurses below it);
+// or the operation ends. Nodes held at the same time are distinct (an
+// update holds its whole root-to-leaf path while it recurses below it);
 // nodes and their slices are reused once released.
 func (sc *scratch) newNode(level int) *node {
 	if sc.used == len(sc.nodes) {
 		sc.nodes = append(sc.nodes, new(node))
 	}
 	n := sc.nodes[sc.used]
+	*n = node{level: level, entries: n.entries[:0], keys: n.keys[:0], slot: sc.used}
 	sc.used++
-	*n = node{level: level, entries: n.entries[:0], keys: n.keys[:0]}
 	return n
 }
 
 // release gives back every node decoded since sc.used was mark. A walker
 // that keeps no node past its own return starts with
 // `defer sc.release(sc.used)`, so a whole-tree walk holds one node per
-// level, not one per tree node; only the root-to-leaf paths of insertKey
-// and Delete stay held to the end of the operation.
+// level, not one per tree node; only the nodes an Insert or Delete loaded
+// on its way down stay held to the end of the operation.
 func (sc *scratch) release(mark int) { sc.used = mark }
 
-// pathBuf returns the record buffer for the node at depth.
-func (sc *scratch) pathBuf(depth int) *eio.RecordBuf {
-	for len(sc.path) <= depth {
+// pathBuf returns record buffer i.
+func (sc *scratch) pathBuf(i int) *eio.RecordBuf {
+	for len(sc.path) <= i {
 		sc.path = append(sc.path, eio.RecordBuf{})
 	}
-	return &sc.path[depth]
+	return &sc.path[i]
 }
 
 // meta is the persistent header.
@@ -142,6 +145,12 @@ type node struct {
 	q       eio.PageID // smallstruct catalog (internal nodes)
 	entries []entry
 	keys    []keyEntry // leaves: sorted by composite (x, y)
+
+	// Bookkeeping of the update that holds the node (see descend).
+	id    eio.PageID // the record the node was read from
+	slot  int        // its index among the held nodes = its record buffer
+	idx   int        // internal node on a search path: the child taken
+	dirty bool       // differs from the record; flush writes it
 }
 
 type entry struct {
@@ -307,7 +316,7 @@ func (t *Tree) loadMeta(sc *scratch) (meta, error) {
 
 func (t *Tree) storeMeta(sc *scratch, m *meta) error {
 	sc.enc = encodeMeta(sc.enc[:0], m)
-	if err := t.rs.Update(t.hdr, sc.enc); err != nil {
+	if err := t.rs.Update(t.hdr, sc.enc, &sc.hdr); err != nil {
 		return fmt.Errorf("epst: store header: %w", err)
 	}
 	return nil
@@ -333,8 +342,10 @@ func extend(dst []byte, n int) (whole, tail []byte) {
 	return dst, dst[off:]
 }
 
-// openQ attaches to a node's small structure, which works in sc.small.
-func (t *Tree) openQ(sc *scratch, id eio.PageID) (smallstruct.Struct, error) {
+// openQ attaches to a node's small structure, which works in sc.small. It
+// reads nothing: the catalog is loaded by the handle's first operation and
+// kept for the ones that follow on the same structure.
+func (t *Tree) openQ(sc *scratch, id eio.PageID) smallstruct.Struct {
 	return smallstruct.OpenScratch(t.store, id, t.alpha, &sc.small)
 }
 
@@ -585,9 +596,10 @@ func (t *Tree) viewNodeAt(sc *scratch, id eio.PageID, depth int) (nodeView, erro
 	return viewNode(raw)
 }
 
-// readNode reads and decodes node id for the update path.
+// readNode reads and decodes node id for the update path. The node is held
+// (see newNode) and remembers where it came from, for writeBack.
 func (t *Tree) readNode(sc *scratch, id eio.PageID) (*node, error) {
-	raw, err := t.rs.Get(id, &sc.rec)
+	raw, err := t.rs.Get(id, sc.pathBuf(sc.used))
 	if err != nil {
 		return nil, fmt.Errorf("epst: read node: %w", err)
 	}
@@ -595,7 +607,9 @@ func (t *Tree) readNode(sc *scratch, id eio.PageID) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.decode(sc), nil
+	n := v.decode(sc)
+	n.id = id
+	return n, nil
 }
 
 func (t *Tree) writeNode(sc *scratch, id eio.PageID, n *node) (eio.PageID, error) {
@@ -607,13 +621,17 @@ func (t *Tree) writeNode(sc *scratch, id eio.PageID, n *node) (eio.PageID, error
 		}
 		return nid, nil
 	}
-	if err := t.rs.Update(id, sc.enc); err != nil {
+	// Through the buffer the node was read into, which knows the record's
+	// pages (RecordStore.Update checks that it still holds this record).
+	if err := t.rs.Update(id, sc.enc, sc.pathBuf(n.slot)); err != nil {
 		return eio.NilPage, fmt.Errorf("epst: update node: %w", err)
 	}
 	return id, nil
 }
 
-func (t *Tree) writeBack(sc *scratch, id eio.PageID, n *node) error {
-	_, err := t.writeNode(sc, id, n)
+// writeBack writes a node that readNode returned over its record.
+func (t *Tree) writeBack(sc *scratch, n *node) error {
+	n.dirty = false
+	_, err := t.writeNode(sc, n.id, n)
 	return err
 }

@@ -2,6 +2,7 @@ package epst
 
 import (
 	"fmt"
+	"slices"
 
 	"rangesearch/internal/eio"
 	"rangesearch/internal/geom"
@@ -37,10 +38,7 @@ func (t *Tree) query(sc *scratch, id eio.PageID, depth int, dst []geom.Point, q 
 		}
 		return dst, nil
 	}
-	qs, err := t.openQ(sc, n.q())
-	if err != nil {
-		return dst, err
-	}
+	qs := t.openQ(sc, n.q())
 	// This node's own results are dst[from:to]; the children append after
 	// them (and may move dst), so they are addressed by index.
 	from := len(dst)
@@ -137,10 +135,7 @@ func (t *Tree) MaxY() (geom.Point, bool, error) {
 		}
 		return best, found, nil
 	}
-	q, err := t.openQ(sc, n.q())
-	if err != nil {
-		return geom.Point{}, false, err
-	}
+	q := t.openQ(sc, n.q())
 	return q.MaxY()
 }
 
@@ -148,24 +143,56 @@ func (t *Tree) MaxY() (geom.Point, bool, error) {
 // enters the weight-balanced base tree (splitting nodes and reorganizing
 // their auxiliary structures as needed), then the point trickles down
 // through Y-sets to its proper depth.
+//
+// It is one descent: the search path is read and decoded once; the
+// duplicate check, the key insertion, the weight and maxKey maintenance and
+// the trickle edit that loaded path; then every page that changed is
+// written once, deepest first. Only a split re-reads (see splitPath).
 func (t *Tree) Insert(p geom.Point) error {
 	sc := getScratch()
 	defer putScratch(sc)
-	ok, err := t.contains(sc, p)
-	if err != nil {
-		return err
-	}
-	if ok {
-		return fmt.Errorf("epst: insert %v: %w", p, ErrDuplicate)
-	}
 	m, err := t.loadMeta(sc)
 	if err != nil {
 		return err
 	}
-	if err := t.insertKey(sc, &m, p); err != nil {
+	path, err := t.descend(sc, m.root, p)
+	if err != nil {
 		return err
 	}
-	if err := t.place(sc, m.root, p); err != nil {
+	leaf := path[len(path)-1]
+	pos := lowerBoundKey(leaf, p)
+	if pos < len(leaf.keys) && leaf.keys[pos].p == p {
+		return fmt.Errorf("epst: insert %v: %w", p, ErrDuplicate)
+	}
+	// The key enters its leaf "absorbed above"; the trickle sets the flag
+	// if the point comes to rest there.
+	leaf.keys = slices.Insert(leaf.keys, pos, keyEntry{p: p})
+	leaf.dirty = true
+	split := len(leaf.keys) >= 2*t.k
+	for _, n := range path[:len(path)-1] {
+		e := &n.entries[n.idx]
+		e.weight++
+		if e.maxKey.Less(p) {
+			e.maxKey = p
+		}
+		n.dirty = true
+		split = split || nodeWeight(n) >= 2*t.levelCap(n.level)
+	}
+	if split {
+		// The split moves keys, Y-sets and maybe the root: write the path
+		// out through it and load the new one for the trickle.
+		if err := t.splitPath(sc, &m, path); err != nil {
+			return err
+		}
+		sc.release(0)
+		if path, err = t.descend(sc, m.root, p); err != nil {
+			return err
+		}
+	}
+	if err := t.trickle(sc, path, p); err != nil {
+		return err
+	}
+	if err := t.flush(sc); err != nil {
 		return err
 	}
 	m.live++
@@ -175,72 +202,50 @@ func (t *Tree) Insert(p geom.Point) error {
 	return t.storeMeta(sc, &m)
 }
 
-// insertKey inserts p's key into the base tree, splitting overweight nodes
-// bottom-up and reorganizing their auxiliary structures (Figure 5).
-func (t *Tree) insertKey(sc *scratch, m *meta, p geom.Point) error {
-	type pathEl struct {
-		id  eio.PageID
-		n   *node
-		idx int
-	}
-	var path []pathEl
-	id := m.root
-	for {
+// descend reads the search path for p from root — root first, leaf last —
+// and returns it. Every node on it is decoded, held in sc, and, if
+// internal, knows in idx which child the path takes.
+func (t *Tree) descend(sc *scratch, root eio.PageID, p geom.Point) ([]*node, error) {
+	mark := sc.used
+	for id := root; ; {
 		n, err := t.readNode(sc, id)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if n.level == 0 {
-			path = append(path, pathEl{id: id, n: n})
-			break
+			return sc.nodes[mark:sc.used], nil
 		}
-		idx := routeChild(n, p)
-		path = append(path, pathEl{id: id, n: n, idx: idx})
-		id = n.entries[idx].child
+		n.idx = routeChild(n, p)
+		id = n.entries[n.idx].child
 	}
+}
 
-	// Add the key to the leaf; the point itself is placed by place()
-	// afterwards, so the key starts as "absorbed above".
-	leaf := path[len(path)-1].n
-	pos := lowerBoundKey(leaf, p)
-	leaf.keys = append(leaf.keys, keyEntry{})
-	copy(leaf.keys[pos+1:], leaf.keys[pos:])
-	leaf.keys[pos] = keyEntry{p: p, here: false}
-
-	type carryT struct {
-		leftWeight  int64
-		leftMax     geom.Point
-		leftYsize   int32
-		rightID     eio.PageID
-		rightWeight int64
-		rightMax    geom.Point
-		rightYsize  int32
-	}
-	var carry *carryT
-	for i := len(path) - 1; i >= 0; i-- {
-		el := path[i]
-		n := el.n
-		if n.level > 0 {
-			e := &n.entries[el.idx]
-			if carry != nil {
-				e.weight = carry.leftWeight
-				e.maxKey = carry.leftMax
-				e.ysize = carry.leftYsize
-				n.entries = append(n.entries, entry{})
-				copy(n.entries[el.idx+2:], n.entries[el.idx+1:])
-				n.entries[el.idx+1] = entry{
-					maxKey: carry.rightMax,
-					child:  carry.rightID,
-					weight: carry.rightWeight,
-					ysize:  carry.rightYsize,
-				}
-				carry = nil
-			} else {
-				e.weight++
-				if e.maxKey.Less(p) {
-					e.maxKey = p
-				}
+// flush writes the dirty nodes the operation holds, each once, deepest
+// first (nodes are held in the order they were read).
+func (t *Tree) flush(sc *scratch) error {
+	for i := sc.used - 1; i >= 0; i-- {
+		if n := sc.nodes[i]; n.dirty {
+			if err := t.writeBack(sc, n); err != nil {
+				return err
 			}
+		}
+	}
+	return nil
+}
+
+// splitPath writes path — the search path of a key just inserted into its
+// leaf — bottom-up, splitting every overweight node on the way and
+// reorganizing the auxiliary structures around each split (Figure 5). It
+// re-reads: refilling the Y-sets of two split halves bubbles points up from
+// subtrees whose path nodes were written a moment before.
+func (t *Tree) splitPath(sc *scratch, m *meta, path []*node) error {
+	var halves *[2]entry // the entries of a child that has just split
+	for i := len(path) - 1; i >= 0; i-- {
+		n := path[i]
+		if halves != nil {
+			n.entries[n.idx] = halves[0]
+			n.entries = slices.Insert(n.entries, n.idx+1, halves[1])
+			halves = nil
 		}
 
 		// Split if overweight.
@@ -253,7 +258,7 @@ func (t *Tree) insertKey(sc *scratch, m *meta, p geom.Point) error {
 			right = t.splitEntries(n)
 		}
 		if right == nil {
-			if err := t.writeBack(sc, el.id, n); err != nil {
+			if err := t.writeBack(sc, n); err != nil {
 				return err
 			}
 			continue
@@ -263,10 +268,7 @@ func (t *Tree) insertKey(sc *scratch, m *meta, p geom.Point) error {
 		if n.level > 0 {
 			// Split Q_v by the boundary: Y-sets never straddle it, so each
 			// child keeps its Y-set intact on its side.
-			qv, err := t.openQ(sc, n.q)
-			if err != nil {
-				return err
-			}
+			qv := t.openQ(sc, n.q)
 			all, err := qv.All()
 			if err != nil {
 				return err
@@ -293,80 +295,52 @@ func (t *Tree) insertKey(sc *scratch, m *meta, p geom.Point) error {
 		if err != nil {
 			return err
 		}
-		if err := t.writeBack(sc, el.id, n); err != nil {
+		if err := t.writeBack(sc, n); err != nil {
 			return err
 		}
+		halves = &[2]entry{
+			{maxKey: boundary, child: n.id, weight: nodeWeight(n)},
+			{maxKey: nodeMaxKey(right), child: rightID, weight: nodeWeight(right)},
+		}
 
+		// The halves' Y-sets live in the parent's structure, which holds
+		// Y(v) to divide between them by the boundary — or, when the root
+		// has split, in a new root's, empty so far. Either way both are
+		// then refilled to B/2 by bubbling points up from the respective
+		// subtrees (Figure 5(b)).
+		var qid eio.PageID
 		if i > 0 {
-			// Split Y(v) in the parent: count the old Y-set on each side
-			// of the boundary, then refill both halves to B/2 by bubbling
-			// points up from the respective subtrees (Figure 5(b)).
-			parent := path[i-1]
-			qp, err := t.openQ(sc, parent.n.q)
+			qid = path[i-1].q
+		} else if qid, err = t.createQ(nil); err != nil {
+			return err
+		}
+		qp := t.openQ(sc, qid)
+		if i > 0 {
+			yv, err := t.ySet(sc, &qp, path[i-1], path[i-1].idx)
 			if err != nil {
 				return err
 			}
-			yv, err := t.ySet(sc, &qp, parent.n, parent.idx)
-			if err != nil {
-				return err
-			}
-			var leftCnt int32
 			for _, pt := range yv {
-				if !boundary.Less(pt) {
-					leftCnt++
+				if boundary.Less(pt) {
+					halves[1].ysize++
+				} else {
+					halves[0].ysize++
 				}
 			}
-			leftY, rightY := leftCnt, int32(len(yv))-leftCnt
-			leftY, err = t.refillY(sc, &qp, el.id, leftY)
-			if err != nil {
+		}
+		for h := range halves {
+			e := &halves[h]
+			if e.ysize, err = t.refillY(sc, &qp, e.child, e.ysize); err != nil {
 				return err
 			}
-			rightY, err = t.refillY(sc, &qp, rightID, rightY)
-			if err != nil {
+		}
+		if i == 0 {
+			newRoot := &node{level: n.level + 1, q: qid, entries: halves[:]}
+			if m.root, err = t.writeNode(sc, eio.NilPage, newRoot); err != nil {
 				return err
 			}
-			carry = &carryT{
-				leftWeight:  nodeWeight(n),
-				leftMax:     boundary,
-				leftYsize:   leftY,
-				rightID:     rightID,
-				rightWeight: nodeWeight(right),
-				rightMax:    nodeMaxKey(right),
-				rightYsize:  rightY,
-			}
-			continue
+			m.height = newRoot.level
 		}
-
-		// Root split: a new root with an initially empty query structure;
-		// both halves' Y-sets are bubbled up from scratch.
-		qRoot, err := t.createQ(nil)
-		if err != nil {
-			return err
-		}
-		newRoot := &node{
-			level: n.level + 1,
-			q:     qRoot,
-			entries: []entry{
-				{maxKey: boundary, child: el.id, weight: nodeWeight(n)},
-				{maxKey: nodeMaxKey(right), child: rightID, weight: nodeWeight(right)},
-			},
-		}
-		qr, err := t.openQ(sc, qRoot)
-		if err != nil {
-			return err
-		}
-		if newRoot.entries[0].ysize, err = t.refillY(sc, &qr, el.id, 0); err != nil {
-			return err
-		}
-		if newRoot.entries[1].ysize, err = t.refillY(sc, &qr, rightID, 0); err != nil {
-			return err
-		}
-		rootID, err := t.writeNode(sc, eio.NilPage, newRoot)
-		if err != nil {
-			return err
-		}
-		m.root = rootID
-		m.height = newRoot.level
 	}
 	return nil
 }
@@ -383,7 +357,7 @@ func (t *Tree) refillY(sc *scratch, qp *smallstruct.Struct, childID eio.PageID, 
 		if !ok {
 			break
 		}
-		if err := qp.Insert(top); err != nil {
+		if err := qp.Add(top); err != nil { // top came from below: not in qp
 			return ysize, err
 		}
 		ysize++
@@ -433,62 +407,59 @@ func nodeMaxKey(n *node) geom.Point {
 	return n.entries[len(n.entries)-1].maxKey
 }
 
-// place trickles point p down from the root into its proper Y-set or leaf
-// (the recursive procedure at the start of Section 3.3.2).
-func (t *Tree) place(sc *scratch, rootID eio.PageID, p geom.Point) error {
-	id := rootID
-	for {
-		n, err := t.readNode(sc, id)
-		if err != nil {
-			return err
-		}
+// trickle moves point p down from the root into its proper Y-set or leaf
+// (the recursive procedure at the start of Section 3.3.2). path is p's
+// search path, already loaded: the walk stays on it while the point in hand
+// is p and may leave it, reading the nodes it then visits, once a full
+// Y-set has passed an evicted point down instead. The Y-set fetched to
+// decide where the point goes is all of Q_v in the child's key range, so
+// the insertion that follows needs no membership probe.
+func (t *Tree) trickle(sc *scratch, path []*node, p geom.Point) error {
+	n := path[0]
+	for depth := 0; ; depth++ {
 		if n.level == 0 {
 			i := lowerBoundKey(n, p)
 			if i >= len(n.keys) || n.keys[i].p != p {
 				return fmt.Errorf("epst: place: key %v missing from leaf", p)
 			}
 			n.keys[i].here = true
-			return t.writeBack(sc, id, n)
+			n.dirty = true
+			return nil
 		}
 		i := routeChild(n, p)
-		q, err := t.openQ(sc, n.q)
-		if err != nil {
-			return err
-		}
+		e := &n.entries[i]
+		q := t.openQ(sc, n.q)
 		ys, err := t.ySet(sc, &q, n, i)
 		if err != nil {
 			return err
 		}
-		if len(ys) >= t.yHalf() && belowAll(p, ys) {
+		switch {
+		case len(ys) >= t.yHalf() && belowAll(p, ys):
 			// Y(v_i) is healthy and p lies below it: p belongs deeper.
-			id = n.entries[i].child
-			continue
-		}
-		// p joins Y(v_i).
-		if err := q.Insert(p); err != nil {
-			return err
-		}
-		n.entries[i].ysize++
-		if int(n.entries[i].ysize) <= t.b {
-			return t.writeBack(sc, id, n)
-		}
-		// Overflow: the lowest point of Y(v_i) is evicted and trickles
-		// into the child.
-		low := p
-		for _, y := range ys {
-			if y.YLess(low) {
-				low = y
+		case int(e.ysize) < t.b:
+			// p joins Y(v_i).
+			e.ysize++
+			n.dirty = true
+			return q.Add(p)
+		default:
+			// p joins a full Y(v_i): its lowest point is evicted and
+			// trickles into the child in p's place.
+			low := p
+			for _, y := range ys {
+				if y.YLess(low) {
+					low = y
+				}
 			}
+			if err := q.Swap(p, low); err != nil {
+				return err
+			}
+			p = low
 		}
-		if _, err := q.Delete(low); err != nil {
+		if depth+1 < len(path) && path[depth+1].id == e.child {
+			n = path[depth+1]
+		} else if n, err = t.readNode(sc, e.child); err != nil {
 			return err
 		}
-		n.entries[i].ysize--
-		if err := t.writeBack(sc, id, n); err != nil {
-			return err
-		}
-		p = low
-		id = n.entries[i].child
 	}
 }
 
@@ -524,20 +495,17 @@ func (t *Tree) extractTop(sc *scratch, id eio.PageID) (geom.Point, bool, error) 
 			return geom.Point{}, false, nil
 		}
 		n.keys[best].here = false
-		if err := t.writeBack(sc, id, n); err != nil {
+		if err := t.writeBack(sc, n); err != nil {
 			return geom.Point{}, false, err
 		}
 		return n.keys[best].p, true, nil
 	}
-	q, err := t.openQ(sc, n.q)
-	if err != nil {
-		return geom.Point{}, false, err
-	}
+	q := t.openQ(sc, n.q)
 	top, ok, err := q.MaxY()
 	if err != nil || !ok {
 		return geom.Point{}, false, err
 	}
-	if _, err := q.Delete(top); err != nil {
+	if err := q.Remove(top); err != nil {
 		return geom.Point{}, false, err
 	}
 	i := routeChild(n, top)
@@ -548,13 +516,13 @@ func (t *Tree) extractTop(sc *scratch, id eio.PageID) (geom.Point, bool, error) 
 			return geom.Point{}, false, err
 		}
 		if ok2 {
-			if err := q.Insert(r); err != nil {
+			if err := q.Add(r); err != nil {
 				return geom.Point{}, false, err
 			}
 			n.entries[i].ysize++
 		}
 	}
-	if err := t.writeBack(sc, id, n); err != nil {
+	if err := t.writeBack(sc, n); err != nil {
 		return geom.Point{}, false, err
 	}
 	return top, true, nil
@@ -564,6 +532,12 @@ func (t *Tree) extractTop(sc *scratch, id eio.PageID) (geom.Point, bool, error) 
 // wherever it lives (a Y-set along the path or the leaf), the depleted
 // Y-set is refilled by a bubble-up, the key leaves the base tree, and a
 // global rebuild runs once the live count halves (Section 3.3.2).
+//
+// Like Insert it is one descent: the path is loaded once — looking, at each
+// internal node until the point is found, into the Y-set it would be in —
+// edited in memory and written once, deepest first. Only a bubble-up
+// re-reads, after the nodes below it are written, so it sees (and rewrites)
+// their new contents, not a stale path copy.
 func (t *Tree) Delete(p geom.Point) (bool, error) {
 	sc := getScratch()
 	defer putScratch(sc)
@@ -571,83 +545,62 @@ func (t *Tree) Delete(p geom.Point) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	// Locate pass (read-only): find the node whose Q holds p, if any, and
-	// confirm the key exists.
-	type pathEl struct {
-		id  eio.PageID
-		n   *node
-		idx int
-	}
-	var path []pathEl
-	storedAt := -1 // index into path of the node whose Q stores p
-	id := m.root
-	for {
-		n, err := t.readNode(sc, id)
-		if err != nil {
+	var holder *node          // the node whose Q stores p, if one does
+	var hq smallstruct.Struct // its Q, the catalog still loaded in sc.small
+	var n *node
+	for id := m.root; ; id = n.entries[n.idx].child {
+		if n, err = t.readNode(sc, id); err != nil {
 			return false, err
 		}
 		if n.level == 0 {
-			pos := lowerBoundKey(n, p)
-			if pos >= len(n.keys) || n.keys[pos].p != p {
-				return false, nil
-			}
-			path = append(path, pathEl{id: id, n: n, idx: pos})
 			break
 		}
-		idx := routeChild(n, p)
-		if storedAt < 0 {
-			q, err := t.openQ(sc, n.q)
+		n.idx = routeChild(n, p)
+		n.entries[n.idx].weight--
+		n.dirty = true
+		if holder == nil {
+			q := t.openQ(sc, n.q)
+			ys, err := t.ySet(sc, &q, n, n.idx)
 			if err != nil {
 				return false, err
 			}
-			ys, err := t.ySet(sc, &q, n, idx)
-			if err != nil {
-				return false, err
-			}
-			for _, y := range ys {
-				if y == p {
-					storedAt = len(path)
-					break
-				}
+			if slices.Contains(ys, p) {
+				holder, hq = n, q
 			}
 		}
-		path = append(path, pathEl{id: id, n: n, idx: idx})
-		id = n.entries[idx].child
 	}
+	pos := lowerBoundKey(n, p)
+	if pos >= len(n.keys) || n.keys[pos].p != p {
+		if holder != nil {
+			return false, fmt.Errorf("epst: delete: %v is stored but has no key", p)
+		}
+		return false, nil
+	}
+	n.keys = slices.Delete(n.keys, pos, pos+1)
+	n.dirty = true
 
-	// Mutation pass, bottom-up so that bubble-up writes into descendants
-	// are never clobbered by stale path copies.
-	leafEl := path[len(path)-1]
-	leafEl.n.keys = append(leafEl.n.keys[:leafEl.idx], leafEl.n.keys[leafEl.idx+1:]...)
-	if err := t.writeBack(sc, leafEl.id, leafEl.n); err != nil {
-		return false, err
-	}
-	for i := len(path) - 2; i >= 0; i-- {
-		el := path[i]
-		el.n.entries[el.idx].weight--
-		if storedAt == i {
-			q, err := t.openQ(sc, el.n.q)
-			if err != nil {
+	for i := sc.used - 1; i >= 0; i-- {
+		n := sc.nodes[i]
+		if n == holder {
+			e := &n.entries[n.idx]
+			if err := hq.Remove(p); err != nil {
 				return false, err
 			}
-			if _, err := q.Delete(p); err != nil {
-				return false, err
-			}
-			el.n.entries[el.idx].ysize--
-			if 2*int(el.n.entries[el.idx].ysize) < t.b {
-				r, ok, err := t.extractTop(sc, el.n.entries[el.idx].child)
+			e.ysize--
+			if 2*int(e.ysize) < t.b {
+				r, ok, err := t.extractTop(sc, e.child)
 				if err != nil {
 					return false, err
 				}
 				if ok {
-					if err := q.Insert(r); err != nil {
+					if err := hq.Add(r); err != nil {
 						return false, err
 					}
-					el.n.entries[el.idx].ysize++
+					e.ysize++
 				}
 			}
 		}
-		if err := t.writeBack(sc, el.id, el.n); err != nil {
+		if err := t.writeBack(sc, n); err != nil {
 			return false, err
 		}
 	}

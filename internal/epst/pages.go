@@ -41,10 +41,7 @@ func (t *Tree) appendSubtree(sc *scratch, dst []eio.PageID, id eio.PageID) ([]ei
 	if n.level == 0 {
 		return dst, nil
 	}
-	q, err := t.openQ(sc, n.q)
-	if err != nil {
-		return nil, err
-	}
+	q := t.openQ(sc, n.q)
 	dst, err = q.AppendAllPages(dst)
 	if err != nil {
 		return nil, err

@@ -11,7 +11,7 @@ package geom
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // MinCoord and MaxCoord act as -∞ and +∞ for query sides. They are valid
@@ -65,6 +65,11 @@ func (p Point) YLess(q Point) bool {
 		return p.Y < q.Y
 	}
 	return p.X < q.X
+}
+
+// CompareY is Compare for the (Y, then X) order of YLess.
+func (p Point) CompareY(q Point) int {
+	return Point{X: p.Y, Y: p.X}.Compare(Point{X: q.Y, Y: q.X})
 }
 
 // Rect is a closed orthogonal rectangle [XLo, XHi] × [YLo, YHi].
@@ -158,15 +163,14 @@ func (iv Interval) Point() Point { return Point{X: iv.Lo, Y: iv.Hi} }
 // IntervalFromPoint is the inverse of Interval.Point.
 func IntervalFromPoint(p Point) Interval { return Interval{Lo: p.X, Hi: p.Y} }
 
-// SortByX sorts pts in the canonical (X, then Y) order, in place.
-func SortByX(pts []Point) {
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Less(pts[j]) })
-}
+// SortByX sorts pts in the canonical (X, then Y) order, in place. SortByX
+// and SortByY are the repository's only instantiations of the generic sort
+// over points: packages that order points call these two rather than
+// instantiating their own.
+func SortByX(pts []Point) { slices.SortFunc(pts, Point.Compare) }
 
 // SortByY sorts pts by (Y, then X) order, in place.
-func SortByY(pts []Point) {
-	sort.Slice(pts, func(i, j int) bool { return pts[i].YLess(pts[j]) })
-}
+func SortByY(pts []Point) { slices.SortFunc(pts, Point.CompareY) }
 
 // Filter3 returns the points of pts satisfying q, appended to dst.
 func Filter3(dst []Point, pts []Point, q Query3) []Point {

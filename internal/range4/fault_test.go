@@ -17,13 +17,14 @@ func TestFaultSweep(t *testing.T) {
 		t.Skip("fault sweep re-runs the workload per operation")
 	}
 	rng := rand.New(rand.NewSource(31))
-	pts := distinctPoints(rng, 55, 1000)
-	base, extra := pts[:45], pts[45:]
+	pts := distinctPoints(rng, 62, 1000)
+	base, extra, late := pts[:45], pts[45:55], pts[55:]
 
 	eiotest.Sweep(t, eiotest.Workload{
 		Name:     "range4",
 		PageSize: 128,
 		Strict:   true,
+		Ops:      7659, // what the script (then one round) cost before the single-descent update
 		Run: func(st eio.Store) (func() error, error) {
 			tr, err := Build(st, Options{Rho: 2, K: 4}, base)
 			if err != nil {
@@ -47,6 +48,21 @@ func TestFaultSweep(t *testing.T) {
 				}
 			}
 			if _, err := tr.Query4(nil, geom.Rect{XLo: 100, XHi: 800, YLo: 200, YHi: 900}); err != nil {
+				return check, err
+			}
+			// Second round (see eiotest.Workload.Ops): the same mix again on
+			// the structure the first round left.
+			for _, p := range late {
+				if err := tr.Insert(p); err != nil {
+					return check, err
+				}
+			}
+			for _, p := range base[8:13] {
+				if _, err := tr.Delete(p); err != nil {
+					return check, err
+				}
+			}
+			if _, err := tr.Query4(nil, geom.Rect{XLo: 300, XHi: 340, YLo: 100, YHi: 200}); err != nil {
 				return check, err
 			}
 			return check, nil

@@ -229,7 +229,7 @@ func (t *Tree) loadMeta() (*meta, error) {
 }
 
 func (t *Tree) storeMeta(m *meta) error {
-	if err := t.rs.Update(t.hdr, encodeMeta(m)); err != nil {
+	if err := t.rs.Update(t.hdr, encodeMeta(m), nil); err != nil {
 		return fmt.Errorf("range4: store header: %w", err)
 	}
 	return nil
@@ -334,7 +334,7 @@ func (t *Tree) writeNode(id eio.PageID, n *node) (eio.PageID, error) {
 		}
 		return nid, nil
 	}
-	if err := t.rs.Update(id, raw); err != nil {
+	if err := t.rs.Update(id, raw, nil); err != nil {
 		return eio.NilPage, fmt.Errorf("range4: update node: %w", err)
 	}
 	return id, nil

@@ -14,13 +14,14 @@ import (
 // injected error, never panics, and stays queryable afterwards.
 func TestFaultSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	pts := distinctPoints(rng, 48, 200)
-	base, extra := pts[:36], pts[36:]
+	pts := distinctPoints(rng, 50, 200)
+	base, extra, late := pts[:36], pts[36:48], pts[48:]
 
 	eiotest.Sweep(t, eiotest.Workload{
 		Name:     "smallstruct",
 		PageSize: 128,
 		Strict:   true,
+		Ops:      619, // what the script cost before the catalog was loaded once per operation
 		Run: func(st eio.Store) (func() error, error) {
 			s, err := Create(st, 2, base)
 			if err != nil {
@@ -48,6 +49,28 @@ func TestFaultSweep(t *testing.T) {
 			}
 			if _, err := s.All(); err != nil {
 				return check, err
+			}
+			// Second round (see eiotest.Workload.Ops): the entry points that
+			// vouch for membership, against a buffer that holds tombstones.
+			for i, p := range late {
+				if err := s.Add(p); err != nil {
+					return check, err
+				}
+				// base[i] went in round one, p came a moment ago.
+				if err := s.Swap(base[i], p); err != nil {
+					return check, err
+				}
+			}
+			if _, _, err := s.MaxY(); err != nil {
+				return check, err
+			}
+			if err := s.Remove(base[10]); err != nil {
+				return check, err
+			}
+			for _, p := range []geom.Point{late[0], base[0], base[20]} {
+				if _, err := s.Contains(p); err != nil {
+					return check, err
+				}
 			}
 			return check, nil
 		},

@@ -14,7 +14,8 @@
 // structure is rebuilt with the sweep-line algorithm, costing O(N/B + 1)
 // I/Os — O(1) amortized per update for N = O(B²). (The paper's in-place
 // O(B)-I/O construction streams with a priority queue; we rebuild through
-// memory, which transfers the same O(N/B) blocks.)
+// memory, which transfers the same O(N/B) blocks — and, like the paper's,
+// merges what is already ordered on disk instead of sorting; see gather.)
 //
 // The structure stores a *set* of points: duplicate insertions are
 // rejected. This is what its only client, the external priority search
@@ -29,6 +30,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"rangesearch/internal/eio"
 	"rangesearch/internal/geom"
@@ -56,37 +58,80 @@ type Struct struct {
 	bufCap  int // 0 = default B/2
 	catalog eio.PageID
 	sc      *Scratch // nil: borrow one per operation
+	// opened (Open sets it) parks the Scratch holding the catalog Open
+	// read, for the handle's first operation to take instead of borrowing.
+	opened *atomic.Pointer[Scratch]
 }
 
 // Scratch is the working memory of one operation at a time: the page
 // buffer index blocks are read into, the buffer holding the catalog record
-// and, on the update path, the decoded catalog and its re-encoding. Nothing
-// in it outlives the operation — results are appended to the caller's dst
-// or returned by value — so one Scratch serves any number of consecutive
-// operations on any number of handles, and steady-state operations
-// allocate nothing. The zero value is ready to use.
+// and, on the update path, the decoded catalog and its re-encoding. Results
+// are appended to the caller's dst or returned by value, so one Scratch
+// serves any number of consecutive operations on any number of handles, and
+// steady-state operations allocate nothing. The zero value is ready to use.
+//
+// All a Scratch carries from one operation to the next is the catalog it
+// read last, so consecutive operations on one structure (fetch a Y-set,
+// then insert into it) load the catalog once. Its owner calls Reset
+// whenever the store may have changed behind the Scratch's back.
 type Scratch struct {
-	page  []byte        // one index block; overwritten by every block read
-	rec   eio.RecordBuf // the catalog record the running operation reads
-	dead  []geom.Point  // tombstones that can hide a point of the running query
-	order []int32       // MaxY: block indices by decreasing topY
-	probe []geom.Point  // update path: result of the membership probe
-	cat   catalogData   // update path: decoded catalog (slices reused)
-	enc   []byte        // update path: encoded catalog
+	page        []byte        // one index block; overwritten by every block read
+	rec         eio.RecordBuf // the catalog record last read
+	holds       eio.PageID    // the catalog view describes; NilPage: none
+	view        catalogView   // over rec, or over enc once the catalog was rewritten
+	dead        []geom.Point  // tombstones that can hide a point of the running query
+	order       []int32       // MaxY: block indices by decreasing topY
+	probe       []geom.Point  // update path: result of the membership probe
+	cat         catalogData   // update path: decoded catalog (slices reused)
+	next        catalogData   // rebuild: the catalog under construction
+	enc         []byte        // update path: encoded catalog
+	*rebuildMem               // attached while a rebuild (or Create, or All) runs
 }
 
-// scratchPool lends Scratches to handles that have none of their own.
+// rebuildMem is what only a rebuild needs, some 32 bytes per point of the
+// structure. Rebuilds are rare, so no Scratch keeps one: the last one used
+// waits in spareRebuild and a rebuild that finds it taken makes its own.
+type rebuildMem struct {
+	work sweep.Work   // the live set and the construction's arrays
+	sel  []geom.Point // one x-bucket, then one block being written
+	cuts []geom.Point // the chunk boundaries inside that bucket
+	runs []int        // where each old initial block's survivors start
+}
+
+var spareRebuild atomic.Pointer[rebuildMem]
+
+func (sc *Scratch) attachRebuildMem() {
+	if sc.rebuildMem = spareRebuild.Swap(nil); sc.rebuildMem == nil {
+		sc.rebuildMem = new(rebuildMem)
+	}
+}
+
+func (sc *Scratch) detachRebuildMem() {
+	spareRebuild.Store(sc.rebuildMem)
+	sc.rebuildMem = nil
+}
+
+// Reset makes sc forget the catalog it holds.
+func (sc *Scratch) Reset() { sc.holds = eio.NilPage }
+
+// scratchPool lends Scratches (holding no catalog) to handles without one.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 func (s *Struct) borrow() *Scratch {
 	if s.sc != nil {
 		return s.sc
 	}
+	if s.opened != nil {
+		if sc := s.opened.Swap(nil); sc != nil {
+			return sc
+		}
+	}
 	return scratchPool.Get().(*Scratch)
 }
 
 func (s *Struct) release(sc *Scratch) {
 	if s.sc == nil {
+		sc.Reset()
 		scratchPool.Put(sc)
 	}
 }
@@ -138,24 +183,34 @@ func Create(store eio.Store, alpha int, pts []geom.Point) (*Struct, error) {
 		}
 		seen[p] = true
 	}
-	cat, err := s.writeScheme(pts)
+	sc := s.borrow()
+	defer s.release(sc)
+	sc.attachRebuildMem()
+	defer sc.detachRebuildMem()
+	sc.work.SetPoints(pts, s.b)
+	cat, err := s.writeScheme(sc)
 	if err != nil {
 		return nil, err
 	}
-	id, err := s.rs.Put(encodeCatalog(nil, cat))
-	if err != nil {
+	sc.enc = encodeCatalog(sc.enc[:0], cat)
+	if s.catalog, err = s.rs.Put(sc.enc); err != nil {
 		return nil, err
 	}
-	s.catalog = id
 	return s, nil
 }
 
-// Open attaches to a structure previously created on store.
+// Open attaches to a structure previously created on store. It reads the
+// catalog, so a dangling or non-catalog id fails here, not mid-query; the
+// handle's first operation works from that read instead of repeating it.
 func Open(store eio.Store, catalog eio.PageID, alpha int) (*Struct, error) {
-	s, err := OpenScratch(store, catalog, alpha, nil)
-	if err != nil {
+	s := OpenScratch(store, catalog, alpha, nil)
+	sc := scratchPool.Get().(*Scratch)
+	if _, err := s.loadCatalog(sc); err != nil {
+		scratchPool.Put(sc)
 		return nil, err
 	}
+	s.opened = new(atomic.Pointer[Scratch])
+	s.opened.Store(sc)
 	return &s, nil
 }
 
@@ -164,11 +219,14 @@ func Open(store eio.Store, catalog eio.PageID, alpha int) (*Struct, error) {
 // handle is returned by value and works in sc instead of borrowing a
 // Scratch per operation. It must not be used concurrently with anything
 // else that uses sc. A nil sc gives a handle that borrows, as Open's does.
-func OpenScratch(store eio.Store, catalog eio.PageID, alpha int, sc *Scratch) (Struct, error) {
+//
+// OpenScratch is lazy: it reads nothing, and a dangling id surfaces as the
+// error of the handle's first operation.
+func OpenScratch(store eio.Store, catalog eio.PageID, alpha int, sc *Scratch) Struct {
 	if alpha == 0 {
 		alpha = DefaultAlpha
 	}
-	s := Struct{
+	return Struct{
 		store:   store,
 		rs:      *eio.NewRecordStore(store),
 		b:       eio.BlockCapacity(store.PageSize()),
@@ -176,11 +234,6 @@ func OpenScratch(store eio.Store, catalog eio.PageID, alpha int, sc *Scratch) (S
 		catalog: catalog,
 		sc:      sc,
 	}
-	// Validate eagerly so a dangling id fails here, not mid-query.
-	w := s.borrow()
-	_, err := s.loadCatalog(w)
-	s.release(w)
-	return s, err
 }
 
 // CatalogID returns the record id that identifies this structure on its
@@ -209,63 +262,72 @@ func (s *Struct) SetBufferCap(n int) {
 	s.bufCap = n
 }
 
-// writeScheme runs the sweep construction over pts and writes the blocks.
-// It returns the new catalog contents. It never touches existing blocks:
-// callers replacing a catalog must commit the new one first and free the
-// old blocks afterwards (see rebuild), so a failure mid-rewrite leaves the
-// committed catalog's pages intact.
-func (s *Struct) writeScheme(pts []geom.Point) (*catalogData, error) {
-	sch, err := sweep.Build(pts, s.b, s.alpha)
+// writeScheme runs the sweep construction over the input prepared in
+// sc.work, writes the blocks and returns the new catalog (in sc.next). It
+// never touches existing blocks: callers replacing a catalog must commit
+// the new one first and free the old blocks afterwards (see rebuild), so a
+// failure mid-rewrite leaves the committed catalog's pages intact.
+func (s *Struct) writeScheme(sc *Scratch) (*catalogData, error) {
+	sch, err := sc.work.Build(s.b, s.alpha)
 	if err != nil {
 		return nil, fmt.Errorf("smallstruct: %w", err)
 	}
-	cat := &catalogData{}
+	cat := &sc.next
+	cat.blocks, cat.ins, cat.dels = cat.blocks[:0], cat.ins[:0], cat.dels[:0]
 	for i := range sch.Blocks() {
 		blk := &sch.Blocks()[i]
-		if len(blk.Points) == 0 {
+		sc.sel = sch.AppendPoints(sc.sel[:0], i)
+		if len(sc.sel) == 0 {
 			continue
 		}
-		page, err := eio.WritePointBlock(s.store, eio.NilPage, blk.Points)
+		page, err := eio.WritePointBlock(s.store, eio.NilPage, sc.sel)
 		if err != nil {
 			return nil, fmt.Errorf("smallstruct: write block: %w", err)
 		}
-		top := blk.Points[0].Y
-		for _, p := range blk.Points {
-			if p.Y > top {
-				top = p.Y
-			}
-		}
 		cat.blocks = append(cat.blocks, blockMeta{
 			page:      page,
-			count:     int32(len(blk.Points)),
+			count:     int32(len(sc.sel)),
 			initial:   blk.Initial,
 			retiredAt: blk.RetiredAt,
 			xlo:       blk.XLo,
 			xhi:       blk.XHi,
 			yact:      blk.YAct,
 			yret:      blk.YRet,
-			topY:      top,
+			topY:      sc.sel[len(sc.sel)-1].Y, // contents ascend in (y, x)
 		})
 	}
 	return cat, nil
 }
 
-// loadCatalog reads the catalog record into sc and returns a view of it,
-// valid until sc reads another record.
+// loadCatalog returns a view of the catalog, reading the record into sc
+// unless sc holds it; the view is valid until sc loads or stores another.
 func (s *Struct) loadCatalog(sc *Scratch) (catalogView, error) {
+	if sc.holds == s.catalog && sc.holds != eio.NilPage {
+		return sc.view, nil
+	}
+	sc.holds = eio.NilPage
 	raw, err := s.rs.Get(s.catalog, &sc.rec)
 	if err != nil {
 		return catalogView{}, fmt.Errorf("smallstruct: load catalog: %w", err)
 	}
-	return viewCatalog(raw)
+	if sc.view, err = viewCatalog(raw); err != nil {
+		return catalogView{}, err
+	}
+	sc.holds = s.catalog
+	return sc.view, nil
 }
 
-// storeCatalog re-encodes (into sc) and writes the catalog record in place.
+// storeCatalog re-encodes (into sc) and writes the catalog record in place
+// — writes only, sc.rec knows the record's pages from the read before —
+// and leaves sc holding the catalog as written.
 func (s *Struct) storeCatalog(sc *Scratch, cat *catalogData) error {
+	sc.holds = eio.NilPage
 	sc.enc = encodeCatalog(sc.enc[:0], cat)
-	if err := s.rs.Update(s.catalog, sc.enc); err != nil {
+	if err := s.rs.Update(s.catalog, sc.enc, &sc.rec); err != nil {
 		return fmt.Errorf("smallstruct: store catalog: %w", err)
 	}
+	sc.view, _ = viewCatalog(sc.enc)
+	sc.holds = s.catalog
 	return nil
 }
 
@@ -375,27 +437,17 @@ func (s *Struct) Insert(p geom.Point) error {
 	if err != nil {
 		return err
 	}
-	// A buffered tombstone for p cancels out (reinsertion after delete).
-	for i := 0; i < view.nd; i++ {
-		if view.del(i) == p {
-			cat := view.decode(&sc.cat)
-			cat.dels = append(cat.dels[:i], cat.dels[i+1:]...)
-			return s.storeCatalog(sc, cat)
+	// A tombstoned p is in a block but not live; anything else is probed.
+	if !view.isDead(p) {
+		present, err := s.stored(sc, view, p)
+		if err != nil {
+			return err
+		}
+		if present {
+			return fmt.Errorf("smallstruct: insert %v: %w", p, ErrDuplicate)
 		}
 	}
-	present, err := s.stored(sc, view, p)
-	if err != nil {
-		return err
-	}
-	if present {
-		return fmt.Errorf("smallstruct: insert %v: %w", p, ErrDuplicate)
-	}
-	cat := view.decode(&sc.cat)
-	cat.ins = append(cat.ins, p)
-	if len(cat.ins)+len(cat.dels) >= s.bufferCap() {
-		return s.rebuild(sc, cat)
-	}
-	return s.storeCatalog(sc, cat)
+	return s.update(sc, edit{p: p})
 }
 
 // Delete removes p, reporting whether it was present.
@@ -407,54 +459,195 @@ func (s *Struct) Delete(p geom.Point) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	// If p is still in the insert buffer, cancel it there.
-	for i := 0; i < view.ni; i++ {
-		if view.ins(i) == p {
-			cat := view.decode(&sc.cat)
-			cat.ins = append(cat.ins[:i], cat.ins[i+1:]...)
-			return true, s.storeCatalog(sc, cat)
+	// A buffered insertion is live without being in a block.
+	buffered := false
+	for i := 0; i < view.ni && !buffered; i++ {
+		buffered = view.ins(i) == p
+	}
+	if !buffered {
+		present, err := s.stored(sc, view, p)
+		if err != nil || !present {
+			return false, err
 		}
 	}
-	present, err := s.stored(sc, view, p)
-	if err != nil || !present {
-		return false, err
-	}
-	cat := view.decode(&sc.cat)
-	cat.dels = append(cat.dels, p)
-	if len(cat.ins)+len(cat.dels) >= s.bufferCap() {
-		return true, s.rebuild(sc, cat)
-	}
-	return true, s.storeCatalog(sc, cat)
+	return true, s.update(sc, edit{p: p, del: true})
 }
 
-// all returns the live point set: the stored base partition (the initial
-// blocks of the last rebuild partition the base set exactly, so no
-// deduplication is needed) minus tombstones, plus the insert buffer.
-func (s *Struct) all(sc *Scratch, cat *catalogData) ([]geom.Point, error) {
-	var dead map[geom.Point]bool
-	if len(cat.dels) > 0 {
-		dead = make(map[geom.Point]bool, len(cat.dels))
-		for _, p := range cat.dels {
-			dead[p] = true
+// Add is Insert for a caller that knows p is not stored, Remove is Delete
+// for one that knows it is, Swap is Add(in) then Remove(out) in one catalog
+// write. They skip the membership probe: the priority search tree has just
+// fetched the Y-set the point would be in. Vouching wrongly corrupts.
+func (s *Struct) Add(p geom.Point) error    { return s.vouched(edit{p: p}) }
+func (s *Struct) Remove(p geom.Point) error { return s.vouched(edit{p: p, del: true}) }
+func (s *Struct) Swap(in, out geom.Point) error {
+	return s.vouched(edit{p: in}, edit{p: out, del: true})
+}
+
+func (s *Struct) vouched(edits ...edit) error {
+	sc := s.borrow()
+	defer s.release(sc)
+	return s.update(sc, edits...)
+}
+
+// edit is one buffered update.
+type edit struct {
+	p   geom.Point
+	del bool
+}
+
+// update applies edits in order and writes the catalog once (twice when an
+// edit before the last fills the buffer: the rebuild writes it too).
+func (s *Struct) update(sc *Scratch, edits ...edit) error {
+	view, err := s.loadCatalog(sc)
+	if err != nil {
+		return err
+	}
+	cat := view.decode(&sc.cat)
+	dirty := false
+	for _, e := range edits {
+		// An insertion cancels p's tombstone (reinsertion after delete), a
+		// deletion cancels p's buffered insertion; otherwise it is buffered.
+		from, to := &cat.dels, &cat.ins
+		if e.del {
+			from, to = to, from
+		}
+		if i := slices.Index(*from, e.p); i >= 0 {
+			*from = slices.Delete(*from, i, i+1)
+			dirty = true
+		} else if *to = append(*to, e.p); len(cat.ins)+len(cat.dels) >= s.bufferCap() {
+			if err := s.rebuild(sc, cat); err != nil {
+				return err
+			}
+			dirty = false
+		} else {
+			dirty = true
 		}
 	}
-	var out []geom.Point
+	if dirty {
+		return s.storeCatalog(sc, cat)
+	}
+	return nil
+}
+
+// gather reads the live set into sc.work as the construction's input,
+// without sorting it. Pts holds the survivors of each initial block in
+// catalog order — the initial blocks of the last rebuild partition the base
+// set block after block by x, each ascending in (y, x) as it was written,
+// and dropping tombstoned points keeps both — then the buffered insertions.
+// Block cuts that set into chunks of B by x-rank: each old block with the
+// insertions that fall into its range is a bucket, the buckets are in x
+// order, so a point's chunk follows from its bucket's first rank and from
+// which chunk boundaries inside the bucket it lies above; the boundary
+// points are found by selection. It sorts cat.ins and cat.dels in place.
+func (s *Struct) gather(sc *Scratch, cat *catalogData) error {
+	w := &sc.work
+	w.Pts, sc.runs = w.Pts[:0], sc.runs[:0]
+	geom.SortByX(cat.dels)
+	geom.SortByX(cat.ins)
+	lo := 0
 	for i := range cat.blocks {
 		m := &cat.blocks[i]
 		if !m.initial {
 			continue
 		}
 		if err := s.readBlock(sc, m); err != nil {
-			return nil, err
+			return err
 		}
+		// Only a tombstone within the block's x-range can be in the block.
+		for lo < len(cat.dels) && cat.dels[lo].X < m.xlo {
+			lo++
+		}
+		hi := lo
+		for hi < len(cat.dels) && cat.dels[hi].X <= m.xhi {
+			hi++
+		}
+		from := len(w.Pts)
 		for j := 0; j < int(m.count); j++ {
-			if p := eio.GetPoint(sc.page, j*eio.PointSize); !dead[p] {
-				out = append(out, p)
+			if p := eio.GetPoint(sc.page, j*eio.PointSize); !containsPoint(cat.dels[lo:hi], p) {
+				w.Pts = append(w.Pts, p)
 			}
 		}
+		if len(w.Pts) > from {
+			sc.runs = append(sc.runs, from)
+		}
 	}
-	out = append(out, cat.ins...)
-	return out, nil
+	nbase := len(w.Pts)
+	sc.runs = append(sc.runs, nbase) // run r is Pts[runs[r]:runs[r+1]]
+	w.Pts = append(w.Pts, cat.ins...)
+	w.Block = slices.Grow(w.Block[:0], len(w.Pts))[:len(w.Pts)]
+
+	b, rank, ins := s.b, 0, 0
+	for r := 0; r == 0 || r+1 < len(sc.runs); r++ {
+		// The bucket: run r and the insertions below its maximum; the last
+		// bucket (the only one, if nothing survives on disk) takes the rest.
+		from, to, upto := nbase, nbase, len(cat.ins)
+		if r+1 < len(sc.runs) {
+			from, to = sc.runs[r], sc.runs[r+1]
+		}
+		sel := append(sc.sel[:0], w.Pts[from:to]...)
+		if r+2 < len(sc.runs) {
+			top := sel[0]
+			for _, p := range sel {
+				if top.Less(p) {
+					top = p
+				}
+			}
+			for upto = ins; upto < len(cat.ins) && cat.ins[upto].Less(top); upto++ {
+			}
+		}
+		sel = append(sel, cat.ins[ins:upto]...)
+		// The points that open a new chunk inside the bucket.
+		sc.cuts = sc.cuts[:0]
+		for at := (rank/b+1)*b - rank; at < len(sel); at += b {
+			sc.cuts = append(sc.cuts, selectNth(sel, at))
+		}
+		chunk := func(p geom.Point) int32 {
+			c := rank / b
+			for _, cut := range sc.cuts {
+				if !p.Less(cut) {
+					c++
+				}
+			}
+			return int32(c)
+		}
+		for i := from; i < to; i++ {
+			w.Block[i] = chunk(w.Pts[i])
+		}
+		for i := ins; i < upto; i++ {
+			w.Block[nbase+i] = chunk(cat.ins[i])
+		}
+		rank, ins, sc.sel = rank+len(sel), upto, sel
+	}
+	return nil
+}
+
+// selectNth returns the element of rank k (0-based) of a in (x, y) order,
+// reordering a as it goes: quickselect, linear on the y-ordered (so, in x,
+// shuffled) buckets gather feeds it.
+func selectNth(a []geom.Point, k int) geom.Point {
+	for lo, hi := 0, len(a)-1; lo < hi; {
+		pivot, i, j := a[(lo+hi)/2], lo, hi
+		for i <= j {
+			for a[i].Less(pivot) {
+				i++
+			}
+			for pivot.Less(a[j]) {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i, j = i+1, j-1
+			}
+		}
+		if k <= j {
+			hi = j
+		} else if k >= i {
+			lo = i
+		} else {
+			break
+		}
+	}
+	return a[k]
 }
 
 // All returns every live point. Cost: O(n/B·α/(α−1) + 1) I/Os.
@@ -465,7 +658,12 @@ func (s *Struct) All() ([]geom.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.all(sc, view.decode(&sc.cat))
+	sc.attachRebuildMem()
+	defer sc.detachRebuildMem()
+	if err := s.gather(sc, view.decode(&sc.cat)); err != nil {
+		return nil, err
+	}
+	return slices.Clone(sc.work.Pts), nil
 }
 
 // Len returns the number of live points (reads only the catalog, which
@@ -544,15 +742,17 @@ func (s *Struct) MaxY() (geom.Point, bool, error) {
 }
 
 // rebuild reconstructs the scheme from the live set and resets the buffer.
+// On return cat (which is &sc.cat) is the new catalog, as written.
 func (s *Struct) rebuild(sc *Scratch, cat *catalogData) error {
-	pts, err := s.all(sc, cat)
-	if err != nil {
+	sc.attachRebuildMem()
+	defer sc.detachRebuildMem()
+	if err := s.gather(sc, cat); err != nil {
 		return err
 	}
 	// Shadow-paging order: write the new blocks and commit the catalog
 	// that references them before freeing the old blocks. A failure at any
 	// point leaves a readable structure (at worst leaking the new blocks).
-	ncat, err := s.writeScheme(pts)
+	ncat, err := s.writeScheme(sc)
 	if err != nil {
 		return err
 	}
@@ -564,6 +764,7 @@ func (s *Struct) rebuild(sc *Scratch, cat *catalogData) error {
 			return fmt.Errorf("smallstruct: free old block: %w", err)
 		}
 	}
+	sc.cat, sc.next = sc.next, sc.cat
 	return nil
 }
 
@@ -593,6 +794,7 @@ func (s *Struct) Destroy() error {
 			return err
 		}
 	}
+	sc.Reset()
 	return s.rs.Delete(s.catalog)
 }
 

@@ -9,7 +9,9 @@ import (
 
 // FuzzSchemeQuery decodes an arbitrary byte string into a point set and a
 // 3-sided query, builds the sweep scheme, and checks the answer against
-// brute force. Run with `go test -fuzz=FuzzSchemeQuery ./internal/sweep`.
+// brute force and — on the distinct points of the input, where the scheme
+// is unique — the whole scheme against buildReference. Run with
+// `go test -fuzz=FuzzSchemeQuery ./internal/sweep`.
 func FuzzSchemeQuery(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(4), uint8(2))
 	f.Add(make([]byte, 64), uint8(2), uint8(3))
@@ -57,6 +59,27 @@ func FuzzSchemeQuery(f *testing.F) {
 		tb := (total + b - 1) / b
 		if k > alpha*alpha*tb+alpha+1 {
 			t.Fatalf("query %v: %d blocks exceeds Theorem 4 bound", q, k)
+		}
+		distinct := pts[:0:0]
+		for p := range want {
+			distinct = append(distinct, p)
+		}
+		for _, p := range pts {
+			if want[p] == 0 {
+				want[p] = 1
+				distinct = append(distinct, p)
+			}
+		}
+		merged, err := Build(distinct, b, alpha)
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		sorted, err := buildReference(distinct, b, alpha)
+		if err != nil {
+			t.Fatalf("reference build: %v", err)
+		}
+		if err := sameScheme(merged, sorted); err != nil {
+			t.Fatalf("b=%d alpha=%d, %d distinct points: %v", b, alpha, len(distinct), err)
 		}
 	})
 }

@@ -21,7 +21,7 @@ package sweep
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"rangesearch/internal/geom"
 )
@@ -43,6 +43,8 @@ type Block struct {
 	// Meaningless unless RetiredAt is true.
 	YRet      int64
 	RetiredAt bool
+
+	ids []int32 // the contents as point ids (see Scheme.AppendPoints)
 }
 
 // ActiveFor reports whether the block was active when the sweep line stood
@@ -61,98 +63,143 @@ type Scheme struct {
 	n      int // number of points
 	maxY   int64
 	blocks []Block
+	pts    []geom.Point // point id → point, for Block.ids
 }
 
 // Build constructs the scheme for the given points with block size b ≥ 2
 // and coalescing parameter alpha ≥ 2. The input slice is not modified.
 func Build(points []geom.Point, b, alpha int) (*Scheme, error) {
+	w := new(Work)
+	if b >= 2 {
+		w.SetPoints(points, b)
+	}
+	s, err := w.Build(b, alpha)
+	if err != nil {
+		return nil, err
+	}
+	for i := range s.blocks {
+		s.blocks[i].Points = s.AppendPoints(make([]geom.Point, 0, len(s.blocks[i].ids)), i)
+	}
+	return s, nil
+}
+
+// Work is the working memory of a construction and the way to run one
+// without sorting: the caller fills Pts and Block and calls Build, as
+// smallstruct does with what it reads back from disk. The zero value is
+// ready; a reused Work builds without allocating once it has grown.
+type Work struct {
+	// Pts holds the points in any order; a point's index is its id. Build
+	// merges the runs of ascending (y, x) order Pts consists of.
+	Pts []geom.Point
+	// Block maps a point id to its block of the initial x-partition, blocks
+	// numbered by ascending x, at most b points each. Build overwrites it.
+	Block []int32
+
+	order []int32 // ids by ascending (y, x)
+	ids   []int32 // arena of the entries' id lists
+	tmp   []int32 // coalesce: the sort's other half (the global sort borrows ids)
+	runs  []int32 // sort: run boundaries
+	ents  []entry // ents[i] belongs to blocks[i]
+	stack []int32 // entries whose invariant must be re-examined
+	run   []int32 // the light run under repair
+	sch   Scheme
+}
+
+// SetPoints makes points, sorted by x and cut into blocks of b, w's input.
+func (w *Work) SetPoints(points []geom.Point, b int) {
+	w.Pts = append(w.Pts[:0], points...)
+	geom.SortByX(w.Pts)
+	w.Block = w.Block[:0]
+	for i := range w.Pts {
+		w.Block = append(w.Block, int32(i/b))
+	}
+}
+
+// entry is an active block during construction. Entries form a list in x
+// order, linked by index (−1 ends it).
+type entry struct {
+	prev, next int32
+	ids        []int32 // ascending (y, x); the live ones are the last live
+	live       int
+	retired    bool
+	queued     bool
+}
+
+// Build runs the sweep over w.Pts from the initial partition w.Block. The
+// Scheme it returns lives in w: it is valid until w is built again, and its
+// blocks carry no Points — read them with AppendPoints.
+func (w *Work) Build(b, alpha int) (*Scheme, error) {
 	if b < 2 {
 		return nil, fmt.Errorf("sweep: block size %d < 2", b)
 	}
 	if alpha < 2 {
 		return nil, fmt.Errorf("sweep: alpha %d < 2", alpha)
 	}
-	s := &Scheme{b: b, alpha: alpha, n: len(points)}
-	if len(points) == 0 {
+	pts, n := w.Pts, len(w.Pts)
+	s := &w.sch
+	*s = Scheme{b: b, alpha: alpha, n: n, blocks: s.blocks[:0], pts: pts}
+	if n == 0 {
 		return s, nil
 	}
-
-	pts := make([]geom.Point, len(points))
-	copy(pts, points)
-	geom.SortByX(pts)
-	s.maxY = pts[0].Y
-	for _, p := range pts {
-		if p.Y > s.maxY {
-			s.maxY = p.Y
-		}
-	}
-
-	// Initial x-partition into blocks of b points.
-	var head, tail *entry
-	ptEntry := make([]*entry, len(pts))
-	for lo := 0; lo < len(pts); lo += b {
-		hi := min(lo+b, len(pts))
-		blk := pts[lo:hi]
-		byY := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			byY = append(byY, i)
-		}
-		sort.Slice(byY, func(i, j int) bool { return pts[byY[i]].YLess(pts[byY[j]]) })
-		stored := make([]geom.Point, len(byY))
-		for i, pid := range byY {
-			stored[i] = pts[pid]
-		}
-		s.blocks = append(s.blocks, Block{
-			Points:  stored,
-			XLo:     blk[0].X,
-			XHi:     blk[len(blk)-1].X,
-			Initial: true,
-		})
-		e := &entry{
-			blockIdx: len(s.blocks) - 1,
-			pids:     byY,
-			live:     len(byY),
-			xlo:      blk[0].X,
-			xhi:      blk[len(blk)-1].X,
-		}
-		for _, pid := range byY {
-			ptEntry[pid] = e
-		}
-		if tail == nil {
-			head, tail = e, e
-		} else {
-			tail.next, e.prev = e, tail
-			tail = e
-		}
-	}
-
-	// Sweep: process points in ascending y, whole y-groups at a time.
-	order := make([]int, len(pts))
+	// The initial blocks' y-lists are the global order, bucketed by block.
+	// Coalesced lists are appended behind them in w.ids, α live suffixes at
+	// a time: at most n/(α−1) + b ids more.
+	w.ids = slices.Grow(w.ids[:0], 2*n+b)[:n]
+	order := slices.Grow(w.order[:0], n)[:n]
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
-	sort.Slice(order, func(i, j int) bool { return pts[order[i]].YLess(pts[order[j]]) })
+	w.sortIDs(order, w.ids)
+	w.order = order
+	s.maxY = pts[order[n-1]].Y
+	w.ents = w.ents[:0]
+	for _, k := range w.Block {
+		for int(k) >= len(w.ents) {
+			w.ents = append(w.ents, entry{prev: int32(len(w.ents)) - 1, next: int32(len(w.ents)) + 1})
+		}
+		w.ents[k].live++
+	}
+	w.ents[len(w.ents)-1].next = -1
+	off := 0
+	for k := range w.ents {
+		e := &w.ents[k]
+		e.ids = w.ids[off : off : off+e.live]
+		off += e.live
+		s.blocks = append(s.blocks, Block{XLo: geom.MaxCoord, XHi: geom.MinCoord, Initial: true})
+	}
+	for _, id := range order {
+		k := w.Block[id]
+		w.ents[k].ids = append(w.ents[k].ids, id)
+		blk := &s.blocks[k]
+		blk.XLo, blk.XHi = min(blk.XLo, pts[id].X), max(blk.XHi, pts[id].X)
+	}
+	for k := range w.ents {
+		s.blocks[k].ids = w.ents[k].ids
+	}
 
-	for gi := 0; gi < len(order); {
+	// Sweep: process points in ascending y, whole y-groups at a time. From
+	// here on Block[id] is the entry that currently owns the point.
+	for gi := 0; gi < n; {
 		y := pts[order[gi]].Y
-		var touched []*entry
-		for ; gi < len(order) && pts[order[gi]].Y == y; gi++ {
-			e := ptEntry[order[gi]]
+		stack := w.stack[:0]
+		for ; gi < n && pts[order[gi]].Y == y; gi++ {
+			k := w.Block[order[gi]]
+			e := &w.ents[k]
 			e.live--
 			if !e.queued {
 				e.queued = true
-				touched = append(touched, e)
+				stack = append(stack, k)
 			}
 		}
-		if gi == len(order) {
+		if gi == n {
 			// Final group: no threshold above it is meaningful, skip
 			// invariant restoration (it would only create empty blocks).
 			break
 		}
-		queue := touched
-		for len(queue) > 0 {
-			e := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
+		for len(stack) > 0 {
+			k := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			e := &w.ents[k]
 			e.queued = false
 			if e.retired {
 				continue
@@ -161,141 +208,155 @@ func Build(points []geom.Point, b, alpha int) (*Scheme, error) {
 				// A block with no points above the line is no longer
 				// active: retire it and splice it out. Its neighbours may
 				// now form a light run, so re-examine them.
-				s.retire(e, y, &head)
-				for _, nb := range []*entry{e.prev, e.next} {
-					if nb != nil && !nb.retired && !nb.queued {
-						nb.queued = true
-						queue = append(queue, nb)
+				w.retire(k, y)
+				for _, nb := range [2]int32{e.prev, e.next} {
+					if nb >= 0 && !w.ents[nb].retired && !w.ents[nb].queued {
+						w.ents[nb].queued = true
+						stack = append(stack, nb)
 					}
 				}
 				continue
 			}
-			if !s.light(e) {
+			if !w.light(k) {
 				continue
 			}
-			run := s.lightRun(e)
+			run := w.lightRun(k)
 			for len(run) >= alpha {
-				ne := s.coalesce(run[:alpha], y, pts, ptEntry, &head)
-				rest := run[alpha:]
+				ne := w.coalesce(run[:alpha], y)
 				switch {
-				case s.light(ne):
-					run = s.lightRun(ne)
-				case len(rest) > 0:
+				case w.light(ne):
+					run = w.lightRun(ne)
+				case len(run) > alpha:
 					// The merged block is heavy but the tail of the run is
 					// still light and consecutive; keep restoring there.
-					run = s.lightRun(rest[0])
+					run = w.lightRun(run[alpha])
 				default:
 					run = nil
 				}
 			}
 		}
+		w.stack = stack
 	}
 	return s, nil
 }
 
-// retire marks e inactive as of sweep position y and splices it out of the
-// active list.
-func (s *Scheme) retire(e *entry, y int64, head **entry) {
+// sortIDs orders ids by the (y, x) order of their points, with tmp (as long
+// as ids) to work in: a natural merge sort — the ascending runs ids already
+// consists of are merged pairwise, pass after pass — so k sorted runs cost
+// O(n log k) comparisons and a sorted input n. It is stable.
+func (w *Work) sortIDs(ids, tmp []int32) {
+	pts, n := w.Pts, int32(len(ids))
+	runs := append(w.runs[:0], 0)
+	for i := int32(1); i < n; i++ {
+		if pts[ids[i]].YLess(pts[ids[i-1]]) {
+			runs = append(runs, i)
+		}
+	}
+	runs = append(runs, n)
+	a, t := ids, tmp
+	for ; len(runs) > 2; a, t = t, a {
+		k := 0
+		for r := 0; r+1 < len(runs); r += 2 {
+			lo, mid, hi := runs[r], runs[r+1], n
+			if r+2 < len(runs) {
+				hi = runs[r+2]
+			}
+			i, j, o := lo, mid, lo
+			for ; i < mid && j < hi; o++ {
+				if pts[a[j]].YLess(pts[a[i]]) {
+					t[o] = a[j]
+					j++
+				} else {
+					t[o] = a[i]
+					i++
+				}
+			}
+			o += int32(copy(t[o:], a[i:mid]))
+			copy(t[o:], a[j:hi])
+			runs[k] = lo
+			k++
+		}
+		runs[k] = n
+		runs = runs[:k+1]
+	}
+	if n > 0 && &a[0] != &ids[0] {
+		copy(ids, a)
+	}
+	w.runs = runs
+}
+
+// retire marks entry k inactive as of sweep position y and splices it out
+// of the active list.
+func (w *Work) retire(k int32, y int64) {
+	e := &w.ents[k]
 	e.retired = true
-	blk := &s.blocks[e.blockIdx]
-	blk.RetiredAt = true
-	blk.YRet = y
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		*head = e.next
+	w.sch.blocks[k].RetiredAt, w.sch.blocks[k].YRet = true, y
+	if e.prev >= 0 {
+		w.ents[e.prev].next = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next >= 0 {
+		w.ents[e.next].prev = e.prev
 	}
 }
 
-// entry is an active block during construction.
-type entry struct {
-	prev, next *entry
-	blockIdx   int
-	pids       []int // point ids sorted by ascending y (live = suffix with y > sweep)
-	live       int
-	xlo, xhi   int64
-	retired    bool
-	queued     bool
-}
-
-// light reports whether e has fewer than B/α live points.
-func (s *Scheme) light(e *entry) bool { return e.live*s.alpha < s.b }
+// light reports whether entry k has fewer than B/α live points.
+func (w *Work) light(k int32) bool { return w.ents[k].live*w.sch.alpha < w.sch.b }
 
 // lightRun returns the maximal run of consecutive light active entries
-// containing e, in linear order.
-func (s *Scheme) lightRun(e *entry) []*entry {
-	start := e
-	for start.prev != nil && s.light(start.prev) {
-		start = start.prev
+// containing k, in linear order. It is valid until the next lightRun.
+func (w *Work) lightRun(k int32) []int32 {
+	for p := w.ents[k].prev; p >= 0 && w.light(p); p = w.ents[k].prev {
+		k = p
 	}
-	var run []*entry
-	for cur := start; cur != nil && s.light(cur); cur = cur.next {
-		run = append(run, cur)
+	w.run = w.run[:0]
+	for ; k >= 0 && w.light(k); k = w.ents[k].next {
+		w.run = append(w.run, k)
 	}
-	return run
+	return w.run
 }
 
 // coalesce merges the given consecutive light entries (processed through
-// sweep position y) into a new active block and returns its entry.
-func (s *Scheme) coalesce(run []*entry, y int64, pts []geom.Point, ptEntry []*entry, head **entry) *entry {
-	var livePids []int
-	xlo, xhi := run[0].xlo, run[0].xhi
-	for _, e := range run {
-		for _, pid := range e.pids {
-			if pts[pid].Y > y {
-				livePids = append(livePids, pid)
-			}
-		}
-		if e.xlo < xlo {
-			xlo = e.xlo
-		}
-		if e.xhi > xhi {
-			xhi = e.xhi
-		}
-	}
-	sort.Slice(livePids, func(i, j int) bool { return pts[livePids[i]].YLess(pts[livePids[j]]) })
-	stored := make([]geom.Point, len(livePids))
-	for i, pid := range livePids {
-		stored[i] = pts[pid]
-	}
-	s.blocks = append(s.blocks, Block{
-		Points: stored,
-		XLo:    xlo,
-		XHi:    xhi,
-		YAct:   y,
-	})
-	ne := &entry{
-		blockIdx: len(s.blocks) - 1,
-		pids:     livePids,
-		live:     len(livePids),
-		xlo:      xlo,
-		xhi:      xhi,
-	}
-	for _, pid := range livePids {
-		ptEntry[pid] = ne
-	}
-	// Retire the run and splice in the new entry.
-	first, last := run[0], run[len(run)-1]
-	for _, e := range run {
+// sweep position y) into a new active block and returns its entry. Each
+// entry's live ids are the tail of a list already in (y, x) order, so
+// sorting their concatenation is an α-way merge.
+func (w *Work) coalesce(run []int32, y int64) int32 {
+	ne := int32(len(w.ents))
+	blk := Block{XLo: geom.MaxCoord, XHi: geom.MinCoord, YAct: y}
+	from := len(w.ids)
+	for _, k := range run {
+		e := &w.ents[k]
+		w.ids = append(w.ids, e.ids[len(e.ids)-e.live:]...)
+		old := &w.sch.blocks[k]
+		blk.XLo, blk.XHi = min(blk.XLo, old.XLo), max(blk.XHi, old.XHi)
+		// Retire the run; the new entry is spliced in below.
 		e.retired = true
-		blk := &s.blocks[e.blockIdx]
-		blk.RetiredAt = true
-		blk.YRet = y
+		old.RetiredAt, old.YRet = true, y
 	}
-	ne.prev = first.prev
-	ne.next = last.next
-	if ne.prev != nil {
-		ne.prev.next = ne
-	} else {
-		*head = ne
+	blk.ids = w.ids[from:len(w.ids):len(w.ids)]
+	w.tmp = slices.Grow(w.tmp[:0], len(blk.ids))[:len(blk.ids)]
+	w.sortIDs(blk.ids, w.tmp)
+	for _, id := range blk.ids {
+		w.Block[id] = ne
 	}
-	if ne.next != nil {
-		ne.next.prev = ne
+	w.sch.blocks = append(w.sch.blocks, blk)
+	first, last := w.ents[run[0]].prev, w.ents[run[len(run)-1]].next
+	w.ents = append(w.ents, entry{prev: first, next: last, ids: blk.ids, live: len(blk.ids)})
+	if first >= 0 {
+		w.ents[first].next = ne
+	}
+	if last >= 0 {
+		w.ents[last].prev = ne
 	}
 	return ne
+}
+
+// AppendPoints appends block i's contents, in ascending (y, x) order, to
+// dst.
+func (s *Scheme) AppendPoints(dst []geom.Point, i int) []geom.Point {
+	for _, id := range s.blocks[i].ids {
+		dst = append(dst, s.pts[id])
+	}
+	return dst
 }
 
 // B returns the block size.

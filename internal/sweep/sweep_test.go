@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"rangesearch/internal/geom"
@@ -198,4 +200,352 @@ func TestActiveBlocksPartitionLivePoints(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameScheme reports the first difference between two schemes, block for
+// block: contents in stored order and every piece of catalog metadata.
+func sameScheme(got, want *Scheme) error {
+	if got.NumPoints() != want.NumPoints() || got.MaxY() != want.MaxY() {
+		return fmt.Errorf("n/maxY %d/%d, want %d/%d", got.NumPoints(), got.MaxY(), want.NumPoints(), want.MaxY())
+	}
+	if len(got.blocks) != len(want.blocks) {
+		return fmt.Errorf("%d blocks, want %d", len(got.blocks), len(want.blocks))
+	}
+	for i := range want.blocks {
+		g, w := &got.blocks[i], &want.blocks[i]
+		if g.XLo != w.XLo || g.XHi != w.XHi || g.Initial != w.Initial || g.YAct != w.YAct ||
+			g.RetiredAt != w.RetiredAt || (w.RetiredAt && g.YRet != w.YRet) {
+			return fmt.Errorf("block %d metadata %+v, want %+v", i, *g, *w)
+		}
+		if len(g.Points) != len(w.Points) {
+			return fmt.Errorf("block %d holds %d points, want %d", i, len(g.Points), len(w.Points))
+		}
+		for j := range w.Points {
+			if g.Points[j] != w.Points[j] {
+				return fmt.Errorf("block %d point %d = %v, want %v", i, j, g.Points[j], w.Points[j])
+			}
+		}
+	}
+	return nil
+}
+
+// distinctGrid draws n distinct points from a side×side grid, so x values
+// and y values repeat freely while no point does.
+func distinctGrid(rng *rand.Rand, n int, side int64) []geom.Point {
+	seen := make(map[geom.Point]bool, n)
+	pts := make([]geom.Point, 0, n)
+	for len(pts) < n {
+		p := geom.Point{X: rng.Int63n(side), Y: rng.Int63n(side)}
+		if !seen[p] {
+			seen[p] = true
+			pts = append(pts, p)
+		}
+	}
+	return pts
+}
+
+// TestBuildMatchesReference: the merge construction emits, block for block,
+// the scheme the sorting construction emitted — on sizes from 0 to B²,
+// with heavily repeated x and y (on distinct points both orders are total,
+// so there is exactly one right answer).
+func TestBuildMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, b := range []int{2, 16, 256} {
+		sizes := []int{0, 1, b - 1, b, b + 1, 3*b + b/2, b * b / 3, b * b}
+		if testing.Short() && b == 256 {
+			sizes = sizes[:6]
+		}
+		for _, alpha := range []int{2, 3, 4} {
+			for _, n := range sizes {
+				for _, side := range []int64{int64(n)/4 + 2, 1 << 20} {
+					if side*side < int64(n) {
+						continue
+					}
+					pts := distinctGrid(rng, n, side)
+					got, err := Build(pts, b, alpha)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := buildReference(pts, b, alpha)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sameScheme(got, want); err != nil {
+						t.Fatalf("b=%d alpha=%d n=%d side=%d: %v", b, alpha, n, side, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWorkReuse: one Work builds different inputs back to back, each
+// result equal to a fresh construction, and a warm Work allocates nothing.
+func TestWorkReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var w Work
+	for _, n := range []int{500, 30, 0, 900, 256} {
+		pts := distinctGrid(rng, n, 64)
+		w.SetPoints(pts, 16)
+		got, err := w.Build(16, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := buildReference(pts, 16, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got.blocks {
+			got.blocks[i].Points = got.AppendPoints(nil, i)
+		}
+		if err := sameScheme(got, want); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+	}
+	pts := distinctGrid(rng, 900, 64)
+	if a := testing.AllocsPerRun(5, func() {
+		w.SetPoints(pts, 16)
+		if _, err := w.Build(16, 2); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("warm Work.Build: %v allocs, want 0", a)
+	}
+}
+
+// buildReference is the construction as it stood before the merge rebuild:
+// sort by x, sort every block by y, sort everything by y, sort again inside
+// every coalesce. It is kept, verbatim but for the names, as the oracle the
+// differential tests hold Build to.
+func buildReference(points []geom.Point, b, alpha int) (*Scheme, error) {
+	if b < 2 {
+		return nil, fmt.Errorf("sweep: block size %d < 2", b)
+	}
+	if alpha < 2 {
+		return nil, fmt.Errorf("sweep: alpha %d < 2", alpha)
+	}
+	s := &Scheme{b: b, alpha: alpha, n: len(points)}
+	if len(points) == 0 {
+		return s, nil
+	}
+
+	pts := make([]geom.Point, len(points))
+	copy(pts, points)
+	sort.Slice(pts, func(i, j int) bool { return pts[i].Less(pts[j]) })
+	s.maxY = pts[0].Y
+	for _, p := range pts {
+		if p.Y > s.maxY {
+			s.maxY = p.Y
+		}
+	}
+
+	// Initial x-partition into blocks of b points.
+	var head, tail *refEntry
+	ptEntry := make([]*refEntry, len(pts))
+	for lo := 0; lo < len(pts); lo += b {
+		hi := min(lo+b, len(pts))
+		blk := pts[lo:hi]
+		byY := make([]int, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			byY = append(byY, i)
+		}
+		sort.Slice(byY, func(i, j int) bool { return pts[byY[i]].YLess(pts[byY[j]]) })
+		stored := make([]geom.Point, len(byY))
+		for i, pid := range byY {
+			stored[i] = pts[pid]
+		}
+		s.blocks = append(s.blocks, Block{
+			Points:  stored,
+			XLo:     blk[0].X,
+			XHi:     blk[len(blk)-1].X,
+			Initial: true,
+		})
+		e := &refEntry{
+			blockIdx: len(s.blocks) - 1,
+			pids:     byY,
+			live:     len(byY),
+			xlo:      blk[0].X,
+			xhi:      blk[len(blk)-1].X,
+		}
+		for _, pid := range byY {
+			ptEntry[pid] = e
+		}
+		if tail == nil {
+			head, tail = e, e
+		} else {
+			tail.next, e.prev = e, tail
+			tail = e
+		}
+	}
+
+	// Sweep: process points in ascending y, whole y-groups at a time.
+	order := make([]int, len(pts))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return pts[order[i]].YLess(pts[order[j]]) })
+
+	for gi := 0; gi < len(order); {
+		y := pts[order[gi]].Y
+		var touched []*refEntry
+		for ; gi < len(order) && pts[order[gi]].Y == y; gi++ {
+			e := ptEntry[order[gi]]
+			e.live--
+			if !e.queued {
+				e.queued = true
+				touched = append(touched, e)
+			}
+		}
+		if gi == len(order) {
+			// Final group: no threshold above it is meaningful, skip
+			// invariant restoration (it would only create empty blocks).
+			break
+		}
+		queue := touched
+		for len(queue) > 0 {
+			e := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			e.queued = false
+			if e.retired {
+				continue
+			}
+			if e.live == 0 {
+				// A block with no points above the line is no longer
+				// active: retire it and splice it out. Its neighbours may
+				// now form a light run, so re-examine them.
+				s.refRetire(e, y, &head)
+				for _, nb := range []*refEntry{e.prev, e.next} {
+					if nb != nil && !nb.retired && !nb.queued {
+						nb.queued = true
+						queue = append(queue, nb)
+					}
+				}
+				continue
+			}
+			if !s.refLight(e) {
+				continue
+			}
+			run := s.refLightRun(e)
+			for len(run) >= alpha {
+				ne := s.refCoalesce(run[:alpha], y, pts, ptEntry, &head)
+				rest := run[alpha:]
+				switch {
+				case s.refLight(ne):
+					run = s.refLightRun(ne)
+				case len(rest) > 0:
+					// The merged block is heavy but the tail of the run is
+					// still light and consecutive; keep restoring there.
+					run = s.refLightRun(rest[0])
+				default:
+					run = nil
+				}
+			}
+		}
+	}
+	return s, nil
+}
+
+// retire marks e inactive as of sweep position y and splices it out of the
+// active list.
+func (s *Scheme) refRetire(e *refEntry, y int64, head **refEntry) {
+	e.retired = true
+	blk := &s.blocks[e.blockIdx]
+	blk.RetiredAt = true
+	blk.YRet = y
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		*head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	}
+}
+
+// refEntry is an active block during construction.
+type refEntry struct {
+	prev, next *refEntry
+	blockIdx   int
+	pids       []int // point ids sorted by ascending y (live = suffix with y > sweep)
+	live       int
+	xlo, xhi   int64
+	retired    bool
+	queued     bool
+}
+
+// light reports whether e has fewer than B/α live points.
+func (s *Scheme) refLight(e *refEntry) bool { return e.live*s.alpha < s.b }
+
+// lightRun returns the maximal run of consecutive light active entries
+// containing e, in linear order.
+func (s *Scheme) refLightRun(e *refEntry) []*refEntry {
+	start := e
+	for start.prev != nil && s.refLight(start.prev) {
+		start = start.prev
+	}
+	var run []*refEntry
+	for cur := start; cur != nil && s.refLight(cur); cur = cur.next {
+		run = append(run, cur)
+	}
+	return run
+}
+
+// coalesce merges the given consecutive light entries (processed through
+// sweep position y) into a new active block and returns its entry.
+func (s *Scheme) refCoalesce(run []*refEntry, y int64, pts []geom.Point, ptEntry []*refEntry, head **refEntry) *refEntry {
+	var livePids []int
+	xlo, xhi := run[0].xlo, run[0].xhi
+	for _, e := range run {
+		for _, pid := range e.pids {
+			if pts[pid].Y > y {
+				livePids = append(livePids, pid)
+			}
+		}
+		if e.xlo < xlo {
+			xlo = e.xlo
+		}
+		if e.xhi > xhi {
+			xhi = e.xhi
+		}
+	}
+	sort.Slice(livePids, func(i, j int) bool { return pts[livePids[i]].YLess(pts[livePids[j]]) })
+	stored := make([]geom.Point, len(livePids))
+	for i, pid := range livePids {
+		stored[i] = pts[pid]
+	}
+	s.blocks = append(s.blocks, Block{
+		Points: stored,
+		XLo:    xlo,
+		XHi:    xhi,
+		YAct:   y,
+	})
+	ne := &refEntry{
+		blockIdx: len(s.blocks) - 1,
+		pids:     livePids,
+		live:     len(livePids),
+		xlo:      xlo,
+		xhi:      xhi,
+	}
+	for _, pid := range livePids {
+		ptEntry[pid] = ne
+	}
+	// Retire the run and splice in the new entry.
+	first, last := run[0], run[len(run)-1]
+	for _, e := range run {
+		e.retired = true
+		blk := &s.blocks[e.blockIdx]
+		blk.RetiredAt = true
+		blk.YRet = y
+	}
+	ne.prev = first.prev
+	ne.next = last.next
+	if ne.prev != nil {
+		ne.prev.next = ne
+	} else {
+		*head = ne
+	}
+	if ne.next != nil {
+		ne.next.prev = ne
+	}
+	return ne
 }

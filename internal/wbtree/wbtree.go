@@ -134,7 +134,7 @@ func (t *Tree) loadMeta() (*meta, error) {
 }
 
 func (t *Tree) storeMeta(m *meta) error {
-	if err := t.rs.Update(t.header, encodeMeta(m)); err != nil {
+	if err := t.rs.Update(t.header, encodeMeta(m), nil); err != nil {
 		return fmt.Errorf("wbtree: store header: %w", err)
 	}
 	return nil
@@ -811,7 +811,7 @@ func (t *Tree) writeNode(id eio.PageID, n *node) (eio.PageID, error) {
 		}
 		return nid, nil
 	}
-	if err := t.rs.Update(id, raw); err != nil {
+	if err := t.rs.Update(id, raw, nil); err != nil {
 		return eio.NilPage, fmt.Errorf("wbtree: update node: %w", err)
 	}
 	return id, nil
