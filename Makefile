@@ -99,6 +99,8 @@ serve-smoke:
 # Kill-and-recover chaos: SIGKILL/restart a real rsserve 10 times under
 # verified resilient load through a fault-injecting proxy. Zero lost or
 # duplicated writes, clean drain, scrub-clean store — or it exits nonzero.
+# All four chaos targets run scripts/chaos.sh (one harness, cmd/rschaos);
+# they differ only in the flags they pass.
 chaos:
 	./scripts/chaos.sh
 
@@ -115,7 +117,7 @@ repl-smoke:
 # lost or duplicated acked writes, term == promotions, converged
 # replicas, scrub-clean stores — or it exits nonzero.
 chaos-repl:
-	./scripts/repl_chaos.sh
+	./scripts/chaos.sh -replicas 2 -cycles 5
 
 # Sharded serving smoke: three durable shards behind rsrouter on a static
 # x-range shard map, verified rsload -cluster through the router, clean
@@ -124,12 +126,12 @@ chaos-repl:
 shard-smoke:
 	./scripts/shard_smoke.sh
 
-# Sharded kill-and-recover chaos: SIGKILL/restart a rotating shard under
-# verified load through a real rsrouter. Zero lost or duplicated acked
-# writes, clean drains, leak-free stores, exact fleet accounting — or it
-# exits nonzero.
+# Sharded kill-and-recover chaos: SIGKILL/restart a rotating shard 6
+# times under verified load through a real rsrouter. Zero lost or
+# duplicated acked writes, clean drains, leak-free stores, exact fleet
+# accounting — or it exits nonzero.
 chaos-shard:
-	$(GO) test ./internal/server/chaos -run TestChaosSharded -count=1 -v
+	./scripts/chaos.sh -shards 3 -cycles 6
 
 # Write-optimized serving smoke: boot rsserve -write-buffer on a temp
 # store, run a verified write-heavy zipfian burst, SIGKILL mid-burst,
@@ -139,11 +141,12 @@ writeopt-smoke:
 	./scripts/writeopt_smoke.sh
 
 # Buffered kill-and-recover chaos: SIGKILL/restart an rsserve running
-# -write-buffer under verified resilient load. Every acknowledged
-# buffered write must survive the kill via journal replay — zero lost or
-# duplicated acked writes, clean drain, scrub-clean store.
+# -write-buffer 10 times under verified resilient load. Every
+# acknowledged buffered write must survive the kill via journal replay —
+# zero lost or duplicated acked writes, clean drain, empty journal,
+# scrub-clean store.
 chaos-writeopt:
-	$(GO) test ./internal/server/chaos -run TestChaosWriteBuffered -count=1 -v
+	./scripts/chaos.sh -write-buffer
 
 # Operation-level + per-experiment benchmarks (quick instances).
 bench:

@@ -1,39 +1,40 @@
 // Command rschaos is the kill-and-recover chaos harness for the serving
-// stack. It spawns a real rsserve process on a durable file store, fronts
-// it with a fault-injecting netfault proxy, drives verified rsload
-// traffic through the proxy, and SIGKILLs/restarts the server every
-// -period for -cycles cycles. The run passes only if:
+// stack (package internal/server/chaos). It boots a real fleet of rsserve
+// processes on durable stores under -dir, drives verified resilient load
+// at it, and SIGKILLs and restarts fleet members for -cycles cycles,
+// -period apart. The fleet's topology follows -replicas/-shards:
 //
-//   - the verified workload finishes with zero protocol, consistency,
-//     and transport errors (acked writes survive every crash; retried
-//     writes apply exactly once);
-//   - the final SIGTERM drain exits 0 (rsserve's own leak check);
-//   - an independent post-mortem reopen finds zero leaked pages and
-//     clean checksums on the store file.
+//   - neither: one rsserve behind a fault-injecting proxy that delays
+//     the client link; each cycle kills and restarts it. With
+//     -write-buffer every kill lands on buffered acks that the restart
+//     must replay;
+//   - -replicas N: a primary plus N semi-sync replicas, the replication
+//     links behind the proxy; each cycle kills and restarts a replica,
+//     cuts and degrades the replication link, then kills the primary and
+//     promotes a replica;
+//   - -shards N (with -router): N x-range shards behind a real rsrouter;
+//     each cycle kills a rotating shard and restarts it.
 //
-// The report is printed as JSON and optionally written to -json.
+// The run passes only if the verified load finishes with zero protocol,
+// consistency and transport errors (acked writes survive every crash;
+// retried writes apply exactly once), every SIGTERM drain exits 0, every
+// store reopens in-process with clean checksums, zero leaked pages
+// (replicas excepted) and an empty write-buffer journal, and the fleet's
+// invariants hold: the stores hold exactly the total the router or
+// primary reported, replicas hold the primary's points, the term equals
+// the promotions, and replicas converge within the staleness budget.
 //
-// With -router PATH and -shards N (N > 0) it instead runs the sharded
-// fleet harness: N x-range-partitioned rsserve shards behind a real
-// rsrouter process, verified load aimed at the router, one shard
-// SIGKILLed and restarted per kill cycle. The pass criteria extend to:
-// router and every shard drain clean, every shard store reopens
-// leak-free, and the shard stores' point counts sum to the fleet total
-// the router reported.
-//
-// With -replicas N (N > 0) it instead runs the replicated fleet harness:
-// a primary plus N log-shipping replicas under verified load with
-// replica read fan-out, where every cycle kills a replica, degrades the
-// replication link, and SIGKILLs the primary followed by an explicit
-// promotion. The pass criteria extend to: term == promotions, replicas
-// converge within -staleness-max, and every node's store reopens clean
-// with the same point count as the primary's.
+// The report is printed as JSON and optionally written to -json. Exit 2
+// means the run failed its acceptance, 1 that the harness itself broke.
 //
 // Usage:
 //
-//	rschaos -server ./rsserve -store /tmp/chaos.db -cycles 10
-//	rschaos -server ./rsserve -dir /tmp/fleet -replicas 2 -cycles 5
-//	rschaos -server ./rsserve -router ./rsrouter -dir /tmp/fleet -shards 3 -cycles 6
+//	rschaos -server ./rsserve -dir /tmp/chaos -cycles 10
+//	rschaos -server ./rsserve -dir /tmp/chaos -write-buffer
+//	rschaos -server ./rsserve -dir /tmp/chaos -replicas 2 -cycles 5
+//	rschaos -server ./rsserve -router ./rsrouter -dir /tmp/chaos -shards 3 -cycles 6
+//
+// scripts/chaos.sh builds the binaries and passes its arguments through.
 package main
 
 import (
@@ -41,210 +42,61 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"rangesearch/internal/server/chaos"
 )
 
 func main() {
-	var (
-		serverBin = flag.String("server", "", "path to an rsserve binary (required)")
-		store     = flag.String("store", "", "durable store path (required; created fresh)")
-		cycles    = flag.Int("cycles", 10, "SIGKILL/restart cycles")
-		period    = flag.Duration("period", 700*time.Millisecond, "server lifetime between kills")
-		workers   = flag.Int("workers", 4, "load worker connections")
-		pipeline  = flag.Int("pipeline", 4, "requests in flight per connection")
-		seed      = flag.Int64("seed", 1, "workload and fault RNG seed")
-		latency   = flag.Duration("latency", 200*time.Microsecond, "proxy latency per chunk")
-		jitter    = flag.Duration("jitter", 300*time.Microsecond, "proxy latency jitter")
-		reqT      = flag.Duration("request-timeout", 5*time.Second, "rsserve per-request deadline")
-		traceS    = flag.Float64("trace-sample", 0, "run with request tracing live at this sample rate (0 disables)")
-		slowlog   = flag.Duration("slowlog", 0, "rsserve slow-query threshold (0 disables)")
-		wbuf      = flag.Bool("write-buffer", false, "single-node mode: run rsserve write-optimized; kills must recover acked writes by journal replay")
-		wbufOps   = flag.Int("write-buffer-ops", 0, "flush threshold for -write-buffer (0 = harness default)")
-		jsonOut   = flag.String("json", "", "also write the report to this file")
-		quiet     = flag.Bool("quiet", false, "suppress progress logging")
-
-		readyT = flag.Duration("ready-timeout", 0, "max (re)start-to-Ping wait (0 = harness default)")
-		drainT = flag.Duration("drain-timeout", 0, "max SIGTERM drain wait (0 = harness default)")
-		graceT = flag.Duration("load-grace", 0, "max wait past nominal load duration (0 = harness default)")
-
-		replicas = flag.Int("replicas", 0, "replicated mode: log-shipping replicas behind the primary (0 = single-node mode)")
-		dir      = flag.String("dir", "", "replicated/sharded mode: fleet working directory (required; created fresh)")
-		sync     = flag.Int("sync", 0, "replicated mode: -repl-sync acks per commit (0 = all replicas, <0 = async)")
-		staleMax = flag.Duration("staleness-max", 0, "replicated mode: convergence budget after the run (0 = harness default)")
-
-		routerBin = flag.String("router", "", "sharded mode: path to an rsrouter binary")
-		shards    = flag.Int("shards", 0, "sharded mode: x-range-partitioned shards behind the router (0 = off)")
-	)
+	var cfg chaos.Config
+	flag.StringVar(&cfg.ServerBin, "server", "", "path to an rsserve binary (required)")
+	flag.StringVar(&cfg.RouterBin, "router", "", "path to an rsrouter binary (required with -shards)")
+	flag.StringVar(&cfg.Dir, "dir", "", "working directory for the fleet's stores (required; created)")
+	flag.IntVar(&cfg.Replicas, "replicas", 0, "run a primary plus this many log-shipping replicas")
+	flag.IntVar(&cfg.Shards, "shards", 0, "run this many x-range shards behind the router")
+	flag.IntVar(&cfg.Cycles, "cycles", 0, "fault cycles (0 = harness default)")
+	flag.DurationVar(&cfg.Period, "period", 0, "dwell between fault steps (0 = harness default)")
+	flag.Int64Var(&cfg.Seed, "seed", 0, "workload and fault RNG seed (0 = harness default)")
+	flag.Float64Var(&cfg.TraceSample, "trace-sample", 0, "run with request tracing live at this sample rate (0 disables)")
+	flag.BoolVar(&cfg.WriteBuffer, "write-buffer", false, "run rsserve write-optimized; kills must recover acked writes by journal replay")
+	jsonOut := flag.String("json", "", "also write the report to this file")
+	quiet := flag.Bool("quiet", false, "suppress progress logging")
 	flag.Parse()
-	if *serverBin == "" {
-		fmt.Fprintln(os.Stderr, "rschaos: -server is required")
-		flag.Usage()
-		os.Exit(1)
-	}
-
-	logf := func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-	if *quiet {
-		logf = nil
-	}
-
-	if *shards > 0 {
-		if *routerBin == "" || *dir == "" {
-			fmt.Fprintln(os.Stderr, "rschaos: -router and -dir are required with -shards")
-			flag.Usage()
-			os.Exit(1)
+	if !*quiet {
+		cfg.Logf = func(format string, args ...interface{}) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
-		runSharded(chaos.ShardedConfig{
-			ServerBin:      *serverBin,
-			RouterBin:      *routerBin,
-			Dir:            *dir,
-			Shards:         *shards,
-			Kills:          *cycles,
-			Period:         *period,
-			Workers:        *workers,
-			Pipeline:       *pipeline,
-			Seed:           *seed,
-			RequestTimeout: *reqT,
-			ReadyTimeout:   *readyT,
-			DrainTimeout:   *drainT,
-			LoadGrace:      *graceT,
-			Logf:           logf,
-		}, *jsonOut)
-		return
-	}
-	if *replicas > 0 {
-		if *dir == "" {
-			fmt.Fprintln(os.Stderr, "rschaos: -dir is required with -replicas")
-			flag.Usage()
-			os.Exit(1)
-		}
-		runRepl(chaos.ReplConfig{
-			ServerBin:      *serverBin,
-			Dir:            *dir,
-			Replicas:       *replicas,
-			Cycles:         *cycles,
-			Period:         *period,
-			Workers:        *workers,
-			Pipeline:       *pipeline,
-			Seed:           *seed,
-			Latency:        *latency,
-			Jitter:         *jitter,
-			SyncReplicas:   *sync,
-			RequestTimeout: *reqT,
-			ReadyTimeout:   *readyT,
-			DrainTimeout:   *drainT,
-			LoadGrace:      *graceT,
-			StalenessMax:   *staleMax,
-			Logf:           logf,
-		}, *jsonOut)
-		return
-	}
-	if *store == "" {
-		fmt.Fprintln(os.Stderr, "rschaos: -store is required")
-		flag.Usage()
-		os.Exit(1)
 	}
 
-	rep, err := chaos.Run(chaos.Config{
-		ServerBin:      *serverBin,
-		StorePath:      *store,
-		Cycles:         *cycles,
-		Period:         *period,
-		Workers:        *workers,
-		Pipeline:       *pipeline,
-		Seed:           *seed,
-		Latency:        *latency,
-		Jitter:         *jitter,
-		RequestTimeout: *reqT,
-		TraceSample:    *traceS,
-		SlowLog:        *slowlog,
-		WriteBuffer:    *wbuf,
-		WriteBufferOps: *wbufOps,
-		ReadyTimeout:   *readyT,
-		DrainTimeout:   *drainT,
-		LoadGrace:      *graceT,
-		Logf:           logf,
-	})
+	rep, err := chaos.Run(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rschaos: %v\n", err)
 		os.Exit(1)
 	}
-
-	emitReport(rep, *jsonOut)
-
-	if rep.Failed() {
-		fmt.Fprintf(os.Stderr, "rschaos: FAILED: drain_exit=%d leaked=%d proto=%d consistency=%d transport=%d first=%s\n",
-			rep.FinalDrainExit, rep.PostLeaked,
-			rep.Load.ProtoErrors, rep.Load.ConsistencyErrors, rep.Load.TransportErrors, rep.Load.FirstError)
-		os.Exit(2)
-	}
-	fmt.Fprintf(os.Stderr, "rschaos: ok: %d kills survived, %d ops (%d reconnects, %d resent, %d unknown), %d points intact, 0 leaks\n",
-		rep.Kills, rep.Load.Ops, rep.Load.Reconnects, rep.Load.Resent, rep.Load.UnknownWrites, rep.PostPoints)
-}
-
-// emitReport prints the report JSON to stdout and optionally to a file.
-func emitReport(rep interface{}, jsonOut string) {
 	raw, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rschaos: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Println(string(raw))
-	if jsonOut != "" {
-		if err := os.WriteFile(jsonOut, append(raw, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "rschaos: write %s: %v\n", jsonOut, err)
+	if *jsonOut != "" {
+		if err := os.WriteFile(*jsonOut, append(raw, '\n'), 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "rschaos: write %s: %v\n", *jsonOut, err)
 			os.Exit(1)
 		}
 	}
-}
-
-// runSharded drives the sharded fleet harness and exits with the run's
-// verdict.
-func runSharded(cfg chaos.ShardedConfig, jsonOut string) {
-	rep, err := chaos.RunSharded(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rschaos: %v\n", err)
-		os.Exit(1)
-	}
-
-	emitReport(rep, jsonOut)
 
 	if rep.Failed() {
 		first := ""
 		if rep.Load != nil {
 			first = rep.Load.FirstError
 		}
-		fmt.Fprintf(os.Stderr, "rschaos: FAILED: failures=%v first=%s\n", rep.Failures, first)
+		fmt.Fprintf(os.Stderr, "rschaos: FAILED: failures=%v drain_exits=%v stores=%v first=%s\n",
+			rep.Failures, rep.DrainExits, rep.Stores, first)
 		os.Exit(2)
 	}
-	fmt.Fprintf(os.Stderr, "rschaos: ok: %d shard kills survived across %d shards, %d ops (%d resent, %d unknown), %d points across the fleet, 0 leaks\n",
-		rep.Kills, rep.Shards, rep.Load.Ops, rep.Load.Resent, rep.Load.UnknownWrites, rep.RouterLen)
-}
-
-// runRepl drives the replicated fleet harness and exits with the run's
-// verdict.
-func runRepl(cfg chaos.ReplConfig, jsonOut string) {
-	rep, err := chaos.RunRepl(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rschaos: %v\n", err)
-		os.Exit(1)
-	}
-
-	emitReport(rep, jsonOut)
-
-	if rep.Failed() {
-		first := ""
-		if rep.Load != nil {
-			first = rep.Load.FirstError
-		}
-		fmt.Fprintf(os.Stderr, "rschaos: FAILED: failures=%v first=%s\n", rep.Failures, first)
-		os.Exit(2)
-	}
-	fmt.Fprintf(os.Stderr, "rschaos: ok: %d promotions (term %d), %d replica kills, %d link faults, %d ops (%d replica reads, %d stale fallbacks, %d failovers), converged in %.2fs, %d points on every node\n",
-		rep.Promotions, rep.FinalTerm, rep.ReplicaKills, rep.LinkFaults,
-		rep.Load.Ops, rep.Load.ReplicaReads, rep.Load.StaleFallbacks, rep.Load.Failovers,
-		rep.ConvergeS, rep.PostPoints)
+	fmt.Fprintf(os.Stderr, "rschaos: ok: %d cycles, %d kills, %d restarts, %d promotions (term %d), %d link faults, %d journal replays; "+
+		"%d ops (%d reconnects, %d resent, %d unknown, %d failovers, %d replica reads); %d points intact across %d stores, 0 leaks\n",
+		rep.Cycles, rep.Kills, rep.Restarts, rep.Promotions, rep.FinalTerm, rep.LinkFaults, rep.JournalReplays,
+		rep.Load.Ops, rep.Load.Reconnects, rep.Load.Resent, rep.Load.UnknownWrites, rep.Load.Failovers, rep.Load.ReplicaReads,
+		rep.Points, len(rep.Stores))
 }

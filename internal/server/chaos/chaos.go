@@ -1,97 +1,116 @@
 // Package chaos is the kill-and-recover harness for the serving stack: it
-// runs a real rsserve process on a durable store, drives verified rsload
-// traffic at it through a netfault proxy, and SIGKILLs/restarts the
-// server over and over while the traffic keeps flowing.
+// boots a real fleet of rsserve processes on durable stores, drives
+// verified resilient load at it, and SIGKILLs and restarts fleet members
+// over and over while the traffic keeps flowing.
 //
-// Every layer of the fault-tolerance story is exercised at once and
-// checked end to end:
+// The topology comes from Config.Replicas/Shards, and each one adds only
+// how it boots, what one fault cycle does to it and its own cross-node
+// invariants:
 //
-//   - each SIGKILL lands mid-traffic; the restart reopens the store
-//     through WAL crash recovery and the boot scrub reclaims any pages
-//     the kill stranded mid-copy-on-write;
-//   - the resilient clients reconnect through the proxy, re-send their
-//     pipelines, and their idempotency IDs keep retried writes
-//     exactly-once-applied;
-//   - the per-worker stripe models verify read-your-writes across every
-//     restart — an acked write must never disappear, a deleted point must
-//     never resurrect;
-//   - the final SIGTERM drain must exit 0 (rsserve itself verifies the
-//     store is scrub-clean), and the harness re-verifies the file
-//     in-process afterwards: page-exact reachability, zero leaks, clean
-//     checksums.
+//   - one node (0/0): rsserve behind a netfault proxy that delays the
+//     client link by clientLatency; a cycle SIGKILLs it mid-traffic,
+//     cuts every proxied connection and restarts it on the same store
+//     (WAL crash recovery, the boot scrub and, with WriteBuffer, journal
+//     replay);
+//   - replicated (N/0): a primary plus N semi-sync replicas whose
+//     replication links run through the proxy, with the load's reads
+//     fanned out across the fleet and its writes following the primary;
+//     a cycle SIGKILLs and restarts a replica, cuts the replication
+//     streams and degrades the link to linkFaultLatency for a period,
+//     then SIGKILLs the primary, promotes a survivor and rejoins the dead
+//     ex-primary to the new lineage. The final term must equal the
+//     promotions, and the replicas must converge to the primary within
+//     stalenessMax;
+//   - sharded (0/N): N x-range shards behind a real rsrouter that the
+//     load talks to; a cycle SIGKILLs a rotating shard and restarts it a
+//     period later.
 //
-// cmd/rschaos wraps this package for the command line; `make chaos` is
-// the ≥10-cycle acceptance run.
+// Everything else is the same for every topology. The load's per-worker
+// stripe models verify read-your-writes across every kill (an acked write
+// must never disappear, a deleted point never resurrect) and idempotency
+// IDs keep retried writes exactly-once-applied. After the schedule the
+// fleet drains on SIGTERM (router, replicas, then the primary or shards),
+// every exit must be 0, and every store is reopened in-process: WAL
+// recovery, clean checksums, zero leaked pages (replicas excepted), an
+// empty write-buffer journal, and exactly the points the fleet reported
+// over STATS before it drained (replica stores: the primary's points).
+//
+// cmd/rschaos wraps this package for the command line; scripts/chaos.sh
+// runs it for `make chaos`, `chaos-repl`, `chaos-shard` and
+// `chaos-writeopt`.
 package chaos
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"net"
 	"os"
-	"os/exec"
-	"strings"
-	"sync"
-	"syscall"
 	"time"
 
-	"rangesearch/internal/core"
-	"rangesearch/internal/eio"
 	"rangesearch/internal/netfault"
 	"rangesearch/internal/server"
 )
 
-// Config tunes a chaos run. ServerBin and StorePath are required.
+// Fixed parameters of every run.
+const (
+	loadWorkers  = 4
+	loadPipeline = 4
+	// loadDomain is the coordinate domain [0, loadDomain) the load draws
+	// from; shard bounds split it evenly.
+	loadDomain = 1 << 16
+	// readyTimeout bounds a (re)started process's first Ping, a replica's
+	// bootstrap (which may include a snapshot transfer) and the PROMOTE
+	// retry loop.
+	readyTimeout   = 30 * time.Second
+	drainTimeout   = 60 * time.Second
+	requestTimeout = 5 * time.Second
+	// stalenessMax bounds how long replicas may take to reach the final
+	// primary's LSN once writes stop.
+	stalenessMax = 15 * time.Second
+	// Write-buffer flush thresholds high enough that no size or age flush
+	// races a kill: each SIGKILL lands on a non-empty buffer.
+	writeBufferOps = 4096
+	writeBufferAge = 30 * time.Second
+	// A single node's client link — the proxy the load reaches it through —
+	// carries this per-chunk delay for the whole run.
+	clientLatency = 200 * time.Microsecond
+	clientJitter  = 300 * time.Microsecond
+	// A link fault degrades the replication link to this for one period
+	// while it cuts every stream, so the resume path runs on a slow link.
+	linkFaultLatency = 20 * time.Millisecond
+	linkFaultJitter  = 10 * time.Millisecond
+)
+
+// Config tunes a chaos run. ServerBin and Dir are required, RouterBin too
+// when Shards > 0.
 type Config struct {
-	// ServerBin is the path to an rsserve binary.
+	// ServerBin is the path to an rsserve binary; RouterBin to rsrouter.
 	ServerBin string
-	// StorePath is where the durable store lives; created fresh unless it
-	// already exists (a fresh store enables exact verification).
-	StorePath string
-	// Cycles is the number of SIGKILL/restart cycles (default 10).
+	RouterBin string
+	// Dir is the working directory for the fleet's stores (created).
+	Dir string
+	// Replicas > 0 runs a primary plus that many replicas; Shards > 0
+	// runs that many shards behind rsrouter; neither runs one node.
+	Replicas int
+	Shards   int
+	// Cycles is the number of fault cycles (default 10).
 	Cycles int
-	// Period is how long the server lives between kills (default 700ms).
+	// Period is the dwell between fault steps (default 700ms).
 	Period time.Duration
-	// Workers / Pipeline size the load (defaults 4 / 4).
-	Workers  int
-	Pipeline int
 	// Seed seeds the workload and fault RNGs (default 1).
 	Seed int64
-	// Latency/Jitter shape the proxy per chunk; zero means only the kills
-	// and resets exercise the stack.
-	Latency time.Duration
-	Jitter  time.Duration
-	// RequestTimeout is passed to rsserve -request-timeout (default 5s).
-	RequestTimeout time.Duration
-	// ReadyTimeout bounds how long a (re)started server may take to answer
-	// its first Ping before the cycle is declared failed (default 15s).
-	ReadyTimeout time.Duration
-	// DrainTimeout bounds the closing SIGTERM drain (default 60s).
-	DrainTimeout time.Duration
-	// LoadGrace is how far past its nominal duration the load generator
-	// may run before the harness declares it hung (default 2m).
-	LoadGrace time.Duration
-	// TraceSample, when > 0, runs the whole chaos schedule with request
-	// tracing live on both sides: the load generator client-stamps TRACE
-	// envelopes at this rate and rsserve is started with the same
-	// -trace-sample, so spans flow through group commit, WAL recovery,
-	// and reconnect storms while the kills land.
+	// TraceSample, when > 0, runs the whole schedule with request tracing
+	// live on both sides: the load client-stamps TRACE envelopes at this
+	// rate and every rsserve runs with the same -trace-sample, so spans
+	// flow through group commit, WAL recovery and reconnect storms.
 	TraceSample float64
-	// SlowLog is passed to rsserve -slowlog when > 0.
-	SlowLog time.Duration
-	// WriteBuffer starts rsserve in write-optimized mode (-write-buffer):
-	// acknowledged writes live in the in-memory buffer plus the sidecar
-	// journal until a flush, so every SIGKILL additionally exercises
-	// journal replay on the next boot — an acked buffered write that a
-	// kill erased would surface as a consistency error in the verified
-	// load.
+	// WriteBuffer runs every rsserve write-optimized (-write-buffer):
+	// acked writes live in the buffer plus its journal until a flush, so
+	// every SIGKILL also exercises journal replay on the next boot.
+	// rsserve refuses it with replication, and so does Run.
 	WriteBuffer bool
-	// WriteBufferOps / WriteBufferAge are passed through when WriteBuffer
-	// is set (defaults 4096 ops / 30s — thresholds high enough that kills
-	// reliably land on a non-empty buffer).
-	WriteBufferOps int
-	WriteBufferAge time.Duration
+	// LoadGrace bounds how long the load may take to finish once the
+	// schedule stops it before the run is declared hung (default 2m).
+	LoadGrace time.Duration
 	// Logf, when non-nil, receives progress lines. Nil discards.
 	Logf func(format string, args ...interface{})
 }
@@ -103,390 +122,221 @@ func (c Config) withDefaults() Config {
 	if c.Period <= 0 {
 		c.Period = 700 * time.Millisecond
 	}
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.Pipeline <= 0 {
-		c.Pipeline = 4
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 5 * time.Second
-	}
-	if c.ReadyTimeout <= 0 {
-		c.ReadyTimeout = 15 * time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 60 * time.Second
 	}
 	if c.LoadGrace <= 0 {
 		c.LoadGrace = 2 * time.Minute
 	}
-	if c.WriteBuffer {
-		if c.WriteBufferOps <= 0 {
-			c.WriteBufferOps = 4096
-		}
-		if c.WriteBufferAge <= 0 {
-			c.WriteBufferAge = 30 * time.Second
-		}
-	}
 	return c
+}
+
+// validate rejects what no topology can run, before anything starts.
+func (c Config) validate() error {
+	switch {
+	case c.ServerBin == "" || c.Dir == "":
+		return errors.New("chaos: ServerBin and Dir are required")
+	case c.Replicas < 0 || c.Shards < 0:
+		return errors.New("chaos: Replicas and Shards must not be negative")
+	case c.Replicas > 0 && c.Shards > 0:
+		return errors.New("chaos: Replicas and Shards are exclusive (no replicated shards)")
+	case c.Replicas > 0 && c.WriteBuffer:
+		return errors.New("chaos: WriteBuffer with Replicas: rsserve refuses -write-buffer with replication")
+	case c.Shards > 0 && c.RouterBin == "":
+		return errors.New("chaos: RouterBin is required with Shards")
+	}
+	return nil
 }
 
 // Report is the JSON result of a chaos run.
 type Report struct {
-	Cycles     int `json:"cycles"`
-	Kills      int `json:"kills"`
-	Restarts   int `json:"restarts"`
-	BootScrubs int `json:"boot_scrubs"` // restarts that reclaimed crash-leaked pages
-	// JournalReplays is how many restarts recovered acked writes from the
-	// write-buffer journal (always 0 unless Config.WriteBuffer).
-	JournalReplays int     `json:"journal_replays,omitempty"`
-	DurationS      float64 `json:"duration_s"`
+	Cycles int `json:"cycles"`
+	// Kills counts SIGKILLs of any node; Restarts the killed nodes that
+	// came back (a replicated cycle kills and restarts two).
+	Kills    int `json:"kills"`
+	Restarts int `json:"restarts"`
+	// Promotions, LinkFaults and FinalTerm come from a replicated
+	// schedule; FinalTerm must equal Promotions. ConvergeS is how long the
+	// replicas took to reach the final primary's LSN after writes stopped.
+	Promotions int     `json:"promotions,omitempty"`
+	LinkFaults int     `json:"link_faults,omitempty"`
+	FinalTerm  uint64  `json:"final_term,omitempty"`
+	ConvergeS  float64 `json:"converge_s,omitempty"`
+	// BootScrubs counts restarts that reclaimed crash-leaked pages and
+	// JournalReplays restarts that recovered acked writes from the
+	// write-buffer journal, summed over every node's log.
+	BootScrubs     int `json:"boot_scrubs"`
+	JournalReplays int `json:"journal_replays,omitempty"`
+	// Spec is a sharded fleet's shard map.
+	Spec string `json:"spec,omitempty"`
 
 	Load  *server.LoadReport `json:"load"`
 	Proxy netfault.Stats     `json:"proxy"`
 
-	// FinalDrainExit is the exit code of the closing SIGTERM drain; 0
-	// means rsserve itself verified the store scrub-clean.
-	FinalDrainExit int `json:"final_drain_exit"`
-	// PostLeaked / PostPages are the harness's own post-mortem: leaked
-	// page count (must be 0) and total pages verified in the file.
-	PostLeaked int `json:"post_leaked"`
-	PostPages  int `json:"post_pages"`
-	// PostPoints is the number of points the reopened store holds.
-	PostPoints int `json:"post_points"`
+	// Len is the point count the fleet's entry node (router, primary or
+	// the single node) reported over STATS once the load stopped; Points
+	// is what the drained non-replica stores hold, and must equal it.
+	Len    int `json:"len"`
+	Points int `json:"points"`
+	// Stores is each drained store's post-mortem, by node name.
+	Stores map[string]StoreReport `json:"stores"`
+	// DrainExits maps process name to its SIGTERM exit code; all must be 0.
+	DrainExits map[string]int `json:"drain_exits"`
+
+	DurationS float64 `json:"duration_s"`
+	// Failures lists every other acceptance violation the harness saw.
+	Failures []string `json:"failures,omitempty"`
+}
+
+// StoreReport is the post-mortem of one drained store.
+type StoreReport struct {
+	Points int `json:"points"`
+	Pages  int `json:"pages"`
+	// Leaked must be 0; it is not checked on replicas, which keep pages
+	// their primary freed (frees are never shipped).
+	Leaked int `json:"leaked"`
 }
 
 // Failed reports whether the run violated any acceptance criterion.
 func (r *Report) Failed() bool {
-	return r.Load == nil || r.Load.Failed() || r.FinalDrainExit != 0 || r.PostLeaked != 0
-}
-
-// logBuffer captures a child process's output while forwarding it to the
-// harness log line by line.
-type logBuffer struct {
-	mu   sync.Mutex
-	buf  bytes.Buffer
-	logf func(format string, args ...interface{})
-	tag  string
-}
-
-func (b *logBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	b.buf.Write(p)
-	b.mu.Unlock()
-	if b.logf != nil {
-		for _, line := range strings.Split(strings.TrimRight(string(p), "\n"), "\n") {
-			if line != "" {
-				b.logf("%s: %s", b.tag, line)
-			}
+	if r.Load == nil || r.Load.Failed() || len(r.Failures) > 0 {
+		return true
+	}
+	for _, code := range r.DrainExits {
+		if code != 0 {
+			return true
 		}
 	}
-	return len(p), nil
-}
-
-func (b *logBuffer) count(substr string) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return strings.Count(b.buf.String(), substr)
-}
-
-// harness owns the moving parts of one run.
-type harness struct {
-	cfg   Config
-	addr  string // rsserve's own address
-	proxy *netfault.Proxy
-	out   *logBuffer
-	proc  *exec.Cmd
-}
-
-func (h *harness) logf(format string, args ...interface{}) {
-	if h.cfg.Logf != nil {
-		h.cfg.Logf(format, args...)
-	}
-}
-
-// freePort reserves an ephemeral port and releases it for the child to
-// bind. The tiny race is acceptable for a test harness.
-func freePort() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr, nil
-}
-
-// start spawns rsserve and waits until it answers a Ping.
-func (h *harness) start() error {
-	args := []string{
-		"-addr", h.addr,
-		"-store", h.cfg.StorePath,
-		"-request-timeout", h.cfg.RequestTimeout.String(),
-	}
-	if h.cfg.TraceSample > 0 {
-		args = append(args, "-trace-sample", fmt.Sprintf("%g", h.cfg.TraceSample))
-	}
-	if h.cfg.SlowLog > 0 {
-		args = append(args, "-slowlog", h.cfg.SlowLog.String())
-	}
-	if h.cfg.WriteBuffer {
-		args = append(args,
-			"-write-buffer",
-			"-write-buffer-ops", fmt.Sprint(h.cfg.WriteBufferOps),
-			"-write-buffer-age", h.cfg.WriteBufferAge.String())
-	}
-	cmd := exec.Command(h.cfg.ServerBin, args...)
-	cmd.Stdout = h.out
-	cmd.Stderr = h.out
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("chaos: start %s: %w", h.cfg.ServerBin, err)
-	}
-	h.proc = cmd
-	deadline := time.Now().Add(h.cfg.ReadyTimeout)
-	for time.Now().Before(deadline) {
-		cl, err := server.Dial(h.addr, server.ClientOptions{DialTimeout: 200 * time.Millisecond})
-		if err == nil {
-			err = cl.Ping([]byte("chaos"))
-			cl.Close()
-			if err == nil {
-				return nil
-			}
+	for _, s := range r.Stores {
+		if s.Leaked != 0 {
+			return true
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
-	_ = cmd.Process.Kill()
-	_ = cmd.Wait()
-	return fmt.Errorf("chaos: rsserve on %s never became ready", h.addr)
+	return false
 }
 
-// kill SIGKILLs the server — no drain, no WAL flush beyond what group
-// commit already synced — and resets every proxied connection so clients
-// notice immediately.
-func (h *harness) kill() error {
-	if err := h.proc.Process.Kill(); err != nil {
-		return fmt.Errorf("chaos: kill: %w", err)
-	}
-	_ = h.proc.Wait() // reap; exit status is meaningless after SIGKILL
-	h.proxy.CutAll()
-	return nil
+func (r *Report) failf(format string, args ...interface{}) {
+	r.Failures = append(r.Failures, fmt.Sprintf(format, args...))
 }
 
-// stopGracefully SIGTERMs the server and returns its exit code.
-func (h *harness) stopGracefully() (int, error) {
-	if err := h.proc.Process.Signal(syscall.SIGTERM); err != nil {
-		return -1, fmt.Errorf("chaos: SIGTERM: %w", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- h.proc.Wait() }()
-	select {
-	case err := <-done:
-		if err == nil {
-			return 0, nil
-		}
-		if ee, ok := err.(*exec.ExitError); ok {
-			return ee.ExitCode(), nil
-		}
-		return -1, err
-	case <-time.After(h.cfg.DrainTimeout):
-		_ = h.proc.Process.Kill()
-		<-done
-		return -1, fmt.Errorf("chaos: drain timed out")
-	}
+// A topology is what differs between runs.
+type topology interface {
+	// boot starts the fleet and returns the load's entry points.
+	boot(h *harness) (server.LoadConfig, error)
+	// cycle delivers fault cycle n (1-based).
+	cycle(h *harness, n int) error
+	// settle checks the topology's live invariants once the load has
+	// stopped, with the fleet still up.
+	settle(h *harness)
 }
 
-// postMortem reopens the drained store in-process and re-verifies what
-// rsserve's exit code already claimed: WAL recovery is a no-op, the tree
-// plus transactional metadata reach every allocated page (zero leaks),
-// and the file's checksums are clean.
-func postMortem(storePath string, rep *Report) error {
-	raw, err := os.ReadFile(storePath + ".manifest.json")
-	if err != nil {
-		return fmt.Errorf("chaos: post-mortem: %w", err)
-	}
-	var m struct {
-		Durable bool       `json:"durable"`
-		Hdr     eio.PageID `json:"hdr"`
-		Anchor  eio.PageID `json:"anchor"`
-	}
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return fmt.Errorf("chaos: post-mortem: manifest: %w", err)
-	}
-	if !m.Durable {
-		return fmt.Errorf("chaos: post-mortem: store is not durable")
-	}
-	return postMortemOpen(storePath, uint64(m.Hdr), uint64(m.Anchor), true, rep)
-}
-
-// postMortemOpen is the reopen-and-verify core shared by the single-node
-// and replicated harnesses: WAL recovery, point count, full-file
-// checksum verification, and — when leakCheck is set — page-exact
-// reachability. Results land in rep's Post* fields.
-func postMortemOpen(storePath string, hdr, anchor uint64, leakCheck bool, rep *Report) error {
-	fs, err := eio.OpenFileStore(storePath)
-	if err != nil {
-		return fmt.Errorf("chaos: post-mortem: %w", err)
-	}
-	defer fs.Close()
-	tx, err := eio.OpenTxStore(fs, eio.PageID(anchor))
-	if err != nil {
-		return fmt.Errorf("chaos: post-mortem: WAL recovery: %w", err)
-	}
-	idx, err := core.OpenThreeSided(tx, eio.PageID(hdr))
-	if err != nil {
-		return fmt.Errorf("chaos: post-mortem: open tree: %w", err)
-	}
-	n, err := idx.Len()
-	if err != nil {
-		return fmt.Errorf("chaos: post-mortem: len: %w", err)
-	}
-	rep.PostPoints = n
-	if leakCheck {
-		reachable, err := idx.Tree().AppendAllPages(nil)
-		if err != nil {
-			return fmt.Errorf("chaos: post-mortem: reachability: %w", err)
-		}
-		meta, err := tx.MetaPages()
-		if err != nil {
-			return fmt.Errorf("chaos: post-mortem: meta pages: %w", err)
-		}
-		leaks, err := eio.FindLeaks(tx, append(reachable, meta...))
-		if err != nil {
-			return fmt.Errorf("chaos: post-mortem: leak check: %w", err)
-		}
-		rep.PostLeaked = len(leaks.Leaked)
-	}
-
-	vrep, err := eio.VerifyFile(storePath)
-	if err != nil {
-		return fmt.Errorf("chaos: post-mortem: verify: %w", err)
-	}
-	rep.PostPages = int(vrep.NPages)
-	if vrep.Damaged() {
-		return fmt.Errorf("chaos: post-mortem: file damaged: %d bad pages", len(vrep.BadPages))
-	}
-	return nil
-}
-
-// Run executes one full chaos run and returns its report. A non-nil
-// error means the harness itself broke (could not spawn, store missing);
-// acceptance violations are reported via Report.Failed so the caller can
-// still inspect the full report.
+// Run executes one full chaos run and returns its report. A non-nil error
+// means the harness itself broke (bad config, a process that would not
+// start, a hung load); acceptance violations are reported via
+// Report.Failed so the caller can still inspect the full report. Every
+// child process is killed and reaped before Run returns.
 func Run(cfg Config) (*Report, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
-	if cfg.ServerBin == "" || cfg.StorePath == "" {
-		return nil, fmt.Errorf("chaos: ServerBin and StorePath are required")
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return nil, err
 	}
+	var topo topology = single{}
+	switch {
+	case cfg.Replicas > 0:
+		topo = &replicated{}
+	case cfg.Shards > 0:
+		topo = sharded{}
+	}
+	h := &harness{cfg: cfg, rep: &Report{
+		Cycles:     cfg.Cycles,
+		Stores:     map[string]StoreReport{},
+		DrainExits: map[string]int{},
+	}}
+	defer h.killAll()
 
-	addr, err := freePort()
-	if err != nil {
-		return nil, err
-	}
-	h := &harness{
-		cfg:  cfg,
-		addr: addr,
-		out:  &logBuffer{logf: cfg.Logf, tag: "rsserve"},
-	}
-	h.proxy, err = netfault.New(addr, netfault.Options{
-		Seed:    cfg.Seed,
-		Latency: cfg.Latency,
-		Jitter:  cfg.Jitter,
-		Logf:    cfg.Logf,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer h.proxy.Close()
-
-	if err := h.start(); err != nil {
-		return nil, err
-	}
 	// Echo the effective parameters — above all the seed, so a failing
 	// run's exact kill/fault schedule can be replayed from its log alone.
-	h.logf("chaos: run: cycles=%d period=%v seed=%d workers=%d pipeline=%d latency=%v jitter=%v",
-		cfg.Cycles, cfg.Period, cfg.Seed, cfg.Workers, cfg.Pipeline, cfg.Latency, cfg.Jitter)
-	h.logf("chaos: rsserve up on %s, proxied at %s", h.addr, h.proxy.Addr())
+	h.logf("chaos: run: replicas=%d shards=%d cycles=%d period=%v seed=%d write_buffer=%v",
+		cfg.Replicas, cfg.Shards, cfg.Cycles, cfg.Period, cfg.Seed, cfg.WriteBuffer)
+	lc, err := topo.boot(h)
+	if err != nil {
+		return nil, err
+	}
 
-	rep := &Report{Cycles: cfg.Cycles}
-	start := time.Now()
-
-	// The verified workload runs through the proxy for the whole kill
-	// schedule plus one settle period at each end.
-	loadDur := time.Duration(cfg.Cycles+2) * cfg.Period
+	// The verified load runs for the whole fault schedule; the schedule,
+	// not a guessed duration, ends it.
+	stop := make(chan struct{})
+	lc.Workers = loadWorkers
+	lc.Pipeline = loadPipeline
+	lc.Duration = time.Hour // backstop; Stop ends the run
+	lc.Stop = stop
+	lc.Domain = loadDomain
+	lc.Seed = cfg.Seed
+	lc.Verify = true
+	lc.Resilient = true
+	lc.TraceSample = cfg.TraceSample
+	lc.Retry = server.RetryPolicy{
+		MaxAttempts: 120,
+		BaseDelay:   5 * time.Millisecond,
+		MaxDelay:    250 * time.Millisecond,
+	}
+	lc.Client = server.ClientOptions{DialTimeout: time.Second, IOTimeout: 10 * time.Second}
 	loadDone := make(chan struct{})
 	var loadRep *server.LoadReport
 	var loadErr error
+	start := time.Now()
 	go func() {
 		defer close(loadDone)
-		loadRep, loadErr = server.RunLoad(server.LoadConfig{
-			Addr:        h.proxy.Addr(),
-			Workers:     cfg.Workers,
-			Pipeline:    cfg.Pipeline,
-			Duration:    loadDur,
-			Domain:      1 << 16,
-			Seed:        cfg.Seed,
-			Verify:      true,
-			Resilient:   true,
-			TraceSample: cfg.TraceSample,
-			Retry: server.RetryPolicy{
-				MaxAttempts: 60,
-				BaseDelay:   5 * time.Millisecond,
-				MaxDelay:    250 * time.Millisecond,
-			},
-			Client: server.ClientOptions{DialTimeout: time.Second, IOTimeout: 10 * time.Second},
-		})
+		loadRep, loadErr = server.RunLoad(lc)
 	}()
 
-	for cycle := 1; cycle <= cfg.Cycles; cycle++ {
+	var schedErr error
+	for n := 1; n <= cfg.Cycles && schedErr == nil; n++ {
 		time.Sleep(cfg.Period)
-		h.logf("chaos: cycle %d/%d: SIGKILL", cycle, cfg.Cycles)
-		if err := h.kill(); err != nil {
-			return nil, err
+		if err := topo.cycle(h, n); err != nil {
+			schedErr = fmt.Errorf("chaos: cycle %d: %w", n, err)
 		}
-		rep.Kills++
-		if err := h.start(); err != nil {
-			return nil, fmt.Errorf("chaos: cycle %d: %w", cycle, err)
-		}
-		rep.Restarts++
 	}
+	time.Sleep(cfg.Period) // settle: let retries land before stopping
 
+	close(stop)
 	select {
 	case <-loadDone:
-	case <-time.After(loadDur + cfg.LoadGrace):
-		return nil, fmt.Errorf("chaos: load generator hung")
+	case <-time.After(cfg.LoadGrace):
+		// The load goroutine is left to notice the killed fleet and exit.
+		return nil, fmt.Errorf("chaos: load generator hung after stop")
+	}
+	if schedErr != nil {
+		return nil, schedErr
 	}
 	if loadErr != nil {
 		return nil, fmt.Errorf("chaos: load: %w", loadErr)
 	}
-	rep.Load = loadRep
+	h.rep.Load = loadRep
 
-	h.logf("chaos: kills done, draining with SIGTERM")
-	exit, err := h.stopGracefully()
-	if err != nil {
-		return nil, err
-	}
-	rep.FinalDrainExit = exit
-	rep.Proxy = h.proxy.Stats()
-	rep.BootScrubs = h.out.count("boot scrub: reclaimed")
-	rep.JournalReplays = h.out.count("write buffer: replayed")
-	rep.DurationS = time.Since(start).Seconds()
-
-	if err := postMortem(cfg.StorePath, rep); err != nil {
-		return nil, err
-	}
-	// A clean drain folds the buffer into the base and truncates the
-	// journal; bytes left behind would mean acked writes the tree never
-	// absorbed.
-	if cfg.WriteBuffer {
-		if fi, err := os.Stat(cfg.StorePath + ".wbuf"); err == nil && fi.Size() > 0 {
-			return nil, fmt.Errorf("chaos: post-mortem: write-buffer journal still holds %d bytes after drain", fi.Size())
+	topo.settle(h)
+	// The fleet's own total, before anything drains: the drained stores
+	// must account for it exactly.
+	entry := h.router
+	for _, n := range h.nodes {
+		if entry == nil && !n.replica {
+			entry = n
 		}
 	}
-	h.logf("chaos: done: kills=%d ops=%d reconnects=%d resent=%d boot_scrubs=%d leaked=%d points=%d",
-		rep.Kills, rep.Load.Ops, rep.Load.Reconnects, rep.Load.Resent, rep.BootScrubs, rep.PostLeaked, rep.PostPoints)
-	return rep, nil
+	if st, err := stats(entry.addr); err != nil {
+		h.rep.failf("%s stats: %v", entry.name, err)
+	} else {
+		h.rep.Len = st.Len
+	}
+	h.drain()
+	h.postMortem()
+	h.closeProxy()
+	h.rep.DurationS = time.Since(start).Seconds()
+	h.logf("chaos: done: kills=%d restarts=%d promotions=%d ops=%d reconnects=%d resent=%d failovers=%d boot_scrubs=%d replays=%d points=%d failures=%d",
+		h.rep.Kills, h.rep.Restarts, h.rep.Promotions, loadRep.Ops, loadRep.Reconnects, loadRep.Resent,
+		loadRep.Failovers, h.rep.BootScrubs, h.rep.JournalReplays, h.rep.Points, len(h.rep.Failures))
+	return h.rep, nil
 }

@@ -1,36 +1,37 @@
 #!/usr/bin/env sh
-# Kill-and-recover chaos run: rschaos spawns a real rsserve on a fresh
-# durable store, drives verified resilient load through a fault-injecting
-# proxy, and SIGKILLs/restarts the server CYCLES times. Acceptance: zero
-# lost or duplicated writes across every crash, a clean SIGTERM drain,
-# and a scrub-clean store file afterwards. `make chaos` runs this; CI
-# runs a shorter chaos-smoke variant.
+# Kill-and-recover chaos run: builds rsserve, rsrouter and rschaos, then
+# runs rschaos on a fresh working directory with every argument passed
+# through (see cmd/rschaos for the flags and topologies). With no
+# arguments it is the single-node ≥10-cycle run; the Makefile's chaos,
+# chaos-repl, chaos-shard and chaos-writeopt targets all come through
+# here. Acceptance is rschaos's exit status. With ARTIFACT_DIR set, the
+# JSON report is copied there as chaos.json (chaos-repl.json with
+# -replicas, chaos-shard.json with -shards).
 set -eu
 
-GO=${GO:-go}
 WORKDIR=$(mktemp -d /tmp/rschaos.XXXXXX)
 trap 'rm -rf "$WORKDIR"' EXIT
+. "$(dirname "$0")/lib.sh"
 
-CYCLES=${CYCLES:-10}
-PERIOD=${PERIOD:-700ms}
-WORKERS=${WORKERS:-4}
-SEED=${SEED:-1}
-JSON_OUT=${JSON_OUT:-$WORKDIR/chaos.json}
+report=chaos
+for arg in "$@"; do
+    case "$arg" in
+        -replicas | --replicas | -replicas=* | --replicas=*) report=chaos-repl ;;
+        -shards | --shards | -shards=* | --shards=*) report=chaos-shard ;;
+    esac
+done
 
-echo "== build =="
-$GO build -o "$WORKDIR/bin/" ./cmd/rsserve ./cmd/rschaos
+build ./cmd/rsserve ./cmd/rsrouter ./cmd/rschaos
 
-echo "== chaos: $CYCLES SIGKILL/restart cycles, ${PERIOD} apart =="
+echo "== chaos: ${*:-single node, harness defaults} =="
 "$WORKDIR/bin/rschaos" \
-    -server "$WORKDIR/bin/rsserve" \
-    -store "$WORKDIR/chaos.db" \
-    -cycles "$CYCLES" -period "$PERIOD" -workers "$WORKERS" -seed "$SEED" \
-    -json "$JSON_OUT"
+    -server "$WORKDIR/bin/rsserve" -router "$WORKDIR/bin/rsrouter" \
+    -dir "$WORKDIR/fleet" -json "$WORKDIR/$report.json" "$@"
 
 # Keep the report where CI can pick it up as an artifact.
 if [ -n "${ARTIFACT_DIR:-}" ]; then
     mkdir -p "$ARTIFACT_DIR"
-    cp "$JSON_OUT" "$ARTIFACT_DIR/chaos.json"
+    cp "$WORKDIR/$report.json" "$ARTIFACT_DIR/"
 fi
 
 echo "== chaos OK =="
