@@ -65,8 +65,10 @@ soak:
 	$(GO) test -race ./internal/core -run 'TestConcurrentSoak|TestConcurrentGroupCommit|TestConcurrentDurableGroupCommit' -count=1 -v
 
 # Model-based differential harness: random op sequences replayed against a
-# naive O(N) model over every structure × wrapper config, with shrinking.
-# Set MODELTEST_ARTIFACTS=<dir> to keep shrunk failing sequences.
+# naive O(N) model over every structure × wrapper config and every stack
+# internal/node's mode table accepts (file-backed rows in a temp dir), with
+# shrinking. Set MODELTEST_ARTIFACTS=<dir> to keep shrunk failing sequences,
+# one file per cell and seed.
 model:
 	$(GO) test ./internal/core/modeltest -run TestDifferential -count=1 -v
 
@@ -78,7 +80,7 @@ bound:
 # Regenerate the committed trajectory snapshots that the I/O regression
 # guard (internal/bench/regression_test.go) replays with tolerance zero.
 trajectory:
-	$(GO) run ./cmd/rsbench -quick -exp e7,concurrent,writeopt -workers 8 -json -outdir trajectory
+	$(GO) run ./cmd/rsbench -quick -exp e7,concurrent,writeopt -json -outdir trajectory
 
 # Boot a durable file-backed rsserve on a throwaway store (Ctrl-C drains
 # and leak-checks it). STORE/ADDR are overridable.

@@ -12,7 +12,6 @@
 //	rsbench -json -outdir out   # also write machine-readable BENCH_<exp>.json
 //	rsbench -metrics :6060      # serve expvar + pprof while running
 //	rsbench -bound              # run the e14 bound check and fail on violation
-//	rsbench -exp concurrent -workers 8   # scale the serving-layer experiment to 8 goroutines
 //
 // Exit codes: 0 success; 1 if any experiment errored (the rest of the
 // suite still runs) or storage of a snapshot failed; 2 usage; 3 if -bound
@@ -42,14 +41,8 @@ func main() {
 		boundFlag   = flag.Bool("bound", false, "run the bound check (e14) and exit 3 if p95 overhead exceeds the limits")
 		boundQP95   = flag.Float64("bound-query-p95", bench.CIQueryP95Limit, "with -bound: max allowed p95 query overhead")
 		boundUP95   = flag.Float64("bound-update-p95", bench.CIUpdateP95Limit, "with -bound: max allowed p95 update overhead")
-		workersFlag = flag.Int("workers", bench.MaxWorkers, "max goroutines the concurrent experiment scales to")
 	)
 	flag.Parse()
-	if *workersFlag < 1 {
-		fmt.Fprintln(os.Stderr, "rsbench: -workers must be >= 1")
-		os.Exit(2)
-	}
-	bench.MaxWorkers = *workersFlag
 
 	exps := bench.All()
 	if *listFlag {

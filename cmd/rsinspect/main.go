@@ -292,77 +292,39 @@ func scrubMain(args []string) {
 		}
 		os.Exit(1)
 	}
-	store, err := eio.OpenFileStore(*storePath)
-	if err != nil {
-		fatal(err)
-	}
+	store, target, tx := openRecovered(*storePath, *anchor, "scrub")
 	defer store.Close()
-	var target eio.Store = store
 	reachable := []eio.PageID{}
-	if *anchor != 0 {
-		tx, err := eio.OpenTxStore(store, eio.PageID(*anchor))
-		if err != nil {
-			fatal(fmt.Errorf("recovery before scrub failed: %w", err))
-		}
-		if r := tx.Recovery(); r.Dirty() {
-			fmt.Fprintf(os.Stderr, "rsinspect: recovery: %s\n", r)
-		}
-		meta, err := tx.MetaPages()
-		if err != nil {
+	var err error
+	if tx != nil {
+		if reachable, err = tx.MetaPages(); err != nil {
 			fatal(err)
 		}
-		reachable = append(reachable, meta...)
-		target = tx
+	}
+	// Every structure kind lists the pages it owns the same way.
+	var owner interface {
+		AppendAllPages([]eio.PageID) ([]eio.PageID, error)
 	}
 	id := eio.PageID(*hdr)
 	switch *kind {
 	case "epst":
-		t, err := epst.Open(target, id, 0)
-		if err != nil {
-			fatal(err)
-		}
-		reachable, err = t.AppendAllPages(reachable)
-		if err != nil {
-			fatal(err)
-		}
+		owner, err = epst.Open(target, id, 0)
 	case "range4":
-		t, err := range4.Open(target, id)
-		if err != nil {
-			fatal(err)
-		}
-		reachable, err = t.AppendAllPages(reachable)
-		if err != nil {
-			fatal(err)
-		}
+		owner, err = range4.Open(target, id)
 	case "wbtree":
-		t, err := wbtree.Open(target, id)
-		if err != nil {
-			fatal(err)
-		}
-		reachable, err = t.AppendAllPages(reachable)
-		if err != nil {
-			fatal(err)
-		}
+		owner, err = wbtree.Open(target, id)
 	case "interval":
-		s, err := interval.Open(target, id, 0)
-		if err != nil {
-			fatal(err)
-		}
-		reachable, err = s.AppendAllPages(reachable)
-		if err != nil {
-			fatal(err)
-		}
+		owner, err = interval.Open(target, id, 0)
 	case "smallstruct":
-		s, err := smallstruct.Open(target, id, 0)
-		if err != nil {
-			fatal(err)
-		}
-		reachable, err = s.AppendAllPages(reachable)
-		if err != nil {
-			fatal(err)
-		}
+		owner, err = smallstruct.Open(target, id, 0)
 	default:
-		fatal(fmt.Errorf("unknown kind %q", *kind))
+		err = fmt.Errorf("unknown kind %q", *kind)
+	}
+	if err == nil {
+		reachable, err = owner.AppendAllPages(reachable)
+	}
+	if err != nil {
+		fatal(err)
 	}
 	var rep *eio.ScrubReport
 	if *dry {
@@ -497,6 +459,26 @@ func traceMain(args []string) {
 			fmt.Printf("  p%-8d %d I/Os\n", h.id, h.n)
 		}
 	}
+}
+
+// openRecovered opens the file store at path and, with a nonzero anchor,
+// runs WAL recovery on it before what reads it; target is the store to
+// read through, tx its transactional layer (nil without an anchor).
+func openRecovered(path string, anchor uint64, what string) (store *eio.FileStore, target eio.Store, tx *eio.TxStore) {
+	store, err := eio.OpenFileStore(path)
+	if err != nil {
+		fatal(err)
+	}
+	if anchor == 0 {
+		return store, store, nil
+	}
+	if tx, err = eio.OpenTxStore(store, eio.PageID(anchor)); err != nil {
+		fatal(fmt.Errorf("recovery before %s failed: %w", what, err))
+	}
+	if r := tx.Recovery(); r.Dirty() {
+		fmt.Fprintf(os.Stderr, "rsinspect: recovery: %s\n", r)
+	}
+	return store, tx, tx
 }
 
 func fatal(err error) {

@@ -49,44 +49,21 @@ func splitplanMain(args []string) {
 
 	// The serving manifest fills in what the flags leave at zero, exactly
 	// as the wal subcommand does.
-	var mf struct {
-		Hdr     uint64 `json:"hdr"`
-		Anchor  uint64 `json:"anchor"`
-		Durable bool   `json:"durable"`
-	}
-	if raw, err := os.ReadFile(*storePath + ".manifest.json"); err == nil {
-		_ = json.Unmarshal(raw, &mf)
-	}
+	mf := manifestFor(*storePath, *hdr != 0)
 	id := *hdr
 	if id == 0 {
-		id = mf.Hdr
-	}
-	if id == 0 {
-		fatal(fmt.Errorf("splitplan: no -hdr given and no usable manifest at %s.manifest.json", *storePath))
+		id = uint64(mf.Hdr)
 	}
 	dir := *anchor
 	if dir == 0 && mf.Durable {
-		dir = mf.Anchor
+		dir = uint64(mf.Anchor)
 	}
 
-	store, err := eio.OpenFileStore(*storePath)
-	if err != nil {
-		fatal(err)
-	}
+	store, target, _ := openRecovered(*storePath, dir, "splitplan")
 	defer store.Close()
-	var target eio.Store = store
-	if dir != 0 {
-		tx, err := eio.OpenTxStore(store, eio.PageID(dir))
-		if err != nil {
-			fatal(fmt.Errorf("recovery before splitplan failed: %w", err))
-		}
-		if r := tx.Recovery(); r.Dirty() {
-			fmt.Fprintf(os.Stderr, "rsinspect: recovery: %s\n", r)
-		}
-		target = tx
-	}
 
 	var idx core.Index
+	var err error
 	switch *kind {
 	case "epst":
 		idx, err = core.OpenThreeSided(target, eio.PageID(id))

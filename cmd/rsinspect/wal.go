@@ -2,12 +2,32 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 
 	"rangesearch/internal/eio"
+	"rangesearch/internal/node"
 )
+
+// manifestFor reads the manifest rsserve keeps next to store. When flags
+// supply the ids (flagged) it is optional context: a missing one is
+// ignored and an invalid one only warned about. Otherwise its error is
+// the diagnostic.
+func manifestFor(store string, flagged bool) node.Manifest {
+	m, err := node.ReadManifest(store)
+	switch {
+	case err == nil:
+		return *m
+	case !flagged:
+		fatal(fmt.Errorf("no -anchor/-hdr given and no usable manifest: %w", err))
+	case !errors.Is(err, fs.ErrNotExist):
+		fmt.Fprintf(os.Stderr, "rsinspect: warning: %v (using the flags)\n", err)
+	}
+	return node.Manifest{}
+}
 
 // walMain implements `rsinspect wal -store FILE [-anchor ID] [-json]`: an
 // offline, read-only decode of a store's transactional layer — anchors and
@@ -15,11 +35,11 @@ import (
 // eio.InspectTxLayer.
 // Without -anchor the directory id is taken from the serving manifest
 // (<store>.manifest.json) rsserve writes next to the store, which also
-// contributes the node's replication role and term to the report. The
-// exit code distinguishes damage from inability to check: 0 when the WAL
-// region is healthy (every record "applied", "committed-unapplied" or
-// "stale"), 2 on a torn record or a checksum-bad WAL page, 1 on usage or
-// I/O errors.
+// contributes the node's replication role and term to the report; with
+// -anchor the manifest is optional. The exit code distinguishes damage
+// from inability to check: 0 when the WAL region is healthy (every record
+// "applied", "committed-unapplied" or "stale"), 2 on a torn record or a
+// checksum-bad WAL page, 1 on usage or I/O errors.
 func walMain(args []string) {
 	fs := flag.NewFlagSet("wal", flag.ContinueOnError)
 	storePath := fs.String("store", "", "path to a file store with a transactional layer")
@@ -36,25 +56,13 @@ func walMain(args []string) {
 		os.Exit(1)
 	}
 
-	// The manifest is optional context: -anchor alone suffices, and a
-	// replica's store is inspectable while its manifest names a term.
-	var mf struct {
-		Anchor uint64 `json:"anchor"`
-		Term   uint64 `json:"term"`
-		Role   string `json:"role"`
-	}
-	haveManifest := false
-	if raw, err := os.ReadFile(*storePath + ".manifest.json"); err == nil {
-		if err := json.Unmarshal(raw, &mf); err == nil {
-			haveManifest = true
-		}
-	}
+	mf := manifestFor(*storePath, *anchor != 0)
 	dir := *anchor
 	if dir == 0 {
-		if !haveManifest || mf.Anchor == 0 {
-			fatal(fmt.Errorf("no -anchor given and no usable manifest at %s.manifest.json", *storePath))
+		if mf.Anchor == eio.NilPage {
+			fatal(fmt.Errorf("no -anchor given and the manifest at %s names none (not a durable store)", node.ManifestPath(*storePath)))
 		}
-		dir = mf.Anchor
+		dir = uint64(mf.Anchor)
 	}
 
 	store, err := eio.OpenFileStore(*storePath)
@@ -84,7 +92,7 @@ func walMain(args []string) {
 	} else {
 		fmt.Printf("tx layer: dir p%d  wal pages %d (capacity %d images)  checkpoint lsn %d  +%d unapplied\n",
 			info.Dir, len(info.WALPages), info.Capacity, info.Applied, info.Unapplied)
-		if haveManifest && (mf.Role != "" || mf.Term != 0) {
+		if mf.Role != "" || mf.Term != 0 {
 			fmt.Printf("manifest: role %s  term %d\n", mf.Role, mf.Term)
 		}
 		for i, a := range info.Anchors {

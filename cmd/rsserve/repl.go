@@ -16,20 +16,19 @@ package main
 // fenced stack (writes answer NOTPRIMARY) while a background loop applies
 // shipped records, publishing one epoch per record. Promotion (SIGUSR1 or
 // the PROMOTE RPC on -repl-listen) drains the apply loop, persists a
-// bumped term to the manifest BEFORE accepting any write, rebuilds a
-// writable stack over the same file (reclaiming replica-leaked pages),
-// and swaps it in under the node's exclusive lock.
+// bumped term to the manifest BEFORE accepting any write, has
+// internal/node rebuild a writable stack over the same file (reclaiming
+// replica-leaked pages), and swaps it in under the node's exclusive lock.
 
 import (
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"rangesearch/internal/core"
 	"rangesearch/internal/eio"
+	"rangesearch/internal/node"
 	"rangesearch/internal/repl"
 	"rangesearch/internal/server"
 )
@@ -38,19 +37,19 @@ import (
 // write barrier, which checkpoints first: the TxStore is quiescent there
 // with nothing left to replay, so the file image and the anchors agree at
 // exactly AppliedLSN.
-func cutSnapshot(st *stack) func() (*repl.Snapshot, error) {
+func cutSnapshot(st *node.Stack) func() (*repl.Snapshot, error) {
 	return func() (*repl.Snapshot, error) {
 		var snap *repl.Snapshot
-		err := st.conc.Barrier(func() error {
-			ids, err := st.tx.LivePageIDs()
+		err := st.Conc.Barrier(func() error {
+			ids, err := st.Tx.LivePageIDs()
 			if err != nil {
 				return err
 			}
-			ps := st.m.PageSize
-			snap = &repl.Snapshot{LSN: st.tx.AppliedLSN()}
+			ps := st.M.PageSize
+			snap = &repl.Snapshot{LSN: st.Tx.AppliedLSN()}
 			for _, id := range ids {
 				img := make([]byte, ps)
-				if err := st.tx.Read(id, img); err != nil {
+				if err := st.Tx.Read(id, img); err != nil {
 					return fmt.Errorf("snapshot read page %d: %w", id, err)
 				}
 				snap.Pages = append(snap.Pages, repl.SnapPage{ID: uint64(id), Image: img})
@@ -61,83 +60,102 @@ func cutSnapshot(st *stack) func() (*repl.Snapshot, error) {
 	}
 }
 
+// shipperConfig describes the store m names to the replication protocol.
+func shipperConfig(m *node.Manifest, primary bool, durableLSN func() uint64, logf func(string, ...any)) repl.ShipperConfig {
+	return repl.ShipperConfig{
+		Term:       m.Term,
+		Primary:    primary,
+		PageSize:   m.PageSize,
+		Dir:        uint64(m.Anchor),
+		Hdr:        uint64(m.Hdr),
+		DurableLSN: durableLSN,
+		Logf:       logf,
+	}
+}
+
+// serveRepl opens the replication port for sh.
+func serveRepl(sh *repl.Shipper, addr string) (net.Addr, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("repl listen: %w", err)
+	}
+	go sh.Serve(ln)
+	return ln.Addr(), nil
+}
+
+// ship taps st's commits into sh and, with syncN > 0, arms the
+// semi-synchronous gate: each write's OK waits until syncN replicas acked.
+func ship(st *node.Stack, sh *repl.Shipper, syncN int, syncT time.Duration) {
+	st.Tx.SetCommitHook(sh.Commit)
+	if syncN > 0 {
+		st.Conc.SetCommitGate(func() error {
+			return sh.WaitAcked(st.Tx.AppliedLSN(), syncN, syncT)
+		})
+	}
+}
+
 // startPrimaryRepl fronts a durable stack with a Node and starts the
-// shipper on lnAddr. syncN > 0 arms the semi-synchronous commit gate.
-func startPrimaryRepl(st *stack, storePath, lnAddr string, syncN int, syncT time.Duration,
+// shipper on lnAddr.
+func startPrimaryRepl(st *node.Stack, storePath, lnAddr string, syncN int, syncT time.Duration,
 	logf func(string, ...any)) (*repl.Node, *repl.Shipper, error) {
-	if st.tx == nil {
-		return nil, nil, fmt.Errorf("replication requires a durable file store")
-	}
-	fenced := st.m.Role == "fenced"
-	node := repl.NewNode(st.conc, true, st.m.Term, nil)
+	m := st.M
+	fenced := m.Role == "fenced"
+	rnode := repl.NewNode(st.Conc, true, m.Term, nil)
 	if fenced {
-		node.Fence(st.m.Term)
-		logf("store was fenced at term %d: serving reads only (re-replicate or -force-primary to recover)", st.m.Term)
+		rnode.Fence(m.Term)
+		logf("store was fenced at term %d: serving reads only (re-replicate or -force-primary to recover)", m.Term)
 	}
-	shipper := repl.NewShipper(repl.ShipperConfig{
-		Term:        st.m.Term,
-		Primary:     !fenced,
-		PageSize:    st.m.PageSize,
-		Dir:         uint64(st.m.Anchor),
-		Hdr:         uint64(st.m.Hdr),
-		DurableLSN:  st.tx.AppliedLSN,
-		CutSnapshot: cutSnapshot(st),
-		OnFence: func(term uint64) {
-			node.Fence(term)
-			st.m.Term = term
-			st.m.Role = "fenced"
-			if err := writeManifest(storePath, st.m); err != nil {
-				logf("persist fence: %v", err)
-			}
-			logf("fenced by term %d: refusing writes from now on", term)
-		},
-		Logf: logf,
-	})
+	cfg := shipperConfig(m, !fenced, st.Tx.AppliedLSN, logf)
+	cfg.CutSnapshot = cutSnapshot(st)
+	cfg.OnFence = func(term uint64) {
+		rnode.Fence(term)
+		m.Term = term
+		m.Role = "fenced"
+		if err := node.WriteManifest(storePath, m); err != nil {
+			logf("persist fence: %v", err)
+		}
+		logf("fenced by term %d: refusing writes from now on", term)
+	}
+	shipper := repl.NewShipper(cfg)
 	// An already-writable node answers PROMOTE with its current identity,
 	// so failover tooling can treat the RPC as idempotent.
 	shipper.SetOnPromote(func() (uint64, uint64, error) {
-		if role, term := node.Role(); role == "primary" {
-			return term, st.tx.AppliedLSN(), nil
+		if role, term := rnode.Role(); role == "primary" {
+			return term, st.Tx.AppliedLSN(), nil
 		}
 		return 0, 0, fmt.Errorf("node is fenced; restart with -replicate-from or -force-primary")
 	})
-	st.tx.SetCommitHook(shipper.Commit)
-	if syncN > 0 {
-		st.conc.SetCommitGate(func() error {
-			return shipper.WaitAcked(st.tx.AppliedLSN(), syncN, syncT)
-		})
-	}
-	ln, err := net.Listen("tcp", lnAddr)
+	ship(st, shipper, syncN, syncT)
+	at, err := serveRepl(shipper, lnAddr)
 	if err != nil {
-		return nil, nil, fmt.Errorf("repl listen: %w", err)
+		return nil, nil, err
 	}
-	go shipper.Serve(ln)
-	logf("shipping replication on %s (term %d, sync=%d)", ln.Addr(), st.m.Term, syncN)
-	return node, shipper, nil
+	logf("shipping replication on %s (term %d, sync=%d)", at, m.Term, syncN)
+	return rnode, shipper, nil
 }
 
 // replicaNode is the runtime state of an rsserve process running as a
 // read replica (and possibly later promoted).
 type replicaNode struct {
-	storePath string
-	primary   string
-	scrubBoot bool
-	syncN     int
-	syncT     time.Duration
-	logf      func(string, ...any)
+	cfg     node.Config
+	primary string
+	syncN   int
+	syncT   time.Duration
+	logf    func(string, ...any)
 
-	node    *repl.Node
+	rnode   *repl.Node
 	shipper *repl.Shipper // non-nil when -repl-listen is set
 
-	// txrA mirrors rn.txr for the apply loop, which must not take rn.mu
-	// on its hot path (promote holds rn.mu while taking the node's write
-	// lock — the reverse order of a barriered read).
-	txrA     atomic.Pointer[eio.TxReplica]
+	// follow mirrors rn.st while it is a follower, for the apply loop,
+	// which must not take rn.mu on its hot path (promote holds rn.mu while
+	// taking the node's write lock — the reverse order of a barriered
+	// read).
+	follow   atomic.Pointer[node.Stack]
 	follower atomic.Pointer[repl.Follower]
 
 	// pubLSN is the node's PUBLISHED position: the highest applied LSN
 	// whose epoch readers can already see. It advances strictly after
-	// snap.Commit (and, on a re-clone, after the engine swap), never
+	// the epoch commit (and, on a re-clone, after the engine swap), never
 	// before — the read barrier must compare against it rather than the
 	// applier's durable LSN, or a barriered query landing between apply
 	// and publish would pass the staleness check yet read the previous
@@ -145,10 +163,7 @@ type replicaNode struct {
 	pubLSN atomic.Uint64
 
 	mu       sync.Mutex
-	m        *manifest
-	fs       *eio.FileStore
-	txr      *eio.TxReplica
-	st       *stack // current serving stack (fenced until promoted)
+	st       *node.Stack // current serving stack (a follower until promoted)
 	promoted bool
 	stopping bool
 
@@ -160,73 +175,36 @@ type replicaNode struct {
 	loopDone chan struct{}
 }
 
-// buildFollowerStack assembles the read-only serving pyramid over an
-// existing replica store: SnapStore for epoch isolation, TxReplica as
-// the applier, a FencedIndex as the (never-used) writer.
-func buildFollowerStack(fs *eio.FileStore, m *manifest) (*stack, *eio.TxReplica, error) {
-	snap := eio.NewSnapStore(fs, 0)
-	txr, err := eio.OpenTxReplica(fs, snap, m.Anchor)
-	if err != nil {
-		return nil, nil, fmt.Errorf("open replica applier: %w", err)
-	}
-	if ri := txr.Recovery(); ri.Dirty() {
-		fmt.Printf("rsserve: replica WAL recovery: %s\n", ri)
-	}
-	tracer := eio.NewTraceStore(snap)
-	idx, err := core.OpenThreeSided(tracer, m.Hdr)
-	if err != nil {
-		return nil, nil, fmt.Errorf("open replica tree: %w", err)
-	}
-	if _, err := snap.Commit(); err != nil {
-		return nil, nil, err
-	}
-	hdr := m.Hdr
-	conc, err := core.NewConcurrent(&repl.FencedIndex{Reads: idx}, snap,
-		func(s eio.Store) (core.Index, error) { return core.OpenThreeSided(s, hdr) },
-		core.ConcurrentOptions{Tracer: tracer})
-	if err != nil {
-		return nil, nil, err
-	}
-	return &stack{conc: conc, idx: idx, snap: snap, m: m}, txr, nil
+// setFollower installs a follower stack (rn.mu held).
+func (rn *replicaNode) setFollower(st *node.Stack) {
+	logBoot(st.Boot, "replica ", rn.logf)
+	rn.st = st
+	rn.follow.Store(st)
 }
 
 // startReplica syncs with the primary (blocking, with retries until
 // bootT expires), builds the fenced serving stack, and starts the
 // background apply loop. The returned node is ready to serve reads.
-func startReplica(storePath string, primaryAddr string, scrubBoot bool,
-	syncN int, syncT, bootT time.Duration, logf func(string, ...any)) (*replicaNode, error) {
+func startReplica(cfg node.Config, primaryAddr string, syncN int, syncT, bootT time.Duration,
+	logf func(string, ...any)) (*replicaNode, error) {
 	rn := &replicaNode{
-		storePath: storePath,
-		primary:   primaryAddr,
-		scrubBoot: scrubBoot,
-		syncN:     syncN,
-		syncT:     syncT,
-		logf:      logf,
-		loopDone:  make(chan struct{}),
+		cfg:      cfg,
+		primary:  primaryAddr,
+		syncN:    syncN,
+		syncT:    syncT,
+		logf:     logf,
+		loopDone: make(chan struct{}),
 	}
 
 	// Reopen local state when it exists; its position makes resume cheap.
-	if _, err := os.Stat(storePath); err == nil {
-		m, err := readManifest(storePath)
-		if err != nil {
-			return nil, fmt.Errorf("store %s exists but its manifest is unreadable: %w", storePath, err)
-		}
-		if !m.Durable {
-			return nil, fmt.Errorf("store %s is not durable; replication needs the WAL layout", storePath)
-		}
-		fs, err := eio.OpenFileStore(storePath)
-		if err != nil {
-			return nil, err
-		}
-		st, txr, err := buildFollowerStack(fs, m)
-		if err != nil {
-			fs.Close()
-			return nil, err
-		}
-		rn.m, rn.fs, rn.st, rn.txr = m, fs, st, txr
-		rn.txrA.Store(txr)
-		rn.pubLSN.Store(txr.AppliedLSN())
-		logf("replica store reopened at term %d lsn %d", m.Term, txr.AppliedLSN())
+	st, err := node.Build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if st != nil {
+		rn.setFollower(st)
+		rn.pubLSN.Store(st.Applied())
+		logf("replica store reopened at term %d lsn %d", st.M.Term, st.Applied())
 	}
 
 	// First sync is synchronous: the replica does not serve reads built
@@ -235,22 +213,21 @@ func startReplica(storePath string, primaryAddr string, scrubBoot bool,
 	deadline := time.Now().Add(bootT)
 	var sess *repl.Session
 	for {
-		var err error
 		sess, err = rn.connect()
 		if err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			rn.mu.Lock()
-			rn.teardownLocked()
-			rn.mu.Unlock()
+			if rn.st != nil {
+				rn.st.Close()
+			}
 			return nil, fmt.Errorf("initial sync with %s: %w", primaryAddr, err)
 		}
 		logf("initial sync: %v (retrying)", err)
 		time.Sleep(500 * time.Millisecond)
 	}
 
-	rn.node = repl.NewNode(rn.st.conc, false, rn.m.Term, rn.pubLSN.Load)
+	rn.rnode = repl.NewNode(rn.st.Conc, false, rn.st.M.Term, rn.pubLSN.Load)
 	go rn.loop(sess)
 	return rn, nil
 }
@@ -261,13 +238,8 @@ func startReplica(storePath string, primaryAddr string, scrubBoot bool,
 func (rn *replicaNode) connect() (*repl.Session, error) {
 	h := repl.Hello{}
 	rn.mu.Lock()
-	if rn.m != nil && rn.txr != nil {
-		h = repl.Hello{
-			Term:     rn.m.Term,
-			LSN:      rn.txr.AppliedLSN(),
-			PageSize: rn.m.PageSize,
-			Dir:      uint64(rn.m.Anchor),
-		}
+	if st := rn.st; st != nil {
+		h = repl.Hello{Term: st.M.Term, LSN: st.Applied(), PageSize: st.M.PageSize, Dir: uint64(st.M.Anchor)}
 	}
 	rn.mu.Unlock()
 
@@ -278,9 +250,9 @@ func (rn *replicaNode) connect() (*repl.Session, error) {
 	switch sess.Kind() {
 	case repl.KindResume:
 		rn.mu.Lock()
-		if rn.m.Term != sess.Term() {
-			rn.m.Term = sess.Term()
-			if err := writeManifest(rn.storePath, rn.m); err != nil {
+		if m := rn.st.M; m.Term != sess.Term() {
+			m.Term = sess.Term()
+			if err := node.WriteManifest(rn.cfg.Store, m); err != nil {
 				rn.mu.Unlock()
 				sess.Close()
 				return nil, fmt.Errorf("adopt term %d: %w", sess.Term(), err)
@@ -298,55 +270,22 @@ func (rn *replicaNode) connect() (*repl.Session, error) {
 		// transfer: the store file is unlinked but its open handle stays
 		// valid, and the node is rebound only once the clone is complete.
 		rn.mu.Lock()
-		oldSt, oldFs := rn.st, rn.fs
-		_ = os.Remove(rn.storePath)
-		_ = os.Remove(manifestPath(rn.storePath))
-		fs, err := eio.CreateFileStore(rn.storePath, info.PageSize)
-		if err != nil {
-			rn.mu.Unlock()
-			sess.Close()
-			return nil, err
-		}
-		err = sess.ReceiveSnapshot(func(id uint64, image []byte) error {
-			if err := fs.EnsurePage(eio.PageID(id)); err != nil {
-				return err
-			}
-			return fs.Write(eio.PageID(id), image)
-		})
-		if err == nil {
-			err = fs.Sync()
-		}
-		if err != nil {
-			fs.Close()
-			_ = os.Remove(rn.storePath)
-			rn.mu.Unlock()
-			sess.Close()
-			return nil, fmt.Errorf("receive snapshot: %w", err)
-		}
-		m := &manifest{
+		old := rn.st
+		st, err := rn.cfg.Clone(&node.Manifest{
 			PageSize: info.PageSize,
 			Durable:  true,
 			Hdr:      eio.PageID(info.Hdr),
 			Anchor:   eio.PageID(info.Dir),
 			Term:     info.Term,
 			Role:     "replica",
-		}
-		if err := writeManifest(rn.storePath, m); err != nil {
-			fs.Close()
-			rn.mu.Unlock()
-			sess.Close()
-			return nil, err
-		}
-		st, txr, err := buildFollowerStack(fs, m)
+		}, sess.ReceiveSnapshot)
 		if err != nil {
-			fs.Close()
 			rn.mu.Unlock()
 			sess.Close()
 			return nil, err
 		}
-		rn.m, rn.fs, rn.st, rn.txr = m, fs, st, txr
-		rn.txrA.Store(txr)
-		node := rn.node
+		rn.setFollower(st)
+		rnode := rn.rnode
 		rn.mu.Unlock()
 		// Retract the published position before the swap: the old value is
 		// an old-timeline LSN, and once Rebind makes the new term visible a
@@ -354,45 +293,24 @@ func (rn *replicaNode) connect() (*repl.Session, error) {
 		// clone hasn't actually caught up to. Zero forces STALE (safe)
 		// until the clone's own position is published below.
 		rn.pubLSN.Store(0)
-		if node != nil {
+		if rnode != nil {
 			// Swap the fresh stack and the session's term in together under
 			// the node's exclusive lock — in-flight readers on the old
 			// engine drain first, and a reader that sees the new term is
 			// guaranteed the new engine.
-			node.Rebind(st.conc, info.Term)
+			rnode.Rebind(st.Conc, info.Term)
 		}
 		// Published position advances only now that readers reach the new
 		// engine; earlier, a barrier could pass against the clone's LSN
 		// while queries still ran on the old (older) stack.
-		rn.pubLSN.Store(txr.AppliedLSN())
-		if oldSt != nil {
-			oldSt.conc.Close()
-		}
-		if oldFs != nil {
-			oldFs.Close()
+		rn.pubLSN.Store(st.Applied())
+		if old != nil {
+			old.Close()
 		}
 		return sess, nil
 	}
 	sess.Close()
 	return nil, fmt.Errorf("unexpected session kind %v", sess.Kind())
-}
-
-// teardownLocked drops the current stack and store handles (rn.mu held).
-// The engine is closed but its SnapStore is abandoned, not Closed:
-// Closing it would close the FileStore, which is closed here explicitly
-// exactly once.
-func (rn *replicaNode) teardownLocked() {
-	rn.txrA.Store(nil)
-	if rn.st != nil {
-		rn.st.conc.Close()
-		rn.st = nil
-	}
-	rn.txr = nil
-	if rn.fs != nil {
-		rn.fs.Close()
-		rn.fs = nil
-	}
-	rn.m = nil
 }
 
 // loop keeps a session running: applying records (one published epoch
@@ -404,8 +322,8 @@ func (rn *replicaNode) loop(sess *repl.Session) {
 	for {
 		if sess != nil {
 			applied := uint64(0)
-			if t := rn.txrA.Load(); t != nil {
-				applied = t.AppliedLSN()
+			if st := rn.follow.Load(); st != nil {
+				applied = st.Applied()
 			}
 			f := repl.NewFollower(sess, applied)
 			rn.follower.Store(f)
@@ -447,19 +365,14 @@ func (rn *replicaNode) parked() bool {
 // barrier checks) advances only after the epoch commit — a reader must
 // never pass the barrier for an LSN whose effects it cannot yet see.
 func (rn *replicaNode) applyRecord(rec []byte) (uint64, error) {
-	rn.mu.Lock()
-	txr, st := rn.txr, rn.st
-	rn.mu.Unlock()
-	if txr == nil {
+	st := rn.follow.Load()
+	if st == nil {
 		return 0, fmt.Errorf("no replica stack")
 	}
-	if _, err := txr.ApplyRecord(rec); err != nil {
+	lsn, err := st.Apply(rec)
+	if err != nil {
 		return 0, err
 	}
-	if _, err := st.snap.Commit(); err != nil {
-		return 0, err
-	}
-	lsn := txr.AppliedLSN()
 	rn.pubLSN.Store(lsn)
 	return lsn, nil
 }
@@ -480,7 +393,7 @@ func (rn *replicaNode) stopFollower() {
 // reclaim the pages the old primary freed but never told us about, and
 // finally open the shipper for downstream replicas. Idempotent: a second
 // caller waits for the first attempt and shares its outcome.
-func (rn *replicaNode) promote() (uint64, uint64, error) {
+func (rn *replicaNode) promote() (term, lsn uint64, err error) {
 	rn.mu.Lock()
 	if rn.promoted {
 		done := rn.promDone
@@ -492,7 +405,7 @@ func (rn *replicaNode) promote() (uint64, uint64, error) {
 		rn.mu.Unlock()
 		return 0, 0, fmt.Errorf("shutting down")
 	}
-	if rn.st == nil || rn.fs == nil {
+	if rn.st == nil {
 		rn.mu.Unlock()
 		return 0, 0, fmt.Errorf("no local store to promote")
 	}
@@ -500,131 +413,101 @@ func (rn *replicaNode) promote() (uint64, uint64, error) {
 	done := make(chan struct{})
 	rn.promDone = done
 	rn.mu.Unlock()
+	defer func() {
+		rn.promTerm, rn.promLSN, rn.promErr = term, lsn, err
+		close(done)
+	}()
 
-	term, lsn, err := rn.doPromote()
-	rn.promTerm, rn.promLSN, rn.promErr = term, lsn, err
-	close(done)
-	return term, lsn, err
-}
-
-func (rn *replicaNode) doPromote() (uint64, uint64, error) {
 	rn.stopFollower()
-
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
 
-	newTerm := rn.m.Term + 1
-	rn.logf("promoting to primary: term %d -> %d at lsn %d", rn.m.Term, newTerm, rn.txr.AppliedLSN())
+	m := rn.st.M
+	newTerm := m.Term + 1
+	rn.logf("promoting to primary: term %d -> %d at lsn %d", m.Term, newTerm, rn.st.Applied())
 
 	// Fencing invariant: the term is durable before the first write can
 	// be accepted under it.
-	rn.m.Term = newTerm
-	rn.m.Role = "primary"
-	if err := writeManifest(rn.storePath, rn.m); err != nil {
+	m.Term = newTerm
+	m.Role = "primary"
+	if err := node.WriteManifest(rn.cfg.Store, m); err != nil {
 		return 0, 0, fmt.Errorf("persist term %d: %w", newTerm, err)
 	}
-
-	// Writable stack over the same file. The apply loop is drained; a
-	// checkpoint makes the anchors exact, so OpenTxStore's recovery is a
-	// no-op (no replay writing behind the old stack's pinned readers).
-	if err := rn.txr.Checkpoint(); err != nil {
-		return 0, 0, fmt.Errorf("promote: checkpoint: %w", err)
-	}
-	tx, err := eio.OpenTxStore(rn.fs, rn.m.Anchor)
+	newStack, err := rn.st.Promote()
 	if err != nil {
-		return 0, 0, fmt.Errorf("promote: reopen tx layer: %w", err)
-	}
-	snap := eio.NewSnapStore(tx, 0)
-	tracer := eio.NewTraceStore(snap)
-	idx, err := core.OpenThreeSided(tracer, rn.m.Hdr)
-	if err != nil {
-		return 0, 0, fmt.Errorf("promote: reopen tree: %w", err)
-	}
-	newStack, err := finish(snap, tracer, idx, tx, rn.m)
-	if err != nil {
-		return 0, 0, fmt.Errorf("promote: assemble stack: %w", err)
+		return 0, 0, fmt.Errorf("promote: %w", err)
 	}
 
 	// Swap under the node's exclusive lock: in-flight readers on the old
 	// engine drain before it is closed. The old stack's SnapStore is
 	// abandoned un-Closed (Closing it would close the FileStore the new
 	// stack now owns).
-	rn.txrA.Store(nil)
-	old := rn.node.Promote(newStack.conc, newTerm)
-	publishTxCache(tx)
+	rn.follow.Store(nil)
+	old := rn.rnode.Promote(newStack.Conc, newTerm)
+	publishTxCache(newStack.Tx)
 	rn.st = newStack
-	rn.txr = nil
 	old.Close()
 
 	// Reclaim what the old primary freed without telling us (frees are
-	// never shipped). Under the new engine's barrier the store is
+	// never shipped), under the new engine's barrier, where the store is
 	// quiescent and no reader is pinned below the current epoch yet.
-	if rn.scrubBoot {
-		err := newStack.conc.Barrier(func() error {
-			rep, err := bootScrub(tx, rn.m.Hdr)
-			if err != nil {
-				return err
-			}
-			if len(rep.Leaked) > 0 {
-				rn.logf("promotion scrub: reclaimed %d replica-leaked pages", len(rep.Leaked))
-			}
-			return nil
-		})
+	if rn.cfg.BootScrub {
+		n, err := newStack.Scrub()
 		if err != nil {
 			return 0, 0, fmt.Errorf("promotion scrub: %w", err)
+		}
+		if n > 0 {
+			rn.logf("promotion scrub: reclaimed %d replica-leaked pages", n)
 		}
 	}
 
 	if rn.shipper != nil {
-		tx.SetCommitHook(rn.shipper.Commit)
-		if rn.syncN > 0 {
-			syncN, syncT := rn.syncN, rn.syncT
-			newStack.conc.SetCommitGate(func() error {
-				return rn.shipper.WaitAcked(tx.AppliedLSN(), syncN, syncT)
-			})
-		}
-		rn.shipper.Rebind(rn.m.PageSize, uint64(rn.m.Anchor), uint64(rn.m.Hdr),
-			tx.AppliedLSN, cutSnapshot(newStack))
+		ship(newStack, rn.shipper, rn.syncN, rn.syncT)
+		rn.shipper.Rebind(m.PageSize, uint64(m.Anchor), uint64(m.Hdr),
+			newStack.Tx.AppliedLSN, cutSnapshot(newStack))
 		rn.shipper.SetPrimary(newTerm)
 	}
-	rn.logf("promoted: primary at term %d lsn %d", newTerm, tx.AppliedLSN())
-	return newTerm, tx.AppliedLSN(), nil
+	rn.logf("promoted: primary at term %d lsn %d", newTerm, newStack.Applied())
+	return newTerm, newStack.Applied(), nil
 }
 
 // manifestSnapshot returns a copy of the current manifest — the apply
-// loop may replace rn.m on a re-clone, so callers outside rn.mu read
+// loop may replace rn.st on a re-clone, so callers outside rn.mu read
 // through this.
-func (rn *replicaNode) manifestSnapshot() manifest {
+func (rn *replicaNode) manifestSnapshot() node.Manifest {
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
-	return *rn.m
+	return *rn.st.M
 }
 
 // appliedLSN is the node's durable position: the follower's published
 // LSN, the engine's own after a promotion.
 func (rn *replicaNode) appliedLSN() uint64 {
-	_, lsn := rn.node.Position()
+	_, lsn := rn.rnode.Position()
 	return lsn
 }
 
-// replInfo is the STATS callback.
-func (rn *replicaNode) replInfo() server.ReplInfo {
-	role, term := rn.node.Role()
-	info := server.ReplInfo{Role: role, Term: term, AppliedLSN: rn.appliedLSN()}
-	if f := rn.follower.Load(); f != nil {
+// replInfo is the STATS callback of a replicated node: its role and
+// position, the primary's as its follower f last saw it (f is nil on a
+// primary), and how many replicas its shipper sh serves (sh may be nil).
+func replInfo(n *repl.Node, f *repl.Follower, sh *repl.Shipper) server.ReplInfo {
+	role, term := n.Role()
+	_, lsn := n.Position()
+	info := server.ReplInfo{Role: role, Term: term, AppliedLSN: lsn}
+	if f != nil {
 		info.PrimaryLSN = f.PrimaryLSN()
 		info.StalenessMs = float64(time.Since(f.LastContact()).Microseconds()) / 1e3
 	}
-	if rn.shipper != nil {
-		info.Replicas = len(rn.shipper.Replicas())
+	if sh != nil {
+		info.Replicas = len(sh.Replicas())
 	}
 	return info
 }
 
-// drain shuts the replica down. A follower's store legitimately holds
-// pages its primary freed (frees are not shipped), so unlike a primary
-// it does not fail the exit on leaks — promotion is where they are
-// reclaimed. A promoted node drains exactly like a primary.
+// drain shuts the replica down: an in-flight promotion finishes first,
+// then the current stack drains — a follower only checkpoints (it keeps
+// pages its primary freed; promotion is where they are reclaimed), a
+// promoted node drains exactly like a primary.
 func (rn *replicaNode) drain() (int, error) {
 	rn.mu.Lock()
 	rn.stopping = true
@@ -632,7 +515,7 @@ func (rn *replicaNode) drain() (int, error) {
 	done := rn.promDone
 	rn.mu.Unlock()
 	if promoted {
-		<-done // an in-flight promotion finishes before teardown starts
+		<-done
 	} else {
 		rn.stopFollower()
 	}
@@ -642,25 +525,11 @@ func (rn *replicaNode) drain() (int, error) {
 
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
-	if rn.st == nil {
+	st := rn.st
+	rn.st = nil
+	rn.follow.Store(nil)
+	if st == nil {
 		return 0, nil
 	}
-	if promoted {
-		st := rn.st
-		rn.st, rn.fs, rn.txr = nil, nil, nil
-		return st.drainClean()
-	}
-	rn.txrA.Store(nil)
-	rn.st.conc.Close()
-	if _, err := rn.st.snap.Commit(); err != nil {
-		return 0, fmt.Errorf("final commit: %w", err)
-	}
-	if err := rn.txr.Checkpoint(); err != nil { // a drained replica reopens with nothing to replay
-		return 0, fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := rn.st.snap.Close(); err != nil { // closes the FileStore too
-		return 0, fmt.Errorf("close: %w", err)
-	}
-	rn.st, rn.fs, rn.txr = nil, nil, nil
-	return 0, nil
+	return st.Drain()
 }

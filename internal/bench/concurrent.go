@@ -11,27 +11,20 @@ import (
 	"rangesearch/internal/eio"
 	"rangesearch/internal/epst"
 	"rangesearch/internal/geom"
-	"rangesearch/internal/obs"
 )
 
 // MaxWorkers is the largest worker count the concurrent experiment scales
-// to. cmd/rsbench sets it from -workers; the default covers the CI matrix.
-var MaxWorkers = 8
+// to.
+const MaxWorkers = 8
 
-// EConcurrent benchmarks the serving layer (core.Concurrent):
-//
-//   - read scaling: snapshot-query throughput at 1..MaxWorkers reader
-//     goroutines over a fixed EPST, with the per-query I/O count measured
-//     at every worker count — the counts must not move, only the
-//     throughput (table a).
-//   - group commit: insert throughput and observed batch-size distribution
-//     at 1..MaxWorkers writer goroutines, where larger batch means fewer
-//     epochs (and, on a durable stack, fewer WAL records) per op (table b).
-//   - sharded vs single-mutex buffer pool under concurrent readers
-//     (table c).
-//
-// Throughput numbers are hardware-dependent; the I/O counts are exact and
-// deterministic, and the regression guard pins them.
+// EConcurrent benchmarks snapshot read scaling under the serving layer
+// (core.Concurrent): query throughput at 1..MaxWorkers reader goroutines
+// over a fixed EPST, with the per-query I/O count measured at every worker
+// count — the counts must not move, only the throughput. Throughput is
+// hardware-dependent; the I/O counts are exact and deterministic, and the
+// regression guard pins them. Group-commit coalescing and the pool are
+// measured end to end by the repo benchmark (core.ops_per_commit on
+// write_durable, scan_large_pool).
 func EConcurrent(quick bool) ([]*Table, error) {
 	// The scaling rows are meaningless if the scheduler is pinned to one
 	// P (an inherited GOMAXPROCS=1 once shipped a snapshot where 8
@@ -44,41 +37,15 @@ func EConcurrent(quick bool) ([]*Table, error) {
 
 	n := 200_000
 	nq := 4_000
-	inserts := 30_000
 	if quick {
 		n = 20_000
 		nq = 800
-		inserts = 4_000
 	}
-	const coordRange = 1 << 30
-
-	workerCounts := scalePoints(MaxWorkers)
-
-	ta, err := concurrentReadScaling(n, nq, coordRange, workerCounts)
+	ta, err := concurrentReadScaling(n, nq, 1<<30, []int{1, 2, 4, MaxWorkers})
 	if err != nil {
 		return nil, err
 	}
-	tb, err := concurrentGroupCommit(inserts, coordRange, workerCounts)
-	if err != nil {
-		return nil, err
-	}
-	tc, err := concurrentPoolComparison(n, nq, coordRange, workerCounts)
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{ta, tb, tc}, nil
-}
-
-// scalePoints returns 1, 2, 4, ... up to and including max.
-func scalePoints(max int) []int {
-	if max < 1 {
-		max = 1
-	}
-	var out []int
-	for w := 1; w < max; w *= 2 {
-		out = append(out, w)
-	}
-	return append(out, max)
+	return []*Table{ta}, nil
 }
 
 // concurrentReadScaling measures snapshot-query throughput and exact
@@ -163,156 +130,3 @@ func concurrentReadScaling(n, nq int, coordRange int64, workerCounts []int) (*Ta
 	}
 	return t, nil
 }
-
-// concurrentGroupCommit measures insert throughput and the batch-size
-// distribution the group-commit leader achieves at each writer count.
-func concurrentGroupCommit(inserts int, coordRange int64, workerCounts []int) (*Table, error) {
-	t := &Table{
-		Title:  "concurrent-b: group-commit write throughput",
-		Note:   fmt.Sprintf("%d inserts total per row, split across workers; batch>1 means coalescing", inserts),
-		Header: []string{"workers", "inserts/s", "epochs", "mean batch", "max batch", "p95 wait"},
-	}
-	for _, w := range workerCounts {
-		var rec obs.Contention
-		mem := eio.NewMemStore(4096)
-		snap := eio.NewSnapStore(mem, 0)
-		idx, err := core.NewThreeSided(snap, epst.Options{})
-		if err != nil {
-			return nil, err
-		}
-		hdr := idx.HeaderID()
-		if _, err := snap.Commit(); err != nil {
-			return nil, err
-		}
-		c, err := core.NewConcurrent(idx, snap,
-			func(s eio.Store) (core.Index, error) { return core.OpenThreeSided(s, hdr) },
-			core.ConcurrentOptions{Recorder: &rec})
-		if err != nil {
-			return nil, err
-		}
-
-		pts := Uniform(int64(100+w), inserts, coordRange)
-		per := inserts / w
-		start := time.Now()
-		var wg sync.WaitGroup
-		var werr atomic.Value
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func(chunk []geom.Point) {
-				defer wg.Done()
-				for _, p := range chunk {
-					if err := c.Insert(p); err != nil {
-						werr.Store(err)
-						return
-					}
-				}
-			}(pts[i*per : (i+1)*per])
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		if err, ok := werr.Load().(error); ok {
-			return nil, err
-		}
-		bs := rec.BatchSize()
-		t.AddRow(w,
-			fmt.Sprintf("%.0f", float64(w*per)/elapsed.Seconds()),
-			bs.Count(),
-			fmt.Sprintf("%.2f", bs.Mean()),
-			bs.Max(),
-			time.Duration(rec.LockWait().Quantile(0.95)).Round(time.Microsecond))
-	}
-	return t, nil
-}
-
-// concurrentPoolComparison runs the same parallel read workload through a
-// single-mutex Pool and a ShardedPool of the same total capacity, both on
-// the same tree image, and reports throughput plus pool hit rates.
-func concurrentPoolComparison(n, nq int, coordRange int64, workerCounts []int) (*Table, error) {
-	t := &Table{
-		Title:  "concurrent-c: buffer pool sharding under parallel readers",
-		Note:   fmt.Sprintf("N=%d, pool capacity 256 pages, %d shards; same tree image behind both pools", n, eio.DefaultPoolShards),
-		Header: []string{"workers", "pool", "queries/s", "hit rate", "backing reads"},
-	}
-
-	// One tree image shared by both pool configurations.
-	mem := eio.NewMemStore(4096)
-	idx, err := core.BuildThreeSided(mem, epst.Options{}, Uniform(7, n, coordRange))
-	if err != nil {
-		return nil, err
-	}
-	hdr := idx.HeaderID()
-	queries := Queries3(13, nq, coordRange, 0.001)
-
-	type pooled struct {
-		name  string
-		store eio.Store
-		stats func() (hits, misses, backing uint64)
-		reset func()
-	}
-	const capacity = 256
-	single := eio.NewPool(readOnly{mem}, capacity)
-	sharded := eio.NewShardedPool(readOnly{mem}, capacity, eio.DefaultPoolShards)
-	configs := []pooled{
-		{"single", single,
-			func() (uint64, uint64, uint64) {
-				ps := single.PoolStats()
-				return ps.Hits, ps.Misses, mem.Stats().Reads
-			},
-			func() { single.ResetStats(); mem.ResetStats() }},
-		{"sharded", sharded,
-			func() (uint64, uint64, uint64) {
-				ps := sharded.PoolStats()
-				return ps.Hits, ps.Misses, mem.Stats().Reads
-			},
-			func() { sharded.ResetStats(); mem.ResetStats() }},
-	}
-
-	for _, w := range workerCounts {
-		for _, pc := range configs {
-			tree, err := core.OpenThreeSided(pc.store, hdr)
-			if err != nil {
-				return nil, err
-			}
-			pc.reset()
-			start := time.Now()
-			var wg sync.WaitGroup
-			var qerr atomic.Value
-			for i := 0; i < w; i++ {
-				wg.Add(1)
-				go func(off int) {
-					defer wg.Done()
-					for j := range queries {
-						q := queries[(j+off)%len(queries)]
-						if _, err := tree.Query3(nil, q); err != nil {
-							qerr.Store(err)
-							return
-						}
-					}
-				}(i * 53)
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			if err, ok := qerr.Load().(error); ok {
-				return nil, err
-			}
-			hits, misses, backing := pc.stats()
-			hitRate := 0.0
-			if hits+misses > 0 {
-				hitRate = float64(hits) / float64(hits+misses)
-			}
-			t.AddRow(w, pc.name,
-				fmt.Sprintf("%.0f", float64(w*len(queries))/elapsed.Seconds()),
-				fmt.Sprintf("%.3f", hitRate),
-				backing)
-		}
-	}
-	return t, nil
-}
-
-// readOnly hides a store's mutating methods from a pool used by pure
-// readers, so concurrent pooled queries cannot dirty frames.
-type readOnly struct{ eio.Store }
-
-func (r readOnly) Write(id eio.PageID, p []byte) error { return eio.ErrReadOnly }
-func (r readOnly) Alloc() (eio.PageID, error)          { return eio.NilPage, eio.ErrReadOnly }
-func (r readOnly) Free(id eio.PageID) error            { return eio.ErrReadOnly }

@@ -42,8 +42,7 @@ func All() []Experiment {
 		{"e12", "§3.3.2/3.3.3: update-cost tail (amortized spikes)", E12},
 		{"e13", "ablation: EPST parameters a, k, alpha", E13},
 		{"e14", "bound check: per-op overhead vs Thms 6-7 allowances", E14},
-		{"concurrent", "serving layer: snapshot reads scale, group commits coalesce, per-query I/O unchanged", EConcurrent},
-		{"serve", "network layer: end-to-end RPC throughput and latency under the rsload closed loop", EServe},
+		{"concurrent", "serving layer: snapshot reads scale, per-query I/O unchanged", EConcurrent},
 		{"writeopt", "write-optimized mode: buffered updates amortize below per-op O(log_B N), durable insert throughput multiplies", EWriteopt},
 	}
 }

@@ -3,6 +3,8 @@ package modeltest
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"rangesearch/internal/eio"
 	"rangesearch/internal/epst"
 	"rangesearch/internal/geom"
+	"rangesearch/internal/node"
 	"rangesearch/internal/range4"
 	"rangesearch/internal/repl"
 	"rangesearch/internal/wbuf"
@@ -212,11 +215,40 @@ func engine(name string, mk EngineFactory) []Config {
 	}
 }
 
+// row is the untraced cell of one stack the mode table accepts, built by
+// node.Build exactly as rsserve builds it (a file row in a fresh directory
+// under dir); a primary row is fronted by a repl.Node, as -repl-listen
+// fronts it. It has no I/O taps: a span's count needs a tap below the
+// tracer, which only the traced cells' own construction has.
+func row(name, dir string, c node.Config) Config {
+	return Config{Name: name, New: OverEngine(func() (core.Engine, func() (int64, int64), func(), error) {
+		rowDir := ""
+		if !c.Mem {
+			var err error
+			if rowDir, err = os.MkdirTemp(dir, name); err != nil {
+				return nil, nil, nil, err
+			}
+			c.Store = filepath.Join(rowDir, "points.db")
+		}
+		st, err := node.Build(c)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		eng := st.Engine()
+		if c.Role == node.Primary {
+			eng = repl.NewNode(st.Conc, true, 1, nil)
+		}
+		return eng, nil, func() { st.Drain(); os.RemoveAll(rowDir) }, nil
+	}, false)}
+}
+
 // configs is the full differential matrix: both paper structures crossed
 // with every wrapper in the serving stack. The bare structures and their
 // single-caller wrappers are driven through core.Index; everything a server
-// can serve is driven through core.Engine, untraced and traced.
-func configs() []Config {
+// can serve is driven through core.Engine: every stack the mode table
+// accepts untraced, and the EPST and 4-sided engines traced. File rows live
+// under dir.
+func configs(dir string) []Config {
 	epstDurable := durably(func(s eio.Store) (core.Index, error) { return core.NewThreeSided(s, epst.Options{}) })
 	cfgs := []Config{
 		{Name: "epst-plain", New: epstFactory},
@@ -227,6 +259,26 @@ func configs() []Config {
 		{Name: "range4-durable", New: durably(func(s eio.Store) (core.Index, error) { return core.NewFourSided(s, range4.Options{}) })},
 		{Name: "range4-buffered", New: bufferedly(range4Factory)},
 	}
+	// The rows: -page 512, -wal sized like walPages, -write-buffer-ops 64.
+	file := node.Config{PageSize: 512, Durable: true, WALPages: walPages, BootScrub: true, WriteBufferOps: 64}
+	with := func(f func(*node.Config)) node.Config { c := file; f(&c); return c }
+	for _, r := range []struct {
+		name string
+		c    node.Config
+	}{
+		{"epst-concurrent", with(func(c *node.Config) { c.Mem = true })},
+		{"epst-concurrent-mem-buffered", with(func(c *node.Config) { c.Mem, c.WriteBuffer = true, true })},
+		{"epst-concurrent-durable", file},
+		{"epst-buffered-concurrent", with(func(c *node.Config) { c.WriteBuffer = true })},
+		{"epst-primary-concurrent-durable", with(func(c *node.Config) { c.Role = node.Primary })},
+		{"epst-concurrent-file", with(func(c *node.Config) { c.Durable = false })},
+		{"epst-concurrent-file-buffered", with(func(c *node.Config) { c.Durable, c.WriteBuffer = false, true })},
+		{"epst-concurrent-pool", with(func(c *node.Config) { c.Durable, c.PoolPages = false, 8 })},
+		{"epst-concurrent-pool-buffered", with(func(c *node.Config) { c.Durable, c.PoolPages, c.WriteBuffer = false, 8, true })},
+	} {
+		cfgs = append(cfgs, row(r.name, dir, r.c))
+	}
+	// The traced cells count I/O through taps of their own construction.
 	for _, e := range []struct {
 		name string
 		mk   EngineFactory
@@ -235,11 +287,11 @@ func configs() []Config {
 		{"epst-concurrent-durable", concurrently(createThreeSided, openThreeSided, true)},
 		{"epst-buffered-concurrent", bufferedEngine(concurrently(createThreeSided, openThreeSided, true))},
 		{"epst-primary-concurrent-durable", asPrimary(concurrently(createThreeSided, openThreeSided, true))},
-		{"range4-concurrent", concurrently(createFourSided, openFourSided, false)},
-		{"range4-concurrent-durable", concurrently(createFourSided, openFourSided, true)},
 	} {
-		cfgs = append(cfgs, engine(e.name, e.mk)...)
+		cfgs = append(cfgs, Config{Name: e.name + "-traced", New: OverEngine(e.mk, true)})
 	}
+	cfgs = append(cfgs, engine("range4-concurrent", concurrently(createFourSided, openFourSided, false))...)
+	cfgs = append(cfgs, engine("range4-concurrent-durable", concurrently(createFourSided, openFourSided, true))...)
 	return cfgs
 }
 
@@ -257,7 +309,7 @@ func TestDifferential(t *testing.T) {
 		nops = 1500
 		runSeeds = seeds[:1]
 	}
-	for _, cfg := range configs() {
+	for _, cfg := range configs(t.TempDir()) {
 		for _, seed := range runSeeds {
 			t.Run(fmt.Sprintf("%s/seed%d", cfg.Name, seed), func(t *testing.T) {
 				ops := Generate(seed, nops, coordRange)

@@ -44,9 +44,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"rangesearch/internal/netfault"
+	"rangesearch/internal/node"
 	"rangesearch/internal/server"
 )
 
@@ -106,7 +108,7 @@ type Config struct {
 	// WriteBuffer runs every rsserve write-optimized (-write-buffer):
 	// acked writes live in the buffer plus its journal until a flush, so
 	// every SIGKILL also exercises journal replay on the next boot.
-	// rsserve refuses it with replication, and so does Run.
+	// rsserve's mode table refuses it with replication, and Run asks it.
 	WriteBuffer bool
 	// LoadGrace bounds how long the load may take to finish once the
 	// schedule stops it before the run is declared hung (default 2m).
@@ -140,10 +142,18 @@ func (c Config) validate() error {
 		return errors.New("chaos: Replicas and Shards must not be negative")
 	case c.Replicas > 0 && c.Shards > 0:
 		return errors.New("chaos: Replicas and Shards are exclusive (no replicated shards)")
-	case c.Replicas > 0 && c.WriteBuffer:
-		return errors.New("chaos: WriteBuffer with Replicas: rsserve refuses -write-buffer with replication")
 	case c.Shards > 0 && c.RouterBin == "":
 		return errors.New("chaos: RouterBin is required with Shards")
+	}
+	// Every node boots with the flags newNode gives it; rsserve's mode
+	// table must accept them.
+	nc := node.Config{Store: filepath.Join(c.Dir, "n0.db"), Durable: true,
+		WriteBuffer: c.WriteBuffer, WriteBufferOps: writeBufferOps}
+	if c.Replicas > 0 {
+		nc.Role = node.Primary
+	}
+	if err := nc.Validate(); err != nil {
+		return fmt.Errorf("chaos: rsserve would refuse the fleet's nodes: %w", err)
 	}
 	return nil
 }

@@ -17,6 +17,7 @@ import (
 	"rangesearch/internal/core"
 	"rangesearch/internal/eio"
 	"rangesearch/internal/netfault"
+	"rangesearch/internal/node"
 	"rangesearch/internal/server"
 )
 
@@ -295,7 +296,7 @@ func (h *harness) postMortem() {
 		// A clean drain folds the buffer into the base and truncates the
 		// journal; bytes left behind would mean acked writes the tree
 		// never absorbed.
-		if fi, err := os.Stat(n.store + ".wbuf"); err == nil && fi.Size() > 0 {
+		if fi, err := os.Stat(node.JournalPath(n.store)); err == nil && fi.Size() > 0 {
 			h.rep.failf("%s: write-buffer journal still holds %d bytes after drain", n.name, fi.Size())
 		}
 		sr, err := inspect(n.store, !n.replica)
@@ -324,17 +325,9 @@ func (h *harness) postMortem() {
 // transactional metadata reach every allocated page.
 func inspect(store string, leakCheck bool) (StoreReport, error) {
 	var sr StoreReport
-	raw, err := os.ReadFile(store + ".manifest.json")
+	m, err := node.ReadManifest(store)
 	if err != nil {
 		return sr, err
-	}
-	var m struct {
-		Durable bool       `json:"durable"`
-		Hdr     eio.PageID `json:"hdr"`
-		Anchor  eio.PageID `json:"anchor"`
-	}
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return sr, fmt.Errorf("manifest: %w", err)
 	}
 	if !m.Durable {
 		return sr, errors.New("store is not durable")
@@ -356,19 +349,9 @@ func inspect(store string, leakCheck bool) (StoreReport, error) {
 		return sr, fmt.Errorf("len: %w", err)
 	}
 	if leakCheck {
-		reachable, err := idx.Tree().AppendAllPages(nil)
-		if err != nil {
-			return sr, fmt.Errorf("reachability: %w", err)
+		if sr.Leaked, err = node.Leaks(tx, m.Hdr, tx, false); err != nil {
+			return sr, err
 		}
-		meta, err := tx.MetaPages()
-		if err != nil {
-			return sr, fmt.Errorf("meta pages: %w", err)
-		}
-		leaks, err := eio.FindLeaks(tx, append(reachable, meta...))
-		if err != nil {
-			return sr, fmt.Errorf("leak check: %w", err)
-		}
-		sr.Leaked = len(leaks.Leaked)
 	}
 	vrep, err := eio.VerifyFile(store)
 	if err != nil {
