@@ -13,7 +13,6 @@
 //	rsinspect recover -store points.db -anchor 1
 //	rsinspect scrub -store points.db -kind epst -hdr 12 [-anchor 1] [-dry] [-json]
 //	rsinspect wal -store points.db [-anchor 1] [-json]
-//	rsinspect trace -f trace.jsonl
 //	rsinspect splitplan -store points.db -n 3
 //
 // The verify subcommand checks the file itself without attaching to any
@@ -39,11 +38,6 @@
 // comes from the <store>.manifest.json rsserve maintains. Exit codes
 // mirror verify: 0 healthy, 2 torn, 1 usage or I/O error.
 //
-// The trace subcommand replays a JSONL I/O trace written by an
-// obs.JSONLSink and summarizes it: per-operation counts and latency
-// quantiles, per-scope attribution, error counts and the hottest pages.
-// With -v it also reprints every event.
-//
 // The splitplan subcommand reads a store's x-distribution and proposes
 // shard boundaries splitting it into N balanced parts, emitted as the
 // bounds-only -shards spec rsrouter consumes ("x<100,x<200,rest").
@@ -64,12 +58,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"rangesearch/internal/eio"
 	"rangesearch/internal/epst"
 	"rangesearch/internal/interval"
-	"rangesearch/internal/obs"
 	"rangesearch/internal/range4"
 	"rangesearch/internal/smallstruct"
 	"rangesearch/internal/wbtree"
@@ -89,9 +81,6 @@ func main() {
 			return
 		case "wal":
 			walMain(os.Args[2:])
-			return
-		case "trace":
-			traceMain(os.Args[2:])
 			return
 		case "spans":
 			spansMain(os.Args[2:])
@@ -343,121 +332,6 @@ func scrubMain(args []string) {
 		}
 	} else {
 		fmt.Println(rep)
-	}
-}
-
-// traceMain implements `rsinspect trace -f trace.jsonl`: stream the trace
-// once, aggregating as it goes, so multi-gigabyte traces summarize in
-// constant memory (modulo the page-heat map).
-func traceMain(args []string) {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	path := fs.String("f", "", "path to a JSONL trace written by an obs.JSONLSink")
-	top := fs.Int("top", 10, "number of hottest pages to report")
-	verbose := fs.Bool("v", false, "also reprint every event")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: rsinspect trace -f trace.jsonl [-top N] [-v]")
-		fs.PrintDefaults()
-	}
-	_ = fs.Parse(args)
-	if *path == "" {
-		fs.Usage()
-		os.Exit(2)
-	}
-	f, err := os.Open(*path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-
-	type opAgg struct {
-		count uint64
-		bytes uint64
-		lat   obs.Histogram
-	}
-	var (
-		ops      [4]opAgg
-		total    uint64
-		errs     uint64
-		byScope  = map[string]uint64{}
-		pageHeat = map[eio.PageID]uint64{}
-	)
-	err = obs.ScanTrace(f, func(e eio.TraceEvent) error {
-		if *verbose {
-			errMark := ""
-			if e.Err {
-				errMark = " [err]"
-			}
-			fmt.Printf("#%d %s p%d %dB %v %s%s\n", e.Seq, e.Op, e.Page, e.Bytes, e.Latency, e.Scope, errMark)
-		}
-		total++
-		if int(e.Op) < len(ops) {
-			a := &ops[e.Op]
-			a.count++
-			a.bytes += uint64(e.Bytes)
-			lat := e.Latency
-			if lat < 0 {
-				lat = 0
-			}
-			a.lat.Observe(uint64(lat))
-		}
-		if e.Err {
-			errs++
-		}
-		scope := e.Scope
-		if scope == "" {
-			scope = "(none)"
-		}
-		byScope[scope]++
-		if e.Op == eio.OpRead || e.Op == eio.OpWrite {
-			pageHeat[e.Page]++
-		}
-		return nil
-	})
-	if err != nil {
-		fatal(err)
-	}
-
-	fmt.Printf("trace: %s  events %d  errors %d\n", *path, total, errs)
-	fmt.Printf("%-6s %-9s %-12s %-11s %-11s %-11s\n", "op", "count", "bytes", "lat p50", "lat p95", "lat max")
-	for _, op := range []eio.Op{eio.OpRead, eio.OpWrite, eio.OpAlloc, eio.OpFree} {
-		a := &ops[op]
-		if a.count == 0 {
-			continue
-		}
-		fmt.Printf("%-6s %-9d %-12d %-11d %-11d %-11d\n",
-			op, a.count, a.bytes, a.lat.Quantile(0.50), a.lat.Quantile(0.95), a.lat.Max())
-	}
-	fmt.Println("per-scope events:")
-	scopes := make([]string, 0, len(byScope))
-	for s := range byScope {
-		scopes = append(scopes, s)
-	}
-	sort.Strings(scopes)
-	for _, s := range scopes {
-		fmt.Printf("  %-10s %d\n", s, byScope[s])
-	}
-	if *top > 0 && len(pageHeat) > 0 {
-		type heat struct {
-			id eio.PageID
-			n  uint64
-		}
-		hs := make([]heat, 0, len(pageHeat))
-		for id, n := range pageHeat {
-			hs = append(hs, heat{id, n})
-		}
-		sort.Slice(hs, func(i, j int) bool {
-			if hs[i].n != hs[j].n {
-				return hs[i].n > hs[j].n
-			}
-			return hs[i].id < hs[j].id
-		})
-		if len(hs) > *top {
-			hs = hs[:*top]
-		}
-		fmt.Printf("hottest pages (of %d touched):\n", len(pageHeat))
-		for _, h := range hs {
-			fmt.Printf("  p%-8d %d I/Os\n", h.id, h.n)
-		}
 	}
 }
 

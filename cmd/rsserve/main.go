@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"rangesearch/internal/core"
-	"rangesearch/internal/eio"
 	"rangesearch/internal/node"
 	"rangesearch/internal/obs"
 	"rangesearch/internal/repl"
@@ -42,12 +41,16 @@ import (
 	"rangesearch/internal/wbuf"
 )
 
-// publishTxCache exports the counters of a durable stack's page cache
-// (hits, misses, evictions, write-backs, dirty frames) as
-// "rangesearch.pool.tx"; a promotion calls it again for the new stack.
-func publishTxCache(tx *eio.TxStore) {
-	if tx != nil && tx.Cache() != nil {
-		obs.PublishPool("tx", tx.Cache())
+// publishStack exports a stack's own telemetry: a durable stack's page
+// cache (hits, misses, evictions, write-backs, dirty frames) as
+// "rangesearch.pool.tx" and the write buffer's WriteBufferStats as
+// "rangesearch.wbuf.serve". A promotion calls it again for the new stack.
+func publishStack(st *node.Stack) {
+	if st.Tx != nil && st.Tx.Cache() != nil {
+		obs.PublishPool("tx", st.Tx.Cache())
+	}
+	if st.Buf != nil {
+		obs.Publish("rangesearch.wbuf.serve", func() interface{} { return st.Buf.WriteBufferStats() })
 	}
 }
 
@@ -75,7 +78,7 @@ func main() {
 	flag.BoolVar(&cfg.Mem, "mem", false, "serve from an in-memory store instead of a file")
 	flag.IntVar(&cfg.PageSize, "page", 4096, "page size in bytes when creating a store")
 	flag.BoolVar(&cfg.Durable, "durable", true, "file stores: WAL-backed atomic commits (crash-recoverable)")
-	flag.IntVar(&cfg.WALPages, "wal", eio.DefaultWALPages, "WAL capacity in pages for durable stores")
+	flag.IntVar(&cfg.WALPages, "wal", node.DefaultWALPages, "WAL capacity in pages for durable stores")
 	flag.IntVar(&cfg.PoolPages, "pool", 0, "-durable=false file stores: buffer-pool capacity in pages (0 = none); refused with -mem or a durable store, which has TxStore's built-in page cache")
 	flag.BoolVar(&cfg.BootScrub, "boot-scrub", true, "durable stores: reclaim crash-leaked pages after WAL recovery")
 	flag.BoolVar(&cfg.WriteBuffer, "write-buffer", false, "write-optimized mode: buffer updates in memory (journaled next to the store), merge-on-read queries, bulk flushes")
@@ -133,7 +136,7 @@ func main() {
 		}
 	} else if st, err = node.Build(cfg); err == nil {
 		logBoot(st.Boot, "", logf)
-		publishTxCache(st.Tx)
+		publishStack(st)
 	}
 	if err != nil {
 		code, refusal := 1, (*node.Refusal)(nil)
@@ -144,7 +147,6 @@ func main() {
 	}
 	var wbStats func() obs.WriteBufferStats
 	if st != nil && st.Buf != nil {
-		obs.PublishWriteBuffer("serve", st.Buf)
 		wbStats = st.Buf.WriteBufferStats
 		if st.Tx != nil {
 			logf("write buffer on: flush at %d ops / %s age, journal %s", cfg.WriteBufferOps, cfg.WriteBufferAge, node.JournalPath(cfg.Store))

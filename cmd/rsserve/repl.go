@@ -444,7 +444,7 @@ func (rn *replicaNode) promote() (term, lsn uint64, err error) {
 	// stack now owns).
 	rn.follow.Store(nil)
 	old := rn.rnode.Promote(newStack.Conc, newTerm)
-	publishTxCache(newStack.Tx)
+	publishStack(newStack)
 	rn.st = newStack
 	old.Close()
 

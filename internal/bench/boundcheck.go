@@ -23,11 +23,11 @@ const (
 )
 
 // BoundCheck is experiment e14: it runs ThreeSided (Theorem 6) and
-// FourSided (Theorem 7) through an obs.Instrumented decorator on a traced
-// store and reports each operation's I/O overhead relative to its
-// theoretical allowance — IOs/(log_B N + ⌈t/B⌉) per query, IOs/log_B N per
-// update. Unlike E7/E8/E10, which average costs over a workload, this is
-// the per-operation distribution: the p95/max columns are what the CI
+// FourSided (Theorem 7) through an obs.Instrumented decorator and reports
+// each operation's I/O overhead relative to its theoretical allowance —
+// IOs/(log_B N + ⌈t/B⌉) per query, IOs/log_B N per update. Unlike
+// E7/E8/E10, which average costs over a workload, this is the
+// per-operation distribution: the p95/max columns are what the CI
 // bound-check job thresholds.
 func BoundCheck(quick bool) ([]*Table, []obs.BoundReport, error) {
 	n, churn, queries := 40000, 2000, 120
@@ -69,13 +69,13 @@ func BoundCheck(quick bool) ([]*Table, []obs.BoundReport, error) {
 	// dynamic operations the theorems price.
 	workload := func(name string, mk func(store eio.Store, bulk []geom.Point) (core.Index, error)) error {
 		pts := Uniform(61, n+churn, domain)
-		ts := eio.NewTraceStore(eio.NewMemStore(pageSize))
-		idx, err := mk(ts, pts[:n])
+		store := eio.NewMemStore(pageSize)
+		idx, err := mk(store, pts[:n])
 		if err != nil {
 			return fmt.Errorf("%s: build: %w", name, err)
 		}
 		col := obs.NewCollector()
-		in, err := obs.Instrument(idx, ts, col)
+		in, err := obs.Instrument(idx, store, col)
 		if err != nil {
 			return fmt.Errorf("%s: instrument: %w", name, err)
 		}

@@ -275,8 +275,8 @@ func writeoptBound(quick bool) (*Table, error) {
 
 	run := func(name string, buffered bool, window int) error {
 		pts := Uniform(83, n+churn, domain)
-		ts := eio.NewTraceStore(eio.NewMemStore(pageSize))
-		idx, err := core.BuildThreeSided(ts, epst.Options{}, pts[:n])
+		store := eio.NewMemStore(pageSize)
+		idx, err := core.BuildThreeSided(store, epst.Options{}, pts[:n])
 		if err != nil {
 			return err
 		}
@@ -290,7 +290,7 @@ func writeoptBound(quick bool) (*Table, error) {
 			target = buf
 		}
 		col := obs.NewCollector()
-		in, err := obs.Instrument(target, ts, col)
+		in, err := obs.Instrument(target, store, col)
 		if err != nil {
 			return err
 		}

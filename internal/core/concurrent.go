@@ -25,18 +25,6 @@ var (
 	ErrReplicationStall = errors.New("core: replication stall")
 )
 
-// ContentionRecorder receives the serving-layer contention signals emitted
-// by Concurrent: how long writers waited to join a group commit and how
-// large the committed batches were. obs.Contention implements it; the
-// interface lives here so core does not depend on the metrics package.
-type ContentionRecorder interface {
-	// RecordLockWait observes one writer's wait for commit leadership.
-	RecordLockWait(d time.Duration)
-	// RecordBatch observes one committed group: its size in logical
-	// operations and the time spent applying and committing it.
-	RecordBatch(size int, apply time.Duration)
-}
-
 // OpenFunc re-attaches an Index to its storage — the reader-side factory
 // Concurrent uses to open one Index per snapshot epoch. For the paper's
 // structures:
@@ -49,15 +37,14 @@ type ContentionRecorder interface {
 type OpenFunc func(eio.Store) (Index, error)
 
 // maxBatch caps the number of logical operations coalesced into one group
-// commit. With a Durable writer every batch is one WAL record, so maxBatch
-// times the per-op page footprint must fit the TxStore's WAL
-// (eio.ErrTxOverflow fails the batch otherwise).
+// commit. With a Durable writer every batch is one WAL record, so the pages
+// maxBatch operations dirty must fit the TxStore's WAL (eio.ErrTxOverflow
+// fails the batch otherwise): node.DefaultWALPages, rsserve's -wal default,
+// is sized for it, while eio.DefaultWALPages is not.
 const maxBatch = 64
 
 // ConcurrentOptions configures NewConcurrent.
 type ConcurrentOptions struct {
-	// Recorder, when non-nil, receives lock-wait and batch-size signals.
-	Recorder ContentionRecorder
 	// Tracer, when non-nil, is the TraceStore the writer index performs
 	// its page I/O through (the index must have been created or opened ON
 	// this store). Group-commit leaders hang a per-operation span sink off
@@ -98,8 +85,6 @@ type Concurrent struct {
 	durable *Durable // non-nil iff writer is a *Durable
 	open    OpenFunc
 	tracer  *eio.TraceStore // writer-path tracer for span I/O attribution
-
-	rec ContentionRecorder
 
 	// gate, when set, runs after every committed group (locally durable,
 	// epoch published) and before the batch's waiters release — the
@@ -160,7 +145,6 @@ func NewConcurrent(writer Index, snap *eio.SnapStore, open OpenFunc, opts Concur
 		durable: d,
 		open:    open,
 		tracer:  opts.Tracer,
-		rec:     opts.Recorder,
 	}, nil
 }
 
@@ -250,11 +234,7 @@ func (c *Concurrent) Apply(ops []BatchOp, sp *trace.Span) []BatchResult {
 	// behalf of everyone waiting — classic group commit, no background
 	// goroutine. The queue is FIFO and leaders drain it from the head, so
 	// once the run's last op is resolved the earlier ones are too.
-	start := time.Now()
 	c.wmu.Lock()
-	if c.rec != nil {
-		c.rec.RecordLockWait(time.Since(start))
-	}
 	for !resolved(last) {
 		c.batch = c.batch[:0]
 		if len(c.take(first)) == 0 {
@@ -422,9 +402,6 @@ func (c *Concurrent) runBatch(own *pendingOp) {
 			c.fail(batch, gerr)
 			return
 		}
-	}
-	if c.rec != nil {
-		c.rec.RecordBatch(len(batch), time.Since(start))
 	}
 	releaseRuns(batch)
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"rangesearch/internal/eio"
 	"rangesearch/internal/eio/eiotest"
@@ -137,11 +136,11 @@ func TestConcurrentSnapshotIsolation(t *testing.T) {
 }
 
 // TestConcurrentGroupCommit runs parallel writers and checks every insert
-// lands, the final state is complete, and at least one multi-op batch was
-// coalesced (under a recorder that counts batches).
+// lands, the final state is complete, and the group commits — one published
+// epoch each — respect the 64-op cap.
 func TestConcurrentGroupCommit(t *testing.T) {
-	rec := &countingRecorder{}
-	c, _, _ := newConcurrentThreeSided(t, ConcurrentOptions{Recorder: rec})
+	c, _, _ := newConcurrentThreeSided(t, ConcurrentOptions{})
+	epoch0 := c.Epoch()
 	const (
 		writers = 8
 		per     = 50
@@ -194,36 +193,28 @@ func TestConcurrentGroupCommit(t *testing.T) {
 	if n, err := c.Len(); err != nil || n != writers*per+runIns-runDel {
 		t.Fatalf("Len = (%d, %v), want %d", n, err, writers*per+runIns-runDel)
 	}
-	if got, want := rec.ops.Load(), int64(writers*per+runIns+1+runDel); got != want {
-		t.Fatalf("recorder saw %d committed ops, want %d", got, want)
+	// Every op was resolved by a committed batch (the positional checks
+	// above), and each batch published one epoch; batches of at most 64 ops
+	// need at least ⌈ops/64⌉ of them, one op each at most as many.
+	ops := uint64(writers*per + runIns + 1 + runDel)
+	if batches := c.Epoch() - epoch0; batches < (ops+63)/64 || batches > ops {
+		t.Fatalf("%d ops committed in %d batches, want between %d and %d", ops, batches, (ops+63)/64, ops)
 	}
-	if got := rec.maxBatch.Load(); got > 64 {
-		t.Fatalf("a group commit carried %d ops, cap is 64", got)
+	t.Logf("committed %d ops in %d batches", ops, c.Epoch()-epoch0)
+
+	// Alone in the queue, a run of 200 ops is exactly ⌈200/64⌉ group commits.
+	run := make([]BatchOp, 200)
+	for i := range run {
+		run[i] = BatchOp{P: geom.Point{X: int64(20000 + i), Y: 2}}
 	}
-	if rec.batches.Load() == 0 {
-		t.Fatal("no batches recorded")
-	}
-	t.Logf("committed %d ops in %d batches (max batch %d)",
-		rec.ops.Load(), rec.batches.Load(), rec.maxBatch.Load())
-}
-
-type countingRecorder struct {
-	batches  atomic.Int64
-	ops      atomic.Int64
-	maxBatch atomic.Int64
-	waits    atomic.Int64
-}
-
-func (r *countingRecorder) RecordLockWait(d time.Duration) { r.waits.Add(1) }
-
-func (r *countingRecorder) RecordBatch(size int, apply time.Duration) {
-	r.batches.Add(1)
-	r.ops.Add(int64(size))
-	for {
-		cur := r.maxBatch.Load()
-		if int64(size) <= cur || r.maxBatch.CompareAndSwap(cur, int64(size)) {
-			return
+	epoch1 := c.Epoch()
+	for i, r := range c.Apply(run, nil) {
+		if r.Err != nil {
+			t.Fatalf("serial run op %d: %v", i, r.Err)
 		}
+	}
+	if got := c.Epoch() - epoch1; got != 4 {
+		t.Fatalf("a lone run of 200 ops committed in %d batches, want 4", got)
 	}
 }
 
@@ -232,6 +223,7 @@ func (r *countingRecorder) RecordBatch(size int, apply time.Duration) {
 // and a WAL-overflowing batch fails without corrupting the index.
 func TestConcurrentDurableGroupCommit(t *testing.T) {
 	c, _, tx := newConcurrentDurableThreeSided(t, 256)
+	epoch0, lsn0 := c.Epoch(), tx.AppliedLSN()
 	const (
 		writers = 4
 		per     = 25
@@ -270,6 +262,12 @@ func TestConcurrentDurableGroupCommit(t *testing.T) {
 	if int64(n)+dups.Load() != writers*per {
 		t.Fatalf("Len %d + dups %d != %d submitted", n, dups.Load(), writers*per)
 	}
+	// A durable batch publishes one epoch and writes at most one WAL record
+	// (none when every op in it was a duplicate).
+	batches, records := c.Epoch()-epoch0, tx.AppliedLSN()-lsn0
+	if records == 0 || records > batches || batches > writers*per {
+		t.Fatalf("%d epochs published for %d WAL records, want 1 ≤ records ≤ epochs ≤ %d", batches, records, writers*per)
+	}
 	t.Run("late-join", testConcurrentLateJoin)
 }
 
@@ -291,7 +289,7 @@ func (h *holdStore) Read(id eio.PageID, buf []byte) error {
 // while it is executing — deterministically: the leader is held inside its
 // first op until the second writer is in the queue, so the outcome does not
 // depend on timing. Both writes must then commit as ONE batch: one WAL
-// record, one LSN, one RecordBatch of size 2.
+// record, one LSN, one published epoch.
 func testConcurrentLateJoin(t *testing.T) {
 	tx, err := eio.NewTxStore(eio.NewMemStore(512), eio.TxOptions{WALPages: 64})
 	if err != nil {
@@ -307,14 +305,14 @@ func testConcurrentLateJoin(t *testing.T) {
 	if _, err := snap.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	rec := &countingRecorder{}
 	c, err := NewConcurrent(NewDurable(idx, tx), snap,
 		func(s eio.Store) (Index, error) { return OpenThreeSided(s, hdr) },
-		ConcurrentOptions{Recorder: rec})
+		ConcurrentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, lsn0 := c.Position()
+	epoch0 := c.Epoch()
 
 	executing, release := make(chan struct{}), make(chan struct{})
 	hook := func() { close(executing); <-release }
@@ -341,8 +339,8 @@ func testConcurrentLateJoin(t *testing.T) {
 			t.Fatalf("a writer was acknowledged at lsn %d, want both at %d", lsn, lsn0+1)
 		}
 	}
-	if b, ops := rec.batches.Load(), rec.ops.Load(); b != 1 || ops != 2 {
-		t.Fatalf("recorder saw %d batches carrying %d ops, want one batch of 2", b, ops)
+	if b := c.Epoch() - epoch0; b != 1 {
+		t.Fatalf("the two writes published %d epochs, want one batch of 2", b)
 	}
 	if n, err := c.Len(); err != nil || n != 2 {
 		t.Fatalf("Len = %d, %v", n, err)

@@ -3,32 +3,16 @@ package eio
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
-// TraceEvent is one block-level operation observed by a TraceStore. Events
-// are the unit of the observability layer (internal/obs): sinks aggregate
-// them into histograms, spool them to JSONL files, or keep them in a ring
-// buffer for post-mortem inspection.
+// TraceEvent is one block-level operation observed by a TraceStore: what
+// was done to which page. A SpanSink counts events into a request span;
+// tests log them to check which pages an operation touches.
 type TraceEvent struct {
-	// Seq is the 1-based sequence number of the event within its
-	// TraceStore, assigned atomically across goroutines.
-	Seq uint64
 	// Op is the operation kind (OpRead, OpWrite, OpAlloc, OpFree).
 	Op Op
 	// Page is the page operated on (for Alloc, the id returned).
 	Page PageID
-	// Bytes is the number of payload bytes transferred: the page size for
-	// reads and writes, 0 for alloc/free.
-	Bytes int
-	// Latency is the wall-clock duration of the inner store call.
-	Latency time.Duration
-	// Scope is the logical operation this I/O belongs to ("insert",
-	// "query", ...), set via TraceStore.SetScope by higher layers. Empty
-	// when no scope is active.
-	Scope string
-	// Err reports whether the inner store returned an error.
-	Err bool
 }
 
 // TraceSink consumes trace events. Implementations must be safe for
@@ -43,18 +27,17 @@ type TraceSink interface {
 }
 
 // TraceStore wraps a Store and emits one TraceEvent per operation to an
-// attached TraceSink. With no sink attached the wrapper is a thin
-// pass-through: a single atomic load per operation and no clock reads, so
-// it can be left in place permanently and only pays when someone is
-// listening (see BenchmarkTraceStoreNilSink).
+// attached TraceSink, whether or not the inner call failed: a failed read
+// still hit the block layer. With no sink attached the wrapper is a thin
+// pass-through, a single atomic load per operation, so it can be left in
+// place permanently and only pays when someone is listening (see
+// BenchmarkTraceStoreNilSink).
 //
 // Stats, ResetStats and Pages delegate to the inner store: a TraceStore
 // adds observation, never accounting of its own.
 type TraceStore struct {
 	inner Store
 	sink  atomic.Pointer[sinkBox]
-	scope atomic.Pointer[string]
-	seq   atomic.Uint64
 }
 
 // sinkBox wraps the interface value so it can live behind atomic.Pointer.
@@ -78,48 +61,14 @@ func (t *TraceStore) SetSink(sink TraceSink) {
 	t.sink.Store(&sinkBox{s: sink})
 }
 
-// Sink returns the attached sink, or nil.
-func (t *TraceStore) Sink() TraceSink {
-	if b := t.sink.Load(); b != nil {
-		return b.s
+// emit delivers one event to the boxed sink; a nil box (no sink attached)
+// drops it. Each operation loads the box once, before the inner call, so
+// an attach or detach racing with the operation either sees it whole or
+// not at all.
+func (b *sinkBox) emit(op Op, page PageID) {
+	if b != nil {
+		b.s.Emit(TraceEvent{Op: op, Page: page})
 	}
-	return nil
-}
-
-// SetScope labels subsequent events with the given logical operation name.
-// An empty string clears the label. The label is read atomically by
-// concurrent I/Os, so mixed concurrent scopes never race — but if two
-// logical operations overlap in time their events may carry either label;
-// callers that need exact per-operation attribution must serialize
-// (obs.Instrumented does).
-func (t *TraceStore) SetScope(name string) {
-	if name == "" {
-		t.scope.Store(nil)
-		return
-	}
-	t.scope.Store(&name)
-}
-
-// currentScope returns the active scope label, or "".
-func (t *TraceStore) currentScope() string {
-	if p := t.scope.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
-// emit builds and delivers one event. Callers pass the sink they loaded
-// before timing began so attach/detach races stay consistent.
-func (t *TraceStore) emit(sink TraceSink, op Op, page PageID, bytes int, start time.Time, err error) {
-	sink.Emit(TraceEvent{
-		Seq:     t.seq.Add(1),
-		Op:      op,
-		Page:    page,
-		Bytes:   bytes,
-		Latency: time.Since(start),
-		Scope:   t.currentScope(),
-		Err:     err != nil,
-	})
 }
 
 // PageSize implements Store.
@@ -128,48 +77,32 @@ func (t *TraceStore) PageSize() int { return t.inner.PageSize() }
 // Alloc implements Store.
 func (t *TraceStore) Alloc() (PageID, error) {
 	b := t.sink.Load()
-	if b == nil {
-		return t.inner.Alloc()
-	}
-	start := time.Now()
 	id, err := t.inner.Alloc()
-	t.emit(b.s, OpAlloc, id, 0, start, err)
+	b.emit(OpAlloc, id)
 	return id, err
 }
 
 // Free implements Store.
 func (t *TraceStore) Free(id PageID) error {
 	b := t.sink.Load()
-	if b == nil {
-		return t.inner.Free(id)
-	}
-	start := time.Now()
 	err := t.inner.Free(id)
-	t.emit(b.s, OpFree, id, 0, start, err)
+	b.emit(OpFree, id)
 	return err
 }
 
 // Read implements Store.
 func (t *TraceStore) Read(id PageID, buf []byte) error {
 	b := t.sink.Load()
-	if b == nil {
-		return t.inner.Read(id, buf)
-	}
-	start := time.Now()
 	err := t.inner.Read(id, buf)
-	t.emit(b.s, OpRead, id, t.inner.PageSize(), start, err)
+	b.emit(OpRead, id)
 	return err
 }
 
 // Write implements Store.
 func (t *TraceStore) Write(id PageID, buf []byte) error {
 	b := t.sink.Load()
-	if b == nil {
-		return t.inner.Write(id, buf)
-	}
-	start := time.Now()
 	err := t.inner.Write(id, buf)
-	t.emit(b.s, OpWrite, id, len(buf), start, err)
+	b.emit(OpWrite, id)
 	return err
 }
 
@@ -177,8 +110,7 @@ func (t *TraceStore) Write(id PageID, buf []byte) error {
 // wrapper in this package, a TraceStore keeps no counters of its own.
 func (t *TraceStore) Stats() Stats { return t.inner.Stats() }
 
-// ResetStats implements Store by delegating to the inner store. Event
-// sequence numbers are not reset — a trace is an append-only log.
+// ResetStats implements Store by delegating to the inner store.
 func (t *TraceStore) ResetStats() { t.inner.ResetStats() }
 
 // Pages implements Store.
@@ -212,8 +144,7 @@ func (t *TraceStore) LivePageIDs() ([]PageID, error) {
 }
 
 // Close implements Store. The sink is detached first so a closing flurry
-// of inner-store activity is not observed half-torn; sinks with resources
-// of their own (files) are closed by their owner, not here.
+// of inner-store activity is not observed half-torn.
 func (t *TraceStore) Close() error {
 	t.sink.Store(nil)
 	return t.inner.Close()

@@ -242,11 +242,15 @@ func (p *Proxy) logf(format string, args ...interface{}) {
 
 // reset closes both halves of c with RST (SetLinger(0) discards
 // untransmitted data and sends a reset on Close), so each peer sees
-// ECONNRESET mid-frame rather than a clean EOF. Reports whether this
-// call performed the reset (false if the connection was already cut).
-func (c *proxyConn) reset() bool {
+// ECONNRESET mid-frame rather than a clean EOF. Only the first reset of a
+// connection acts; it bumps count (when non-nil) before closing anything,
+// so a peer that has seen the reset also sees it counted.
+func (c *proxyConn) reset(count *atomic.Uint64) {
 	if !c.cut.CompareAndSwap(false, true) {
-		return false
+		return
+	}
+	if count != nil {
+		count.Add(1)
 	}
 	for _, conn := range []net.Conn{c.client, c.upstream} {
 		if tc, ok := conn.(*net.TCPConn); ok {
@@ -254,16 +258,11 @@ func (c *proxyConn) reset() bool {
 		}
 		conn.Close()
 	}
-	return true
 }
 
 // cutConn is a fault-injected reset: it counts toward Stats.Cuts, unlike
 // the reset propagation the pumps do when one side dies on its own.
-func (p *Proxy) cutConn(c *proxyConn) {
-	if c.reset() {
-		p.cuts.Add(1)
-	}
-}
+func (p *Proxy) cutConn(c *proxyConn) { c.reset(&p.cuts) }
 
 func (p *Proxy) snapshotFaults() faults {
 	p.mu.Lock()
@@ -374,10 +373,14 @@ func (p *Proxy) pump(wg *sync.WaitGroup, c *proxyConn, src, dst net.Conn, counte
 				buf[bit/8] ^= 1 << (bit % 8)
 				p.corruptions.Add(1)
 			}
+			// Count before the write, like a cut: once dst has the bytes the
+			// far side can answer, and a client reading Stats after the
+			// answer must see them counted.
+			counter.Add(uint64(n))
 			if _, werr := dst.Write(buf[:n]); werr != nil {
+				counter.Add(^uint64(n - 1)) // not forwarded after all
 				return
 			}
-			counter.Add(uint64(n))
 			if moved := c.moved.Add(int64(n)); f.cutAfter > 0 && moved >= f.cutAfter {
 				p.logf("netfault: cutting connection after %d bytes", moved)
 				p.cutConn(c)
@@ -395,7 +398,7 @@ func (p *Proxy) pump(wg *sync.WaitGroup, c *proxyConn, src, dst net.Conn, counte
 				// the peer learns immediately; leaving the other half
 				// alive would strand a blocked client on its own read
 				// deadline (tens of seconds) instead.
-				c.reset()
+				c.reset(nil)
 				return
 			}
 			// Half-close: propagate EOF downstream, stop this pump.

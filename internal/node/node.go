@@ -23,6 +23,14 @@ import (
 	"rangesearch/internal/wbuf"
 )
 
+// DefaultWALPages is rsserve's -wal default. A group commit of
+// core.Concurrent's largest batch (64 inserts) through a root split or a
+// Θ(B²) structure rebuild needs more than 127 page images in its one WAL
+// record at 20 000 points and 4 KiB pages, and more as the tree grows;
+// eio.DefaultWALPages (64) holds 63 and fails such a batch with
+// eio.ErrTxOverflow.
+const DefaultWALPages = 1024
+
 // Role is the replication role rsserve's repl flags imply.
 type Role uint8
 

@@ -16,7 +16,7 @@ import (
 
 // fileConfig is what rsserve's flag defaults give `-store path`.
 func fileConfig(path string) Config {
-	return Config{Store: path, PageSize: 4096, Durable: true, WALPages: eio.DefaultWALPages,
+	return Config{Store: path, PageSize: 4096, Durable: true, WALPages: DefaultWALPages,
 		BootScrub: true, WriteBufferOps: wbuf.DefaultMaxOps, WriteBufferAge: wbuf.DefaultMaxAge}
 }
 
@@ -131,6 +131,49 @@ func TestReopenRoundTrip(t *testing.T) {
 		t.Fatalf("reopened store returned %v, want [{1 2}]", pts)
 	}
 	drain(t, st2)
+}
+
+// TestDefaultWALHoldsGroupCommit commits core.Concurrent's largest group
+// commit, one Apply run of 64 inserts, 320 times on the stack rsserve's flag
+// defaults build. The inserts spread over x, so batches run through root
+// splits and Θ(B²) structure rebuilds; none may overflow the WAL.
+func TestDefaultWALHoldsGroupCommit(t *testing.T) {
+	st, err := Build(fileConfig(filepath.Join(t.TempDir(), "points.db")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	height := func() int {
+		idx, err := core.OpenThreeSided(st.snap, st.M.Hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := idx.Tree().Height()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	const batch, batches = 64, 320
+	ops := make([]core.BatchOp, batch)
+	var h0 int
+	for b := 0; b < batches; b++ {
+		for i := range ops {
+			x := int64(b*batch + i)
+			ops[i] = core.BatchOp{P: geom.Point{X: x * 7919 % 1000003, Y: x}}
+		}
+		for i, r := range st.Engine().Apply(ops, nil) {
+			if r.Err != nil {
+				t.Fatalf("batch %d op %d: %v", b, i, r.Err)
+			}
+		}
+		if b == 0 {
+			h0 = height()
+		}
+	}
+	if h := height(); h <= h0 {
+		t.Fatalf("tree height %d after %d points, %d after the first batch: no root split exercised", h, batch*batches, h0)
+	}
+	drain(t, st)
 }
 
 // mode is one row of the cross product the mode table is written against.

@@ -17,14 +17,11 @@ import (
 //
 // Operations serialize on an internal mutex — exact attribution needs
 // exclusive use of the store's counters, so an Instrumented index is also
-// a safely shareable one (at the cost of query parallelism). If the measured store is an *eio.TraceStore, each
-// operation additionally labels its trace events with the operation name,
-// so store-level traces and index-level records line up.
+// a safely shareable one (at the cost of query parallelism).
 type Instrumented struct {
 	mu    sync.Mutex
 	idx   core.Index
 	store eio.Store
-	ts    *eio.TraceStore // non-nil iff store is a TraceStore
 	col   *Collector
 	n     int // live structure size, maintained across ops
 }
@@ -39,21 +36,13 @@ func Instrument(idx core.Index, store eio.Store, col *Collector) (*Instrumented,
 	if err != nil {
 		return nil, err
 	}
-	ts, _ := store.(*eio.TraceStore)
-	return &Instrumented{idx: idx, store: store, ts: ts, col: col, n: n}, nil
+	return &Instrumented{idx: idx, store: store, col: col, n: n}, nil
 }
 
-// Collector returns the record destination.
-func (in *Instrumented) Collector() *Collector { return in.col }
-
-// measure runs f under the lock with scope label and stats attribution.
+// measure runs f under the lock with stats attribution.
 func (in *Instrumented) measure(kind OpKind, f func() (t int, err error)) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.ts != nil {
-		in.ts.SetScope(kind.String())
-		defer in.ts.SetScope("")
-	}
 	before := in.store.Stats()
 	start := time.Now()
 	t, err := f()

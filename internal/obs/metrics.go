@@ -13,14 +13,19 @@ import (
 
 // expvar.Publish panics on duplicate names and offers no unpublish, so the
 // package keeps one published indirection per name and repoints it — a
-// bench process can publish a fresh store per experiment under a stable
-// name.
+// promoted replica republishes its new stack's producers under the same
+// names.
 var (
 	varMu  sync.Mutex
 	varFns = map[string]func() interface{}{}
 )
 
-func publish(name string, fn func() interface{}) {
+// Publish exports fn() under name on the package's repointable expvar
+// surface: unlike expvar.Publish it may be called repeatedly with the same
+// name, each call repointing the variable at the new producer. It is the
+// hook other layers (e.g. internal/server) use to join the /debug/vars and
+// /metrics surface.
+func Publish(name string, fn func() interface{}) {
 	varMu.Lock()
 	_, existed := varFns[name]
 	varFns[name] = fn
@@ -38,36 +43,10 @@ func publish(name string, fn func() interface{}) {
 	}
 }
 
-// Publish exports fn() under name on the package's repointable expvar
-// surface: unlike expvar.Publish it may be called repeatedly with the same
-// name, each call repointing the variable at the new producer. It is the
-// hook other layers (e.g. internal/server) use to join the same
-// /debug/vars surface the store and contention metrics live on.
-func Publish(name string, fn func() interface{}) { publish(name, fn) }
-
-// PublishStore exports s.Stats() and s.Pages() as the expvar
-// "rangesearch.store.<name>". Later calls with the same name repoint the
-// variable.
-func PublishStore(name string, s eio.Store) {
-	publish("rangesearch.store."+name, func() interface{} {
-		st := s.Stats()
-		return map[string]interface{}{
-			"reads":  st.Reads,
-			"writes": st.Writes,
-			"allocs": st.Allocs,
-			"frees":  st.Frees,
-			"ios":    st.IOs(),
-			"pages":  s.Pages(),
-		}
-	})
-}
-
 // PublishPool exports the buffer-pool counters (hits, misses, evictions,
-// dirty write-backs, residency) as "rangesearch.pool.<name>". Together
-// with PublishStore on the same Pool this gives both views: cache events
-// here, true backing-store I/Os there.
+// dirty write-backs, residency) as "rangesearch.pool.<name>".
 func PublishPool(name string, p *eio.Pool) {
-	publish("rangesearch.pool."+name, func() interface{} {
+	Publish("rangesearch.pool."+name, func() interface{} {
 		ps := p.PoolStats()
 		return map[string]interface{}{
 			"hits":      ps.Hits,
@@ -78,37 +57,6 @@ func PublishPool(name string, p *eio.Pool) {
 			"resident":  p.Resident(),
 			"dirty":     p.Dirty(),
 		}
-	})
-}
-
-// PublishCollector exports per-kind I/O and latency histogram snapshots as
-// "rangesearch.ops.<name>".
-func PublishCollector(name string, c *Collector) {
-	publish("rangesearch.ops."+name, func() interface{} {
-		out := map[string]interface{}{}
-		for _, k := range []OpKind{OpInsert, OpDelete, OpQuery} {
-			out[k.String()] = map[string]interface{}{
-				"ios":    c.IOHist(k).Snapshot(),
-				"lat_ns": c.LatencyHist(k).Snapshot(),
-			}
-		}
-		return out
-	})
-}
-
-// PublishHistSink exports a HistSink's per-op latency histograms as
-// "rangesearch.io.<name>".
-func PublishHistSink(name string, h *HistSink) {
-	publish("rangesearch.io."+name, func() interface{} {
-		out := map[string]interface{}{}
-		for _, op := range []eio.Op{eio.OpRead, eio.OpWrite, eio.OpAlloc, eio.OpFree} {
-			out[op.String()] = map[string]interface{}{
-				"lat_ns": h.Latency(op).Snapshot(),
-				"bytes":  h.Bytes(op).Snapshot(),
-			}
-		}
-		out["errors"] = h.Errors().Count()
-		return out
 	})
 }
 

@@ -1,28 +1,28 @@
 // Package obs is the observability layer of the repository: it turns the
 // raw block transfers of the I/O model into per-operation evidence that
 // the paper's bounds (Theorems 6–7) hold continuously, not just in one-off
-// experiment tables.
+// experiment tables, and it serves the live process's telemetry.
 //
-// The layer has four parts, stacked bottom-up:
+// The layer has four parts:
 //
-//   - eio.TraceStore (in package eio) emits one typed TraceEvent per
-//     block operation to a pluggable TraceSink.
-//   - Sinks: RingSink (bounded in-memory tail for post-mortems), JSONLSink
-//     (newline-delimited JSON to a file, replayable with `rsinspect
-//     trace`), HistSink (log₂-bucketed latency histograms per operation
-//     kind), and MultiSink (fan-out). All sinks are data-race free.
 //   - Instrumented, a core.Index decorator that scopes measurement per
-//     logical operation (Insert/Delete/Query), recording exact I/O counts,
-//     reported-point counts t, and wall latency into a Collector.
+//     logical operation (Insert/Delete/Query), recording exact I/O counts
+//     (Stats deltas on the measured store), reported-point counts t, and
+//     wall latency into a Collector.
 //   - The bound checker (CheckBounds) that divides each operation's
 //     measured I/Os by its theoretical allowance — log_B N + ⌈t/B⌉ for
 //     queries, log_B N for updates — and summarizes the overhead ratios
 //     (p50/p95/max), making "O(log_B N + t) with small constants" a
 //     machine-checked invariant.
+//   - Request spans: SpanRing and SpanWriter keep and spool the sampled
+//     spans the server records (their exact I/O comes from an
+//     eio.SpanSink on a TraceStore).
+//   - The diagnostics surface: Publish's repointable expvar variables,
+//     rendered as /debug/vars and, by WritePrometheus, as /metrics, beside
+//     pprof and /spans (ServeMetrics); Histogram is the log₂ distribution
+//     the server, router and write buffer export through it.
 //
-// Everything is opt-in: with no sink attached a TraceStore is a single
-// atomic load per operation, and nothing in this package is imported by
-// the index structures themselves.
+// Nothing in this package is imported by the index structures themselves.
 package obs
 
 import (
@@ -38,7 +38,6 @@ const (
 	OpInsert OpKind = iota
 	OpDelete
 	OpQuery
-	numOpKinds
 )
 
 // String implements fmt.Stringer.
@@ -79,14 +78,11 @@ type OpRecord struct {
 func (r OpRecord) IOs() uint64 { return r.Reads + r.Writes }
 
 // Collector accumulates OpRecords from one or more Instrumented indexes.
-// It keeps every record (the bound checker needs exact per-op values, and
-// a bench run is bounded) plus always-on per-kind I/O-count and latency
-// histograms for cheap live export via expvar.
+// It keeps every record: the bound checker needs exact per-op values, and
+// a bench run is bounded.
 type Collector struct {
-	mu      sync.Mutex
-	recs    []OpRecord
-	ioHist  [numOpKinds]Histogram
-	latHist [numOpKinds]Histogram
+	mu   sync.Mutex
+	recs []OpRecord
 }
 
 // NewCollector returns an empty collector.
@@ -94,14 +90,6 @@ func NewCollector() *Collector { return &Collector{} }
 
 // Add records one operation.
 func (c *Collector) Add(r OpRecord) {
-	if r.Kind < numOpKinds {
-		c.ioHist[r.Kind].Observe(r.IOs())
-		lat := r.Latency
-		if lat < 0 {
-			lat = 0
-		}
-		c.latHist[r.Kind].Observe(uint64(lat))
-	}
 	c.mu.Lock()
 	c.recs = append(c.recs, r)
 	c.mu.Unlock()
@@ -120,21 +108,3 @@ func (c *Collector) Len() int {
 	defer c.mu.Unlock()
 	return len(c.recs)
 }
-
-// Reset drops all records and clears the histograms.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.recs = nil
-	c.mu.Unlock()
-	for k := range c.ioHist {
-		c.ioHist[k].Reset()
-		c.latHist[k].Reset()
-	}
-}
-
-// IOHist returns the I/O-count histogram for kind (do not Reset it
-// directly; use Collector.Reset).
-func (c *Collector) IOHist(kind OpKind) *Histogram { return &c.ioHist[kind] }
-
-// LatencyHist returns the latency histogram (nanoseconds) for kind.
-func (c *Collector) LatencyHist(kind OpKind) *Histogram { return &c.latHist[kind] }

@@ -1,13 +1,11 @@
 package obs
 
 import (
-	"bytes"
 	"io"
 	"math"
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"rangesearch/internal/core"
 	"rangesearch/internal/eio"
@@ -15,102 +13,17 @@ import (
 	"rangesearch/internal/geom"
 )
 
-func TestRingSinkWraparound(t *testing.T) {
-	r := NewRingSink(4)
-	for i := 1; i <= 10; i++ {
-		r.Emit(eio.TraceEvent{Seq: uint64(i)})
-	}
-	if r.Total() != 10 || r.Cap() != 4 {
-		t.Fatalf("total=%d cap=%d", r.Total(), r.Cap())
-	}
-	snap := r.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot len %d", len(snap))
-	}
-	for i, e := range snap {
-		if e.Seq != uint64(7+i) {
-			t.Fatalf("snapshot[%d].Seq = %d, want %d (oldest first)", i, e.Seq, 7+i)
-		}
-	}
-}
-
-func TestJSONLRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
-	events := []eio.TraceEvent{
-		{Seq: 1, Op: eio.OpAlloc, Page: 3, Latency: 250 * time.Nanosecond},
-		{Seq: 2, Op: eio.OpWrite, Page: 3, Bytes: 1024, Latency: time.Microsecond, Scope: "insert"},
-		{Seq: 3, Op: eio.OpRead, Page: 3, Bytes: 1024, Scope: "query", Err: true},
-		{Seq: 4, Op: eio.OpFree, Page: 3},
-	}
-	for _, e := range events {
-		sink.Emit(e)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("round-trip %d events, want %d", len(got), len(events))
-	}
-	for i := range events {
-		if got[i] != events[i] {
-			t.Fatalf("event %d: %+v != %+v", i, got[i], events[i])
-		}
-	}
-}
-
-func TestReadTraceRejectsGarbage(t *testing.T) {
-	if _, err := ReadTrace(strings.NewReader("{\"op\":\"warp\"}\n")); err == nil {
-		t.Fatal("unknown op accepted")
-	}
-	if _, err := ReadTrace(strings.NewReader("not json\n")); err == nil {
-		t.Fatal("non-JSON line accepted")
-	}
-}
-
-func TestHistSinkAggregates(t *testing.T) {
-	h := NewHistSink()
-	h.Emit(eio.TraceEvent{Op: eio.OpRead, Bytes: 1024, Latency: 100})
-	h.Emit(eio.TraceEvent{Op: eio.OpRead, Bytes: 1024, Latency: 300})
-	h.Emit(eio.TraceEvent{Op: eio.OpWrite, Bytes: 1024, Latency: 200, Err: true})
-	if got := h.Latency(eio.OpRead).Count(); got != 2 {
-		t.Fatalf("read latency count %d", got)
-	}
-	if got := h.Latency(eio.OpWrite).Count(); got != 1 {
-		t.Fatalf("write latency count %d", got)
-	}
-	if got := h.Errors().Count(); got != 1 {
-		t.Fatalf("error count %d", got)
-	}
-	if got := h.Bytes(eio.OpRead).Max(); got != 1024 {
-		t.Fatalf("read bytes max %d", got)
-	}
-}
-
-func TestMultiSinkFansOut(t *testing.T) {
-	a, b := NewRingSink(8), NewRingSink(8)
-	m := MultiSink{a, b}
-	m.Emit(eio.TraceEvent{Seq: 1})
-	if a.Total() != 1 || b.Total() != 1 {
-		t.Fatalf("fan-out totals %d/%d", a.Total(), b.Total())
-	}
-}
-
-// buildInstrumented builds a small ThreeSided on a traced store and churns
-// it through inserts, deletes and queries.
+// buildInstrumented builds a small ThreeSided and churns it through
+// inserts, deletes and queries.
 func buildInstrumented(t *testing.T) (*Instrumented, *Collector, int) {
 	t.Helper()
-	ts := eio.NewTraceStore(eio.NewMemStore(1024))
-	idx, err := core.NewThreeSided(ts, epst.Options{})
+	mem := eio.NewMemStore(1024)
+	idx, err := core.NewThreeSided(mem, epst.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := NewCollector()
-	in, err := Instrument(idx, ts, col)
+	in, err := Instrument(idx, mem, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,40 +86,6 @@ func TestInstrumentedRecordsExactCosts(t *testing.T) {
 	if n != 450 {
 		t.Fatalf("Len = %d, want 450", n)
 	}
-	// The always-on histograms saw the same operations.
-	if got := col.IOHist(OpInsert).Count(); got != 500 {
-		t.Fatalf("insert IO hist count %d", got)
-	}
-	if got := col.LatencyHist(OpQuery).Count(); got != 30 {
-		t.Fatalf("query latency hist count %d", got)
-	}
-}
-
-func TestInstrumentedScopesTraceEvents(t *testing.T) {
-	ts := eio.NewTraceStore(eio.NewMemStore(1024))
-	ring := NewRingSink(1 << 14)
-	ts.SetSink(ring)
-	idx, err := core.NewThreeSided(ts, epst.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := Instrument(idx, ts, NewCollector())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Insert(geom.Point{X: 1, Y: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.Query(nil, geom.Rect{XLo: 0, XHi: 10, YLo: 0, YHi: geom.MaxCoord}); err != nil {
-		t.Fatal(err)
-	}
-	scopes := map[string]int{}
-	for _, e := range ring.Snapshot() {
-		scopes[e.Scope]++
-	}
-	if scopes["insert"] == 0 || scopes["query"] == 0 {
-		t.Fatalf("missing scoped events: %v", scopes)
-	}
 }
 
 func TestCheckBoundsAndExceeds(t *testing.T) {
@@ -264,17 +143,12 @@ func httpGet(t *testing.T, url string) string {
 }
 
 func TestPublishAndServeMetrics(t *testing.T) {
-	ts := eio.NewTraceStore(eio.NewMemStore(128))
 	pool := eio.NewPool(eio.NewMemStore(128), 4)
 	defer pool.Close()
-	col := NewCollector()
-	col.Add(OpRecord{Kind: OpQuery, Reads: 3, N: 10})
-	PublishStore("test", ts)
 	PublishPool("test", pool)
-	PublishCollector("test", col)
-	PublishHistSink("test", NewHistSink())
+	Publish("rangesearch.test", func() interface{} { return map[string]int{"n": 1} })
 	// Republishing under the same name must not panic (expvar would).
-	PublishStore("test", ts)
+	PublishPool("test", pool)
 
 	ms, err := ServeMetrics("127.0.0.1:0")
 	if err != nil {
@@ -282,7 +156,7 @@ func TestPublishAndServeMetrics(t *testing.T) {
 	}
 	defer ms.Close()
 	body := httpGet(t, "http://"+ms.Addr()+"/debug/vars")
-	for _, want := range []string{"rangesearch.store.test", "rangesearch.pool.test", "rangesearch.ops.test", "rangesearch.io.test"} {
+	for _, want := range []string{"rangesearch.pool.test", "rangesearch.test"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/debug/vars missing %q", want)
 		}

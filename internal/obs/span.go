@@ -12,10 +12,9 @@ import (
 	"rangesearch/internal/trace"
 )
 
-// This file holds the span-side siblings of the I/O-event sinks in
-// sinks.go: a ring buffer of finished request spans (the flight recorder
-// behind the /spans endpoint) and a JSONL spool with its matching
-// streaming reader, replayed by `rsinspect spans`.
+// This file holds the request-span recorders: a ring buffer of finished
+// spans (the flight recorder behind the /spans endpoint) and a JSONL spool
+// with its matching streaming reader, replayed by `rsinspect spans`.
 
 // SpanRing keeps the most recent sampled request spans in a fixed
 // capacity ring. It implements the server's SpanRecorder: RecordSpan
@@ -98,8 +97,8 @@ func (r *SpanRing) WriteTo(w io.Writer) (int64, error) {
 }
 
 // SpanWriter spools finished spans to a writer as newline-delimited
-// JSON (one trace.Record per line). Like JSONLSink, writes are buffered
-// and the first write error is sticky: tracing must never turn a served
+// JSON (one trace.Record per line). Writes are buffered and the first
+// write error is sticky: tracing must never turn a served
 // request into a failure, so RecordSpan cannot fail.
 type SpanWriter struct {
 	mu  sync.Mutex

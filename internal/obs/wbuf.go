@@ -2,10 +2,9 @@ package obs
 
 // WriteBufferStats is a point-in-time view of a write buffer
 // (internal/wbuf.Buffered): how deep it is, what it has flushed, and
-// what its journal has absorbed. The decorator implements
-// WriteBufferSource; PublishWriteBuffer puts the snapshot on the
-// expvar surface, where the Prometheus exposition flattens it into
-// rangesearch_wbuf_* series.
+// what its journal has absorbed. rsserve publishes it as the expvar
+// "rangesearch.wbuf.serve", which the Prometheus exposition flattens
+// into rangesearch_wbuf_serve_* series, and serves it inside STATS.
 type WriteBufferStats struct {
 	// Depth is the number of distinct points currently buffered;
 	// NetDelta the inserts-minus-deletes the buffer contributes to Len.
@@ -34,38 +33,4 @@ type WriteBufferStats struct {
 	JournalBytes   int64  `json:"journal_bytes"`
 	JournalAppends uint64 `json:"journal_appends"`
 	JournalSyncs   uint64 `json:"journal_syncs"`
-}
-
-// WriteBufferSource is anything that can snapshot write-buffer stats —
-// satisfied by *wbuf.Buffered.
-type WriteBufferSource interface {
-	WriteBufferStats() WriteBufferStats
-}
-
-// PublishWriteBuffer exports src's snapshot as the expvar
-// "rangesearch.wbuf.<name>" (repointable, like every obs publisher), so
-// buffer depth, flush counts/sizes and flush-latency quantiles reach
-// /debug/vars and the Prometheus /metrics exposition.
-func PublishWriteBuffer(name string, src WriteBufferSource) {
-	publish("rangesearch.wbuf."+name, func() interface{} {
-		s := src.WriteBufferStats()
-		return map[string]interface{}{
-			"depth":           s.Depth,
-			"net_delta":       s.NetDelta,
-			"cap_ops":         s.CapOps,
-			"flushes":         s.Flushes,
-			"flushed_ops":     s.FlushedOps,
-			"last_flush_ops":  s.LastFlushOps,
-			"probes":          s.Probes,
-			"replayed":        s.Replayed,
-			"flush_p50_ms":    s.FlushP50Ms,
-			"flush_p99_ms":    s.FlushP99Ms,
-			"flush_max_ms":    s.FlushMaxMs,
-			"flush_ops_p50":   s.FlushOpsP50,
-			"flush_ops_max":   s.FlushOpsMax,
-			"journal_bytes":   s.JournalBytes,
-			"journal_appends": s.JournalAppends,
-			"journal_syncs":   s.JournalSyncs,
-		}
-	})
 }

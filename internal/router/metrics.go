@@ -22,8 +22,9 @@ type shardMetrics struct {
 }
 
 // Metrics aggregates the router's routing and per-shard signals. Create
-// with NewMetrics (the per-shard arrays are sized to the map); all
-// methods are safe for concurrent use from every connection handler.
+// with NewMetrics (the per-shard arrays are sized to the map); it is safe
+// for concurrent use from every connection handler, and Snapshot is how
+// anything outside the router reads it.
 type Metrics struct {
 	shards []shardMetrics
 
@@ -63,26 +64,6 @@ func (m *Metrics) observeShard(i int, lat time.Duration, out, in int, ok bool) {
 		sm.errors.Add(1)
 	}
 }
-
-// ShardPoints returns the number of point writes routed to shard i.
-func (m *Metrics) ShardPoints(i int) uint64 { return m.shards[i].points.Load() }
-
-// ShardQueries returns the number of query sub-reads scattered to shard
-// i — the counter the scatter-gather property test checks to prove
-// non-overlapping shards are never contacted.
-func (m *Metrics) ShardQueries(i int) uint64 { return m.shards[i].queries.Load() }
-
-// ShardBatches returns the number of BATCH sub-batches routed to shard i.
-func (m *Metrics) ShardBatches(i int) uint64 { return m.shards[i].batches.Load() }
-
-// ShardErrors returns the number of shard i's non-OK sub-responses.
-func (m *Metrics) ShardErrors(i int) uint64 { return m.shards[i].errors.Load() }
-
-// Scatters returns the number of scatter-gathered queries.
-func (m *Metrics) Scatters() uint64 { return m.scatters.Load() }
-
-// Ops returns the number of completed inbound requests.
-func (m *Metrics) Ops() uint64 { return m.ops.Load() }
 
 // ShardMetricsSnapshot is the JSON-friendly per-shard view.
 type ShardMetricsSnapshot struct {

@@ -284,7 +284,8 @@ func TestScatterContactsOnlyOverlappingShards(t *testing.T) {
 		}
 	}
 	queries := func() [3]uint64 {
-		return [3]uint64{f.metrics.ShardQueries(0), f.metrics.ShardQueries(1), f.metrics.ShardQueries(2)}
+		sh := f.metrics.Snapshot().Shards
+		return [3]uint64{sh[0].Queries, sh[1].Queries, sh[2].Queries}
 	}
 
 	cases := []struct {
@@ -368,8 +369,8 @@ func TestBarrierReadYourWrites(t *testing.T) {
 	}
 
 	resp, err := cl.Do(server.Request{
-		Op:   server.OpQuery3,
-		Rect: geom.Rect{XLo: 0, XHi: 2000, YLo: 0, YHi: geom.MaxCoord},
+		Op:     server.OpQuery3,
+		Rect:   geom.Rect{XLo: 0, XHi: 2000, YLo: 0, YHi: geom.MaxCoord},
 		MinLSN: lastAck,
 	})
 	if err != nil {

@@ -16,8 +16,8 @@ const opSlots = 8
 // latency and byte-size log₂ histograms, connection and in-flight gauges,
 // and the counters that distinguish "slow" from "shedding" from "broken"
 // (busy rejections, protocol errors, handler panics). A zero Metrics is
-// ready to use; all methods are safe for concurrent use from every
-// connection handler.
+// ready to use and safe for concurrent use from every connection handler;
+// Snapshot is how anything outside the server reads it.
 type Metrics struct {
 	latency  [opSlots]obs.Histogram // wall ns per RPC, by opcode
 	bytesIn  [opSlots]obs.Histogram // request frame bytes, by opcode
@@ -71,59 +71,6 @@ func (m *Metrics) observeSpan(sp *trace.Span) {
 		}
 	}
 }
-
-// PhaseHistogram returns the latency histogram (nanoseconds) for trace
-// phase p, fed by sampled spans.
-func (m *Metrics) PhaseHistogram(p trace.Phase) *obs.Histogram {
-	return &m.phases[p%trace.NumPhases]
-}
-
-// Spans returns the number of sampled spans recorded.
-func (m *Metrics) Spans() uint64 { return m.spans.Load() }
-
-// Latency returns the latency histogram (nanoseconds) for opcode op.
-func (m *Metrics) Latency(op byte) *obs.Histogram { return &m.latency[op%opSlots] }
-
-// BytesIn returns the request-size histogram for opcode op.
-func (m *Metrics) BytesIn(op byte) *obs.Histogram { return &m.bytesIn[op%opSlots] }
-
-// BytesOut returns the response-size histogram for opcode op.
-func (m *Metrics) BytesOut(op byte) *obs.Histogram { return &m.bytesOut[op%opSlots] }
-
-// Conns returns the open-connection gauge value.
-func (m *Metrics) Conns() int64 { return m.conns.Load() }
-
-// InFlight returns the in-flight-RPC gauge value.
-func (m *Metrics) InFlight() int64 { return m.inflight.Load() }
-
-// Busy returns the number of RPCs shed with StatusBusy.
-func (m *Metrics) Busy() uint64 { return m.busy.Load() }
-
-// ProtoErrors returns the number of malformed frames received.
-func (m *Metrics) ProtoErrors() uint64 { return m.protoErr.Load() }
-
-// Panics returns the number of connection handlers killed by a panic.
-func (m *Metrics) Panics() uint64 { return m.panics.Load() }
-
-// Timeouts returns the number of RPCs answered StatusTimeout.
-func (m *Metrics) Timeouts() uint64 { return m.timeouts.Load() }
-
-// Evicted returns the number of connections closed because the peer was
-// too slow to accept a response within the write deadline.
-func (m *Metrics) Evicted() uint64 { return m.evicted.Load() }
-
-// IdemReplays returns the number of retried writes answered verbatim from
-// the idempotency dedup window instead of re-executing.
-func (m *Metrics) IdemReplays() uint64 { return m.idemReplay.Load() }
-
-// Stale returns the number of barrier reads answered StatusStale.
-func (m *Metrics) Stale() uint64 { return m.stale.Load() }
-
-// NotPrimary returns the number of writes rejected StatusNotPrimary.
-func (m *Metrics) NotPrimary() uint64 { return m.notPrimary.Load() }
-
-// DiskFull returns the number of writes rejected StatusDiskFull.
-func (m *Metrics) DiskFull() uint64 { return m.diskFull.Load() }
 
 // OpMetricsSnapshot is the JSON-friendly per-opcode view.
 type OpMetricsSnapshot struct {

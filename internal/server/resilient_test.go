@@ -187,8 +187,8 @@ func TestResilientTimeoutReplay(t *testing.T) {
 	if st.TimeoutRetries == 0 {
 		t.Fatalf("TimeoutRetries = 0, want >0; stats %+v", st)
 	}
-	if m.Timeouts() == 0 || m.IdemReplays() == 0 {
-		t.Fatalf("server metrics: timeouts=%d idemReplays=%d, want both >0", m.Timeouts(), m.IdemReplays())
+	if snap := m.Snapshot(); snap.Timeouts == 0 || snap.IdemReplays == 0 {
+		t.Fatalf("server metrics: timeouts=%d idemReplays=%d, want both >0", snap.Timeouts, snap.IdemReplays)
 	}
 
 	// Reads are not idempotency-wrapped: with every execution timing out
@@ -243,7 +243,7 @@ func TestResilientBusyRetry(t *testing.T) {
 	}()
 	// Let the batch take the token first: an insert that won the race
 	// would shed the blocker instead of the other way round.
-	for m.InFlight() == 0 {
+	for m.Snapshot().InFlight == 0 {
 		select {
 		case <-released:
 			t.Fatalf("blocker batch finished before taking the token: %+v / %v", blockerResp, blockerErr)
@@ -282,9 +282,9 @@ func TestResilientBusyRetry(t *testing.T) {
 	if blockerErr != nil || blockerResp.Status != StatusOK {
 		t.Fatalf("batch Recv: %+v / %v", blockerResp, blockerErr)
 	}
-	if m.Busy() > 0 {
+	if busy := m.Snapshot().Busy; busy > 0 {
 		if rc.Stats().BusyRetries == 0 {
-			t.Fatalf("server shed %d requests but client retried none", m.Busy())
+			t.Fatalf("server shed %d requests but client retried none", busy)
 		}
 		if hinted == 0 {
 			t.Fatal("BUSY retries never slept the hinted backoff")

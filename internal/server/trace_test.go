@@ -352,8 +352,8 @@ func TestTracedLoadSoak(t *testing.T) {
 	if len(rep.Trace.ServerPhases) == 0 {
 		t.Fatal("merged trace stats carry no server phases")
 	}
-	if m.Spans() != uint64(len(spans)) {
-		t.Fatalf("metrics counted %d spans, recorder saw %d", m.Spans(), len(spans))
+	if n := m.Snapshot().Spans; n != uint64(len(spans)) {
+		t.Fatalf("metrics counted %d spans, recorder saw %d", n, len(spans))
 	}
 }
 

@@ -588,7 +588,7 @@ func (b *Buffered) Position() (term, lsn uint64) {
 	return 0, 0
 }
 
-// WriteBufferStats implements obs.WriteBufferSource.
+// WriteBufferStats snapshots the buffer's depth, flush and journal counters.
 func (b *Buffered) WriteBufferStats() obs.WriteBufferStats {
 	b.mu.RLock()
 	depth := len(b.ents)
