@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-write cover vet fmt sweep recover-sweep fuzz-short bound experiments examples clean soak model trajectory serve load serve-smoke chaos repl-smoke chaos-repl shard-smoke chaos-shard writeopt-smoke chaos-writeopt perf-pairs
+.PHONY: all build test race bench bench-write cover vet fmt sweep recover-sweep fuzz-short bound experiments examples clean soak model trajectory serve load chaos chaos-repl chaos-shard chaos-writeopt perf-pairs
 
 all: build vet test
 
@@ -93,25 +93,15 @@ serve:
 load:
 	$(GO) run ./cmd/rsload -addr $(ADDR) -workers 8 -duration 5s -pipeline 8 -verify
 
-# End-to-end network smoke: boot rsserve on a temp store, run rsload with
-# verification, SIGTERM-drain, and scrub the store file. CI runs this.
-serve-smoke:
-	./scripts/serve_smoke.sh
-
 # Kill-and-recover chaos: SIGKILL/restart a real rsserve 10 times under
 # verified resilient load through a fault-injecting proxy. Zero lost or
 # duplicated writes, clean drain, scrub-clean store — or it exits nonzero.
 # All four chaos targets run scripts/chaos.sh (one harness, cmd/rschaos);
-# they differ only in the flags they pass.
+# they differ only in the flags they pass. Every run also scrapes and
+# validates each process's /metrics, and with -trace-sample checks the
+# span spools; -replicas promotes by SIGUSR1 and by the PROMOTE RPC.
 chaos:
 	./scripts/chaos.sh
-
-# Replicated serving smoke: primary + two log-shipping replicas under
-# verified load with replica read fan-out, then SIGKILL the primary,
-# SIGUSR1-promote a replica, and re-verify against the new timeline.
-# CI runs this too.
-repl-smoke:
-	./scripts/repl_smoke.sh
 
 # Replicated kill-and-recover chaos: every cycle kills a replica,
 # degrades the replication link, and SIGKILLs the primary followed by a
@@ -121,26 +111,12 @@ repl-smoke:
 chaos-repl:
 	./scripts/chaos.sh -replicas 2 -cycles 5
 
-# Sharded serving smoke: three durable shards behind rsrouter on a static
-# x-range shard map, verified rsload -cluster through the router, clean
-# fleet drain, per-shard scrub, and sum-of-shards == router total.
-# CI runs this too.
-shard-smoke:
-	./scripts/shard_smoke.sh
-
 # Sharded kill-and-recover chaos: SIGKILL/restart a rotating shard 6
 # times under verified load through a real rsrouter. Zero lost or
 # duplicated acked writes, clean drains, leak-free stores, exact fleet
 # accounting — or it exits nonzero.
 chaos-shard:
 	./scripts/chaos.sh -shards 3 -cycles 6
-
-# Write-optimized serving smoke: boot rsserve -write-buffer on a temp
-# store, run a verified write-heavy zipfian burst, SIGKILL mid-burst,
-# reopen (journal replay), re-verify under load, drain, and scrub.
-# CI runs this too.
-writeopt-smoke:
-	./scripts/writeopt_smoke.sh
 
 # Buffered kill-and-recover chaos: SIGKILL/restart an rsserve running
 # -write-buffer 10 times under verified resilient load. Every

@@ -11,18 +11,21 @@
 //   - -replicas N: a primary plus N semi-sync replicas, the replication
 //     links behind the proxy; each cycle kills and restarts a replica,
 //     cuts and degrades the replication link, then kills the primary and
-//     promotes a replica;
+//     promotes a replica (SIGUSR1 on odd cycles, PROMOTE on even ones);
 //   - -shards N (with -router): N x-range shards behind a real rsrouter;
 //     each cycle kills a rotating shard and restarts it.
 //
 // The run passes only if the verified load finishes with zero protocol,
 // consistency and transport errors (acked writes survive every crash;
-// retried writes apply exactly once), every SIGTERM drain exits 0, every
+// retried writes apply exactly once), every process's /metrics exposition
+// validates with its metric families, with -trace-sample every node's span
+// spool parses and they hold a span, every SIGTERM drain exits 0, every
 // store reopens in-process with clean checksums, zero leaked pages
 // (replicas excepted) and an empty write-buffer journal, and the fleet's
 // invariants hold: the stores hold exactly the total the router or
 // primary reported, replicas hold the primary's points, the term equals
-// the promotions, and replicas converge within the staleness budget.
+// the promotions and the final primary's manifest records it, and
+// replicas converge within the staleness budget.
 //
 // The report is printed as JSON and optionally written to -json. Exit 2
 // means the run failed its acceptance, 1 that the harness itself broke.

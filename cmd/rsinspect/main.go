@@ -32,8 +32,8 @@
 // is about to use); -dry only reports.
 //
 // The wal subcommand decodes the transactional layer offline: both
-// anchors, the redo record occupying the WAL region, and the record's
-// commit state (applied / committed-unapplied / torn / empty). Without
+// anchors and every record in the WAL ring with its state (applied /
+// committed-unapplied / stale / torn). Without
 // -anchor the directory id — plus the node's replication role and term —
 // comes from the <store>.manifest.json rsserve maintains. Exit codes
 // mirror verify: 0 healthy, 2 torn, 1 usage or I/O error.

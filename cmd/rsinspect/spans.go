@@ -145,8 +145,8 @@ func spansMain(args []string) {
 }
 
 // promMain fetches (or reads) a Prometheus text exposition and validates
-// it with obs.CheckExposition — the same check the CI smoke job runs
-// against a live /metrics scrape.
+// it with obs.CheckExposition — the same check the chaos harness runs
+// against every process's /metrics scrape.
 func promMain(args []string) {
 	fs := flag.NewFlagSet("prom", flag.ExitOnError)
 	path := fs.String("f", "", "path to an exposition file ('-' = stdin)")

@@ -1,28 +1,22 @@
 // Package netfault is a fault-injecting TCP proxy for exercising the
 // serving stack's failure paths: it sits between a client and a server
-// and degrades the byte streams flowing through it on demand — added
-// latency and jitter, bandwidth caps, random byte corruption,
-// mid-stream connection resets, and blackholes (accepted but unanswered
-// traffic). Every random decision flows from a caller-supplied seed, so
-// a failing chaos run replays.
+// and degrades the byte streams flowing through it on demand with the two
+// faults the chaos harness (internal/server/chaos) and the server's soak
+// test inject — added per-chunk latency with jitter, and mid-stream
+// connection resets. Every random decision flows from a caller-supplied
+// seed, so a failing chaos run replays.
 //
 // The proxy shapes both directions independently: each accepted client
 // connection gets an upstream dial and two pump goroutines
 // (client→upstream, upstream→client), each pump owning a seeded RNG and
-// reading the shared, runtime-mutable fault knobs before every chunk.
-// Faults therefore land mid-frame, which is exactly the hard case for a
+// reading the shared, runtime-mutable latency before every chunk. Faults
+// therefore land mid-frame, which is exactly the hard case for a
 // length-prefixed protocol: a reset after the length word but before the
 // body, a stall halfway through a pipelined burst.
-//
-// Knobs can be driven programmatically (SetLatency, CutAll, ...) or by a
-// compact script DSL (ParseScript/RunScript) of timed directives, e.g.
-//
-//	500ms:latency=20ms;2s:cut;3s:blackhole=on;4s:blackhole=off
 package netfault
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -32,78 +26,45 @@ import (
 )
 
 // Options configures a Proxy. The zero value forwards faithfully: no
-// faults until a knob is turned.
+// faults until SetLatency or CutAll injects one.
 type Options struct {
-	// Listen is the address to accept clients on ("127.0.0.1:0" for an
-	// ephemeral port; the default).
-	Listen string
 	// Seed seeds every per-pump RNG (deterministically derived, one
 	// stream per pump). Zero selects 1.
 	Seed int64
-	// Latency delays each forwarded chunk (both directions).
-	Latency time.Duration
-	// Jitter widens Latency uniformly to [Latency, Latency+Jitter).
-	Jitter time.Duration
-	// BandwidthBPS caps forwarded bytes per second per direction
-	// (0 = unlimited).
-	BandwidthBPS int
-	// CorruptProb flips one random bit in a forwarded chunk with this
-	// probability per chunk [0,1). Corruption is invisible to the framing
-	// layer — the length prefix still parses — so it exercises the
-	// payload decoders.
-	CorruptProb float64
-	// CutAfterBytes hard-resets each connection (RST, not FIN) after
-	// roughly this many bytes have crossed it in either direction
-	// (0 = never). The cut lands mid-frame more often than not.
-	CutAfterBytes int64
-	// Logf, when non-nil, receives one line per proxy event. Nil discards.
+	// Logf, when non-nil, receives one line per failed upstream dial.
 	Logf func(format string, args ...interface{})
-}
-
-// faults is the shared, mutable knob block; pumps read it before every
-// chunk under the lock.
-type faults struct {
-	latency      time.Duration
-	jitter       time.Duration
-	bandwidthBPS int
-	corruptProb  float64
-	cutAfter     int64
-	blackhole    bool
 }
 
 // Stats counts the proxy's traffic and injected faults.
 type Stats struct {
-	Accepted    uint64 `json:"accepted"`
-	Active      int64  `json:"active"`
-	BytesUp     uint64 `json:"bytes_up"`   // client → upstream
-	BytesDown   uint64 `json:"bytes_down"` // upstream → client
-	Cuts        uint64 `json:"cuts"`       // RST resets injected
-	Corruptions uint64 `json:"corruptions"`
-	DialErrors  uint64 `json:"dial_errors"`
+	Accepted   uint64 `json:"accepted"`
+	BytesUp    uint64 `json:"bytes_up"`   // client → upstream
+	BytesDown  uint64 `json:"bytes_down"` // upstream → client
+	Cuts       uint64 `json:"cuts"`       // RST resets injected
+	DialErrors uint64 `json:"dial_errors"`
 }
 
-// Proxy is one listener forwarding to one upstream address with
-// injectable faults. Safe for concurrent use; knobs may be turned while
-// connections are live.
+// Proxy is one listener on an ephemeral loopback port forwarding to one
+// upstream address with injectable faults. Safe for concurrent use; the
+// latency may be changed while connections are live.
 type Proxy struct {
 	upstream string
 	opts     Options
 	ln       net.Listener
 	seed     int64
 
-	mu     sync.Mutex
-	flt    faults
-	conns  map[*proxyConn]struct{}
-	closed bool
-	pumpID int64
+	mu      sync.Mutex
+	latency time.Duration
+	jitter  time.Duration
+	conns   map[*proxyConn]struct{}
+	closed  bool
+	pumpID  int64
 
-	accepted    atomic.Uint64
-	active      atomic.Int64
-	bytesUp     atomic.Uint64
-	bytesDown   atomic.Uint64
-	cuts        atomic.Uint64
-	corruptions atomic.Uint64
-	dialErrs    atomic.Uint64
+	accepted  atomic.Uint64
+	bytesUp   atomic.Uint64
+	bytesDown atomic.Uint64
+	cuts      atomic.Uint64
+	dialErrs  atomic.Uint64
 
 	wg sync.WaitGroup
 }
@@ -112,21 +73,17 @@ type Proxy struct {
 type proxyConn struct {
 	client   net.Conn
 	upstream net.Conn
-	moved    atomic.Int64 // bytes across either direction, for cutAfter
 	cut      atomic.Bool
 }
 
-// New starts a proxy forwarding Listen → upstream. It accepts in the
-// background until Close.
+// New starts a proxy forwarding a fresh 127.0.0.1 port → upstream. It
+// accepts in the background until Close.
 func New(upstream string, opts Options) (*Proxy, error) {
-	if opts.Listen == "" {
-		opts.Listen = "127.0.0.1:0"
-	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	ln, err := net.Listen("tcp", opts.Listen)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
@@ -135,14 +92,7 @@ func New(upstream string, opts Options) (*Proxy, error) {
 		opts:     opts,
 		ln:       ln,
 		seed:     seed,
-		flt: faults{
-			latency:      opts.Latency,
-			jitter:       opts.Jitter,
-			bandwidthBPS: opts.BandwidthBPS,
-			corruptProb:  opts.CorruptProb,
-			cutAfter:     opts.CutAfterBytes,
-		},
-		conns: map[*proxyConn]struct{}{},
+		conns:    map[*proxyConn]struct{}{},
 	}
 	p.wg.Add(1)
 	go p.acceptLoop()
@@ -171,57 +121,24 @@ func (p *Proxy) Close() error {
 // Stats returns a snapshot of the traffic counters.
 func (p *Proxy) Stats() Stats {
 	return Stats{
-		Accepted:    p.accepted.Load(),
-		Active:      p.active.Load(),
-		BytesUp:     p.bytesUp.Load(),
-		BytesDown:   p.bytesDown.Load(),
-		Cuts:        p.cuts.Load(),
-		Corruptions: p.corruptions.Load(),
-		DialErrors:  p.dialErrs.Load(),
+		Accepted:   p.accepted.Load(),
+		BytesUp:    p.bytesUp.Load(),
+		BytesDown:  p.bytesDown.Load(),
+		Cuts:       p.cuts.Load(),
+		DialErrors: p.dialErrs.Load(),
 	}
 }
 
-// SetLatency changes the per-chunk delay (and jitter) for future chunks.
+// SetLatency delays each future chunk, in both directions, by base plus a
+// uniform draw from [0, jitter).
 func (p *Proxy) SetLatency(base, jitter time.Duration) {
 	p.mu.Lock()
-	p.flt.latency, p.flt.jitter = base, jitter
-	p.mu.Unlock()
-}
-
-// SetBandwidth changes the per-direction byte-rate cap (0 = unlimited).
-func (p *Proxy) SetBandwidth(bps int) {
-	p.mu.Lock()
-	p.flt.bandwidthBPS = bps
-	p.mu.Unlock()
-}
-
-// SetCorrupt changes the per-chunk bit-flip probability.
-func (p *Proxy) SetCorrupt(prob float64) {
-	p.mu.Lock()
-	p.flt.corruptProb = prob
-	p.mu.Unlock()
-}
-
-// SetCutAfter arms (or, with 0, disarms) the byte-count reset trigger
-// for current and future connections.
-func (p *Proxy) SetCutAfter(n int64) {
-	p.mu.Lock()
-	p.flt.cutAfter = n
-	p.mu.Unlock()
-}
-
-// SetBlackhole, when on, stalls all forwarding without closing anything:
-// connections stay established, bytes stop moving — the failure mode
-// deadlines exist for.
-func (p *Proxy) SetBlackhole(on bool) {
-	p.mu.Lock()
-	p.flt.blackhole = on
+	p.latency, p.jitter = base, jitter
 	p.mu.Unlock()
 }
 
 // CutAll hard-resets every live connection (SO_LINGER 0 → RST). New
-// connections are still accepted; pair with SetBlackhole to simulate a
-// dead network.
+// connections are still accepted.
 func (p *Proxy) CutAll() {
 	p.mu.Lock()
 	conns := make([]*proxyConn, 0, len(p.conns))
@@ -231,12 +148,6 @@ func (p *Proxy) CutAll() {
 	p.mu.Unlock()
 	for _, c := range conns {
 		p.cutConn(c)
-	}
-}
-
-func (p *Proxy) logf(format string, args ...interface{}) {
-	if p.opts.Logf != nil {
-		p.opts.Logf(format, args...)
 	}
 }
 
@@ -264,12 +175,6 @@ func (c *proxyConn) reset(count *atomic.Uint64) {
 // the reset propagation the pumps do when one side dies on its own.
 func (p *Proxy) cutConn(c *proxyConn) { c.reset(&p.cuts) }
 
-func (p *Proxy) snapshotFaults() faults {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.flt
-}
-
 func (p *Proxy) acceptLoop() {
 	defer p.wg.Done()
 	for {
@@ -295,7 +200,9 @@ func (p *Proxy) handle(client net.Conn) {
 	up, err := net.DialTimeout("tcp", p.upstream, 5*time.Second)
 	if err != nil {
 		p.dialErrs.Add(1)
-		p.logf("netfault: dial upstream %s: %v", p.upstream, err)
+		if p.opts.Logf != nil {
+			p.opts.Logf("netfault: dial upstream %s: %v", p.upstream, err)
+		}
 		client.Close()
 		return
 	}
@@ -316,7 +223,6 @@ func (p *Proxy) handle(client net.Conn) {
 	id1 := p.pumpID
 	p.pumpID += 2
 	p.mu.Unlock()
-	p.active.Add(1)
 
 	var pumps sync.WaitGroup
 	pumps.Add(2)
@@ -327,7 +233,6 @@ func (p *Proxy) handle(client net.Conn) {
 	p.mu.Lock()
 	delete(p.conns, c)
 	p.mu.Unlock()
-	p.active.Add(-1)
 	client.Close()
 	up.Close()
 }
@@ -337,9 +242,9 @@ func (p *Proxy) handle(client net.Conn) {
 // traffic.
 const chunkSize = 512
 
-// pump forwards src → dst one chunk at a time, consulting the fault
-// knobs before each chunk. Each pump derives its own RNG from the proxy
-// seed and pump id, so runs replay regardless of goroutine interleaving.
+// pump forwards src → dst one chunk at a time, reading the latency before
+// each chunk. Each pump derives its own RNG from the proxy seed and pump
+// id, so runs replay regardless of goroutine interleaving.
 func (p *Proxy) pump(wg *sync.WaitGroup, c *proxyConn, src, dst net.Conn, counter *atomic.Uint64, id int64) {
 	defer wg.Done()
 	rng := rand.New(rand.NewSource(p.seed ^ (id+1)*0x5851f42d4c957f2d))
@@ -348,30 +253,17 @@ func (p *Proxy) pump(wg *sync.WaitGroup, c *proxyConn, src, dst net.Conn, counte
 		_ = src.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 		n, err := src.Read(buf)
 		if n > 0 {
-			f := p.snapshotFaults()
-			for f.blackhole && !c.cut.Load() {
-				// Hold the bytes: the connection looks alive but nothing
-				// moves. Re-check every few ms so un-blackholing resumes.
-				time.Sleep(5 * time.Millisecond)
-				f = p.snapshotFaults()
-			}
 			if c.cut.Load() {
 				return
 			}
-			if f.latency > 0 || f.jitter > 0 {
-				d := f.latency
-				if f.jitter > 0 {
-					d += time.Duration(rng.Int63n(int64(f.jitter)))
+			p.mu.Lock()
+			d, jitter := p.latency, p.jitter
+			p.mu.Unlock()
+			if d > 0 || jitter > 0 {
+				if jitter > 0 {
+					d += time.Duration(rng.Int63n(int64(jitter)))
 				}
 				time.Sleep(d)
-			}
-			if f.bandwidthBPS > 0 {
-				time.Sleep(time.Duration(int64(n) * int64(time.Second) / int64(f.bandwidthBPS)))
-			}
-			if f.corruptProb > 0 && rng.Float64() < f.corruptProb {
-				bit := rng.Intn(n * 8)
-				buf[bit/8] ^= 1 << (bit % 8)
-				p.corruptions.Add(1)
 			}
 			// Count before the write, like a cut: once dst has the bytes the
 			// far side can answer, and a client reading Stats after the
@@ -381,16 +273,11 @@ func (p *Proxy) pump(wg *sync.WaitGroup, c *proxyConn, src, dst net.Conn, counte
 				counter.Add(^uint64(n - 1)) // not forwarded after all
 				return
 			}
-			if moved := c.moved.Add(int64(n)); f.cutAfter > 0 && moved >= f.cutAfter {
-				p.logf("netfault: cutting connection after %d bytes", moved)
-				p.cutConn(c)
-				return
-			}
 		}
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
-				continue // idle poll tick; lets blackhole/cut take effect promptly
+				continue // idle poll tick; lets a cut take effect promptly
 			}
 			if err != io.EOF {
 				// A hard error — e.g. the upstream RSTing after a kill —
@@ -408,9 +295,4 @@ func (p *Proxy) pump(wg *sync.WaitGroup, c *proxyConn, src, dst net.Conn, counte
 			return
 		}
 	}
-}
-
-// String describes the proxy for logs.
-func (p *Proxy) String() string {
-	return fmt.Sprintf("netfault proxy %s → %s", p.Addr(), p.upstream)
 }

@@ -77,13 +77,14 @@ func TestProxyForwardsFaithfully(t *testing.T) {
 	if st.Accepted != 1 || st.BytesUp != uint64(len(msg)) || st.BytesDown != uint64(len(msg)) {
 		t.Fatalf("stats = %+v, want 1 accepted, %d bytes each way", st, len(msg))
 	}
-	if st.Cuts != 0 || st.Corruptions != 0 {
+	if st.Cuts != 0 {
 		t.Fatalf("stats = %+v, want no injected faults", st)
 	}
 }
 
 func TestProxyLatency(t *testing.T) {
-	p := startProxy(t, startEcho(t), Options{Latency: 30 * time.Millisecond})
+	p := startProxy(t, startEcho(t), Options{})
+	p.SetLatency(30*time.Millisecond, 0)
 	conn := dialT(t, p.Addr())
 
 	start := time.Now()
@@ -94,6 +95,9 @@ func TestProxyLatency(t *testing.T) {
 	}
 }
 
+// TestProxyCutAll pins that an injected reset reaches the client and that
+// a peer that has seen the reset also sees it counted: Stats is read only
+// after the client's read failed, with no settling delay.
 func TestProxyCutAll(t *testing.T) {
 	p := startProxy(t, startEcho(t), Options{})
 	conn := dialT(t, p.Addr())
@@ -166,152 +170,5 @@ func TestProxyUpstreamDeathPropagates(t *testing.T) {
 	}
 	if cuts := p.Stats().Cuts; cuts != 0 {
 		t.Fatalf("Cuts = %d after a natural death, want 0 (not an injected fault)", cuts)
-	}
-}
-
-func TestProxyCutAfterBytes(t *testing.T) {
-	p := startProxy(t, startEcho(t), Options{CutAfterBytes: 700})
-	conn := dialT(t, p.Addr())
-
-	// Push well past the trigger; the write or the echo read must fail.
-	var failed bool
-	msg := bytes.Repeat([]byte("x"), 256)
-	for i := 0; i < 50 && !failed; i++ {
-		if _, err := conn.Write(msg); err != nil {
-			failed = true
-			break
-		}
-		got := make([]byte, len(msg))
-		_ = conn.SetReadDeadline(time.Now().Add(time.Second))
-		if _, err := io.ReadFull(conn, got); err != nil {
-			failed = true
-		}
-	}
-	if !failed {
-		t.Fatal("connection survived far past CutAfterBytes")
-	}
-	if st := p.Stats(); st.Cuts == 0 {
-		t.Fatal("no cut recorded")
-	}
-}
-
-func TestProxyBlackhole(t *testing.T) {
-	p := startProxy(t, startEcho(t), Options{})
-	conn := dialT(t, p.Addr())
-	roundTrip(t, conn, []byte("warm"))
-
-	p.SetBlackhole(true)
-	if _, err := conn.Write([]byte("lost?")); err != nil {
-		t.Fatalf("write into blackhole failed immediately: %v", err)
-	}
-	buf := make([]byte, 8)
-	_ = conn.SetReadDeadline(time.Now().Add(150 * time.Millisecond))
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("read from blackholed proxy returned data")
-	}
-
-	// Un-blackholing releases the held bytes: the stalled request completes.
-	p.SetBlackhole(false)
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := io.ReadFull(conn, buf[:5]); err != nil {
-		t.Fatalf("read after un-blackhole: %v", err)
-	}
-	if string(buf[:5]) != "lost?" {
-		t.Fatalf("got %q after un-blackhole, want %q", buf[:5], "lost?")
-	}
-}
-
-func TestProxyCorrupt(t *testing.T) {
-	p := startProxy(t, startEcho(t), Options{CorruptProb: 1, Seed: 42})
-	conn := dialT(t, p.Addr())
-
-	msg := bytes.Repeat([]byte{0}, 64)
-	got := roundTrip(t, conn, msg)
-	if bytes.Equal(got, msg) {
-		t.Fatal("CorruptProb=1 stream arrived unmodified")
-	}
-	if st := p.Stats(); st.Corruptions == 0 {
-		t.Fatal("no corruption recorded")
-	}
-}
-
-func TestProxyDeterministicCorruption(t *testing.T) {
-	echo := startEcho(t)
-	run := func() []byte {
-		p := startProxy(t, echo, Options{CorruptProb: 1, Seed: 7})
-		conn := dialT(t, p.Addr())
-		return roundTrip(t, conn, bytes.Repeat([]byte{0xAA}, 128))
-	}
-	if a, b := run(), run(); !bytes.Equal(a, b) {
-		t.Fatal("same seed produced different corruption")
-	}
-}
-
-func TestParseScript(t *testing.T) {
-	dirs, err := ParseScript("2s:cut; 500ms:latency=20ms~5ms; 1s:blackhole=on; 1500ms:blackhole=off; 3s:bandwidth=1024; 4s:corrupt=0.5; 5s:cutafter=4096")
-	if err != nil {
-		t.Fatalf("ParseScript: %v", err)
-	}
-	if len(dirs) != 7 {
-		t.Fatalf("got %d directives, want 7", len(dirs))
-	}
-	// Sorted by offset regardless of source order.
-	for i := 1; i < len(dirs); i++ {
-		if dirs[i].At < dirs[i-1].At {
-			t.Fatalf("directives not sorted: %v after %v", dirs[i].At, dirs[i-1].At)
-		}
-	}
-	for _, bad := range []string{
-		"nocolon", "2s:frobnicate", "2s:blackhole=maybe", "xx:cut",
-		"1s:corrupt=1.5", "1s:bandwidth=-3", "1s:cut=now", "1s:latency=fast",
-	} {
-		if _, err := ParseScript(bad); err == nil {
-			t.Errorf("ParseScript(%q) succeeded, want error", bad)
-		}
-	}
-}
-
-func TestRunScript(t *testing.T) {
-	p := startProxy(t, startEcho(t), Options{})
-	conn := dialT(t, p.Addr())
-	roundTrip(t, conn, []byte("warm"))
-
-	dirs, err := ParseScript("10ms:latency=5ms;30ms:cut")
-	if err != nil {
-		t.Fatalf("ParseScript: %v", err)
-	}
-	done := make(chan struct{})
-	go func() { RunScript(p, dirs, nil); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("RunScript did not finish")
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := conn.Read(make([]byte, 8)); err == nil {
-		t.Fatal("connection survived scripted cut")
-	}
-	if st := p.Stats(); st.Cuts != 1 {
-		t.Fatalf("Cuts = %d, want 1", st.Cuts)
-	}
-}
-
-func TestScriptStop(t *testing.T) {
-	p := startProxy(t, startEcho(t), Options{})
-	dirs, err := ParseScript("10m:cut")
-	if err != nil {
-		t.Fatalf("ParseScript: %v", err)
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { RunScript(p, dirs, stop); close(done) }()
-	close(stop)
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("RunScript ignored stop")
-	}
-	if st := p.Stats(); st.Cuts != 0 {
-		t.Fatal("stopped script still fired")
 	}
 }

@@ -223,9 +223,9 @@ var (
 // CheckExposition validates a Prometheus text exposition read from r:
 // every line must be blank, a well-formed comment (# HELP / # TYPE /
 // free comment), or a sample with a valid metric name, optional label
-// set and parseable value. It returns the number of samples. The CI
-// smoke test runs it against a live /metrics scrape so a malformed
-// exporter fails the build rather than a scraper at 3am.
+// set and parseable value. It returns the number of samples. The chaos
+// harness (internal/server/chaos) runs it against a live /metrics scrape
+// of every process it starts, and `rsinspect prom` against any scrape.
 func CheckExposition(r io.Reader) (samples int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

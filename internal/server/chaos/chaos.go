@@ -17,10 +17,12 @@
 //     fanned out across the fleet and its writes following the primary;
 //     a cycle SIGKILLs and restarts a replica, cuts the replication
 //     streams and degrades the link to linkFaultLatency for a period,
-//     then SIGKILLs the primary, promotes a survivor and rejoins the dead
+//     then SIGKILLs the primary, promotes a survivor (SIGUSR1 on odd
+//     cycles, the PROMOTE RPC on even ones) and rejoins the dead
 //     ex-primary to the new lineage. The final term must equal the
-//     promotions, and the replicas must converge to the primary within
-//     stalenessMax;
+//     promotions, the replicas must converge to the primary within
+//     stalenessMax, and the drained primary's manifest must read role
+//     primary at the final term;
 //   - sharded (0/N): N x-range shards behind a real rsrouter that the
 //     load talks to; a cycle SIGKILLs a rotating shard and restarts it a
 //     period later.
@@ -28,12 +30,16 @@
 // Everything else is the same for every topology. The load's per-worker
 // stripe models verify read-your-writes across every kill (an acked write
 // must never disappear, a deleted point never resurrect) and idempotency
-// IDs keep retried writes exactly-once-applied. After the schedule the
+// IDs keep retried writes exactly-once-applied. Every process serves
+// /metrics (-metrics); once the load stops, each exposition must validate
+// and carry that process's metric families. After the schedule the
 // fleet drains on SIGTERM (router, replicas, then the primary or shards),
 // every exit must be 0, and every store is reopened in-process: WAL
 // recovery, clean checksums, zero leaked pages (replicas excepted), an
 // empty write-buffer journal, and exactly the points the fleet reported
 // over STATS before it drained (replica stores: the primary's points).
+// With TraceSample, every node also spools spans (-spans): each spool
+// must parse, and together they must hold at least one span.
 //
 // cmd/rschaos wraps this package for the command line; scripts/chaos.sh
 // runs it for `make chaos`, `chaos-repl`, `chaos-shard` and
@@ -102,8 +108,9 @@ type Config struct {
 	Seed int64
 	// TraceSample, when > 0, runs the whole schedule with request tracing
 	// live on both sides: the load client-stamps TRACE envelopes at this
-	// rate and every rsserve runs with the same -trace-sample, so spans
-	// flow through group commit, WAL recovery and reconnect storms.
+	// rate and every rsserve runs with the same -trace-sample and a -spans
+	// spool, so spans flow through group commit, WAL recovery and
+	// reconnect storms.
 	TraceSample float64
 	// WriteBuffer runs every rsserve write-optimized (-write-buffer):
 	// acked writes live in the buffer plus its journal until a flush, so
@@ -328,6 +335,7 @@ func Run(cfg Config) (*Report, error) {
 	h.rep.Load = loadRep
 
 	topo.settle(h)
+	h.scrape()
 	// The fleet's own total, before anything drains: the drained stores
 	// must account for it exactly.
 	entry := h.router

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,6 +20,7 @@ import (
 	"rangesearch/internal/eio"
 	"rangesearch/internal/netfault"
 	"rangesearch/internal/node"
+	"rangesearch/internal/obs"
 	"rangesearch/internal/server"
 )
 
@@ -36,6 +39,7 @@ type proc struct {
 	bin      string
 	args     []string // every start's flags; start appends per-start ones
 	addr     string   // client protocol: the readiness Ping goes here
+	metrics  string   // -metrics: the /metrics endpoint scrape reads
 	replAddr string   // replication protocol (replicated topology only)
 	store    string   // "" for the router
 	replica  bool     // drained first, never leak-checked
@@ -90,13 +94,20 @@ func freePort() (string, error) {
 	return addr, nil
 }
 
-// newProc declares a child process on a fresh port; it is not started.
+// newProc declares a child process serving on a fresh port with its
+// /metrics endpoint on another; it is not started.
 func (h *harness) newProc(name, bin string) (*proc, error) {
 	addr, err := freePort()
 	if err != nil {
 		return nil, err
 	}
-	return &proc{name: name, bin: bin, addr: addr, out: &logBuffer{logf: h.cfg.Logf, tag: name}}, nil
+	metrics, err := freePort()
+	if err != nil {
+		return nil, err
+	}
+	return &proc{name: name, bin: bin, addr: addr, metrics: metrics,
+		args: []string{"-addr", addr, "-metrics", metrics},
+		out:  &logBuffer{logf: h.cfg.Logf, tag: name}}, nil
 }
 
 // newNode declares the next rsserve node with the flags every topology
@@ -107,9 +118,10 @@ func (h *harness) newNode() (*proc, error) {
 		return nil, err
 	}
 	n.store = filepath.Join(h.cfg.Dir, n.name+".db")
-	n.args = []string{"-addr", n.addr, "-store", n.store, "-request-timeout", requestTimeout.String()}
+	n.args = append(n.args, "-store", n.store, "-request-timeout", requestTimeout.String())
 	if h.cfg.TraceSample > 0 {
-		n.args = append(n.args, "-trace-sample", fmt.Sprintf("%g", h.cfg.TraceSample))
+		n.args = append(n.args, "-trace-sample", fmt.Sprintf("%g", h.cfg.TraceSample),
+			"-spans", spoolPath(n.store))
 	}
 	if h.cfg.WriteBuffer {
 		n.args = append(n.args, "-write-buffer",
@@ -238,7 +250,6 @@ func (h *harness) closeProxy() {
 	h.rep.Proxy.BytesUp += st.BytesUp
 	h.rep.Proxy.BytesDown += st.BytesDown
 	h.rep.Proxy.Cuts += st.Cuts
-	h.rep.Proxy.Corruptions += st.Corruptions
 	h.rep.Proxy.DialErrors += st.DialErrors
 	h.proxy.Close()
 	h.proxy = nil
@@ -262,6 +273,53 @@ func stats(addr string) (*server.StatsSnapshot, error) {
 	}
 	return &st, nil
 }
+
+// scrape reads every process's /metrics while the fleet is still up: the
+// exposition must validate, and it must carry the families that process
+// publishes — the server's counters on every rsserve, the durable stack's
+// page cache on every non-replica one, the write buffer's with
+// WriteBuffer, and the router's counters on the router.
+func (h *harness) scrape() {
+	cl := http.Client{Timeout: requestTimeout}
+	for _, p := range append([]*proc{h.router}, h.nodes...) {
+		if p == nil {
+			continue
+		}
+		want := []string{"rangesearch_router_main"}
+		if p != h.router {
+			want = []string{"rangesearch_server_main"}
+			if !p.replica {
+				want = append(want, "rangesearch_pool_tx")
+			}
+			if h.cfg.WriteBuffer {
+				want = append(want, "rangesearch_wbuf_serve")
+			}
+		}
+		resp, err := cl.Get("http://" + p.metrics + "/metrics")
+		if err != nil {
+			h.rep.failf("%s /metrics: %v", p.name, err)
+			continue
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil {
+			_, err = obs.CheckExposition(bytes.NewReader(body))
+		}
+		if err != nil {
+			h.rep.failf("%s /metrics: %v", p.name, err)
+			continue
+		}
+		lines := "\n" + string(body)
+		for _, family := range want {
+			if !strings.Contains(lines, "\n"+family) {
+				h.rep.failf("%s /metrics carries no %s samples", p.name, family)
+			}
+		}
+	}
+}
+
+// spoolPath is where a traced node spools its sampled spans (-spans).
+func spoolPath(store string) string { return store + ".spans.jsonl" }
 
 // drain stops the fleet — router first (it holds client-side state only),
 // then the replicas, then the primary or shards — recording every exit.
@@ -287,10 +345,23 @@ func (h *harness) drain() {
 }
 
 // postMortem re-verifies every drained store in-process and checks the
-// stores against the fleet's reported total and against each other, then
-// sums the nodes' boot-scrub and journal-replay log lines.
+// stores against the fleet's reported total and against each other, the
+// final primary's manifest against the promotions, and every span spool
+// for parseable lines; it also sums the nodes' boot-scrub and
+// journal-replay log lines.
 func (h *harness) postMortem() {
+	spans := 0
 	for _, n := range h.nodes {
+		if h.cfg.TraceSample > 0 {
+			spans += h.readSpool(n)
+		}
+		if h.cfg.Replicas > 0 && !n.replica {
+			if m, err := node.ReadManifest(n.store); err != nil {
+				h.rep.failf("%s manifest: %v", n.name, err)
+			} else if m.Role != "primary" || m.Term != h.rep.FinalTerm {
+				h.rep.failf("%s manifest reads role %q term %d, want primary at term %d", n.name, m.Role, m.Term, h.rep.FinalTerm)
+			}
+		}
 		h.rep.BootScrubs += n.out.count("boot scrub: reclaimed")
 		h.rep.JournalReplays += n.out.count("write buffer: replayed")
 		// A clean drain folds the buffer into the base and truncates the
@@ -312,11 +383,33 @@ func (h *harness) postMortem() {
 	if h.rep.Points != h.rep.Len {
 		h.rep.failf("stores hold %d points, the fleet reported %d", h.rep.Points, h.rep.Len)
 	}
+	if h.cfg.TraceSample > 0 {
+		h.logf("chaos: span spools hold %d spans", spans)
+		if spans == 0 {
+			h.rep.failf("tracing was on, but no node spooled a span")
+		}
+	}
 	for _, n := range h.nodes {
 		if sr, ok := h.rep.Stores[n.name]; ok && n.replica && sr.Points != h.rep.Points {
 			h.rep.failf("%s holds %d points, primary holds %d", n.name, sr.Points, h.rep.Points)
 		}
 	}
+}
+
+// readSpool parses n's span spool, which its last process flushed on its
+// clean drain, and returns how many spans it holds.
+func (h *harness) readSpool(n *proc) int {
+	f, err := os.Open(spoolPath(n.store))
+	if err != nil {
+		h.rep.failf("%s span spool: %v", n.name, err)
+		return 0
+	}
+	defer f.Close()
+	recs, err := obs.ReadSpans(f)
+	if err != nil {
+		h.rep.failf("%s span spool: %v", n.name, err)
+	}
+	return len(recs)
 }
 
 // inspect reopens a drained store in-process and re-verifies what

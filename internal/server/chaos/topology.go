@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"strings"
+	"syscall"
 	"time"
 
 	"rangesearch/internal/repl"
@@ -71,7 +72,7 @@ func (sharded) boot(h *harness) (server.LoadConfig, error) {
 	// A killed shard stays down for a full period; give the shard clients
 	// enough retry budget to bridge it so most sub-requests land after the
 	// restart instead of surfacing TIMEOUT.
-	r.args = []string{"-addr", r.addr, "-shards", h.rep.Spec, "-shard-attempts", "60"}
+	r.args = append(r.args, "-shards", h.rep.Spec, "-shard-attempts", "60")
 	h.router = r
 	if err := h.start(r); err != nil {
 		return server.LoadConfig{}, err
@@ -162,23 +163,31 @@ func (t *replicated) cycle(h *harness, n int) error {
 	return t.killPromote(h, n)
 }
 
-// killPromote SIGKILLs the primary, promotes the next node via the
-// PROMOTE RPC, and repoints the rest of the fleet at the new lineage —
-// including the dead ex-primary, whose diverged store the handshake must
-// re-clone rather than splice.
+// killPromote SIGKILLs the primary, promotes the next node, and repoints
+// the rest of the fleet at the new lineage — including the dead
+// ex-primary, whose diverged store the handshake must re-clone rather
+// than splice. Odd cycles promote with SIGUSR1 and even ones with the
+// PROMOTE RPC, so both triggers rsserve wires stay covered.
 func (t *replicated) killPromote(h *harness, n int) error {
 	h.sigkill(h.nodes[t.primary], n)
 	t.primary = (t.primary + 1) % len(h.nodes)
 	succ := h.nodes[t.primary]
+	how := "PROMOTE"
+	if n%2 == 1 {
+		how = "SIGUSR1"
+		if err := succ.cmd.Process.Signal(syscall.SIGUSR1); err != nil {
+			return fmt.Errorf("SIGUSR1 %s: %w", succ.name, err)
+		}
+	}
 	// The successor may still be inside a reconnect backoff toward the
-	// dead primary; PROMOTE drains its apply queue and returns its new
-	// identity. Retry within the ready budget.
+	// dead primary; promotion drains its apply queue first. Retry (or poll)
+	// within the ready budget.
 	deadline := time.Now().Add(readyTimeout)
 	for {
-		term, lsn, err := repl.Promote(succ.replAddr, 5*time.Second)
+		term, err := promotedTerm(succ, how)
 		if err == nil {
 			h.rep.FinalTerm = term
-			h.logf("chaos: cycle %d: promoted %s to term %d at lsn %d", n, succ.name, term, lsn)
+			h.logf("chaos: cycle %d: promoted %s to term %d by %s", n, succ.name, term, how)
 			break
 		}
 		if time.Now().After(deadline) {
@@ -234,6 +243,23 @@ func (t *replicated) settle(h *harness) {
 	}
 	h.rep.ConvergeS = time.Since(start).Seconds()
 	h.logf("chaos: replicas converged to lsn %d in %.2fs", target, h.rep.ConvergeS)
+}
+
+// promotedTerm returns succ's term once it is primary: PROMOTE promotes
+// it and answers the term; after SIGUSR1 its STATS report it.
+func promotedTerm(succ *proc, how string) (uint64, error) {
+	if how == "PROMOTE" {
+		term, _, err := repl.Promote(succ.replAddr, 5*time.Second)
+		return term, err
+	}
+	st, err := stats(succ.addr)
+	if err != nil {
+		return 0, err
+	}
+	if st.Repl == nil || st.Repl.Role != "primary" {
+		return 0, fmt.Errorf("%s is not primary yet", succ.name)
+	}
+	return st.Repl.Term, nil
 }
 
 // appliedLSN is a node's durable replication position from its STATS.

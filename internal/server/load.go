@@ -15,7 +15,7 @@ import (
 )
 
 // LoadConfig drives RunLoad, the closed-loop load generator behind
-// cmd/rsload, the bench "serve" experiment, and the race-mode soak test.
+// cmd/rsload, the chaos harness (internal/server/chaos) and the soak test.
 type LoadConfig struct {
 	// Addr is the server's TCP address.
 	Addr string

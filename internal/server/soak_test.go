@@ -114,15 +114,12 @@ func TestSoakResilientUnderFaults(t *testing.T) {
 	m := &Metrics{}
 	ts := newTestServer(t, Config{Metrics: m, RequestTimeout: 5 * time.Second})
 
-	proxy, err := netfault.New(ts.addr, netfault.Options{
-		Seed:    99,
-		Latency: 200 * time.Microsecond,
-		Jitter:  300 * time.Microsecond,
-	})
+	proxy, err := netfault.New(ts.addr, netfault.Options{Seed: 99})
 	if err != nil {
 		t.Fatalf("netfault.New: %v", err)
 	}
 	defer proxy.Close()
+	proxy.SetLatency(200*time.Microsecond, 300*time.Microsecond)
 
 	stop := make(chan struct{})
 	var chaosWG sync.WaitGroup

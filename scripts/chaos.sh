@@ -3,15 +3,14 @@
 # runs rschaos on a fresh working directory with every argument passed
 # through (see cmd/rschaos for the flags and topologies). With no
 # arguments it is the single-node ≥10-cycle run; the Makefile's chaos,
-# chaos-repl, chaos-shard and chaos-writeopt targets all come through
-# here. Acceptance is rschaos's exit status. With ARTIFACT_DIR set, the
-# JSON report is copied there as chaos.json (chaos-repl.json with
-# -replicas, chaos-shard.json with -shards).
+# chaos-repl, chaos-shard and chaos-writeopt targets and CI's chaos job
+# all come through here. Acceptance is rschaos's exit status. With
+# ARTIFACT_DIR set, the JSON report is copied there as chaos.json
+# (chaos-repl.json with -replicas, chaos-shard.json with -shards).
 set -eu
 
 WORKDIR=$(mktemp -d /tmp/rschaos.XXXXXX)
 trap 'rm -rf "$WORKDIR"' EXIT
-. "$(dirname "$0")/lib.sh"
 
 report=chaos
 for arg in "$@"; do
@@ -21,7 +20,8 @@ for arg in "$@"; do
     esac
 done
 
-build ./cmd/rsserve ./cmd/rsrouter ./cmd/rschaos
+echo "== build =="
+${GO:-go} build -o "$WORKDIR/bin/" ./cmd/rsserve ./cmd/rsrouter ./cmd/rschaos
 
 echo "== chaos: ${*:-single node, harness defaults} =="
 "$WORKDIR/bin/rschaos" \
