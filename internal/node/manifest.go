@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"rangesearch/internal/eio"
 )
@@ -83,11 +84,47 @@ func ReadManifest(store string) (*Manifest, error) {
 	return &m, nil
 }
 
-// WriteManifest records m as the manifest of the store at store.
+// WriteManifest records m as the manifest of the store at store, durably
+// and atomically: the bytes go to a temporary file, which is synced and
+// renamed over the manifest, and then the directory is synced so the
+// rename survives a crash. A crash leaves the old manifest or the new one,
+// never a torn one. ReadManifest never reads the temporary file, and the
+// next write replaces whatever a crash left of it.
 func WriteManifest(store string, m *Manifest) error {
 	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(ManifestPath(store), append(raw, '\n'), 0o644)
+	path := ManifestPath(store)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(append(raw, '\n'))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("sync directory of %s: %w", path, err)
+	}
+	return nil
 }

@@ -106,6 +106,34 @@ func TestManifestMissing(t *testing.T) {
 	reopenWantErr(t, path, "manifest is unreadable")
 }
 
+// TestManifestLeftoverTemp: a crash inside WriteManifest leaves at most a
+// partial temporary file beside an intact manifest. ReadManifest must not
+// see it, and the next write must replace it.
+func TestManifestLeftoverTemp(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "points.db")
+	want := Manifest{PageSize: 4096, Durable: true, Hdr: 7, Anchor: 3, Term: 2, Role: "primary"}
+	if err := WriteManifest(store, &want); err != nil {
+		t.Fatal(err)
+	}
+	tmp := ManifestPath(store) + ".tmp"
+	if err := os.WriteFile(tmp, []byte(`{"page_size": 4096, "term": 3, "du`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadManifest(store); err != nil || *got != want {
+		t.Fatalf("ReadManifest beside a partial temp file = %+v, %v; want %+v", got, err, want)
+	}
+	want.Term = 3
+	if err := WriteManifest(store, &want); err != nil {
+		t.Fatalf("WriteManifest over a leftover temp file: %v", err)
+	}
+	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temp file still present after the next write (stat: %v)", err)
+	}
+	if got, err := ReadManifest(store); err != nil || *got != want {
+		t.Fatalf("ReadManifest after the next write = %+v, %v; want %+v", got, err, want)
+	}
+}
+
 // TestReopenRoundTrip pins the happy path the validation must not break:
 // create, write, drain, reopen, read back.
 func TestReopenRoundTrip(t *testing.T) {

@@ -47,7 +47,7 @@ func TestResilientQueueWhileDown(t *testing.T) {
 	}
 
 	// Only now does a server start accepting on the reserved address.
-	ts := newTestServerOn(t, Config{}, ln)
+	ts := newTestServerOn(t, Config{}, ln, nil)
 
 	for i := 0; i < n; i++ {
 		res, err := rc.Recv()
@@ -105,7 +105,7 @@ func TestResilientReconnectAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-listen on %s: %v", addr, err)
 	}
-	ts2 := newTestServerOn(t, Config{}, ln)
+	ts2 := newTestServerOn(t, Config{}, ln, nil)
 
 	if err := rc.Ping([]byte("two")); err != nil {
 		t.Fatalf("Ping after restart: %v", err)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"runtime/debug"
 	"sync"
@@ -63,12 +64,15 @@ type Config struct {
 	// evicted: a peer too slow to accept responses cannot pin a handler
 	// (Metrics.Evicted counts these).
 	WriteTimeout time.Duration
-	// RequestTimeout bounds one request's execution. A request still
-	// running when it expires is answered StatusTimeout and abandoned (it
-	// may still complete and, for IDEM writes, lands its outcome in the
-	// dedup window for the retry to find). Ordering relative to later
-	// requests on the connection is not guaranteed for an abandoned
-	// request. 0 disables.
+	// RequestTimeout bounds one request's execution. A request runs on
+	// its connection's goroutine; one that finishes after its deadline is
+	// answered StatusTimeout, not with its result. One still running when
+	// the deadline fires is detached: another goroutine takes the
+	// connection over, answers it StatusTimeout and serves the requests
+	// behind it, while the detached execution runs to completion (for
+	// IDEM writes its outcome lands in the dedup window for the retry to
+	// find). Ordering relative to later requests on the connection is not
+	// guaranteed for a detached request. 0 disables.
 	RequestTimeout time.Duration
 	// RetryAfterHint is the backoff hint attached to BUSY responses
 	// (default 2ms; <0 omits the hint).
@@ -154,10 +158,13 @@ type Server struct {
 	traceEvery   uint64 // sample every Nth request (0 = off)
 	traceCounter atomic.Uint64
 
+	// draining is read by every request without a lock. It is set under
+	// mu, and Serve checks it under mu before adding a connection to
+	// conns, so Shutdown interrupts every connection Serve admits.
+	draining atomic.Bool
 	mu       sync.Mutex
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
-	draining bool
 
 	wg sync.WaitGroup
 }
@@ -184,7 +191,7 @@ func New(idx core.Engine, cfg Config) *Server {
 // Shutdown it returns nil.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		ln.Close()
 		return errors.New("server: already shut down")
@@ -196,16 +203,13 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		conn, aerr := ln.Accept()
 		if aerr != nil {
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			if !draining {
+			if !s.draining.Load() {
 				err = aerr
 			}
 			break
 		}
 		s.mu.Lock()
-		if s.draining {
+		if s.draining.Load() {
 			s.mu.Unlock()
 			conn.Close()
 			break
@@ -229,7 +233,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // or ctx is done, whichever is first.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	s.draining = true
+	s.draining.Store(true)
 	if s.ln != nil {
 		s.ln.Close()
 	}
@@ -276,43 +280,116 @@ func (s *Server) dropConn(conn net.Conn) {
 	}
 }
 
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
+// connState is one connection's serving state. One goroutine owns it at a
+// time: the one Serve started, or the one a request deadline's takeover
+// runs on. Only the owner touches the connection, the buffers and the
+// current request's fields.
+type connState struct {
+	s       *Server
+	nc      net.Conn
+	br      *bufio.Reader
+	bw      *bufio.Writer
+	respBuf []byte
+	pts     []geom.Point // result buffer the response's Points alias
+
+	// The request deadline; timer is nil when RequestTimeout is off. word
+	// packs the executing request's deadline (ns since s.start) with its
+	// state in the low stateBits. Every arming writes a larger deadline,
+	// so a timer firing late for an earlier request finds a word whose
+	// deadline has not passed and leaves it alone.
+	timer    *time.Timer
+	word     atomic.Uint64
+	deadline uint64 // the last deadline armed
+
+	// The current request, as its reply or a takeover's TIMEOUT needs it.
+	req   Request
+	sp    *trace.Span
+	start time.Time
+	inLen int
 }
 
-// handleConn runs one connection's request loop: read frame, handle,
-// write response, flushing when the input buffer drains (so pipelined
-// clients get batched response writes). Responses go out in request
-// order. A panic anywhere in the loop is caught here: the connection
-// dies, the server does not.
-func (s *Server) handleConn(conn net.Conn) {
+// The state of the request a connState's word describes.
+const (
+	stateBits    = 2
+	stateMask    = 1<<stateBits - 1
+	stateRunning = 1 // executing; the timer may take the connection over
+	stateDone    = 2 // finished in time to keep the connection
+	stateExpired = 3 // the timer won: the connection has a new owner
+)
+
+// testHookTakeover, when a test sets it, runs on a takeover's goroutine
+// as soon as its CAS has won the connection.
+var testHookTakeover func()
+
+// handleConn serves one accepted connection.
+func (s *Server) handleConn(nc net.Conn) {
+	c := &connState{
+		s:  s,
+		nc: nc,
+		br: bufio.NewReaderSize(nc, 32*1024),
+		bw: bufio.NewWriterSize(nc, 32*1024),
+	}
+	if s.cfg.RequestTimeout > 0 {
+		// Armed by each execution; until the first it never fires.
+		c.timer = time.AfterFunc(math.MaxInt64, c.expire)
+	}
+	c.serve(false)
+}
+
+// serve runs the connection's request loop on the goroutine that owns c;
+// a takeover first answers the request it took over. A panic anywhere in
+// the loop is caught here: the connection dies, the server does not. The
+// goroutine that owns c when it returns stops the timer and closes the
+// connection; one whose request was taken over leaves both alone.
+func (c *connState) serve(takeover bool) {
+	s := c.s
+	owner := true
 	defer s.wg.Done()
-	defer s.dropConn(conn)
+	defer func() {
+		if owner {
+			if c.timer != nil {
+				c.timer.Stop()
+			}
+			s.dropConn(c.nc)
+		}
+	}()
 	defer func() {
 		if r := recover(); r != nil {
 			if m := s.cfg.Metrics; m != nil {
 				m.panics.Add(1)
 			}
-			s.logf("server: connection %v: handler panic: %v\n%s", conn.RemoteAddr(), r, debug.Stack())
+			s.logf("server: connection %v: handler panic: %v\n%s", c.nc.RemoteAddr(), r, debug.Stack())
 		}
 	}()
+	owner = c.loop(takeover)
+}
 
-	br := bufio.NewReaderSize(conn, 32*1024)
-	bw := bufio.NewWriterSize(conn, 32*1024)
-	var respBuf []byte
-	ce := connExec{s: s}
-	defer ce.close()
+// loop reads a frame, executes it and writes the response, flushing when
+// the input buffer drains (so pipelined clients get batched response
+// writes). Responses go out in request order. It returns false when a
+// takeover has the connection, which this goroutine must not touch again.
+func (c *connState) loop(takeover bool) bool {
+	s := c.s
+	if takeover {
+		if m := s.cfg.Metrics; m != nil {
+			m.timeouts.Add(1)
+		}
+		if !c.reply(Response{Status: StatusTimeout}, false, time.Now()) {
+			return true
+		}
+	}
 	for {
-		if s.isDraining() {
-			bw.Flush()
-			return
-		}
 		if s.cfg.IdleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+			_ = c.nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
-		body, err := ReadFrame(br, s.cfg.MaxFrame)
+		// Checked after the idle deadline is set, never before: Shutdown
+		// sets draining before it interrupts reads, so either this load
+		// sees it or Shutdown's interrupt replaces the deadline just set.
+		if s.draining.Load() {
+			c.bw.Flush()
+			return true
+		}
+		body, err := ReadFrame(c.br, s.cfg.MaxFrame)
 		if err != nil {
 			// Clean close, idle timeout, drain interrupt: just drop the
 			// connection. A framing violation additionally counts as a
@@ -321,68 +398,151 @@ func (s *Server) handleConn(conn net.Conn) {
 				if m := s.cfg.Metrics; m != nil {
 					m.protoErr.Add(1)
 				}
-				respBuf = EncodeResponse(respBuf[:0], 0, Response{Status: StatusErr, Msg: err.Error()})
-				s.writeResponse(conn, bw, respBuf)
+				c.respBuf = EncodeResponse(c.respBuf[:0], 0, Response{Status: StatusErr, Msg: err.Error()})
+				s.writeResponse(c.nc, c.bw, c.respBuf)
 			}
-			bw.Flush()
-			return
+			c.bw.Flush()
+			return true
 		}
-		start := time.Now()
+		c.start = time.Now()
 		req, derr := DecodeRequest(body, s.cfg.MaxBatchOps)
-		var resp Response
-		var sp *trace.Span
-		op := byte(0)
-		replayed := false
-		replyStart := start
-		switch {
-		case derr != nil:
+		if derr != nil {
 			// A malformed payload inside a well-formed frame: report it on
 			// this request, keep the connection (framing is still sound).
 			if m := s.cfg.Metrics; m != nil {
 				m.protoErr.Add(1)
 			}
-			resp = Response{Status: StatusErr, Msg: derr.Error()}
-			respBuf = EncodeResponse(respBuf[:0], op, resp)
-		default:
-			op = req.Op
-			sp = s.startSpan(req, start)
-			if cached, ok := s.lookupIdem(req); ok {
-				// A retried write whose original completed: replay the
-				// recorded response verbatim, never re-execute.
-				replayed = true
-				replyStart = time.Now()
-				respBuf = append(respBuf[:0], cached...)
-			} else {
-				resp = ce.do(req, sp)
-				replyStart = time.Now()
-				respBuf = EncodeResponse(respBuf[:0], op, resp)
+			c.respBuf = EncodeResponse(c.respBuf[:0], 0, Response{Status: StatusErr, Msg: derr.Error()})
+			if !c.write() {
+				return true
 			}
+			continue
 		}
-		if !s.writeResponse(conn, bw, respBuf) {
-			return
-		}
-		// Flush once the pipeline's input is drained: pipelined bursts get
-		// one syscall per burst, single requests flush immediately.
-		if br.Buffered() == 0 {
-			if err := bw.Flush(); err != nil {
-				s.noteWriteErr(err)
-				return
+		sp := s.startSpan(req, c.start)
+		c.req, c.sp, c.inLen = req, sp, len(body)
+		var ok bool
+		if cached, hit := s.lookupIdem(req); hit {
+			// A retried write whose original completed: replay the
+			// recorded response verbatim, never re-execute.
+			c.respBuf = append(c.respBuf[:0], cached...)
+			ok = c.reply(Response{}, true, time.Now())
+		} else {
+			resp, detached := c.execute(req, sp)
+			if detached {
+				return false
 			}
+			ok = c.reply(resp, false, time.Now())
 		}
-		if sp != nil {
-			// reply_flush covers encode + frame write (+ the flush when
-			// this request triggered one); the span's wall clock stops
-			// here, so it is the request's server-side wire latency.
-			sp.AddPhase(trace.PhaseReplyFlush, time.Since(replyStart))
-			s.completeSpan(sp, req, resp)
-		}
-		if m := s.cfg.Metrics; m != nil && derr == nil {
-			m.observe(op, time.Since(start), len(body), len(respBuf), !replayed && resp.Status == StatusErr)
-			if !replayed && resp.Status == StatusBusy {
-				m.busy.Add(1)
-			}
+		if !ok {
+			return true
 		}
 	}
+}
+
+// execute runs req on this goroutine under the request deadline. detached
+// means the deadline fired first and a takeover owns the connection now.
+func (c *connState) execute(req Request, sp *trace.Span) (resp Response, detached bool) {
+	s := c.s
+	// The execution fills a local copy of the result buffer: after a
+	// takeover it is still writing it, and the new owner starts afresh.
+	pts := c.pts
+	if c.timer == nil {
+		resp = s.executeIsolated(req, sp, &pts)
+		c.pts = pts
+		return resp, false
+	}
+	d := uint64(c.start.Sub(s.start) + s.cfg.RequestTimeout)
+	if d <= c.deadline {
+		d = c.deadline + 1
+	}
+	c.deadline = d
+	w := d<<stateBits | stateRunning
+	c.word.Store(w)
+	c.timer.Reset(s.cfg.RequestTimeout)
+	resp = s.executeIsolated(req, sp, &pts)
+	if !c.word.CompareAndSwap(w, d<<stateBits|stateDone) {
+		return resp, true
+	}
+	c.timer.Stop()
+	c.pts = pts
+	if uint64(time.Since(s.start)) >= d {
+		// Finished past the deadline, before the timer could take over:
+		// answered as if it had.
+		if m := s.cfg.Metrics; m != nil {
+			m.timeouts.Add(1)
+		}
+		return Response{Status: StatusTimeout}, false
+	}
+	return resp, false
+}
+
+// expire is the request timer's callback, on a goroutine of its own. If
+// the request the word describes is still running past its deadline, this
+// goroutine takes the connection over: it answers that request TIMEOUT and
+// serves the connection from then on, while the executing goroutine
+// finishes its request detached.
+func (c *connState) expire() {
+	s := c.s
+	w := c.word.Load()
+	if w&stateMask != stateRunning || uint64(time.Since(s.start)) < w>>stateBits {
+		return
+	}
+	// Counted before the CAS: once the CAS wins, the executing goroutine
+	// may finish and exit at any moment, and Shutdown must not see zero
+	// handlers while this one is about to serve the connection.
+	s.wg.Add(1)
+	if !c.word.CompareAndSwap(w, w&^stateMask|stateExpired) {
+		s.wg.Done()
+		return
+	}
+	if h := testHookTakeover; h != nil {
+		h()
+	}
+	c.pts = nil
+	c.serve(true)
+}
+
+// reply answers the current request: it encodes resp (a replay's bytes
+// are already in respBuf), writes the frame, then closes the request's
+// span and records its metrics. False means the connection is dead.
+func (c *connState) reply(resp Response, replayed bool, replyStart time.Time) bool {
+	s := c.s
+	if !replayed {
+		c.respBuf = EncodeResponse(c.respBuf[:0], c.req.Op, resp)
+	}
+	if !c.write() {
+		return false
+	}
+	if sp := c.sp; sp != nil {
+		// reply_flush covers encode + frame write (+ the flush when this
+		// request triggered one); the span's wall clock stops here, so it
+		// is the request's server-side wire latency.
+		sp.AddPhase(trace.PhaseReplyFlush, time.Since(replyStart))
+		s.completeSpan(sp, c.req, resp)
+	}
+	if m := s.cfg.Metrics; m != nil {
+		m.observe(c.req.Op, time.Since(c.start), c.inLen, len(c.respBuf), !replayed && resp.Status == StatusErr)
+		if !replayed && resp.Status == StatusBusy {
+			m.busy.Add(1)
+		}
+	}
+	return true
+}
+
+// write frames respBuf under the write deadline and flushes once the
+// pipeline's input is drained: pipelined bursts get one syscall per burst,
+// single requests flush immediately. False means the connection is dead.
+func (c *connState) write() bool {
+	if !c.s.writeResponse(c.nc, c.bw, c.respBuf) {
+		return false
+	}
+	if c.br.Buffered() == 0 {
+		if err := c.bw.Flush(); err != nil {
+			c.s.noteWriteErr(err)
+			return false
+		}
+	}
+	return true
 }
 
 // lookupIdem consults the dedup window for a retried IDEM write.
@@ -414,94 +574,9 @@ func (s *Server) completeIdem(req Request, resp Response) {
 	s.idem.store(*req.Idem, EncodeResponse(nil, req.Op, resp))
 }
 
-// connExec executes one connection's requests, in order, under the
-// configured execution deadline. With a deadline, requests run on a
-// long-lived executor goroutine the connection hands them to, so neither a
-// goroutine, a channel nor a timer is made per request and the executor's
-// stack stays grown to the depth the index recursion needs. A response's
-// Points alias the executor's result buffer and are valid until the
-// connection's next do.
-type connExec struct {
-	s     *Server
-	ex    *executor   // nil until the first request, and after a detach
-	timer *time.Timer // reused across requests; stopped between them
-	pts   []geom.Point
-}
-
-// executor is one request-running goroutine. Both channels hold one
-// element: the connection sends only when the executor is idle, and the
-// executor's send never blocks even when nobody is left to receive.
-type executor struct {
-	reqs  chan execReq
-	resps chan Response
-}
-
-type execReq struct {
-	req Request
-	sp  *trace.Span
-}
-
-// do runs one request. On deadline expiry the caller gets StatusTimeout
-// while the request keeps running on its executor, now detached: its real
-// outcome still lands in the dedup window (for IDEM writes), so a retry
-// observes the original execution; the executor then exits and the
-// connection's next request starts a fresh one.
-func (c *connExec) do(req Request, sp *trace.Span) Response {
-	s := c.s
-	if s.cfg.RequestTimeout <= 0 {
-		resp := s.handle(req, sp, &c.pts)
-		s.completeIdem(req, resp)
-		return resp
-	}
-	if c.ex == nil {
-		c.ex = &executor{reqs: make(chan execReq, 1), resps: make(chan Response, 1)}
-		go s.runExecutor(c.ex)
-	}
-	if c.timer == nil {
-		c.timer = time.NewTimer(s.cfg.RequestTimeout)
-	} else {
-		c.timer.Reset(s.cfg.RequestTimeout)
-	}
-	c.ex.reqs <- execReq{req: req, sp: sp}
-	select {
-	case resp := <-c.ex.resps:
-		if !c.timer.Stop() {
-			// Fired between the response and here, and this select did not
-			// take the tick: wait for it (go.mod's go 1.22 keeps the
-			// buffered timer channel, whose send may land after Stop
-			// returns) so the next Reset starts clean.
-			<-c.timer.C
-		}
-		return resp
-	case <-c.timer.C:
-		if m := s.cfg.Metrics; m != nil {
-			m.timeouts.Add(1)
-		}
-		c.close()
-		return Response{Status: StatusTimeout}
-	}
-}
-
-// close lets the executor go: it finishes the request it is running, if
-// any, and exits.
-func (c *connExec) close() {
-	if c.ex != nil {
-		close(c.ex.reqs)
-		c.ex = nil
-	}
-}
-
-// runExecutor is the executor goroutine: it runs requests until its
-// connection closes or detaches it.
-func (s *Server) runExecutor(ex *executor) {
-	var pts []geom.Point
-	for r := range ex.reqs {
-		ex.resps <- s.executeIsolated(r.req, r.sp, &pts)
-	}
-}
-
 // executeIsolated runs one request, converting a handler panic into an
-// error response so it costs the request, not the executor or the server.
+// error response so it costs the request, not the connection or the
+// server.
 func (s *Server) executeIsolated(req Request, sp *trace.Span, pts *[]geom.Point) (resp Response) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -567,9 +642,8 @@ func (s *Server) release() {
 }
 
 // maxKeptResult bounds, in points (16 B each), the result buffer a
-// connection or executor keeps between requests: a larger result is
-// garbage once its reply is encoded, as every result was before buffers
-// were reused.
+// connection keeps between requests: a larger result is garbage once its
+// reply is encoded, as every result was before buffers were reused.
 const maxKeptResult = 1 << 16
 
 // handle executes one admitted request against the index. A non-nil sp

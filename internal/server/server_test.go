@@ -32,16 +32,23 @@ type testServer struct {
 
 func newTestServer(t *testing.T, cfg Config) *testServer {
 	t.Helper()
+	return newTestServerWith(t, cfg, nil)
+}
+
+// newTestServerWith is newTestServer serving wrap(index) in place of the
+// index itself; a nil wrap serves the index.
+func newTestServerWith(t *testing.T, cfg Config, wrap func(core.Engine) core.Engine) *testServer {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	return newTestServerOn(t, cfg, ln)
+	return newTestServerOn(t, cfg, ln, wrap)
 }
 
-// newTestServerOn is newTestServer with a caller-supplied listener, for
-// tests that restart a server on a fixed address.
-func newTestServerOn(t *testing.T, cfg Config, ln net.Listener) *testServer {
+// newTestServerOn is newTestServerWith with a caller-supplied listener,
+// for tests that restart a server on a fixed address.
+func newTestServerOn(t *testing.T, cfg Config, ln net.Listener, wrap func(core.Engine) core.Engine) *testServer {
 	t.Helper()
 	mem := eio.NewMemStore(4096)
 	snap := eio.NewSnapStore(mem, 0)
@@ -59,7 +66,11 @@ func newTestServerOn(t *testing.T, cfg Config, ln net.Listener) *testServer {
 	if err != nil {
 		t.Fatalf("NewConcurrent: %v", err)
 	}
-	srv := New(conc, cfg)
+	var eng core.Engine = conc
+	if wrap != nil {
+		eng = wrap(conc)
+	}
+	srv := New(eng, cfg)
 	ts := &testServer{
 		srv: srv, addr: ln.Addr().String(),
 		idx: idx, conc: conc, snap: snap, mem: mem,
