@@ -98,8 +98,9 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Fprintf(os.Stderr, "rschaos: ok: %d cycles, %d kills, %d restarts, %d promotions (term %d), %d link faults, %d journal replays; "+
-		"%d ops (%d reconnects, %d resent, %d unknown, %d failovers, %d replica reads); %d points intact across %d stores, 0 leaks\n",
+		"%d ops (%d reconnects, %d resent, %d unknown, %d failovers, %d replica reads, %.1f%% of writes same-key concurrent); %d points intact across %d stores, 0 leaks\n",
 		rep.Cycles, rep.Kills, rep.Restarts, rep.Promotions, rep.FinalTerm, rep.LinkFaults, rep.JournalReplays,
 		rep.Load.Ops, rep.Load.Reconnects, rep.Load.Resent, rep.Load.UnknownWrites, rep.Load.Failovers, rep.Load.ReplicaReads,
+		100*rep.Load.SameKeyOverlap,
 		rep.Points, len(rep.Stores))
 }

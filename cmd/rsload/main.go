@@ -1,10 +1,10 @@
 // Command rsload is a closed-loop load generator for rsserve: N worker
 // connections, each keeping a fixed pipeline of requests in flight, drawing
 // operations from a configurable read/write mix over a coordinate domain.
-// Every worker owns a disjoint x-stripe of the key space and (with -verify)
-// checks every query result against its own model of that stripe, so a run
-// doubles as an end-to-end consistency check: zero protocol errors and zero
-// consistency errors or the process exits nonzero.
+// Every worker writes one shared pool of points and (with -verify) records
+// each operation; after the run the history is checked for linearizability
+// point by point, so a run doubles as an end-to-end consistency check: zero
+// protocol errors and zero consistency errors or the process exits nonzero.
 //
 // The report — throughput plus p50/p99/p999 latency per operation — is
 // printed as JSON and optionally written to a file (-json) in the same
@@ -53,7 +53,7 @@ func main() {
 		batchEvery = flag.Int("batch-every", 0, "make every Nth write a BATCH (0 = never)")
 		batchSize  = flag.Int("batch-size", 16, "operations per BATCH request")
 		seed       = flag.Int64("seed", 1, "workload RNG seed")
-		verify     = flag.Bool("verify", false, "check query results against a per-stripe model")
+		verify     = flag.Bool("verify", false, "record every op and check the history for per-point linearizability")
 		jsonOut    = flag.String("json", "", "also write the report to this file")
 
 		traceSample = flag.Float64("trace-sample", 0, "stamp this fraction of requests with a TRACE envelope (server records full spans for them)")

@@ -27,10 +27,11 @@
 //     load talks to; a cycle SIGKILLs a rotating shard and restarts it a
 //     period later.
 //
-// Everything else is the same for every topology. The load's per-worker
-// stripe models verify read-your-writes across every kill (an acked write
-// must never disappear, a deleted point never resurrect) and idempotency
-// IDs keep retried writes exactly-once-applied. Every process serves
+// Everything else is the same for every topology. The load's history
+// check runs across every kill: each point's history must be linearizable
+// (an acked write never disappears, a deleted point never resurrects), and
+// the run logs the share of writes that met another op on their point.
+// Every process serves
 // /metrics (-metrics); once the load stops, each exposition must validate
 // and carry that process's metric families. After the schedule the
 // fleet drains on SIGTERM (router, replicas, then the primary or shards),
@@ -353,8 +354,8 @@ func Run(cfg Config) (*Report, error) {
 	h.postMortem()
 	h.closeProxy()
 	h.rep.DurationS = time.Since(start).Seconds()
-	h.logf("chaos: done: kills=%d restarts=%d promotions=%d ops=%d reconnects=%d resent=%d failovers=%d boot_scrubs=%d replays=%d points=%d failures=%d",
+	h.logf("chaos: done: kills=%d restarts=%d promotions=%d ops=%d reconnects=%d resent=%d failovers=%d same_key_overlap=%.3f boot_scrubs=%d replays=%d points=%d failures=%d",
 		h.rep.Kills, h.rep.Restarts, h.rep.Promotions, loadRep.Ops, loadRep.Reconnects, loadRep.Resent,
-		loadRep.Failovers, h.rep.BootScrubs, h.rep.JournalReplays, h.rep.Points, len(h.rep.Failures))
+		loadRep.Failovers, loadRep.SameKeyOverlap, h.rep.BootScrubs, h.rep.JournalReplays, h.rep.Points, len(h.rep.Failures))
 	return h.rep, nil
 }

@@ -82,9 +82,9 @@ func TestChaosKillRecover(t *testing.T) {
 // in write-optimized mode (-write-buffer): acknowledged writes live in
 // the delta buffer plus the sidecar journal until a flush, so every
 // SIGKILL lands on state the WAL has never seen and the restart must
-// recover it by journal replay. The verified load's per-worker stripe
-// models make the check end to end: a buffered write that was acked and
-// then lost (or double-applied by replay) is a consistency error.
+// recover it by journal replay. The verified load's history check makes
+// it end to end: a buffered write that was acked and then lost (or
+// replayed out of order) leaves a point's history with no linearization.
 func TestChaosWriteBuffered(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills a real server binary; skipped in -short")

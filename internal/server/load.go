@@ -4,11 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
-	"rangesearch/internal/dist"
 	"rangesearch/internal/geom"
 	"rangesearch/internal/obs"
 	"rangesearch/internal/trace"
@@ -32,35 +30,30 @@ type LoadConfig struct {
 	// (default 0.5).
 	ReadFrac float64
 	// DeleteFrac is the fraction of *write* operations that are deletes
-	// (default 0.3). Deletes target points the worker knows are live, so
-	// the index neither drains nor grows without bound.
+	// (default 0.3). Deletes draw from the same key pool as inserts, so
+	// some find their point and some do not.
 	DeleteFrac float64
 	// FourFrac is the fraction of queries that are 4-sided (default 0.5;
 	// the rest are 3-sided).
 	FourFrac float64
-	// Domain is the coordinate range: x and y are drawn from
-	// [0, Domain) (default 1 << 20). Each worker owns the x-stripe
-	// x ≡ worker (mod Workers), so workers never write each other's
-	// points and can verify reads against a local model.
+	// Domain is the coordinate range: query corners and the points of the
+	// key pool all workers write are drawn from [0, Domain) (default 1 << 20).
 	Domain int64
 	// QuerySpan is the x-extent of generated query rectangles (default
 	// Domain/64).
 	QuerySpan int64
-	// Dist selects the write-key distribution over each worker's stripe:
-	// "uniform" (default), "zipf" (YCSB zipfian ranks — a few hot x
-	// columns absorb most writes; skew set by Theta), or "hotspot"
-	// (90% of writes in the first 10% of the stripe). Queries stay
-	// uniform: skew is a write phenomenon here.
+	// Dist selects the write-key distribution over the key pool's ranks:
+	// "uniform" (default), "zipf" (YCSB zipfian, skew set by Theta), or
+	// "hotspot" (90% of writes on 10% of the pool). Queries stay uniform.
 	Dist string
 	// Theta is the zipfian skew for Dist "zipf", in (0, 1); 0 means the
 	// YCSB default 0.99.
 	Theta float64
 	// Seed seeds the per-worker RNGs (default 1).
 	Seed int64
-	// Verify, when set, checks every query result against the worker's
-	// model of its own stripe: reported points in the stripe must exactly
-	// match the live set (read-your-writes per connection). Mismatches
-	// count as consistency errors.
+	// Verify, when set, records every operation and after the run checks
+	// each pool point's history for linearizability (checkHistory); each
+	// point with none counts as one consistency error.
 	Verify bool
 	// BatchEvery, when > 0, makes every Nth write a BATCH of BatchSize
 	// mixed inserts/deletes instead of a single op.
@@ -78,17 +71,14 @@ type LoadConfig struct {
 	TraceSample float64
 	// Resilient drives each worker through a ResilientClient: automatic
 	// reconnect, idempotent write retries, BUSY/TIMEOUT absorption. The
-	// run then survives server restarts, and verification accounts for
-	// retried operations (whose Duplicate/Found flags may describe the
-	// first execution) and for writes whose outcome stayed unknown.
+	// run then survives server restarts; checkHistory accounts for re-sent
+	// writes and for writes whose outcome stayed unknown.
 	Resilient bool
 	// Retry bounds the resilient clients' reconnects and retries.
 	Retry RetryPolicy
 	// ReadAddrs fans queries out across these replica addresses (barrier-
-	// stamped, primary fallback on STALE). Requires Resilient. The
-	// read-your-writes verification stays sound: the session barrier makes
-	// a replica answer only once it has applied this worker's acked
-	// writes.
+	// stamped, primary fallback on STALE). Requires Resilient. A replica
+	// answers only once it has applied this worker's acked writes.
 	ReadAddrs []string
 	// FailoverAddrs lists candidate primaries the workers rotate to on
 	// NOTPRIMARY, so the run rides through a promotion. Requires
@@ -180,9 +170,9 @@ type LoadReport struct {
 	TransportErrors   uint64 `json:"transport_errors"`
 
 	// Timeouts counts TIMEOUT responses that surfaced to workers (the
-	// resilient client absorbs and retries most); UnknownWrites counts
-	// write operations whose outcome stayed ambiguous — their points are
-	// excluded from verification either way.
+	// resilient client absorbs and retries most); UnknownWrites counts the
+	// write operations among them, which the history check lets take
+	// effect at any time after their invoke, or never.
 	Timeouts      uint64 `json:"timeouts,omitempty"`
 	UnknownWrites uint64 `json:"unknown_writes,omitempty"`
 	// Reconnects / Resent / BusyRetries / TimeoutRetries aggregate the
@@ -218,11 +208,11 @@ type LoadReport struct {
 	// after a TOPOLOGY probe, not a behavior switch.
 	Cluster *ClusterLoadInfo `json:"cluster,omitempty"`
 
-	// VerifyMode records how query results were checked: "exact" (the
-	// index started empty, so each worker's stripe model is the complete
-	// truth), "containment" (the index was pre-populated, so only
-	// this-run inserts and deletes are checked), or "" with Verify off.
-	VerifyMode string `json:"verify_mode,omitempty"`
+	// SameKeyOverlap is the share of verified write operations (BATCH
+	// entries counted one by one) whose window overlapped another
+	// operation's on the same point: the same-key concurrency the history
+	// check had to order. Zero with Verify off.
+	SameKeyOverlap float64 `json:"same_key_overlap,omitempty"`
 
 	// FirstError preserves one representative failure for diagnostics.
 	FirstError string `json:"first_error,omitempty"`
@@ -255,66 +245,44 @@ func (r *LoadReport) Failed() bool {
 	return r.ProtoErrors > 0 || r.ConsistencyErrors > 0 || r.TransportErrors > 0
 }
 
-// loadConn abstracts the two connection drivers a worker can run on: a
-// plain pipelined Client (responses strictly FIFO) or a ResilientClient
-// (responses identified per request, since retries permute the order).
-// Either way, recv tells the worker which request the response answers
-// and whether that request was ever ambiguously re-sent.
-type loadConn interface {
-	send(s sentOp) error
-	recv() (s sentOp, resp Response, retried bool, err error)
-	pending() int
-	close() error
-}
-
-// sentOp remembers enough about an in-flight request to apply its
-// response to the model and verify query results. ambig, set only on
-// verified queries in resilient mode, is the set of points touched by
-// writes that were still in flight when the query was sent: the read
-// barrier covers acked writes only, so a replica-routed (or requeued)
-// query may or may not observe those.
+// sentOp remembers an in-flight request: when it was sent, and (in a
+// verified run) the index of its record in the worker's history.
 type sentOp struct {
 	req   Request
 	start time.Time
-	ambig map[geom.Point]struct{}
+	rec   int
 }
 
-// plainConn drives a *Client, pairing responses with its FIFO window.
-type plainConn struct {
-	cl     *Client
-	window []sentOp
+// loadConn is one worker's connection: a plain pipelined Client, whose
+// responses come back in send order (window), or a ResilientClient, whose
+// responses name their request (the sentOp rides along as the tag, so its
+// send time spans every retry). recv also reports whether the request was
+// ever ambiguously re-sent. inflight counts the requests sent and not yet
+// received.
+type loadConn struct {
+	cl       *Client
+	window   []sentOp
+	rc       *ResilientClient
+	inflight int
 }
 
-func (c *plainConn) send(s sentOp) error {
-	if err := c.cl.Send(s.req); err != nil {
-		return err
+func (c *loadConn) send(s sentOp) error {
+	c.inflight++
+	if c.rc != nil {
+		return c.rc.Send(s.req, s)
 	}
 	c.window = append(c.window, s)
-	return nil
+	return c.cl.Send(s.req)
 }
 
-func (c *plainConn) recv() (sentOp, Response, bool, error) {
-	resp, err := c.cl.Recv()
-	s := c.window[0]
-	c.window = c.window[:copy(c.window, c.window[1:])]
-	return s, resp, false, err
-}
-
-func (c *plainConn) pending() int { return c.cl.Pending() }
-func (c *plainConn) close() error { return c.cl.Close() }
-
-// resilientConn drives a *ResilientClient; the whole sentOp rides along
-// as the tag, so the send time spans every retry of the operation and a
-// query's in-flight ambiguity snapshot survives re-routing.
-type resilientConn struct {
-	rc *ResilientClient
-}
-
-func (c *resilientConn) send(s sentOp) error {
-	return c.rc.Send(s.req, s)
-}
-
-func (c *resilientConn) recv() (sentOp, Response, bool, error) {
+func (c *loadConn) recv() (sentOp, Response, bool, error) {
+	c.inflight--
+	if c.rc == nil {
+		resp, err := c.cl.Recv()
+		s := c.window[0]
+		c.window = c.window[1:]
+		return s, resp, false, err
+	}
 	res, err := c.rc.Recv()
 	if err != nil {
 		return sentOp{}, Response{}, false, err
@@ -324,46 +292,30 @@ func (c *resilientConn) recv() (sentOp, Response, bool, error) {
 	return s, res.Resp, res.Retried, nil
 }
 
-func (c *resilientConn) pending() int { return c.rc.Pending() }
-func (c *resilientConn) close() error { return c.rc.Close() }
+func (c *loadConn) close() error {
+	if c.rc != nil {
+		return c.rc.Close()
+	}
+	return c.cl.Close()
+}
 
 // loadWorker is one closed-loop connection driver.
 type loadWorker struct {
-	id   int
-	cfg  LoadConfig
-	rng  *rand.Rand
-	conn loadConn
-	rc   *ResilientClient // non-nil in resilient mode, for stats
+	id    int
+	cfg   LoadConfig
+	rng   *rand.Rand
+	conn  loadConn
+	pool  *keyPool
+	begin time.Time // the run's start, history time zero
 
-	// live is the worker's model of its own x-stripe: the points it has
-	// inserted and not yet deleted. keys mirrors live for O(1) random
-	// victim selection.
-	live map[geom.Point]int // point -> index in keys
-	keys []geom.Point
-	// dead holds stripe points this worker deleted (and has not since
-	// re-inserted); in containment mode a query returning one is an error.
-	dead map[geom.Point]struct{}
-	// unknown holds stripe points whose membership is ambiguous: a write
-	// touching them surfaced TIMEOUT, so it may or may not have executed.
-	// They are excluded from both sides of query verification until a
-	// completed write resolves them.
-	unknown map[geom.Point]struct{}
-	// wpending refcounts the points touched by writes sent but not yet
-	// settled (response not yet delivered). Maintained only in resilient
-	// mode, where a query may run on a replica or be requeued behind
-	// later traffic: the read barrier orders it after every ACKED write,
-	// but in-flight writes are fair game in either direction, so their
-	// points are ambiguous for that query.
-	wpending map[geom.Point]int
-	// strict selects exact-match query verification (index started
-	// empty); otherwise only containment of this run's effects is checked.
-	strict bool
+	// history holds one record per sent operation; nil unless Verify.
+	history []histOp
+	// startedEmpty: the index was empty before the run, so a query may
+	// report no point outside the pool.
+	startedEmpty bool
 
-	// zipf/hotspot, when non-nil, skew stripePoint's stripe-local rank
-	// (LoadConfig.Dist); both nil means uniform.
-	zipf    *dist.Zipfian
-	hotspot *dist.Hotspot
-
+	// drawn counts the write operations drawn so far (BatchEvery's clock).
+	drawn                            uint64
 	ops, reads, writes, pointsRead   uint64
 	busy, protoErr, consistency, txp uint64
 	timeouts, unknownWrites          uint64
@@ -376,7 +328,7 @@ type loadWorker struct {
 	traced     uint64
 	traceHist  obs.Histogram
 
-	hist map[byte]*obs.Histogram
+	lat [opSlots]obs.Histogram // client-observed latency by opcode
 }
 
 func (w *loadWorker) fail(class *uint64, err error) {
@@ -384,25 +336,6 @@ func (w *loadWorker) fail(class *uint64, err error) {
 	if w.firstErr == nil {
 		w.firstErr = err
 	}
-}
-
-// stripePoint draws a random point in this worker's x-stripe. The
-// stripe-local rank comes from the configured key distribution (rank 0
-// is the stripe's hottest column under skew); the rank-to-x mapping
-// x = rank·Workers + id keeps each worker's hot set disjoint from every
-// other's, so verification stays per-stripe sound under skew.
-func (w *loadWorker) stripePoint() geom.Point {
-	n := int64(w.cfg.Workers)
-	var rank int64
-	switch {
-	case w.zipf != nil:
-		rank = w.zipf.Next(w.rng.Float64())
-	case w.hotspot != nil:
-		rank = w.hotspot.Next(w.rng.Float64(), w.rng.Float64())
-	default:
-		rank = w.rng.Int63n((w.cfg.Domain + n - 1) / n)
-	}
-	return geom.Point{X: rank*n + int64(w.id), Y: w.rng.Int63n(w.cfg.Domain)}
 }
 
 // nextRequest draws the next operation from the configured mix.
@@ -418,21 +351,21 @@ func (w *loadWorker) nextRequest() Request {
 		}
 		return Request{Op: OpQuery3, Rect: geom.Rect{XLo: xlo, XHi: xhi, YLo: ylo, YHi: geom.MaxCoord}}
 	}
-	if w.cfg.BatchEvery > 0 && w.writes%uint64(w.cfg.BatchEvery) == 0 && w.writes > 0 {
-		entries := make([]BatchEntry, 0, w.cfg.BatchSize)
-		for i := 0; i < w.cfg.BatchSize; i++ {
-			if len(w.keys) > 0 && w.rng.Float64() < w.cfg.DeleteFrac {
-				entries = append(entries, BatchEntry{Kind: BatchDelete, P: w.keys[w.rng.Intn(len(w.keys))]})
-			} else {
-				entries = append(entries, BatchEntry{Kind: BatchInsert, P: w.stripePoint()})
+	w.drawn++
+	if w.cfg.BatchEvery > 0 && w.drawn%uint64(w.cfg.BatchEvery) == 0 {
+		entries := make([]BatchEntry, w.cfg.BatchSize)
+		for i := range entries {
+			entries[i] = BatchEntry{Kind: BatchInsert, P: w.pool.draw(w.rng)}
+			if w.rng.Float64() < w.cfg.DeleteFrac {
+				entries[i].Kind = BatchDelete
 			}
 		}
 		return Request{Op: OpBatch, Batch: entries}
 	}
-	if len(w.keys) > 0 && w.rng.Float64() < w.cfg.DeleteFrac {
-		return Request{Op: OpDelete, P: w.keys[w.rng.Intn(len(w.keys))]}
+	if w.rng.Float64() < w.cfg.DeleteFrac {
+		return Request{Op: OpDelete, P: w.pool.draw(w.rng)}
 	}
-	return Request{Op: OpInsert, P: w.stripePoint()}
+	return Request{Op: OpInsert, P: w.pool.draw(w.rng)}
 }
 
 // maybeTrace stamps every traceEvery-th request with a client-side
@@ -448,349 +381,87 @@ func (w *loadWorker) maybeTrace(req *Request) {
 	req.Trace = &TraceInfo{ID: trace.NewID(), Sampled: true}
 }
 
-// modelInsert / modelDelete maintain the live and dead sets. A completed
-// write resolves ambiguity: afterwards the point's membership is known
-// again, whatever a timed-out earlier attempt did.
-func (w *loadWorker) modelInsert(p geom.Point) {
-	delete(w.dead, p)
-	delete(w.unknown, p)
-	if _, ok := w.live[p]; ok {
-		return
-	}
-	w.live[p] = len(w.keys)
-	w.keys = append(w.keys, p)
-}
+// now is the history clock: ns since the run began.
+func (w *loadWorker) now() int64 { return int64(time.Since(w.begin)) }
 
-func (w *loadWorker) modelDelete(p geom.Point) {
-	delete(w.unknown, p)
-	i, ok := w.live[p]
-	if !ok {
-		return
-	}
-	last := len(w.keys) - 1
-	w.keys[i] = w.keys[last]
-	w.live[w.keys[i]] = i
-	w.keys = w.keys[:last]
-	delete(w.live, p)
-	w.dead[p] = struct{}{}
-}
-
-// modelUnknown records that p's membership is ambiguous: a write touching
-// it was abandoned with TIMEOUT and may or may not have executed. The
-// point leaves both the live and dead sets so neither side of query
-// verification asserts anything about it.
-func (w *loadWorker) modelUnknown(p geom.Point) {
-	if i, ok := w.live[p]; ok {
-		last := len(w.keys) - 1
-		w.keys[i] = w.keys[last]
-		w.live[w.keys[i]] = i
-		w.keys = w.keys[:last]
-		delete(w.live, p)
-	}
-	delete(w.dead, p)
-	w.unknown[p] = struct{}{}
-}
-
-// inStripe reports whether p belongs to this worker's x-stripe.
-func (w *loadWorker) inStripe(p geom.Point) bool {
-	return p.X%int64(w.cfg.Workers) == int64(w.id) && p.X >= 0
-}
-
-// expectStripe returns the model's points inside rect that belong to this
-// worker's stripe, sorted for comparison.
-func (w *loadWorker) expectStripe(rect geom.Rect) []geom.Point {
-	var out []geom.Point
-	for p := range w.live {
-		if p.X >= rect.XLo && p.X <= rect.XHi && p.Y >= rect.YLo && p.Y <= rect.YHi {
-			out = append(out, p)
-		}
-	}
-	sortPoints(out)
-	return out
-}
-
-func sortPoints(ps []geom.Point) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].X != ps[j].X {
-			return ps[i].X < ps[j].X
-		}
-		return ps[i].Y < ps[j].Y
-	})
-}
-
-// trackSend maintains the in-flight write ledger: writes bump their
-// points' refcounts; a query snapshots the currently-unsettled points so
-// verification can exclude them. Called only in resilient verify mode.
-func (w *loadWorker) trackSend(s *sentOp) {
-	switch s.req.Op {
-	case OpInsert, OpDelete:
-		w.wpending[s.req.P]++
-	case OpBatch:
-		for _, e := range s.req.Batch {
-			w.wpending[e.P]++
-		}
-	case OpQuery3, OpQuery4:
-		if len(w.wpending) == 0 {
-			return
-		}
-		snap := make(map[geom.Point]struct{}, len(w.wpending))
-		for p := range w.wpending {
-			snap[p] = struct{}{}
-		}
-		s.ambig = snap
-	}
-}
-
-// trackSettle reverses trackSend's bookkeeping when a write's response
-// is delivered (whatever its status — the op left the pipeline).
-func (w *loadWorker) trackSettle(req Request) {
-	dec := func(p geom.Point) {
-		if n := w.wpending[p]; n <= 1 {
-			delete(w.wpending, p)
-		} else {
-			w.wpending[p] = n - 1
-		}
-	}
-	switch req.Op {
-	case OpInsert, OpDelete:
-		dec(req.P)
-	case OpBatch:
-		for _, e := range req.Batch {
-			dec(e.P)
-		}
-	}
-}
-
-// applyWrite folds one delivered write effect into the model. It is
-// authoritative only when no sibling write on the same point is still in
-// flight (settled) — otherwise execution order is unknowable and the
-// point parks as ambiguous until the last sibling lands. A point already
-// ambiguous is resolved only by a write that was never re-sent: a
-// dedup-replayed retry can deliver last while reporting an execution
-// that predates a sibling's, so it must not claim authority.
-func (w *loadWorker) applyWrite(p geom.Point, insert, retried, wasUnknown, settled bool) {
-	if !settled || (retried && wasUnknown) {
-		w.modelUnknown(p)
-		return
-	}
-	if insert {
-		w.modelInsert(p)
-	} else {
-		w.modelDelete(p)
-	}
-}
-
-// ambiguousAt reports whether p's membership cannot be asserted for the
-// query s: a write touching it timed out, was in flight when s was
-// sent, or is in flight now (sent after s, delivered after s — but
-// possibly executed before a re-routed s).
-func (w *loadWorker) ambiguousAt(s sentOp, p geom.Point) bool {
-	if _, ok := w.unknown[p]; ok {
-		return true
-	}
-	if _, ok := s.ambig[p]; ok {
-		return true
-	}
-	return w.wpending[p] > 0
-}
-
-// markUnknown records every point a timed-out write request touched as
-// ambiguous.
-func (w *loadWorker) markUnknown(req Request) {
-	switch req.Op {
-	case OpInsert, OpDelete:
-		w.unknownWrites++
-		w.modelUnknown(req.P)
-	case OpBatch:
-		w.unknownWrites++
-		for _, e := range req.Batch {
-			w.modelUnknown(e.P)
-		}
-	}
-}
-
-// applyResponse folds one response into the model and error counters.
-// retried means the request was re-sent after an ambiguous failure: its
-// effects are still applied (idempotency makes the retry converge to the
-// same post-state), but its Duplicate/Found/Results flags may describe
-// the first execution against an older state — or, after a server
-// restart emptied the dedup window, a harmless re-execution — so their
-// consistency checks are skipped.
+// applyResponse folds one response into the error counters and, in a
+// verified run, into the operation's history record.
 func (w *loadWorker) applyResponse(s sentOp, resp Response, retried bool, err error) {
 	lat := time.Since(s.start)
 	if err != nil {
 		w.fail(&w.txp, err)
 		return
 	}
-	w.hist[s.req.Op].Observe(uint64(lat))
+	w.lat[s.req.Op].Observe(uint64(lat))
 	if s.req.Trace != nil {
 		w.traced++
 		w.traceHist.Observe(uint64(lat))
 	}
 	w.ops++
-	if w.wpending != nil {
-		w.trackSettle(s.req)
+	var h *histOp
+	if w.history != nil {
+		h = &w.history[s.rec]
+		h.ret, h.retried = w.now(), retried
 	}
 	switch resp.Status {
 	case StatusBusy, StatusDiskFull, StatusStale, StatusNotPrimary:
-		// Shed (or, past the retry budget, refused) without executing:
-		// the model is untouched and the outcome is known.
+		// Shed (or, past the retry budget, refused) without executing. An
+		// earlier attempt of a re-sent request may still have run, so only
+		// a request sent once is known to have had no effect.
 		w.busy++
+		if h != nil && !retried {
+			h.outcome = outShed
+		}
 		return
 	case StatusTimeout:
 		// Surfaced only when the retry budget ran out (or without a
-		// resilient client). The write may or may not have executed.
+		// resilient client). A write may or may not have executed.
 		w.timeouts++
-		w.markUnknown(s.req)
+		if !isQuery(s.req.Op) {
+			w.unknownWrites++
+		}
 		return
 	case StatusErr:
 		w.fail(&w.protoErr, fmt.Errorf("%s: server error: %s", OpName(s.req.Op), resp.Msg))
 		return
 	}
 	switch s.req.Op {
-	case OpInsert:
+	case OpInsert, OpDelete:
 		w.writes++
-		_, wasUnknown := w.unknown[s.req.P]
-		// In resilient mode a requeued sibling write on the same point
-		// can still be in flight — it may have executed before this op
-		// but deliver after it, so neither the flags nor the delivered
-		// effect are authoritative for the point yet (wpending > 0):
-		// skip flag checks, exactly as for a retried op, and let
-		// applyWrite park the point as ambiguous.
-		settled := w.wpending[s.req.P] == 0
-		if w.cfg.Verify && !retried && !wasUnknown && settled {
-			// The stripe is exclusive to this worker, so the server must
-			// report a duplicate exactly when the model already holds the
-			// point. In containment mode a duplicate of a point the model
-			// never saw is a pre-existing point — learn it instead.
-			_, wasLive := w.live[s.req.P]
-			if wasLive && !resp.Duplicate {
-				w.fail(&w.consistency, fmt.Errorf("insert %v: not a duplicate, but model holds it live", s.req.P))
-			}
-			_, wasDead := w.dead[s.req.P]
-			if resp.Duplicate && !wasLive && (w.strict || wasDead) {
-				w.fail(&w.consistency, fmt.Errorf("insert %v: unexpected duplicate (live=%v dead=%v)", s.req.P, wasLive, wasDead))
-			}
-		}
-		w.applyWrite(s.req.P, true, retried, wasUnknown, settled)
-	case OpDelete:
-		w.writes++
-		_, wasUnknown := w.unknown[s.req.P]
-		settled := w.wpending[s.req.P] == 0
-		if w.cfg.Verify && !retried && !wasUnknown && settled {
-			_, wasLive := w.live[s.req.P]
-			if wasLive != resp.Found {
-				w.fail(&w.consistency, fmt.Errorf("delete %v: found=%v, model live=%v", s.req.P, resp.Found, wasLive))
-			}
-		}
-		w.applyWrite(s.req.P, false, retried, wasUnknown, settled)
 	case OpBatch:
 		w.writes++
 		if len(resp.Results) != len(s.req.Batch) {
 			w.fail(&w.protoErr, fmt.Errorf("batch: %d results for %d entries", len(resp.Results), len(s.req.Batch)))
 			return
 		}
-		for i, e := range s.req.Batch {
-			_, wasUnknown := w.unknown[e.P]
-			settled := w.wpending[e.P] == 0
-			check := w.cfg.Verify && !retried && !wasUnknown && settled
-			if e.Kind == BatchDelete {
-				if check {
-					_, wasLive := w.live[e.P]
-					got := resp.Results[i] == BatchOK
-					if wasLive != got {
-						w.fail(&w.consistency, fmt.Errorf("batch delete %v: code=%d, model live=%v", e.P, resp.Results[i], wasLive))
-					}
-				}
-				w.applyWrite(e.P, false, retried, wasUnknown, settled)
-			} else {
-				if check {
-					_, wasLive := w.live[e.P]
-					_, wasDead := w.dead[e.P]
-					dup := resp.Results[i] == BatchDup
-					if wasLive && !dup {
-						w.fail(&w.consistency, fmt.Errorf("batch insert %v: not a duplicate, but model holds it live", e.P))
-					}
-					if dup && !wasLive && (w.strict || wasDead) {
-						w.fail(&w.consistency, fmt.Errorf("batch insert %v: unexpected duplicate", e.P))
-					}
-				}
-				w.applyWrite(e.P, true, retried, wasUnknown, settled)
-			}
-		}
-	case OpQuery3, OpQuery4:
+	default:
 		w.reads++
 		w.pointsRead += uint64(len(resp.Points))
-		if w.cfg.Verify {
-			w.verifyQuery(s, resp.Points)
-		}
 	}
-}
-
-// verifyQuery checks a query result against the worker's stripe model.
-// In strict mode (index started empty) the result restricted to this
-// worker's stripe must equal the model's live set in the rectangle. In
-// containment mode (pre-populated index) only this run's effects are
-// checked: every model-live point in the rectangle must appear, and no
-// point this worker deleted may appear. Either way, points whose
-// membership the model cannot pin down for THIS query — timed-out
-// writes, and writes in flight around the query in resilient mode (see
-// sentOp.ambig) — are excluded from both sides.
-func (w *loadWorker) verifyQuery(s sentOp, pts []geom.Point) {
-	req := s.req
-	if w.strict {
-		var got []geom.Point
-		for _, p := range pts {
-			if w.ambiguousAt(s, p) {
-				continue // an unsettled write may have put it there
-			}
-			if w.inStripe(p) {
-				got = append(got, p)
-			}
-		}
-		sortPoints(got)
-		var want []geom.Point
-		for _, p := range w.expectStripe(req.Rect) {
-			if !w.ambiguousAt(s, p) {
-				want = append(want, p)
-			}
-		}
-		if !equalPoints(got, want) {
-			w.fail(&w.consistency, fmt.Errorf("%s %+v: got %d stripe points, want %d", OpName(req.Op), req.Rect, len(got), len(want)))
-		}
+	if h == nil {
 		return
 	}
-	got := make(map[geom.Point]struct{}, len(pts))
-	for _, p := range pts {
-		got[p] = struct{}{}
-		if _, deleted := w.dead[p]; deleted && !w.ambiguousAt(s, p) {
-			w.fail(&w.consistency, fmt.Errorf("%s %+v: returned %v, which this worker deleted", OpName(req.Op), req.Rect, p))
-			return
+	// Record the answer. A query's points are checked here against its
+	// rectangle and, when the index started empty, against the pool.
+	h.outcome, h.flag = outOK, resp.Duplicate || resp.Found
+	h.codes = append([]byte(nil), resp.Results...)
+	for _, p := range resp.Points {
+		rank, inPool := w.pool.rank[p]
+		switch {
+		case !s.req.Rect.Contains(p):
+			w.fail(&w.consistency, fmt.Errorf("%s %v: returned %v, outside the rectangle", OpName(s.req.Op), s.req.Rect, p))
+		case inPool:
+			h.present = append(h.present, rank)
+		case w.startedEmpty:
+			w.fail(&w.consistency, fmt.Errorf("%s %v: returned %v, which no worker wrote", OpName(s.req.Op), s.req.Rect, p))
 		}
 	}
-	for _, p := range w.expectStripe(req.Rect) {
-		if _, ok := got[p]; !ok && !w.ambiguousAt(s, p) {
-			w.fail(&w.consistency, fmt.Errorf("%s %+v: missing %v, which this worker inserted", OpName(req.Op), req.Rect, p))
-			return
-		}
-	}
-}
-
-func equalPoints(a, b []geom.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // run drives the closed loop until deadline (or an early Stop), then
 // drains the window.
 func (w *loadWorker) run(deadline time.Time) {
+	defer w.abandon()
 	stopped := func() bool {
 		select {
 		case <-w.cfg.Stop:
@@ -799,28 +470,24 @@ func (w *loadWorker) run(deadline time.Time) {
 			return false
 		}
 	}
-	for time.Now().Before(deadline) && w.firstErr == nil && !stopped() {
-		// Fill the pipeline window.
-		for w.conn.pending() < w.cfg.Pipeline {
+	// Fill the pipeline window until the deadline, then drain it so the
+	// connection closes cleanly.
+	for w.firstErr == nil {
+		for time.Now().Before(deadline) && !stopped() && w.conn.inflight < w.cfg.Pipeline {
 			req := w.nextRequest()
 			w.maybeTrace(&req)
-			s := sentOp{req: req, start: time.Now()}
-			if w.wpending != nil {
-				w.trackSend(&s)
+			s := sentOp{req: req, start: time.Now(), rec: len(w.history)}
+			if w.history != nil {
+				w.history = append(w.history, histOp{req: req, inv: w.now()})
 			}
 			if err := w.conn.send(s); err != nil {
 				w.fail(&w.txp, err)
 				return
 			}
 		}
-		s, resp, retried, err := w.conn.recv()
-		w.applyResponse(s, resp, retried, err)
-		if err != nil {
+		if w.conn.inflight == 0 {
 			return
 		}
-	}
-	// Drain outstanding responses so the connection closes cleanly.
-	for w.conn.pending() > 0 && w.firstErr == nil {
 		s, resp, retried, err := w.conn.recv()
 		w.applyResponse(s, resp, retried, err)
 		if err != nil {
@@ -829,30 +496,47 @@ func (w *loadWorker) run(deadline time.Time) {
 	}
 }
 
-// fetchStats fetches the server's STATS payload, through the retry layer
+// abandon closes the window of every op the worker stopped waiting for:
+// its outcome stays unknown, and a resilient client may have re-sent it.
+func (w *loadWorker) abandon() {
+	end := w.now()
+	for i := range w.history {
+		if h := &w.history[i]; h.ret == 0 {
+			h.ret, h.retried = end, w.conn.rc != nil
+		}
+	}
+}
+
+// fetchStats fetches the server's STATS snapshot, through the retry layer
 // in resilient mode (so a restarting server doesn't fail the probe).
-func fetchStats(cfg LoadConfig) ([]byte, error) {
+func fetchStats(cfg LoadConfig) (*StatsSnapshot, error) {
+	var raw []byte
+	var err error
 	if cfg.Resilient {
 		rc := NewResilient(cfg.Addr, ResilientOptions{
 			Client: cfg.Client, Retry: cfg.Retry, Seed: cfg.Seed,
 			FailoverAddrs: cfg.FailoverAddrs,
 		})
 		defer rc.Close()
-		return rc.ServerStats()
+		raw, err = rc.ServerStats()
+	} else if probe, derr := Dial(cfg.Addr, cfg.Client); derr != nil {
+		return nil, derr
+	} else {
+		defer probe.Close()
+		raw, err = probe.Stats()
 	}
-	probe, err := Dial(cfg.Addr, cfg.Client)
 	if err != nil {
 		return nil, err
 	}
-	defer probe.Close()
-	return probe.Stats()
+	var st StatsSnapshot
+	return &st, json.Unmarshal(raw, &st)
 }
 
 // RunLoad runs the closed-loop workload against the server at cfg.Addr and
 // aggregates every worker's counters and latency histograms into one
-// report. Each worker owns a disjoint x-stripe (x mod Workers), which is
-// what makes per-connection read-your-writes verification sound under
-// concurrency: no other connection ever writes the stripe a worker checks.
+// report. All workers write one shared pool of points; with Verify set,
+// each records its operations and checkHistory checks the merged history
+// per point once every worker has stopped.
 func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	cfg = cfg.withDefaults()
 	switch cfg.Dist {
@@ -860,65 +544,38 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	default:
 		return nil, fmt.Errorf("load: unknown key distribution %q (uniform, zipf, hotspot)", cfg.Dist)
 	}
+	pool, err := newKeyPool(cfg)
+	if err != nil {
+		return nil, err
+	}
 
-	// Exact verification is sound only when the index starts empty (the
-	// stripe model then is the whole truth about the stripe); against a
-	// pre-populated store, fall back to checking containment of this
-	// run's own effects.
-	strict := true
+	// A point the run never wrote may be reported only if the index held
+	// points before the run; the same bit tells the checker whether every
+	// pool point starts absent.
+	startedEmpty := false
 	if cfg.Verify {
-		raw, err := fetchStats(cfg)
+		st, err := fetchStats(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("probe stats: %w", err)
 		}
-		var st StatsSnapshot
-		if err := json.Unmarshal(raw, &st); err != nil {
-			return nil, fmt.Errorf("probe stats: %w", err)
-		}
-		strict = st.Len == 0
-	}
-
-	// One sampler serves every worker: stripes are all the same size and
-	// the samplers are stateless in the RNG (each Next consumes the
-	// worker's own uniform variates).
-	var zipfian *dist.Zipfian
-	var hotspot *dist.Hotspot
-	stripe := (cfg.Domain + int64(cfg.Workers) - 1) / int64(cfg.Workers)
-	switch cfg.Dist {
-	case "zipf":
-		var err error
-		if zipfian, err = dist.NewZipfian(stripe, cfg.Theta); err != nil {
-			return nil, err
-		}
-	case "hotspot":
-		var err error
-		if hotspot, err = dist.NewHotspot(stripe, 0.1, 0.9); err != nil {
-			return nil, err
-		}
+		startedEmpty = st.Len == 0
 	}
 
 	workers := make([]*loadWorker, cfg.Workers)
 	for i := range workers {
 		w := &loadWorker{
-			id:      i,
-			cfg:     cfg,
-			rng:     rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
-			live:    map[geom.Point]int{},
-			dead:    map[geom.Point]struct{}{},
-			unknown: map[geom.Point]struct{}{},
-			strict:  strict,
-			hist: map[byte]*obs.Histogram{
-				OpInsert: {}, OpDelete: {}, OpQuery3: {}, OpQuery4: {}, OpBatch: {},
-			},
-			traceEvery: sampleInterval(cfg.TraceSample),
-			zipf:       zipfian,
-			hotspot:    hotspot,
+			id:           i,
+			cfg:          cfg,
+			rng:          rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
+			pool:         pool,
+			startedEmpty: startedEmpty,
+			traceEvery:   sampleInterval(cfg.TraceSample),
+		}
+		if cfg.Verify {
+			w.history = []histOp{}
 		}
 		if cfg.Resilient {
-			if cfg.Verify {
-				w.wpending = map[geom.Point]int{}
-			}
-			w.rc = NewResilient(cfg.Addr, ResilientOptions{
+			w.conn.rc = NewResilient(cfg.Addr, ResilientOptions{
 				Client: cfg.Client,
 				Retry:  cfg.Retry,
 				// Jitter is seeded per worker; the idempotency client id
@@ -928,7 +585,6 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 				ReadAddrs:     cfg.ReadAddrs,
 				FailoverAddrs: cfg.FailoverAddrs,
 			})
-			w.conn = &resilientConn{rc: w.rc}
 		} else {
 			cl, err := Dial(cfg.Addr, cfg.Client)
 			if err != nil {
@@ -937,7 +593,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 				}
 				return nil, fmt.Errorf("dial worker %d: %w", i, err)
 			}
-			w.conn = &plainConn{cl: cl}
+			w.conn.cl = cl
 		}
 		workers[i] = w
 	}
@@ -946,6 +602,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	deadline := start.Add(cfg.Duration)
 	var wg sync.WaitGroup
 	for _, w := range workers {
+		w.begin = start
 		wg.Add(1)
 		go func(w *loadWorker) {
 			defer wg.Done()
@@ -962,15 +619,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		DurationS: elapsed.Seconds(),
 		PerOp:     map[string]OpLoadStats{},
 	}
-	if cfg.Verify {
-		rep.VerifyMode = "containment"
-		if strict {
-			rep.VerifyMode = "exact"
-		}
-	}
-	merged := map[byte]*obs.Histogram{
-		OpInsert: {}, OpDelete: {}, OpQuery3: {}, OpQuery4: {}, OpBatch: {},
-	}
+	var merged [opSlots]obs.Histogram
 	var traceMerged obs.Histogram
 	for _, w := range workers {
 		rep.Ops += w.ops
@@ -983,8 +632,8 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		rep.TransportErrors += w.txp
 		rep.Timeouts += w.timeouts
 		rep.UnknownWrites += w.unknownWrites
-		if w.rc != nil {
-			st := w.rc.Stats()
+		if w.conn.rc != nil {
+			st := w.conn.rc.Stats()
 			rep.Reconnects += st.Reconnects
 			rep.Resent += st.Resent
 			rep.BusyRetries += st.BusyRetries
@@ -1000,19 +649,35 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		}
 		rep.TracedOps += w.traced
 		traceMerged.Merge(&w.traceHist)
-		for op, h := range w.hist {
-			merged[op].Merge(h)
+		for op := range w.lat {
+			merged[op].Merge(&w.lat[op])
+		}
+	}
+	if cfg.Verify {
+		hists := make([][]histOp, len(workers))
+		for i, w := range workers {
+			hists[i] = w.history
+		}
+		replicaReads := len(cfg.ReadAddrs) > 0 || len(cfg.FailoverAddrs) > 0
+		v := checkHistory(pool, hists, startedEmpty, replicaReads)
+		rep.ConsistencyErrors += uint64(v.violations)
+		if v.first != nil && rep.FirstError == "" {
+			rep.FirstError = v.first.Error()
+		}
+		if v.writes > 0 {
+			rep.SameKeyOverlap = float64(v.overlapped) / float64(v.writes)
 		}
 	}
 	if elapsed > 0 {
 		rep.OpsPerSec = float64(rep.Ops) / elapsed.Seconds()
 	}
-	for op, h := range merged {
+	for op := range merged {
+		h := &merged[op]
 		snap := h.Snapshot()
 		if snap.Count == 0 {
 			continue
 		}
-		rep.PerOp[OpName(op)] = OpLoadStats{
+		rep.PerOp[OpName(byte(op))] = OpLoadStats{
 			Count:  snap.Count,
 			P50Ms:  float64(h.Quantile(0.50)) / 1e6,
 			P99Ms:  float64(h.Quantile(0.99)) / 1e6,
@@ -1022,11 +687,8 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	}
 	// Attach the server's own view of the run, best-effort: a server mid-
 	// restart (or gone) just leaves the field nil.
-	if raw, err := fetchStats(cfg); err == nil {
-		var st StatsSnapshot
-		if json.Unmarshal(raw, &st) == nil {
-			rep.ServerStats = &st
-		}
+	if st, err := fetchStats(cfg); err == nil {
+		rep.ServerStats = st
 	}
 	if rep.TracedOps > 0 {
 		t := &TraceLoadStats{

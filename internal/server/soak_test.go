@@ -10,10 +10,11 @@ import (
 
 // TestSoakLoadAgainstServer is the acceptance gate for the serving layer:
 // an in-process rsload-vs-rsserve soak. Pipelined mixed reads and writes
-// from many connections (each verifying read-your-writes against a model
-// of its own x-stripe) must complete with zero protocol or consistency
-// errors, drain must leave the store scrub-clean, and the per-RPC latency
-// histograms must be readable. Run it under -race for the full claim.
+// from many connections on one shared key pool, zipf-skewed so a few hot
+// points see many concurrent ops, must complete with zero protocol errors
+// and a history that is linearizable point by point, drain must leave the
+// store scrub-clean, and the per-RPC latency histograms must be readable.
+// Run it under -race for the full claim.
 func TestSoakLoadAgainstServer(t *testing.T) {
 	dur := 3 * time.Second
 	workers := 8
@@ -31,6 +32,7 @@ func TestSoakLoadAgainstServer(t *testing.T) {
 		Pipeline:   8,
 		Verify:     true,
 		Domain:     1 << 16,
+		Dist:       "zipf",
 		BatchEvery: 50,
 		BatchSize:  12,
 		Seed:       42,
@@ -40,6 +42,7 @@ func TestSoakLoadAgainstServer(t *testing.T) {
 	}
 	t.Logf("soak: %d ops (%.0f/s), %d reads, %d writes, %d points read, busy=%d",
 		rep.Ops, rep.OpsPerSec, rep.Reads, rep.Writes, rep.PointsRead, rep.Busy)
+	requireSameKeyTraffic(t, rep)
 
 	if rep.Failed() {
 		t.Fatalf("soak failed: proto=%d consistency=%d transport=%d first=%s",
@@ -67,7 +70,7 @@ func TestSoakLoadAgainstServer(t *testing.T) {
 
 // TestSoakUnderSaturation drives a tiny admission gate hard: BUSY
 // shedding must be load shedding only — shed ops are not executed, so the
-// verification model stays exact and no errors of any class appear.
+// history check treats them as no-ops and no errors of any class appear.
 func TestSoakUnderSaturation(t *testing.T) {
 	dur := time.Second
 	if testing.Short() {
@@ -89,6 +92,7 @@ func TestSoakUnderSaturation(t *testing.T) {
 		t.Fatalf("RunLoad: %v", err)
 	}
 	t.Logf("saturation: %d ops, busy=%d", rep.Ops, rep.Busy)
+	requireSameKeyTraffic(t, rep)
 	if rep.Failed() {
 		t.Fatalf("saturation soak failed: proto=%d consistency=%d transport=%d first=%s",
 			rep.ProtoErrors, rep.ConsistencyErrors, rep.TransportErrors, rep.FirstError)
@@ -101,9 +105,9 @@ func TestSoakUnderSaturation(t *testing.T) {
 // verified workload runs through a netfault proxy that hard-resets every
 // connection (RST) a few times per second. The resilient clients must
 // reconnect, re-send their idempotency-stamped pipelines, and finish with
-// ZERO errors of any class — including consistency, because the dedup
-// window makes retried writes execute exactly once. Run under -race for
-// the full claim.
+// ZERO errors of any class — including consistency: every re-sent write
+// must still take effect inside its window. Run under -race for the full
+// claim.
 func TestSoakResilientUnderFaults(t *testing.T) {
 	dur := 3 * time.Second
 	cutEvery := 300 * time.Millisecond
@@ -156,6 +160,7 @@ func TestSoakResilientUnderFaults(t *testing.T) {
 	}
 	t.Logf("resilient soak: %d ops (%.0f/s), cuts=%d reconnects=%d resent=%d unknown=%d",
 		rep.Ops, rep.OpsPerSec, proxy.Stats().Cuts, rep.Reconnects, rep.Resent, rep.UnknownWrites)
+	requireSameKeyTraffic(t, rep)
 
 	if rep.Failed() {
 		t.Fatalf("resilient soak failed: proto=%d consistency=%d transport=%d first=%s",
@@ -175,4 +180,15 @@ func TestSoakResilientUnderFaults(t *testing.T) {
 	proxy.Close()
 	ts.shutdown(t)
 	ts.assertScrubClean(t)
+}
+
+// requireSameKeyTraffic logs the share of writes that overlapped another
+// op on their point and fails a run that had none: the history check then
+// had no concurrency to order.
+func requireSameKeyTraffic(t *testing.T, rep *LoadReport) {
+	t.Helper()
+	t.Logf("same-key overlap: %.3f of writes", rep.SameKeyOverlap)
+	if rep.SameKeyOverlap == 0 {
+		t.Fatal("no write overlapped another op on its point")
+	}
 }
