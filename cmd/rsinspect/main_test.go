@@ -100,7 +100,7 @@ func drainedStore(t *testing.T) (string, *node.Manifest, int) {
 		t.Fatal(err)
 	}
 	m.Role, m.Term = "primary", 3
-	if err := node.WriteManifest(store, m); err != nil {
+	if err := (node.Config{Store: store}).SetRole(m.Role, m.Term); err != nil {
 		t.Fatal(err)
 	}
 	return store, m, n

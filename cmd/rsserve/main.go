@@ -131,8 +131,8 @@ func main() {
 		err     error
 	)
 	if cfg.Role == node.Replica {
-		if rn, err = startReplica(cfg, *replicateFrom, *replSync, *replSyncT, *replBootT, logf); err == nil {
-			rnode = rn.rnode
+		if rn, err = startReplica(cfg, *replicateFrom, *replListen, *replSync, *replSyncT, *replBootT, logf); err == nil {
+			rnode, shipper = rn.rnode, rn.shipper
 		}
 	} else if st, err = node.Build(cfg); err == nil {
 		logBoot(st.Boot, "", logf)
@@ -158,22 +158,8 @@ func main() {
 		}
 	}
 
-	switch {
-	case *replListen == "":
-	case rn != nil:
-		// A replica's repl port exists for the PROMOTE RPC now and for
-		// shipping to its own replicas after promotion.
-		m := rn.manifestSnapshot()
-		rn.shipper = repl.NewShipper(shipperConfig(&m, false, rn.appliedLSN, logf))
-		rn.shipper.SetOnPromote(rn.promote)
-		shipper = rn.shipper
-		at, err := serveRepl(shipper, *replListen)
-		if err != nil {
-			die(1, "%v", err)
-		}
-		logf("replication port on %s (replica of %s, term %d)", at, *replicateFrom, m.Term)
-	default:
-		if rnode, shipper, err = startPrimaryRepl(st, cfg.Store, *replListen, *replSync, *replSyncT, logf); err != nil {
+	if cfg.Role == node.Primary {
+		if rnode, shipper, err = startPrimaryRepl(cfg, st, *replListen, *replSync, *replSyncT, logf); err != nil {
 			die(1, "%v", err)
 		}
 	}
@@ -211,14 +197,10 @@ func main() {
 	// promotion swaps the engine without restarting the server).
 	var engine core.Engine
 	var replInfoFn func() server.ReplInfo
-	switch {
-	case rn != nil:
+	if rnode != nil {
 		engine = rnode
-		replInfoFn = func() server.ReplInfo { return replInfo(rnode, rn.follower.Load(), rn.shipper) }
-	case rnode != nil:
-		engine = rnode
-		replInfoFn = func() server.ReplInfo { return replInfo(rnode, nil, shipper) }
-	default:
+		replInfoFn = func() server.ReplInfo { return replInfo(rnode, rn.following(), shipper) }
+	} else {
 		engine = st.Engine()
 	}
 

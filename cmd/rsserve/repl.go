@@ -3,6 +3,12 @@ package main
 // Replication wiring: how one rsserve process becomes a shipping primary,
 // a read replica, or a replica promoted to primary at runtime.
 //
+// The serving engine of a replicated process is a repl.Node, the one owner
+// of the node's role and term; it persists every role change through
+// node.Config.SetRole, the one writer of the manifest's role and term.
+// The shipper reads both from the Node and fences it when a peer proves a
+// higher term.
+//
 // Primary (-repl-listen): the durable stack is fronted by a repl.Node and
 // a repl.Shipper taps the TxStore commit hook, so every group commit's
 // redo record fans out to connected replicas; bootstrap snapshots are cut
@@ -15,10 +21,12 @@ package main
 // receiving a full page-level clone otherwise — then serves reads from a
 // fenced stack (writes answer NOTPRIMARY) while a background loop applies
 // shipped records, publishing one epoch per record. Promotion (SIGUSR1 or
-// the PROMOTE RPC on -repl-listen) drains the apply loop, persists a
-// bumped term to the manifest BEFORE accepting any write, has
-// internal/node rebuild a writable stack over the same file (reclaiming
-// replica-leaked pages), and swaps it in under the node's exclusive lock.
+// the PROMOTE RPC on -repl-listen) drains the apply loop, has
+// internal/node rebuild a writable stack over the same file, and hands it
+// to Node.Promote, which persists the bumped term, swaps the stack in
+// under the node's exclusive lock, lets this file reclaim replica-leaked
+// pages and install the commit hook and -repl-sync gate, and only then
+// admits the first write.
 
 import (
 	"fmt"
@@ -60,16 +68,15 @@ func cutSnapshot(st *node.Stack) func() (*repl.Snapshot, error) {
 	}
 }
 
-// shipperConfig describes the store m names to the replication protocol.
-func shipperConfig(m *node.Manifest, primary bool, durableLSN func() uint64, logf func(string, ...any)) repl.ShipperConfig {
+// shipperConfig describes the store m names, served by n, to the
+// replication protocol.
+func shipperConfig(n *repl.Node, m *node.Manifest, logf func(string, ...any)) repl.ShipperConfig {
 	return repl.ShipperConfig{
-		Term:       m.Term,
-		Primary:    primary,
-		PageSize:   m.PageSize,
-		Dir:        uint64(m.Anchor),
-		Hdr:        uint64(m.Hdr),
-		DurableLSN: durableLSN,
-		Logf:       logf,
+		Node:     n,
+		PageSize: m.PageSize,
+		Dir:      uint64(m.Anchor),
+		Hdr:      uint64(m.Hdr),
+		Logf:     logf,
 	}
 }
 
@@ -94,37 +101,20 @@ func ship(st *node.Stack, sh *repl.Shipper, syncN int, syncT time.Duration) {
 	}
 }
 
-// startPrimaryRepl fronts a durable stack with a Node and starts the
-// shipper on lnAddr.
-func startPrimaryRepl(st *node.Stack, storePath, lnAddr string, syncN int, syncT time.Duration,
+// startPrimaryRepl fronts the durable stack cfg built with a Node and
+// starts the shipper on lnAddr.
+func startPrimaryRepl(cfg node.Config, st *node.Stack, lnAddr string, syncN int, syncT time.Duration,
 	logf func(string, ...any)) (*repl.Node, *repl.Shipper, error) {
 	m := st.M
-	fenced := m.Role == "fenced"
-	rnode := repl.NewNode(st.Conc, true, m.Term, nil)
-	if fenced {
-		rnode.Fence(m.Term)
+	role := repl.RolePrimary
+	if m.Role == repl.RoleFenced {
+		role = repl.RoleFenced
 		logf("store was fenced at term %d: serving reads only (re-replicate or -force-primary to recover)", m.Term)
 	}
-	cfg := shipperConfig(m, !fenced, st.Tx.AppliedLSN, logf)
-	cfg.CutSnapshot = cutSnapshot(st)
-	cfg.OnFence = func(term uint64) {
-		rnode.Fence(term)
-		m.Term = term
-		m.Role = "fenced"
-		if err := node.WriteManifest(storePath, m); err != nil {
-			logf("persist fence: %v", err)
-		}
-		logf("fenced by term %d: refusing writes from now on", term)
-	}
-	shipper := repl.NewShipper(cfg)
-	// An already-writable node answers PROMOTE with its current identity,
-	// so failover tooling can treat the RPC as idempotent.
-	shipper.SetOnPromote(func() (uint64, uint64, error) {
-		if role, term := rnode.Role(); role == "primary" {
-			return term, st.Tx.AppliedLSN(), nil
-		}
-		return 0, 0, fmt.Errorf("node is fenced; restart with -replicate-from or -force-primary")
-	})
+	rnode := repl.NewNode(st.Conc, role, m.Term, nil, cfg.SetRole)
+	sc := shipperConfig(rnode, m, logf)
+	sc.CutSnapshot = cutSnapshot(st)
+	shipper := repl.NewShipper(sc)
 	ship(st, shipper, syncN, syncT)
 	at, err := serveRepl(shipper, lnAddr)
 	if err != nil {
@@ -144,7 +134,7 @@ type replicaNode struct {
 	logf    func(string, ...any)
 
 	rnode   *repl.Node
-	shipper *repl.Shipper // non-nil when -repl-listen is set
+	shipper *repl.Shipper // nil without -repl-listen
 
 	// follow mirrors rn.st while it is a follower, for the apply loop,
 	// which must not take rn.mu on its hot path (promote holds rn.mu while
@@ -183,9 +173,10 @@ func (rn *replicaNode) setFollower(st *node.Stack) {
 }
 
 // startReplica syncs with the primary (blocking, with retries until
-// bootT expires), builds the fenced serving stack, and starts the
-// background apply loop. The returned node is ready to serve reads.
-func startReplica(cfg node.Config, primaryAddr string, syncN int, syncT, bootT time.Duration,
+// bootT expires), builds the fenced serving stack, opens the replication
+// port on lnAddr unless it is empty, and starts the background apply
+// loop. The returned node is ready to serve reads.
+func startReplica(cfg node.Config, primaryAddr, lnAddr string, syncN int, syncT, bootT time.Duration,
 	logf func(string, ...any)) (*replicaNode, error) {
 	rn := &replicaNode{
 		cfg:      cfg,
@@ -227,14 +218,30 @@ func startReplica(cfg node.Config, primaryAddr string, syncN int, syncT, bootT t
 		time.Sleep(500 * time.Millisecond)
 	}
 
-	rn.rnode = repl.NewNode(rn.st.Conc, false, rn.st.M.Term, rn.pubLSN.Load)
+	rn.rnode = repl.NewNode(rn.st.Conc, repl.RoleReplica, rn.st.M.Term, rn.pubLSN.Load, cfg.SetRole)
+	if lnAddr != "" {
+		// A replica's repl port exists for the PROMOTE RPC now and for
+		// shipping to its own replicas after promotion.
+		sc := shipperConfig(rn.rnode, rn.st.M, logf)
+		sc.OnPromote = rn.promote
+		rn.shipper = repl.NewShipper(sc)
+		at, err := serveRepl(rn.shipper, lnAddr)
+		if err != nil {
+			sess.Close()
+			rn.st.Close()
+			return nil, err
+		}
+		logf("replication port on %s (replica of %s, term %d)", at, primaryAddr, rn.st.M.Term)
+	}
 	go rn.loop(sess)
 	return rn, nil
 }
 
 // connect dials the primary and brings the local store in sync: a resume
 // reuses it, a snapshot session rebuilds it from scratch. On success the
-// local manifest carries the session's term.
+// local manifest carries the session's term: a resume needs the term the
+// Hello carried (the shipper resumes only its own lineage), and a clone
+// writes the snapshot's.
 func (rn *replicaNode) connect() (*repl.Session, error) {
 	h := repl.Hello{}
 	rn.mu.Lock()
@@ -249,16 +256,6 @@ func (rn *replicaNode) connect() (*repl.Session, error) {
 	}
 	switch sess.Kind() {
 	case repl.KindResume:
-		rn.mu.Lock()
-		if m := rn.st.M; m.Term != sess.Term() {
-			m.Term = sess.Term()
-			if err := node.WriteManifest(rn.cfg.Store, m); err != nil {
-				rn.mu.Unlock()
-				sess.Close()
-				return nil, fmt.Errorf("adopt term %d: %w", sess.Term(), err)
-			}
-		}
-		rn.mu.Unlock()
 		rn.logf("resuming from %s at lsn %d (term %d)", rn.primary, sess.StartLSN(), sess.Term())
 		return sess, nil
 
@@ -277,7 +274,7 @@ func (rn *replicaNode) connect() (*repl.Session, error) {
 			Hdr:      eio.PageID(info.Hdr),
 			Anchor:   eio.PageID(info.Dir),
 			Term:     info.Term,
-			Role:     "replica",
+			Role:     repl.RoleReplica,
 		}, sess.ReceiveSnapshot)
 		if err != nil {
 			rn.mu.Unlock()
@@ -387,12 +384,19 @@ func (rn *replicaNode) stopFollower() {
 	<-rn.loopDone
 }
 
+// afterPromote, when set, runs as soon as a promotion has made the node
+// writable: a test seam that holds the promotion there while writes
+// arrive.
+var afterPromote func()
+
 // promote turns this replica into the primary: drain the apply queue,
-// persist the bumped term BEFORE accepting any write, rebuild a writable
-// stack over the same file, swap it in under the node's exclusive lock,
-// reclaim the pages the old primary freed but never told us about, and
-// finally open the shipper for downstream replicas. Idempotent: a second
-// caller waits for the first attempt and shares its outcome.
+// rebuild a writable stack over the same file, and hand it to
+// Node.Promote, which persists the bumped term before the swap and admits
+// the first write only after arm has reclaimed the pages the old primary
+// freed but never told us about and installed the commit hook and the
+// -repl-sync gate — a write acknowledged before them would be neither
+// shipped nor gated. Idempotent: a second caller waits for the first
+// attempt and shares its outcome.
 func (rn *replicaNode) promote() (term, lsn uint64, err error) {
 	rn.mu.Lock()
 	if rn.promoted {
@@ -422,53 +426,59 @@ func (rn *replicaNode) promote() (term, lsn uint64, err error) {
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
 
-	m := rn.st.M
-	newTerm := m.Term + 1
-	rn.logf("promoting to primary: term %d -> %d at lsn %d", m.Term, newTerm, rn.st.Applied())
-
-	// Fencing invariant: the term is durable before the first write can
-	// be accepted under it.
-	m.Term = newTerm
-	m.Role = "primary"
-	if err := node.WriteManifest(rn.cfg.Store, m); err != nil {
-		return 0, 0, fmt.Errorf("persist term %d: %w", newTerm, err)
-	}
+	_, term = rn.rnode.Role()
+	term++
+	rn.logf("promoting to primary: term %d -> %d at lsn %d", term-1, term, rn.st.Applied())
 	newStack, err := rn.st.Promote()
 	if err != nil {
 		return 0, 0, fmt.Errorf("promote: %w", err)
 	}
-
-	// Swap under the node's exclusive lock: in-flight readers on the old
-	// engine drain before it is closed. The old stack's SnapStore is
+	arm := func() error {
+		// Reclaim what the old primary freed without telling us (frees are
+		// never shipped), under the new engine's barrier, where the store
+		// is quiescent and no reader is pinned below the current epoch yet.
+		if rn.cfg.BootScrub {
+			n, err := newStack.Scrub()
+			if err != nil {
+				return fmt.Errorf("promotion scrub: %w", err)
+			}
+			if n > 0 {
+				rn.logf("promotion scrub: reclaimed %d replica-leaked pages", n)
+			}
+		}
+		if rn.shipper != nil {
+			m := newStack.M
+			ship(newStack, rn.shipper, rn.syncN, rn.syncT)
+			rn.shipper.Rebind(m.PageSize, uint64(m.Anchor), uint64(m.Hdr), cutSnapshot(newStack))
+		}
+		return nil
+	}
+	old, err := rn.rnode.Promote(newStack.Conc, term, arm)
+	if old == nil {
+		// Nothing was swapped: the follower stack still serves, over the
+		// file newStack shares, so only its engine is closed. Its TxStore
+		// is dropped un-Closed: it runs no goroutine and owns no file of
+		// its own (Close would checkpoint into and close the follower's),
+		// and the checkpoint before it was opened left recovery nothing to
+		// write.
+		newStack.Conc.Close()
+		return 0, 0, fmt.Errorf("persist term %d: %w", term, err)
+	}
+	if err == nil && afterPromote != nil {
+		afterPromote()
+	}
+	// The swap drained every request on the old engine. Its SnapStore is
 	// abandoned un-Closed (Closing it would close the FileStore the new
 	// stack now owns).
 	rn.follow.Store(nil)
-	old := rn.rnode.Promote(newStack.Conc, newTerm)
 	publishStack(newStack)
 	rn.st = newStack
 	old.Close()
-
-	// Reclaim what the old primary freed without telling us (frees are
-	// never shipped), under the new engine's barrier, where the store is
-	// quiescent and no reader is pinned below the current epoch yet.
-	if rn.cfg.BootScrub {
-		n, err := newStack.Scrub()
-		if err != nil {
-			return 0, 0, fmt.Errorf("promotion scrub: %w", err)
-		}
-		if n > 0 {
-			rn.logf("promotion scrub: reclaimed %d replica-leaked pages", n)
-		}
+	if err != nil {
+		return 0, 0, err
 	}
-
-	if rn.shipper != nil {
-		ship(newStack, rn.shipper, rn.syncN, rn.syncT)
-		rn.shipper.Rebind(m.PageSize, uint64(m.Anchor), uint64(m.Hdr),
-			newStack.Tx.AppliedLSN, cutSnapshot(newStack))
-		rn.shipper.SetPrimary(newTerm)
-	}
-	rn.logf("promoted: primary at term %d lsn %d", newTerm, newStack.Applied())
-	return newTerm, newStack.Applied(), nil
+	rn.logf("promoted: primary at term %d lsn %d", term, newStack.Applied())
+	return term, newStack.Applied(), nil
 }
 
 // manifestSnapshot returns a copy of the current manifest — the apply
@@ -480,11 +490,13 @@ func (rn *replicaNode) manifestSnapshot() node.Manifest {
 	return *rn.st.M
 }
 
-// appliedLSN is the node's durable position: the follower's published
-// LSN, the engine's own after a promotion.
-func (rn *replicaNode) appliedLSN() uint64 {
-	_, lsn := rn.rnode.Position()
-	return lsn
+// following returns the follower of the running apply loop: nil between
+// sessions, after promotion, and on a primary (rn nil).
+func (rn *replicaNode) following() *repl.Follower {
+	if rn == nil {
+		return nil
+	}
+	return rn.follower.Load()
 }
 
 // replInfo is the STATS callback of a replicated node: its role and

@@ -14,8 +14,7 @@ import (
 //
 // The wrapped index must have been created or opened ON the TxStore — the
 // decorator only scopes transactions, it cannot retrofit buffering onto
-// writes that go elsewhere. With a TxStore constructed Disabled the
-// decorator is free: Update degenerates to a plain call.
+// writes that go elsewhere.
 type Durable struct {
 	idx Index
 	tx  *eio.TxStore

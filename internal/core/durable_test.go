@@ -96,43 +96,3 @@ func TestDurableBatch(t *testing.T) {
 		t.Fatalf("rolled-back insert is visible: %v", pts)
 	}
 }
-
-// TestDurableDisabledFree pins the no-WAL fast path: with the transaction
-// layer disabled, decorated updates cost exactly the same backing-store
-// I/Os as undecorated ones.
-func TestDurableDisabledFree(t *testing.T) {
-	run := func(decorated bool) eio.Stats {
-		mem := eio.NewMemStore(256)
-		var st eio.Store = mem
-		var tx *eio.TxStore
-		if decorated {
-			var err error
-			if tx, err = eio.NewTxStore(mem, eio.TxOptions{Disabled: true, WALPages: 64}); err != nil {
-				t.Fatal(err)
-			}
-			st = tx
-		}
-		idx, err := NewThreeSided(st, epst.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var target Index = idx
-		if decorated {
-			target = NewDurable(idx, tx)
-		}
-		mem.ResetStats()
-		for i := 0; i < 8; i++ {
-			if err := target.Insert(geom.Point{X: int64(i), Y: int64(i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return mem.Stats()
-	}
-	// The bare store against Durable over a disabled TxStore: both runs
-	// measure raw structure I/O. (An ENABLED TxStore is no yardstick, in a
-	// transaction or out: its page cache absorbs re-reads.)
-	plain, decorated := run(false), run(true)
-	if plain != decorated {
-		t.Fatalf("disabled Durable is not free:\nplain:     %+v\ndecorated: %+v", plain, decorated)
-	}
-}

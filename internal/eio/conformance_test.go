@@ -60,13 +60,6 @@ func contractFactories(t *testing.T) map[string]func() Store {
 			}
 			return tx
 		},
-		"tx-off": func() Store {
-			tx, err := NewTxStore(NewMemStore(128), TxOptions{Disabled: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tx
-		},
 	}
 }
 

@@ -61,7 +61,7 @@ import (
 // once per commit, and a commit-point barrier no longer has the previous
 // commit's in-place writes to flush next to its own record.
 //
-// There is no cache on a disabled store, nor under a TxReplica (its images
+// There is no cache under a TxReplica (its images
 // go to the SnapStore its readers are pinned on), nor during recovery:
 // replay writes straight to the inner store, before the cache is made,
 // because writeImage's EnsurePage fallback needs the immediate ErrBadPage a
@@ -140,11 +140,6 @@ const (
 
 // TxOptions configures NewTxStore.
 type TxOptions struct {
-	// Disabled turns the TxStore into a pure pass-through with no WAL, no
-	// buffering and no atomicity — the fast path for in-memory benchmark
-	// runs where durability is meaningless. A disabled TxStore performs
-	// exactly the I/Os of the wrapped store.
-	Disabled bool
 	// WALPages is the number of pages preallocated for the redo log; it
 	// bounds how many distinct pages one transaction may write, and how
 	// many commits share one checkpoint. Zero selects DefaultWALPages.
@@ -211,13 +206,12 @@ type TxStore struct {
 	// ensure, when inner supports it, materializes page ids its allocator
 	// has not handed out (see PageEnsurer); run writes consecutive pages
 	// in one call and is set only when the WAL region is one such run.
-	cache    *Pool
-	data     Store
-	apply    Store
-	ensure   PageEnsurer
-	run      runWriter
-	ps       int
-	disabled bool
+	cache  *Pool
+	data   Store
+	apply  Store
+	ensure PageEnsurer
+	run    runWriter
+	ps     int
 
 	dir      PageID // directory record id; pass to OpenTxStore
 	anchors  [2]PageID
@@ -338,9 +332,6 @@ func NewTxStore(inner Store, opts TxOptions) (*TxStore, error) {
 // (0 = no cache), for tests that need steal evictions in small workloads.
 func newTxStoreFrames(inner Store, opts TxOptions, frames int) (*TxStore, error) {
 	t := newTxStore(inner)
-	if t.disabled = opts.Disabled; t.disabled {
-		return t, nil
-	}
 	if t.ps < minTxPageSize {
 		return nil, fmt.Errorf("eio: tx: page size %d below minimum %d", t.ps, minTxPageSize)
 	}
@@ -414,13 +405,12 @@ func OpenTxStoreFrames(inner Store, dir PageID, frames int) (*TxStore, error) {
 // nil when the store runs without one.
 func (t *TxStore) Cache() *Pool { return t.cache }
 
-// Anchor returns the directory record id to pass to OpenTxStore, or
-// NilPage for a disabled (pass-through) TxStore.
+// Anchor returns the directory record id to pass to OpenTxStore.
 func (t *TxStore) Anchor() PageID { return t.dir }
 
 // AppliedLSN returns the log sequence number of the last committed
 // transaction — the position a log-shipping stream is at. It is 0 for a
-// fresh or disabled store, increases by exactly one per non-empty commit,
+// fresh store, increases by exactly one per non-empty commit,
 // and never regresses across a crash and reopen.
 func (t *TxStore) AppliedLSN() uint64 {
 	t.mu.RLock()
@@ -447,9 +437,6 @@ func (t *TxStore) Recovery() RecoveryInfo { return t.recovery }
 // directory chain, anchors and WAL region. Reachability walkers (Scrub)
 // must treat these as live roots.
 func (t *TxStore) MetaPages() ([]PageID, error) {
-	if t.disabled {
-		return nil, nil
-	}
 	rs := NewRecordStore(t.inner)
 	ids, err := rs.Chain(t.dir)
 	if err != nil {
@@ -696,9 +683,7 @@ func (t *TxStore) Begin() error {
 		return fmt.Errorf("eio: tx: transaction already open")
 	}
 	t.inTx = true
-	if !t.disabled {
-		t.rec = append(t.rec[:0], make([]byte, walHdrSize)...)
-	}
+	t.rec = append(t.rec[:0], make([]byte, walHdrSize)...)
 	return nil
 }
 
@@ -710,10 +695,6 @@ func (t *TxStore) Commit() error {
 	defer t.mu.Unlock()
 	if !t.inTx {
 		return fmt.Errorf("eio: tx: no open transaction")
-	}
-	if t.disabled {
-		t.inTx = false
-		return nil
 	}
 	if len(t.slots) == 0 && len(t.txFrees) == 0 {
 		// Nothing to make atomic. Allocations, if any, still need a
@@ -865,7 +846,7 @@ func (t *TxStore) Rollback() error {
 	if !t.inTx {
 		return fmt.Errorf("eio: tx: no open transaction")
 	}
-	if !t.disabled && !t.committed {
+	if !t.committed {
 		// No record in the ring can name a page this transaction was just
 		// handed, so these go straight back to the inner store.
 		for i := len(t.allocs) - 1; i >= 0; i-- {
@@ -949,7 +930,7 @@ func (t *TxStore) Alloc() (PageID, error) {
 	if err != nil {
 		return NilPage, err
 	}
-	if t.inTx && !t.disabled {
+	if t.inTx {
 		t.allocs = append(t.allocs, id)
 	}
 	return id, nil
@@ -966,7 +947,7 @@ func (t *TxStore) Free(id PageID) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.disabled || (!t.inTx && t.tail == 0) {
+	if !t.inTx && t.tail == 0 {
 		return t.data.Free(id)
 	}
 	if _, dead := t.dead[id]; dead {
@@ -1007,7 +988,7 @@ func (t *TxStore) Read(id PageID, buf []byte) error {
 			return fmt.Errorf("eio: tx: page %d is freed: %w", id, ErrBadPage)
 		}
 	}
-	if t.inTx && !t.disabled {
+	if t.inTx {
 		if len(buf) < t.ps {
 			return fmt.Errorf("eio: read buffer %d bytes: %w", len(buf), ErrPageSize)
 		}
@@ -1031,7 +1012,7 @@ func (t *TxStore) Write(id PageID, buf []byte) error {
 	if _, dead := t.dead[id]; dead {
 		return fmt.Errorf("eio: tx: page %d is freed: %w", id, ErrBadPage)
 	}
-	if !t.inTx || t.disabled {
+	if !t.inTx {
 		if err := t.checkpointLocked(); err != nil {
 			return err
 		}

@@ -349,60 +349,6 @@ func TestTxComposition(t *testing.T) {
 	}
 }
 
-// TestTxDisabledFastPath pins the no-WAL fast path: a disabled TxStore
-// performs exactly the I/Os of the bare store — same counters, no meta
-// pages, no buffering.
-func TestTxDisabledFastPath(t *testing.T) {
-	workload := func(st Store) {
-		t.Helper()
-		var ids []PageID
-		for i := 0; i < 16; i++ {
-			id, err := st.Alloc()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, id)
-			if err := st.Write(id, fillPage(128, byte(i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		buf := make([]byte, 128)
-		for _, id := range ids {
-			if err := st.Read(id, buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, id := range ids[:8] {
-			if err := st.Free(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	raw := NewMemStore(128)
-	workload(raw)
-	want := raw.Stats()
-
-	mem := NewMemStore(128)
-	tx, err := NewTxStore(mem, TxOptions{Disabled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tx.Anchor() != NilPage {
-		t.Fatal("disabled TxStore allocated meta pages")
-	}
-	// Begin/Commit must be free too.
-	if err := tx.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	workload(tx)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := tx.Stats(); got != want {
-		t.Fatalf("disabled TxStore I/O regression: got %v want %v", got, want)
-	}
-}
-
 // TestTxSequentialCommits pins that the WAL ring is safely reused across
 // many commits (a checkpoint retires the lap before its first record is
 // overwritten) and that recovery on a cleanly closed store is a no-op.

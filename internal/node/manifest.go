@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"rangesearch/internal/eio"
+	"rangesearch/internal/repl"
 )
 
 // Manifest remembers, next to a file-backed store, everything needed to
@@ -23,9 +24,10 @@ type Manifest struct {
 	// any write under it, so a resurrected process knows which lineage
 	// its data belongs to.
 	Term uint64 `json:"term,omitempty"`
-	// Role is what the store last ran as: "" or "primary", "replica", or
-	// "fenced" (an ex-primary that learned of a newer term and must not
-	// accept writes until re-replicated or explicitly forced).
+	// Role is what the store last ran as: "" or repl.RolePrimary,
+	// RoleReplica, or RoleFenced (an ex-primary that learned of a newer
+	// term and must not accept writes until re-replicated or explicitly
+	// forced).
 	Role string `json:"role,omitempty"`
 	// WriteBuffer records that the store last ran in write-optimized
 	// mode, so tooling (and the next boot) knows a sidecar write-buffer
@@ -60,7 +62,7 @@ func (m *Manifest) validate(path string) error {
 		return fmt.Errorf("manifest %s: negative write_buffer_ops %d", path, m.WriteBufferOps)
 	}
 	switch m.Role {
-	case "", "primary", "replica", "fenced":
+	case "", repl.RolePrimary, repl.RoleReplica, repl.RoleFenced:
 	default:
 		return fmt.Errorf("manifest %s: unknown role %q", path, m.Role)
 	}
@@ -84,13 +86,27 @@ func ReadManifest(store string) (*Manifest, error) {
 	return &m, nil
 }
 
-// WriteManifest records m as the manifest of the store at store, durably
+// SetRole records in the manifest of the store c names that the store now
+// runs as role under term. It is the one writer of a store's role and term
+// once the store exists: -force-primary calls it, and rsserve hands it to
+// repl.Node, which calls it on every role change before the change takes
+// effect. A Stack's manifest keeps the role and term the stack booted with.
+func (c Config) SetRole(role string, term uint64) error {
+	m, err := ReadManifest(c.Store)
+	if err != nil {
+		return err
+	}
+	m.Role, m.Term = role, term
+	return writeManifest(c.Store, m)
+}
+
+// writeManifest records m as the manifest of the store at store, durably
 // and atomically: the bytes go to a temporary file, which is synced and
 // renamed over the manifest, and then the directory is synced so the
 // rename survives a crash. A crash leaves the old manifest or the new one,
 // never a torn one. ReadManifest never reads the temporary file, and the
 // next write replaces whatever a crash left of it.
-func WriteManifest(store string, m *Manifest) error {
+func writeManifest(store string, m *Manifest) error {
 	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err

@@ -98,7 +98,7 @@ var rules = []struct {
 	{2, true, func(c Config, m *Manifest) bool { return c.PoolPages > 0 && c.durable(m) },
 		"-pool applies to -durable=false stores only; a durable store has TxStore's built-in page cache"},
 	{1, true, func(c Config, m *Manifest) bool {
-		return m != nil && m.Role == "replica" && c.Role != Replica && !c.ForcePrimary
+		return m != nil && m.Role == repl.RoleReplica && c.Role != Replica && !c.ForcePrimary
 	}, "store {store} last ran as a replica; start it with -replicate-from, or -force-primary to take over"},
 	{1, true, func(c Config, m *Manifest) bool { return m != nil && !m.Durable && c.Role != Standalone },
 		"store {store} is not durable; replication needs the WAL layout"},
@@ -190,13 +190,12 @@ func Build(c Config) (*Stack, error) {
 	// -force-primary: a replica or fenced store takes over at the next
 	// term, persisted before anything serves.
 	forced := uint64(0)
-	if c.ForcePrimary && m != nil && (m.Role == "replica" || m.Role == "fenced") {
-		m.Term++
-		m.Role = "primary"
-		forced = m.Term
-		if err := WriteManifest(c.Store, m); err != nil {
+	if c.ForcePrimary && m != nil && (m.Role == repl.RoleReplica || m.Role == repl.RoleFenced) {
+		forced = m.Term + 1
+		if err := c.SetRole(repl.RolePrimary, forced); err != nil {
 			return nil, fmt.Errorf("-force-primary: %w", err)
 		}
+		m.Role, m.Term = repl.RolePrimary, forced
 	}
 	var st *Stack
 	if c.Mem {
@@ -268,7 +267,7 @@ func (c Config) openFile(m *Manifest) (*Stack, error) {
 	switch {
 	case err != nil:
 	case fresh:
-		err = WriteManifest(c.Store, m)
+		err = writeManifest(c.Store, m)
 	case tx != nil && c.BootScrub:
 		boot.Reclaimed, err = st.Scrub()
 	}
@@ -362,7 +361,7 @@ func (s *Stack) buffer(c Config) error {
 		return nil
 	}
 	s.M.WriteBuffer, s.M.WriteBufferOps = c.WriteBuffer, ops
-	if err := WriteManifest(c.Store, s.M); err != nil {
+	if err := writeManifest(c.Store, s.M); err != nil {
 		return fmt.Errorf("manifest: %w", err)
 	}
 	return nil
@@ -481,7 +480,7 @@ func (c Config) Clone(m *Manifest, fill func(put func(id uint64, image []byte) e
 		_ = os.Remove(c.Store)
 		return nil, fmt.Errorf("receive snapshot: %w", err)
 	}
-	if err := WriteManifest(c.Store, m); err != nil {
+	if err := writeManifest(c.Store, m); err != nil {
 		return nil, err
 	}
 	return c.openFile(m)

@@ -106,13 +106,13 @@ func TestManifestMissing(t *testing.T) {
 	reopenWantErr(t, path, "manifest is unreadable")
 }
 
-// TestManifestLeftoverTemp: a crash inside WriteManifest leaves at most a
+// TestManifestLeftoverTemp: a crash inside writeManifest leaves at most a
 // partial temporary file beside an intact manifest. ReadManifest must not
 // see it, and the next write must replace it.
 func TestManifestLeftoverTemp(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "points.db")
 	want := Manifest{PageSize: 4096, Durable: true, Hdr: 7, Anchor: 3, Term: 2, Role: "primary"}
-	if err := WriteManifest(store, &want); err != nil {
+	if err := writeManifest(store, &want); err != nil {
 		t.Fatal(err)
 	}
 	tmp := ManifestPath(store) + ".tmp"
@@ -123,8 +123,8 @@ func TestManifestLeftoverTemp(t *testing.T) {
 		t.Fatalf("ReadManifest beside a partial temp file = %+v, %v; want %+v", got, err, want)
 	}
 	want.Term = 3
-	if err := WriteManifest(store, &want); err != nil {
-		t.Fatalf("WriteManifest over a leftover temp file: %v", err)
+	if err := writeManifest(store, &want); err != nil {
+		t.Fatalf("writeManifest over a leftover temp file: %v", err)
 	}
 	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("temp file still present after the next write (stat: %v)", err)
@@ -377,7 +377,7 @@ func TestValidateRules(t *testing.T) {
 		drain(t, st)
 		if m != nil {
 			st.M.Role, st.M.Durable = m.Role, m.Durable
-			if err := WriteManifest(path, st.M); err != nil {
+			if err := writeManifest(path, st.M); err != nil {
 				t.Fatal(err)
 			}
 		}

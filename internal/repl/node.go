@@ -2,6 +2,7 @@ package repl
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"rangesearch/internal/core"
 	"rangesearch/internal/geom"
@@ -26,70 +27,132 @@ func (f *FencedIndex) Query(dst []geom.Point, q geom.Rect) ([]geom.Point, error)
 	return f.Reads.Query(dst, q)
 }
 
+// Roles a Node holds, named as the store manifest records them.
+const (
+	RolePrimary = "primary"
+	RoleReplica = "replica"
+	RoleFenced  = "fenced"
+)
+
 // Node fronts a serving engine whose role can change at runtime: a
 // primary accepting writes, a follower applying a replication stream, or
 // a fenced ex-primary refusing writes. It is the core.Engine a replicated
-// server serves; reads delegate under a shared lock, writes check the role
-// first, and Promote swaps the whole engine under the exclusive lock so
-// in-flight readers drain before the follower stack is torn down.
+// server serves and the one owner of the node's role and term: the
+// shipper reads both from it, and every role change goes through Fence or
+// Promote, which hand it to the persist function. Reads delegate under a
+// shared lock, writes check the role first, and Promote swaps the whole
+// engine under the exclusive lock so in-flight readers drain before the
+// follower stack is torn down.
 type Node struct {
+	// role and term are read without mu: the shipper stamps every record
+	// with the term on the group-commit path, inside some request's Apply
+	// read lock, where a read lock of its own would queue behind a waiting
+	// Fence or Promote and deadlock. The term changes only under mu while
+	// no admitted write is in flight, so a record carries the term its
+	// write was admitted under.
+	role    atomic.Value // string: RolePrimary, RoleReplica or RoleFenced
+	term    atomic.Uint64
+	persist func(role string, term uint64) error
+
 	mu      sync.RWMutex
 	conc    *core.Concurrent
-	primary bool
-	fenced  bool
-	term    uint64
 	applied func() uint64 // follower durable position; nil → the engine's own
+
+	// roleRead, when set, runs between Role's first two loads: a test
+	// seam that lets a whole Fence or Promote land inside one Role call.
+	roleRead func()
 }
 
 var _ core.Engine = (*Node)(nil)
 
-// NewNode builds a node over conc. applied overrides the engine's LSN while
-// the node is a follower (the replica applier tracks it, not the
-// engine); pass nil on a primary.
-func NewNode(conc *core.Concurrent, primary bool, term uint64, applied func() uint64) *Node {
-	return &Node{conc: conc, primary: primary, term: term, applied: applied}
+// NewNode builds a node over conc holding role under term. applied
+// overrides the engine's LSN while the node is a follower (the replica
+// applier tracks it, not the engine); pass nil on a primary. persist
+// durably records a role change before Fence or Promote completes; nil
+// means the node has no manifest to keep.
+func NewNode(conc *core.Concurrent, role string, term uint64, applied func() uint64,
+	persist func(role string, term uint64) error) *Node {
+	n := &Node{conc: conc, applied: applied, persist: persist}
+	n.role.Store(role)
+	n.term.Store(term)
+	return n
 }
 
-// Role returns "primary", "replica", or "fenced" plus the current term.
+// Role returns the node's role (RolePrimary, RoleReplica or RoleFenced)
+// and its term, as a pair the node held at one instant. Fence changes the
+// role before the term and Promote the term before the role, so neither
+// order of two plain loads is safe for both: role-then-term can pair a
+// fenced node's new term with primary. Role reads the term again after
+// the role and retries if it moved; terms only grow, so an unchanged term
+// was the node's term when the role was read.
 func (n *Node) Role() (string, uint64) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	switch {
-	case n.fenced:
-		return "fenced", n.term
-	case n.primary:
-		return "primary", n.term
-	default:
-		return "replica", n.term
+	for {
+		term := n.term.Load()
+		if n.roleRead != nil {
+			n.roleRead()
+		}
+		role := n.role.Load().(string)
+		if n.term.Load() == term {
+			return role, term
+		}
 	}
 }
 
-// Fence marks the node non-writable under term — a newer primary
-// lineage exists. Reads keep working.
-func (n *Node) Fence(term uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.fenced = true
-	n.primary = false
-	if term > n.term {
-		n.term = term
+// Fence stands a primary down: a peer proved term, a newer lineage,
+// exists. On a node that is not primary it does nothing and reports
+// false. The order: stop admitting writes; call wake, so writes parked on
+// replica acks see the role and fail core.ErrNotPrimary; wait for the
+// writes already admitted to drain (they commit under the old term); then
+// raise the term and persist the fence. Reads keep working throughout.
+func (n *Node) Fence(term uint64, wake func()) (bool, error) {
+	if !n.role.CompareAndSwap(RolePrimary, RoleFenced) {
+		return false, nil
 	}
+	if wake != nil {
+		wake()
+	}
+	n.mu.Lock()
+	term = max(term, n.term.Load())
+	n.term.Store(term)
+	n.mu.Unlock()
+	return true, n.record(RoleFenced, term)
 }
 
-// Promote installs a new (writable) engine under term. The exclusive
-// lock waits out every in-flight request on the old engine, so the
-// caller may close it as soon as Promote returns. The old engine is
-// returned for teardown bookkeeping.
-func (n *Node) Promote(conc *core.Concurrent, term uint64) *core.Concurrent {
+// Promote makes the node the primary of term over conc. The order: persist
+// the term; swap conc in under the exclusive lock, which waits out every
+// in-flight request on the old engine (returned, for the caller to close);
+// run arm, which installs what a write on conc needs before it may be
+// acknowledged (the commit hook, the semi-sync gate); and only then admit
+// the first write. If persisting fails nothing has changed and the old
+// engine is nil; if arm fails the node serves conc's reads but stays
+// non-writable.
+func (n *Node) Promote(conc *core.Concurrent, term uint64, arm func() error) (*core.Concurrent, error) {
+	if err := n.record(RolePrimary, term); err != nil {
+		return nil, err
+	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	old := n.conc
-	n.conc = conc
-	n.primary = true
-	n.fenced = false
-	n.term = term
-	n.applied = nil
-	return old
+	n.conc, n.applied = conc, nil
+	n.term.Store(term)
+	n.mu.Unlock()
+	if arm != nil {
+		if err := arm(); err != nil {
+			return old, err
+		}
+	}
+	n.role.Store(RolePrimary)
+	return old, nil
+}
+
+// record persists a role change. Fence and Promote call it without n.mu,
+// which would block every reader for the write: a fence records only after
+// its CompareAndSwap from primary, and a node turns primary only at the end
+// of Promote, so a fence cannot overtake the promotion before it.
+func (n *Node) record(role string, term uint64) error {
+	if n.persist == nil {
+		return nil
+	}
+	return n.persist(role, term)
 }
 
 // Rebind installs a new engine while keeping the follower role — the
@@ -105,17 +168,10 @@ func (n *Node) Rebind(conc *core.Concurrent, term uint64) *core.Concurrent {
 	defer n.mu.Unlock()
 	old := n.conc
 	n.conc = conc
-	if term > n.term {
-		n.term = term
+	if term > n.term.Load() {
+		n.term.Store(term)
 	}
 	return old
-}
-
-// Engine returns the current engine (for shutdown paths).
-func (n *Node) Engine() *core.Concurrent {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.conc
 }
 
 // Apply implements core.Engine (primary only): on a follower or a fenced
@@ -123,7 +179,7 @@ func (n *Node) Engine() *core.Concurrent {
 func (n *Node) Apply(ops []core.BatchOp, sp *trace.Span) []core.BatchResult {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	if !n.primary || n.fenced {
+	if n.role.Load() != RolePrimary {
 		res := make([]core.BatchResult, len(ops))
 		for i := range res {
 			res[i].Err = core.ErrNotPrimary
@@ -171,8 +227,8 @@ func (n *Node) Position() (term, lsn uint64) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if n.applied != nil {
-		return n.term, n.applied()
+		return n.term.Load(), n.applied()
 	}
 	_, lsn = n.conc.Position()
-	return n.term, lsn
+	return n.term.Load(), lsn
 }

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,8 @@ import (
 
 // newTestEngine builds Concurrent(Durable(ThreeSided)) on a fresh in-memory
 // TxStore and commits writes single-point inserts, leaving its LSN there.
-func newTestEngine(t *testing.T, writes int) *core.Concurrent {
+// wrap, when set, wraps the ThreeSided writer inside Durable.
+func newTestEngine(t *testing.T, writes int, wrap func(core.Index) core.Index) (*core.Concurrent, *eio.TxStore) {
 	t.Helper()
 	tx, err := eio.NewTxStore(eio.NewMemStore(testPS), eio.TxOptions{WALPages: 64})
 	if err != nil {
@@ -29,7 +31,11 @@ func newTestEngine(t *testing.T, writes int) *core.Concurrent {
 		t.Fatal(err)
 	}
 	hdr := idx.HeaderID()
-	c, err := core.NewConcurrent(core.NewDurable(idx, tx), snap,
+	var writer core.Index = idx
+	if wrap != nil {
+		writer = wrap(idx)
+	}
+	c, err := core.NewConcurrent(core.NewDurable(writer, tx), snap,
 		func(s eio.Store) (core.Index, error) { return core.OpenThreeSided(s, hdr) },
 		core.ConcurrentOptions{})
 	if err != nil {
@@ -41,7 +47,7 @@ func newTestEngine(t *testing.T, writes int) *core.Concurrent {
 			t.Fatal(err)
 		}
 	}
-	return c
+	return c, tx
 }
 
 // TestNodePositionIsCoherent: Position reads the term and the LSN under the
@@ -50,13 +56,14 @@ func newTestEngine(t *testing.T, writes int) *core.Concurrent {
 // timeline beside the LSN of the other's. Side A holds odd terms, side B
 // even ones, and their LSNs differ; run it under -race.
 func TestNodePositionIsCoherent(t *testing.T) {
-	a, b := newTestEngine(t, 3), newTestEngine(t, 40)
+	a, _ := newTestEngine(t, 3, nil)
+	b, _ := newTestEngine(t, 40, nil)
 	_, lsnA := a.Position()
 	_, lsnB := b.Position()
 	if lsnA == 0 || lsnB == 0 || lsnA == lsnB {
 		t.Fatalf("engines need distinct non-zero LSNs, got %d and %d", lsnA, lsnB)
 	}
-	n := NewNode(a, true, 1, nil)
+	n := NewNode(a, RolePrimary, 1, nil, nil)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -86,23 +93,23 @@ func TestNodePositionIsCoherent(t *testing.T) {
 	term := uint64(1)
 	for i := 0; i < 2000; i++ {
 		term++ // even: side B
-		n.Promote(b, term)
+		n.Promote(b, term, nil)
 		term += 2
-		n.Fence(term)
+		n.Fence(term, nil)
 		term++ // odd: side A
 		n.Rebind(a, term)
 		term += 2
-		n.Fence(term)
+		n.Fence(term, nil)
 		term++
 		n.Rebind(b, term)
 		term++
-		n.Promote(a, term)
+		n.Promote(a, term, nil)
 	}
 	stop.Store(true)
 	wg.Wait()
 
 	// The role gates writes and nothing else.
-	n.Fence(term)
+	n.Fence(term, nil)
 	for _, r := range n.Apply([]core.BatchOp{{P: geom.Point{X: 1000, Y: 1}}, {Delete: true, P: geom.Point{X: 1, Y: 1}}}, nil) {
 		if !errors.Is(r.Err, core.ErrNotPrimary) || r.Found {
 			t.Fatalf("fenced Apply: %+v, want ErrNotPrimary", r)
@@ -110,5 +117,69 @@ func TestNodePositionIsCoherent(t *testing.T) {
 	}
 	if got, err := n.Report(nil, geom.Rect{XLo: 0, XHi: 10, YLo: 0, YHi: geom.MaxCoord}, nil); err != nil || len(got) != 3 {
 		t.Fatalf("fenced Report: %d points, %v; want engine A's 3", len(got), err)
+	}
+}
+
+// TestNodePromoteOrder: Promote persists the new term first, swaps the
+// engine in, and admits the first write only after arm returns.
+func TestNodePromoteOrder(t *testing.T) {
+	a, _ := newTestEngine(t, 3, nil)
+	b, _ := newTestEngine(t, 5, nil)
+	var persisted []string
+	n := NewNode(a, RoleReplica, 1, nil, func(role string, term uint64) error {
+		persisted = append(persisted, fmt.Sprintf("%s@%d", role, term))
+		return nil
+	})
+	insert := []core.BatchOp{{P: geom.Point{X: 1000, Y: 1}}}
+	old, err := n.Promote(b, 2, func() error {
+		if len(persisted) != 1 || persisted[0] != "primary@2" {
+			t.Errorf("persisted %v before arm, want [primary@2]", persisted)
+		}
+		if role, term := n.Role(); role != RoleReplica || term != 2 {
+			t.Errorf("during arm: %s at term %d, want replica at term 2", role, term)
+		}
+		if r := n.Apply(insert, nil)[0]; !errors.Is(r.Err, core.ErrNotPrimary) {
+			t.Errorf("Apply during arm: %v, want ErrNotPrimary", r.Err)
+		}
+		return nil
+	})
+	if err != nil || old != a {
+		t.Fatalf("Promote: old engine %p (want %p), %v", old, a, err)
+	}
+	if r := n.Apply(insert, nil)[0]; r.Err != nil {
+		t.Fatalf("Apply after Promote: %v", r.Err)
+	}
+}
+
+// TestNodeRoleIsAPair: Role returns a role and term the node held at one
+// instant even when a whole Fence (role, then term) or Promote (term, then
+// role) lands between its loads. A reader must never see a fenced node's
+// new term beside primary, nor a promoted node's old term beside primary;
+// role-then-term fails the first case and term-then-role the second.
+func TestNodeRoleIsAPair(t *testing.T) {
+	a, _ := newTestEngine(t, 0, nil)
+	for _, tc := range []struct {
+		name     string
+		from     string
+		change   func(n *Node) error
+		wantRole string
+		wantTerm uint64
+	}{
+		{"fence", RolePrimary, func(n *Node) error { _, err := n.Fence(9, nil); return err }, RoleFenced, 9},
+		{"promote", RoleReplica, func(n *Node) error { _, err := n.Promote(a, 2, nil); return err }, RolePrimary, 2},
+	} {
+		n := NewNode(a, tc.from, 1, nil, nil)
+		var once sync.Once
+		n.roleRead = func() {
+			once.Do(func() {
+				if err := tc.change(n); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if role, term := n.Role(); role != tc.wantRole || term != tc.wantTerm {
+			t.Errorf("%s inside Role: got %s at term %d, want %s at term %d",
+				tc.name, role, term, tc.wantRole, tc.wantTerm)
+		}
 	}
 }

@@ -38,12 +38,13 @@
 //
 // # Fencing
 //
-// Terms order primary lineages. A node's term is persisted in its serving
-// manifest before it acknowledges anything under that term. Promotion
-// bumps the term; every message the shipper sends carries it; a node that
-// sees a higher term than its own anywhere (HELLO, FENCE) immediately
+// Terms order primary lineages. The Node owns a node's role and term and
+// persists every change before it acknowledges anything under it.
+// Promotion bumps the term; every message the shipper sends carries it; a
+// primary that sees a higher term than its own anywhere (HELLO, FENCE)
 // fences itself — writes fail core.ErrNotPrimary — because a newer
-// lineage exists and accepting more writes would fork history.
+// lineage exists and accepting more writes would fork history. A record
+// carries the term its write was admitted under.
 package repl
 
 import (

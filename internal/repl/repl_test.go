@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rangesearch/internal/core"
 	"rangesearch/internal/eio"
+	"rangesearch/internal/geom"
 )
 
 const testPS = 256
@@ -35,11 +38,11 @@ func newTestPrimary(t *testing.T, term uint64) *testPrimary {
 	}
 	p := &testPrimary{fs: fs, tx: tx}
 	p.sh = NewShipper(ShipperConfig{
-		Term:       term,
-		Primary:    true,
-		PageSize:   testPS,
-		Dir:        uint64(tx.Anchor()),
-		DurableLSN: tx.AppliedLSN,
+		// The shipper reads only the node's role, term and position here:
+		// commits come straight from the TxStore.
+		Node:     NewNode(nil, RolePrimary, term, tx.AppliedLSN, nil),
+		PageSize: testPS,
+		Dir:      uint64(tx.Anchor()),
 		CutSnapshot: func() (*Snapshot, error) {
 			ids, err := fs.LivePageIDs()
 			if err != nil {
@@ -339,15 +342,17 @@ func TestWaitAckedStall(t *testing.T) {
 }
 
 func TestPromoteRPC(t *testing.T) {
-	fsDir := filepath.Join(t.TempDir(), "f.pages")
-	_ = fsDir
-	var promoted atomic.Bool
+	conc, _ := newTestEngine(t, 3, nil)
+	n := NewNode(conc, RoleReplica, 3, nil, nil)
+	var promotions atomic.Int32
 	sh := NewShipper(ShipperConfig{
-		Term:     3,
-		Primary:  false,
+		Node:     n,
 		PageSize: testPS,
 		OnPromote: func() (uint64, uint64, error) {
-			promoted.Store(true)
+			promotions.Add(1)
+			if _, err := n.Promote(conc, 4, nil); err != nil {
+				return 0, 0, err
+			}
 			return 4, 42, nil
 		},
 		Logf: t.Logf,
@@ -359,45 +364,140 @@ func TestPromoteRPC(t *testing.T) {
 	go sh.Serve(ln)
 	defer sh.Close()
 
-	term, lsn, err := Promote(ln.Addr().String(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if term != 4 || lsn != 42 || !promoted.Load() {
-		t.Fatalf("Promote = (%d, %d), promoted=%v", term, lsn, promoted.Load())
-	}
-
 	// A follower must refuse replication HELLOs.
 	if _, err := DialPrimary(ln.Addr().String(), Hello{}, 2*time.Second); err == nil {
 		t.Fatal("follower accepted a HELLO")
 	}
+
+	term, lsn, err := Promote(ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if term != 4 || lsn != 42 || promotions.Load() != 1 {
+		t.Fatalf("Promote = (%d, %d) after %d promotions, want (4, 42) after 1", term, lsn, promotions.Load())
+	}
+
+	// A primary answers from its node, without promoting again.
+	_, want := conc.Position()
+	term, lsn, err = Promote(ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if term != 4 || lsn != want || promotions.Load() != 1 {
+		t.Fatalf("Promote on a primary = (%d, %d) after %d promotions, want (4, %d) after 1", term, lsn, promotions.Load(), want)
+	}
 }
 
+// heldIndex parks its first Insert until release is closed, after
+// signalling entered: a write the node admitted, held short of its commit.
+type heldIndex struct {
+	core.Index
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h *heldIndex) Insert(p geom.Point) error {
+	select {
+	case h.entered <- struct{}{}:
+		<-h.release
+	default:
+	}
+	return h.Index.Insert(p)
+}
+
+// TestFenceByHigherTerm: a HELLO from term 9 fences a term-1 primary. A
+// write the node admitted before the fence and committed during it ships
+// under term 1, the term it was admitted under; once the fence is done the
+// node refuses writes and has persisted "fenced" at term 9.
 func TestFenceByHigherTerm(t *testing.T) {
-	p := newTestPrimary(t, 1)
-	fencedCh := make(chan uint64, 1)
-	p.sh.cfg.OnFence = func(term uint64) { fencedCh <- term }
-	p.commit(t, 1)
+	held := &heldIndex{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	conc, tx := newTestEngine(t, 0, func(idx core.Index) core.Index { held.Index = idx; return held })
+	var mu sync.Mutex
+	var persisted []string
+	n := NewNode(conc, RolePrimary, 1, nil, func(role string, term uint64) error {
+		mu.Lock()
+		defer mu.Unlock()
+		persisted = append(persisted, fmt.Sprintf("%s@%d", role, term))
+		return nil
+	})
+	sh := NewShipper(ShipperConfig{
+		Node:        n,
+		PageSize:    testPS,
+		Dir:         uint64(tx.Anchor()),
+		CutSnapshot: func() (*Snapshot, error) { return &Snapshot{LSN: tx.AppliedLSN()}, nil },
+		Logf:        t.Logf,
+	})
+	tx.SetCommitHook(sh.Commit)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go sh.Serve(ln)
+	defer sh.Close()
+
+	// A replica of the term-1 lineage, streaming.
+	sess, err := DialPrimary(ln.Addr().String(), Hello{Term: 1}, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.ReceiveSnapshot(func(uint64, []byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+
+	applied := make(chan error, 1)
+	go func() { applied <- n.Apply([]core.BatchOp{{P: geom.Point{X: 1, Y: 1}}}, nil)[0].Err }()
+	<-held.entered
 
 	// A replica from term 9 proves a newer lineage: the primary must
 	// stand down, and the dial must fail with ErrFenced.
-	_, err := DialPrimary(p.addr(), Hello{Term: 9}, 2*time.Second)
+	_, err = DialPrimary(ln.Addr().String(), Hello{Term: 9}, 2*time.Second)
 	if !errors.Is(err, ErrFenced) {
 		t.Fatalf("dial from higher term: %v, want ErrFenced", err)
 	}
-	select {
-	case term := <-fencedCh:
-		if term != 9 {
-			t.Fatalf("fenced with term %d, want 9", term)
+	waitRole := func(role string, term uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			r, tm := n.Role()
+			if r == role && tm == term {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("node is %s at term %d, want %s at term %d", r, tm, role, term)
+			}
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("OnFence not called")
 	}
-	if p.sh.IsPrimary() {
-		t.Fatal("shipper still primary after fence")
+	// The fence stops admitting writes at once but keeps the old term
+	// while the admitted write is in flight.
+	waitRole(RoleFenced, 1)
+	close(held.release)
+	if err := <-applied; err != nil {
+		t.Fatalf("write admitted before the fence: %v", err)
 	}
-	if got := p.sh.Term(); got != 9 {
-		t.Fatalf("term after fence %d, want 9", got)
+	_ = sess.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for {
+		body, err := readFrame(sess.br)
+		if err != nil {
+			t.Fatalf("waiting for the held write's record: %v", err)
+		}
+		if body[0] == msgRecord {
+			if term := beU64(body[1:]); term != 1 {
+				t.Fatalf("write admitted under term 1 shipped under term %d", term)
+			}
+			break
+		}
+	}
+
+	waitRole(RoleFenced, 9)
+	for _, r := range n.Apply([]core.BatchOp{{P: geom.Point{X: 2, Y: 2}}}, nil) {
+		if !errors.Is(r.Err, core.ErrNotPrimary) {
+			t.Fatalf("Apply after the fence: %v, want ErrNotPrimary", r.Err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(persisted) != 1 || persisted[0] != "fenced@9" {
+		t.Fatalf("persisted %v, want [fenced@9]", persisted)
 	}
 }
 
@@ -416,5 +516,70 @@ func TestDivergedReplicaReclones(t *testing.T) {
 	defer sess.Close()
 	if sess.Kind() != KindSnapshot {
 		t.Fatalf("diverged replica got %v, want snapshot", sess.Kind())
+	}
+}
+
+// TestConcurrentHigherTermHellos: several term-9 HELLOs reach a term-1
+// primary at once. Whichever fences it, none of them may be served as a
+// replica — a resume or a snapshot stamped with the new term would graft
+// the old lineage onto the new one — and the fence is persisted once.
+func TestConcurrentHigherTermHellos(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		conc, tx := newTestEngine(t, 2, nil)
+		var mu sync.Mutex
+		var persisted []string
+		n := NewNode(conc, RolePrimary, 1, nil, func(role string, term uint64) error {
+			mu.Lock()
+			defer mu.Unlock()
+			persisted = append(persisted, fmt.Sprintf("%s@%d", role, term))
+			return nil
+		})
+		sh := NewShipper(ShipperConfig{
+			Node:        n,
+			PageSize:    testPS,
+			Dir:         uint64(tx.Anchor()),
+			CutSnapshot: func() (*Snapshot, error) { return &Snapshot{LSN: tx.AppliedLSN()}, nil },
+			Logf:        func(string, ...any) {},
+		})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go sh.Serve(ln)
+
+		const dials = 8
+		errs := make(chan error, dials)
+		for i := 0; i < dials; i++ {
+			go func() {
+				sess, err := DialPrimary(ln.Addr().String(),
+					Hello{Term: 9, PageSize: testPS, Dir: uint64(tx.Anchor())}, 5*time.Second)
+				if err == nil {
+					sess.Close()
+				}
+				errs <- err
+			}()
+		}
+		for i := 0; i < dials; i++ {
+			if err := <-errs; err == nil {
+				t.Fatalf("round %d: a term-9 replica was served by the term-1 primary", round)
+			}
+		}
+		sh.Close()
+		// The dial fails as soon as the FENCE reply is written; the fence
+		// itself completes after it.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			role, term := n.Role()
+			if role == RoleFenced && term == 9 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: node is %s at term %d, want fenced at term 9", round, role, term)
+			}
+		}
+		mu.Lock()
+		if len(persisted) != 1 || persisted[0] != "fenced@9" {
+			t.Fatalf("round %d: persisted %v, want [fenced@9]", round, persisted)
+		}
+		mu.Unlock()
 	}
 }

@@ -26,11 +26,24 @@ type Snapshot struct {
 	Pages []SnapPage
 }
 
+// Shipper constants.
+const (
+	// backlogRecords is how many committed records are retained for
+	// resume: a replica reconnecting within the backlog replays the tail,
+	// an older one takes a full snapshot.
+	backlogRecords = 256
+	// heartbeatEvery is the idle-stream heartbeat period.
+	heartbeatEvery = 500 * time.Millisecond
+)
+
 // ShipperConfig configures a Shipper.
 type ShipperConfig struct {
-	// Term is the node's current term; Primary its starting role.
-	Term    uint64
-	Primary bool
+	// Node is the node the shipper serves. It owns the role and term: the
+	// shipper ships only while it is primary, stamps every record with its
+	// term, and fences it when a peer proves a higher one. Its durable
+	// position is what heartbeats and resume decisions are measured
+	// against.
+	Node *Node
 
 	// PageSize, Dir and Hdr describe the store layout replicas must
 	// mirror (Dir is the tx directory page id, Hdr the index header id).
@@ -38,32 +51,16 @@ type ShipperConfig struct {
 	Dir      uint64
 	Hdr      uint64
 
-	// DurableLSN reports the primary's durable position (what heartbeats
-	// and resume decisions are measured against).
-	DurableLSN func() uint64
-
 	// CutSnapshot produces a full-store clone for replica bootstrap. It
 	// runs outside the shipper's lock (it takes the engine's own write
 	// barrier) and is required on a primary.
 	CutSnapshot func() (*Snapshot, error)
 
-	// OnFence is called (outside the shipper lock, at most once per term
-	// raise) when a peer proves a higher term exists: the node must stop
-	// accepting writes.
-	OnFence func(term uint64)
-
-	// OnPromote handles an admin PROMOTE frame: promote this node and
-	// return its new term and durable LSN. Nil means promotion is not
-	// supported here.
+	// OnPromote handles an admin PROMOTE frame on a node that is not
+	// primary: promote it and return its new term and durable LSN. A
+	// primary answers with its current term and LSN; nil means promotion
+	// is not supported here.
 	OnPromote func() (term, lsn uint64, err error)
-
-	// Backlog is how many committed records are retained for resume
-	// (default 256). A replica reconnecting within the backlog replays
-	// the tail; older ones take a full snapshot.
-	Backlog int
-
-	// HeartbeatEvery is the idle-stream heartbeat period (default 500ms).
-	HeartbeatEvery time.Duration
 
 	// Logf, when set, receives diagnostic lines.
 	Logf func(format string, args ...any)
@@ -96,15 +93,13 @@ type shipConn struct {
 // per-replica acks for semi-synchronous commit gating. On a follower it
 // still answers the port — rejecting HELLO (only a primary ships) but
 // honouring admin PROMOTE frames — so failover tooling can talk to any
-// node at the same address before and after a role change.
+// node at the same address before and after a role change. The role and
+// term it acts on are its Node's.
 type Shipper struct {
 	cfg ShipperConfig
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	primary bool
-	term    uint64
-	lastLSN uint64 // highest LSN ever passed to Commit
+	mu   sync.Mutex
+	cond *sync.Cond
 
 	backlog      [][]byte // encoded records, consecutive LSNs
 	backlogFloor uint64   // LSN of backlog[0]; 0 when empty
@@ -116,94 +111,50 @@ type Shipper struct {
 
 // NewShipper builds a Shipper; call Serve to start accepting.
 func NewShipper(cfg ShipperConfig) *Shipper {
-	if cfg.Backlog <= 0 {
-		cfg.Backlog = 256
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = 500 * time.Millisecond
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	s := &Shipper{
-		cfg:     cfg,
-		primary: cfg.Primary,
-		term:    cfg.Term,
-		conns:   make(map[*shipConn]struct{}),
+		cfg:   cfg,
+		conns: make(map[*shipConn]struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// Term returns the node's current term.
-func (s *Shipper) Term() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.term
-}
-
-// IsPrimary reports whether the shipper currently acts as a primary.
-func (s *Shipper) IsPrimary() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.primary
-}
-
-// SetOnPromote installs the PROMOTE handler after construction — the
-// handler usually closes over state (the node, the stack) that is built
-// after the shipper.
-func (s *Shipper) SetOnPromote(fn func() (term, lsn uint64, err error)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cfg.OnPromote = fn
-}
-
-// SetPrimary switches the shipper into the primary role under term —
-// the final step of promotion, after the new term is durable in the
-// manifest and the writable stack is rebuilt.
-func (s *Shipper) SetPrimary(term uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.primary = true
-	s.term = term
-	s.cond.Broadcast()
-}
-
 // Rebind points the shipper at a new serving stack's layout and data
 // sources. It exists for promotion: a shipper built on a follower has no
 // snapshot source (nothing to cut until the node is writable), and a
-// re-clone may have changed the anchor pages. Call before SetPrimary —
-// while still a follower the shipper rejects replica handshakes, so no
-// session reads these fields concurrently.
-func (s *Shipper) Rebind(pageSize int, dir, hdr uint64,
-	durableLSN func() uint64, cut func() (*Snapshot, error)) {
+// re-clone may have changed the anchor pages. Call before the node turns
+// primary (from Node.Promote's arm) — until then the shipper rejects
+// replica handshakes, so no session reads these fields concurrently.
+func (s *Shipper) Rebind(pageSize int, dir, hdr uint64, cut func() (*Snapshot, error)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cfg.PageSize = pageSize
 	s.cfg.Dir = dir
 	s.cfg.Hdr = hdr
-	s.cfg.DurableLSN = durableLSN
 	s.cfg.CutSnapshot = cut
 }
 
 // Commit is the TxStore commit-hook target: it runs on the group-commit
 // path right after the commit-point sync, so it must not block. The
-// record is copied, appended to the resume backlog, and fanned out to
+// record is copied, stamped with the node's term (read without the node's
+// lock; see Node), appended to the resume backlog, and fanned out to
 // every streaming replica; a replica too slow to drain its queue is
 // dropped (it reconnects and resumes from the backlog).
 func (s *Shipper) Commit(lsn uint64, rec []byte) {
 	cp := make([]byte, 0, 1+8+len(rec))
 	cp = append(cp, msgRecord)
-	s.mu.Lock()
-	cp = be64(cp, s.term)
+	cp = be64(cp, s.cfg.Node.term.Load())
 	cp = append(cp, rec...)
 
-	s.lastLSN = lsn
+	s.mu.Lock()
 	if len(s.backlog) == 0 {
 		s.backlogFloor = lsn
 	}
 	s.backlog = append(s.backlog, cp[1+8:]) // raw record, for resume replay
-	for len(s.backlog) > s.cfg.Backlog {
+	for len(s.backlog) > backlogRecords {
 		s.backlog = s.backlog[1:]
 		s.backlogFloor++
 	}
@@ -243,17 +194,13 @@ func (s *Shipper) WaitAcked(lsn uint64, need int, timeout time.Duration) error {
 		return nil
 	}
 	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
+	timer := time.AfterFunc(timeout, s.wake)
 	defer timer.Stop()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if !s.primary {
+		if s.cfg.Node.role.Load() != RolePrimary {
 			return core.ErrNotPrimary
 		}
 		if s.ackedLocked(lsn) >= need {
@@ -346,26 +293,24 @@ func (s *Shipper) dropConn(sc *shipConn) {
 	sc.conn.Close()
 }
 
-// fence stands the node down: a peer proved term exists, so accepting
-// more writes under our lower term would fork history.
-func (s *Shipper) fence(term uint64) {
+// wake rouses every WaitAcked caller to re-check its condition.
+func (s *Shipper) wake() {
 	s.mu.Lock()
-	if term <= s.term && !s.primary {
-		s.mu.Unlock()
-		return
-	}
-	wasPrimary := s.primary
-	if term > s.term {
-		s.term = term
-	}
-	s.primary = false
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	if wasPrimary {
+}
+
+// fence stands the node down: a peer proved term exists, so accepting
+// more writes under our lower term would fork history. wake releases the
+// writes parked in WaitAcked before the node waits for its in-flight
+// writes to drain.
+func (s *Shipper) fence(term uint64) {
+	fenced, err := s.cfg.Node.Fence(term, s.wake)
+	if fenced {
 		s.cfg.Logf("repl: fenced by term %d, standing down", term)
-		if s.cfg.OnFence != nil {
-			s.cfg.OnFence(term)
-		}
+	}
+	if err != nil {
+		s.cfg.Logf("repl: persist fence at term %d: %v", term, err)
 	}
 }
 
@@ -405,14 +350,26 @@ func (s *Shipper) handleConn(conn net.Conn) {
 func (s *Shipper) servePromote(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(60 * time.Second))
-	s.mu.Lock()
-	onPromote := s.cfg.OnPromote
-	s.mu.Unlock()
-	if onPromote == nil {
-		_ = writeFrame(conn, encodeError("repl: promotion not supported on this node"))
+	// An already-writable node answers with its current identity, so
+	// failover tooling can treat the RPC as idempotent.
+	role, term := s.cfg.Node.Role()
+	if role == RolePrimary {
+		// A primary's term moves only when a fence raises it, after the
+		// role has left primary; an LSN read at the same term is still
+		// this lineage's.
+		t, lsn := s.cfg.Node.Position()
+		if t != term {
+			_ = writeFrame(conn, encodeError(fmt.Sprintf("repl: fenced by term %d", t)))
+			return
+		}
+		_ = writeFrame(conn, encodeU64Msg(msgPromoted, term, lsn))
 		return
 	}
-	term, lsn, err := onPromote()
+	if s.cfg.OnPromote == nil {
+		_ = writeFrame(conn, encodeError("repl: promotion not supported on a "+role+" node"))
+		return
+	}
+	term, lsn, err := s.cfg.OnPromote()
 	if err != nil {
 		_ = writeFrame(conn, encodeError(fmt.Sprintf("repl: promote: %v", err)))
 		return
@@ -426,31 +383,28 @@ func (s *Shipper) servePromote(conn net.Conn) {
 func (s *Shipper) serveReplica(conn net.Conn, br *bufio.Reader, h Hello) {
 	addr := conn.RemoteAddr().String()
 
-	// Read the durable position before taking s.mu: the commit hook runs
-	// under the TxStore lock and then takes s.mu, so holding s.mu while
-	// asking the TxStore for its LSN would invert that order.
-	durable := uint64(0)
-	if s.cfg.DurableLSN != nil {
-		durable = s.cfg.DurableLSN()
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
-	if h.Term > s.term {
-		s.mu.Unlock()
+	role, term := s.cfg.Node.Role()
+	if h.Term > term {
 		// The caller is from a newer lineage: we are the stale one.
 		_ = writeFrame(conn, encodeU64Msg(msgFence, h.Term))
 		conn.Close()
 		s.fence(h.Term)
 		return
 	}
-	if !s.primary {
-		s.mu.Unlock()
+	if role != RolePrimary {
 		_ = writeFrame(conn, encodeError("repl: not primary"))
+		conn.Close()
+		return
+	}
+
+	// Read the durable position before taking s.mu: the commit hook runs
+	// under the TxStore lock and then takes s.mu, so holding s.mu while
+	// asking the TxStore for its LSN would invert that order.
+	_, durable := s.cfg.Node.Position()
+
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		conn.Close()
 		return
 	}
@@ -465,14 +419,14 @@ func (s *Shipper) serveReplica(conn net.Conn, br *bufio.Reader, h Hello) {
 	// Resume needs the same lineage (term), the same layout, a position
 	// not ahead of ours (ahead means divergence: records we never shipped),
 	// and the whole gap present in the backlog.
-	canResume := h.Term == s.term &&
+	canResume := h.Term == term &&
 		h.Dir == s.cfg.Dir &&
 		h.LSN <= durable &&
 		(h.LSN == durable || (s.backlogFloor != 0 && h.LSN+1 >= s.backlogFloor))
 
 	sc := &shipConn{
 		conn:      conn,
-		queue:     make(chan shipMsg, 4*s.cfg.Backlog),
+		queue:     make(chan shipMsg, 4*backlogRecords),
 		die:       make(chan struct{}),
 		addr:      addr,
 		state:     "sync",
@@ -487,7 +441,6 @@ func (s *Shipper) serveReplica(conn net.Conn, br *bufio.Reader, h Hello) {
 	if canResume {
 		// Replay the backlog tail (h.LSN, durable] into the queue while
 		// still holding the lock, so live commits order strictly after.
-		term := s.term
 		for i := int(h.LSN + 1 - s.backlogFloor); i >= 0 && i < len(s.backlog); i++ {
 			rec := s.backlog[i]
 			frame := make([]byte, 0, 1+8+len(rec))
@@ -506,7 +459,6 @@ func (s *Shipper) serveReplica(conn net.Conn, br *bufio.Reader, h Hello) {
 		}
 		s.cfg.Logf("repl: replica %s resumes from lsn %d (durable %d)", addr, h.LSN, durable)
 	} else {
-		term := s.term
 		s.mu.Unlock()
 		if s.cfg.CutSnapshot == nil {
 			_ = writeFrame(conn, encodeError("repl: no snapshot source"))
@@ -576,7 +528,7 @@ func (s *Shipper) sendSnapshot(conn net.Conn, term uint64, snap *Snapshot) error
 // registration overlap and are skipped.
 func (s *Shipper) writeLoop(sc *shipConn, sentThrough uint64) {
 	defer s.dropConn(sc)
-	ticker := time.NewTicker(s.cfg.HeartbeatEvery)
+	ticker := time.NewTicker(heartbeatEvery)
 	defer ticker.Stop()
 	bw := bufio.NewWriterSize(sc.conn, 64*1024)
 	for {
@@ -612,13 +564,7 @@ func (s *Shipper) writeLoop(sc *shipConn, sentThrough uint64) {
 				return
 			}
 		case <-ticker.C:
-			durable := uint64(0)
-			if s.cfg.DurableLSN != nil {
-				durable = s.cfg.DurableLSN()
-			}
-			s.mu.Lock()
-			term := s.term
-			s.mu.Unlock()
+			term, durable := s.cfg.Node.Position()
 			_ = sc.conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
 			if err := writeFrame(bw, encodeU64Msg(msgHeartbeat, term, durable)); err != nil {
 				return
@@ -635,7 +581,7 @@ func (s *Shipper) writeLoop(sc *shipConn, sentThrough uint64) {
 func (s *Shipper) ackLoop(sc *shipConn, br *bufio.Reader) {
 	defer s.dropConn(sc)
 	for {
-		_ = sc.conn.SetReadDeadline(time.Now().Add(10 * s.cfg.HeartbeatEvery * 6))
+		_ = sc.conn.SetReadDeadline(time.Now().Add(60 * heartbeatEvery))
 		body, err := readFrame(br)
 		if err != nil || len(body) == 0 {
 			return

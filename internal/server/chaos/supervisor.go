@@ -21,6 +21,7 @@ import (
 	"rangesearch/internal/netfault"
 	"rangesearch/internal/node"
 	"rangesearch/internal/obs"
+	"rangesearch/internal/repl"
 	"rangesearch/internal/server"
 )
 
@@ -358,7 +359,7 @@ func (h *harness) postMortem() {
 		if h.cfg.Replicas > 0 && !n.replica {
 			if m, err := node.ReadManifest(n.store); err != nil {
 				h.rep.failf("%s manifest: %v", n.name, err)
-			} else if m.Role != "primary" || m.Term != h.rep.FinalTerm {
+			} else if m.Role != repl.RolePrimary || m.Term != h.rep.FinalTerm {
 				h.rep.failf("%s manifest reads role %q term %d, want primary at term %d", n.name, m.Role, m.Term, h.rep.FinalTerm)
 			}
 		}

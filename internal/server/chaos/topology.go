@@ -256,7 +256,7 @@ func promotedTerm(succ *proc, how string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if st.Repl == nil || st.Repl.Role != "primary" {
+	if st.Repl == nil || st.Repl.Role != repl.RolePrimary {
 		return 0, fmt.Errorf("%s is not primary yet", succ.name)
 	}
 	return st.Repl.Term, nil
