@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-write cover vet fmt sweep recover-sweep fuzz-short bound experiments examples clean soak model trajectory serve load chaos chaos-repl chaos-shard chaos-writeopt perf-pairs
+.PHONY: all build test race bench bench-write bench-read cover vet fmt sweep recover-sweep fuzz-short bound experiments examples clean soak model trajectory serve load chaos chaos-repl chaos-shard chaos-writeopt perf-pairs
 
 all: build vet test
 
@@ -137,6 +137,11 @@ bench:
 # so they cannot rot.
 bench-write:
 	$(GO) test -run '^$$' -bench 'BenchmarkOpSmallStructRebuild|BenchmarkOpEPSTUpdateDurable' -benchmem $(BENCHFLAGS) .
+
+# The read path's micro-benchmark: one scan_large_pool query on a MemStore
+# (ns, allocs and logical I/Os per query). CI runs it once so it cannot rot.
+bench-read:
+	$(GO) test -run '^$$' -bench 'BenchmarkOpEPSTQueryScan' -benchmem $(BENCHFLAGS) .
 
 # Full-size experiment tables (the numbers recorded in EXPERIMENTS.md).
 experiments:

@@ -2,6 +2,7 @@ package rangesearch
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -82,6 +83,37 @@ func BenchmarkOpEPSTQuery3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf = buf[:0]
 		buf, err = tr.Query3(buf, queries[i%len(queries)])
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(store.Stats().IOs())/float64(b.N), "ios/op")
+}
+
+// BenchmarkOpEPSTQueryScan is the query of the repo benchmark's
+// scan_large_pool workload without the wire and the pool: 4 KiB pages,
+// 32 768 uniform points in [0, 2²⁰)², 3-sided queries 16 384 wide whose
+// bottom lies in the middle half of the domain. Its ns/op is the CPU a
+// query spends inside the pages it reads. `make bench-read` runs it.
+func BenchmarkOpEPSTQueryScan(b *testing.B) {
+	const domain, span = 1 << 20, 16384
+	store := eio.NewMemStore(4096)
+	tr, err := epst.Build(store, epst.Options{}, bench.Uniform(19, 32768, domain))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(20))
+	queries := make([]geom.Query3, 1024)
+	for i := range queries {
+		xlo := rng.Int63n(domain - span)
+		queries[i] = geom.Query3{XLo: xlo, XHi: xlo + span - 1, YLo: domain/4 + rng.Int63n(domain/2)}
+	}
+	var buf []geom.Point
+	store.ResetStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, err = tr.Query3(buf[:0], queries[i%len(queries)])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -43,11 +43,15 @@ import (
 
 // publishStack exports a stack's own telemetry: a durable stack's page
 // cache (hits, misses, evictions, write-backs, dirty frames) as
-// "rangesearch.pool.tx" and the write buffer's WriteBufferStats as
+// "rangesearch.pool.tx", a -pool stack's cache the same way as
+// "rangesearch.pool.file", and the write buffer's WriteBufferStats as
 // "rangesearch.wbuf.serve". A promotion calls it again for the new stack.
 func publishStack(st *node.Stack) {
 	if st.Tx != nil && st.Tx.Cache() != nil {
 		obs.PublishPool("tx", st.Tx.Cache())
+	}
+	if st.Pool != nil {
+		obs.PublishPool("file", st.Pool)
 	}
 	if st.Buf != nil {
 		obs.Publish("rangesearch.wbuf.serve", func() interface{} { return st.Buf.WriteBufferStats() })

@@ -27,9 +27,10 @@ import (
 // TestTelemetryNamesDoNotMove publishes what rsserve and rsrouter publish —
 // server "main" after one request of each opcode (the reads sampled
 // spans), a durable stack's page cache as "tx", its write buffer as "serve",
-// and the router's metrics — and compares every /metrics family name,
-// every /debug/vars variable with the key paths under rangesearch.*, and
-// every STATS key path with testdata/telemetry.golden. Dashboards, the
+// a -pool stack's cache as "file", and the router's metrics — and compares
+// every /metrics family name, every /debug/vars variable with the key paths
+// under rangesearch.*, and every STATS key path with
+// testdata/telemetry.golden. Dashboards, the
 // smoke scripts and the benchmark read these names; a change that moves
 // one must say so by updating the golden file.
 func TestTelemetryNamesDoNotMove(t *testing.T) {
@@ -40,6 +41,12 @@ func TestTelemetryNamesDoNotMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	publishStack(st)
+	pooled, err := node.Build(node.Config{Store: filepath.Join(t.TempDir(), "pooled.db"), PageSize: 4096,
+		PoolPages: 32, WriteBufferOps: wbuf.DefaultMaxOps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	publishStack(pooled)
 	metrics := &server.Metrics{}
 	server.PublishMetrics("main", metrics)
 	router.PublishMetrics("main", router.NewMetrics(2))
@@ -110,8 +117,10 @@ func TestTelemetryNamesDoNotMove(t *testing.T) {
 	sort.Strings(got)
 	got = slices.Compact(got)
 
-	if leaked, err := st.Drain(); err != nil || leaked != 0 {
-		t.Fatalf("Drain: leaked=%d err=%v", leaked, err)
+	for _, s := range []*node.Stack{st, pooled} {
+		if leaked, err := s.Drain(); err != nil || leaked != 0 {
+			t.Fatalf("Drain: leaked=%d err=%v", leaked, err)
+		}
 	}
 
 	raw, err := os.ReadFile(filepath.Join("testdata", "telemetry.golden"))

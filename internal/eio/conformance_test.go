@@ -23,11 +23,8 @@ func contractFactories(t *testing.T) map[string]func() Store {
 			return fs
 		},
 		"pool":      func() Store { return NewPool(NewMemStore(128), 2) },
-		"shardpool": func() Store { return NewShardedPool(NewMemStore(128), 8, 4) },
 		"snap":      func() Store { return NewSnapStore(NewMemStore(128), 0) },
-		"snap-shardpool": func() Store {
-			return NewSnapStore(NewShardedPool(NewMemStore(128), 8, 4), 0)
-		},
+		"snap-pool": func() Store { return NewSnapStore(NewPool(NewMemStore(128), 8), 0) },
 		"snap-tx": func() Store {
 			tx, err := NewTxStore(NewMemStore(128), TxOptions{WALPages: 4})
 			if err != nil {

@@ -91,8 +91,7 @@ func (p *Pool) Alloc() (PageID, error) {
 }
 
 // adopt inserts a freshly allocated page into the pool as a zeroed dirty
-// frame (the id comes from the backing store: this pool's Alloc, or the
-// shared one of a ShardedPool).
+// frame.
 func (p *Pool) adopt(id PageID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -273,35 +272,25 @@ func (p *Pool) touchLocked(i int32) {
 func (p *Pool) Flush() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return flushFrames(p.appendDirtyLocked(nil))
+	return p.flushLocked()
 }
 
-// dirtyFrame is one frame awaiting write-back and the pool that owns it.
-type dirtyFrame struct {
-	p  *Pool
-	fr *frame
-}
-
-// appendDirtyLocked appends p's dirty frames to dst. Callers hold p.mu.
-func (p *Pool) appendDirtyLocked(dst []dirtyFrame) []dirtyFrame {
+// flushLocked writes the dirty frames back in ascending page id. Callers
+// hold p.mu.
+func (p *Pool) flushLocked() error {
+	var dirty []*frame
 	for i := p.head; i != noFrame; i = p.frames[i].next {
 		if fr := &p.frames[i]; fr.dirty {
-			dst = append(dst, dirtyFrame{p, fr})
+			dirty = append(dirty, fr)
 		}
 	}
-	return dst
-}
-
-// flushFrames writes the given dirty frames back in ascending page id.
-// Callers hold the lock of every pool that owns one.
-func flushFrames(dirty []dirtyFrame) error {
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].fr.id < dirty[j].fr.id })
-	for _, d := range dirty {
-		d.p.pstats.Writeback++
-		if err := d.p.backing.Write(d.fr.id, d.fr.data); err != nil {
-			return fmt.Errorf("eio: flush page %d: %w", d.fr.id, err)
+	sort.Slice(dirty, func(i, j int) bool { return dirty[i].id < dirty[j].id })
+	for _, fr := range dirty {
+		p.pstats.Writeback++
+		if err := p.backing.Write(fr.id, fr.data); err != nil {
+			return fmt.Errorf("eio: flush page %d: %w", fr.id, err)
 		}
-		d.fr.dirty = false
+		fr.dirty = false
 	}
 	return nil
 }
@@ -377,7 +366,7 @@ func (p *Pool) Close() error {
 		p.mu.Unlock()
 		return nil
 	}
-	err := flushFrames(p.appendDirtyLocked(nil))
+	err := p.flushLocked()
 	p.closed = true
 	p.mu.Unlock()
 	if cerr := p.backing.Close(); err == nil {

@@ -8,20 +8,21 @@ import (
 	"testing"
 )
 
-// These tests pin the SnapStore∘ShardedPool composition — the non-durable
-// file-cache stack rsserve runs when -durable=false. The interesting
+// These tests pin the SnapStore∘Pool composition — the stack rsserve -pool
+// serves over a non-durable file store. The interesting
 // interactions are between snapshot version capture (which reads the
 // pre-image through the pool, possibly from a dirty frame that never
 // reached the backing store) and the pool's write-back/eviction machinery,
 // plus deferred frees flowing through Pool.Free's drop-without-writeback
-// path.
+// path. (The test names still say ShardPool, after the striped pool that
+// backed -pool before Pool did, so their ids stay put.)
 
-// newSnapShardStack builds SnapStore(ShardedPool(MemStore)) with a pool
-// small enough that a handful of pages forces evictions.
-func newSnapShardStack(poolCap, shards int) (*SnapStore, *ShardedPool, *MemStore) {
+// newSnapPoolStack builds SnapStore(Pool(MemStore)) with a pool small
+// enough that a handful of pages forces evictions.
+func newSnapPoolStack(poolCap int) (*SnapStore, *Pool, *MemStore) {
 	mem := NewMemStore(64)
-	sp := NewShardedPool(mem, poolCap, shards)
-	return NewSnapStore(sp, 8), sp, mem
+	p := NewPool(mem, poolCap)
+	return NewSnapStore(p, 8), p, mem
 }
 
 func genPage(ps int, tag byte, gen byte) []byte {
@@ -31,15 +32,15 @@ func genPage(ps int, tag byte, gen byte) []byte {
 }
 
 // TestSnapShardPoolIsolation checks that a pinned epoch keeps reading its
-// page images while the writer overwrites them through the sharded pool —
+// page images while the writer overwrites them through the pool —
 // including across an explicit pool Flush, which moves dirty frames to the
 // backing store underneath the version chains.
 func TestSnapShardPoolIsolation(t *testing.T) {
-	snap, sp, _ := newSnapShardStack(4, 2)
+	snap, pool, _ := newSnapPoolStack(4)
 	defer snap.Close()
 	ps := snap.PageSize()
 
-	// More pages than pool frames, spread over both shards.
+	// More pages than pool frames.
 	const n = 10
 	ids := make([]PageID, n)
 	for i := range ids {
@@ -68,7 +69,7 @@ func TestSnapShardPoolIsolation(t *testing.T) {
 	}
 	// Flush mid-batch: write-back of generation-2 frames must not disturb
 	// the captured generation-1 versions.
-	if err := sp.Flush(); err != nil {
+	if err := pool.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := snap.Commit(); err != nil {
@@ -98,7 +99,7 @@ func TestSnapShardPoolIsolation(t *testing.T) {
 // drains, and that the composed stack then scrubs clean via the delegated
 // LivePageIDs.
 func TestSnapShardPoolDeferredFree(t *testing.T) {
-	snap, _, mem := newSnapShardStack(2, 2)
+	snap, _, mem := newSnapPoolStack(2)
 	defer snap.Close()
 	ps := snap.PageSize()
 
@@ -160,16 +161,16 @@ func TestSnapShardPoolDeferredFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Allocated != 1 || len(rep.Leaked) != 0 {
-		t.Fatalf("scrub through snap∘shardpool: allocated=%d leaked=%v, want 1 and none", rep.Allocated, rep.Leaked)
+		t.Fatalf("scrub through snap∘pool: allocated=%d leaked=%v, want 1 and none", rep.Allocated, rep.Leaked)
 	}
 }
 
 // TestSnapShardPoolLivePageIDsDelegation checks the PageLister delegation
-// chain: SnapStore → ShardedPool → backing, with dirty unflushed frames
+// chain: SnapStore → Pool → backing, with dirty unflushed frames
 // (allocation state lives in the backing store, so no flush is needed),
 // and the error path when the backing store cannot enumerate.
 func TestSnapShardPoolLivePageIDsDelegation(t *testing.T) {
-	snap, _, mem := newSnapShardStack(2, 2)
+	snap, _, mem := newSnapPoolStack(2)
 	defer snap.Close()
 	var ids []PageID
 	for i := 0; i < 5; i++ {
@@ -193,7 +194,7 @@ func TestSnapShardPoolLivePageIDsDelegation(t *testing.T) {
 
 	// A backing store without PageLister surfaces a clear error, not a
 	// panic, through both layers.
-	blind := NewSnapStore(NewShardedPool(bareStore{NewMemStore(64)}, 2, 2), 0)
+	blind := NewSnapStore(NewPool(bareStore{NewMemStore(64)}, 2), 0)
 	defer blind.Close()
 	if _, err := blind.LivePageIDs(); err == nil {
 		t.Fatal("LivePageIDs over non-enumerable backing: want error, got nil")
@@ -216,11 +217,11 @@ func (b bareStore) Pages() int                      { return b.inner.Pages() }
 func (b bareStore) Close() error                    { return b.inner.Close() }
 
 // TestSnapShardPoolConcurrentReaders runs pinned readers against a writer
-// that keeps overwriting and committing through the sharded pool — the
+// that keeps overwriting and committing through the pool — the
 // raw-page analogue of the serving loop. Every reader must see a fully
 // consistent generation for its pinned epoch on every page.
 func TestSnapShardPoolConcurrentReaders(t *testing.T) {
-	snap, _, _ := newSnapShardStack(4, 4)
+	snap, _, _ := newSnapPoolStack(4)
 	defer snap.Close()
 	ps := snap.PageSize()
 

@@ -17,7 +17,9 @@ import (
 //     (no stored point below w lies above min Y(w));
 //  4. subtree weights equal key counts, keys are sorted and in range,
 //     leaves respect the 2k−1 cap;
-//  5. every point is stored exactly once and every key has its point.
+//  5. every point is stored exactly once and every key has its point;
+//  6. every block of every Q is what the query's block scan assumes
+//     (smallstruct.Struct.CheckBlocks).
 func (t *Tree) CheckInvariants() error {
 	sc := getScratch()
 	defer putScratch(sc)
@@ -80,6 +82,9 @@ func (t *Tree) check(sc *scratch, id eio.PageID, level int) (*checkRes, error) {
 	}
 
 	q := t.openQ(sc, n.q)
+	if err := q.CheckBlocks(); err != nil {
+		return nil, fmt.Errorf("epst: Q of node %d: %w", id, err)
+	}
 	qAll, err := q.All()
 	if err != nil {
 		return nil, err

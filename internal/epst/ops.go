@@ -31,8 +31,14 @@ func (t *Tree) query(sc *scratch, id eio.PageID, depth int, dst []geom.Point, q 
 		return dst, err
 	}
 	if n.level == 0 {
-		for i := 0; i < n.n; i++ {
-			if ke := n.key(i); ke.here && q.Contains(ke.p) {
+		// Keys ascend in (x, y): start at the first with x ≥ XLo, stop at
+		// the first with x > XHi, and test only presence and y between.
+		for i := lowerBoundKey(n, geom.Point{X: q.XLo, Y: geom.MinCoord}); i < n.n; i++ {
+			ke := n.key(i)
+			if ke.p.X > q.XHi {
+				break
+			}
+			if ke.here && ke.p.Y >= q.YLo {
 				dst = append(dst, ke.p)
 			}
 		}

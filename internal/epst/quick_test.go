@@ -22,12 +22,15 @@ func TestQuickOpSequence(t *testing.T) {
 			vals[0] = reflect.ValueOf(rng.Int63())
 			vals[1] = reflect.ValueOf(100 + rng.Intn(400)) // ops
 			vals[2] = reflect.ValueOf(16 + rng.Intn(49))   // coordinate universe edge
+			// K = 4 keeps every point of a leaf in its parent's Y-set;
+			// K = B (the default) leaves up to B−1 stored in the leaf.
+			vals[3] = reflect.ValueOf(4 + 4*rng.Intn(2))
 		},
 	}
-	err := quick.Check(func(seed int64, ops int, edge int) bool {
+	err := quick.Check(func(seed int64, ops, edge, k int) bool {
 		rng := rand.New(rand.NewSource(seed))
 		store := eio.NewMemStore(128) // B = 8
-		tr, err := Create(store, Options{A: 2, K: 4})
+		tr, err := Create(store, Options{A: 2, K: k})
 		if err != nil {
 			return false
 		}
@@ -51,10 +54,25 @@ func TestQuickOpSequence(t *testing.T) {
 		if err := tr.CheckInvariants(); err != nil {
 			return false
 		}
-		for trial := 0; trial < 5; trial++ {
+		// The small universe makes query sides tie with stored
+		// coordinates; the cases add a one-column query, infinite sides
+		// and a bottom above every stored y.
+		for trial := 0; trial < 30; trial++ {
 			a := rng.Int63n(int64(edge))
 			b := a + rng.Int63n(int64(edge))
 			c := rng.Int63n(int64(edge))
+			switch trial % 6 {
+			case 1:
+				b = a
+			case 2:
+				a = geom.MinCoord
+			case 3:
+				b, c = geom.MaxCoord, geom.MinCoord
+			case 4:
+				a, b = geom.MinCoord, geom.MaxCoord
+			case 5:
+				c = int64(edge)
+			}
 			q := geom.Query3{XLo: a, XHi: b, YLo: c}
 			got, err := tr.Query3(nil, q)
 			if err != nil {

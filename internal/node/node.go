@@ -2,7 +2,7 @@
 // one place that knows the store manifest, the mode rules (Config.Validate
 // walks them as one table), how a stack is put together —
 //
-//	SnapStore over [TxStore | ShardedPool] over FileStore or MemStore,
+//	SnapStore over [TxStore | Pool] over FileStore or MemStore,
 //	then TraceStore, ThreeSided, [Durable] and Concurrent,
 //	and optionally the write buffer (internal/wbuf) in front
 //
@@ -48,7 +48,7 @@ type Config struct {
 	PageSize int  // -page: page size when creating a store
 	Durable  bool // -durable: a new file store gets the WAL; a reopened one follows its manifest, -mem ignores it
 	WALPages int  // -wal: WAL capacity in pages when creating a durable store
-	// PoolPages is -pool: a ShardedPool of that many pages over a
+	// PoolPages is -pool: an LRU Pool of that many pages over a
 	// non-durable file store.
 	PoolPages int
 	BootScrub bool // -boot-scrub: reclaim crash-leaked pages after WAL recovery
@@ -161,6 +161,7 @@ type Stack struct {
 	Conc *core.Concurrent
 	Buf  *wbuf.Buffered // the write buffer in front of Conc; nil without -write-buffer
 	Tx   *eio.TxStore   // nil on volatile and follower stacks
+	Pool *eio.Pool      // the -pool cache; nil without -pool
 	M    *Manifest      // a -mem stack's exists only here
 	Boot Boot
 
@@ -233,6 +234,7 @@ func (c Config) openFile(m *Manifest) (*Stack, error) {
 	}
 	var base eio.Store = fs
 	var tx *eio.TxStore
+	var pool *eio.Pool
 	var boot Boot
 	switch {
 	case c.Role == Replica:
@@ -244,7 +246,8 @@ func (c Config) openFile(m *Manifest) (*Stack, error) {
 			err = fmt.Errorf("WAL recovery: %w", err)
 		}
 	case c.PoolPages > 0:
-		base = eio.NewShardedPool(fs, c.PoolPages, eio.DefaultPoolShards)
+		pool = eio.NewPool(fs, c.PoolPages)
+		base = pool
 	}
 	if err != nil {
 		fs.Close()
@@ -278,7 +281,7 @@ func (c Config) openFile(m *Manifest) (*Stack, error) {
 		snap.Close()
 		return nil, err
 	}
-	st.fs, st.Boot = fs, boot
+	st.fs, st.Boot, st.Pool = fs, boot, pool
 	return st, nil
 }
 

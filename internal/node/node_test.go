@@ -260,7 +260,7 @@ func (m mode) layers() string {
 	case m.file && m.durable:
 		l = "FileStore → TxStore"
 	case m.file && m.pool > 0:
-		l = "FileStore → ShardedPool"
+		l = "FileStore → Pool"
 	case m.file:
 		l = "FileStore"
 	}

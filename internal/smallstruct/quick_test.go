@@ -50,14 +50,32 @@ func TestQuickOpSequence(t *testing.T) {
 				delete(model, p)
 			}
 		}
+		if s.CheckBlocks() != nil {
+			return false
+		}
 		n, err := s.Len()
 		if err != nil || n != len(model) {
 			return false
 		}
-		for trial := 0; trial < 6; trial++ {
+		// The 48-wide universe makes query sides tie with stored
+		// coordinates; the cases add a one-column query, infinite sides
+		// and a bottom above every stored y.
+		for trial := 0; trial < 30; trial++ {
 			a := rng.Int63n(50)
 			b := a + rng.Int63n(50)
 			c := rng.Int63n(50)
+			switch trial % 6 {
+			case 1:
+				b = a
+			case 2:
+				a = geom.MinCoord
+			case 3:
+				b, c = geom.MaxCoord, geom.MinCoord
+			case 4:
+				a, b = geom.MinCoord, geom.MaxCoord
+			case 5:
+				c = 48
+			}
 			q := geom.Query3{XLo: a, XHi: b, YLo: c}
 			got, err := s.Query3(nil, q)
 			if err != nil {

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -345,6 +346,36 @@ func (s *Struct) readBlock(sc *Scratch, m *blockMeta) error {
 	return nil
 }
 
+// CheckBlocks audits what query3's block scan assumes of every index block:
+// it holds at most B points (readBlock checks the count), each inside the
+// block's [xlo, xhi], in ascending y, the last at the catalog's topY.
+func (s *Struct) CheckBlocks() error {
+	sc := s.borrow()
+	defer s.release(sc)
+	cat, err := s.loadCatalog(sc)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < cat.nb; i++ {
+		m := cat.block(i)
+		if err := s.readBlock(sc, &m); err != nil {
+			return err
+		}
+		for j := 0; j < int(m.count); j++ {
+			if p := eio.GetPoint(sc.page, j*eio.PointSize); p.X < m.xlo || p.X > m.xhi {
+				return fmt.Errorf("smallstruct: block %d: point %v outside its x-range [%d, %d]", m.page, p, m.xlo, m.xhi)
+			}
+			if j > 0 && pointY(sc.page, j) < pointY(sc.page, j-1) {
+				return fmt.Errorf("smallstruct: block %d: y descends at point %d", m.page, j)
+			}
+		}
+		if m.count > 0 && pointY(sc.page, int(m.count)-1) != m.topY {
+			return fmt.Errorf("smallstruct: block %d: last point's y %d, catalog topY %d", m.page, pointY(sc.page, int(m.count)-1), m.topY)
+		}
+	}
+	return nil
+}
+
 // activeFor mirrors sweep.Block.ActiveFor on catalog metadata.
 func (m *blockMeta) activeFor(c int64) bool {
 	if !m.initial && c <= m.yact {
@@ -387,8 +418,14 @@ func (s *Struct) query3(sc *Scratch, dst []geom.Point, cat catalogView, q geom.Q
 		if err := s.readBlock(sc, &m); err != nil {
 			return dst, err
 		}
-		for j := 0; j < int(m.count); j++ {
-			if p := eio.GetPoint(sc.page, j*eio.PointSize); q.Contains(p) && !containsPoint(dead, p) {
+		// Contents ascend in y (CheckBlocks audits it): binary-search the
+		// first point with y ≥ YLo and scan from there. A block whose
+		// x-range lies inside the query's needs no per-point x test.
+		from := sort.Search(int(m.count), func(j int) bool { return pointY(sc.page, j) >= q.YLo })
+		inside := q.XLo <= m.xlo && m.xhi <= q.XHi
+		for j := from; j < int(m.count); j++ {
+			p := eio.GetPoint(sc.page, j*eio.PointSize)
+			if (inside || q.XLo <= p.X && p.X <= q.XHi) && !containsPoint(dead, p) {
 				dst = append(dst, p)
 			}
 		}
@@ -399,6 +436,11 @@ func (s *Struct) query3(sc *Scratch, dst []geom.Point, cat catalogView, q geom.Q
 		}
 	}
 	return dst, nil
+}
+
+// pointY is the y-coordinate of point j of a block page.
+func pointY(page []byte, j int) int64 {
+	return int64(binary.LittleEndian.Uint64(page[j*eio.PointSize+8:]))
 }
 
 func containsPoint(pts []geom.Point, p geom.Point) bool {

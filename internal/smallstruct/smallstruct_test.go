@@ -3,6 +3,7 @@ package smallstruct
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -88,6 +89,44 @@ func TestCreateRejectsDuplicates(t *testing.T) {
 	_, err := Create(store, 2, []geom.Point{{X: 1, Y: 1}, {X: 1, Y: 1}})
 	if !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("expected ErrDuplicate, got %v", err)
+	}
+}
+
+// TestCheckBlocksCatchesBrokenBlocks rewrites one index block the way the
+// query's block scan must never meet it and expects the audit to say so.
+func TestCheckBlocksCatchesBrokenBlocks(t *testing.T) {
+	for name, spoil := range map[string]func(pts []geom.Point, m blockMeta){
+		"descending y": func(pts []geom.Point, _ blockMeta) { slices.Reverse(pts) },
+		"x outside":    func(pts []geom.Point, m blockMeta) { pts[0].X = m.xhi + 1 },
+		"stale topY":   func(pts []geom.Point, _ blockMeta) { pts[len(pts)-1].Y++ },
+	} {
+		t.Run(name, func(t *testing.T) {
+			store := eio.NewMemStore(128) // B = 8
+			s, err := Create(store, 2, distinctPoints(rand.New(rand.NewSource(3)), 200, 500))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CheckBlocks(); err != nil {
+				t.Fatalf("fresh structure: %v", err)
+			}
+			var sc Scratch
+			cat, err := s.loadCatalog(&sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := cat.block(0)
+			pts, err := eio.ReadPointBlock(nil, store, m.page, int(m.count), make([]byte, 128))
+			if err != nil {
+				t.Fatal(err)
+			}
+			spoil(pts, m)
+			if _, err := eio.WritePointBlock(store, m.page, pts); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CheckBlocks(); err == nil {
+				t.Fatal("the audit passed a spoiled block")
+			}
+		})
 	}
 }
 
