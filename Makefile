@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-write bench-read cover vet fmt sweep recover-sweep fuzz-short bound experiments examples clean soak model trajectory serve load chaos chaos-repl chaos-shard chaos-writeopt perf-pairs
+.PHONY: all build test race bench bench-write bench-read cover vet fmt sweep fuzz-short bound experiments examples clean soak model trajectory serve load chaos chaos-repl chaos-shard chaos-writeopt perf-pairs
 
 all: build vet test
 
@@ -22,23 +22,22 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# Fault sweeps: fail every store operation of each structure's workload in
-# turn and assert errors surface, nothing panics, structures stay readable.
+# Fault sweeps: every test whose name holds "Sweep". Each structure's
+# scripted update is run inside a transaction (from a checkpointed image and
+# from one with a non-empty WAL ring) and failed at every sampled store
+# operation, as an error and as a crash under each disk model (process
+# death, write cache dropped with the last write torn, an arbitrary subset
+# of unsynced writes survived with one torn); the file is reopened and
+# recovered, and the state must be exactly pre-op or post-op, with
+# invariants intact and a clean file. Each runs with TxStore's built-in page
+# cache and again with a tiny one that steals. The scripted multi-lap
+# commit HISTORY must recover to a prefix holding every acknowledged
+# commit, and each structure's script run on a bare store must surface
+# every failed operation and keep every page reachable. The crash model
+# property test, the cache's coherence schedule and the pins on what a
+# commit writes before its ack ride along.
 sweep:
-	$(GO) test ./internal/... -run 'FaultSweep|CrashRecovery' -v
-
-# Recovery sweeps: crash each structure's scripted update (from a
-# checkpointed image and from one with a non-empty WAL ring) and a scripted
-# multi-lap commit HISTORY at EVERY mutating backing-store operation, under
-# every disk model (process death, write cache dropped, arbitrary subset of
-# unsynced writes survived, the same with a torn write), reopen, run WAL
-# recovery, and assert the state is exactly pre-op or post-op — a prefix
-# holding every acknowledged commit — with invariants intact and a clean
-# file. Each sweep runs with TxStore's built-in page cache and again with a
-# tiny one that steals; the cache's coherence schedule and the pins on what
-# a commit writes before its ack run with them.
-recover-sweep:
-	$(GO) test ./internal/... -run 'TestRecoverySweep|TestTxRecoverySweepRaw|TestTxRecoverySweepHistory|TestJournalRecoverySweep|TestTxCacheCoherence|TestTxCommitForcesOnlyLog|TestTxRunWrite' -v
+	$(GO) test ./internal/... -run 'Sweep|CrashRecoveryProperty|TxCacheCoherence|TxCommitForcesOnlyLog|TxRunWrite' -v
 
 # Short coverage-guided fuzz of the hostile-input parsers: WAL records,
 # whole WAL rings under recovery, anchors, whole store files, and the rsserve wire-protocol decoders.

@@ -370,9 +370,12 @@ func (c *Concurrent) runBatch(own *pendingOp) {
 	}
 
 	if applyErr != nil && c.durable != nil {
-		// Durable.Batch rolled the transaction back: the inner store holds
-		// the pre-batch image, so the captured versions are redundant and
-		// the epoch does not advance. Every operation in the batch fails.
+		// Durable.Batch rolled the transaction back and the epoch does not
+		// advance. Before the commit point the inner store holds the
+		// pre-batch image. At or past it the TxStore has stopped: every
+		// later operation fails until a reopen replays the record, so no
+		// reader sees a half-applied batch either way. Every operation in
+		// the batch fails.
 		c.snap.Abort()
 		recordPhases()
 		c.fail(batch, applyErr)

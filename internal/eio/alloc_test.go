@@ -175,7 +175,7 @@ func TestPageCRCMatchesLibrary(t *testing.T) {
 // failed, makes Update walk again instead of trusting it.
 func TestRecordStoreUpdateThroughBuf(t *testing.T) {
 	mem := NewMemStore(128)
-	faulty := NewFaultStore(mem)
+	faulty := NewFaultStore(mem, Fail, 0)
 	rs := NewRecordStore(faulty)
 	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
 	id, err := rs.Put(fill(100, 1))
@@ -242,11 +242,10 @@ func TestRecordStoreUpdateThroughBuf(t *testing.T) {
 	}
 
 	// A failed Update leaves the buffer describing nothing.
-	faulty.FailAfter(OpWrite, 2)
+	faulty.Arm(2) // through a warm buffer Update only writes
 	if err := rs.Update(id, data, &buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Update with the second write failing: %v", err)
 	}
-	faulty.Disarm()
 	mem.ResetStats()
 	if err := rs.Update(id, data, &buf); err != nil {
 		t.Fatal(err)
@@ -257,12 +256,13 @@ func TestRecordStoreUpdateThroughBuf(t *testing.T) {
 }
 
 // TestRecordStoreShrinkReadableAfterFault: a record that shrinks across a
-// page boundary stays readable whichever of the Update's writes fails —
-// its head goes first, so the old length never outlives the pages it needs.
+// page boundary stays readable whichever of the Update's operations fails
+// (three writes, then three frees) — its head goes first, so the old
+// length never outlives the pages it needs.
 func TestRecordStoreShrinkReadableAfterFault(t *testing.T) {
-	for k := 1; k <= 3; k++ {
+	for k := 1; k <= 6; k++ {
 		mem := NewMemStore(128)
-		faulty := NewFaultStore(mem)
+		faulty := NewFaultStore(mem, Fail, 0)
 		rs := NewRecordStore(faulty)
 		id, err := rs.Put(bytes.Repeat([]byte{1}, 600)) // 6 pages
 		if err != nil {
@@ -272,17 +272,16 @@ func TestRecordStoreShrinkReadableAfterFault(t *testing.T) {
 		if _, err := rs.Get(id, &buf); err != nil {
 			t.Fatal(err)
 		}
-		faulty.FailAfter(OpWrite, k)
+		faulty.Arm(k)
 		if err := rs.Update(id, bytes.Repeat([]byte{2}, 300), &buf); !errors.Is(err, ErrInjected) {
-			t.Fatalf("write %d failing: Update returned %v", k, err)
+			t.Fatalf("op %d failing: Update returned %v", k, err)
 		}
-		faulty.Disarm()
 		got, err := rs.Get(id, nil)
 		if err != nil {
-			t.Fatalf("write %d failing: record unreadable afterwards: %v", k, err)
+			t.Fatalf("op %d failing: record unreadable afterwards: %v", k, err)
 		}
 		if len(got) != 600 && len(got) != 300 {
-			t.Fatalf("write %d failing: record reads as %d bytes", k, len(got))
+			t.Fatalf("op %d failing: record reads as %d bytes", k, len(got))
 		}
 	}
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // contractFactories covers every Store implementation with the shared
-// buffer-length contract suite, including the wrappers (Pool, FaultStore,
-// CrashStore) that must not weaken the contract of what they wrap.
+// buffer-length contract suite, including the wrappers (Pool, FaultStore
+// under the error model and under a cached crash model) that must not
+// weaken the contract of what they wrap.
 func contractFactories(t *testing.T) map[string]func() Store {
 	t.Helper()
 	dir := t.TempDir()
@@ -32,8 +33,8 @@ func contractFactories(t *testing.T) map[string]func() Store {
 			}
 			return NewSnapStore(tx, 0)
 		},
-		"fault": func() Store { return NewFaultStore(NewMemStore(128)) },
-		"crash": func() Store { return NewCrashStore(NewMemStore(128), 7) },
+		"fault": func() Store { return NewFaultStore(NewMemStore(128), Fail, 0) },
+		"crash": func() Store { return NewFaultStore(NewMemStore(128), DropAll, 7) },
 		"trace": func() Store {
 			ts := NewTraceStore(NewMemStore(128))
 			ts.SetSink(discardSink{})
@@ -167,7 +168,7 @@ func TestPoolReadShortBufferOnHit(t *testing.T) {
 // pool forces an eviction whose write-back fails.
 func TestPoolAllocNoLeakOnEvictionFailure(t *testing.T) {
 	mem := NewMemStore(64)
-	f := NewFaultStore(mem)
+	f := NewFaultStore(mem, Fail, 0)
 	p := NewPool(f, 1)
 	defer p.Close()
 
@@ -178,7 +179,7 @@ func TestPoolAllocNoLeakOnEvictionFailure(t *testing.T) {
 	before := mem.Pages()
 
 	// The next Alloc must evict the dirty frame; fail that write-back.
-	f.FailAfter(OpWrite, 1)
+	f.Arm(2) // the backing Alloc, then the write-back
 	id, err := p.Alloc()
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("alloc during failing eviction: want ErrInjected, got (%v, %v)", id, err)
@@ -188,153 +189,5 @@ func TestPoolAllocNoLeakOnEvictionFailure(t *testing.T) {
 	}
 	if got := mem.Pages(); got != before {
 		t.Fatalf("failed alloc leaked a page: backing has %d pages, want %d", got, before)
-	}
-}
-
-// TestFaultStoreModes exercises the persistent, probabilistic and
-// global-index arming modes plus the op trace.
-func TestFaultStoreModes(t *testing.T) {
-	mem := NewMemStore(64)
-	f := NewFaultStore(mem)
-	defer f.Close()
-	id, err := f.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64)
-
-	// FailAlways persists until Disarm.
-	f.FailAlways(OpRead)
-	for i := 0; i < 3; i++ {
-		if err := f.Read(id, buf); !errors.Is(err, ErrInjected) {
-			t.Fatalf("persistent fault round %d: %v", i, err)
-		}
-	}
-	f.Disarm()
-	if err := f.Read(id, buf); err != nil {
-		t.Fatalf("read after Disarm: %v", err)
-	}
-
-	// FailProb is deterministic under a fixed seed.
-	pattern := func() []bool {
-		f.Seed(42)
-		f.FailProb(OpWrite, 0.5)
-		defer f.Disarm()
-		var out []bool
-		for i := 0; i < 32; i++ {
-			err := f.Write(id, buf)
-			if err != nil && !errors.Is(err, ErrInjected) {
-				t.Fatalf("unexpected write error: %v", err)
-			}
-			out = append(out, err != nil)
-		}
-		return out
-	}
-	a, b := pattern(), pattern()
-	var fails int
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("FailProb not reproducible under the same seed")
-		}
-		if a[i] {
-			fails++
-		}
-	}
-	if fails == 0 || fails == len(a) {
-		t.Fatalf("FailProb(0.5) injected %d/%d faults", fails, len(a))
-	}
-
-	// FailNth counts operations of every kind from the arming point.
-	start := f.Ops()
-	f.FailNth(3)
-	if err := f.Read(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Write(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Alloc(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("3rd op after FailNth(3) did not fail: %v", err)
-	}
-	if err := f.Read(id, buf); err != nil {
-		t.Fatalf("FailNth must be one-shot: %v", err)
-	}
-	if f.Ops() != start+4 {
-		t.Fatalf("Ops() = %d, want %d", f.Ops(), start+4)
-	}
-
-	// FailRun fails exactly the next n ops of one kind; SetTransient makes
-	// injected errors additionally wrap ErrTransient.
-	f.SetTransient(true)
-	f.FailRun(OpWrite, 2)
-	for i := 0; i < 2; i++ {
-		if err := f.Write(id, buf); !errors.Is(err, ErrTransient) || !errors.Is(err, ErrInjected) {
-			t.Fatalf("burst write %d: want ErrTransient+ErrInjected, got %v", i, err)
-		}
-	}
-	if err := f.Write(id, buf); err != nil {
-		t.Fatalf("write after a 2-op burst: %v", err)
-	}
-	f.SetTransient(false)
-	f.FailRun(OpRead, 1)
-	if err := f.Read(id, buf); !errors.Is(err, ErrInjected) || errors.Is(err, ErrTransient) {
-		t.Fatalf("permanent fault: %v", err)
-	}
-
-	// The trace retains the recent ops, oldest first, marking the injection.
-	trace := f.Trace()
-	if len(trace) == 0 {
-		t.Fatal("empty trace")
-	}
-	var sawInjected bool
-	for i := 1; i < len(trace); i++ {
-		if trace[i].N != trace[i-1].N+1 {
-			t.Fatalf("trace not contiguous: %v then %v", trace[i-1], trace[i])
-		}
-	}
-	for _, e := range trace {
-		if e.Injected && e.Op == OpAlloc {
-			sawInjected = true
-		}
-	}
-	if !sawInjected {
-		t.Fatalf("trace lost the injected alloc: %v", trace)
-	}
-}
-
-// TestFaultStoreTornWrite checks that an injected write fault in torn
-// mode leaves a half-applied page behind on a checksumming store, so the
-// next read reports ErrChecksum rather than stale-but-valid data.
-func TestFaultStoreTornWrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "torn.db")
-	fs, err := CreateFileStore(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := NewFaultStore(fs)
-	defer f.Close()
-	f.Seed(5)
-	f.SetTornWrites(true)
-
-	id, err := f.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Write(id, bytes.Repeat([]byte{0x11}, 64)); err != nil {
-		t.Fatal(err)
-	}
-	f.FailAfter(OpWrite, 1)
-	if err := f.Write(id, bytes.Repeat([]byte{0x22}, 64)); !errors.Is(err, ErrInjected) {
-		t.Fatalf("armed write did not fail: %v", err)
-	}
-	buf := make([]byte, 64)
-	err = f.Read(id, buf)
-	if err == nil {
-		// The tear may coincidentally reproduce the old bytes only if the
-		// prefix matched; with distinct fill bytes it cannot.
-		t.Fatal("torn write left a valid-looking page")
-	}
-	if !errors.Is(err, ErrChecksum) {
-		t.Fatalf("read after torn write: want ErrChecksum, got %v", err)
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // TestCrashRecoveryProperty drives a randomized alloc/write/free/sync
-// workload through CrashStore over FileStore, crashes at a random point
-// (with torn-write mode on), reopens the file and asserts the recovery
+// workload through a FaultStore over FileStore under the Cached model,
+// crashes at a random point (the last unsynced write torn), reopens the file and asserts the recovery
 // contract: the superblock is valid, every page committed by the last Sync
 // either reads back exactly or — only for the single torn page — fails
 // with ErrChecksum, and the store remains allocatable.
@@ -27,8 +27,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs := NewCrashStore(fs, seed)
-			cs.SetTornWrites(true)
+			cs := NewFaultStore(fs, Cached, seed)
 
 			// current tracks live pages and their as-written content;
 			// durable snapshots current at every Sync.
@@ -296,12 +295,14 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestCrashStoreSemantics checks the volatile-cache model against a
+// TestCrashStoreSemantics checks the volatile-cache crash models against a
 // MemStore: buffered writes are invisible to the inner store until Sync,
-// reads see the buffer, frees are deferred, and Crash kills the wrapper.
+// reads see the buffer, frees are deferred, and Crash kills the wrapper;
+// an armed crash fires at the k-th mutating operation and takes every
+// later one, reads included, with it.
 func TestCrashStoreSemantics(t *testing.T) {
 	mem := NewMemStore(64)
-	cs := NewCrashStore(mem, 1)
+	cs := NewFaultStore(mem, DropAll, 1)
 	id, err := cs.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -368,13 +369,37 @@ func TestCrashStoreSemantics(t *testing.T) {
 	if err := mem.Read(id, buf); err != nil || !bytes.Equal(buf, data) {
 		t.Fatalf("inner page content changed by crash: %v", err)
 	}
+
+	armed := NewFaultStore(mem, DropAll, 1)
+	armed.Arm(2)
+	if err := armed.Write(id, data); err != nil {
+		t.Fatalf("first mutating op crashed: %v", err)
+	}
+	if err := armed.Read(id, buf); err != nil {
+		t.Fatalf("a read before the crash point failed: %v", err)
+	}
+	if err := armed.Sync(); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("second mutating op: want ErrCrashed, got %v", err)
+	}
+	if err := armed.Read(id, buf); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("read after the crash point: want ErrCrashed, got %v", err)
+	}
+	if all, mutating := armed.Ops(); all != 3 || mutating != 2 {
+		t.Fatalf("Ops() = %d, %d; want 3 and 2 — nothing counts past the crash", all, mutating)
+	}
+	if _, err := armed.Crash(); err != nil {
+		t.Fatalf("Crash after an armed crash fired: %v", err)
+	}
+	if armed.Pending() != 0 {
+		t.Fatal("the crash kept buffered writes")
+	}
 }
 
 // TestCrashStoreDropsUnsyncedWrites checks that writes after the last Sync
 // do not survive a crash.
 func TestCrashStoreDropsUnsyncedWrites(t *testing.T) {
 	mem := NewMemStore(64)
-	cs := NewCrashStore(mem, 2)
+	cs := NewFaultStore(mem, DropAll, 2)
 	id, _ := cs.Alloc()
 	v1 := bytes.Repeat([]byte{1}, 64)
 	v2 := bytes.Repeat([]byte{2}, 64)
@@ -399,7 +424,7 @@ func TestCrashStoreDropsUnsyncedWrites(t *testing.T) {
 	}
 }
 
-// TestCrashStoreSubsetSurvival pins the subset-survival disk model: across
+// TestCrashStoreSubsetSurvival pins the SubsetWhole disk model: across
 // seeds a crash leaves every mix of old and new page images — whole pages
 // only, synced state untouched, frees and the torn-write candidate aside —
 // and a given seed leaves the same mix every time.
@@ -407,8 +432,7 @@ func TestCrashStoreSubsetSurvival(t *testing.T) {
 	const pages = 6
 	image := func(seed int64) string {
 		mem := NewMemStore(64)
-		cs := NewCrashStore(mem, seed)
-		cs.SetSubsetSurvival(true)
+		cs := NewFaultStore(mem, SubsetWhole, seed)
 		var ids [pages]PageID
 		for i := range ids {
 			ids[i], _ = cs.Alloc()

@@ -12,7 +12,8 @@
 //     against a real file system.
 //   - Pool: an LRU buffer pool modelling a main memory of M pages; hits are
 //     free, misses and dirty evictions cost I/Os on the underlying store.
-//   - FaultStore: deterministic fault injection for failure testing.
+//   - FaultStore: deterministic fault injection for failure testing — one
+//     error, or one crash under a named disk model, at a chosen operation.
 //   - RecordStore: variable-length records stored as page chains, so a
 //     logical node that occupies k blocks costs exactly k I/Os to load.
 //
@@ -86,18 +87,14 @@ var (
 	// medium, or overwritten out of band. The data is untrustworthy and is
 	// not returned.
 	ErrChecksum = errors.New("eio: page checksum mismatch")
-	// ErrCrashed reports an operation on a CrashStore after Crash().
+	// ErrCrashed reports an operation on a FaultStore that has crashed.
 	ErrCrashed = errors.New("eio: store has crashed")
-	// ErrTransient marks a fault that may succeed if retried (a momentary
-	// device or transport error rather than corruption). FaultStore injects
-	// it in transient mode; whoever sees it may retry the same operation.
-	ErrTransient = errors.New("eio: transient fault")
 	// ErrTxOverflow reports a transaction writing more distinct pages than
 	// its TxStore's WAL region can hold in one redo record.
 	ErrTxOverflow = errors.New("eio: transaction exceeds WAL capacity")
 	// ErrNoSpace reports a write or allocation refused because the backing
-	// device is full. Unlike ErrTransient it does not clear by retrying the
-	// same operation immediately, but the store itself is undamaged: reads
+	// device is full. It does not clear by retrying the same operation
+	// immediately, but the store itself is undamaged: reads
 	// keep working and writes succeed again once space is reclaimed. Layers
 	// above map it to flow control (the serving stack's DISKFULL status)
 	// rather than treating it as corruption.
@@ -140,15 +137,15 @@ type Store interface {
 	// exactly one page long (see the buffer-length contract above).
 	Write(id PageID, buf []byte) error
 	// Stats returns the operation counters accumulated since creation or
-	// the last ResetStats. Wrapper stores (Pool, FaultStore, CrashStore,
+	// the last ResetStats. Wrapper stores (Pool, FaultStore,
 	// TraceStore) keep no Stats counters of their own: Stats reports the
 	// wrapped store's counters, i.e. genuine backing-store I/Os after any
 	// caching the wrapper performs.
 	Stats() Stats
 	// ResetStats zeroes the operation counters. On wrapper stores this
 	// delegates to the wrapped store; Pool additionally clears its own
-	// hit/miss/eviction counters (PoolStats), while FaultStore fault
-	// arming, CrashStore pending writes and TraceStore event sequence
+	// hit/miss/eviction counters (PoolStats), while FaultStore arming,
+	// operation counts and pending writes and TraceStore event sequence
 	// numbers are deliberately NOT reset — only accounting is.
 	ResetStats()
 	// Pages returns the number of currently allocated (live) pages.

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 
 	"rangesearch/internal/geom"
@@ -174,6 +176,19 @@ func TestFileStoreReopen(t *testing.T) {
 	}
 }
 
+// TestFileStoreNoSpace: a write the file system refuses with ENOSPC
+// surfaces as ErrNoSpace, so the serving stack answers it DISKFULL. The
+// Linux /dev/full device fails every write that way.
+func TestFileStoreNoSpace(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	_, err := CreateFileStore("/dev/full", 128)
+	if !errors.Is(err, ErrNoSpace) || !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("create on /dev/full: want ErrNoSpace wrapping ENOSPC, got %v", err)
+	}
+}
+
 func TestPoolHitsAreFree(t *testing.T) {
 	mem := NewMemStore(64)
 	p := NewPool(mem, 4)
@@ -283,9 +298,12 @@ func TestPoolRandomizedAgainstDirect(t *testing.T) {
 	}
 }
 
+// TestFaultStore pins the error model: Arm(k) fails the k-th operation
+// from now, of any kind, once; Arm(0) disarms; Ops counts every operation
+// and, separately, the mutating ones.
 func TestFaultStore(t *testing.T) {
 	mem := NewMemStore(64)
-	f := NewFaultStore(mem)
+	f := NewFaultStore(mem, Fail, 0)
 	defer f.Close()
 	id, err := f.Alloc()
 	if err != nil {
@@ -293,7 +311,7 @@ func TestFaultStore(t *testing.T) {
 	}
 	buf := make([]byte, 64)
 
-	f.FailAfter(OpRead, 2)
+	f.Arm(2)
 	if err := f.Read(id, buf); err != nil {
 		t.Fatalf("first read should succeed: %v", err)
 	}
@@ -304,18 +322,25 @@ func TestFaultStore(t *testing.T) {
 		t.Fatalf("fault should disarm after firing: %v", err)
 	}
 
-	f.FailAfter(OpWrite, 1)
+	f.Arm(1)
 	if err := f.Write(id, buf); !errors.Is(err, ErrInjected) {
 		t.Fatal("write fault did not fire")
 	}
-	f.FailAfter(OpAlloc, 1)
+	f.Arm(1)
 	if _, err := f.Alloc(); !errors.Is(err, ErrInjected) {
 		t.Fatal("alloc fault did not fire")
 	}
-	f.FailAfter(OpFree, 1)
-	f.Disarm()
+	f.Arm(1)
+	if err := f.Sync(); !errors.Is(err, ErrInjected) {
+		t.Fatal("sync fault did not fire")
+	}
+	f.Arm(1)
+	f.Arm(0)
 	if err := f.Free(id); err != nil {
 		t.Fatalf("disarmed fault fired: %v", err)
+	}
+	if all, mutating := f.Ops(); all != 8 || mutating != 5 {
+		t.Fatalf("Ops() = %d, %d; want 8 operations, 5 of them mutating", all, mutating)
 	}
 }
 

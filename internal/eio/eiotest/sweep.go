@@ -1,9 +1,10 @@
-// Package eiotest provides a systematic fault-sweep harness for the index
-// structures built on eio: it runs a scripted workload once to count its
-// store operations, then re-runs it once per operation with exactly that
-// operation failing, asserting that the structure surfaces the injected
-// error (wrapping eio.ErrInjected), never panics, and — where the workload
-// promises it — remains readable after the fault.
+// Package eiotest is the fault-sweep harness for the structures built on
+// eio. One Workload scripts a structure update; Sweep runs it inside a
+// transaction on a file-backed eio.TxStore and, at every sampled operation,
+// fails it with an error and crashes it under each disk model, asserting
+// that the structure comes back exactly pre-op or post-op; SweepBare fails
+// every operation of the script on a bare store, with no transaction, and
+// asserts that the error surfaces and every page stays reachable.
 //
 // This turns "what happens when I/O k fails?" from an anecdote exercised
 // by a couple of hand-picked tests into a property checked for every I/O
@@ -13,123 +14,421 @@ package eiotest
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"rangesearch/internal/eio"
 )
 
-// Workload is a deterministic script run against a fresh store.
+// Workload scripts one structure and one update of it.
 type Workload struct {
 	// Name labels sweep sub-tests.
 	Name string
-	// PageSize is the page size of the fresh MemStore given to each run.
+	// PageSize is the page size of the fresh store.
 	PageSize int
-	// Run executes the workload against st. It must be deterministic (same
-	// sequence of store operations every run) and must return the first
-	// error it sees unswallowed.
-	//
-	// The returned check function revalidates the structure (queries,
-	// invariants); Run should set it as soon as the structure reaches a
-	// usable state, so that a later fault can be followed by a readability
-	// check. It may be nil if the structure never got that far.
-	Run func(st eio.Store) (check func() error, err error)
-	// Strict makes a failing post-fault check fatal. Without it the check
-	// must merely not panic; errors are logged, since a fault in the
-	// middle of a multi-page update can legitimately leave a structure
-	// needing recovery. Structures that claim fail-stop readability set
-	// Strict.
-	Strict bool
-	// MaxRuns caps the number of sweep iterations; when the workload
-	// performs more operations than this, the sweep samples operation
-	// indices evenly (always including the first and last). 0 means the
-	// package default (400).
+	// WALPages sizes the TxStore redo log (0 = eio.DefaultWALPages). It
+	// must admit the largest single op the workload performs.
+	WALPages int
+	// Build creates the structure in its pre-op state on st and returns
+	// the header id the other functions are given. Sweep runs it outside a
+	// transaction, once.
+	Build func(st eio.Store) (eio.PageID, error)
+	// Op opens the structure identified by hdr on st and performs one
+	// deterministic update. Sweep runs it inside a single transaction; it
+	// must change State.
+	Op func(st eio.Store, hdr eio.PageID) error
+	// Prefix, when set, is a second deterministic update independent of
+	// Op. Sweep then runs a second time with Prefix committed but NOT
+	// checkpointed before Op: the crashed image holds a non-empty WAL ring,
+	// recovery has to replay Prefix's record and then (maybe) Op's, and the
+	// recovered state must contain Prefix either way. SweepBare runs it
+	// between Build and Op.
+	Prefix func(st eio.Store, hdr eio.PageID) error
+	// State opens the structure on st, audits its invariants, and returns
+	// a canonical dump of its full contents. Two calls returning the same
+	// string mean the same logical state. SweepBare does not use it.
+	State func(st eio.Store, hdr eio.PageID) (string, error)
+	// Reachable returns every page reachable from the structure (its exact
+	// page set, not a sample). Sweep scrubs each recovered image with it
+	// (leaked allocations reclaimed via eio.Scrub) and re-audits the state;
+	// SweepBare requires the walk to succeed after every fault.
+	Reachable func(st eio.Store, hdr eio.PageID) ([]eio.PageID, error)
+	// MaxRuns caps the operation indices swept per fault kind and pass;
+	// past it they are sampled evenly, always including the first and
+	// last. 0 means the package default (400).
 	MaxRuns int
-	// Ops, when set, is the operation count the sweep is laid out for.
-	// Sub-test names are operation indices, and under sampling every index
-	// depends on the total, so the names (and the history of any one of
-	// them) only stay put while the total does. When a change makes the
-	// structure do less I/O for the same script, lengthen the script to
-	// just under Ops; the sweep tops the run up to exactly Ops with
-	// single-page reads, each of which must surface its fault like any
-	// other operation. A script that performs more than Ops fails the
-	// sweep: trim it, or re-lay the sweep by raising Ops.
-	Ops int
 }
 
 // defaultMaxRuns bounds sweep time for op-heavy workloads.
 const defaultMaxRuns = 400
 
-// Sweep runs w once per store operation with that operation failing.
+// crashModels are the disk models each crash point runs under: the bare
+// file (the crash truncates the op), a volatile cache that loses every
+// unsynced write and tears the last one, and one that lets an arbitrary
+// subset through and tears one of the others.
+var crashModels = []eio.Model{eio.Direct, eio.Cached, eio.Subset}
+
+// smallCacheFrames is the TxStore page cache of the second pass of every
+// sweep: small enough that one scripted op's reads and its commit evict
+// dirty frames, so steal writes are among the operations faulted.
+const smallCacheFrames = 4
+
+// Sweep runs w.Op's transaction and the checkpoint after it, and at every
+// sampled operation
+//
+//   - crashes it under each of crashModels (k counts mutating operations:
+//     sub-tests op<k>/<model>), reopens the file, recovers, and asserts the
+//     state is pre-op or post-op — post-op once the commit returned — with
+//     an LSN not below the acknowledged one, a scrub that leaves the state
+//     unchanged, and a clean eio.VerifyFile;
+//   - fails it with an error instead (k counts every operation: sub-tests
+//     error/op<k>), and asserts the error surfaces, the store still serves
+//     the pre-op state, or the post-op one if the commit point was passed,
+//     or else fails with its sticky error, and that a checkpoint, close
+//     and recovery land on the same answer.
+//
+// It does so from a checkpointed pre-op image and, when w.Prefix is set,
+// again from one whose WAL ring is not empty; each with the built-in page
+// cache (every in-place write is a checkpoint flush) and again with one of
+// smallCacheFrames frames (some are steals, between the commit point and
+// the checkpoint).
 func Sweep(t *testing.T, w Workload) {
 	t.Helper()
+	dir := t.TempDir()
+	pre := filepath.Join(dir, "preop.db")
+	hdr, anchor := buildPreOp(t, w, pre)
 
-	// Baseline: the workload must pass with faults disarmed, and tells us
-	// how many operations there are to sweep over.
-	f := eio.NewFaultStore(eio.NewMemStore(w.PageSize))
-	check, err := runGuarded(w, f)
+	for _, pass := range []struct{ small, ring bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
+		if pass.ring && w.Prefix == nil {
+			continue
+		}
+		prefix := w.Name + "/" // of this pass's sub-test names
+		if pass.small {
+			prefix += "smallcache/"
+		}
+		if pass.ring {
+			prefix += "ring/"
+		}
+		r := &txRun{w: w, pre: pre, dir: dir, hdr: hdr, anchor: anchor, ring: pass.ring, small: pass.small}
+		ops, muts := r.baseline(t)
+		name := strings.TrimSuffix(prefix, "/")
+		ks := sampleOps(muts, w.MaxRuns)
+		t.Logf("%s: crash sweep over %d of %d mutating ops", name, len(ks), muts)
+		for _, k := range ks {
+			for _, m := range crashModels {
+				t.Run(fmt.Sprintf("%sop%d/%s", prefix, k, m), func(t *testing.T) { r.crash(t, m, k) })
+			}
+		}
+		ks = sampleOps(ops, w.MaxRuns)
+		t.Logf("%s: error sweep over %d of %d ops", name, len(ks), ops)
+		for _, k := range ks {
+			t.Run(fmt.Sprintf("%serror/op%d", prefix, k), func(t *testing.T) { r.fail(t, k) })
+		}
+	}
+}
+
+// buildPreOp creates the structure on a fresh transactional FileStore at
+// path and returns its header and the TxStore anchor.
+func buildPreOp(t *testing.T, w Workload, path string) (eio.PageID, eio.PageID) {
+	t.Helper()
+	fs, err := eio.CreateFileStore(path, w.PageSize)
+	if err != nil {
+		t.Fatalf("%s: create store: %v", w.Name, err)
+	}
+	tx, err := eio.NewTxStore(fs, eio.TxOptions{WALPages: w.WALPages})
+	if err != nil {
+		t.Fatalf("%s: create tx layer: %v", w.Name, err)
+	}
+	hdr, err := w.Build(tx)
+	if err != nil {
+		t.Fatalf("%s: build: %v", w.Name, err)
+	}
+	if _, err := w.State(tx, hdr); err != nil {
+		t.Fatalf("%s: pre-op state: %v", w.Name, err)
+	}
+	anchor := tx.Anchor()
+	if err := tx.Close(); err != nil {
+		t.Fatalf("%s: close pre-op store: %v", w.Name, err)
+	}
+	verify(t, path, "pre-op file")
+	return hdr, anchor
+}
+
+// txRun is one pre-op image of a workload and the states that may follow
+// it: before is the state the op starts from (with the prefix commit in it
+// when ring is set), after the state once the op committed.
+type txRun struct {
+	w             Workload
+	pre, dir      string
+	hdr, anchor   eio.PageID
+	ring, small   bool
+	before, after string
+}
+
+// open copies the pre-op image to a file of its own and opens the
+// transactional layer on it through a FaultStore under model m, with this
+// run's cache and, in a ring pass, the prefix committed.
+func (r *txRun) open(t *testing.T, name string, m eio.Model, seed int64) (string, *eio.FileStore, *eio.FaultStore, *eio.TxStore) {
+	t.Helper()
+	path := filepath.Join(r.dir, fmt.Sprintf("run-%v-%v-%s.db", r.small, r.ring, name))
+	data, err := os.ReadFile(r.pre)
+	if err == nil {
+		err = os.WriteFile(path, data, 0o644)
+	}
+	if err != nil {
+		t.Fatalf("copy pre-op image: %v", err)
+	}
+	t.Cleanup(func() { os.Remove(path) })
+	fs, err := eio.OpenFileStore(path)
+	if err != nil {
+		t.Fatalf("open copy: %v", err)
+	}
+	f := eio.NewFaultStore(fs, m, seed)
+	tx, err := r.openTx(f)
+	if err != nil {
+		t.Fatalf("open tx layer: %v", err)
+	}
+	if ri := tx.Recovery(); ri.Dirty() {
+		t.Fatalf("clean image needed recovery: %s", ri)
+	}
+	if r.ring {
+		// Committed, not checkpointed: its record stays in the ring.
+		if err := tx.Update(func() error { return r.w.Prefix(tx, r.hdr) }); err != nil {
+			t.Fatalf("prefix commit failed: %v", err)
+		}
+	}
+	return path, fs, f, tx
+}
+
+// openTx opens the transactional layer with the cache this run sweeps.
+func (r *txRun) openTx(st eio.Store) (*eio.TxStore, error) {
+	if r.small {
+		return eio.OpenTxStoreFrames(st, r.anchor, smallCacheFrames)
+	}
+	return eio.OpenTxStore(st, r.anchor)
+}
+
+// update runs the op's transaction and, if it commits, the checkpoint
+// after it: the window every fault point falls in.
+func (r *txRun) update(tx *eio.TxStore) (committed bool, err error) {
+	err = guard(func() error { return tx.Update(func() error { return r.w.Op(tx, r.hdr) }) })
+	if err == nil {
+		return true, tx.Sync() // the checkpoint: apply barrier, anchor, held frees
+	}
+	return false, err
+}
+
+// baseline runs the op unfaulted, records the states on either side of it
+// and returns the operations it performed: all, and mutating. The op runs
+// on a cold cache, as in every faulted run; the pre-op state is read on a
+// copy of its own.
+func (r *txRun) baseline(t *testing.T) (ops, muts int) {
+	t.Helper()
+	_, _, _, tx := r.open(t, "pre", eio.Fail, 0)
+	var err error
+	if r.before, err = r.w.State(tx, r.hdr); err != nil {
+		t.Fatalf("%s: pre-op state: %v", r.w.Name, err)
+	}
+	if err := tx.Close(); err != nil {
+		t.Fatalf("%s: close pre-op store: %v", r.w.Name, err)
+	}
+	_, _, f, tx := r.open(t, "baseline", eio.Fail, 0)
+	ops0, muts0 := f.Ops()
+	if _, err := r.update(tx); err != nil {
+		t.Fatalf("%s: baseline op failed: %v", r.w.Name, err)
+	}
+	ops, muts = f.Ops()
+	if r.after, err = r.w.State(tx, r.hdr); err != nil {
+		t.Fatalf("%s: post-op state: %v", r.w.Name, err)
+	}
+	if r.after == r.before {
+		t.Fatalf("%s: op did not change the structure state", r.w.Name)
+	}
+	if err := tx.Close(); err != nil {
+		t.Fatalf("%s: close baseline store: %v", r.w.Name, err)
+	}
+	return ops - ops0, muts - muts0
+}
+
+// crash crashes the op at its k-th mutating operation under model m,
+// recovers, and checks before-or-after semantics.
+func (r *txRun) crash(t *testing.T, m eio.Model, k int) {
+	t.Helper()
+	path, fs, f, tx := r.open(t, fmt.Sprintf("%d-%s", k, m), m, int64(1000+k))
+	f.Arm(k)
+	committed, err := r.update(tx)
+	if err == nil {
+		t.Fatalf("crash at mutating op %d was not reached (op finished)", k)
+	}
+	checkFault(t, err, eio.ErrCrashed, "crash at op", k)
+	acked := tx.AppliedLSN()
+	if _, err := f.Crash(); err != nil {
+		t.Fatalf("crash: %v", err)
+	}
+	if err := fs.CloseCrash(); err != nil {
+		t.Fatalf("close crashed file: %v", err)
+	}
+	want := "" // pre-op or post-op
+	if committed {
+		want = r.after
+	}
+	r.recover(t, path, acked, want, fmt.Sprintf("crash at op %d (op committed: %v)", k, committed))
+}
+
+// fail fails the op's k-th operation with an error, checks the store's
+// state in process, then checkpoints, closes, recovers and checks that the
+// file agrees.
+func (r *txRun) fail(t *testing.T, k int) {
+	t.Helper()
+	path, _, f, tx := r.open(t, fmt.Sprintf("%d-error", k), eio.Fail, 0)
+	lsn := tx.AppliedLSN()
+	f.Arm(k)
+	_, err := r.update(tx)
+	if err == nil {
+		t.Fatalf("error at op %d was swallowed: the op reported success", k)
+	}
+	checkFault(t, err, eio.ErrInjected, "error at op", k)
+	acked := tx.AppliedLSN()
+	want := r.before
+	if acked > lsn {
+		want = r.after // the commit point was passed
+	}
+	// The fault fired once; an injected error from here on is the store's
+	// sticky one, after which only a reopen tells pre-op from post-op.
+	state, err := r.state(tx)
+	switch {
+	case errors.Is(err, eio.ErrInjected):
+		if acked == lsn {
+			want = ""
+		}
+	case err != nil:
+		t.Fatalf("error at op %d: in-process state audit failed: %v", k, err)
+	case state != want:
+		t.Fatalf("error at op %d (lsn %d -> %d) left the wrong state in process:\npre:  %s\npost: %s\ngot:  %s",
+			k, lsn, acked, r.before, r.after, state)
+	}
+	stopped := err != nil
+	for _, step := range []func() error{tx.Sync, tx.Close} {
+		if err := step(); err != nil && !(stopped && errors.Is(err, eio.ErrInjected)) {
+			t.Fatalf("error at op %d: checkpoint or close after the error: %v", k, err)
+		}
+	}
+	r.recover(t, path, acked, want, fmt.Sprintf("error at op %d", k))
+}
+
+// recover reopens the file at path, runs recovery, and checks the LSN
+// against acked, the state against want (or against pre-op and post-op
+// when want is empty), the scrub, and the file.
+func (r *txRun) recover(t *testing.T, path string, acked uint64, want, when string) {
+	t.Helper()
+	fs, err := eio.OpenFileStore(path)
+	if err != nil {
+		t.Fatalf("%s: reopen: %v", when, err)
+	}
+	tx, err := r.openTx(fs)
+	if err != nil {
+		t.Fatalf("%s: recovery failed: %v", when, err)
+	}
+	if got := tx.AppliedLSN(); got < acked {
+		t.Fatalf("%s: recovered lsn %d below acknowledged lsn %d (recovery %s)", when, got, acked, tx.Recovery())
+	}
+	state, err := r.state(tx)
+	if err != nil {
+		t.Fatalf("%s: post-recovery state audit failed (recovery %s): %v", when, tx.Recovery(), err)
+	}
+	if state != want && (want != "" || state != r.before && state != r.after) {
+		t.Fatalf("%s: recovered to the wrong state (recovery %s):\npre:  %s\npost: %s\ngot:  %s",
+			when, tx.Recovery(), r.before, r.after, state)
+	}
+
+	// Scrub leaked allocations; the logical state must not move.
+	reach, err := r.w.Reachable(tx, r.hdr)
+	if err != nil {
+		t.Fatalf("%s: reachability walk failed: %v", when, err)
+	}
+	meta, err := tx.MetaPages()
+	if err != nil {
+		t.Fatalf("%s: tx meta pages: %v", when, err)
+	}
+	rep, err := eio.Scrub(fs, append(reach, meta...))
+	if err != nil {
+		t.Fatalf("%s: scrub failed: %v", when, err)
+	}
+	if after, err := r.state(tx); err != nil || after != state {
+		t.Fatalf("%s: scrub (%s) changed the structure state: %v", when, rep, err)
+	}
+	if err := tx.Close(); err != nil {
+		t.Fatalf("%s: close recovered store: %v", when, err)
+	}
+	verify(t, path, when+": recovered file")
+}
+
+// state is w.State with a panic turned into a failure.
+func (r *txRun) state(st eio.Store) (s string, err error) {
+	err = guard(func() error {
+		s, err = r.w.State(st, r.hdr)
+		return err
+	})
+	return s, err
+}
+
+// SweepBare runs Build, Prefix and Op on a bare MemStore, with no
+// transaction — the shape of a store that updates pages in place — once to
+// count their operations and then once per sampled operation k with that
+// operation failing (sub-tests op<k>). The error must surface, wrapping
+// eio.ErrInjected, nothing may panic, and once Build has returned a
+// header, Reachable must still walk every page.
+func SweepBare(t *testing.T, w Workload) {
+	t.Helper()
+	f := eio.NewFaultStore(eio.NewMemStore(w.PageSize), eio.Fail, 0)
+	hdr, err := runBare(w, f)
 	if err != nil {
 		t.Fatalf("%s: baseline run failed: %v", w.Name, err)
 	}
-	if check == nil {
-		t.Fatalf("%s: baseline run returned no check function", w.Name)
+	total, _ := f.Ops()
+	if _, err := w.Reachable(f, hdr); err != nil {
+		t.Fatalf("%s: baseline reachability walk failed: %v", w.Name, err)
 	}
-	// Count ops before the baseline check: sweep runs execute only Run, so
-	// the sweep range must cover exactly Run's operations.
-	total := int(f.Ops())
-	if err := check(); err != nil {
-		t.Fatalf("%s: baseline check failed: %v", w.Name, err)
-	}
-	if total == 0 {
-		t.Fatalf("%s: workload performed no store operations", w.Name)
-	}
-	if w.Ops > 0 && total != w.Ops {
-		t.Fatalf("%s: the script performs %d store operations, the sweep is laid out for %d", w.Name, total, w.Ops)
-	}
-
 	ks := sampleOps(total, w.MaxRuns)
 	t.Logf("%s: sweeping %d of %d operations", w.Name, len(ks), total)
 	for _, k := range ks {
-		k := k
 		t.Run(fmt.Sprintf("%s/op%d", w.Name, k), func(t *testing.T) {
-			sweepOne(t, w, k)
+			f := eio.NewFaultStore(eio.NewMemStore(w.PageSize), eio.Fail, 0)
+			f.Arm(k)
+			hdr, err := runBare(w, f)
+			if err == nil {
+				t.Fatalf("fault at op %d was swallowed: workload reported success", k)
+			}
+			checkFault(t, err, eio.ErrInjected, "fault at op", k)
+			if hdr == eio.NilPage {
+				return // the structure never got built; nothing to walk
+			}
+			if err := guard(func() error { _, err := w.Reachable(f, hdr); return err }); err != nil {
+				t.Fatalf("reachability walk after the fault at op %d: %v", k, err)
+			}
 		})
 	}
 }
 
-// sweepOne runs the workload with operation k failing and asserts the
-// fault contract.
-func sweepOne(t *testing.T, w Workload, k int) {
-	t.Helper()
-	f := eio.NewFaultStore(eio.NewMemStore(w.PageSize))
-	f.FailNth(k)
-	check, err := runGuarded(w, f)
-	if err == nil {
-		t.Fatalf("fault at op %d was swallowed: workload reported success\ntrace: %v", k, f.Trace())
-	}
-	var pe panicError
-	if errors.As(err, &pe) {
-		t.Fatalf("panic with fault at op %d: %v\n%s", k, pe.value, pe.stack)
-	}
-	if !errors.Is(err, eio.ErrInjected) {
-		t.Fatalf("fault at op %d surfaced as a non-injected error: %v\ntrace: %v", k, err, f.Trace())
-	}
-	if check == nil {
-		return // structure never reached a usable state; nothing to revalidate
-	}
-	// The injected one-shot fault has auto-disarmed; the structure must
-	// still be readable (or at minimum must not panic).
-	cerr := checkGuarded(check)
-	if cerr == nil {
-		return
-	}
-	if errors.As(cerr, &pe) {
-		t.Fatalf("panic in post-fault check (fault at op %d): %v\n%s", k, pe.value, pe.stack)
-	}
-	if w.Strict {
-		t.Fatalf("post-fault check failed (fault at op %d): %v\ntrace: %v", k, cerr, f.Trace())
-	}
-	t.Logf("post-fault check degraded (fault at op %d, non-strict): %v", k, cerr)
+// runBare runs Build, Prefix and Op on st, stopping at the first error. It
+// returns the header Build returned, if any: a Build that fails after its
+// structure exists may return both.
+func runBare(w Workload, st eio.Store) (hdr eio.PageID, err error) {
+	err = guard(func() error {
+		if hdr, err = w.Build(st); err != nil {
+			return err
+		}
+		if w.Prefix != nil {
+			if err := w.Prefix(st, hdr); err != nil {
+				return err
+			}
+		}
+		return w.Op(st, hdr)
+	})
+	return hdr, err
 }
 
 // panicError carries a recovered panic through the error return.
@@ -138,41 +437,42 @@ type panicError struct {
 	stack []byte
 }
 
-func (p panicError) Error() string { return fmt.Sprintf("panic: %v", p.value) }
+func (p panicError) Error() string { return fmt.Sprintf("panic: %v\n%s", p.value, p.stack) }
 
-// runGuarded invokes w.Run converting panics into errors, so the sweep can
-// report them with the failing operation index instead of dying.
-func runGuarded(w Workload, st *eio.FaultStore) (check func() error, err error) {
+// guard runs fn converting a panic into an error, so a sweep can report it
+// with the faulted operation's index instead of dying.
+func guard(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = panicError{value: r, stack: debug.Stack()}
 		}
 	}()
-	if check, err = w.Run(st); err != nil || int(st.Ops()) >= w.Ops {
-		return check, err
-	}
-	// Top the run up to w.Ops (see Workload.Ops).
-	ids, err := st.LivePageIDs()
-	if err != nil || len(ids) == 0 {
-		return check, fmt.Errorf("%s: no live page to top the run up with: %v", w.Name, err)
-	}
-	buf := make([]byte, st.PageSize())
-	for int(st.Ops()) < w.Ops {
-		if err := st.Read(ids[0], buf); err != nil {
-			return check, err
-		}
-	}
-	return check, nil
+	return fn()
 }
 
-// checkGuarded invokes check converting panics into errors.
-func checkGuarded(check func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = panicError{value: r, stack: debug.Stack()}
-		}
-	}()
-	return check()
+// checkFault fails the test unless err is the injected fault, want,
+// rather than a panic or some other error.
+func checkFault(t *testing.T, err, want error, what string, k int) {
+	t.Helper()
+	var pe panicError
+	if errors.As(err, &pe) {
+		t.Fatalf("%s %d: %v", what, k, pe)
+	}
+	if !errors.Is(err, want) {
+		t.Fatalf("%s %d surfaced as another error: %v", what, k, err)
+	}
+}
+
+// verify fails the test unless the store file at path is undamaged.
+func verify(t *testing.T, path, what string) {
+	t.Helper()
+	rep, err := eio.VerifyFile(path)
+	if err != nil {
+		t.Fatalf("verify %s: %v", what, err)
+	}
+	if rep.Damaged() {
+		t.Fatalf("%s damaged:\n%s", what, rep)
+	}
 }
 
 // sampleOps returns the operation indices to sweep: all of 1..total when

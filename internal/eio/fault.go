@@ -3,337 +3,167 @@ package eio
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 )
 
-// Op identifies a store operation for fault injection.
-type Op int
+// rawWriter is the torn-write hook: it overwrites a prefix of a page's
+// backing storage without maintaining any checksum, exactly as an
+// interrupted physical write would. FileStore and MemStore implement it.
+type rawWriter interface {
+	writeRaw(id PageID, prefix []byte) error
+}
 
-// Store operations that FaultStore can fail.
+// syncer is implemented by stores with an explicit durability barrier
+// (FileStore). Wrappers propagate Sync through it.
+type syncer interface {
+	Sync() error
+}
+
+// Model is what a FaultStore does at its armed operation: Fail returns an
+// error once, every other model crashes the store and names the disk image
+// the crash leaves behind.
+type Model int
+
+// The fault models. Under a model with a volatile cache (every crash model
+// but Direct) writes are buffered in the FaultStore and frees deferred
+// until Sync, which flushes them in order, applies the frees and syncs the
+// inner store; Alloc passes through, as page ids must come from the inner
+// store.
 const (
-	OpRead Op = iota
-	OpWrite
-	OpAlloc
-	OpFree
+	// Fail: the armed operation returns an error wrapping ErrInjected,
+	// once; the store carries on.
+	Fail Model = iota
+	// Direct: writes reach the inner store as they are issued; a crash
+	// only stops the process.
+	Direct
+	// DropAll: a crash loses every unsynced write and free.
+	DropAll
+	// Cached: DropAll, and the last unsynced write lands torn — a prefix
+	// of the page with a stale checksum trailer.
+	Cached
+	// Subset: an arbitrary subset of the unsynced writes reaches the disk,
+	// in arbitrary order (a write cache that reorders between barriers),
+	// frees and the allocation state stay lost, and the last of the other
+	// writes lands torn.
+	Subset
+	// SubsetWhole: Subset with no torn write.
+	SubsetWhole
 )
 
-// String implements fmt.Stringer.
-func (o Op) String() string {
-	switch o {
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	case OpAlloc:
-		return "alloc"
-	case OpFree:
-		return "free"
-	default:
-		return fmt.Sprintf("op(%d)", int(o))
+var modelNames = [...]string{"fail", "direct", "drop-all", "cached", "subset", "subset-whole"}
+
+// String implements fmt.Stringer; the names label sweep sub-tests.
+func (m Model) String() string {
+	if m >= 0 && int(m) < len(modelNames) {
+		return modelNames[m]
 	}
+	return fmt.Sprintf("model(%d)", int(m))
 }
 
-// TraceEntry records one operation seen by a FaultStore, for reproducing
-// and reporting fault-injection failures.
-type TraceEntry struct {
-	// N is the 1-based global operation number.
-	N uint64
-	// Op is the operation kind.
-	Op Op
-	// Page is the page operated on (the returned id for Alloc).
-	Page PageID
-	// Injected reports whether the fault injector failed this operation.
-	Injected bool
-}
+// cached reports whether m buffers writes in a volatile cache.
+func (m Model) cached() bool { return m >= DropAll }
 
-// String implements fmt.Stringer.
-func (e TraceEntry) String() string {
-	s := fmt.Sprintf("#%d %s p%d", e.N, e.Op, e.Page)
-	if e.Injected {
-		s += " [injected]"
-	}
-	return s
-}
-
-// FaultStore wraps a Store and injects deterministic failures, for testing
-// that structures surface (rather than swallow) I/O errors and survive
-// them. Faults can be armed several ways, combinable:
+// FaultStore wraps a Store and injects one fault, under one Model, at a
+// chosen operation: the seam every failure test in the repository goes
+// through. It counts every operation and, separately, the mutating ones
+// (Write, Alloc, Free and Sync); Arm(k) picks the k-th from now. An error
+// can hit any operation, so under Fail k counts every operation; a crash
+// can only fall between two mutating ones — a crash at a read leaves the
+// disk a crash at the next write would — so under a crash model k counts
+// mutating operations only.
 //
-//   - FailAfter(op, n): one-shot — the n-th next operation of that kind
-//     fails, then the fault disarms.
-//   - FailAlways(op): persistent — every operation of that kind fails
-//     until Disarm.
-//   - FailProb(op, p): probabilistic — each operation of that kind fails
-//     with probability p, driven by the seeded RNG (see Seed) so runs
-//     reproduce exactly.
-//   - FailNth(n): one-shot by global operation index, counting operations
-//     of every kind — the unit the fault-sweep harness iterates over.
-//
-// Every injected error wraps ErrInjected. In torn-write mode an injected
-// write fault additionally applies a partial prefix of the page to the
-// inner store (when it supports raw writes) before failing, modelling a
-// write that died halfway rather than one that never started.
-//
-// The store keeps a bounded trace of recent operations (SetTraceSize,
-// Trace) so a failing sweep iteration can print exactly which I/Os led up
-// to the fault.
+// At a crash the armed operation and every one after it, reads included,
+// fail with ErrCrashed; Crash then applies the model to the inner store.
+// Crash can also be called with nothing armed, to crash now.
 type FaultStore struct {
-	mu        sync.Mutex
-	inner     Store
-	countdown map[Op]int // 1 = fail next op of this kind
-	always    map[Op]bool
-	prob      map[Op]float64
-	rng       *rand.Rand
-	nops      uint64 // global operation counter
-	failNth   uint64 // 0 = disarmed
-	runLeft   map[Op]int
-	tornWrite bool
-	transient bool
-	full      bool
+	mu      sync.Mutex
+	inner   Store
+	model   Model
+	rng     *rand.Rand
+	ops     int  // operations seen
+	muts    int  // mutating operations seen
+	at      int  // the armed operation's number on the model's count (0 = none)
+	dead    bool // every operation fails with ErrCrashed
+	crashed bool // Crash has applied the model
 
-	trace     []TraceEntry // ring buffer
-	traceCap  int
-	traceNext int
+	log   []pendingWrite      // buffered writes, oldest first
+	index map[PageID]int      // page -> index of its latest buffered write
+	freed map[PageID]struct{} // deferred frees
+}
+
+type pendingWrite struct {
+	id   PageID
+	data []byte
 }
 
 var _ Store = (*FaultStore)(nil)
 
-// defaultTraceCap bounds the op trace unless SetTraceSize overrides it.
-const defaultTraceCap = 64
-
-// NewFaultStore wraps inner with fault injection (initially disarmed).
-func NewFaultStore(inner Store) *FaultStore {
+// NewFaultStore wraps inner under model m, disarmed. The seed drives the
+// surviving subset and torn-write lengths, so crashes reproduce exactly.
+func NewFaultStore(inner Store, m Model, seed int64) *FaultStore {
 	return &FaultStore{
-		inner:     inner,
-		countdown: make(map[Op]int),
-		always:    make(map[Op]bool),
-		prob:      make(map[Op]float64),
-		runLeft:   make(map[Op]int),
-		rng:       rand.New(rand.NewSource(1)),
-		traceCap:  defaultTraceCap,
+		inner: inner,
+		model: m,
+		rng:   rand.New(rand.NewSource(seed)),
+		index: make(map[PageID]int),
+		freed: make(map[PageID]struct{}),
 	}
 }
 
-// FailAfter arms a one-shot fault: the n-th next operation of kind op
-// fails (n = 1 fails the very next one). n ≤ 0 disarms the kind.
-func (f *FaultStore) FailAfter(op Op, n int) {
+// Arm sets the fault at the k-th operation from now on the model's count
+// (k = 1 is the very next one); k ≤ 0 disarms.
+func (f *FaultStore) Arm(k int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if n <= 0 {
-		delete(f.countdown, op)
-		return
+	f.at = 0
+	if k > 0 {
+		f.at = f.count() + k
 	}
-	f.countdown[op] = n
 }
 
-// FailAlways arms a persistent fault: every operation of kind op fails
-// until Disarm.
-func (f *FaultStore) FailAlways(op Op) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.always[op] = true
-}
-
-// FailProb arms a probabilistic fault: each operation of kind op fails
-// with probability p (clamped to [0, 1]), using the seeded RNG so a given
-// seed reproduces the same fault pattern. p ≤ 0 disarms the kind.
-func (f *FaultStore) FailProb(op Op, p float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if p <= 0 {
-		delete(f.prob, op)
-		return
+// count returns the model's operation count. Callers hold mu.
+func (f *FaultStore) count() int {
+	if f.model == Fail {
+		return f.ops
 	}
-	if p > 1 {
-		p = 1
+	return f.muts
+}
+
+// Ops returns the operations seen so far: all of them, and the mutating
+// ones.
+func (f *FaultStore) Ops() (all, mutating int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.ops, f.muts
+}
+
+// Pending returns the number of buffered (unsynced) page writes.
+func (f *FaultStore) Pending() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.log)
+}
+
+// trip counts one operation and returns the fault it meets, if any.
+// Callers hold mu.
+func (f *FaultStore) trip(op string, mutating bool) error {
+	if f.dead {
+		return fmt.Errorf("eio: %s: %w", op, ErrCrashed)
 	}
-	f.prob[op] = p
-}
-
-// FailNth arms a one-shot fault on the n-th operation of any kind counted
-// from now (n = 1 fails the very next operation). n ≤ 0 disarms.
-func (f *FaultStore) FailNth(n int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if n <= 0 {
-		f.failNth = 0
-		return
+	f.ops++
+	if mutating {
+		f.muts++
 	}
-	f.failNth = f.nops + uint64(n)
-}
-
-// FailRun arms a burst fault: the next n operations of kind op all fail,
-// then the kind disarms. Combined with SetTransient this models a device
-// that is briefly unreachable. n ≤ 0 disarms the kind.
-func (f *FaultStore) FailRun(op Op, n int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if n <= 0 {
-		delete(f.runLeft, op)
-		return
-	}
-	f.runLeft[op] = n
-}
-
-// SetTransient marks every injected fault as retryable: injected errors
-// additionally wrap ErrTransient, so a caller can tell them from genuine
-// corruption. Off by default — historically every injected fault was fatal.
-func (f *FaultStore) SetTransient(on bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.transient = on
-}
-
-// SetFull toggles ENOSPC mode: while on, every Write and Alloc fails with
-// an error wrapping ErrNoSpace (and ErrInjected), while Read and Free keep
-// succeeding — exactly the failure surface of a full disk. The mode is
-// independent of the one-shot/probabilistic schedules and stays armed until
-// turned off, modelling space that only comes back when something reclaims
-// it.
-func (f *FaultStore) SetFull(on bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.full = on
-}
-
-// tripFull counts and traces an operation refused by ENOSPC mode. It
-// returns nil when the mode is off.
-func (f *FaultStore) tripFull(op Op, page PageID) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.full {
+	if f.at == 0 || f.count() != f.at {
 		return nil
 	}
-	f.nops++
-	f.record(TraceEntry{N: f.nops, Op: op, Page: page, Injected: true})
-	return fmt.Errorf("eio: %s fault at op %d: %w (%w)", op, f.nops, ErrNoSpace, ErrInjected)
-}
-
-// Seed reseeds the RNG behind FailProb and torn-write lengths.
-func (f *FaultStore) Seed(seed int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.rng = rand.New(rand.NewSource(seed))
-}
-
-// SetTornWrites toggles torn-write mode for injected write faults.
-func (f *FaultStore) SetTornWrites(on bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.tornWrite = on
-}
-
-// Disarm clears all armed faults (one-shot, persistent, probabilistic and
-// global-index).
-func (f *FaultStore) Disarm() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	clear(f.countdown)
-	clear(f.always)
-	clear(f.prob)
-	clear(f.runLeft)
-	f.failNth = 0
-	f.full = false
-}
-
-// Ops returns the number of operations this store has seen.
-func (f *FaultStore) Ops() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.nops
-}
-
-// SetTraceSize sets the number of recent operations retained by Trace
-// (n ≤ 0 disables tracing).
-func (f *FaultStore) SetTraceSize(n int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.traceCap = n
-	f.trace = nil
-	f.traceNext = 0
-}
-
-// Trace returns the retained recent operations, oldest first.
-func (f *FaultStore) Trace() []TraceEntry {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]TraceEntry, 0, len(f.trace))
-	for i := 0; i < len(f.trace); i++ {
-		out = append(out, f.trace[(f.traceNext+i)%len(f.trace)])
+	f.at = 0
+	if f.model == Fail {
+		return fmt.Errorf("eio: %s fault at op %d: %w", op, f.ops, ErrInjected)
 	}
-	return out
-}
-
-// trip counts the operation, records it in the trace, and reports whether
-// it must fail.
-func (f *FaultStore) trip(op Op, page PageID) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.nops++
-	inject := false
-	if f.failNth != 0 && f.nops >= f.failNth {
-		f.failNth = 0
-		inject = true
-	}
-	if f.always[op] {
-		inject = true
-	}
-	if p, ok := f.prob[op]; ok && f.rng.Float64() < p {
-		inject = true
-	}
-	if n, ok := f.countdown[op]; ok {
-		n--
-		if n > 0 {
-			f.countdown[op] = n
-		} else {
-			delete(f.countdown, op)
-			inject = true
-		}
-	}
-	if n, ok := f.runLeft[op]; ok {
-		inject = true
-		if n--; n > 0 {
-			f.runLeft[op] = n
-		} else {
-			delete(f.runLeft, op)
-		}
-	}
-	f.record(TraceEntry{N: f.nops, Op: op, Page: page, Injected: inject})
-	if !inject {
-		return nil
-	}
-	if f.transient {
-		return fmt.Errorf("eio: %s fault at op %d: %w (%w)", op, f.nops, ErrTransient, ErrInjected)
-	}
-	return fmt.Errorf("eio: %s fault at op %d: %w", op, f.nops, ErrInjected)
-}
-
-// record appends e to the trace ring buffer. Callers hold mu.
-func (f *FaultStore) record(e TraceEntry) {
-	if f.traceCap <= 0 {
-		return
-	}
-	if len(f.trace) < f.traceCap {
-		f.trace = append(f.trace, e)
-		return
-	}
-	f.trace[f.traceNext] = e
-	f.traceNext = (f.traceNext + 1) % f.traceCap
-}
-
-// tearLocked applies a torn prefix of buf to page id on the inner store,
-// best-effort. Callers must NOT hold mu.
-func (f *FaultStore) tear(id PageID, buf []byte) {
-	f.mu.Lock()
-	rw, ok := f.inner.(rawWriter)
-	var n int
-	if ok && len(buf) > 0 {
-		n = 1 + f.rng.Intn(len(buf))
-	}
-	f.mu.Unlock()
-	if ok && n > 0 {
-		_ = rw.writeRaw(id, buf[:n])
-	}
+	f.dead = true
+	return fmt.Errorf("eio: %s: crash at op %d: %w", op, f.ops, ErrCrashed)
 }
 
 // PageSize implements Store.
@@ -341,89 +171,207 @@ func (f *FaultStore) PageSize() int { return f.inner.PageSize() }
 
 // Alloc implements Store.
 func (f *FaultStore) Alloc() (PageID, error) {
-	if err := f.tripFull(OpAlloc, NilPage); err != nil {
-		return NilPage, err
-	}
-	if err := f.trip(OpAlloc, NilPage); err != nil {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.trip("alloc", true); err != nil {
 		return NilPage, err
 	}
 	return f.inner.Alloc()
 }
 
-// Free implements Store.
+// Free implements Store. Under a cached model the free is deferred until
+// Sync, so that a crash can never hand a committed page's storage to a new
+// owner.
 func (f *FaultStore) Free(id PageID) error {
-	if err := f.trip(OpFree, id); err != nil {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.trip("free", true); err != nil {
 		return err
 	}
-	return f.inner.Free(id)
+	if !f.model.cached() {
+		return f.inner.Free(id)
+	}
+	if id == NilPage {
+		return nil
+	}
+	if _, dead := f.freed[id]; dead {
+		return fmt.Errorf("eio: page %d already freed: %w", id, ErrBadPage)
+	}
+	f.freed[id] = struct{}{}
+	f.dropPendingLocked(id)
+	return nil
 }
 
-// Read implements Store.
+// Read implements Store: buffered writes win over the inner store.
 func (f *FaultStore) Read(id PageID, buf []byte) error {
-	if err := f.trip(OpRead, id); err != nil {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.trip("read", false); err != nil {
 		return err
+	}
+	if f.model.cached() {
+		if len(buf) < f.inner.PageSize() {
+			return fmt.Errorf("eio: read buffer %d bytes: %w", len(buf), ErrPageSize)
+		}
+		if _, dead := f.freed[id]; dead {
+			return fmt.Errorf("eio: page %d is freed: %w", id, ErrBadPage)
+		}
+		if i, ok := f.index[id]; ok {
+			copy(buf, f.log[i].data)
+			return nil
+		}
 	}
 	return f.inner.Read(id, buf)
 }
 
-// Write implements Store. With torn-write mode on, an injected fault
-// leaves a partial prefix of buf on the inner store before failing. In
-// ENOSPC mode the write is refused whole — a full disk rejects the write,
-// it does not tear it.
+// Write implements Store; under a cached model the page is buffered.
 func (f *FaultStore) Write(id PageID, buf []byte) error {
-	if err := f.tripFull(OpWrite, id); err != nil {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.trip("write", true); err != nil {
 		return err
 	}
-	if err := f.trip(OpWrite, id); err != nil {
-		f.mu.Lock()
-		torn := f.tornWrite
-		f.mu.Unlock()
-		if torn && len(buf) == f.inner.PageSize() {
-			f.tear(id, buf)
-		}
-		return err
+	if !f.model.cached() {
+		return f.inner.Write(id, buf)
 	}
-	return f.inner.Write(id, buf)
+	if len(buf) != f.inner.PageSize() {
+		return fmt.Errorf("eio: write buffer %d bytes: %w", len(buf), ErrPageSize)
+	}
+	if _, dead := f.freed[id]; dead {
+		return fmt.Errorf("eio: page %d is freed: %w", id, ErrBadPage)
+	}
+	f.dropPendingLocked(id)
+	f.index[id] = len(f.log)
+	f.log = append(f.log, pendingWrite{id: id, data: slices.Clone(buf)})
+	return nil
 }
 
-// writeRaw delegates torn writes so a CrashStore can sit above a
-// FaultStore (or vice versa).
-func (f *FaultStore) writeRaw(id PageID, prefix []byte) error {
-	rw, ok := f.inner.(rawWriter)
-	if !ok {
-		return fmt.Errorf("eio: inner store does not support raw writes")
+// dropPendingLocked removes any buffered write for id (tombstoned in the
+// log, removed from the index).
+func (f *FaultStore) dropPendingLocked(id PageID) {
+	if i, ok := f.index[id]; ok {
+		f.log[i] = pendingWrite{}
+		delete(f.index, id)
 	}
-	return rw.writeRaw(id, prefix)
 }
 
-// Sync delegates to the inner store's durability barrier, if any.
+// Sync makes all buffered work durable: writes flush in order, deferred
+// frees apply, and the inner store's own Sync (if any) commits the state.
+// It is a mutating operation: a fault can land exactly on the durability
+// barrier, the most interesting point of a commit.
 func (f *FaultStore) Sync() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.trip("sync", true); err != nil {
+		return err
+	}
+	return f.flushLocked()
+}
+
+// flushLocked empties the volatile cache into the inner store and syncs it.
+func (f *FaultStore) flushLocked() error {
+	for _, w := range f.log {
+		if w.id == NilPage {
+			continue // superseded or freed before reaching the disk
+		}
+		if err := f.inner.Write(w.id, w.data); err != nil {
+			return fmt.Errorf("eio: sync flush: %w", err)
+		}
+	}
+	f.log = f.log[:0]
+	clear(f.index)
+	// In id order, not map order: the inner free list — and with it every
+	// later Alloc — must come out the same on every run of a seed.
+	ids := make([]PageID, 0, len(f.freed))
+	for id := range f.freed {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if err := f.inner.Free(id); err != nil {
+			return fmt.Errorf("eio: sync free: %w", err)
+		}
+	}
+	clear(f.freed)
 	if s, ok := f.inner.(syncer); ok {
 		return s.Sync()
 	}
 	return nil
 }
 
-// Stats implements Store, reporting the inner store's counters (injected
-// faults that never reach the inner store are not counted as I/Os).
-func (f *FaultStore) Stats() Stats { return f.inner.Stats() }
-
-// ResetStats implements Store by delegating to the inner store. Armed
-// faults, the global operation counter used by FailNth, and the bounded
-// operation trace are NOT reset — only accounting is.
-func (f *FaultStore) ResetStats() { f.inner.ResetStats() }
-
-// Pages implements Store.
-func (f *FaultStore) Pages() int { return f.inner.Pages() }
-
-// LivePageIDs implements PageLister when the inner store does.
-func (f *FaultStore) LivePageIDs() ([]PageID, error) {
-	pl, ok := f.inner.(PageLister)
-	if !ok {
-		return nil, fmt.Errorf("eio: fault: inner store cannot enumerate pages")
+// Crash simulates power loss under the store's model: unsynced writes and
+// frees are dropped, except those the model lets through, and a torn model
+// applies the last buffered write that did not survive as a partial prefix
+// (at least one byte, never the whole slot) with a stale checksum trailer.
+// It returns the id of the torn page, or NilPage.
+//
+// The store is dead afterwards; the inner store holds the post-crash
+// image. For a FileStore, call CloseCrash and reopen the path to simulate
+// recovery.
+func (f *FaultStore) Crash() (PageID, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.crashed {
+		return NilPage, fmt.Errorf("eio: crash: %w", ErrCrashed)
 	}
-	return pl.LivePageIDs()
+	f.dead, f.crashed = true, true
+	log := f.log
+	f.log, f.index, f.freed = nil, nil, nil
+	if f.model == Subset || f.model == SubsetWhole {
+		p := float64(1+f.rng.Intn(4)) / 4
+		for _, i := range f.rng.Perm(len(log)) {
+			w := &log[i]
+			if w.id == NilPage || f.rng.Float64() >= p {
+				continue
+			}
+			if err := f.inner.Write(w.id, w.data); err != nil {
+				return NilPage, fmt.Errorf("eio: surviving write of page %d: %w", w.id, err)
+			}
+			w.id = NilPage // on disk whole: not a candidate for tearing
+		}
+	}
+	rw, ok := f.inner.(rawWriter)
+	if (f.model != Cached && f.model != Subset) || !ok {
+		return NilPage, nil
+	}
+	for i := len(log) - 1; i >= 0; i-- {
+		if w := log[i]; w.id != NilPage {
+			if err := rw.writeRaw(w.id, w.data[:1+f.rng.Intn(len(w.data))]); err != nil {
+				return NilPage, fmt.Errorf("eio: tear page %d: %w", w.id, err)
+			}
+			return w.id, nil
+		}
+	}
+	return NilPage, nil
 }
 
-// Close implements Store.
-func (f *FaultStore) Close() error { return f.inner.Close() }
+// Stats implements Store, reporting the inner store's counters: a fault
+// that never reaches the inner store, or a write still buffered, is not
+// an I/O.
+func (f *FaultStore) Stats() Stats { return f.inner.Stats() }
+
+// ResetStats implements Store by delegating to the inner store. The armed
+// fault, the operation counts and buffered writes are NOT reset.
+func (f *FaultStore) ResetStats() { f.inner.ResetStats() }
+
+// Pages implements Store, counting deferred frees as already gone.
+func (f *FaultStore) Pages() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.inner.Pages() - len(f.freed)
+}
+
+// Close flushes buffered work and closes the inner store. After a crash it
+// closes nothing — the caller owns the post-crash image.
+func (f *FaultStore) Close() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.dead {
+		return nil
+	}
+	if err := f.flushLocked(); err != nil {
+		f.inner.Close()
+		return err
+	}
+	return f.inner.Close()
+}

@@ -2,10 +2,12 @@ package eio
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"sync"
+	"syscall"
 )
 
 // FileStore is a Store backed by a real file. It lets every structure in
@@ -213,7 +215,7 @@ func (fs *FileStore) writeSuper() error {
 	slot := fs.seq % 2
 	fs.onDisk[slot] = allocState{} // unknown until the write returns
 	if _, err := fs.f.WriteAt(buf[:], int64(slot)*superSlotSize); err != nil {
-		return fmt.Errorf("eio: write superblock: %w", err)
+		return fmt.Errorf("eio: write superblock: %w", noSpace(err))
 	}
 	fs.onDisk[slot] = fs.allocState()
 	return nil
@@ -264,9 +266,20 @@ func (fs *FileStore) writeZeroPage(id PageID, next PageID, flags uint32) error {
 func (fs *FileStore) writeSlot(id PageID, flags uint32) error {
 	sealSlot(fs.slot, id, flags)
 	if _, err := fs.f.WriteAt(fs.slot, fs.off(id)); err != nil {
-		return fmt.Errorf("eio: write page %d: %w", id, err)
+		return fmt.Errorf("eio: write page %d: %w", id, noSpace(err))
 	}
 	return nil
+}
+
+// noSpace marks a write the file system refused for want of space with
+// ErrNoSpace as well as the OS error: a full disk rejects the write, it
+// does not damage the store, and the layers above answer it with flow
+// control instead of treating it as corruption.
+func noSpace(err error) error {
+	if errors.Is(err, syscall.ENOSPC) {
+		return fmt.Errorf("%w: %w", ErrNoSpace, err)
+	}
+	return err
 }
 
 // sealSlot stamps the trailer of a slot (page image + trailer space) that
@@ -424,7 +437,7 @@ func (fs *FileStore) WriteRun(first PageID, data []byte) error {
 		}
 		fs.stats.Writes += uint64(k)
 		if _, err := fs.f.WriteAt(fs.run[:k*ss], fs.off(first)); err != nil {
-			return fmt.Errorf("eio: write pages %d..%d: %w", first, first+PageID(k-1), err)
+			return fmt.Errorf("eio: write pages %d..%d: %w", first, first+PageID(k-1), noSpace(err))
 		}
 		first += PageID(k)
 	}
@@ -433,8 +446,8 @@ func (fs *FileStore) WriteRun(first PageID, data []byte) error {
 
 // writeRaw overwrites the first len(prefix) bytes of page id's on-disk slot
 // without touching the rest or updating the checksum trailer — exactly the
-// shape a torn write leaves behind. It is the simulation hook used by
-// CrashStore and FaultStore's torn-write mode.
+// shape a torn write leaves behind. It is the simulation hook FaultStore's
+// torn crash models use.
 func (fs *FileStore) writeRaw(id PageID, prefix []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -573,7 +586,7 @@ func (fs *FileStore) Close() error {
 
 // CloseCrash closes the underlying file WITHOUT persisting the superblock
 // or syncing, leaving the on-disk image exactly as an abrupt process death
-// would. It exists for crash simulation (CrashStore) and recovery tests;
+// would. It exists for crash simulation (FaultStore) and recovery tests;
 // normal shutdown must use Close.
 func (fs *FileStore) CloseCrash() error {
 	fs.mu.Lock()

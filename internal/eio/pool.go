@@ -268,7 +268,7 @@ func (p *Pool) touchLocked(i int32) {
 // Flush writes every dirty pooled page to the backing store, in ascending
 // page id: the write-back a checkpoint waits for is as sequential as the
 // dirty set allows, and the order of backing-store operations does not
-// depend on the access history (a CrashStore seed replays the same image).
+// depend on the access history (a FaultStore crash seed replays the same image).
 func (p *Pool) Flush() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

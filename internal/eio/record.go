@@ -188,14 +188,28 @@ func (r *RecordStore) write(reuse PageID, data []byte, rb *RecordBuf) (PageID, e
 	// A shrinking record is the exception to tail-first: the rewritten tail
 	// ends the chain early, which under the old head's length would read as
 	// truncated, so its head goes first, the old, longer tail still on it.
-	first := 1
+	// It allocates nothing, so a failure has nothing to release.
 	if len(surplus) > 0 {
-		first = 0
-	}
-	for i := first; i < need+first; i++ {
-		if err := writePage(i % need); err != nil {
-			freeAll(r.s, pages[kept:])
-			return NilPage, err
+		for i := 0; i < need; i++ {
+			if err := writePage(i); err != nil {
+				return NilPage, err
+			}
+		}
+	} else {
+		// The fresh pages go first and the kept tail after them, so the
+		// kept page that links into the fresh ones is written last before
+		// the head: until the head's write, no page an existing chain
+		// reaches links to a fresh page, and a failure may free them all.
+		// After it they may be linked, and stay.
+		for _, span := range [...][2]int{{max(kept, 1), need}, {1, kept}, {0, 1}} {
+			for j := span[0]; j < span[1]; j++ {
+				if err := writePage(j); err != nil {
+					if j != 0 || kept == 0 {
+						freeAll(r.s, pages[kept:])
+					}
+					return NilPage, err
+				}
+			}
 		}
 	}
 	for _, id := range surplus {

@@ -5,6 +5,33 @@ import (
 	"sync/atomic"
 )
 
+// Op identifies a store operation in a trace.
+type Op int
+
+// The traced store operations.
+const (
+	OpRead Op = iota
+	OpWrite
+	OpAlloc
+	OpFree
+)
+
+// String implements fmt.Stringer.
+func (o Op) String() string {
+	switch o {
+	case OpRead:
+		return "read"
+	case OpWrite:
+		return "write"
+	case OpAlloc:
+		return "alloc"
+	case OpFree:
+		return "free"
+	default:
+		return fmt.Sprintf("op(%d)", int(o))
+	}
+}
+
 // TraceEvent is one block-level operation observed by a TraceStore: what
 // was done to which page. A SpanSink counts events into a request span;
 // tests log them to check which pages an operation touches.

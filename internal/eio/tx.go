@@ -224,6 +224,9 @@ type TxStore struct {
 
 	inTx      bool
 	committed bool // this tx passed its commit point
+	// failed, once set, is returned by every later operation: a commit
+	// failed at or past its commit point (see failLocked).
+	failed error
 	// rec is the open transaction's redo record, built in place: header
 	// space, then one (id | image) slot per distinct page written, in
 	// first-write order. Commit seals it and writes WAL pages and in-place
@@ -385,7 +388,7 @@ func OpenTxStore(inner Store, dir PageID) (*TxStore, error) {
 
 // OpenTxStoreFrames is OpenTxStore with the page cache's capacity given
 // instead of the built-in one (0 = no cache). It exists for the crash
-// harnesses (eiotest.RecoverySweep, the history sweep), which shrink the
+// harnesses (eiotest.Sweep, the history sweep), which shrink the
 // cache so that flushes and steal evictions happen inside their small
 // scripted workloads, and for OpenTxReplica, which runs without one; a
 // serving stack has no reason to call it.
@@ -682,6 +685,9 @@ func (t *TxStore) Begin() error {
 	if t.inTx {
 		return fmt.Errorf("eio: tx: transaction already open")
 	}
+	if t.failed != nil {
+		return t.failed
+	}
 	t.inTx = true
 	t.rec = append(t.rec[:0], make([]byte, walHdrSize)...)
 	return nil
@@ -722,6 +728,9 @@ func (t *TxStore) Commit() error {
 // the transaction buffer, TxReplica.ApplyRecord on a shipped record.
 // Callers hold mu.
 func (t *TxStore) logAndApply(lsn uint64, m int, rec []byte) error {
+	if t.failed != nil {
+		return t.failed
+	}
 	pages := walRecordPages(m, t.ps)
 	if pages > len(t.walIDs) {
 		return fmt.Errorf("eio: tx: %d page images exceed WAL capacity %d: %w",
@@ -754,7 +763,9 @@ func (t *TxStore) logAndApply(lsn uint64, m int, rec []byte) error {
 	t.tm.WALAppend += time.Since(walStart)
 
 	if err := t.syncInnerTimed(); err != nil {
-		return fmt.Errorf("eio: tx: commit sync: %w", err)
+		// The record may have reached the disk or not; only recovery can
+		// tell.
+		return t.failLocked(fmt.Errorf("eio: tx: commit sync: %w", err))
 	}
 	t.committed = true
 	t.applied = lsn
@@ -771,10 +782,23 @@ func (t *TxStore) logAndApply(lsn uint64, m int, rec []byte) error {
 	for i := 0; i < m; i++ {
 		id, img := walImage(rec, t.ps, i)
 		if err := t.writeImage(id, img); err != nil {
-			return err
+			return t.failLocked(err)
 		}
 	}
 	return nil
+}
+
+// failLocked stops the store after an error at or past a commit point: the
+// record is (or may be) durable, but only some of its images reached the
+// cache, so the in-memory state is neither the old nor the new one. A later
+// checkpoint would flush that torn state and write an anchor past the
+// record, and recovery would never redo it. So every later operation —
+// checkpoint and Close included — returns err, nothing more is written,
+// and reopening the store (OpenTxStore) replays the record. This is the
+// choice PostgreSQL makes on a failed fsync. Callers hold mu.
+func (t *TxStore) failLocked(err error) error {
+	t.failed = fmt.Errorf("eio: tx: store stopped, reopen to recover: %w", err)
+	return t.failed
 }
 
 // writeImage hands one committed page image to the apply store,
@@ -799,6 +823,9 @@ func (t *TxStore) writeImage(id PageID, img []byte) error {
 // LSN, nothing can be replayed, and the held frees have reached the inner
 // store. Callers hold mu.
 func (t *TxStore) checkpointLocked() error {
+	if t.failed != nil {
+		return t.failed
+	}
 	if t.tail == 0 && len(t.held) == 0 {
 		return nil
 	}
@@ -846,7 +873,7 @@ func (t *TxStore) Rollback() error {
 	if !t.inTx {
 		return fmt.Errorf("eio: tx: no open transaction")
 	}
-	if !t.committed {
+	if !t.committed && t.failed == nil {
 		// No record in the ring can name a page this transaction was just
 		// handed, so these go straight back to the inner store.
 		for i := len(t.allocs) - 1; i >= 0; i-- {
@@ -926,6 +953,9 @@ func (t *TxStore) PageSize() int { return t.ps }
 func (t *TxStore) Alloc() (PageID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.failed != nil {
+		return NilPage, t.failed
+	}
 	id, err := t.inner.Alloc()
 	if err != nil {
 		return NilPage, err
@@ -947,6 +977,9 @@ func (t *TxStore) Free(id PageID) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.failed != nil {
+		return t.failed
+	}
 	if !t.inTx && t.tail == 0 {
 		return t.data.Free(id)
 	}
@@ -983,6 +1016,9 @@ func (t *TxStore) Free(id PageID) error {
 func (t *TxStore) Read(id PageID, buf []byte) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	if t.failed != nil {
+		return t.failed
+	}
 	if len(t.dead) > 0 {
 		if _, dead := t.dead[id]; dead {
 			return fmt.Errorf("eio: tx: page %d is freed: %w", id, ErrBadPage)
@@ -1009,6 +1045,9 @@ func (t *TxStore) Read(id PageID, buf []byte) error {
 func (t *TxStore) Write(id PageID, buf []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.failed != nil {
+		return t.failed
+	}
 	if _, dead := t.dead[id]; dead {
 		return fmt.Errorf("eio: tx: page %d is freed: %w", id, ErrBadPage)
 	}

@@ -177,7 +177,7 @@ func TestTxCacheCoherence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs := NewCrashStore(fs, seed)
+			cs := NewFaultStore(fs, DropAll, seed)
 			tx, err := newTxStoreFrames(cs, TxOptions{WALPages: 24}, frames)
 			if err != nil {
 				t.Fatal(err)
@@ -333,7 +333,7 @@ func TestTxCacheCoherence(t *testing.T) {
 					if fs, err = OpenFileStore(path); err != nil {
 						t.Fatalf("%s: reopen: %v", when, err)
 					}
-					cs = NewCrashStore(fs, seed+int64(step))
+					cs = NewFaultStore(fs, DropAll, seed+int64(step))
 					if tx, err = OpenTxStoreFrames(cs, anchor, frames); err != nil {
 						t.Fatalf("%s: recovery: %v", when, err)
 					}

@@ -2,17 +2,113 @@ package eio_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"rangesearch/internal/eio"
 	"rangesearch/internal/eio/eiotest"
 )
+
+// rawPages is the number of pages the raw sweep's transaction rewrites:
+// twice smallCacheFrames, so applying its record to the 4-frame cache
+// writes committed images back in place (steals) halfway through.
+const rawPages = 8
+
+// rawWorkload is a header page listing rawPages+1 data pages filled with
+// 0xAA. Op rewrites the first rawPages of them in one transaction, each
+// with its own byte; Prefix rewrites the last one.
+func rawWorkload() eiotest.Workload {
+	ids := func(st eio.Store, hdr eio.PageID) ([]eio.PageID, error) {
+		buf := make([]byte, st.PageSize())
+		if err := st.Read(hdr, buf); err != nil {
+			return nil, err
+		}
+		ids := make([]eio.PageID, rawPages+1)
+		for i := range ids {
+			ids[i] = eio.PageID(binary.LittleEndian.Uint64(buf[8*i:]))
+		}
+		return ids, nil
+	}
+	fill := func(st eio.Store, id eio.PageID, b byte) error {
+		return st.Write(id, bytes.Repeat([]byte{b}, st.PageSize()))
+	}
+	return eiotest.Workload{
+		Name:     "raw",
+		PageSize: 128,
+		WALPages: 16,
+		Build: func(st eio.Store) (eio.PageID, error) {
+			hdr, err := st.Alloc()
+			if err != nil {
+				return eio.NilPage, err
+			}
+			buf := make([]byte, st.PageSize())
+			for i := 0; i <= rawPages; i++ {
+				id, err := st.Alloc()
+				if err != nil {
+					return eio.NilPage, err
+				}
+				if err := fill(st, id, 0xAA); err != nil {
+					return eio.NilPage, err
+				}
+				binary.LittleEndian.PutUint64(buf[8*i:], uint64(id))
+			}
+			return hdr, st.Write(hdr, buf)
+		},
+		Op: func(st eio.Store, hdr eio.PageID) error {
+			ids, err := ids(st, hdr)
+			for i := 0; err == nil && i < rawPages; i++ {
+				err = fill(st, ids[i], byte(0xB0+i))
+			}
+			return err
+		},
+		Prefix: func(st eio.Store, hdr eio.PageID) error {
+			ids, err := ids(st, hdr)
+			if err != nil {
+				return err
+			}
+			return fill(st, ids[rawPages], 0xCC)
+		},
+		State: func(st eio.Store, hdr eio.PageID) (string, error) {
+			ids, err := ids(st, hdr)
+			if err != nil {
+				return "", err
+			}
+			var b strings.Builder
+			buf := make([]byte, st.PageSize())
+			for _, id := range ids {
+				if err := st.Read(id, buf); err != nil {
+					return "", err
+				}
+				if !bytes.Equal(buf, bytes.Repeat(buf[:1], len(buf))) {
+					return "", fmt.Errorf("page %d is not one image", id)
+				}
+				fmt.Fprintf(&b, "%02x ", buf[0])
+			}
+			return b.String(), nil
+		},
+		Reachable: func(st eio.Store, hdr eio.PageID) ([]eio.PageID, error) {
+			ids, err := ids(st, hdr)
+			return append(ids, hdr), err
+		},
+		MaxRuns: 1 << 20, // every operation
+	}
+}
+
+// TestTxRecoverySweepRaw is the eio-level recovery sweep: an 8-page
+// transaction over raw pages, failed at every operation of its commit and
+// checkpoint as an error and as a crash under each disk model; the pages
+// must read all-old or all-new, in process and after recovery, and the
+// file must verify clean.
+func TestTxRecoverySweepRaw(t *testing.T) {
+	eiotest.Sweep(t, rawWorkload())
+}
 
 // The history sweep crashes a HISTORY, not an op: a scripted run of
 // commits that laps the WAL ring several times — allocating from the free
@@ -235,8 +331,8 @@ func TestTxRecoverySweepHistory(t *testing.T) {
 		}
 		// Baseline: the uncrashed history, its op count and its coverage.
 		_, fs := open("baseline.db")
-		cp := eiotest.NewCrashPoint(fs)
-		tx, err := histOpen(cp, anchor, small)
+		f := eio.NewFaultStore(fs, eio.Direct, 0)
+		tx, err := histOpen(f, anchor, small)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +341,7 @@ func TestTxRecoverySweepHistory(t *testing.T) {
 		if base.err != nil {
 			t.Fatalf("baseline history failed: %v", base.err)
 		}
-		total := cp.Count()
+		_, total := f.Ops()
 		tm := tx.Timings().Sub(before)
 		if tm.Checkpoints < 4 { // three laps forced by a full ring + the closing one
 			t.Fatalf("history lapped the ring %d times, want >= 3 (%d commits)", tm.Checkpoints-1, tm.Commits)
@@ -268,13 +364,13 @@ func TestTxRecoverySweepHistory(t *testing.T) {
 		if testing.Short() {
 			step = 5
 		}
-		for _, mode := range []string{"direct", "drop-all", "subset", "subset+torn"} {
-			t.Run(prefix+mode, func(t *testing.T) {
+		for _, m := range []eio.Model{eio.Direct, eio.DropAll, eio.SubsetWhole, eio.Subset} {
+			t.Run(prefix+m.String(), func(t *testing.T) {
 				// Until the history outruns the crash point: a write cache in
 				// the stack defers frees, so page ids — and with them the op
 				// count — need not match the baseline's.
 				k := 1
-				for histCrashAt(t, open, anchor, setup, mode, small, k) {
+				for histCrashAt(t, open, anchor, setup, m, small, k) {
 					k += step
 				}
 				if k < total/2 {
@@ -288,25 +384,17 @@ func TestTxRecoverySweepHistory(t *testing.T) {
 // histCrashAt kills the history at its k-th mutating operation under one
 // disk model, recovers, and checks everything the protocol promises. It
 // returns false when the history finished before reaching operation k.
-func histCrashAt(t *testing.T, open func(string) (string, *eio.FileStore), anchor eio.PageID, setup histModel, mode string, small bool, k int) bool {
+func histCrashAt(t *testing.T, open func(string) (string, *eio.FileStore), anchor eio.PageID, setup histModel, m eio.Model, small bool, k int) bool {
 	t.Helper()
-	when := fmt.Sprintf("%s, crash at op %d", mode, k)
-	path, fs := open(fmt.Sprintf("crash-%s-%d.db", mode, k))
+	when := fmt.Sprintf("%s, crash at op %d", m, k)
+	path, fs := open(fmt.Sprintf("crash-%s-%d.db", m, k))
 	defer os.Remove(path)
-	var base eio.Store = fs
-	var cs *eio.CrashStore
-	if mode != "direct" {
-		cs = eio.NewCrashStore(fs, int64(k))
-		cs.SetSubsetSurvival(mode != "drop-all")
-		cs.SetTornWrites(mode == "subset+torn")
-		base = cs
-	}
-	cp := eiotest.NewCrashPoint(base)
-	tx, err := histOpen(cp, anchor, small)
+	f := eio.NewFaultStore(fs, m, int64(k))
+	tx, err := histOpen(f, anchor, small)
 	if err != nil {
 		t.Fatalf("%s: open: %v", when, err)
 	}
-	cp.Arm(k)
+	f.Arm(k)
 	run := runHistory(tx, setup)
 	if run.err == nil {
 		fs.Close()
@@ -316,10 +404,8 @@ func histCrashAt(t *testing.T, open func(string) (string, *eio.FileStore), ancho
 		t.Fatalf("%s: history ended with %v, want the crash", when, run.err)
 	}
 	ackedLSN := tx.AppliedLSN()
-	if cs != nil {
-		if _, err := cs.Crash(); err != nil {
-			t.Fatalf("%s: %v", when, err)
-		}
+	if _, err := f.Crash(); err != nil {
+		t.Fatalf("%s: %v", when, err)
 	}
 	if err := fs.CloseCrash(); err != nil {
 		t.Fatalf("%s: %v", when, err)

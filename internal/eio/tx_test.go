@@ -174,129 +174,9 @@ func TestTxOverflow(t *testing.T) {
 	}
 }
 
-// TestTxRecoverySweepRaw is the eio-level recovery sweep: a three-page
-// transaction over a file store, crashed at every mutating operation via
-// CrashStore (torn and untorn), reopened and recovered; the pages must
-// read all-old or all-new, never a mix, and the file must verify clean.
-func TestTxRecoverySweepRaw(t *testing.T) {
-	const ps = 128
-	dir := t.TempDir()
-	for _, torn := range []bool{false, true} {
-		k := 0
-		for {
-			k++
-			path := filepath.Join(dir, fmt.Sprintf("sweep-%v-%d.db", torn, k))
-			fs, err := CreateFileStore(path, ps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			txSetup, err := NewTxStore(fs, TxOptions{WALPages: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ids [3]PageID
-			for i := range ids {
-				ids[i], _ = txSetup.Alloc()
-				if err := txSetup.Write(ids[i], fillPage(ps, 0xAA)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			anchor := txSetup.Anchor()
-			if err := txSetup.Sync(); err != nil {
-				t.Fatal(err)
-			}
-
-			cs := NewCrashStore(fs, int64(100+k))
-			cs.SetTornWrites(torn)
-			fault := NewFaultStore(cs)
-			tx, err := OpenTxStore(fault, anchor)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fault.FailNth(k)
-			fault.SetTornWrites(false)
-			err = tx.Update(func() error {
-				for i, id := range ids {
-					if err := tx.Write(id, fillPage(ps, byte(0xB0+i))); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err == nil {
-				// k exceeded the op count: the op ran clean. Done.
-				if err := cs.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if k == 1 {
-					t.Fatal("commit performed no operations")
-				}
-				break
-			}
-			if !errors.Is(err, ErrInjected) {
-				t.Fatalf("op %d: unexpected error: %v", k, err)
-			}
-			if _, err := cs.Crash(); err != nil {
-				t.Fatal(err)
-			}
-			if err := fs.CloseCrash(); err != nil {
-				t.Fatal(err)
-			}
-
-			fs2, err := OpenFileStore(path)
-			if err != nil {
-				t.Fatalf("op %d: reopen: %v", k, err)
-			}
-			tx2, err := OpenTxStore(fs2, anchor)
-			if err != nil {
-				t.Fatalf("op %d: recovery: %v", k, err)
-			}
-			buf := make([]byte, ps)
-			if err := tx2.Read(ids[0], buf); err != nil {
-				t.Fatalf("op %d: read: %v", k, err)
-			}
-			switch buf[0] {
-			case 0xAA: // before: every page must be old
-				for _, id := range ids {
-					if err := tx2.Read(id, buf); err != nil {
-						t.Fatalf("op %d: read: %v", k, err)
-					}
-					if buf[0] != 0xAA {
-						t.Fatalf("op %d: torn commit surfaced: page %d = %#x", k, id, buf[0])
-					}
-				}
-			case 0xB0: // after: every page must be new
-				for i, id := range ids {
-					if err := tx2.Read(id, buf); err != nil {
-						t.Fatalf("op %d: read: %v", k, err)
-					}
-					if buf[0] != byte(0xB0+i) {
-						t.Fatalf("op %d: torn commit surfaced: page %d = %#x", k, id, buf[0])
-					}
-				}
-			default:
-				t.Fatalf("op %d: page %d holds junk %#x", k, ids[0], buf[0])
-			}
-			if err := tx2.Close(); err != nil {
-				t.Fatalf("op %d: close: %v", k, err)
-			}
-			rep, err := VerifyFile(path)
-			if err != nil {
-				t.Fatalf("op %d: verify: %v", k, err)
-			}
-			if rep.Damaged() {
-				t.Fatalf("op %d: recovered file damaged:\n%s", k, rep)
-			}
-		}
-		if k < 5 {
-			t.Fatalf("sweep covered only %d ops; commit path too short to trust", k)
-		}
-	}
-}
-
-// TestTxComposition drives a transaction through the full wrapper stack
-// TxStore ∘ CrashStore ∘ FaultStore ∘ TraceStore ∘ FileStore, pinning that
-// sync, torn writes and page listing all traverse the stack.
+// TestTxComposition drives a transaction through the wrapper stack
+// TxStore ∘ FaultStore ∘ TraceStore ∘ FileStore, pinning that sync and
+// page listing traverse the stack.
 func TestTxComposition(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stack.db")
 	fs, err := CreateFileStore(path, 128)
@@ -304,9 +184,7 @@ func TestTxComposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewTraceStore(fs)
-	fa := NewFaultStore(tr)
-	cs := NewCrashStore(fa, 42)
-	cs.SetTornWrites(true)
+	cs := NewFaultStore(tr, Cached, 42)
 	tx, err := NewTxStore(cs, TxOptions{WALPages: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -558,20 +558,19 @@ func TestTheorem6UpdateIO(t *testing.T) {
 func TestFaultPropagation(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	mem := eio.NewMemStore(128)
-	faulty := eio.NewFaultStore(mem)
+	faulty := eio.NewFaultStore(mem, eio.Fail, 0)
 	pts := distinctPoints(rng, 100, 500)
 	tr, err := Build(faulty, Options{A: 2, K: 4}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty.FailAfter(eio.OpRead, 3)
+	faulty.Arm(3) // a query only reads
 	_, err = tr.Query3(nil, geom.Query3{XLo: 0, XHi: 500, YLo: 0})
 	if !errors.Is(err, eio.ErrInjected) {
 		t.Fatalf("expected injected fault, got %v", err)
 	}
-	faulty.Disarm()
 	if _, err := tr.Query3(nil, geom.Query3{XLo: 0, XHi: 500, YLo: 0}); err != nil {
-		t.Fatalf("query after disarm: %v", err)
+		t.Fatalf("query after the one-shot fault: %v", err)
 	}
 }
 

@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -428,4 +430,44 @@ func TestResultBufferRetentionIsBounded(t *testing.T) {
 		t.Errorf("a %d-point result left a %d-point buffer behind (bound %d)", maxKeptResult+1000, cap(pts), maxKeptResult)
 	}
 	query(100)
+}
+
+// fullDiskEngine fails every write the way a durable stack on a full disk
+// does: the store error wraps eio.ErrNoSpace.
+type fullDiskEngine struct{ core.Engine }
+
+func (e fullDiskEngine) Apply(ops []core.BatchOp, _ *trace.Span) []core.BatchResult {
+	res := make([]core.BatchResult, len(ops))
+	for i := range res {
+		res[i].Err = fmt.Errorf("core: durable batch: eio: tx: WAL append: eio: write page 7: %w", eio.ErrNoSpace)
+	}
+	return res
+}
+
+// TestDiskFullAnswersRetryHint: a write whose store error wraps
+// eio.ErrNoSpace is answered DISKFULL with the retry-after hint and counted,
+// not reported as a server error, and reads keep working.
+func TestDiskFullAnswersRetryHint(t *testing.T) {
+	m := &Metrics{}
+	ts := newTestServerWith(t, Config{RetryAfterHint: 7 * time.Millisecond, Metrics: m}, func(e core.Engine) core.Engine {
+		return fullDiskEngine{e}
+	})
+	defer ts.shutdown(t)
+	cl := ts.dial(t)
+	resp, err := cl.Do(Request{Op: OpInsert, P: geom.Point{X: 1, Y: 2}})
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	if resp.Status != StatusDiskFull || resp.RetryAfterMs != 7 {
+		t.Fatalf("insert on a full disk answered %s with retry hint %d ms, want DISKFULL with 7 ms", statusName(resp.Status), resp.RetryAfterMs)
+	}
+	if _, err := cl.Insert(geom.Point{X: 3, Y: 4}); !errors.Is(err, ErrDiskFull) {
+		t.Fatalf("client Insert: want ErrDiskFull, got %v", err)
+	}
+	if n := m.diskFull.Load(); n != 2 {
+		t.Fatalf("diskFull counter = %d, want 2", n)
+	}
+	if _, err := cl.Query3(0, 10, 0); err != nil {
+		t.Fatalf("query on a full disk: %v", err)
+	}
 }

@@ -499,20 +499,19 @@ func TestQueryOrderIndependence(t *testing.T) {
 func TestFaultPropagation(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	mem := eio.NewMemStore(128)
-	faulty := eio.NewFaultStore(mem)
+	faulty := eio.NewFaultStore(mem, eio.Fail, 0)
 	pts := distinctPoints(rng, 50, 100)
 	s, err := Create(faulty, 2, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty.FailAfter(eio.OpRead, 2)
+	faulty.Arm(2) // a query only reads
 	_, err = s.Query3(nil, geom.Query3{XLo: 0, XHi: 100, YLo: 0})
 	if !errors.Is(err, eio.ErrInjected) {
 		t.Fatalf("expected injected fault to surface, got %v", err)
 	}
-	faulty.Disarm()
 	if _, err := s.Query3(nil, geom.Query3{XLo: 0, XHi: 100, YLo: 0}); err != nil {
-		t.Fatalf("query after disarm: %v", err)
+		t.Fatalf("query after the one-shot fault: %v", err)
 	}
 }
 
