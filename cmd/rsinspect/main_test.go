@@ -68,7 +68,7 @@ func drainedStore(t *testing.T) (string, *node.Manifest, int) {
 	t.Helper()
 	store := filepath.Join(t.TempDir(), "points.db")
 	st, err := node.Build(node.Config{Store: store, PageSize: 4096, Durable: true,
-		WALPages: node.DefaultWALPages, BootScrub: true, WriteBufferOps: wbuf.DefaultMaxOps})
+		WALPages: node.DefaultWALPages, WriteBufferOps: wbuf.DefaultMaxOps})
 	if err != nil {
 		t.Fatalf("node.Build: %v", err)
 	}
@@ -201,7 +201,13 @@ func TestTelemetrySubcommands(t *testing.T) {
 		t.Fatalf("spans -f:\n%s", out)
 	}
 
-	obs.Publish("rsinspect.test", func() interface{} { return map[string]int{"n": 1} })
+	var h obs.Histogram
+	h.Observe(7)
+	obs.Publish("rsinspect.test", obs.SetFunc(func(s obs.Sink) {
+		s.Counter("n", 1)
+		s.Gauge("level", 0.5)
+		s.Histogram("lat", &h)
+	}))
 	var dump bytes.Buffer
 	if err := obs.WritePrometheus(&dump); err != nil {
 		t.Fatal(err)

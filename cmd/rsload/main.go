@@ -171,9 +171,9 @@ func main() {
 			"admission", "queue", "leadership", "execute",
 			"wal_append", "sync", "commit", "reply_flush",
 		} {
-			if ps, ok := t.ServerPhases[phase]; ok {
+			if ps := t.ServerPhases[phase]; ps.Count > 0 {
 				fmt.Fprintf(os.Stderr, "rsload:   server %-11s p50=%.3fms p99=%.3fms (n=%d)\n",
-					phase, float64(ps.P50Ns)/1e6, float64(ps.P99Ns)/1e6, ps.Count)
+					phase, float64(ps.P50)/1e6, float64(ps.P99)/1e6, ps.Count)
 			}
 		}
 	}

@@ -67,7 +67,7 @@ func main() {
 	}
 
 	metrics := router.NewMetrics(len(m.Shards))
-	router.PublishMetrics("main", metrics)
+	obs.Publish("rangesearch.router.main", metrics)
 	if *metricsAddr != "" {
 		ms, err := obs.ServeMetrics(*metricsAddr)
 		if err != nil {
@@ -122,7 +122,7 @@ func main() {
 	}
 	<-serveDone
 
-	snap := metrics.Snapshot()
-	fmt.Printf("rsrouter: drained clean: %d conns accepted, %d ops (%d scatters, %d shard errors, %d proto errors)\n",
-		snap.Accepted, snap.Ops, snap.Scatters, snap.ShardErrors, snap.ProtoErrors)
+	count := func(name string) float64 { return obs.Value(metrics, name) }
+	fmt.Printf("rsrouter: drained clean: %.0f conns accepted, %.0f ops (%.0f scatters, %.0f shard errors, %.0f proto errors)\n",
+		count("accepted"), count("ops"), count("scatters"), count("shard_errors"), count("proto_errors"))
 }

@@ -5,7 +5,7 @@
 // store is synced and scrub-clean. SIGUSR1 promotes a replica.
 //
 // The store flags (-store or -mem, -page, -durable, -wal, -pool,
-// -boot-scrub, -write-buffer, -write-buffer-ops, -write-buffer-age) and the
+// -write-buffer, -write-buffer-ops, -write-buffer-age) and the
 // role the repl flags imply (-repl-listen, -replicate-from, -force-primary)
 // form an internal/node Config: Config.Validate's mode table decides which
 // combinations boot, and node.Build creates or reopens the stack (WAL
@@ -44,7 +44,7 @@ import (
 // publishStack exports a stack's own telemetry: a durable stack's page
 // cache (hits, misses, evictions, write-backs, dirty frames) as
 // "rangesearch.pool.tx", a -pool stack's cache the same way as
-// "rangesearch.pool.file", and the write buffer's WriteBufferStats as
+// "rangesearch.pool.file", and the write buffer's metric set as
 // "rangesearch.wbuf.serve". A promotion calls it again for the new stack.
 func publishStack(st *node.Stack) {
 	if st.Tx != nil && st.Tx.Cache() != nil {
@@ -54,7 +54,7 @@ func publishStack(st *node.Stack) {
 		obs.PublishPool("file", st.Pool)
 	}
 	if st.Buf != nil {
-		obs.Publish("rangesearch.wbuf.serve", func() interface{} { return st.Buf.WriteBufferStats() })
+		obs.Publish("rangesearch.wbuf.serve", st.Buf)
 	}
 }
 
@@ -84,7 +84,6 @@ func main() {
 	flag.BoolVar(&cfg.Durable, "durable", true, "file stores: WAL-backed atomic commits (crash-recoverable)")
 	flag.IntVar(&cfg.WALPages, "wal", node.DefaultWALPages, "WAL capacity in pages for durable stores")
 	flag.IntVar(&cfg.PoolPages, "pool", 0, "-durable=false file stores: buffer-pool capacity in pages (0 = none); refused with -mem or a durable store, which has TxStore's built-in page cache")
-	flag.BoolVar(&cfg.BootScrub, "boot-scrub", true, "durable stores: reclaim crash-leaked pages after WAL recovery")
 	flag.BoolVar(&cfg.WriteBuffer, "write-buffer", false, "write-optimized mode: buffer updates in memory (journaled next to the store), merge-on-read queries, bulk flushes")
 	flag.IntVar(&cfg.WriteBufferOps, "write-buffer-ops", wbuf.DefaultMaxOps, "write buffer flush threshold in buffered operations")
 	flag.DurationVar(&cfg.WriteBufferAge, "write-buffer-age", wbuf.DefaultMaxAge, "flush the write buffer when its oldest entry exceeds this age (0 = size-only)")
@@ -149,13 +148,13 @@ func main() {
 		}
 		die(code, "%v", err)
 	}
-	var wbStats func() obs.WriteBufferStats
+	var wbStats obs.Set // a nil *wbuf.Buffered must stay a nil Set
 	if st != nil && st.Buf != nil {
-		wbStats = st.Buf.WriteBufferStats
+		wbStats = st.Buf
 		if st.Tx != nil {
 			logf("write buffer on: flush at %d ops / %s age, journal %s", cfg.WriteBufferOps, cfg.WriteBufferAge, node.JournalPath(cfg.Store))
-			if r := st.Buf.WriteBufferStats().Replayed; r > 0 {
-				logf("write buffer: replayed %d journaled ops into the store", r)
+			if r := obs.Value(st.Buf, "replayed"); r > 0 {
+				logf("write buffer: replayed %.0f journaled ops into the store", r)
 			}
 		} else {
 			logf("write buffer on (volatile): flush at %d ops / %s age", cfg.WriteBufferOps, cfg.WriteBufferAge)
@@ -169,7 +168,7 @@ func main() {
 	}
 
 	metrics := &server.Metrics{}
-	server.PublishMetrics("main", metrics)
+	obs.Publish("rangesearch.server.main", metrics)
 
 	// Sampled spans always land in a ring (drained by the /spans
 	// endpoint and dumped on drain); -spans additionally spools them to
@@ -298,7 +297,7 @@ wait:
 			logf("spans: %v", err)
 		}
 	}
-	snap := metrics.Snapshot()
-	fmt.Printf("rsserve: drained clean: %d conns accepted, busy=%d proto_errors=%d panics=%d spans=%d\n",
-		snap.Accepted, snap.Busy, snap.ProtoErrors, snap.Panics, snap.Spans)
+	count := func(name string) float64 { return obs.Value(metrics, name) }
+	fmt.Printf("rsserve: drained clean: %.0f conns accepted, busy=%.0f proto_errors=%.0f panics=%.0f spans=%.0f\n",
+		count("accepted"), count("busy"), count("proto_errors"), count("panics"), count("spans"))
 }

@@ -437,14 +437,12 @@ func (rn *replicaNode) promote() (term, lsn uint64, err error) {
 		// Reclaim what the old primary freed without telling us (frees are
 		// never shipped), under the new engine's barrier, where the store
 		// is quiescent and no reader is pinned below the current epoch yet.
-		if rn.cfg.BootScrub {
-			n, err := newStack.Scrub()
-			if err != nil {
-				return fmt.Errorf("promotion scrub: %w", err)
-			}
-			if n > 0 {
-				rn.logf("promotion scrub: reclaimed %d replica-leaked pages", n)
-			}
+		n, err := newStack.Scrub()
+		if err != nil {
+			return fmt.Errorf("promotion scrub: %w", err)
+		}
+		if n > 0 {
+			rn.logf("promotion scrub: reclaimed %d replica-leaked pages", n)
 		}
 		if rn.shipper != nil {
 			m := newStack.M

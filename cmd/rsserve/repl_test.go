@@ -27,7 +27,7 @@ func TestPromotedReplicaGatesFirstWrite(t *testing.T) {
 	dir := t.TempDir()
 	stackConfig := func(name string, role node.Role) node.Config {
 		return node.Config{Store: filepath.Join(dir, name), PageSize: 4096, Durable: true,
-			WALPages: node.DefaultWALPages, BootScrub: true, WriteBufferOps: wbuf.DefaultMaxOps, Role: role}
+			WALPages: node.DefaultWALPages, WriteBufferOps: wbuf.DefaultMaxOps, Role: role}
 	}
 
 	pcfg := stackConfig("primary.db", node.Primary)

@@ -24,37 +24,20 @@ import (
 	"rangesearch/internal/wbuf"
 )
 
-// TestTelemetryNamesDoNotMove publishes what rsserve and rsrouter publish —
-// server "main" after one request of each opcode (the reads sampled
-// spans), a durable stack's page cache as "tx", its write buffer as "serve",
-// a -pool stack's cache as "file", and the router's metrics — and compares
+// TestTelemetryNamesDoNotMove publishes what rsserve and rsrouter publish
+// (publishTelemetry), serves one request of each opcode (the reads sampled
+// spans), and compares
 // every /metrics family name, every /debug/vars variable with the key paths
 // under rangesearch.*, and every STATS key path with
 // testdata/telemetry.golden. Dashboards, the
 // smoke scripts and the benchmark read these names; a change that moves
 // one must say so by updating the golden file.
 func TestTelemetryNamesDoNotMove(t *testing.T) {
-	st, err := node.Build(node.Config{Store: filepath.Join(t.TempDir(), "points.db"), PageSize: 4096,
-		Durable: true, WALPages: node.DefaultWALPages, BootScrub: true,
-		WriteBuffer: true, WriteBufferOps: wbuf.DefaultMaxOps, WriteBufferAge: wbuf.DefaultMaxAge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	publishStack(st)
-	pooled, err := node.Build(node.Config{Store: filepath.Join(t.TempDir(), "pooled.db"), PageSize: 4096,
-		PoolPages: 32, WriteBufferOps: wbuf.DefaultMaxOps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	publishStack(pooled)
-	metrics := &server.Metrics{}
-	server.PublishMetrics("main", metrics)
-	router.PublishMetrics("main", router.NewMetrics(2))
-
+	st, metrics := publishTelemetry(t)
 	srv := server.New(st.Engine(), server.Config{
 		MaxInFlight: 64,
 		Metrics:     metrics,
-		WriteBuffer: st.Buf.WriteBufferStats,
+		WriteBuffer: st.Buf,
 		Spans:       obs.NewSpanRing(16),
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -68,9 +51,8 @@ func TestTelemetryNamesDoNotMove(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The three reads are sampled spans with the same phases (admission,
-	// execute, reply_flush); three make sure each phase has a non-zero
-	// sample, the condition for it to be exported.
+	// The three reads are sampled spans, so the phase histograms the
+	// golden file lists are fed, not only declared.
 	sampled := func() *server.TraceInfo { return &server.TraceInfo{ID: trace.NewID(), Sampled: true} }
 	var stats []byte
 	for _, req := range []server.Request{
@@ -117,17 +99,7 @@ func TestTelemetryNamesDoNotMove(t *testing.T) {
 	sort.Strings(got)
 	got = slices.Compact(got)
 
-	for _, s := range []*node.Stack{st, pooled} {
-		if leaked, err := s.Drain(); err != nil || leaked != 0 {
-			t.Fatalf("Drain: leaked=%d err=%v", leaked, err)
-		}
-	}
-
-	raw, err := os.ReadFile(filepath.Join("testdata", "telemetry.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	want := readGolden(t)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("telemetry names moved:\n%s\nthe full list now reads:\n%s", diffLines(want, got), strings.Join(got, "\n"))
 	}
@@ -139,6 +111,46 @@ func TestTelemetryNamesDoNotMove(t *testing.T) {
 			t.Errorf("STATS has no %s", k)
 		}
 	}
+}
+
+// publishTelemetry publishes what rsserve and rsrouter publish: a durable
+// stack's page cache as "tx" and its write buffer as "serve", a -pool
+// stack's cache as "file", server "main" and a two-shard router "main".
+// The stacks drain when the test ends.
+func publishTelemetry(t *testing.T) (*node.Stack, *server.Metrics) {
+	t.Helper()
+	st, err := node.Build(node.Config{Store: filepath.Join(t.TempDir(), "points.db"), PageSize: 4096,
+		Durable: true, WALPages: node.DefaultWALPages,
+		WriteBuffer: true, WriteBufferOps: wbuf.DefaultMaxOps, WriteBufferAge: wbuf.DefaultMaxAge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := node.Build(node.Config{Store: filepath.Join(t.TempDir(), "pooled.db"), PageSize: 4096,
+		PoolPages: 32, WriteBufferOps: wbuf.DefaultMaxOps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*node.Stack{st, pooled} {
+		publishStack(s)
+		t.Cleanup(func() {
+			if leaked, err := s.Drain(); err != nil || leaked != 0 {
+				t.Errorf("Drain: leaked=%d err=%v", leaked, err)
+			}
+		})
+	}
+	metrics := &server.Metrics{}
+	obs.Publish("rangesearch.server.main", metrics)
+	obs.Publish("rangesearch.router.main", router.NewMetrics(2))
+	return st, metrics
+}
+
+func readGolden(t *testing.T) []string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "telemetry.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimSpace(string(raw)), "\n")
 }
 
 // jsonPaths lists the key path of every leaf of a JSON document, each

@@ -137,12 +137,12 @@ func writeoptIO(quick bool) (*Table, error) {
 			if err := writeoptUpdates(target, pool, fresh, updates, pick); err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", mode.name, dn, err)
 			}
-			flushes := uint64(0)
+			flushes := 0.0
 			if buf != nil {
 				if err := buf.Flush(); err != nil { // pay the tail so amortization is honest
 					return nil, err
 				}
-				flushes = buf.WriteBufferStats().Flushes
+				flushes = obs.Value(buf, "flushes")
 			}
 			st := store.Stats()
 			ops := float64(updates)
@@ -150,7 +150,7 @@ func writeoptIO(quick bool) (*Table, error) {
 				fmt.Sprintf("%.3f", float64(st.Reads)/ops),
 				fmt.Sprintf("%.3f", float64(st.Writes)/ops),
 				fmt.Sprintf("%.3f", float64(st.IOs())/ops),
-				flushes)
+				uint64(flushes))
 		}
 	}
 	return t, nil
@@ -207,7 +207,7 @@ func writeoptThroughput(quick bool) (*Table, error) {
 		}
 
 		pts := Uniform(79, inserts, coordRange)
-		var syncs, flushes uint64
+		var syncs, flushes float64
 		start := time.Now()
 		if buffered {
 			buf, err := wbuf.NewBuffered(writer, wbuf.Options{
@@ -226,9 +226,8 @@ func writeoptThroughput(quick bool) (*Table, error) {
 			if err := buf.Close(); err != nil { // final flush: everything lands in the tree
 				return nil, err
 			}
-			s := buf.WriteBufferStats()
-			syncs = s.JournalSyncs
-			flushes = s.Flushes
+			syncs = obs.Value(buf, "journal_syncs")
+			flushes = obs.Value(buf, "flushes")
 		} else {
 			for _, p := range pts {
 				if err := writer.Insert(p); err != nil {
@@ -248,7 +247,7 @@ func writeoptThroughput(quick bool) (*Table, error) {
 		t.AddRow(name, inserts,
 			fmt.Sprintf("%.0f", rate),
 			fmt.Sprintf("%.2fx", rate/base),
-			syncs, flushes)
+			uint64(syncs), uint64(flushes))
 	}
 	return t, nil
 }

@@ -260,7 +260,7 @@ func configs(dir string) []Config {
 		{Name: "range4-buffered", New: bufferedly(range4Factory)},
 	}
 	// The rows: -page 512, -wal sized like walPages, -write-buffer-ops 64.
-	file := node.Config{PageSize: 512, Durable: true, WALPages: walPages, BootScrub: true, WriteBufferOps: 64}
+	file := node.Config{PageSize: 512, Durable: true, WALPages: walPages, WriteBufferOps: 64}
 	with := func(f func(*node.Config)) node.Config { c := file; f(&c); return c }
 	for _, r := range []struct {
 		name string

@@ -51,7 +51,6 @@ type Config struct {
 	// PoolPages is -pool: an LRU Pool of that many pages over a
 	// non-durable file store.
 	PoolPages int
-	BootScrub bool // -boot-scrub: reclaim crash-leaked pages after WAL recovery
 
 	WriteBuffer    bool          // -write-buffer
 	WriteBufferOps int           // -write-buffer-ops
@@ -271,7 +270,7 @@ func (c Config) openFile(m *Manifest) (*Stack, error) {
 	case err != nil:
 	case fresh:
 		err = writeManifest(c.Store, m)
-	case tx != nil && c.BootScrub:
+	case tx != nil:
 		boot.Reclaimed, err = st.Scrub()
 	}
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 // fileConfig is what rsserve's flag defaults give `-store path`.
 func fileConfig(path string) Config {
 	return Config{Store: path, PageSize: 4096, Durable: true, WALPages: DefaultWALPages,
-		BootScrub: true, WriteBufferOps: wbuf.DefaultMaxOps, WriteBufferAge: wbuf.DefaultMaxAge}
+		WriteBufferOps: wbuf.DefaultMaxOps, WriteBufferAge: wbuf.DefaultMaxAge}
 }
 
 func drain(t *testing.T, st *Stack) {
@@ -244,7 +244,7 @@ func (m mode) flags() string {
 
 func (m mode) config(store string) Config {
 	c := Config{PageSize: 512, Durable: m.durable, WALPages: 4096, PoolPages: m.pool,
-		BootScrub: true, WriteBuffer: m.buffered, WriteBufferOps: 64}
+		WriteBuffer: m.buffered, WriteBufferOps: 64}
 	if m.file {
 		c.Store = store
 	} else {

@@ -104,6 +104,10 @@ func (h *Histogram) Max() uint64 {
 func (h *Histogram) Quantile(p float64) uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.quantileLocked(p)
+}
+
+func (h *Histogram) quantileLocked(p float64) uint64 {
 	if h.n == 0 {
 		return 0
 	}
@@ -201,6 +205,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Mean:    safeMean(h.sum, h.n),
 		Min:     h.min,
 		Max:     h.max,
+		P50:     h.quantileLocked(0.50),
+		P99:     h.quantileLocked(0.99),
 		Buckets: buckets,
 	}
 }
@@ -212,12 +218,15 @@ func safeMean(sum float64, n uint64) float64 {
 	return sum / float64(n)
 }
 
-// HistogramSnapshot is the JSON-friendly view of a Histogram.
+// HistogramSnapshot is the JSON-friendly view of a Histogram, with the
+// two quantiles an operator pages on.
 type HistogramSnapshot struct {
 	Count   uint64   `json:"count"`
 	Mean    float64  `json:"mean"`
 	Min     uint64   `json:"min"`
 	Max     uint64   `json:"max"`
+	P50     uint64   `json:"p50"`
+	P99     uint64   `json:"p99"`
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 

@@ -17,10 +17,10 @@
 //   - Request spans: SpanRing and SpanWriter keep and spool the sampled
 //     spans the server records (their exact I/O comes from an
 //     eio.SpanSink on a TraceStore).
-//   - The diagnostics surface: Publish's repointable expvar variables,
-//     rendered as /debug/vars and, by WritePrometheus, as /metrics, beside
-//     pprof and /spans (ServeMetrics); Histogram is the log₂ distribution
-//     the server, router and write buffer export through it.
+//   - The diagnostics surface: each layer declares its metrics once, as
+//     a Set of typed Counters, Gauges and log₂ Histograms; Publish puts a
+//     Set on /debug/vars (JSON) and /metrics (WritePrometheus), beside
+//     pprof and /spans (ServeMetrics), and STATS serves the same JSON.
 //
 // Nothing in this package is imported by the index structures themselves.
 package obs

@@ -146,7 +146,7 @@ func TestPublishAndServeMetrics(t *testing.T) {
 	pool := eio.NewPool(eio.NewMemStore(128), 4)
 	defer pool.Close()
 	PublishPool("test", pool)
-	Publish("rangesearch.test", func() interface{} { return map[string]int{"n": 1} })
+	Publish("rangesearch.test", SetFunc(func(s Sink) { s.Counter("n", 1) }))
 	// Republishing under the same name must not panic (expvar would).
 	PublishPool("test", pool)
 

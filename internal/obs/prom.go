@@ -2,180 +2,76 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// This file renders the package's repointable expvar surface in the
-// Prometheus text exposition format (version 0.0.4), so the same
-// producers that feed /debug/vars also feed a /metrics endpoint any
-// Prometheus-compatible scraper understands — no client library, no new
-// dependency. Scalar leaves become gauges; values shaped like a
-// HistogramSnapshot become native Prometheus histograms with cumulative
-// `le` buckets, `_sum` and `_count`.
+// This file renders the published sets in the Prometheus text exposition
+// format (version 0.0.4), so the sets that feed /debug/vars also feed a
+// /metrics endpoint any Prometheus-compatible scraper understands — no
+// client library, no new dependency. Each metric keeps the kind its Set
+// declared: counter, gauge, or a native histogram with cumulative `le`
+// buckets, `_sum` and `_count`.
 
-// WritePrometheus renders every variable registered through this
-// package's Publish (and the Publish* helpers) to w in the Prometheus
-// text exposition format. Nested maps flatten into metric names joined
-// with underscores; name fragments are sanitized to the Prometheus
-// alphabet. Strings and other non-numeric leaves are skipped.
+// WritePrometheus renders every set registered through Publish to w in
+// the Prometheus text exposition format. Group and list names join the
+// metric names with underscores; name fragments are sanitized to the
+// Prometheus alphabet.
 func WritePrometheus(w io.Writer) error {
-	varMu.Lock()
-	names := make([]string, 0, len(varFns))
-	for name := range varFns {
-		names = append(names, name)
-	}
-	fns := make(map[string]func() interface{}, len(varFns))
-	for name, fn := range varFns {
-		fns[name] = fn
-	}
-	varMu.Unlock()
-	sort.Strings(names)
-
 	bw := bufio.NewWriter(w)
-	for _, name := range names {
-		fn := fns[name]
-		if fn == nil {
-			continue
-		}
-		v := fn()
-		if v == nil {
-			continue
-		}
-		// Round-trip through JSON so every producer payload (structs,
-		// maps, snapshots) walks as the same generic tree.
-		raw, err := json.Marshal(v)
-		if err != nil {
-			continue
-		}
-		var tree interface{}
-		if err := json.Unmarshal(raw, &tree); err != nil {
-			continue
-		}
-		if err := promWalk(bw, sanitizeMetricName(name), tree); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	walk(&promSink{w: bw})
+	return bw.Flush() // a bufio.Writer keeps the first write error
 }
 
-// promWalk emits one flattened subtree rooted at name.
-func promWalk(w io.Writer, name string, v interface{}) error {
-	switch t := v.(type) {
-	case float64:
-		return promGauge(w, name, t)
-	case bool:
-		b := 0.0
-		if t {
-			b = 1
-		}
-		return promGauge(w, name, b)
-	case map[string]interface{}:
-		if h, ok := asHistogram(t); ok {
-			return promHistogram(w, name, h)
-		}
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if err := promWalk(w, name+"_"+sanitizeMetricName(k), t[k]); err != nil {
-				return err
-			}
-		}
-	}
-	// Strings, arrays and null leaves carry no sample value.
-	return nil
+type promSink struct {
+	w      *bufio.Writer
+	prefix string // the enclosing groups' names, each followed by "_"
 }
 
-func promGauge(w io.Writer, name string, v float64) error {
-	if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", name); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %s\n", name, promFloat(v))
-	return err
+func (p *promSink) sample(name, kind, value string) {
+	name = p.prefix + sanitizeMetricName(name)
+	fmt.Fprintf(p.w, "# TYPE %s %s\n%s %s\n", name, kind, name, value)
 }
 
-// promHist is the recognized histogram payload: the JSON shape of
-// HistogramSnapshot.
-type promHist struct {
-	count   float64
-	sum     float64
-	buckets []promBucket
+func (p *promSink) Counter(name string, v uint64) {
+	p.sample(name, "counter", strconv.FormatUint(v, 10))
 }
 
-type promBucket struct {
-	hi    float64
-	count float64
-}
+func (p *promSink) Gauge(name string, v float64) { p.sample(name, "gauge", formatFloat(v)) }
 
-// asHistogram detects the HistogramSnapshot JSON shape: count, mean,
-// min, max present and numeric, buckets (if present) a list of
-// {Lo,Hi,Count} objects.
-func asHistogram(m map[string]interface{}) (promHist, bool) {
-	var h promHist
-	count, ok1 := m["count"].(float64)
-	mean, ok2 := m["mean"].(float64)
-	_, ok3 := m["min"].(float64)
-	_, ok4 := m["max"].(float64)
-	if !ok1 || !ok2 || !ok3 || !ok4 {
-		return h, false
-	}
-	h.count = count
-	h.sum = mean * count
-	if bs, ok := m["buckets"].([]interface{}); ok {
-		for _, b := range bs {
-			bm, ok := b.(map[string]interface{})
-			if !ok {
-				return h, false
-			}
-			hi, ok1 := bm["Hi"].(float64)
-			c, ok2 := bm["Count"].(float64)
-			if !ok1 || !ok2 {
-				return h, false
-			}
-			h.buckets = append(h.buckets, promBucket{hi: hi, count: c})
-		}
-		sort.Slice(h.buckets, func(i, j int) bool { return h.buckets[i].hi < h.buckets[j].hi })
-	}
-	return h, true
-}
-
-// promHistogram renders h as a native Prometheus histogram: cumulative
-// le buckets (upper bounds are the log₂ bucket Hi edges), a +Inf bucket,
+// Histogram renders h as a native Prometheus histogram: cumulative le
+// buckets (upper bounds are the log₂ bucket Hi edges), a +Inf bucket,
 // _sum and _count.
-func promHistogram(w io.Writer, name string, h promHist) error {
-	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-		return err
+func (p *promSink) Histogram(name string, h *Histogram) {
+	name = p.prefix + sanitizeMetricName(name)
+	snap := h.Snapshot()
+	fmt.Fprintf(p.w, "# TYPE %s histogram\n", name)
+	var cum uint64
+	for _, b := range snap.Buckets {
+		cum += b.Count
+		fmt.Fprintf(p.w, "%s_bucket{le=\"%d\"} %d\n", name, b.Hi, cum)
 	}
-	cum := 0.0
-	for _, b := range h.buckets {
-		cum += b.count
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %s\n",
-			name, promFloat(b.hi), promFloat(cum)); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %s\n", name, promFloat(h.count)); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %s\n", name, promFloat(h.sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count %s\n", name, promFloat(h.count))
-	return err
+	fmt.Fprintf(p.w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
+		name, snap.Count, name, formatFloat(snap.Mean*float64(snap.Count)), name, snap.Count)
 }
 
-// promFloat renders a sample value: integral values without an exponent
-// (histogram counts stay exact), everything else in shortest form.
-func promFloat(v float64) string {
+func (p *promSink) Group(name string, emit func(Sink)) {
+	emit(&promSink{w: p.w, prefix: p.prefix + sanitizeMetricName(name) + "_"})
+}
+
+func (p *promSink) List(name string, n int, emit func(int, Sink)) {
+	for i := 0; i < n; i++ {
+		emit(i, &promSink{w: p.w, prefix: p.prefix + sanitizeMetricName(name) + "_" + strconv.Itoa(i) + "_"})
+	}
+}
+
+// formatFloat renders a sample value: integral values without an exponent
+// (counts stay exact), everything else in shortest form.
+func formatFloat(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 		return strconv.FormatInt(int64(v), 10)
 	}

@@ -12,18 +12,19 @@ func TestWritePrometheusGaugesAndHistograms(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		h.Observe(uint64(i) * 1000)
 	}
-	Publish("prom test.gauge", func() interface{} {
-		return map[string]interface{}{"reads": 42, "ratio": 0.25, "ok": true}
-	})
-	Publish("prom-test-hist", func() interface{} {
-		return map[string]interface{}{"lat": h.Snapshot()}
-	})
+	Publish("prom test.set", SetFunc(func(s Sink) {
+		s.Counter("reads", 42)
+		s.Gauge("ratio", 0.25)
+		s.Group("nested", func(s Sink) { s.Gauge("level", 3) })
+		s.List("shards", 2, func(i int, s Sink) { s.Counter("points", uint64(i)) })
+	}))
+	Publish("prom-test-hist", SetFunc(func(s Sink) { s.Histogram("lat", &h) }))
 	// expvar keeps a published name for the life of the process, so the
-	// names are repointed at nothing (WritePrometheus skips nil values)
-	// rather than deleted: a rerun (-count=N) republishes them as repoints.
+	// names are withdrawn (WritePrometheus skips nil sets) rather than
+	// deleted: a rerun (-count=N) republishes them as repoints.
 	defer func() {
-		for _, name := range []string{"prom test.gauge", "prom-test-hist"} {
-			Publish(name, func() interface{} { return nil })
+		for _, name := range []string{"prom test.set", "prom-test-hist"} {
+			Publish(name, nil)
 		}
 	}()
 
@@ -33,11 +34,13 @@ func TestWritePrometheusGaugesAndHistograms(t *testing.T) {
 	}
 	out := buf.String()
 
-	// Scalars became gauges under sanitized names.
+	// Each scalar keeps its declared kind under a sanitized name; groups
+	// and list elements join the name with underscores.
 	for _, want := range []string{
-		"prom_test_gauge_reads 42",
-		"prom_test_gauge_ratio 0.25",
-		"prom_test_gauge_ok 1",
+		"# TYPE prom_test_set_reads counter\nprom_test_set_reads 42\n",
+		"# TYPE prom_test_set_ratio gauge\nprom_test_set_ratio 0.25\n",
+		"# TYPE prom_test_set_nested_level gauge\nprom_test_set_nested_level 3\n",
+		"# TYPE prom_test_set_shards_1_points counter\nprom_test_set_shards_1_points 1\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -48,7 +51,7 @@ func TestWritePrometheusGaugesAndHistograms(t *testing.T) {
 		"# TYPE prom_test_hist_lat histogram",
 		`prom_test_hist_lat_bucket{le="+Inf"} 1000`,
 		"prom_test_hist_lat_count 1000",
-		"prom_test_hist_lat_sum ",
+		"prom_test_hist_lat_sum 499500000",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"sync/atomic"
 	"time"
 
 	"rangesearch/internal/obs"
@@ -15,32 +14,32 @@ type shardMetrics struct {
 	bytesIn  obs.Histogram // response bytes from the shard (points mostly)
 	bytesOut obs.Histogram // request bytes to the shard
 
-	points  atomic.Uint64 // point writes (INSERT/DELETE) routed here by x
-	queries atomic.Uint64 // QUERY3/QUERY4 sub-reads scattered here
-	batches atomic.Uint64 // BATCH sub-batches routed here
-	errors  atomic.Uint64 // sub-requests that came back non-OK
+	points  obs.Counter // point writes (INSERT/DELETE) routed here by x
+	queries obs.Counter // QUERY3/QUERY4 sub-reads scattered here
+	batches obs.Counter // BATCH sub-batches routed here
+	errors  obs.Counter // sub-requests that came back non-OK
 }
 
 // Metrics aggregates the router's routing and per-shard signals. Create
 // with NewMetrics (the per-shard arrays are sized to the map); it is safe
-// for concurrent use from every connection handler, and Snapshot is how
-// anything outside the router reads it.
+// for concurrent use from every connection handler, and it is an obs.Set,
+// which is how anything outside the router reads it.
 type Metrics struct {
 	shards []shardMetrics
 
 	fanout obs.Histogram // shards contacted per scatter-gather query
 
-	conns     atomic.Int64  // open inbound connections
-	accepted  atomic.Uint64 // inbound connections ever accepted
-	ops       atomic.Uint64 // inbound requests completed
-	scatters  atomic.Uint64 // QUERY3/QUERY4 requests scatter-gathered
-	merged    atomic.Uint64 // points merged into scatter-gather results
-	splits    atomic.Uint64 // BATCH requests split across ≥ 2 shards
-	topology  atomic.Uint64 // TOPOLOGY requests answered
-	protoErr  atomic.Uint64 // malformed inbound frames / payloads
-	shardErr  atomic.Uint64 // sub-requests failed after shard-client retries
-	ambiguous atomic.Uint64 // OK write acks demoted to TIMEOUT after an ambiguous resend
-	nonOK     atomic.Uint64 // inbound requests answered non-OK
+	conns     obs.Gauge   // open inbound connections
+	accepted  obs.Counter // inbound connections ever accepted
+	ops       obs.Counter // inbound requests completed
+	scatters  obs.Counter // QUERY3/QUERY4 requests scatter-gathered
+	merged    obs.Counter // points merged into scatter-gather results
+	splits    obs.Counter // BATCH requests split across ≥ 2 shards
+	topology  obs.Counter // TOPOLOGY requests answered
+	protoErr  obs.Counter // malformed inbound frames / payloads
+	shardErr  obs.Counter // sub-requests failed after shard-client retries
+	ambiguous obs.Counter // OK write acks demoted to TIMEOUT after an ambiguous resend
+	nonOK     obs.Counter // inbound requests answered non-OK
 }
 
 // NewMetrics returns a Metrics sized for a map of nshards shards.
@@ -65,72 +64,29 @@ func (m *Metrics) observeShard(i int, lat time.Duration, out, in int, ok bool) {
 	}
 }
 
-// ShardMetricsSnapshot is the JSON-friendly per-shard view.
-type ShardMetricsSnapshot struct {
-	Points   uint64                `json:"points"`
-	Queries  uint64                `json:"queries"`
-	Batches  uint64                `json:"batches,omitempty"`
-	Errors   uint64                `json:"errors,omitempty"`
-	LatNs    obs.HistogramSnapshot `json:"lat_ns"`
-	BytesIn  obs.HistogramSnapshot `json:"bytes_in"`
-	BytesOut obs.HistogramSnapshot `json:"bytes_out"`
-}
-
-// MetricsSnapshot is the JSON-friendly view of the router's metrics,
-// served on /metrics (expvar + Prometheus) next to the shard snapshots.
-type MetricsSnapshot struct {
-	Conns       int64                  `json:"conns"`
-	Accepted    uint64                 `json:"accepted"`
-	Ops         uint64                 `json:"ops"`
-	Scatters    uint64                 `json:"scatters"`
-	Merged      uint64                 `json:"merged_points"`
-	Splits      uint64                 `json:"batch_splits"`
-	Topology    uint64                 `json:"topology_serves"`
-	ProtoErrors uint64                 `json:"proto_errors"`
-	ShardErrors uint64                 `json:"shard_errors"`
-	Ambiguous   uint64                 `json:"ambiguous_writes,omitempty"`
-	NonOK       uint64                 `json:"non_ok"`
-	Fanout      obs.HistogramSnapshot  `json:"fanout"`
-	Shards      []ShardMetricsSnapshot `json:"shards"`
-}
-
-// Snapshot returns a point-in-time copy of every counter and histogram.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	s := MetricsSnapshot{
-		Conns:       m.conns.Load(),
-		Accepted:    m.accepted.Load(),
-		Ops:         m.ops.Load(),
-		Scatters:    m.scatters.Load(),
-		Merged:      m.merged.Load(),
-		Splits:      m.splits.Load(),
-		Topology:    m.topology.Load(),
-		ProtoErrors: m.protoErr.Load(),
-		ShardErrors: m.shardErr.Load(),
-		Ambiguous:   m.ambiguous.Load(),
-		NonOK:       m.nonOK.Load(),
-		Fanout:      m.fanout.Snapshot(),
-		Shards:      make([]ShardMetricsSnapshot, len(m.shards)),
-	}
-	for i := range m.shards {
+// Emit declares every routing metric: rsrouter publishes the set as
+// "rangesearch.router.main", and its STATS serves it as "router".
+func (m *Metrics) Emit(s obs.Sink) {
+	s.Gauge("conns", float64(m.conns.Load()))
+	s.Counter("accepted", m.accepted.Load())
+	s.Counter("ops", m.ops.Load())
+	s.Counter("scatters", m.scatters.Load())
+	s.Counter("merged_points", m.merged.Load())
+	s.Counter("batch_splits", m.splits.Load())
+	s.Counter("topology_serves", m.topology.Load())
+	s.Counter("proto_errors", m.protoErr.Load())
+	s.Counter("shard_errors", m.shardErr.Load())
+	s.Counter("ambiguous_writes", m.ambiguous.Load())
+	s.Counter("non_ok", m.nonOK.Load())
+	s.Histogram("fanout", &m.fanout)
+	s.List("shards", len(m.shards), func(i int, s obs.Sink) {
 		sm := &m.shards[i]
-		s.Shards[i] = ShardMetricsSnapshot{
-			Points:   sm.points.Load(),
-			Queries:  sm.queries.Load(),
-			Batches:  sm.batches.Load(),
-			Errors:   sm.errors.Load(),
-			LatNs:    sm.latency.Snapshot(),
-			BytesIn:  sm.bytesIn.Snapshot(),
-			BytesOut: sm.bytesOut.Snapshot(),
-		}
-	}
-	return s
-}
-
-// PublishMetrics exports m.Snapshot() as the expvar
-// "rangesearch.router.<name>" on the same /debug/vars surface
-// obs.ServeMetrics serves.
-func PublishMetrics(name string, m *Metrics) {
-	obs.Publish("rangesearch.router."+name, func() interface{} {
-		return m.Snapshot()
+		s.Counter("points", sm.points.Load())
+		s.Counter("queries", sm.queries.Load())
+		s.Counter("batches", sm.batches.Load())
+		s.Counter("errors", sm.errors.Load())
+		s.Histogram("lat_ns", &sm.latency)
+		s.Histogram("bytes_in", &sm.bytesIn)
+		s.Histogram("bytes_out", &sm.bytesOut)
 	})
 }

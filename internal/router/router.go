@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rangesearch/internal/geom"
+	"rangesearch/internal/obs"
 	"rangesearch/internal/server"
 )
 
@@ -63,12 +64,6 @@ func (o Options) withDefaults() Options {
 
 // pos is one shard's replication position.
 type pos struct{ term, lsn uint64 }
-
-// covers reports a ≥ b in the PR 8 barrier order: lexicographic, terms
-// first, LSNs comparable only within a term.
-func (a pos) covers(b pos) bool {
-	return a.term > b.term || (a.term == b.term && a.lsn >= b.lsn)
-}
 
 // Router fronts an x-range-partitioned rsserve fleet with the same wire
 // protocol the shards speak: INSERT/DELETE route point-wise by x, BATCH
@@ -142,7 +137,7 @@ func (rt *Router) Map() *Map { return rt.shardMap }
 func (rt *Router) noteAck(shard int, p pos) uint64 {
 	rt.posMu.Lock()
 	defer rt.posMu.Unlock()
-	if !rt.vec[shard].covers(p) {
+	if v := rt.vec[shard]; !server.Covers(v.term, v.lsn, p.term, p.lsn) {
 		rt.vec[shard] = p
 	}
 	rt.vpos++
@@ -678,8 +673,9 @@ type StatsSnapshot struct {
 	// VPos is the router's virtual ack position (the LSN namespace
 	// inbound write acks use).
 	VPos uint64 `json:"vpos"`
-	// Router is the routing metrics snapshot (nil without Metrics).
-	Router *MetricsSnapshot `json:"router,omitempty"`
+	// Router is the routing metric set rendered by obs.JSON (absent
+	// without Metrics).
+	Router json.RawMessage `json:"router,omitempty"`
 	// PerShard holds each shard's own STATS snapshot, in map order.
 	PerShard []*server.StatsSnapshot `json:"per_shard,omitempty"`
 }
@@ -697,8 +693,7 @@ func (rt *Router) routeStats(rc *routerConn) server.Response {
 	snap.VPos = rt.vpos
 	rt.posMu.Unlock()
 	if m := rt.opts.Metrics; m != nil {
-		ms := m.Snapshot()
-		snap.Router = &ms
+		snap.Router = obs.JSON(m)
 	}
 	for i := range rt.shardMap.Shards {
 		resp, _ := rt.forward(rc, i, server.Request{Op: server.OpStats})

@@ -284,8 +284,8 @@ func TestScatterContactsOnlyOverlappingShards(t *testing.T) {
 		}
 	}
 	queries := func() [3]uint64 {
-		sh := f.metrics.Snapshot().Shards
-		return [3]uint64{sh[0].Queries, sh[1].Queries, sh[2].Queries}
+		sh := f.metrics.shards
+		return [3]uint64{sh[0].queries.Load(), sh[1].queries.Load(), sh[2].queries.Load()}
 	}
 
 	cases := []struct {
@@ -315,6 +315,52 @@ func TestScatterContactsOnlyOverlappingShards(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestRouterMetricsThroughStats reads the routing metric set back through
+// the router's STATS "router" section: the per-shard list renders as an
+// array in map order, and its counters match what was routed.
+func TestRouterMetricsThroughStats(t *testing.T) {
+	f, err := launchFleet([]int64{100, 200}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.stop()
+	cl, err := server.Dial(f.addr, server.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, p := range []geom.Point{{X: 10, Y: 1}, {X: 150, Y: 4}, {X: 160, Y: 5}} {
+		if _, err := cl.Insert(p); err != nil {
+			t.Fatalf("insert %v: %v", p, err)
+		}
+	}
+	if _, err := cl.Query3(0, 1000, geom.MinCoord+1); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st StatsSnapshot
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatalf("STATS: %v\n%s", err, raw)
+	}
+	var rm struct {
+		Scatters uint64 `json:"scatters"`
+		Shards   []struct {
+			Points  uint64 `json:"points"`
+			Queries uint64 `json:"queries"`
+		} `json:"shards"`
+	}
+	if err := json.Unmarshal(st.Router, &rm); err != nil {
+		t.Fatalf("STATS router section: %v\n%s", err, st.Router)
+	}
+	if rm.Scatters != 1 || len(rm.Shards) != 3 || rm.Shards[0].Points != 1 || rm.Shards[1].Points != 2 ||
+		rm.Shards[2].Points != 0 || rm.Shards[2].Queries != 1 {
+		t.Fatalf("STATS router section: %s", st.Router)
 	}
 }
 

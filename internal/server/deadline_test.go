@@ -119,7 +119,7 @@ func TestRequestDeadlineTakeover(t *testing.T) {
 	if resp := recvStatus(t, cl, "re-sent insert", StatusOK); resp.Duplicate {
 		t.Fatal("re-sent insert reports Duplicate: the insert executed twice")
 	}
-	if got := m.Snapshot().Timeouts; got != 2 {
+	if got := m.timeouts.Load(); got != 2 {
 		t.Fatalf("Metrics timeouts = %d, want 2", got)
 	}
 
@@ -158,7 +158,7 @@ func TestRequestDeadlineTakeover(t *testing.T) {
 		t.Fatal("Shutdown returned while a takeover still owned a connection")
 	}
 	<-drained
-	if conns := m.Snapshot().Conns; conns != 0 {
+	if conns := m.conns.Load(); conns != 0 {
 		t.Fatalf("%d connections open after Shutdown returned", conns)
 	}
 	recvStatus(t, cl, "query stuck across Shutdown", StatusTimeout)

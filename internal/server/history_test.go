@@ -353,12 +353,12 @@ func TestLoadBatchEveryCountsDrawnWrites(t *testing.T) {
 		t.Fatalf("RunLoad: %v", err)
 	}
 	ts.shutdown(t)
-	ops := m.Snapshot().Ops
-	drawn := ops["insert"].Count + ops["delete"].Count + ops["batch"].Count
+	batches := m.ops[OpBatch].count.Load()
+	drawn := m.ops[OpInsert].count.Load() + m.ops[OpDelete].count.Load() + batches
 	if drawn < 100 {
 		t.Fatalf("only %d writes drawn", drawn)
 	}
-	if got, want := ops["batch"].Count, drawn/10; got != want {
+	if got, want := batches, drawn/10; got != want {
 		t.Fatalf("%d BATCH requests for %d drawn writes, want %d", got, drawn, want)
 	}
 }

@@ -235,8 +235,9 @@ type TraceLoadStats struct {
 	ClientP50Ms  float64 `json:"client_p50_ms"`
 	ClientP99Ms  float64 `json:"client_p99_ms"`
 	ClientMeanMs float64 `json:"client_mean_ms"`
-	// ServerPhases is keyed by trace phase name ("execute", "sync", ...).
-	ServerPhases map[string]PhaseSnapshot `json:"server_phases,omitempty"`
+	// ServerPhases is the STATS phase_hist histograms, keyed by trace
+	// phase name ("execute", "sync", ...).
+	ServerPhases map[string]obs.HistogramSnapshot `json:"server_phases,omitempty"`
 }
 
 // Failed reports whether the run saw any error that should fail a gate
@@ -697,7 +698,12 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 			ClientMeanMs: traceMerged.Mean() / 1e6,
 		}
 		if rep.ServerStats != nil && rep.ServerStats.Metrics != nil {
-			t.ServerPhases = rep.ServerStats.Metrics.Phases
+			var m struct {
+				PhaseHist map[string]obs.HistogramSnapshot `json:"phase_hist"`
+			}
+			if json.Unmarshal(rep.ServerStats.Metrics, &m) == nil {
+				t.ServerPhases = m.PhaseHist
+			}
 		}
 		rep.Trace = t
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sync/atomic"
 	"time"
 
 	"rangesearch/internal/obs"
@@ -12,35 +11,40 @@ import (
 // slot = opcode works with one unused zero slot.
 const opSlots = 8
 
+// opMetrics is one opcode's slice of the serving metrics.
+type opMetrics struct {
+	count    obs.Counter   // completed RPCs
+	errors   obs.Counter   // RPCs answered StatusErr
+	latency  obs.Histogram // wall ns per RPC
+	bytesIn  obs.Histogram // request frame bytes
+	bytesOut obs.Histogram // response frame bytes
+}
+
 // Metrics aggregates the serving layer's observability signals: per-RPC
 // latency and byte-size log₂ histograms, connection and in-flight gauges,
 // and the counters that distinguish "slow" from "shedding" from "broken"
 // (busy rejections, protocol errors, handler panics). A zero Metrics is
 // ready to use and safe for concurrent use from every connection handler;
-// Snapshot is how anything outside the server reads it.
+// it is an obs.Set, which is how anything outside the server reads it.
 type Metrics struct {
-	latency  [opSlots]obs.Histogram // wall ns per RPC, by opcode
-	bytesIn  [opSlots]obs.Histogram // request frame bytes, by opcode
-	bytesOut [opSlots]obs.Histogram // response frame bytes, by opcode
-	ops      [opSlots]atomic.Uint64 // completed RPCs, by opcode
-	errs     [opSlots]atomic.Uint64 // RPCs answered StatusErr, by opcode
+	ops [opSlots]opMetrics // by opcode
 
-	spans  atomic.Uint64                  // sampled spans recorded
+	spans  obs.Counter                    // sampled spans recorded
 	phases [trace.NumPhases]obs.Histogram // ns per trace phase, sampled spans only
 
-	conns      atomic.Int64  // open connections
-	inflight   atomic.Int64  // RPCs past the admission gate, not yet answered
-	accepted   atomic.Uint64 // connections ever accepted
-	busy       atomic.Uint64 // RPCs shed with StatusBusy
-	protoErr   atomic.Uint64 // malformed frames / payloads received
-	panics     atomic.Uint64 // connection handlers killed by a panic
-	timeouts   atomic.Uint64 // RPCs answered StatusTimeout (deadline expired)
-	evicted    atomic.Uint64 // connections closed for missing a write deadline
-	idemReplay atomic.Uint64 // IDEM retries answered from the dedup window
-	idemExec   atomic.Uint64 // IDEM envelopes executed (window miss)
-	stale      atomic.Uint64 // barrier reads answered StatusStale
-	notPrimary atomic.Uint64 // writes rejected StatusNotPrimary (replica role)
-	diskFull   atomic.Uint64 // writes rejected StatusDiskFull (ENOSPC)
+	conns      obs.Gauge   // open connections
+	inflight   obs.Gauge   // RPCs past the admission gate, not yet answered
+	accepted   obs.Counter // connections ever accepted
+	busy       obs.Counter // RPCs shed with StatusBusy
+	protoErr   obs.Counter // malformed frames / payloads received
+	panics     obs.Counter // connection handlers killed by a panic
+	timeouts   obs.Counter // RPCs answered StatusTimeout (deadline expired)
+	evicted    obs.Counter // connections closed for missing a write deadline
+	idemReplay obs.Counter // IDEM retries answered from the dedup window
+	idemExec   obs.Counter // IDEM envelopes executed (window miss)
+	stale      obs.Counter // barrier reads answered StatusStale
+	notPrimary obs.Counter // writes rejected StatusNotPrimary (replica role)
+	diskFull   obs.Counter // writes rejected StatusDiskFull (ENOSPC)
 }
 
 // observe records one completed RPC.
@@ -49,12 +53,13 @@ func (m *Metrics) observe(op byte, lat time.Duration, in, out int, isErr bool) {
 		lat = 0
 	}
 	if int(op) < opSlots {
-		m.latency[op].Observe(uint64(lat))
-		m.bytesIn[op].Observe(uint64(in))
-		m.bytesOut[op].Observe(uint64(out))
-		m.ops[op].Add(1)
+		o := &m.ops[op]
+		o.latency.Observe(uint64(lat))
+		o.bytesIn.Observe(uint64(in))
+		o.bytesOut.Observe(uint64(out))
+		o.count.Add(1)
 		if isErr {
-			m.errs[op].Add(1)
+			o.errors.Add(1)
 		}
 	}
 }
@@ -72,105 +77,38 @@ func (m *Metrics) observeSpan(sp *trace.Span) {
 	}
 }
 
-// OpMetricsSnapshot is the JSON-friendly per-opcode view.
-type OpMetricsSnapshot struct {
-	Count    uint64                `json:"count"`
-	Errors   uint64                `json:"errors,omitempty"`
-	LatNs    obs.HistogramSnapshot `json:"lat_ns"`
-	BytesIn  obs.HistogramSnapshot `json:"bytes_in"`
-	BytesOut obs.HistogramSnapshot `json:"bytes_out"`
-}
-
-// PhaseSnapshot is the compact per-trace-phase view served inside STATS:
-// count plus the two quantiles an operator actually pages on.
-type PhaseSnapshot struct {
-	Count uint64 `json:"count"`
-	P50Ns uint64 `json:"p50_ns"`
-	P99Ns uint64 `json:"p99_ns"`
-}
-
-// MetricsSnapshot is the JSON-friendly view of a Metrics, the payload both
-// the expvar variable and the STATS opcode serve.
-type MetricsSnapshot struct {
-	Conns       int64                        `json:"conns"`
-	InFlight    int64                        `json:"in_flight"`
-	Accepted    uint64                       `json:"accepted"`
-	Busy        uint64                       `json:"busy"`
-	ProtoErrors uint64                       `json:"proto_errors"`
-	Panics      uint64                       `json:"panics"`
-	Timeouts    uint64                       `json:"timeouts"`
-	Evicted     uint64                       `json:"evicted"`
-	IdemReplays uint64                       `json:"idem_replays"`
-	IdemExecs   uint64                       `json:"idem_execs"`
-	Stale       uint64                       `json:"stale,omitempty"`
-	NotPrimary  uint64                       `json:"not_primary,omitempty"`
-	DiskFull    uint64                       `json:"disk_full,omitempty"`
-	Spans       uint64                       `json:"spans,omitempty"`
-	Ops         map[string]OpMetricsSnapshot `json:"ops"`
-	// Phases holds p50/p99 per trace phase (only phases with samples).
-	Phases map[string]PhaseSnapshot `json:"phases,omitempty"`
-	// PhaseHist carries the full phase histograms (only phases with
-	// samples); the Prometheus exporter turns these into cumulative
-	// bucket series.
-	PhaseHist map[string]obs.HistogramSnapshot `json:"phase_hist,omitempty"`
-}
-
-// Snapshot returns a point-in-time copy of every counter and histogram.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	s := MetricsSnapshot{
-		Conns:       m.conns.Load(),
-		InFlight:    m.inflight.Load(),
-		Accepted:    m.accepted.Load(),
-		Busy:        m.busy.Load(),
-		ProtoErrors: m.protoErr.Load(),
-		Panics:      m.panics.Load(),
-		Timeouts:    m.timeouts.Load(),
-		Evicted:     m.evicted.Load(),
-		IdemReplays: m.idemReplay.Load(),
-		IdemExecs:   m.idemExec.Load(),
-		Stale:       m.stale.Load(),
-		NotPrimary:  m.notPrimary.Load(),
-		DiskFull:    m.diskFull.Load(),
-		Spans:       m.spans.Load(),
-		Ops:         map[string]OpMetricsSnapshot{},
-	}
-	for p := trace.Phase(0); p < trace.NumPhases; p++ {
-		h := &m.phases[p]
-		n := h.Count()
-		if n == 0 {
-			continue
+// Emit declares every serving metric: rsserve publishes the set as
+// "rangesearch.server.main", and STATS serves it as "metrics".
+func (m *Metrics) Emit(s obs.Sink) {
+	s.Gauge("conns", float64(m.conns.Load()))
+	s.Gauge("in_flight", float64(m.inflight.Load()))
+	s.Counter("accepted", m.accepted.Load())
+	s.Counter("busy", m.busy.Load())
+	s.Counter("proto_errors", m.protoErr.Load())
+	s.Counter("panics", m.panics.Load())
+	s.Counter("timeouts", m.timeouts.Load())
+	s.Counter("evicted", m.evicted.Load())
+	s.Counter("idem_replays", m.idemReplay.Load())
+	s.Counter("idem_execs", m.idemExec.Load())
+	s.Counter("stale", m.stale.Load())
+	s.Counter("not_primary", m.notPrimary.Load())
+	s.Counter("disk_full", m.diskFull.Load())
+	s.Counter("spans", m.spans.Load())
+	s.Group("ops", func(s obs.Sink) {
+		for _, op := range []byte{OpPing, OpInsert, OpDelete, OpQuery3, OpQuery4, OpBatch, OpStats} {
+			o := &m.ops[op]
+			s.Group(OpName(op), func(s obs.Sink) {
+				s.Counter("count", o.count.Load())
+				s.Counter("errors", o.errors.Load())
+				s.Histogram("lat_ns", &o.latency)
+				s.Histogram("bytes_in", &o.bytesIn)
+				s.Histogram("bytes_out", &o.bytesOut)
+			})
 		}
-		if s.Phases == nil {
-			s.Phases = map[string]PhaseSnapshot{}
-			s.PhaseHist = map[string]obs.HistogramSnapshot{}
+	})
+	s.Group("phase_hist", func(s obs.Sink) {
+		for p := trace.Phase(0); p < trace.NumPhases; p++ {
+			s.Histogram(p.String(), &m.phases[p])
 		}
-		s.Phases[p.String()] = PhaseSnapshot{
-			Count: n,
-			P50Ns: h.Quantile(0.50),
-			P99Ns: h.Quantile(0.99),
-		}
-		s.PhaseHist[p.String()] = h.Snapshot()
-	}
-	for _, op := range []byte{OpPing, OpInsert, OpDelete, OpQuery3, OpQuery4, OpBatch, OpStats} {
-		if n := m.ops[op].Load(); n > 0 {
-			s.Ops[OpName(op)] = OpMetricsSnapshot{
-				Count:    n,
-				Errors:   m.errs[op].Load(),
-				LatNs:    m.latency[op].Snapshot(),
-				BytesIn:  m.bytesIn[op].Snapshot(),
-				BytesOut: m.bytesOut[op].Snapshot(),
-			}
-		}
-	}
-	return s
-}
-
-// PublishMetrics exports m.Snapshot() as the expvar
-// "rangesearch.server.<name>" on the same /debug/vars surface
-// obs.ServeMetrics serves. Later calls with the same name repoint the
-// variable.
-func PublishMetrics(name string, m *Metrics) {
-	obs.Publish("rangesearch.server."+name, func() interface{} {
-		return m.Snapshot()
 	})
 }

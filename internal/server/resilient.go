@@ -52,16 +52,6 @@ type ResilientOptions struct {
 	// dedup windows are keyed by client id, so a repeated seed across
 	// runs against one server must not replay another run's responses.
 	Seed int64
-	// ClientID overrides the idempotency session id. Zero (the default)
-	// draws it from crypto/rand regardless of Seed.
-	ClientID uint64
-	// NoIdempotency leaves writes unwrapped: retries after an ambiguous
-	// failure then re-execute instead of replaying, which is safe only if
-	// the caller can tolerate stale Duplicate/Found flags.
-	NoIdempotency bool
-	// NoRetryBusy surfaces BUSY (and DISKFULL) responses to the caller
-	// instead of retrying them after the server's retry-after hint.
-	NoRetryBusy bool
 	// ReadAddrs lists replica addresses. When non-empty, queries fan out
 	// across them round-robin, stamped with a BARRIER envelope at the
 	// session's last acked write LSN — read-your-writes holds even though
@@ -178,7 +168,7 @@ func NewResilient(addr string, opts ResilientOptions) *ResilientClient {
 		seed = int64(binary.LittleEndian.Uint64(b[:]))
 	}
 	rng := rand.New(rand.NewSource(seed))
-	id := opts.ClientID
+	var id uint64
 	for id == 0 {
 		var b [8]byte
 		if _, err := crand.Read(b[:]); err != nil {
@@ -195,9 +185,6 @@ func NewResilient(addr string, opts ResilientOptions) *ResilientClient {
 		replicas:  make([]*Client, len(opts.ReadAddrs)),
 	}
 }
-
-// ClientID returns the idempotency session id writes are stamped with.
-func (c *ResilientClient) ClientID() uint64 { return c.clientID }
 
 // Stats returns the recovery counters so far.
 func (c *ResilientClient) Stats() ResilientStats { return c.stats }
@@ -216,10 +203,10 @@ func (c *ResilientClient) LastLSN() uint64 { return c.lastLSN }
 // LastTerm returns the term half of the session's read barrier.
 func (c *ResilientClient) LastTerm() uint64 { return c.lastTerm }
 
-// barrierAfter reports whether the session barrier is lexicographically
-// past (term, lsn) — i.e. stamping it on a request would raise it.
+// barrierAfter reports whether the session barrier is past (term, lsn) in
+// the barrier order — i.e. stamping it on a request would raise it.
 func (c *ResilientClient) barrierAfter(term, lsn uint64) bool {
-	return c.lastTerm > term || (c.lastTerm == term && c.lastLSN > lsn)
+	return !Covers(term, lsn, c.lastTerm, c.lastLSN)
 }
 
 // rotatePrimary advances to the next primary candidate.
@@ -401,7 +388,7 @@ func (c *ResilientClient) ensure() error {
 // wire if its connection is up (a dead primary defers the send to the
 // next Recv's reconnect). tag is handed back with the response.
 func (c *ResilientClient) Send(r Request, tag interface{}) error {
-	if !c.opts.NoIdempotency && r.Idem == nil && idempotent(r.Op) {
+	if r.Idem == nil && idempotent(r.Op) {
 		c.seq++
 		r.Idem = &IdemID{Client: c.clientID, Seq: c.seq}
 	}
@@ -514,7 +501,7 @@ func (c *ResilientClient) dispose(head pendingReq, resp Response) (RecvResult, b
 	}
 	switch resp.Status {
 	case StatusBusy, StatusDiskFull:
-		if c.opts.NoRetryBusy || head.attempts+1 >= c.opts.Retry.MaxAttempts {
+		if head.attempts+1 >= c.opts.Retry.MaxAttempts {
 			return deliver()
 		}
 		// The server shed the request without executing it (admission gate

@@ -97,12 +97,12 @@ type Config struct {
 	// Repl, when non-nil, is polled by STATS for the node's replication
 	// identity (role, term, LSNs, staleness). Nil omits the repl section.
 	Repl func() ReplInfo
-	// WriteBuffer, when non-nil, is polled by STATS for the node's
-	// write-buffer snapshot (depth, flush counts, journal size). Nil
-	// omits the section (unbuffered node).
-	WriteBuffer func() obs.WriteBufferStats
+	// WriteBuffer, when non-nil, is the node's write-buffer metric set
+	// (depth, flush counts, journal size), which STATS serves. Nil omits
+	// the section (unbuffered node).
+	WriteBuffer obs.Set
 	// Metrics, when non-nil, receives every signal the server emits; use
-	// PublishMetrics to put it on the expvar surface. Nil disables.
+	// obs.Publish to put it on the expvar surface. Nil disables.
 	Metrics *Metrics
 	// Logf, when non-nil, receives one line per abnormal event (handler
 	// panic, accept error). Nil discards.
@@ -564,10 +564,13 @@ func (s *Server) lookupIdem(req Request) ([]byte, bool) {
 // completeIdem records the response of an executed IDEM write so a retry
 // replays it instead of re-executing. BUSY, DISKFULL and NOTPRIMARY all
 // mean the write did not run (the retry must execute it — possibly
-// elsewhere, for NOTPRIMARY) and TIMEOUT never reaches here — the
-// executing goroutine records the real outcome when it finishes.
+// elsewhere, for NOTPRIMARY). TIMEOUT means the outcome is unknown: a
+// semi-sync write whose replica acks stalled is durable here but
+// unconfirmed, and a retry must re-execute to learn it (the re-executed
+// write answers DUPLICATE/FOUND against the applied state), not replay
+// TIMEOUT forever.
 func (s *Server) completeIdem(req Request, resp Response) {
-	if req.Idem == nil || resp.Status == StatusBusy ||
+	if req.Idem == nil || resp.Status == StatusBusy || resp.Status == StatusTimeout ||
 		resp.Status == StatusDiskFull || resp.Status == StatusNotPrimary {
 		return
 	}
@@ -646,6 +649,19 @@ func (s *Server) release() {
 // reply is encoded, as every result was before buffers were reused.
 const maxKeptResult = 1 << 16
 
+// Covers reports whether the replication position (term, lsn) is at or
+// past (minTerm, minLSN) in the barrier order. LSNs are comparable only
+// within one term, so the order is lexicographic: a later term covers
+// every position of an earlier one (promotion with synchronous acks
+// preserves every acknowledged older-term write), within a term the LSN
+// must have been reached, and an earlier term never covers — its
+// numerically-high LSNs may name a divergent pre-promotion suffix. The
+// server's read barrier, the resilient client's session barrier and the
+// router's per-shard vector all order positions by it.
+func Covers(term, lsn, minTerm, minLSN uint64) bool {
+	return term > minTerm || (term == minTerm && lsn >= minLSN)
+}
+
 // handle executes one admitted request against the index. A non-nil sp
 // records the request's phases: admission here, the index phases inside
 // the engine. Query results are collected in *pts, the caller's reusable
@@ -668,19 +684,14 @@ func (s *Server) handle(req Request, sp *trace.Span, pts *[]geom.Point) Response
 		return Response{Status: StatusErr, Msg: "server: no topology (standalone node, not a router)"}
 	}
 	// Read barrier: a BARRIER envelope asks "answer only from a timeline
-	// at least as new as (MinTerm, MinLSN)". Checked before admission — a
-	// stale replica answers from two atomic loads, without spending a gate
-	// token the primary-bound retry will need elsewhere. LSNs are
-	// comparable only within one term, so the comparison is lexicographic:
-	// a node above the barrier's term serves unconditionally (promotion
-	// with synchronous acks preserves every acknowledged older-term
-	// write), a node at the term must have applied the LSN, and a node
-	// below the term is always stale — its numerically-high LSNs may name
-	// a divergent pre-promotion suffix. A current primary is never stale:
-	// its term is the newest and its LSN ≥ every LSN it ever acked.
+	// at least as new as (MinTerm, MinLSN)" in the order Covers defines.
+	// Checked before admission — a stale replica answers from two atomic
+	// loads, without spending a gate token the primary-bound retry will
+	// need elsewhere. A current primary is never stale: its term is the
+	// newest and its LSN ≥ every LSN it ever acked.
 	if req.MinLSN > 0 || req.MinTerm > 0 {
 		term, lsn := s.idx.Position()
-		if term < req.MinTerm || (term == req.MinTerm && lsn < req.MinLSN) {
+		if !Covers(term, lsn, req.MinTerm, req.MinLSN) {
 			if m := s.cfg.Metrics; m != nil {
 				m.stale.Add(1)
 			}
@@ -810,13 +821,13 @@ type StatsSnapshot struct {
 	// Repl is the node's replication identity (nil when the server was
 	// built without a Repl callback, i.e. a standalone node).
 	Repl *ReplInfo `json:"repl,omitempty"`
-	// WriteBuffer is the write-buffer snapshot (nil when the server was
-	// built without a WriteBuffer callback, i.e. an unbuffered node).
-	WriteBuffer *obs.WriteBufferStats `json:"write_buffer,omitempty"`
-	// Metrics is the server's metric snapshot (nil without a Metrics).
-	// When spans have been sampled it includes the per-phase latency
-	// quantiles, so rsload can print a phase breakdown from STATS alone.
-	Metrics *MetricsSnapshot `json:"metrics,omitempty"`
+	// WriteBuffer is the write buffer's metric set rendered by obs.JSON
+	// (absent on an unbuffered node).
+	WriteBuffer json.RawMessage `json:"write_buffer,omitempty"`
+	// Metrics is the server's metric set rendered by obs.JSON (absent
+	// without a Metrics). Its phase_hist histograms carry p50/p99, so
+	// rsload can print a phase breakdown from STATS alone.
+	Metrics json.RawMessage `json:"metrics,omitempty"`
 }
 
 func (s *Server) handleStats() Response {
@@ -840,12 +851,10 @@ func (s *Server) handleStats() Response {
 		snap.Repl = &ri
 	}
 	if s.cfg.WriteBuffer != nil {
-		wb := s.cfg.WriteBuffer()
-		snap.WriteBuffer = &wb
+		snap.WriteBuffer = obs.JSON(s.cfg.WriteBuffer)
 	}
 	if m := s.cfg.Metrics; m != nil {
-		ms := m.Snapshot()
-		snap.Metrics = &ms
+		snap.Metrics = obs.JSON(m)
 	}
 	data, err := json.Marshal(snap)
 	if err != nil {

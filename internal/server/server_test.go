@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"rangesearch/internal/eio"
 	"rangesearch/internal/epst"
 	"rangesearch/internal/geom"
+	"rangesearch/internal/obs"
 	"rangesearch/internal/trace"
 )
 
@@ -200,8 +202,11 @@ func TestServerBasicRPCs(t *testing.T) {
 	if st.Len != 3 { // pts[0..2] live: pts[3] and (100,100) deleted
 		t.Fatalf("Stats.Len = %d, want 3", st.Len)
 	}
-	if st.Metrics == nil || st.Metrics.Ops["insert"].Count == 0 {
-		t.Fatalf("Stats.Metrics missing insert counts: %+v", st.Metrics)
+	var ms struct {
+		Ops map[string]struct{ Count uint64 } `json:"ops"`
+	}
+	if err := json.Unmarshal(st.Metrics, &ms); err != nil || ms.Ops["insert"].Count == 0 {
+		t.Fatalf("Stats.Metrics missing insert counts (%v): %s", err, st.Metrics)
 	}
 
 	ts.shutdown(t)
@@ -256,8 +261,8 @@ func TestServerBusy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Do: %v", err)
 	}
-	if resp.Status != StatusBusy {
-		t.Fatalf("status %d, want BUSY", resp.Status)
+	if resp.Status != StatusBusy || resp.RetryAfterMs != 2 {
+		t.Fatalf("status %d with retry hint %d ms, want BUSY with the default 2 ms", resp.Status, resp.RetryAfterMs)
 	}
 	if _, err := cl.Insert(geom.Point{X: 1, Y: 1}); err != ErrBusy {
 		t.Fatalf("Insert err = %v, want ErrBusy", err)
@@ -274,7 +279,7 @@ func TestServerBusy(t *testing.T) {
 	if dup, err := cl.Insert(geom.Point{X: 1, Y: 1}); err != nil || dup {
 		t.Fatalf("Insert after release: dup=%v err=%v", dup, err)
 	}
-	if busy := m.Snapshot().Busy; busy != 2 {
+	if busy := m.busy.Load(); busy != 2 {
 		t.Fatalf("Busy = %d, want 2", busy)
 	}
 	ts.shutdown(t)
@@ -331,7 +336,7 @@ func TestServerProtocolErrors(t *testing.T) {
 		t.Fatal("connection should be closed after a framing violation")
 	}
 
-	if pe := m.Snapshot().ProtoErrors; pe < 2 {
+	if pe := m.protoErr.Load(); pe < 2 {
 		t.Fatalf("ProtoErrors = %d, want >= 2", pe)
 	}
 	ts.shutdown(t)
@@ -350,12 +355,17 @@ func TestServerExpvarMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	PublishMetrics("test", m)
+	obs.Publish("rangesearch.server.test", m)
 	v := expvar.Get("rangesearch.server.test")
 	if v == nil {
 		t.Fatal("expvar rangesearch.server.test not published")
 	}
-	var snap MetricsSnapshot
+	var snap struct {
+		Ops map[string]struct {
+			Count uint64
+			LatNs obs.HistogramSnapshot `json:"lat_ns"`
+		} `json:"ops"`
+	}
 	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
 		t.Fatalf("expvar JSON: %v", err)
 	}
@@ -469,5 +479,48 @@ func TestDiskFullAnswersRetryHint(t *testing.T) {
 	}
 	if _, err := cl.Query3(0, 10, 0); err != nil {
 		t.Fatalf("query on a full disk: %v", err)
+	}
+}
+
+// stallOnceEngine applies its first write run but answers it the way a
+// semi-sync commit gate does when replica acks stall: durable here,
+// unconfirmed downstream.
+type stallOnceEngine struct {
+	core.Engine
+	stalled atomic.Bool
+}
+
+func (e *stallOnceEngine) Apply(ops []core.BatchOp, sp *trace.Span) []core.BatchResult {
+	res := e.Engine.Apply(ops, sp)
+	if e.stalled.CompareAndSwap(false, true) {
+		for i := range res {
+			res[i].Err = fmt.Errorf("core: commit gate: %w", core.ErrReplicationStall)
+		}
+	}
+	return res
+}
+
+// TestIdemStallIsNotReplayed: a stalled semi-sync write answers TIMEOUT,
+// whose outcome is unknown, so the dedup window must not keep it. A retry
+// under the same IDEM id re-executes and learns that the write landed.
+func TestIdemStallIsNotReplayed(t *testing.T) {
+	ts := newTestServerWith(t, Config{}, func(e core.Engine) core.Engine { return &stallOnceEngine{Engine: e} })
+	defer ts.shutdown(t)
+	cl := ts.dial(t)
+	req := Request{Op: OpInsert, P: geom.Point{X: 5, Y: 6}, Idem: &IdemID{Client: 0x51, Seq: 1}}
+	first, err := cl.Do(req)
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	if first.Status != StatusTimeout {
+		t.Fatalf("stalled insert answered %s, want TIMEOUT", statusName(first.Status))
+	}
+	retry, err := cl.Do(req)
+	if err != nil {
+		t.Fatalf("retry Do: %v", err)
+	}
+	if retry.Status != StatusOK || !retry.Duplicate {
+		t.Fatalf("IDEM retry answered %s (duplicate=%v), want OK duplicate: the stalled write was applied",
+			statusName(retry.Status), retry.Duplicate)
 	}
 }

@@ -60,7 +60,7 @@ func TestSoakLoadAgainstServer(t *testing.T) {
 		}
 	}
 	// And the server-side histograms agree that traffic happened.
-	if lat := m.Snapshot().Ops["insert"].LatNs; lat.Count == 0 || lat.Max == 0 {
+	if lat := &m.ops[OpInsert].latency; lat.Count() == 0 || lat.Max() == 0 {
 		t.Fatal("server-side insert latency histogram is empty")
 	}
 

@@ -349,10 +349,13 @@ func TestTracedLoadSoak(t *testing.T) {
 	if rep.Trace == nil || rep.Trace.ClientP99Ms <= 0 {
 		t.Fatalf("merged trace stats missing: %+v", rep.Trace)
 	}
-	if len(rep.Trace.ServerPhases) == 0 {
-		t.Fatal("merged trace stats carry no server phases")
+	// Every traced op executes, so the execute histogram holds at most one
+	// sample per span and at least one; every phase is rendered from boot,
+	// so the key alone proves nothing.
+	if n := rep.Trace.ServerPhases["execute"].Count; n == 0 || n > uint64(len(spans)) {
+		t.Fatalf("merged trace stats: execute phase count %d, spans %d", n, len(spans))
 	}
-	if n := m.Snapshot().Spans; n != uint64(len(spans)) {
+	if n := m.spans.Load(); n != uint64(len(spans)) {
 		t.Fatalf("metrics counted %d spans, recorder saw %d", n, len(spans))
 	}
 }

@@ -97,12 +97,11 @@ type Buffered struct {
 	stop chan struct{} // closes the age flusher
 	wg   sync.WaitGroup
 
-	statMu     sync.Mutex
-	flushes    uint64
-	flushedOps uint64
-	lastFlush  int
-	probes     uint64
-	replayed   uint64 // journaled ops re-staged by NewBuffered
+	flushes    obs.Counter
+	flushedOps obs.Counter
+	lastFlush  obs.Gauge // ops in the latest flush
+	probes     obs.Counter
+	replayed   obs.Counter // journaled ops re-staged by NewBuffered
 	flushNs    obs.Histogram
 	flushOps   obs.Histogram
 }
@@ -163,9 +162,7 @@ func (b *Buffered) replay(ops []core.BatchOp) error {
 			return fmt.Errorf("wbuf: journal replay: %w", err)
 		}
 	}
-	b.statMu.Lock()
-	b.replayed += uint64(len(ops))
-	b.statMu.Unlock()
+	b.replayed.Add(uint64(len(ops)))
 	return b.Flush()
 }
 
@@ -186,9 +183,7 @@ func checkCoord(p geom.Point) error {
 // O(log_B N) read, no writes: the cost that remains on the buffered
 // update path).
 func (b *Buffered) probe(p geom.Point) (bool, error) {
-	b.statMu.Lock()
-	b.probes++
-	b.statMu.Unlock()
+	b.probes.Add(1)
 	res, err := b.base.Query(nil, geom.Rect{XLo: p.X, XHi: p.X, YLo: p.Y, YHi: p.Y})
 	if err != nil {
 		return false, err
@@ -432,13 +427,11 @@ func (b *Buffered) flushLocked(sp *trace.Span) error {
 			return err
 		}
 	}
-	b.statMu.Lock()
-	b.flushes++
-	b.flushedOps += uint64(n)
-	b.lastFlush = n
+	b.flushes.Add(1)
+	b.flushedOps.Add(uint64(n))
+	b.lastFlush.Set(int64(n))
 	b.flushNs.Observe(uint64(time.Since(start)))
 	b.flushOps.Observe(uint64(n))
-	b.statMu.Unlock()
 	return nil
 }
 
@@ -588,32 +581,42 @@ func (b *Buffered) Position() (term, lsn uint64) {
 	return 0, 0
 }
 
-// WriteBufferStats snapshots the buffer's depth, flush and journal counters.
-func (b *Buffered) WriteBufferStats() obs.WriteBufferStats {
+// Emit declares the buffer's metrics — depth, flush and journal counters,
+// and the flush-latency and flush-size quantiles — as an obs.Set: rsserve
+// publishes it as "rangesearch.wbuf.serve", and STATS serves it as
+// "write_buffer".
+func (b *Buffered) Emit(s obs.Sink) {
+	// A flush updates the three flush counters together under b.mu, so
+	// read them under it too: a scrape never sees flushes without its ops.
 	b.mu.RLock()
-	depth := len(b.ents)
-	net := b.net
+	depth, net := len(b.ents), b.net
+	flushes, flushedOps, lastFlush := b.flushes.Load(), b.flushedOps.Load(), b.lastFlush.Load()
 	b.mu.RUnlock()
-	b.statMu.Lock()
-	defer b.statMu.Unlock()
-	s := obs.WriteBufferStats{
-		Depth:        depth,
-		NetDelta:     net,
-		CapOps:       b.opts.MaxOps,
-		Flushes:      b.flushes,
-		FlushedOps:   b.flushedOps,
-		LastFlushOps: b.lastFlush,
-		Probes:       b.probes,
-		Replayed:     b.replayed,
-		FlushP50Ms:   float64(b.flushNs.Quantile(0.50)) / 1e6,
-		FlushP99Ms:   float64(b.flushNs.Quantile(0.99)) / 1e6,
-		FlushMaxMs:   float64(b.flushNs.Max()) / 1e6,
-		FlushOpsP50:  b.flushOps.Quantile(0.50),
-		FlushOpsMax:  b.flushOps.Max(),
-	}
+	var journalBytes int64
+	var appends, syncs uint64
 	if b.j != nil {
-		s.JournalBytes = b.j.Bytes()
-		s.JournalAppends, s.JournalSyncs = b.j.Counters()
+		journalBytes = b.j.Bytes()
+		appends, syncs = b.j.Counters()
 	}
-	return s
+	// Depth is the number of distinct points buffered, net_delta the
+	// inserts-minus-deletes it adds to Len, cap_ops the flush threshold.
+	s.Gauge("depth", float64(depth))
+	s.Gauge("net_delta", float64(net))
+	s.Gauge("cap_ops", float64(b.opts.MaxOps))
+	s.Counter("flushes", flushes)
+	s.Counter("flushed_ops", flushedOps)
+	s.Gauge("last_flush_ops", float64(lastFlush))
+	// Probes are base point-queries staging issued to resolve
+	// duplicate/found; replayed is nonzero exactly when this process
+	// recovered acknowledged writes from a predecessor's journal.
+	s.Counter("probes", b.probes.Load())
+	s.Counter("replayed", b.replayed.Load())
+	s.Gauge("flush_p50_ms", float64(b.flushNs.Quantile(0.50))/1e6)
+	s.Gauge("flush_p99_ms", float64(b.flushNs.Quantile(0.99))/1e6)
+	s.Gauge("flush_max_ms", float64(b.flushNs.Max())/1e6)
+	s.Gauge("flush_ops_p50", float64(b.flushOps.Quantile(0.50)))
+	s.Gauge("flush_ops_max", float64(b.flushOps.Max()))
+	s.Gauge("journal_bytes", float64(journalBytes))
+	s.Counter("journal_appends", appends)
+	s.Counter("journal_syncs", syncs)
 }
