@@ -135,7 +135,7 @@ bench:
 # the parent commit too before claiming anything; CI runs them once each
 # so they cannot rot.
 bench-write:
-	$(GO) test -run '^$$' -bench 'BenchmarkOpSmallStructRebuild|BenchmarkOpEPSTUpdateDurable' -benchmem $(BENCHFLAGS) .
+	$(GO) test -run '^$$' -bench 'BenchmarkOpSmallStructRebuild|BenchmarkOpEPSTUpdateDurable|BenchmarkOpBatchLoad' -benchmem $(BENCHFLAGS) .
 
 # The read path's micro-benchmark: one scan_large_pool query on a MemStore
 # (ns, allocs and logical I/Os per query). CI runs it once so it cannot rot.

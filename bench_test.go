@@ -304,6 +304,71 @@ func BenchmarkOpEPSTUpdateDurable(b *testing.B) {
 	b.ReportMetric(float64(counted.ios)/float64(b.N), "ios/op")
 }
 
+// BenchmarkOpBatchLoad is the repo benchmark's scan_large_pool preload
+// without the wire: the stack cmd/rsserve assembles for -durable=false
+// -pool 32 — Concurrent(ThreeSided) on SnapStore(Pool(FileStore)), 4 KiB
+// pages, a 32-page LRU pool, without rsserve's TraceStore, which passes
+// untraced I/O straight through — loaded with 8 Apply runs of 4 096 uniform
+// points in [0, 2²⁰)², each run what one BATCH request becomes. One
+// iteration is one whole load onto a fresh store; the metrics are per
+// loaded point: FileStore reads and writes (the pool's misses and dirty
+// evictions reaching the file) and pool misses.
+func BenchmarkOpBatchLoad(b *testing.B) {
+	const runs, runLen = 8, 4096
+	pts := bench.Uniform(23, runs*runLen, 1<<20)
+	ops := make([]core.BatchOp, len(pts))
+	for i, p := range pts {
+		ops[i] = core.BatchOp{P: p}
+	}
+	var file eio.Stats
+	var misses uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fs, err := eio.CreateFileStore(filepath.Join(b.TempDir(), "load.db"), 4096)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool := eio.NewPool(fs, 32)
+		snap := eio.NewSnapStore(pool, 0)
+		idx, err := core.NewThreeSided(snap, epst.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := snap.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		hdr := idx.HeaderID()
+		c, err := core.NewConcurrent(idx, snap, func(s eio.Store) (core.Index, error) { return core.OpenThreeSided(s, hdr) }, core.ConcurrentOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool.ResetStats()
+		b.StartTimer()
+		for lo := 0; lo < len(ops); lo += runLen {
+			for _, r := range c.Apply(ops[lo:lo+runLen], nil) {
+				if r.Err != nil {
+					b.Fatal(r.Err)
+				}
+			}
+		}
+		b.StopTimer()
+		st := fs.Stats()
+		file.Reads += st.Reads
+		file.Writes += st.Writes
+		misses += pool.PoolStats().Misses
+		c.Close()
+		snap.Close()
+		b.StartTimer()
+	}
+	n := float64(b.N * len(ops))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/point")
+	b.ReportMetric(float64(file.Reads)/n, "file_reads/point")
+	b.ReportMetric(float64(file.Writes)/n, "file_writes/point")
+	b.ReportMetric(float64(misses)/n, "pool_misses/point")
+}
+
 // ioCounter counts the page reads and writes passing through it.
 type ioCounter struct {
 	eio.Store

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"rangesearch/internal/eio"
@@ -203,6 +204,15 @@ func (c *Concurrent) PageSize() int { return c.snap.PageSize() }
 // callers' runs — into as few as ⌈len(ops)/maxBatch⌉ group commits, which
 // is how one client BATCH request becomes few WAL records.
 //
+// A run of two or more ops is queued in point order (a stable sort by
+// CompareOps, so ops on one point keep their submission order). Ops on
+// different points commute — each outcome depends only on whether its own
+// point is stored — so the results and the final contents are those of
+// submission order, while consecutive updates share their search paths and
+// a bulk load walks the tree left to right, its path pages still cached.
+// Each op keeps its pointer to its own result slot, so results stay
+// positional.
+//
 // A non-nil sp records the run: per-operation execute time and page I/O
 // accumulate, the batch-level WAL/sync/commit phases are added once per
 // group commit the run lands in, and the queue/leadership phase is measured
@@ -217,6 +227,9 @@ func (c *Concurrent) Apply(ops []BatchOp, sp *trace.Span) []BatchResult {
 	run := make([]pendingOp, len(ops))
 	for i, op := range ops {
 		run[i] = pendingOp{BatchOp: op, res: &res[i], sp: sp}
+	}
+	if len(run) > 1 {
+		slices.SortStableFunc(run, func(a, b pendingOp) int { return CompareOps(a.BatchOp, b.BatchOp) })
 	}
 	first, last := &run[0], &run[len(run)-1]
 	last.done = make(chan struct{})

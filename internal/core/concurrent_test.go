@@ -802,3 +802,106 @@ func equalPoints(a, b []geom.Point) bool {
 	}
 	return true
 }
+
+// recordingIndex passes every update to Index and records it, in the order
+// the writer receives them.
+type recordingIndex struct {
+	Index
+	seen []BatchOp
+}
+
+func (r *recordingIndex) Insert(p geom.Point) error {
+	r.seen = append(r.seen, BatchOp{P: p})
+	return r.Index.Insert(p)
+}
+
+func (r *recordingIndex) Delete(p geom.Point) (bool, error) {
+	r.seen = append(r.seen, BatchOp{Delete: true, P: p})
+	return r.Index.Delete(p)
+}
+
+// newRecordingConcurrent is newConcurrentThreeSided with the writer index
+// wrapped in a recordingIndex.
+func newRecordingConcurrent(t *testing.T) (*Concurrent, *recordingIndex) {
+	t.Helper()
+	snap := eio.NewSnapStore(eio.NewMemStore(512), 0)
+	idx, err := NewThreeSided(snap, epst.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := idx.HeaderID()
+	if _, err := snap.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingIndex{Index: idx}
+	c, err := NewConcurrent(rec, snap, func(s eio.Store) (Index, error) { return OpenThreeSided(s, hdr) }, ConcurrentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close(); snap.Close() })
+	return c, rec
+}
+
+// TestConcurrentApplyRunsInPointOrder: a run submitted in descending x
+// reaches the writer index in ascending x — across several group commits,
+// since the run is longer than maxBatch — and each result still answers
+// the op at its own position.
+func TestConcurrentApplyRunsInPointOrder(t *testing.T) {
+	c, rec := newRecordingConcurrent(t)
+	const n = 3*maxBatch + 5
+	ops := make([]BatchOp, n)
+	for i := range ops {
+		ops[i] = BatchOp{P: geom.Point{X: int64(n - i), Y: int64(i % 7)}}
+	}
+	ops[n-1] = ops[0] // a repeat: the run's last op, applied right after its first
+	for i, r := range c.Apply(ops, nil) {
+		if want := i == n-1; errors.Is(r.Err, ErrDuplicate) != want || (!want && r.Err != nil) {
+			t.Fatalf("result %d (%v): %v", i, ops[i].P, r.Err)
+		}
+	}
+	if len(rec.seen) != n {
+		t.Fatalf("writer saw %d ops, want %d", len(rec.seen), n)
+	}
+	for i := 1; i < n; i++ {
+		if CompareOps(rec.seen[i-1], rec.seen[i]) > 0 {
+			t.Fatalf("writer saw %v before %v: the run was not applied in point order", rec.seen[i-1].P, rec.seen[i].P)
+		}
+	}
+}
+
+// TestConcurrentApplySamePointKeepsOrder: the point-order sort is stable,
+// so ops on one point take effect in submission order wherever the run's
+// other points sort. On an absent point p, insert, delete, insert answers
+// OK, Found, OK; on a stored point s, delete, insert answers Found, OK.
+func TestConcurrentApplySamePointKeepsOrder(t *testing.T) {
+	c, _ := newRecordingConcurrent(t)
+	p := geom.Point{X: 50, Y: 5}
+	s := geom.Point{X: 70, Y: 7}
+	if err := c.Insert(s); err != nil {
+		t.Fatal(err)
+	}
+	ops := []BatchOp{
+		{P: p},
+		{P: geom.Point{X: 90, Y: 1}},
+		{Delete: true, P: s},
+		{Delete: true, P: p},
+		{P: geom.Point{X: 10, Y: 1}},
+		{P: s},
+		{P: p},
+	}
+	want := []BatchResult{{}, {}, {Found: true}, {Found: true}, {}, {}, {}}
+	got := c.Apply(ops, nil)
+	for i := range ops {
+		if got[i] != want[i] {
+			t.Errorf("result %d (%+v) = %+v, want %+v", i, ops[i], got[i], want[i])
+		}
+	}
+	pts, err := c.Query(nil, geom.Rect{XLo: 0, XHi: 100, YLo: 0, YHi: geom.MaxCoord})
+	if err != nil {
+		t.Fatal(err)
+	}
+	geom.SortByX(pts)
+	if fmt.Sprint(pts) != fmt.Sprint([]geom.Point{{X: 10, Y: 1}, p, s, {X: 90, Y: 1}}) {
+		t.Fatalf("final contents %v", pts)
+	}
+}

@@ -220,8 +220,12 @@ func (s *FourSided) HeaderID() eio.PageID { return s.t.HeaderID() }
 // Insert implements Index.
 func (s *FourSided) Insert(p geom.Point) error { return wrapDup(s.t.Insert(p)) }
 
-// Delete implements Index.
-func (s *FourSided) Delete(p geom.Point) (bool, error) { return s.t.Delete(p) }
+// Delete implements Index. A sentinel coordinate answers ErrCoordRange, as
+// Insert's does, so a group commit treats it as the op's own outcome.
+func (s *FourSided) Delete(p geom.Point) (bool, error) {
+	found, err := s.t.Delete(p)
+	return found, wrapDup(err)
+}
 
 // Query implements Index.
 func (s *FourSided) Query(dst []geom.Point, q geom.Rect) ([]geom.Point, error) {

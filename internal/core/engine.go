@@ -18,10 +18,14 @@ import (
 // model tests and the bench harness use; Concurrent and Buffered satisfy it
 // too through one-line adapters over the same two bodies.
 type Engine interface {
-	// Apply runs ops in order as one contiguous run and blocks until every
-	// one of them is committed or has failed. Results are positional; ops is
-	// not retained. Benign per-operation outcomes (ErrDuplicate, an absent
-	// delete) stay per-entry; a failed commit fails every entry it covered.
+	// Apply runs ops as one contiguous run and blocks until every one of
+	// them is committed or has failed. Ops on one point take effect in
+	// submission order; the run as a whole may be applied in point order
+	// (CompareOps), which yields the same results and final contents, since
+	// ops on different points commute. Results are positional; ops is not
+	// retained. Benign per-operation outcomes (ErrDuplicate,
+	// ErrCoordRange, an absent delete) stay per-entry; a failed commit
+	// fails every entry it covered.
 	Apply(ops []BatchOp, sp *trace.Span) []BatchResult
 	// Report appends the points inside q to dst.
 	Report(dst []geom.Point, q geom.Rect, sp *trace.Span) ([]geom.Point, error)
@@ -46,6 +50,12 @@ type BatchOp struct {
 	Delete bool
 	P      geom.Point
 }
+
+// CompareOps is the one apply order of a write run: by point, in
+// geom.Point.Compare's (X, then Y) order, never by kind. Concurrent.Apply
+// stable-sorts a run by it and wbuf's flush sorts its net operations by it,
+// so consecutive updates land in neighbouring leaves.
+func CompareOps(a, b BatchOp) int { return a.P.Compare(b.P) }
 
 // BatchResult is the per-operation outcome of an Apply entry: Found mirrors
 // Index.Delete's return value, Err the operation's error.

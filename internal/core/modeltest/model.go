@@ -14,7 +14,9 @@
 // and behind the write buffer, and — through the engine surface a server
 // serves, once untraced and once with a live span per operation — behind
 // Concurrent (group commit + snapshot reads), Concurrent-over-Durable, the
-// write buffer over that, and a primary repl.Node over that.
+// write buffer over that, and a primary repl.Node over that. On those
+// engine stacks it also replays multi-op Apply runs (what a BATCH request
+// becomes) against the model applied one op at a time, entry by entry.
 package modeltest
 
 import (

@@ -3,6 +3,7 @@ package modeltest
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"rangesearch/internal/node"
 	"rangesearch/internal/range4"
 	"rangesearch/internal/repl"
+	"rangesearch/internal/trace"
 	"rangesearch/internal/wbuf"
 )
 
@@ -206,22 +208,21 @@ func asPrimary(mk EngineFactory) EngineFactory {
 	}
 }
 
-// engine expands one engine stack into its two cells: every operation
-// through Apply/Report with a nil span, and again with a live one.
-func engine(name string, mk EngineFactory) []Config {
-	return []Config{
-		{Name: name, New: OverEngine(mk, false)},
-		{Name: name + "-traced", New: OverEngine(mk, true)},
-	}
+// engineCell is one engine stack of the matrix driven one way: every
+// operation through Apply/Report with a nil span, or with a live one.
+type engineCell struct {
+	name   string
+	mk     EngineFactory
+	traced bool
 }
 
-// row is the untraced cell of one stack the mode table accepts, built by
-// node.Build exactly as rsserve builds it (a file row in a fresh directory
-// under dir); a primary row is fronted by a repl.Node, as -repl-listen
-// fronts it. It has no I/O taps: a span's count needs a tap below the
-// tracer, which only the traced cells' own construction has.
-func row(name, dir string, c node.Config) Config {
-	return Config{Name: name, New: OverEngine(func() (core.Engine, func() (int64, int64), func(), error) {
+// row is one stack the mode table accepts, built by node.Build exactly as
+// rsserve builds it (a file row in a fresh directory under dir); a primary
+// row is fronted by a repl.Node, as -repl-listen fronts it. It has no I/O
+// taps: a span's count needs a tap below the tracer, which only the traced
+// cells' own construction has, so a row gets its untraced cell only.
+func row(name, dir string, c node.Config) EngineFactory {
+	return func() (core.Engine, func() (int64, int64), func(), error) {
 		rowDir := ""
 		if !c.Mem {
 			var err error
@@ -239,29 +240,18 @@ func row(name, dir string, c node.Config) Config {
 			eng = repl.NewNode(st.Conc, repl.RolePrimary, 1, nil, nil)
 		}
 		return eng, nil, func() { st.Drain(); os.RemoveAll(rowDir) }, nil
-	}, false)}
+	}
 }
 
-// configs is the full differential matrix: both paper structures crossed
-// with every wrapper in the serving stack. The bare structures and their
-// single-caller wrappers are driven through core.Index; everything a server
-// can serve is driven through core.Engine: every stack the mode table
-// accepts untraced, and the EPST and 4-sided engines traced. File rows live
+// engineCells is every stack a server can serve that the matrix builds, in
+// its cells: every row of the mode table untraced, the EPST engines again
+// with I/O taps traced, and the 4-sided engines both ways. File rows live
 // under dir.
-func configs(dir string) []Config {
-	epstDurable := durably(func(s eio.Store) (core.Index, error) { return core.NewThreeSided(s, epst.Options{}) })
-	cfgs := []Config{
-		{Name: "epst-plain", New: epstFactory},
-		{Name: "epst-durable", New: epstDurable},
-		{Name: "epst-buffered", New: bufferedly(epstFactory)},
-		{Name: "epst-buffered-durable", New: bufferedly(epstDurable)},
-		{Name: "range4-plain", New: range4Factory},
-		{Name: "range4-durable", New: durably(func(s eio.Store) (core.Index, error) { return core.NewFourSided(s, range4.Options{}) })},
-		{Name: "range4-buffered", New: bufferedly(range4Factory)},
-	}
+func engineCells(dir string) []engineCell {
 	// The rows: -page 512, -wal sized like walPages, -write-buffer-ops 64.
 	file := node.Config{PageSize: 512, Durable: true, WALPages: walPages, WriteBufferOps: 64}
 	with := func(f func(*node.Config)) node.Config { c := file; f(&c); return c }
+	var cells []engineCell
 	for _, r := range []struct {
 		name string
 		c    node.Config
@@ -276,22 +266,41 @@ func configs(dir string) []Config {
 		{"epst-concurrent-pool", with(func(c *node.Config) { c.Durable, c.PoolPages = false, 8 })},
 		{"epst-concurrent-pool-buffered", with(func(c *node.Config) { c.Durable, c.PoolPages, c.WriteBuffer = false, 8, true })},
 	} {
-		cfgs = append(cfgs, row(r.name, dir, r.c))
+		cells = append(cells, engineCell{r.name, row(r.name, dir, r.c), false})
 	}
 	// The traced cells count I/O through taps of their own construction.
-	for _, e := range []struct {
-		name string
-		mk   EngineFactory
-	}{
-		{"epst-concurrent", concurrently(createThreeSided, openThreeSided, false)},
-		{"epst-concurrent-durable", concurrently(createThreeSided, openThreeSided, true)},
-		{"epst-buffered-concurrent", bufferedEngine(concurrently(createThreeSided, openThreeSided, true))},
-		{"epst-primary-concurrent-durable", asPrimary(concurrently(createThreeSided, openThreeSided, true))},
-	} {
-		cfgs = append(cfgs, Config{Name: e.name + "-traced", New: OverEngine(e.mk, true)})
+	range4 := concurrently(createFourSided, openFourSided, false)
+	range4Durable := concurrently(createFourSided, openFourSided, true)
+	return append(cells,
+		engineCell{"epst-concurrent-traced", concurrently(createThreeSided, openThreeSided, false), true},
+		engineCell{"epst-concurrent-durable-traced", concurrently(createThreeSided, openThreeSided, true), true},
+		engineCell{"epst-buffered-concurrent-traced", bufferedEngine(concurrently(createThreeSided, openThreeSided, true)), true},
+		engineCell{"epst-primary-concurrent-durable-traced", asPrimary(concurrently(createThreeSided, openThreeSided, true)), true},
+		engineCell{"range4-concurrent", range4, false},
+		engineCell{"range4-concurrent-traced", range4, true},
+		engineCell{"range4-concurrent-durable", range4Durable, false},
+		engineCell{"range4-concurrent-durable-traced", range4Durable, true},
+	)
+}
+
+// configs is the full differential matrix: both paper structures crossed
+// with every wrapper in the serving stack. The bare structures and their
+// single-caller wrappers are driven through core.Index; everything a server
+// can serve is driven through core.Engine, one config per engineCells cell.
+func configs(dir string) []Config {
+	epstDurable := durably(func(s eio.Store) (core.Index, error) { return core.NewThreeSided(s, epst.Options{}) })
+	cfgs := []Config{
+		{Name: "epst-plain", New: epstFactory},
+		{Name: "epst-durable", New: epstDurable},
+		{Name: "epst-buffered", New: bufferedly(epstFactory)},
+		{Name: "epst-buffered-durable", New: bufferedly(epstDurable)},
+		{Name: "range4-plain", New: range4Factory},
+		{Name: "range4-durable", New: durably(func(s eio.Store) (core.Index, error) { return core.NewFourSided(s, range4.Options{}) })},
+		{Name: "range4-buffered", New: bufferedly(range4Factory)},
 	}
-	cfgs = append(cfgs, engine("range4-concurrent", concurrently(createFourSided, openFourSided, false))...)
-	cfgs = append(cfgs, engine("range4-concurrent-durable", concurrently(createFourSided, openFourSided, true))...)
+	for _, c := range engineCells(dir) {
+		cfgs = append(cfgs, Config{Name: c.name, New: OverEngine(c.mk, c.traced)})
+	}
 	return cfgs
 }
 
@@ -332,6 +341,124 @@ func TestDifferential(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestDifferentialApplyRuns checks multi-op runs — what a BATCH request
+// becomes — against the model applied one op at a time in submission
+// order, on every engine cell of the matrix. A run may be applied in point
+// order (core.CompareOps), but its per-entry results and the final contents
+// must be exactly those of submission order. The runs repeat points (a hot
+// set of 12), mix inserts and deletes, carry sentinel coordinates
+// (ErrCoordRange) and are up to 150 ops long, so some span several group
+// commits. A traced cell passes one live span per run, whose I/O count must
+// equal what the writer side performed.
+func TestDifferentialApplyRuns(t *testing.T) {
+	nruns := 200
+	if testing.Short() {
+		nruns = 60
+	}
+	for _, c := range engineCells(t.TempDir()) {
+		t.Run(c.name, func(t *testing.T) {
+			if err := replayRuns(c.mk, c.traced, 11, nruns); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// replayRuns applies nruns seeded runs to a fresh engine from mk and to the
+// model, and compares every entry's outcome, then the whole contents.
+func replayRuns(mk EngineFactory, traced bool, seed int64, nruns int) error {
+	eng, ios, closeFn, err := mk()
+	if err != nil {
+		return fmt.Errorf("factory: %w", err)
+	}
+	defer closeFn()
+	rng := rand.New(rand.NewSource(seed))
+	randPoint := func() geom.Point {
+		return geom.Point{X: rng.Int63n(coordRange), Y: rng.Int63n(coordRange)}
+	}
+	hot := make([]geom.Point, 12)
+	for i := range hot {
+		hot[i] = randPoint()
+	}
+	sentinels := []geom.Point{{X: geom.MaxCoord, Y: 1}, {X: 1, Y: geom.MinCoord}, {X: geom.MinCoord, Y: geom.MaxCoord}}
+	model := NewModel()
+	for r := 0; r < nruns; r++ {
+		ops := make([]core.BatchOp, 1+rng.Intn(150))
+		for i := range ops {
+			var p geom.Point
+			switch x := rng.Float64(); {
+			case x < 0.05:
+				p = sentinels[rng.Intn(len(sentinels))]
+			case x < 0.45:
+				p = hot[rng.Intn(len(hot))]
+			default:
+				p = randPoint()
+			}
+			ops[i] = core.BatchOp{Delete: rng.Float64() < 0.4, P: p}
+		}
+		var sp *trace.Span
+		var w0 int64
+		if traced {
+			sp = trace.New(trace.ID{}, "batch")
+			w0, _ = ios()
+		}
+		got := eng.Apply(ops, sp)
+		if traced {
+			if w1, _ := ios(); sp.IOs() != w1-w0 {
+				return fmt.Errorf("run %d: span attributes %d I/Os, the writer performed %d", r, sp.IOs(), w1-w0)
+			}
+		}
+		for i, op := range ops {
+			want := modelApply(model, op)
+			if got[i].Found != want.Found || outcome(got[i].Err) != outcome(want.Err) {
+				return fmt.Errorf("run %d entry %d of %d (%+v): got found=%v err=%v, want found=%v err=%v",
+					r, i, len(ops), op, got[i].Found, got[i].Err, want.Found, want.Err)
+			}
+		}
+	}
+	pts, err := eng.Report(nil, geom.Rect{XLo: 0, XHi: coordRange, YLo: 0, YHi: geom.MaxCoord}, nil)
+	if err != nil {
+		return err
+	}
+	SortPoints(pts)
+	if d := diffPoints(pts, model.Query(geom.Rect{XLo: 0, XHi: coordRange, YLo: 0, YHi: geom.MaxCoord})); d != "" {
+		return fmt.Errorf("final contents: %s", d)
+	}
+	if n, err := eng.Len(); err != nil || n != model.Len() {
+		return fmt.Errorf("Len = %d, %v; model has %d", n, err, model.Len())
+	}
+	return nil
+}
+
+// modelApply is one op on the model, as Apply reports it.
+func modelApply(m *Model, op core.BatchOp) core.BatchResult {
+	p := op.P
+	if p.X == geom.MinCoord || p.X == geom.MaxCoord || p.Y == geom.MinCoord || p.Y == geom.MaxCoord {
+		return core.BatchResult{Err: core.ErrCoordRange}
+	}
+	if op.Delete {
+		return core.BatchResult{Found: m.Delete(p)}
+	}
+	if !m.Insert(p) {
+		return core.BatchResult{Err: core.ErrDuplicate}
+	}
+	return core.BatchResult{}
+}
+
+// outcome names an Apply entry's error class: the benign answers are
+// compared by kind, anything else never matches the model.
+func outcome(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, core.ErrDuplicate):
+		return "duplicate"
+	case errors.Is(err, core.ErrCoordRange):
+		return "coordinate out of range"
+	}
+	return "failure: " + err.Error()
 }
 
 // TestShrinkMinimizes plants a deterministic bug (an index wrapper that

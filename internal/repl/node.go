@@ -57,6 +57,11 @@ type Node struct {
 	mu      sync.RWMutex
 	conc    *core.Concurrent
 	applied func() uint64 // follower durable position; nil → the engine's own
+	// lineage is the term of the timeline conc holds, the term Position
+	// pairs with its LSN. It moves with the term everywhere but Fence: a
+	// fenced node still serves its old lineage, and a new term beside that
+	// lineage's LSN would name a position the node never reached.
+	lineage uint64
 
 	// roleRead, when set, runs between Role's first two loads: a test
 	// seam that lets a whole Fence or Promote land inside one Role call.
@@ -72,7 +77,13 @@ var _ core.Engine = (*Node)(nil)
 // means the node has no manifest to keep.
 func NewNode(conc *core.Concurrent, role string, term uint64, applied func() uint64,
 	persist func(role string, term uint64) error) *Node {
-	n := &Node{conc: conc, applied: applied, persist: persist}
+	n := &Node{conc: conc, applied: applied, persist: persist, lineage: term}
+	if role == RoleFenced {
+		// A store that boots fenced records only the raised term, not the
+		// lineage its data is on. Lineage 0 sorts below every term, so no
+		// barrier of a replicated timeline is answered here.
+		n.lineage = 0
+	}
 	n.role.Store(role)
 	n.term.Store(term)
 	return n
@@ -103,7 +114,10 @@ func (n *Node) Role() (string, uint64) {
 // false. The order: stop admitting writes; call wake, so writes parked on
 // replica acks see the role and fail core.ErrNotPrimary; wait for the
 // writes already admitted to drain (they commit under the old term); then
-// raise the term and persist the fence. Reads keep working throughout.
+// raise the term and persist the fence. Reads keep working throughout,
+// and Position keeps the old lineage's term: the data is still that
+// lineage's, so a read barriered at a position of the new term is STALE
+// here however far the old LSN has run.
 func (n *Node) Fence(term uint64, wake func()) (bool, error) {
 	if !n.role.CompareAndSwap(RolePrimary, RoleFenced) {
 		return false, nil
@@ -134,6 +148,7 @@ func (n *Node) Promote(conc *core.Concurrent, term uint64, arm func() error) (*c
 	old := n.conc
 	n.conc, n.applied = conc, nil
 	n.term.Store(term)
+	n.lineage = term
 	n.mu.Unlock()
 	if arm != nil {
 		if err := arm(); err != nil {
@@ -171,6 +186,7 @@ func (n *Node) Rebind(conc *core.Concurrent, term uint64) *core.Concurrent {
 	if term > n.term.Load() {
 		n.term.Store(term)
 	}
+	n.lineage = n.term.Load()
 	return old
 }
 
@@ -218,17 +234,20 @@ func (n *Node) PageSize() int {
 	return n.conc.PageSize()
 }
 
-// Position implements core.Engine: the node's term and durable LSN — the
-// engine's on a primary, the replica applier's on a follower (the engine
-// under a follower has no TxStore of its own driving commits). Both are
-// read under the one lock Promote, Rebind and Fence swap them under, so a
-// caller never sees the term of one timeline beside the LSN of another.
+// Position implements core.Engine: the term of the timeline the node's
+// data is on and its durable LSN — the engine's on a primary, the replica
+// applier's on a follower (the engine under a follower has no TxStore of
+// its own driving commits). The term is the node's own except on a fenced
+// node, which reports the lineage it was fenced on (see Fence), or 0 when
+// it booted fenced and that lineage is unknown; Role has the raised term. Both are read under the one lock Promote, Rebind and
+// Fence swap them under, so a caller never sees the term of one timeline
+// beside the LSN of another.
 func (n *Node) Position() (term, lsn uint64) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if n.applied != nil {
-		return n.term.Load(), n.applied()
+		return n.lineage, n.applied()
 	}
 	_, lsn = n.conc.Position()
-	return n.term.Load(), lsn
+	return n.lineage, lsn
 }

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -13,6 +14,7 @@ import (
 	"rangesearch/internal/core"
 	"rangesearch/internal/eio"
 	"rangesearch/internal/geom"
+	"rangesearch/internal/server"
 )
 
 const testPS = 256
@@ -498,6 +500,78 @@ func TestFenceByHigherTerm(t *testing.T) {
 	defer mu.Unlock()
 	if len(persisted) != 1 || persisted[0] != "fenced@9" {
 		t.Fatalf("persisted %v, want [fenced@9]", persisted)
+	}
+}
+
+// TestFencedNodeAnswersNoNewTermBarrier: a term-9 HELLO fences a term-1
+// primary at LSN 100. The node still serves term 1's data, so a read
+// barriered at (9, 50) must be STALE there — the old lineage's LSN 100 is
+// no position of term 9 — while one barriered at (1, 100) is answered.
+func TestFencedNodeAnswersNoNewTermBarrier(t *testing.T) {
+	conc, tx := newTestEngine(t, 0, nil)
+	for i := 0; tx.AppliedLSN() < 100; i++ {
+		if err := conc.Insert(geom.Point{X: int64(i), Y: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lsn := tx.AppliedLSN(); lsn != 100 {
+		t.Fatalf("primary at LSN %d, want 100", lsn)
+	}
+	n := NewNode(conc, RolePrimary, 1, nil, nil)
+	sh := NewShipper(ShipperConfig{Node: n, PageSize: testPS, Dir: uint64(tx.Anchor()), Logf: t.Logf})
+	tx.SetCommitHook(sh.Commit)
+	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go sh.Serve(rln)
+	defer sh.Close()
+	srv := server.New(n, server.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Shutdown(context.Background())
+	cl, err := server.Dial(ln.Addr().String(), server.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	read := func(minTerm, minLSN uint64) server.Response {
+		t.Helper()
+		resp, err := cl.Do(server.Request{Op: server.OpQuery3,
+			Rect: geom.Rect{XLo: 0, XHi: 10, YLo: 0, YHi: geom.MaxCoord}, MinTerm: minTerm, MinLSN: minLSN})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	if _, err := DialPrimary(rln.Addr().String(), Hello{Term: 9}, 2*time.Second); !errors.Is(err, ErrFenced) {
+		t.Fatalf("dial from higher term: %v, want ErrFenced", err)
+	}
+	if role, term := n.Role(); role != RoleFenced || term != 9 {
+		t.Fatalf("node is %s at term %d, want fenced at term 9", role, term)
+	}
+	if resp := read(9, 50); resp.Status != server.StatusStale {
+		t.Fatalf("read barriered at (9, 50) on a node fenced at (1, 100): status 0x%02x, want STALE", resp.Status)
+	}
+	if resp := read(1, 100); resp.Status != server.StatusOK || len(resp.Points) != 11 {
+		t.Fatalf("read barriered at (1, 100): status 0x%02x with %d points, want OK with 11", resp.Status, len(resp.Points))
+	}
+	if term, lsn := n.Position(); term != 1 || lsn != 100 {
+		t.Fatalf("fenced Position() = (%d, %d), want its lineage's (1, 100)", term, lsn)
+	}
+
+	// Rebooted, the store's manifest says fenced at term 9 and nothing of
+	// the lineage: no barrier with a term is answered.
+	rebooted := NewNode(conc, RoleFenced, 9, nil, nil)
+	term, lsn := rebooted.Position()
+	for _, b := range [][2]uint64{{9, 50}, {1, 50}} {
+		if server.Covers(term, lsn, b[0], b[1]) {
+			t.Errorf("a store booted fenced at term 9 reports (%d, %d), which covers (%d, %d)", term, lsn, b[0], b[1])
+		}
 	}
 }
 

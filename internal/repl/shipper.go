@@ -354,11 +354,11 @@ func (s *Shipper) servePromote(conn net.Conn) {
 	// failover tooling can treat the RPC as idempotent.
 	role, term := s.cfg.Node.Role()
 	if role == RolePrimary {
-		// A primary's term moves only when a fence raises it, after the
-		// role has left primary; an LSN read at the same term is still
-		// this lineage's.
-		t, lsn := s.cfg.Node.Position()
-		if t != term {
+		// A primary leaves its role only by a fence; if it is still the
+		// primary of term after the LSN is read, that LSN is this
+		// lineage's.
+		_, lsn := s.cfg.Node.Position()
+		if r, t := s.cfg.Node.Role(); r != RolePrimary {
 			_ = writeFrame(conn, encodeError(fmt.Sprintf("repl: fenced by term %d", t)))
 			return
 		}
@@ -564,7 +564,10 @@ func (s *Shipper) writeLoop(sc *shipConn, sentThrough uint64) {
 				return
 			}
 		case <-ticker.C:
-			term, durable := s.cfg.Node.Position()
+			// The node's term, not Position's lineage: a fenced node's
+			// raised term is what tells its replicas to re-handshake.
+			_, term := s.cfg.Node.Role()
+			_, durable := s.cfg.Node.Position()
 			_ = sc.conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
 			if err := writeFrame(bw, encodeU64Msg(msgHeartbeat, term, durable)); err != nil {
 				return

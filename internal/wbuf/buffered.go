@@ -3,7 +3,7 @@ package wbuf
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -402,20 +402,7 @@ func (b *Buffered) flushLocked(sp *trace.Span) error {
 		return nil
 	}
 	start := time.Now()
-	ops := make([]core.BatchOp, 0, len(b.ents))
-	for p, e := range b.ents {
-		switch {
-		case e.del && e.baseHas:
-			ops = append(ops, core.BatchOp{Delete: true, P: p})
-		case !e.del && !e.baseHas:
-			ops = append(ops, core.BatchOp{P: p})
-			// del && !baseHas: net no-op (insert then delete of a new point);
-			// !del && baseHas: net no-op (delete then re-insert of a base point).
-		}
-	}
-	// Deterministic, locality-friendly apply order.
-	sortOps(ops)
-	if err := b.applyToBase(ops, sp); err != nil {
+	if err := b.applyToBase(b.netOpsLocked(), sp); err != nil {
 		return err
 	}
 	n := len(b.ents)
@@ -435,9 +422,24 @@ func (b *Buffered) flushLocked(sp *trace.Span) error {
 	return nil
 }
 
-// sortOps orders ops by canonical point order.
-func sortOps(ops []core.BatchOp) {
-	sort.Slice(ops, func(i, k int) bool { return ops[i].P.Less(ops[k].P) })
+// netOpsLocked collapses the buffer to the operations the base still
+// needs, in core.CompareOps order: deterministic and locality-friendly, and
+// the order core.Concurrent.Apply would give the run anyway (the ops are
+// distinct points). Called with b.mu held.
+func (b *Buffered) netOpsLocked() []core.BatchOp {
+	ops := make([]core.BatchOp, 0, len(b.ents))
+	for p, e := range b.ents {
+		switch {
+		case e.del && e.baseHas:
+			ops = append(ops, core.BatchOp{Delete: true, P: p})
+		case !e.del && !e.baseHas:
+			ops = append(ops, core.BatchOp{P: p})
+			// del && !baseHas: net no-op (insert then delete of a new point);
+			// !del && baseHas: net no-op (delete then re-insert of a base point).
+		}
+	}
+	slices.SortFunc(ops, core.CompareOps)
+	return ops
 }
 
 // applyToBase lands the collapsed operations in the base. Benign

@@ -241,15 +241,5 @@ func TestPartialFlushReplayIdempotent(t *testing.T) {
 func (b *Buffered) collapsedOps() []core.BatchOp {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	ops := make([]core.BatchOp, 0, len(b.ents))
-	for p, e := range b.ents {
-		switch {
-		case e.del && e.baseHas:
-			ops = append(ops, core.BatchOp{Delete: true, P: p})
-		case !e.del && !e.baseHas:
-			ops = append(ops, core.BatchOp{P: p})
-		}
-	}
-	sortOps(ops)
-	return ops
+	return b.netOpsLocked()
 }
