@@ -96,7 +96,7 @@ func ship(st *node.Stack, sh *repl.Shipper, syncN int, syncT time.Duration) {
 	st.Tx.SetCommitHook(sh.Commit)
 	if syncN > 0 {
 		st.Conc.SetCommitGate(func() error {
-			return sh.WaitAcked(st.Tx.AppliedLSN(), syncN, syncT)
+			return sh.WaitAcked(st.Applied(), syncN, syncT)
 		})
 	}
 }
@@ -111,7 +111,7 @@ func startPrimaryRepl(cfg node.Config, st *node.Stack, lnAddr string, syncN int,
 		role = repl.RoleFenced
 		logf("store was fenced at term %d: serving reads only (re-replicate or -force-primary to recover)", m.Term)
 	}
-	rnode := repl.NewNode(st.Conc, role, m.Term, nil, cfg.SetRole)
+	rnode := repl.NewNode(st.Conc, role, m.Term, cfg.SetRole)
 	sc := shipperConfig(rnode, m, logf)
 	sc.CutSnapshot = cutSnapshot(st)
 	shipper := repl.NewShipper(sc)
@@ -136,21 +136,7 @@ type replicaNode struct {
 	rnode   *repl.Node
 	shipper *repl.Shipper // nil without -repl-listen
 
-	// follow mirrors rn.st while it is a follower, for the apply loop,
-	// which must not take rn.mu on its hot path (promote holds rn.mu while
-	// taking the node's write lock — the reverse order of a barriered
-	// read).
-	follow   atomic.Pointer[node.Stack]
 	follower atomic.Pointer[repl.Follower]
-
-	// pubLSN is the node's PUBLISHED position: the highest applied LSN
-	// whose epoch readers can already see. It advances strictly after
-	// the epoch commit (and, on a re-clone, after the engine swap), never
-	// before — the read barrier must compare against it rather than the
-	// applier's durable LSN, or a barriered query landing between apply
-	// and publish would pass the staleness check yet read the previous
-	// epoch, resurrecting writes the client saw acked.
-	pubLSN atomic.Uint64
 
 	mu       sync.Mutex
 	st       *node.Stack // current serving stack (a follower until promoted)
@@ -169,7 +155,6 @@ type replicaNode struct {
 func (rn *replicaNode) setFollower(st *node.Stack) {
 	logBoot(st.Boot, "replica ", rn.logf)
 	rn.st = st
-	rn.follow.Store(st)
 }
 
 // startReplica syncs with the primary (blocking, with retries until
@@ -194,7 +179,6 @@ func startReplica(cfg node.Config, primaryAddr, lnAddr string, syncN int, syncT,
 	}
 	if st != nil {
 		rn.setFollower(st)
-		rn.pubLSN.Store(st.Applied())
 		logf("replica store reopened at term %d lsn %d", st.M.Term, st.Applied())
 	}
 
@@ -218,7 +202,7 @@ func startReplica(cfg node.Config, primaryAddr, lnAddr string, syncN int, syncT,
 		time.Sleep(500 * time.Millisecond)
 	}
 
-	rn.rnode = repl.NewNode(rn.st.Conc, repl.RoleReplica, rn.st.M.Term, rn.pubLSN.Load, cfg.SetRole)
+	rn.rnode = repl.NewNode(rn.st.Conc, repl.RoleReplica, rn.st.M.Term, cfg.SetRole)
 	if lnAddr != "" {
 		// A replica's repl port exists for the PROMOTE RPC now and for
 		// shipping to its own replicas after promotion.
@@ -284,23 +268,13 @@ func (rn *replicaNode) connect() (*repl.Session, error) {
 		rn.setFollower(st)
 		rnode := rn.rnode
 		rn.mu.Unlock()
-		// Retract the published position before the swap: the old value is
-		// an old-timeline LSN, and once Rebind makes the new term visible a
-		// numerically-high stale LSN could satisfy a new-term barrier the
-		// clone hasn't actually caught up to. Zero forces STALE (safe)
-		// until the clone's own position is published below.
-		rn.pubLSN.Store(0)
 		if rnode != nil {
 			// Swap the fresh stack and the session's term in together under
 			// the node's exclusive lock — in-flight readers on the old
 			// engine drain first, and a reader that sees the new term is
-			// guaranteed the new engine.
+			// guaranteed the new engine and its position, the clone's LSN.
 			rnode.Rebind(st.Conc, info.Term)
 		}
-		// Published position advances only now that readers reach the new
-		// engine; earlier, a barrier could pass against the clone's LSN
-		// while queries still ran on the old (older) stack.
-		rn.pubLSN.Store(st.Applied())
 		if old != nil {
 			old.Close()
 		}
@@ -318,13 +292,13 @@ func (rn *replicaNode) loop(sess *repl.Session) {
 	backoff := 250 * time.Millisecond
 	for {
 		if sess != nil {
-			applied := uint64(0)
-			if st := rn.follow.Load(); st != nil {
-				applied = st.Applied()
-			}
-			f := repl.NewFollower(sess, applied)
+			// Promotion and shutdown replace rn.st only once the loop parks.
+			rn.mu.Lock()
+			st := rn.st
+			rn.mu.Unlock()
+			f := repl.NewFollower(sess, st.Applied())
 			rn.follower.Store(f)
-			err := f.Run(sess, repl.FollowerCallbacks{Apply: rn.applyRecord, Logf: rn.logf})
+			err := f.Run(sess, repl.FollowerCallbacks{Apply: st.Apply, Logf: rn.logf})
 			sess.Close()
 			rn.follower.Store(nil)
 			if rn.parked() {
@@ -355,23 +329,6 @@ func (rn *replicaNode) parked() bool {
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
 	return rn.stopping || rn.promoted
-}
-
-// applyRecord replays one shipped record and publishes it as an epoch so
-// concurrent readers roll forward. The published position (what the read
-// barrier checks) advances only after the epoch commit — a reader must
-// never pass the barrier for an LSN whose effects it cannot yet see.
-func (rn *replicaNode) applyRecord(rec []byte) (uint64, error) {
-	st := rn.follow.Load()
-	if st == nil {
-		return 0, fmt.Errorf("no replica stack")
-	}
-	lsn, err := st.Apply(rec)
-	if err != nil {
-		return 0, err
-	}
-	rn.pubLSN.Store(lsn)
-	return lsn, nil
 }
 
 // stopFollower halts the apply loop and waits for it to park. After it
@@ -468,7 +425,6 @@ func (rn *replicaNode) promote() (term, lsn uint64, err error) {
 	// The swap drained every request on the old engine. Its SnapStore is
 	// abandoned un-Closed (Closing it would close the FileStore the new
 	// stack now owns).
-	rn.follow.Store(nil)
 	publishStack(newStack)
 	rn.st = newStack
 	old.Close()
@@ -537,7 +493,6 @@ func (rn *replicaNode) drain() (int, error) {
 	defer rn.mu.Unlock()
 	st := rn.st
 	rn.st = nil
-	rn.follow.Store(nil)
 	if st == nil {
 		return 0, nil
 	}

@@ -68,7 +68,8 @@ type ConcurrentOptions struct {
 //     operations — absorbing those that arrive while it is executing —
 //     and publishes a single new epoch. When the writer Index is a
 //     *Durable, the batch runs inside Durable.Batch — one WAL record and
-//     one fsync for the whole group.
+//     one fsync for the whole group — and the epoch it publishes is that
+//     record's LSN (a batch that writes no record publishes none).
 //
 // Per-operation I/O bounds are preserved: a snapshot query reads exactly
 // the pages the same query would read serially (version-chain hits cost no
@@ -152,16 +153,17 @@ func NewConcurrent(writer Index, snap *eio.SnapStore, open OpenFunc, opts Concur
 // Epoch returns the current committed epoch (the stamp new snapshots get).
 func (c *Concurrent) Epoch() uint64 { return c.snap.Epoch() }
 
-// Position implements Engine. The LSN is the durable log position of the
-// writer's TxStore — monotonic, persistent across restarts, and always ≥
-// the LSN of any already-acknowledged write; zero when the writer is not
-// durable (no WAL, nothing to ship). A bare Concurrent is un-replicated and
-// serves at term 0; repl.Node supplies the term of a replicated one.
+// Position implements Engine. On a durable writer the LSN is the published
+// epoch: the LSN of the last group commit readers can see — monotonic,
+// persistent across restarts, ≥ that of any acknowledged write, and never
+// ahead of what a read opened after it sees. It is zero when the writer is
+// not durable (no WAL, nothing to ship). A bare Concurrent is un-replicated
+// and serves at term 0; repl.Node supplies the term of a replicated one.
 func (c *Concurrent) Position() (term, lsn uint64) {
 	if c.durable == nil {
 		return 0, 0
 	}
-	return 0, c.durable.Tx().AppliedLSN()
+	return 0, c.snap.Epoch()
 }
 
 // SetCommitGate installs the post-commit gate described on the field (nil
@@ -315,8 +317,8 @@ func benign(err error) bool {
 }
 
 // runBatch applies the leader's batch (c.batch, as take filled it) through
-// the writer index and publishes one new epoch. own is the first op of the
-// leader's own run, for take. Callers hold wmu.
+// the writer index and publishes at most one new epoch. own is the first
+// op of the leader's own run, for take. Callers hold wmu.
 func (c *Concurrent) runBatch(own *pendingOp) {
 	start := time.Now()
 	traced := false
@@ -394,7 +396,10 @@ func (c *Concurrent) runBatch(own *pendingOp) {
 		c.fail(batch, applyErr)
 		return
 	}
-	// Publish the new epoch. On the non-durable path this happens even
+	// Publish the new epoch: on a durable writer the LSN of the batch's
+	// record, so a batch whose ops were all duplicates or out of range,
+	// which wrote none and changed no page, re-publishes the current epoch
+	// and publishes nothing. On the non-durable path this happens even
 	// after an apply error: the inner store already holds the (possibly
 	// partial) new state, and readers must see a published epoch that
 	// matches it — the same torn-structure risk a serial caller of a

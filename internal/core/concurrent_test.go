@@ -262,13 +262,77 @@ func TestConcurrentDurableGroupCommit(t *testing.T) {
 	if int64(n)+dups.Load() != writers*per {
 		t.Fatalf("Len %d + dups %d != %d submitted", n, dups.Load(), writers*per)
 	}
-	// A durable batch publishes one epoch and writes at most one WAL record
-	// (none when every op in it was a duplicate).
+	// A durable batch writes at most one WAL record (none when every op in
+	// it was a duplicate) and publishes its epoch at that record's LSN, so
+	// the epoch advanced exactly as far as the log.
 	batches, records := c.Epoch()-epoch0, tx.AppliedLSN()-lsn0
-	if records == 0 || records > batches || batches > writers*per {
-		t.Fatalf("%d epochs published for %d WAL records, want 1 ≤ records ≤ epochs ≤ %d", batches, records, writers*per)
+	if records == 0 || batches != records || records > writers*per {
+		t.Fatalf("epoch advanced by %d for %d WAL records, want the same, between 1 and %d", batches, records, writers*per)
 	}
 	t.Run("late-join", testConcurrentLateJoin)
+}
+
+// TestConcurrentPositionNeverAheadOfRead: a durable stack's Position is the
+// epoch it has published, so a read opened after Position returned L sees
+// every record up to L. One writer inserts points one durable commit each
+// while a reader reads Position and then opens a snapshot: the snapshot
+// holds at least L − L₀ points, its epoch is at least L, and it holds
+// exactly one point per record up to its epoch — the epoch IS the LSN
+// whose writes it holds. Run it under -race.
+func TestConcurrentPositionNeverAheadOfRead(t *testing.T) {
+	c, _, tx := newConcurrentDurableThreeSided(t, 64)
+	_, lsn0 := c.Position()
+	if e := c.Epoch(); e != lsn0 || lsn0 != tx.AppliedLSN() {
+		t.Fatalf("fresh stack: epoch %d, Position %d, log at %d; want all equal", e, lsn0, tx.AppliedLSN())
+	}
+	n := 2000
+	if testing.Short() {
+		n = 1000
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			if err := c.Insert(geom.Point{X: int64(i), Y: int64(i)}); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	reads, ahead := 0, 0
+	for finished := false; !finished; reads++ {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		_, lsn := c.Position()
+		sn, err := c.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sn.Len()
+		epoch := sn.Epoch()
+		sn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(got) < lsn-lsn0 || epoch < lsn {
+			ahead++
+			if ahead <= 3 {
+				t.Errorf("Position said lsn %d, then a snapshot at epoch %d held %d points, want at least %d", lsn, epoch, got, lsn-lsn0)
+			}
+		}
+		if uint64(got) != epoch-lsn0 {
+			t.Fatalf("snapshot at epoch %d holds %d points, want %d (one per record)", epoch, got, epoch-lsn0)
+		}
+	}
+	if ahead > 0 {
+		t.Fatalf("%d of %d reads ran behind the Position read before them", ahead, reads)
+	}
+	if _, lsn := c.Position(); lsn != tx.AppliedLSN() || lsn-lsn0 != uint64(n) {
+		t.Fatalf("after %d commits: Position %d, log at %d", n, lsn, tx.AppliedLSN())
+	}
 }
 
 // holdStore is a pass-through whose next Read runs a one-shot hook first:

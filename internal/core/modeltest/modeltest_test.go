@@ -204,7 +204,7 @@ func asPrimary(mk EngineFactory) EngineFactory {
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return repl.NewNode(eng.(*core.Concurrent), repl.RolePrimary, 1, nil, nil), ios, closeFn, nil
+		return repl.NewNode(eng.(*core.Concurrent), repl.RolePrimary, 1, nil), ios, closeFn, nil
 	}
 }
 
@@ -237,7 +237,7 @@ func row(name, dir string, c node.Config) EngineFactory {
 		}
 		eng := st.Engine()
 		if c.Role == node.Primary {
-			eng = repl.NewNode(st.Conc, repl.RolePrimary, 1, nil, nil)
+			eng = repl.NewNode(st.Conc, repl.RolePrimary, 1, nil)
 		}
 		return eng, nil, func() { st.Drain(); os.RemoveAll(rowDir) }, nil
 	}

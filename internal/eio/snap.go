@@ -2,6 +2,7 @@ package eio
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,13 +24,16 @@ var ErrReadOnly = fmt.Errorf("eio: mutation through read-only snapshot view")
 //     page's content as of epoch E no matter what the writer does
 //     concurrently. Unpin releases the snapshot.
 //   - The writer mutates pages freely and then calls Commit, which
-//     publishes the accumulated writes as epoch E+1. Before the first
-//     overwrite (or free) of each page since the last commit, SnapStore
-//     captures the page's pre-image into a version chain, so pinned readers
-//     keep seeing the epoch they pinned. Abort discards the capture
-//     bookkeeping of an abandoned batch instead (used when the batch ran
-//     inside a rolled-back TxStore transaction, which restores the inner
-//     store by itself).
+//     publishes the accumulated writes as the next epoch: over a TxStore
+//     the LSN of the record that made them durable, so one number says
+//     what a reader sees and how far the log has got; over any other store
+//     the current epoch plus one. Before the first overwrite (or free) of
+//     each page since the last commit, SnapStore captures the page's
+//     pre-image into a version chain, so pinned readers keep seeing the
+//     epoch they pinned. Abort discards the capture bookkeeping of an
+//     abandoned batch instead (used when the batch ran inside a
+//     rolled-back TxStore transaction, which restores the inner store by
+//     itself).
 //
 // Frees are deferred: Free captures the page's pre-image and hides the page
 // from the writer, but the inner free happens only at a later Commit once no
@@ -76,7 +80,7 @@ type SnapStore struct {
 type snapStripe struct {
 	mu       sync.Mutex
 	versions map[PageID][]pageVersion // ascending validThrough
-	freed    map[PageID]uint64        // page id -> epoch at which the free commits
+	freed    map[PageID]uint64        // page id -> epoch it was freed at + 1: the free commits at the next publish
 }
 
 // pageVersion is one captured pre-image: the content of the page for every
@@ -95,8 +99,12 @@ const DefaultSnapStripes = 64
 // maxSpareVersions bounds the recycled version buffers a SnapStore keeps.
 const maxSpareVersions = 64
 
+// logged is a store with a write-ahead log (TxStore).
+type logged interface{ AppliedLSN() uint64 }
+
 // NewSnapStore wraps inner. stripes is the lock-striping width (use 0 for
-// DefaultSnapStripes).
+// DefaultSnapStripes). The store starts at epoch 0, or over a log at its
+// LSN: a reopened TxStore's recovered one.
 func NewSnapStore(inner Store, stripes int) *SnapStore {
 	if stripes <= 0 {
 		stripes = DefaultSnapStripes
@@ -107,6 +115,9 @@ func NewSnapStore(inner Store, stripes int) *SnapStore {
 		stripes: make([]snapStripe, stripes),
 		pins:    map[uint64]int{},
 		batch:   map[PageID]bool{},
+	}
+	if l, ok := inner.(logged); ok {
+		s.epoch = l.AppliedLSN()
 	}
 	for i := range s.stripes {
 		s.stripes[i].versions = map[PageID][]pageVersion{}
@@ -190,19 +201,41 @@ func (s *SnapStore) capture(id PageID) error {
 	return nil
 }
 
-// Commit publishes every write since the last Commit/Abort as a new epoch
-// and returns it. It also garbage-collects version chains no pinned epoch
-// can read and applies deferred frees that are out of reach of every pin.
+// Commit publishes every write since the last Commit/Abort as the next
+// epoch (see the type comment) and returns it.
 func (s *SnapStore) Commit() (uint64, error) {
+	epoch := s.Epoch() + 1
+	if l, ok := s.inner.(logged); ok {
+		epoch = l.AppliedLSN()
+	}
+	return epoch, s.CommitAt(epoch)
+}
+
+// CommitAt publishes every write since the last Commit/Abort as epoch, at
+// or above the current one (a follower publishes each applied record at
+// its LSN). The current epoch again folds the writes into it if nothing is
+// pinned, as when a stack opens its structure over a log that has not
+// moved, and else leaves them behind pinned versions until the next epoch.
+// It also garbage-collects version chains no pinned epoch can read and
+// applies deferred frees that are out of reach of every pin.
+func (s *SnapStore) CommitAt(epoch uint64) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.emu.Lock()
-	s.epoch++
-	epoch := s.epoch
-	minPin := s.minPinLocked()
+	if cur := s.epoch; epoch < cur {
+		s.emu.Unlock()
+		return fmt.Errorf("eio: snap: cannot publish epoch %d below epoch %d", epoch, cur)
+	}
+	s.epoch = epoch
+	// Unpinned, no reader can reach a version or a freed page: the next
+	// Pin lands on the epoch just published, which reads the live pages.
+	minPin := uint64(math.MaxUint64)
+	if len(s.pins) > 0 {
+		minPin = s.minPinLocked()
+	}
 	s.emu.Unlock()
 	clear(s.batch)
-	return epoch, s.gc(minPin)
+	return s.gc(minPin)
 }
 
 // Abort discards the capture bookkeeping of the current batch: the versions
@@ -427,8 +460,6 @@ func (s *SnapStore) Close() error {
 
 // SnapStats is a point-in-time summary of the snapshot machinery.
 type SnapStats struct {
-	// Epoch is the current committed epoch.
-	Epoch uint64
 	// Pins is the number of live snapshot pins.
 	Pins int
 	// Versions is the number of captured page pre-images currently held.
@@ -448,10 +479,8 @@ func (s *SnapStore) SnapStats() SnapStats {
 	for _, n := range s.pins {
 		pins += n
 	}
-	epoch := s.epoch
 	s.emu.Unlock()
 	return SnapStats{
-		Epoch:        epoch,
 		Pins:         pins,
 		Versions:     s.versionsHeld.Load(),
 		PendingFrees: s.pendingFrees.Load(),
@@ -476,9 +505,6 @@ type SnapView struct {
 }
 
 var _ Store = (*SnapView)(nil)
-
-// Epoch returns the epoch the view is fixed at.
-func (v *SnapView) Epoch() uint64 { return v.epoch }
 
 // PageSize implements Store.
 func (v *SnapView) PageSize() int { return v.s.ps }

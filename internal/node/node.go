@@ -285,7 +285,8 @@ func (c Config) openFile(m *Manifest) (*Stack, error) {
 }
 
 // assemble puts TraceStore, the EPST (created when m names no header),
-// the writer and Concurrent over snap, and publishes the base epoch. The
+// the writer and Concurrent over snap, and publishes the base epoch: the
+// log's LSN on a durable stack or a follower, the counter's first else. The
 // writer index sits on the TraceStore so the group-commit leader can
 // attribute each traced request's exact block I/Os; the tracer's sink
 // stays nil for untraced work. Over a TxStore the writer is Durable; over
@@ -303,7 +304,12 @@ func assemble(snap *eio.SnapStore, m *Manifest, tx *eio.TxStore, txr *eio.TxRepl
 		return nil, err
 	}
 	m.Hdr = idx.HeaderID()
-	if _, err := snap.Commit(); err != nil {
+	if txr != nil {
+		err = snap.CommitAt(txr.AppliedLSN())
+	} else {
+		_, err = snap.Commit()
+	}
+	if err != nil {
 		return nil, err
 	}
 	var writer core.Index = idx
@@ -422,8 +428,8 @@ func (s *Stack) Scrub() (int, error) {
 }
 
 // Drain runs the shutdown storage protocol: fold the write buffer into the
-// base and truncate its journal, unpin the serving view, commit the final
-// epoch (handing deferred frees down), verify page-exact reachability,
+// base and truncate its journal, unpin the serving view, re-publish the
+// final epoch (handing deferred frees down), verify page-exact reachability,
 // checkpoint and sync (releasing the held frees), close. It returns the
 // number of leaked pages. A follower's store legitimately holds pages its
 // primary freed, so a follower only checkpoints — it reopens with nothing
@@ -438,7 +444,7 @@ func (s *Stack) Drain() (int, error) {
 		}
 	}
 	s.Conc.Close()
-	if _, err := s.snap.Commit(); err != nil {
+	if err := s.snap.CommitAt(s.snap.Epoch()); err != nil {
 		return 0, fmt.Errorf("final commit: %w", err)
 	}
 	leaked := 0
@@ -488,30 +494,27 @@ func (c Config) Clone(m *Manifest, fill func(put func(id uint64, image []byte) e
 	return c.openFile(m)
 }
 
-// Applied is the stack's durable log position.
-func (s *Stack) Applied() uint64 {
-	if s.txr != nil {
-		return s.txr.AppliedLSN()
-	}
-	return s.Tx.AppliedLSN()
-}
+// Applied is a durable or follower stack's log position: its published
+// epoch, the LSN of the last record its reads see.
+func (s *Stack) Applied() uint64 { return s.snap.Epoch() }
 
-// Apply replays one shipped record on a follower and publishes it as an
-// epoch, returning the new applied LSN.
+// Apply replays one shipped record on a follower and publishes it as the
+// epoch of its LSN, returning the applied LSN. A duplicate — the tail a
+// reconnect resends — publishes nothing.
 func (s *Stack) Apply(rec []byte) (uint64, error) {
-	if _, err := s.txr.ApplyRecord(rec); err != nil {
-		return 0, err
+	applied, err := s.txr.ApplyRecord(rec)
+	lsn := s.txr.AppliedLSN()
+	if applied {
+		err = s.snap.CommitAt(lsn)
 	}
-	if _, err := s.snap.Commit(); err != nil {
-		return 0, err
-	}
-	return s.txr.AppliedLSN(), nil
+	return lsn, err
 }
 
 // Promote reopens a follower whose apply loop has stopped as a writable
-// durable stack over the same file and manifest. A checkpoint first makes
-// the anchors exact, so OpenTxStore's recovery is a no-op: no replay
-// writes behind the follower's pinned readers.
+// durable stack over the same file and manifest, its epoch starting at
+// the follower's LSN. A checkpoint first makes the anchors exact, so
+// OpenTxStore's recovery is a no-op: no replay writes behind the
+// follower's pinned readers.
 func (s *Stack) Promote() (*Stack, error) {
 	if err := s.txr.Checkpoint(); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)

@@ -134,23 +134,49 @@ func TestManifestLeftoverTemp(t *testing.T) {
 	}
 }
 
+// oneClock checks that a durable or follower stack's published epoch is
+// its log's LSN, and that a snapshot taken now is stamped with it.
+func oneClock(t *testing.T, what string, st *Stack, want uint64) {
+	t.Helper()
+	var lsn uint64
+	if st.txr != nil {
+		lsn = st.txr.AppliedLSN()
+	} else {
+		lsn = st.Tx.AppliedLSN()
+	}
+	sn, err := st.Conc.Snapshot()
+	if err != nil {
+		t.Fatalf("%s: snapshot: %v", what, err)
+	}
+	defer sn.Close()
+	if _, pos := st.Conc.Position(); lsn != want || st.Conc.Epoch() != want || sn.Epoch() != want ||
+		st.Applied() != want || (st.txr == nil && pos != want) {
+		t.Errorf("%s: log at lsn %d, epoch %d, snapshot epoch %d, Applied %d, Position %d; want all %d",
+			what, lsn, st.Conc.Epoch(), sn.Epoch(), st.Applied(), pos, want)
+	}
+}
+
 // TestReopenRoundTrip pins the happy path the validation must not break:
-// create, write, drain, reopen, read back.
+// create, write, drain, reopen, read back — and a crash and reopen after
+// it. At every step the published epoch is the log's LSN.
 func TestReopenRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "points.db")
 	st, err := Build(fileConfig(path))
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
+	oneClock(t, "fresh store", st, 0)
 	if err := st.Conc.Insert(geom.Point{X: 1, Y: 2}); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
+	oneClock(t, "after one write", st, 1)
 	drain(t, st)
 
 	st2, err := Build(fileConfig(path))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
+	oneClock(t, "reopened store", st2, 1)
 	pts, err := st2.Conc.Query(nil, geom.Rect{XLo: 0, XHi: 10, YLo: 0, YHi: 10})
 	if err != nil {
 		t.Fatalf("query: %v", err)
@@ -158,7 +184,22 @@ func TestReopenRoundTrip(t *testing.T) {
 	if len(pts) != 1 || pts[0] != (geom.Point{X: 1, Y: 2}) {
 		t.Fatalf("reopened store returned %v, want [{1 2}]", pts)
 	}
-	drain(t, st2)
+	for x := int64(2); x <= 4; x++ {
+		if err := st2.Conc.Insert(geom.Point{X: x, Y: x}); err != nil {
+			t.Fatalf("insert: %v", err)
+		}
+	}
+	st2.fs.CloseCrash()
+
+	st3, err := Build(fileConfig(path))
+	if err != nil {
+		t.Fatalf("reopen after a crash: %v", err)
+	}
+	oneClock(t, "store recovered from a crash", st3, 4)
+	if n, err := st3.Conc.Len(); err != nil || n != 4 {
+		t.Fatalf("recovered Len = %d, %v; want 4", n, err)
+	}
+	drain(t, st3)
 }
 
 // TestDefaultWALHoldsGroupCommit commits core.Concurrent's largest group
@@ -528,20 +569,14 @@ func TestDesignModeTable(t *testing.T) {
 	}
 }
 
-// TestFollowerLifecycle walks a replica's stack through its life: nothing
-// before the first sync, a clone of a primary's image with the primary's
-// later records applied on top, a drain and reopen, and a promotion to a
-// writable stack that scrubs, takes writes and drains leak-free.
-func TestFollowerLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	primary, err := Build(fileConfig(filepath.Join(dir, "primary.db")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The image a snapshot session ships: every live page under the
-	// write barrier, where the store is checkpointed and quiescent.
+// cloneOf clones primary's current image into a follower store at rc, as
+// a snapshot session does — every live page under the write barrier, where
+// the store is checkpointed and quiescent — and taps primary's later
+// commits: the records it collects are what the stream would ship.
+func cloneOf(t *testing.T, primary *Stack, rc Config) (*Stack, *[][]byte) {
+	t.Helper()
 	image := map[eio.PageID][]byte{}
-	err = primary.Conc.Barrier(func() error {
+	err := primary.Conc.Barrier(func() error {
 		ids, err := primary.Tx.LivePageIDs()
 		for _, id := range ids {
 			image[id] = make([]byte, primary.M.PageSize)
@@ -554,15 +589,8 @@ func TestFollowerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var records [][]byte
-	primary.Tx.SetCommitHook(func(_ uint64, rec []byte) { records = append(records, append([]byte(nil), rec...)) })
-	want := writes(t, primary.Engine())
-
-	rc := fileConfig(filepath.Join(dir, "replica.db"))
-	rc.Role = Replica
-	if st, err := Build(rc); st != nil || err != nil {
-		t.Fatalf("Build before the first sync = %v, %v; want nothing", st, err)
-	}
+	records := new([][]byte)
+	primary.Tx.SetCommitHook(func(_ uint64, rec []byte) { *records = append(*records, append([]byte(nil), rec...)) })
 	st, err := rc.Clone(&Manifest{PageSize: primary.M.PageSize, Durable: true, Hdr: primary.M.Hdr,
 		Anchor: primary.M.Anchor, Role: "replica"}, func(put func(uint64, []byte) error) error {
 		for id, img := range image {
@@ -575,20 +603,48 @@ func TestFollowerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Clone: %v", err)
 	}
-	for _, rec := range records {
+	return st, records
+}
+
+// TestFollowerLifecycle walks a replica's stack through its life: nothing
+// before the first sync, a clone of a primary's image with the primary's
+// later records applied on top, a drain and reopen, and a promotion to a
+// writable stack that scrubs, takes writes and drains leak-free.
+// At every step the published epoch is the log's LSN.
+func TestFollowerLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	primary, err := Build(fileConfig(filepath.Join(dir, "primary.db")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := fileConfig(filepath.Join(dir, "replica.db"))
+	rc.Role = Replica
+	if st, err := Build(rc); st != nil || err != nil {
+		t.Fatalf("Build before the first sync = %v, %v; want nothing", st, err)
+	}
+	// A clone cut after some writes starts at their LSN.
+	for x := int64(1); x <= 3; x++ {
+		if err := primary.Conc.Insert(geom.Point{X: -x, Y: x}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, records := cloneOf(t, primary, rc)
+	oneClock(t, "clone", st, 3)
+	want := 3 + writes(t, primary.Engine())
+	for _, rec := range *records {
 		if _, err := st.Apply(rec); err != nil {
 			t.Fatalf("Apply: %v", err)
 		}
 	}
-	if st.Applied() != primary.Applied() {
-		t.Errorf("follower at lsn %d, primary at %d", st.Applied(), primary.Applied())
-	}
+	oneClock(t, "primary", primary, 3+uint64(len(*records)))
+	oneClock(t, "follower", st, primary.Applied())
 	drain(t, primary)
 	drain(t, st)
 
 	if st, err = Build(rc); err != nil {
 		t.Fatalf("reopen follower: %v", err)
 	}
+	oneClock(t, "reopened follower", st, 3+uint64(len(*records)))
 	if n, err := st.Engine().Len(); err != nil || n != want {
 		t.Errorf("follower Len = %d, %v; want %d", n, err, want)
 	}
@@ -600,14 +656,60 @@ func TestFollowerLifecycle(t *testing.T) {
 		t.Fatalf("Promote: %v", err)
 	}
 	st.Conc.Close()
+	oneClock(t, "promoted", promoted, 3+uint64(len(*records)))
 	if _, err := promoted.Scrub(); err != nil {
 		t.Fatalf("promotion scrub: %v", err)
 	}
 	if err := promoted.Conc.Insert(geom.Point{X: -1, Y: -1}); err != nil {
 		t.Fatalf("promoted write: %v", err)
 	}
+	oneClock(t, "promoted after a write", promoted, 4+uint64(len(*records)))
 	if n, err := promoted.Engine().Len(); err != nil || n != want+1 {
 		t.Errorf("promoted Len = %d, %v; want %d", n, err, want+1)
 	}
 	drain(t, promoted)
+}
+
+// TestFollowerApplyIgnoresResentRecords: a reconnect resends the tail the
+// follower already holds. Applying records 1..5 and then 4 and 5 again
+// must publish nothing for the resent two: the epoch stays the LSN, and
+// the point count stays put.
+func TestFollowerApplyIgnoresResentRecords(t *testing.T) {
+	dir := t.TempDir()
+	primary, err := Build(fileConfig(filepath.Join(dir, "primary.db")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := fileConfig(filepath.Join(dir, "replica.db"))
+	rc.Role = Replica
+	st, records := cloneOf(t, primary, rc)
+	for x := int64(1); x <= 5; x++ {
+		if err := primary.Conc.Insert(geom.Point{X: x, Y: x}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(*records) != 5 {
+		t.Fatalf("5 inserts shipped %d records", len(*records))
+	}
+	for _, rec := range *records {
+		if _, err := st.Apply(rec); err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+	}
+	epoch := st.Conc.Epoch()
+	for _, rec := range (*records)[3:] {
+		lsn, err := st.Apply(rec)
+		if err != nil || lsn != 5 {
+			t.Fatalf("resent Apply = %d, %v; want 5, nil", lsn, err)
+		}
+	}
+	if e := st.Conc.Epoch(); e != epoch {
+		t.Errorf("resending records 4 and 5 moved the epoch from %d to %d", epoch, e)
+	}
+	if n, err := st.Conc.Len(); err != nil || n != 5 {
+		t.Errorf("follower Len = %d, %v; want 5", n, err)
+	}
+	oneClock(t, "follower after resends", st, 5)
+	drain(t, primary)
+	drain(t, st)
 }

@@ -54,9 +54,8 @@ type Node struct {
 	term    atomic.Uint64
 	persist func(role string, term uint64) error
 
-	mu      sync.RWMutex
-	conc    *core.Concurrent
-	applied func() uint64 // follower durable position; nil → the engine's own
+	mu   sync.RWMutex
+	conc *core.Concurrent
 	// lineage is the term of the timeline conc holds, the term Position
 	// pairs with its LSN. It moves with the term everywhere but Fence: a
 	// fenced node still serves its old lineage, and a new term beside that
@@ -70,14 +69,11 @@ type Node struct {
 
 var _ core.Engine = (*Node)(nil)
 
-// NewNode builds a node over conc holding role under term. applied
-// overrides the engine's LSN while the node is a follower (the replica
-// applier tracks it, not the engine); pass nil on a primary. persist
+// NewNode builds a node over conc holding role under term. persist
 // durably records a role change before Fence or Promote completes; nil
 // means the node has no manifest to keep.
-func NewNode(conc *core.Concurrent, role string, term uint64, applied func() uint64,
-	persist func(role string, term uint64) error) *Node {
-	n := &Node{conc: conc, applied: applied, persist: persist, lineage: term}
+func NewNode(conc *core.Concurrent, role string, term uint64, persist func(role string, term uint64) error) *Node {
+	n := &Node{conc: conc, persist: persist, lineage: term}
 	if role == RoleFenced {
 		// A store that boots fenced records only the raised term, not the
 		// lineage its data is on. Lineage 0 sorts below every term, so no
@@ -146,7 +142,7 @@ func (n *Node) Promote(conc *core.Concurrent, term uint64, arm func() error) (*c
 	}
 	n.mu.Lock()
 	old := n.conc
-	n.conc, n.applied = conc, nil
+	n.conc = conc
 	n.term.Store(term)
 	n.lineage = term
 	n.mu.Unlock()
@@ -174,10 +170,10 @@ func (n *Node) record(role string, term uint64) error {
 // re-clone path, when a reconnect handshake demanded a fresh snapshot
 // and the stack was rebuilt from it. The engine and term swap together
 // under the one lock, so a reader that observes the new term is
-// guaranteed the new engine too — the invariant (term, LSN) read
-// barriers rely on. The old engine is returned for the caller to close;
-// like Promote, the exclusive lock waits out every in-flight request on
-// it first.
+// guaranteed the new engine and the position it publishes too — the
+// invariant (term, LSN) read barriers rely on. The old engine is returned
+// for the caller to close; like Promote, the exclusive lock waits out
+// every in-flight request on it first.
 func (n *Node) Rebind(conc *core.Concurrent, term uint64) *core.Concurrent {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -235,19 +231,15 @@ func (n *Node) PageSize() int {
 }
 
 // Position implements core.Engine: the term of the timeline the node's
-// data is on and its durable LSN — the engine's on a primary, the replica
-// applier's on a follower (the engine under a follower has no TxStore of
-// its own driving commits). The term is the node's own except on a fenced
-// node, which reports the lineage it was fenced on (see Fence), or 0 when
-// it booted fenced and that lineage is unknown; Role has the raised term. Both are read under the one lock Promote, Rebind and
-// Fence swap them under, so a caller never sees the term of one timeline
-// beside the LSN of another.
+// data is on and the engine's published epoch, which on a replicated
+// (always logged) stack is the LSN of the last record a read sees. The
+// term is the node's own except on a fenced node, which reports the
+// lineage it was fenced on (see Fence), or 0 when it booted fenced and
+// that lineage is unknown; Role has the raised term. Both are read under
+// the one lock Promote, Rebind and Fence swap them under, so a caller
+// never sees the term of one timeline beside the LSN of another.
 func (n *Node) Position() (term, lsn uint64) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	if n.applied != nil {
-		return n.lineage, n.applied()
-	}
-	_, lsn = n.conc.Position()
-	return n.lineage, lsn
+	return n.lineage, n.conc.Epoch()
 }

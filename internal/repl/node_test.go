@@ -63,7 +63,7 @@ func TestNodePositionIsCoherent(t *testing.T) {
 	if lsnA == 0 || lsnB == 0 || lsnA == lsnB {
 		t.Fatalf("engines need distinct non-zero LSNs, got %d and %d", lsnA, lsnB)
 	}
-	n := NewNode(a, RolePrimary, 1, nil, nil)
+	n := NewNode(a, RolePrimary, 1, nil)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -126,7 +126,7 @@ func TestNodePromoteOrder(t *testing.T) {
 	a, _ := newTestEngine(t, 3, nil)
 	b, _ := newTestEngine(t, 5, nil)
 	var persisted []string
-	n := NewNode(a, RoleReplica, 1, nil, func(role string, term uint64) error {
+	n := NewNode(a, RoleReplica, 1, func(role string, term uint64) error {
 		persisted = append(persisted, fmt.Sprintf("%s@%d", role, term))
 		return nil
 	})
@@ -168,7 +168,7 @@ func TestNodeRoleIsAPair(t *testing.T) {
 		{"fence", RolePrimary, func(n *Node) error { _, err := n.Fence(9, nil); return err }, RoleFenced, 9},
 		{"promote", RoleReplica, func(n *Node) error { _, err := n.Promote(a, 2, nil); return err }, RolePrimary, 2},
 	} {
-		n := NewNode(a, tc.from, 1, nil, nil)
+		n := NewNode(a, tc.from, 1, nil)
 		var once sync.Once
 		n.roleRead = func() {
 			once.Do(func() {

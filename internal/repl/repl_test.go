@@ -20,12 +20,15 @@ import (
 const testPS = 256
 
 // testPrimary is a minimal primary: a transactional file store plus a
-// shipper fed by its commit hook.
+// shipper fed by its commit hook, fronted by a node whose engine publishes
+// each commit at its LSN and serves no reads.
 type testPrimary struct {
-	fs *eio.FileStore
-	tx *eio.TxStore
-	sh *Shipper
-	ln net.Listener
+	fs   *eio.FileStore
+	tx   *eio.TxStore
+	snap *eio.SnapStore
+	node *Node
+	sh   *Shipper
+	ln   net.Listener
 }
 
 func newTestPrimary(t *testing.T, term uint64) *testPrimary {
@@ -38,11 +41,17 @@ func newTestPrimary(t *testing.T, term uint64) *testPrimary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &testPrimary{fs: fs, tx: tx}
+	snap := eio.NewSnapStore(tx, 0)
+	conc, err := core.NewConcurrent(&FencedIndex{}, snap,
+		func(eio.Store) (core.Index, error) { return nil, errors.New("no reads") }, core.ConcurrentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &testPrimary{fs: fs, tx: tx, snap: snap, node: NewNode(conc, RolePrimary, term, nil)}
 	p.sh = NewShipper(ShipperConfig{
 		// The shipper reads only the node's role, term and position here:
 		// commits come straight from the TxStore.
-		Node:     NewNode(nil, RolePrimary, term, tx.AppliedLSN, nil),
+		Node:     p.node,
 		PageSize: testPS,
 		Dir:      uint64(tx.Anchor()),
 		CutSnapshot: func() (*Snapshot, error) {
@@ -78,9 +87,20 @@ func newTestPrimary(t *testing.T, term uint64) *testPrimary {
 
 func (p *testPrimary) addr() string { return p.ln.Addr().String() }
 
-// commit allocates one page, stamps it with seq, and commits — one WAL
-// record, one LSN.
+// commit allocates one page, stamps it with seq, commits — one WAL
+// record, one LSN — and publishes the LSN as the node's epoch.
 func (p *testPrimary) commit(t *testing.T, seq byte) eio.PageID {
+	t.Helper()
+	id := p.log(t, seq)
+	if _, err := p.snap.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// log is commit stopped at the commit point: the record is durable and
+// shipped, but its epoch is not published yet.
+func (p *testPrimary) log(t *testing.T, seq byte) eio.PageID {
 	t.Helper()
 	var id eio.PageID
 	err := p.tx.Update(func() error {
@@ -294,6 +314,47 @@ func TestBootstrapStreamResume(t *testing.T) {
 	}
 }
 
+// TestResumeAheadOfPublishedEpoch: the commit hook ships a record at the
+// commit point, before the group commit publishes its epoch, so a replica
+// can hold record L+1 while the primary's Position still says L. Its
+// reconnect must resume, not take a full snapshot, and the PROMOTE answer
+// of the primary names the log's position, not the published one.
+func TestResumeAheadOfPublishedEpoch(t *testing.T) {
+	p := newTestPrimary(t, 1)
+	p.commit(t, 1)
+	p.commit(t, 2)
+	r := newTestReplica(t)
+	sess, err := r.connect(p.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFollower(sess, r.txr.AppliedLSN())
+	done := make(chan error, 1)
+	go func() { done <- f.Run(sess, FollowerCallbacks{Apply: r.apply}) }()
+	p.log(t, 3) // durable and shipped, not yet published
+	if err := p.sh.WaitAcked(3, 1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	f.Stop()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if _, pub := p.node.Position(); pub != 2 || r.txr.AppliedLSN() != 3 {
+		t.Fatalf("primary published %d, replica at %d; want 2 and 3", pub, r.txr.AppliedLSN())
+	}
+	sess2, err := r.connect(p.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess2.Close()
+	if sess2.Kind() != KindResume {
+		t.Fatalf("replica one record past the published epoch got %v, want resume", sess2.Kind())
+	}
+	if term, lsn, err := Promote(p.addr(), 5*time.Second); err != nil || term != 1 || lsn != 3 {
+		t.Fatalf("PROMOTE on the primary = (%d, %d, %v), want (1, 3)", term, lsn, err)
+	}
+}
+
 func TestReplicaCrashRecovery(t *testing.T) {
 	p := newTestPrimary(t, 1)
 	for i := byte(1); i <= 4; i++ {
@@ -345,7 +406,7 @@ func TestWaitAckedStall(t *testing.T) {
 
 func TestPromoteRPC(t *testing.T) {
 	conc, _ := newTestEngine(t, 3, nil)
-	n := NewNode(conc, RoleReplica, 3, nil, nil)
+	n := NewNode(conc, RoleReplica, 3, nil)
 	var promotions atomic.Int32
 	sh := NewShipper(ShipperConfig{
 		Node:     n,
@@ -407,6 +468,21 @@ func (h *heldIndex) Insert(p geom.Point) error {
 	return h.Index.Insert(p)
 }
 
+// waitRole waits for n to hold role at term. A shipper answers a
+// higher-term HELLO before it fences its node, so the dial returns first.
+func waitRole(t *testing.T, n *Node, role string, term uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		r, tm := n.Role()
+		if r == role && tm == term {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node is %s at term %d, want %s at term %d", r, tm, role, term)
+		}
+	}
+}
+
 // TestFenceByHigherTerm: a HELLO from term 9 fences a term-1 primary. A
 // write the node admitted before the fence and committed during it ships
 // under term 1, the term it was admitted under; once the fence is done the
@@ -416,7 +492,7 @@ func TestFenceByHigherTerm(t *testing.T) {
 	conc, tx := newTestEngine(t, 0, func(idx core.Index) core.Index { held.Index = idx; return held })
 	var mu sync.Mutex
 	var persisted []string
-	n := NewNode(conc, RolePrimary, 1, nil, func(role string, term uint64) error {
+	n := NewNode(conc, RolePrimary, 1, func(role string, term uint64) error {
 		mu.Lock()
 		defer mu.Unlock()
 		persisted = append(persisted, fmt.Sprintf("%s@%d", role, term))
@@ -457,21 +533,9 @@ func TestFenceByHigherTerm(t *testing.T) {
 	if !errors.Is(err, ErrFenced) {
 		t.Fatalf("dial from higher term: %v, want ErrFenced", err)
 	}
-	waitRole := func(role string, term uint64) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			r, tm := n.Role()
-			if r == role && tm == term {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("node is %s at term %d, want %s at term %d", r, tm, role, term)
-			}
-		}
-	}
 	// The fence stops admitting writes at once but keeps the old term
 	// while the admitted write is in flight.
-	waitRole(RoleFenced, 1)
+	waitRole(t, n, RoleFenced, 1)
 	close(held.release)
 	if err := <-applied; err != nil {
 		t.Fatalf("write admitted before the fence: %v", err)
@@ -490,7 +554,7 @@ func TestFenceByHigherTerm(t *testing.T) {
 		}
 	}
 
-	waitRole(RoleFenced, 9)
+	waitRole(t, n, RoleFenced, 9)
 	for _, r := range n.Apply([]core.BatchOp{{P: geom.Point{X: 2, Y: 2}}}, nil) {
 		if !errors.Is(r.Err, core.ErrNotPrimary) {
 			t.Fatalf("Apply after the fence: %v, want ErrNotPrimary", r.Err)
@@ -517,7 +581,7 @@ func TestFencedNodeAnswersNoNewTermBarrier(t *testing.T) {
 	if lsn := tx.AppliedLSN(); lsn != 100 {
 		t.Fatalf("primary at LSN %d, want 100", lsn)
 	}
-	n := NewNode(conc, RolePrimary, 1, nil, nil)
+	n := NewNode(conc, RolePrimary, 1, nil)
 	sh := NewShipper(ShipperConfig{Node: n, PageSize: testPS, Dir: uint64(tx.Anchor()), Logf: t.Logf})
 	tx.SetCommitHook(sh.Commit)
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -551,9 +615,7 @@ func TestFencedNodeAnswersNoNewTermBarrier(t *testing.T) {
 	if _, err := DialPrimary(rln.Addr().String(), Hello{Term: 9}, 2*time.Second); !errors.Is(err, ErrFenced) {
 		t.Fatalf("dial from higher term: %v, want ErrFenced", err)
 	}
-	if role, term := n.Role(); role != RoleFenced || term != 9 {
-		t.Fatalf("node is %s at term %d, want fenced at term 9", role, term)
-	}
+	waitRole(t, n, RoleFenced, 9)
 	if resp := read(9, 50); resp.Status != server.StatusStale {
 		t.Fatalf("read barriered at (9, 50) on a node fenced at (1, 100): status 0x%02x, want STALE", resp.Status)
 	}
@@ -566,7 +628,7 @@ func TestFencedNodeAnswersNoNewTermBarrier(t *testing.T) {
 
 	// Rebooted, the store's manifest says fenced at term 9 and nothing of
 	// the lineage: no barrier with a term is answered.
-	rebooted := NewNode(conc, RoleFenced, 9, nil, nil)
+	rebooted := NewNode(conc, RoleFenced, 9, nil)
 	term, lsn := rebooted.Position()
 	for _, b := range [][2]uint64{{9, 50}, {1, 50}} {
 		if server.Covers(term, lsn, b[0], b[1]) {
@@ -602,7 +664,7 @@ func TestConcurrentHigherTermHellos(t *testing.T) {
 		conc, tx := newTestEngine(t, 2, nil)
 		var mu sync.Mutex
 		var persisted []string
-		n := NewNode(conc, RolePrimary, 1, nil, func(role string, term uint64) error {
+		n := NewNode(conc, RolePrimary, 1, func(role string, term uint64) error {
 			mu.Lock()
 			defer mu.Unlock()
 			persisted = append(persisted, fmt.Sprintf("%s@%d", role, term))

@@ -40,9 +40,9 @@ const (
 type ShipperConfig struct {
 	// Node is the node the shipper serves. It owns the role and term: the
 	// shipper ships only while it is primary, stamps every record with its
-	// term, and fences it when a peer proves a higher one. Its durable
-	// position is what heartbeats and resume decisions are measured
-	// against.
+	// term, and fences it when a peer proves a higher one. Its log
+	// position (see position) is what heartbeats and resume decisions are
+	// measured against.
 	Node *Node
 
 	// PageSize, Dir and Hdr describe the store layout replicas must
@@ -172,6 +172,22 @@ func (s *Shipper) Commit(lsn uint64, rec []byte) {
 		s.cfg.Logf("repl: replica %s too slow, dropping", sc.addr)
 		s.dropConn(sc)
 	}
+}
+
+// position is the node's log position: the later of its published
+// position and the last record the commit hook shipped. The hook ships
+// before the group commit publishes, so a replica can hold a record
+// Position does not show yet, and its resume must not look like
+// divergence. Position is read before s.mu: a commit holds the node's
+// read lock while its hook waits for s.mu.
+func (s *Shipper) position() uint64 {
+	_, lsn := s.cfg.Node.Position()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.backlog); n > 0 {
+		lsn = max(lsn, s.backlogFloor+uint64(n)-1)
+	}
+	return lsn
 }
 
 // ackedLocked counts streaming replicas whose acked position covers lsn.
@@ -357,7 +373,7 @@ func (s *Shipper) servePromote(conn net.Conn) {
 		// A primary leaves its role only by a fence; if it is still the
 		// primary of term after the LSN is read, that LSN is this
 		// lineage's.
-		_, lsn := s.cfg.Node.Position()
+		lsn := s.position()
 		if r, t := s.cfg.Node.Role(); r != RolePrimary {
 			_ = writeFrame(conn, encodeError(fmt.Sprintf("repl: fenced by term %d", t)))
 			return
@@ -397,11 +413,7 @@ func (s *Shipper) serveReplica(conn net.Conn, br *bufio.Reader, h Hello) {
 		return
 	}
 
-	// Read the durable position before taking s.mu: the commit hook runs
-	// under the TxStore lock and then takes s.mu, so holding s.mu while
-	// asking the TxStore for its LSN would invert that order.
-	_, durable := s.cfg.Node.Position()
-
+	durable := s.position()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -567,7 +579,7 @@ func (s *Shipper) writeLoop(sc *shipConn, sentThrough uint64) {
 			// The node's term, not Position's lineage: a fenced node's
 			// raised term is what tells its replicas to re-handshake.
 			_, term := s.cfg.Node.Role()
-			_, durable := s.cfg.Node.Position()
+			durable := s.position()
 			_ = sc.conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
 			if err := writeFrame(bw, encodeU64Msg(msgHeartbeat, term, durable)); err != nil {
 				return

@@ -26,7 +26,7 @@ func FuzzDecodeTopology(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{topologyVersion, 0, 0})
 	f.Add([]byte{topologyVersion, 0xff, 0xff})
-	f.Add([]byte{0, 0, 1})                                  // wrong version
+	f.Add([]byte{0, 0, 1})                                 // wrong version
 	f.Add([]byte{topologyVersion, 0, 1, 0, 0, 0, 0, 0, 0}) // truncated shard
 
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -23,16 +23,16 @@ func mustBounds(t *testing.T, spec string) *Map {
 func TestParseShardsErrors(t *testing.T) {
 	bad := []string{
 		"",
-		"rest",                           // wantAddrs but no addr
-		"x<100@a:1",                      // no rest
-		"rest@a:1,x<5@b:1",               // shard after rest
-		"x<100@a:1,x<100@b:1,rest@c:1",   // duplicate bound
-		"x<200@a:1,x<100@b:1,rest@c:1",   // decreasing bound
-		"x<abc@a:1,rest@b:1",             // unparsable bound
-		"y<100@a:1,rest@b:1",             // wrong axis
-		"x<100@,rest@b:1",                // empty addr
-		"x<100@a b:1,rest@b:1",           // space in addr
-		"x<100@a,b:1,rest@c:1",           // comma splits into bad shard
+		"rest",                            // wantAddrs but no addr
+		"x<100@a:1",                       // no rest
+		"rest@a:1,x<5@b:1",                // shard after rest
+		"x<100@a:1,x<100@b:1,rest@c:1",    // duplicate bound
+		"x<200@a:1,x<100@b:1,rest@c:1",    // decreasing bound
+		"x<abc@a:1,rest@b:1",              // unparsable bound
+		"y<100@a:1,rest@b:1",              // wrong axis
+		"x<100@,rest@b:1",                 // empty addr
+		"x<100@a b:1,rest@b:1",            // space in addr
+		"x<100@a,b:1,rest@c:1",            // comma splits into bad shard
 		"x<-9223372036854775808@a,rest@b", // bound == MinCoord
 	}
 	for _, spec := range bad {

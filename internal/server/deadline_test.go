@@ -191,20 +191,37 @@ func (e *sleepyEngine) Report(dst []geom.Point, q geom.Rect, sp *trace.Span) ([]
 // finish around their deadline: 4 connections each pipeline 500 rounds of
 // a query that sleeps about one deadline and a PING. Every request gets
 // exactly one response, in order; a query answers OK or TIMEOUT and a
-// PING answers OK with its own payload. A timer firing late for the query
-// is what would expire the PING behind it. Run under -race.
+// PING answers OK with its own payload, or TIMEOUT once its own budget
+// has run out — on a loaded host a PING can wait that long between its
+// frame being read and its answer. A timer firing late for the query is
+// what would expire the PING behind it early, so every request answered
+// TIMEOUT must have run for at least the deadline. Run under -race.
 func TestRequestDeadlineStress(t *testing.T) {
 	const (
 		conns    = 4
 		rounds   = 500
 		deadline = 2 * time.Millisecond
 	)
+	var (
+		early      atomic.Int64 // requests expired before their own deadline
+		pingHooked atomic.Int64 // PINGs the server answered TIMEOUT
+	)
+	testHookTimeout = func(op byte, elapsed time.Duration) {
+		if op == OpPing {
+			pingHooked.Add(1)
+		}
+		if elapsed < deadline && early.Add(1) <= 3 {
+			t.Errorf("%s answered TIMEOUT %v after its frame was read, inside its %v budget", OpName(op), elapsed, deadline)
+		}
+	}
+	defer func() { testHookTimeout = nil }()
 	ts := newTestServerWith(t, Config{RequestTimeout: deadline}, func(e core.Engine) core.Engine {
 		return &sleepyEngine{Engine: e, around: deadline, rng: rand.New(rand.NewSource(31))}
 	})
 	var (
-		wg       sync.WaitGroup
-		timeouts atomic.Int64
+		wg           sync.WaitGroup
+		timeouts     atomic.Int64
+		pingTimeouts atomic.Int64
 	)
 	for ci := 0; ci < conns; ci++ {
 		cl := ts.dial(t)
@@ -241,6 +258,10 @@ func TestRequestDeadlineStress(t *testing.T) {
 					}
 				}
 				resp, err := cl.Recv()
+				if err == nil && resp.Status == StatusTimeout {
+					pingTimeouts.Add(1)
+					continue
+				}
 				if err != nil || resp.Status != StatusOK || string(resp.Data) != payload {
 					t.Errorf("%s: ping answered %s %q (err %v)", payload, statusName(resp.Status), resp.Data, err)
 					return
@@ -249,6 +270,12 @@ func TestRequestDeadlineStress(t *testing.T) {
 		}(ci, cl)
 	}
 	wg.Wait()
-	t.Logf("%d of %d queries timed out", timeouts.Load(), conns*rounds)
+	t.Logf("%d of %d queries and %d of %d PINGs timed out", timeouts.Load(), conns*rounds, pingTimeouts.Load(), conns*(rounds+1))
 	ts.shutdown(t)
+	if n := early.Load(); n > 0 {
+		t.Fatalf("%d requests were answered TIMEOUT before their own deadline", n)
+	}
+	if got, want := pingHooked.Load(), pingTimeouts.Load(); got != want {
+		t.Fatalf("the server timed out %d PINGs, the clients saw %d", got, want)
+	}
 }

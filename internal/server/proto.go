@@ -116,13 +116,13 @@ import (
 
 // Opcodes of the wire protocol.
 const (
-	OpPing   byte = 0x01
-	OpInsert byte = 0x02
-	OpDelete byte = 0x03
-	OpQuery3 byte = 0x04
-	OpQuery4 byte = 0x05
-	OpBatch  byte = 0x06
-	OpStats  byte = 0x07
+	OpPing    byte = 0x01
+	OpInsert  byte = 0x02
+	OpDelete  byte = 0x03
+	OpQuery3  byte = 0x04
+	OpQuery4  byte = 0x05
+	OpBatch   byte = 0x06
+	OpStats   byte = 0x07
 	OpIdem    byte = 0x08
 	OpTrace   byte = 0x09
 	OpBarrier byte = 0x0A

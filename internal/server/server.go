@@ -29,7 +29,8 @@ type ReplInfo struct {
 	// Term is the fencing term from the manifest: a promotion bumps it,
 	// and a node never accepts records from a lower term.
 	Term uint64 `json:"term"`
-	// AppliedLSN is the node's durable position.
+	// AppliedLSN is the node's position: the LSN of the last record its
+	// reads see, which is its published epoch.
 	AppliedLSN uint64 `json:"applied_lsn"`
 	// PrimaryLSN is the highest LSN the node has heard from its primary
 	// (replica only; equals AppliedLSN when caught up).
@@ -321,6 +322,10 @@ const (
 // as soon as its CAS has won the connection.
 var testHookTakeover func()
 
+// testHookTimeout, when a test sets it, runs for every request answered
+// TIMEOUT, with its op and how long it had run since its frame was read.
+var testHookTimeout func(op byte, elapsed time.Duration)
+
 // handleConn serves one accepted connection.
 func (s *Server) handleConn(nc net.Conn) {
 	c := &connState{
@@ -371,9 +376,7 @@ func (c *connState) serve(takeover bool) {
 func (c *connState) loop(takeover bool) bool {
 	s := c.s
 	if takeover {
-		if m := s.cfg.Metrics; m != nil {
-			m.timeouts.Add(1)
-		}
+		c.timedOut()
 		if !c.reply(Response{Status: StatusTimeout}, false, time.Now()) {
 			return true
 		}
@@ -468,12 +471,20 @@ func (c *connState) execute(req Request, sp *trace.Span) (resp Response, detache
 	if uint64(time.Since(s.start)) >= d {
 		// Finished past the deadline, before the timer could take over:
 		// answered as if it had.
-		if m := s.cfg.Metrics; m != nil {
-			m.timeouts.Add(1)
-		}
+		c.timedOut()
 		return Response{Status: StatusTimeout}, false
 	}
 	return resp, false
+}
+
+// timedOut counts the current request as answered TIMEOUT.
+func (c *connState) timedOut() {
+	if m := c.s.cfg.Metrics; m != nil {
+		m.timeouts.Add(1)
+	}
+	if h := testHookTimeout; h != nil {
+		h(c.req.Op, time.Since(c.start))
+	}
 }
 
 // expire is the request timer's callback, on a goroutine of its own. If
@@ -798,7 +809,10 @@ func (s *Server) handleBatch(entries []BatchEntry, sp *trace.Span) Response {
 type StatsSnapshot struct {
 	// UptimeS is the seconds since the server was constructed.
 	UptimeS float64 `json:"uptime_s"`
-	// Epoch is the index's current committed epoch.
+	// Epoch is the index's current committed epoch: the epoch new reads
+	// see. On a durable or replicated node it is the LSN of the last
+	// published group commit or applied record, so it equals AppliedLSN;
+	// on a non-durable node it is a counter of published group commits.
 	Epoch uint64 `json:"epoch"`
 	// Len is the number of stored points.
 	Len int `json:"len"`
@@ -815,8 +829,9 @@ type StatsSnapshot struct {
 	// (0..1): 1 with a slow-query log armed, 1/interval with counter
 	// sampling, 0 when only client-stamped envelopes are traced.
 	TraceSampleRate float64 `json:"trace_sample_rate"`
-	// AppliedLSN is the node's durable commit position — the value
-	// barrier reads compare against. 0 on a non-durable (memory) stack.
+	// AppliedLSN is the node's commit position — the value barrier reads
+	// compare against: on a durable node the published epoch, so a read
+	// passed at it sees every record up to it. 0 on a non-durable stack.
 	AppliedLSN uint64 `json:"applied_lsn"`
 	// Repl is the node's replication identity (nil when the server was
 	// built without a Repl callback, i.e. a standalone node).
