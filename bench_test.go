@@ -312,7 +312,8 @@ func BenchmarkOpEPSTUpdateDurable(b *testing.B) {
 // points in [0, 2²⁰)², each run what one BATCH request becomes. One
 // iteration is one whole load onto a fresh store; the metrics are per
 // loaded point: FileStore reads and writes (the pool's misses and dirty
-// evictions reaching the file) and pool misses.
+// evictions reaching the file), pool misses, and page_ops — every page
+// read and write the tree makes, the pool's hits and misses together.
 func BenchmarkOpBatchLoad(b *testing.B) {
 	const runs, runLen = 8, 4096
 	pts := bench.Uniform(23, runs*runLen, 1<<20)
@@ -321,7 +322,7 @@ func BenchmarkOpBatchLoad(b *testing.B) {
 		ops[i] = core.BatchOp{P: p}
 	}
 	var file eio.Stats
-	var misses uint64
+	var misses, pageOps uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -357,7 +358,9 @@ func BenchmarkOpBatchLoad(b *testing.B) {
 		st := fs.Stats()
 		file.Reads += st.Reads
 		file.Writes += st.Writes
-		misses += pool.PoolStats().Misses
+		ps := pool.PoolStats()
+		misses += ps.Misses
+		pageOps += ps.Hits + ps.Misses
 		c.Close()
 		snap.Close()
 		b.StartTimer()
@@ -367,6 +370,7 @@ func BenchmarkOpBatchLoad(b *testing.B) {
 	b.ReportMetric(float64(file.Reads)/n, "file_reads/point")
 	b.ReportMetric(float64(file.Writes)/n, "file_writes/point")
 	b.ReportMetric(float64(misses)/n, "pool_misses/point")
+	b.ReportMetric(float64(pageOps)/n, "page_ops/point")
 }
 
 // ioCounter counts the page reads and writes passing through it.

@@ -99,6 +99,10 @@ type Concurrent struct {
 
 	wmu   sync.Mutex   // commit leadership: held while a batch is applied
 	batch []*pendingOp // the leader's batch, reused from one take to the next
+	// slice is the part of the batch the writer is applying as one run,
+	// and applySlice the run's body, made once so a run allocates nothing.
+	slice      []*pendingOp
+	applySlice func(Updater) error
 
 	vmu sync.Mutex
 	cur *epochView
@@ -141,13 +145,15 @@ func NewConcurrent(writer Index, snap *eio.SnapStore, open OpenFunc, opts Concur
 		return nil, fmt.Errorf("core: concurrent: writer, snap and open are all required")
 	}
 	d, _ := writer.(*Durable)
-	return &Concurrent{
+	c := &Concurrent{
 		snap:    snap,
 		writer:  writer,
 		durable: d,
 		open:    open,
 		tracer:  opts.Tracer,
-	}, nil
+	}
+	c.applySlice = func(u Updater) error { return applyOps(u, c.slice) }
+	return c, nil
 }
 
 // Epoch returns the current committed epoch (the stamp new snapshots get).
@@ -211,7 +217,10 @@ func (c *Concurrent) PageSize() int { return c.snap.PageSize() }
 // different points commute — each outcome depends only on whether its own
 // point is stored — so the results and the final contents are those of
 // submission order, while consecutive updates share their search paths and
-// a bulk load walks the tree left to right, its path pages still cached.
+// a bulk load walks the tree left to right. On a *ThreeSided writer the
+// sharing is literal: runBatch applies a group commit's ops as one run of
+// the tree, which decodes each shared node, fetches each Y-set and writes
+// each node structure once per group commit, not once per op.
 // Each op keeps its pointer to its own result slot, so results stay
 // positional.
 //
@@ -328,34 +337,51 @@ func (c *Concurrent) runBatch(own *pendingOp) {
 	// arrives while the leader is executing rides this commit's fsync instead
 	// of waiting it out and then paying its own. No timer and no wait — the
 	// leader only ever takes what is already there.
+	//
+	// Each maximal slice of consecutive ops that share one span (untraced
+	// ops share the nil one) is one run of the writer index, when it applies
+	// runs (*ThreeSided): the slice's updates share their search path's
+	// decoded nodes, and the run writes back what it holds before it
+	// returns. The trace sink is set once around the slice, so a traced
+	// request's I/O, the run's write-backs included, is exactly its own.
 	apply := func(idx Index) error {
+		runs, _ := idx.(interface {
+			Run(fn func(Updater) error) error
+		})
 		for ops := c.batch; len(ops) > 0; ops = c.take(own) {
-			for _, op := range ops {
-				var opStart time.Time
-				if op.sp != nil {
+			for len(ops) > 0 {
+				n := 1
+				for n < len(ops) && ops[n].sp == ops[0].sp {
+					n++
+				}
+				c.slice, ops = ops[:n], ops[n:]
+				sp := c.slice[0].sp
+				var start time.Time
+				if sp != nil {
 					traced = true
-					opStart = time.Now()
+					start = time.Now()
 					if c.tracer != nil {
 						// Exclusive under wmu: readers run on snapshot views,
 						// never through the writer tracer, so the swap cannot
 						// misattribute a concurrent reader's I/O.
-						c.tracer.SetSink(eio.NewSpanSink(op.sp))
+						c.tracer.SetSink(eio.NewSpanSink(sp))
 					}
 				}
-				if op.Delete {
-					op.res.Found, op.res.Err = idx.Delete(op.P)
+				var err error
+				if runs != nil {
+					err = runs.Run(c.applySlice)
 				} else {
-					op.res.Err = idx.Insert(op.P)
+					err = applyOps(idx, c.slice)
 				}
-				if op.sp != nil {
+				if sp != nil {
 					if c.tracer != nil {
 						c.tracer.SetSink(nil)
 					}
-					d := time.Since(opStart)
+					d := time.Since(start)
 					execSum += d
-					op.sp.AddPhase(trace.PhaseExecute, d)
+					sp.AddPhase(trace.PhaseExecute, d)
 				}
-				if err := op.res.Err; err != nil && !benign(err) {
+				if err != nil {
 					return err
 				}
 			}
@@ -425,6 +451,22 @@ func (c *Concurrent) runBatch(own *pendingOp) {
 		}
 	}
 	releaseRuns(batch)
+}
+
+// applyOps applies ops through u in order, each outcome into its op's
+// result slot, and stops at the first error that is not an op's own.
+func applyOps(u Updater, ops []*pendingOp) error {
+	for _, op := range ops {
+		if op.Delete {
+			op.res.Found, op.res.Err = u.Delete(op.P)
+		} else {
+			op.res.Err = u.Insert(op.P)
+		}
+		if err := op.res.Err; err != nil && !benign(err) {
+			return err
+		}
+	}
+	return nil
 }
 
 // recordBatchPhases distributes the batch-level commit cost over the

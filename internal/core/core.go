@@ -20,10 +20,14 @@
 // the geom.MinCoord / geom.MaxCoord sentinels, and live entirely on an
 // eio.Store. No page, node or catalog contents are kept in memory between
 // operations — every operation re-reads what it needs from the store, so
-// measured store I/Os are the structures' true external-memory cost. What
-// IS kept is working memory: page and record buffers are recycled from one
-// operation to the next (buffers are reused, their contents never are), so
-// a steady-state query allocates nothing beyond the dst it appends to.
+// measured store I/Os are the structures' true external-memory cost. A run
+// of updates (ThreeSided.Run, which Concurrent applies each group commit
+// through) is one operation: the nodes on its shared search path stay
+// decoded from one update to the next and are written back before the run
+// returns. What IS kept is working memory: page and record buffers are
+// recycled from one operation to the next (buffers are reused, their
+// contents never are), so a steady-state query allocates nothing beyond
+// the dst it appends to.
 package core
 
 import (
@@ -51,6 +55,13 @@ type Index interface {
 	Query(dst []geom.Point, q geom.Rect) ([]geom.Point, error)
 	Len() (int, error)
 	Destroy() error
+}
+
+// Updater is the write half of Index: what a run of updates is applied
+// through (see ThreeSided.Run). Every Index is one.
+type Updater interface {
+	Insert(p geom.Point) error
+	Delete(p geom.Point) (bool, error)
 }
 
 // Interface conformance of the baselines.
@@ -138,6 +149,33 @@ func (s *ThreeSided) Delete(p geom.Point) (bool, error) {
 		return false, err
 	}
 	return s.t.Delete(p)
+}
+
+// Run applies the updates fn makes through u as one run of the priority
+// search tree (epst.Tree.Run): point-sorted updates share the decoded nodes
+// of their common search path, the Y-sets fetched there and one catalog
+// write per node structure, and leave the tree the same updates one at a
+// time would. u answers as Insert and Delete do and is valid only inside
+// fn; an error fn returns ends the run and is returned.
+func (s *ThreeSided) Run(fn func(u Updater) error) error {
+	return s.t.Run(func(r *epst.Run) error { return fn(threeSidedRun{r}) })
+}
+
+// threeSidedRun is the Updater of ThreeSided.Run.
+type threeSidedRun struct{ r *epst.Run }
+
+func (u threeSidedRun) Insert(p geom.Point) error {
+	if err := checkCoord(p); err != nil {
+		return err
+	}
+	return wrapDup(u.r.Insert(p))
+}
+
+func (u threeSidedRun) Delete(p geom.Point) (bool, error) {
+	if err := checkCoord(p); err != nil {
+		return false, err
+	}
+	return u.r.Delete(p)
 }
 
 // Query implements Index.

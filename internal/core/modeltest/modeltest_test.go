@@ -350,8 +350,11 @@ func TestDifferential(t *testing.T) {
 // must be exactly those of submission order. The runs repeat points (a hot
 // set of 12), mix inserts and deletes, carry sentinel coordinates
 // (ErrCoordRange) and are up to 150 ops long, so some span several group
-// commits. A traced cell passes one live span per run, whose I/O count must
-// equal what the writer side performed.
+// commits. Every twentieth run is followed by a long one, 256 to 512 fresh
+// points: in point order its group commits each walk many leaves at the
+// 512-byte pages, so the writer's held search path moves across leaves and
+// through splits. A traced cell passes one live span per run, whose I/O
+// count must equal what the writer side performed.
 func TestDifferentialApplyRuns(t *testing.T) {
 	nruns := 200
 	if testing.Short() {
@@ -384,6 +387,7 @@ func replayRuns(mk EngineFactory, traced bool, seed int64, nruns int) error {
 	}
 	sentinels := []geom.Point{{X: geom.MaxCoord, Y: 1}, {X: 1, Y: geom.MinCoord}, {X: geom.MinCoord, Y: geom.MaxCoord}}
 	model := NewModel()
+	long := rand.New(rand.NewSource(seed + 1)) // the long runs' points
 	for r := 0; r < nruns; r++ {
 		ops := make([]core.BatchOp, 1+rng.Intn(150))
 		for i := range ops {
@@ -398,23 +402,16 @@ func replayRuns(mk EngineFactory, traced bool, seed int64, nruns int) error {
 			}
 			ops[i] = core.BatchOp{Delete: rng.Float64() < 0.4, P: p}
 		}
-		var sp *trace.Span
-		var w0 int64
-		if traced {
-			sp = trace.New(trace.ID{}, "batch")
-			w0, _ = ios()
+		if err := applyRun(eng, ios, traced, model, r, ops); err != nil {
+			return err
 		}
-		got := eng.Apply(ops, sp)
-		if traced {
-			if w1, _ := ios(); sp.IOs() != w1-w0 {
-				return fmt.Errorf("run %d: span attributes %d I/Os, the writer performed %d", r, sp.IOs(), w1-w0)
+		if r%20 == 19 {
+			ops = make([]core.BatchOp, 256+long.Intn(257))
+			for i := range ops {
+				ops[i] = core.BatchOp{P: geom.Point{X: long.Int63n(coordRange), Y: long.Int63n(coordRange)}}
 			}
-		}
-		for i, op := range ops {
-			want := modelApply(model, op)
-			if got[i].Found != want.Found || outcome(got[i].Err) != outcome(want.Err) {
-				return fmt.Errorf("run %d entry %d of %d (%+v): got found=%v err=%v, want found=%v err=%v",
-					r, i, len(ops), op, got[i].Found, got[i].Err, want.Found, want.Err)
+			if err := applyRun(eng, ios, traced, model, r, ops); err != nil {
+				return err
 			}
 		}
 	}
@@ -428,6 +425,31 @@ func replayRuns(mk EngineFactory, traced bool, seed int64, nruns int) error {
 	}
 	if n, err := eng.Len(); err != nil || n != model.Len() {
 		return fmt.Errorf("Len = %d, %v; model has %d", n, err, model.Len())
+	}
+	return nil
+}
+
+// applyRun applies run r's ops to eng and to the model, and compares every
+// entry's outcome and, on a traced cell, the span's I/O count.
+func applyRun(eng core.Engine, ios func() (int64, int64), traced bool, model *Model, r int, ops []core.BatchOp) error {
+	var sp *trace.Span
+	var w0 int64
+	if traced {
+		sp = trace.New(trace.ID{}, "batch")
+		w0, _ = ios()
+	}
+	got := eng.Apply(ops, sp)
+	if traced {
+		if w1, _ := ios(); sp.IOs() != w1-w0 {
+			return fmt.Errorf("run %d: span attributes %d I/Os, the writer performed %d", r, sp.IOs(), w1-w0)
+		}
+	}
+	for i, op := range ops {
+		want := modelApply(model, op)
+		if got[i].Found != want.Found || outcome(got[i].Err) != outcome(want.Err) {
+			return fmt.Errorf("run %d entry %d of %d (%+v): got found=%v err=%v, want found=%v err=%v",
+				r, i, len(ops), op, got[i].Found, got[i].Err, want.Found, want.Err)
+		}
 	}
 	return nil
 }

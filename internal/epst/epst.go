@@ -74,10 +74,11 @@ type Tree struct {
 // scratch is the working memory of one tree operation, taken from
 // scratchPool at the public entry point and returned when it ends. It is
 // per operation and not per Tree because one Tree (a reader's epoch view)
-// serves concurrent queries. Buffers are recycled between operations,
-// their contents never are: every view below is re-read from the store.
+// serves concurrent queries. A run of updates (Run) is one operation.
+// Buffers are recycled between operations, their contents never are: every
+// view below is re-read from the store.
 type scratch struct {
-	small smallstruct.Scratch // every node structure the operation opens works here
+	small smallstruct.Scratch // node structures work here, but a Run's held nodes in their own
 	hdr   eio.RecordBuf       // the header record
 	// path holds node records: a query's node at each depth (root = 0), its
 	// view valid while the search is below it; an update's held node i, so
@@ -85,18 +86,27 @@ type scratch struct {
 	path  []eio.RecordBuf
 	nodes []*node      // update path: decoded nodes, recycled with their slices
 	used  int          // nodes[:used] are held by the running operation
-	ys    []geom.Point // the Y-set last retrieved by ySet
+	ys    []geom.Point // the Y-set splitPath divides between two halves
 	enc   []byte       // the record being written
+	run   Run          // the running update run, if any
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// scratchPool lends the scratches of queries and walks, runPool those of
+// update runs. A run's held nodes keep their node structures' catalogs and
+// page buffers, memory no query needs: with one pool it spread, run by
+// run, into every scratch the concurrent readers hold.
+var scratchPool, runPool = newScratchPool(), newScratchPool()
+
+func newScratchPool() *sync.Pool { return &sync.Pool{New: func() any { return new(scratch) }} }
 
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
-func putScratch(sc *scratch) {
+func putScratch(sc *scratch) { putScratchTo(scratchPool, sc) }
+
+func putScratchTo(pool *sync.Pool, sc *scratch) {
 	sc.used = 0
 	sc.small.Reset() // the next operation may see another store, or this one changed
-	scratchPool.Put(sc)
+	pool.Put(sc)
 }
 
 // newNode returns an empty node that is held until release gives it back
@@ -108,7 +118,10 @@ func (sc *scratch) newNode(level int) *node {
 		sc.nodes = append(sc.nodes, new(node))
 	}
 	n := sc.nodes[sc.used]
-	*n = node{level: level, entries: n.entries[:0], keys: n.keys[:0], slot: sc.used}
+	n.level, n.q, n.entries, n.keys = level, eio.NilPage, n.entries[:0], n.keys[:0]
+	n.id, n.slot, n.idx, n.dirty = eio.NilPage, sc.used, 0, false
+	n.ys, n.edits = n.ys[:0], n.edits[:0]
+	n.small.Reset()
 	sc.used++
 	return n
 }
@@ -116,8 +129,8 @@ func (sc *scratch) newNode(level int) *node {
 // release gives back every node decoded since sc.used was mark. A walker
 // that keeps no node past its own return starts with
 // `defer sc.release(sc.used)`, so a whole-tree walk holds one node per
-// level, not one per tree node; only the nodes an Insert or Delete loaded
-// on its way down stay held to the end of the operation.
+// level, not one per tree node; only the nodes a Run's update loaded on
+// its way down stay held, until an update leaves them or the run ends.
 func (sc *scratch) release(mark int) { sc.used = mark }
 
 // pathBuf returns record buffer i.
@@ -146,11 +159,23 @@ type node struct {
 	entries []entry
 	keys    []keyEntry // leaves: sorted by composite (x, y)
 
-	// Bookkeeping of the update that holds the node (see descend).
+	// Bookkeeping of the update that holds the node (see Run.descend).
 	id    eio.PageID // the record the node was read from
 	slot  int        // its index among the held nodes = its record buffer
 	idx   int        // internal node on a search path: the child taken
-	dirty bool       // differs from the record; flush writes it
+	dirty bool       // differs from the record; settle writes it
+
+	// What a Run keeps of a held internal node from one update to the next.
+	small smallstruct.Scratch // Q_v's catalog stays loaded here
+	ys    []yset              // the Y-sets fetched for its children
+	edits []smallstruct.Edit  // Q_v edits not yet written, in order
+}
+
+// yset is Y(child) of a node a Run holds, as Q_v holds it with the node's
+// queued edits applied.
+type yset struct {
+	child int
+	pts   []geom.Point
 }
 
 type entry struct {
@@ -443,16 +468,15 @@ func (n *node) count() int {
 func (n *node) maxKey(i int) geom.Point { return n.entries[i].maxKey }
 func (n *node) keyAt(i int) geom.Point  { return n.keys[i].p }
 
-// ySet retrieves Y(child i) of node n from q into sc.ys: the points of Q
+// ySet retrieves Y(child i) of node n from q into dst[:0]: the points of Q
 // within the child's composite range. It queries by x-interval and filters
 // by composite range, so shared boundary x-values cost extra reads but stay
-// correct. The result is valid until the next ySet.
-func (t *Tree) ySet(sc *scratch, q *smallstruct.Struct, n *node, i int) ([]geom.Point, error) {
+// correct.
+func (t *Tree) ySet(dst []geom.Point, q *smallstruct.Struct, n *node, i int) ([]geom.Point, error) {
 	lo, hi, loOpen := childRange(n, i)
-	raw, err := q.Query3(sc.ys[:0], geom.Query3{XLo: lo.X, XHi: hi.X, YLo: geom.MinCoord})
-	sc.ys = raw
+	raw, err := q.Query3(dst[:0], geom.Query3{XLo: lo.X, XHi: hi.X, YLo: geom.MinCoord})
 	if err != nil {
-		return nil, err
+		return raw[:0], err
 	}
 	out := raw[:0]
 	for _, p := range raw {

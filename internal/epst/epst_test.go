@@ -699,7 +699,7 @@ func TestWalkersHoldOneNodePerLevel(t *testing.T) {
 	if _, err := tr.appendSubtree(sc, nil, m.root); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := tr.extractTop(sc, m.root); err != nil || !ok {
+	if _, ok, err := tr.extractTop(sc, &sc.small, m.root); err != nil || !ok {
 		t.Fatalf("extractTop: %v, %v", ok, err)
 	}
 	m.live--

@@ -1,7 +1,6 @@
 package epst
 
 import (
-	"fmt"
 	"slices"
 
 	"rangesearch/internal/eio"
@@ -145,100 +144,6 @@ func (t *Tree) MaxY() (geom.Point, bool, error) {
 	return q.MaxY()
 }
 
-// Insert adds p in O(log_B N) amortized I/Os (Section 3.3.2): the key
-// enters the weight-balanced base tree (splitting nodes and reorganizing
-// their auxiliary structures as needed), then the point trickles down
-// through Y-sets to its proper depth.
-//
-// It is one descent: the search path is read and decoded once; the
-// duplicate check, the key insertion, the weight and maxKey maintenance and
-// the trickle edit that loaded path; then every page that changed is
-// written once, deepest first. Only a split re-reads (see splitPath).
-func (t *Tree) Insert(p geom.Point) error {
-	sc := getScratch()
-	defer putScratch(sc)
-	m, err := t.loadMeta(sc)
-	if err != nil {
-		return err
-	}
-	path, err := t.descend(sc, m.root, p)
-	if err != nil {
-		return err
-	}
-	leaf := path[len(path)-1]
-	pos := lowerBoundKey(leaf, p)
-	if pos < len(leaf.keys) && leaf.keys[pos].p == p {
-		return fmt.Errorf("epst: insert %v: %w", p, ErrDuplicate)
-	}
-	// The key enters its leaf "absorbed above"; the trickle sets the flag
-	// if the point comes to rest there.
-	leaf.keys = slices.Insert(leaf.keys, pos, keyEntry{p: p})
-	leaf.dirty = true
-	split := len(leaf.keys) >= 2*t.k
-	for _, n := range path[:len(path)-1] {
-		e := &n.entries[n.idx]
-		e.weight++
-		if e.maxKey.Less(p) {
-			e.maxKey = p
-		}
-		n.dirty = true
-		split = split || nodeWeight(n) >= 2*t.levelCap(n.level)
-	}
-	if split {
-		// The split moves keys, Y-sets and maybe the root: write the path
-		// out through it and load the new one for the trickle.
-		if err := t.splitPath(sc, &m, path); err != nil {
-			return err
-		}
-		sc.release(0)
-		if path, err = t.descend(sc, m.root, p); err != nil {
-			return err
-		}
-	}
-	if err := t.trickle(sc, path, p); err != nil {
-		return err
-	}
-	if err := t.flush(sc); err != nil {
-		return err
-	}
-	m.live++
-	if m.live > m.basis {
-		m.basis = m.live
-	}
-	return t.storeMeta(sc, &m)
-}
-
-// descend reads the search path for p from root — root first, leaf last —
-// and returns it. Every node on it is decoded, held in sc, and, if
-// internal, knows in idx which child the path takes.
-func (t *Tree) descend(sc *scratch, root eio.PageID, p geom.Point) ([]*node, error) {
-	mark := sc.used
-	for id := root; ; {
-		n, err := t.readNode(sc, id)
-		if err != nil {
-			return nil, err
-		}
-		if n.level == 0 {
-			return sc.nodes[mark:sc.used], nil
-		}
-		n.idx = routeChild(n, p)
-		id = n.entries[n.idx].child
-	}
-}
-
-// flush writes the dirty nodes the operation holds, each once, deepest
-// first (nodes are held in the order they were read).
-func (t *Tree) flush(sc *scratch) error {
-	for i := sc.used - 1; i >= 0; i-- {
-		if n := sc.nodes[i]; n.dirty {
-			if err := t.writeBack(sc, n); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // splitPath writes path — the search path of a key just inserted into its
 // leaf — bottom-up, splitting every overweight node on the way and
 // reorganizing the auxiliary structures around each split (Figure 5). It
@@ -322,11 +227,10 @@ func (t *Tree) splitPath(sc *scratch, m *meta, path []*node) error {
 		}
 		qp := t.openQ(sc, qid)
 		if i > 0 {
-			yv, err := t.ySet(sc, &qp, path[i-1], path[i-1].idx)
-			if err != nil {
+			if sc.ys, err = t.ySet(sc.ys, &qp, path[i-1], path[i-1].idx); err != nil {
 				return err
 			}
-			for _, pt := range yv {
+			for _, pt := range sc.ys {
 				if boundary.Less(pt) {
 					halves[1].ysize++
 				} else {
@@ -356,7 +260,7 @@ func (t *Tree) splitPath(sc *scratch, m *meta, path []*node) error {
 // dry. It returns the resulting Y-set size.
 func (t *Tree) refillY(sc *scratch, qp *smallstruct.Struct, childID eio.PageID, ysize int32) (int32, error) {
 	for int(ysize) < t.yHalf() {
-		top, ok, err := t.extractTop(sc, childID)
+		top, ok, err := t.extractTop(sc, &sc.small, childID)
 		if err != nil {
 			return ysize, err
 		}
@@ -413,62 +317,6 @@ func nodeMaxKey(n *node) geom.Point {
 	return n.entries[len(n.entries)-1].maxKey
 }
 
-// trickle moves point p down from the root into its proper Y-set or leaf
-// (the recursive procedure at the start of Section 3.3.2). path is p's
-// search path, already loaded: the walk stays on it while the point in hand
-// is p and may leave it, reading the nodes it then visits, once a full
-// Y-set has passed an evicted point down instead. The Y-set fetched to
-// decide where the point goes is all of Q_v in the child's key range, so
-// the insertion that follows needs no membership probe.
-func (t *Tree) trickle(sc *scratch, path []*node, p geom.Point) error {
-	n := path[0]
-	for depth := 0; ; depth++ {
-		if n.level == 0 {
-			i := lowerBoundKey(n, p)
-			if i >= len(n.keys) || n.keys[i].p != p {
-				return fmt.Errorf("epst: place: key %v missing from leaf", p)
-			}
-			n.keys[i].here = true
-			n.dirty = true
-			return nil
-		}
-		i := routeChild(n, p)
-		e := &n.entries[i]
-		q := t.openQ(sc, n.q)
-		ys, err := t.ySet(sc, &q, n, i)
-		if err != nil {
-			return err
-		}
-		switch {
-		case len(ys) >= t.yHalf() && belowAll(p, ys):
-			// Y(v_i) is healthy and p lies below it: p belongs deeper.
-		case int(e.ysize) < t.b:
-			// p joins Y(v_i).
-			e.ysize++
-			n.dirty = true
-			return q.Add(p)
-		default:
-			// p joins a full Y(v_i): its lowest point is evicted and
-			// trickles into the child in p's place.
-			low := p
-			for _, y := range ys {
-				if y.YLess(low) {
-					low = y
-				}
-			}
-			if err := q.Swap(p, low); err != nil {
-				return err
-			}
-			p = low
-		}
-		if depth+1 < len(path) && path[depth+1].id == e.child {
-			n = path[depth+1]
-		} else if n, err = t.readNode(sc, e.child); err != nil {
-			return err
-		}
-	}
-}
-
 // belowAll reports whether p is strictly below (in (y, x) order) every
 // point of ys.
 func belowAll(p geom.Point, ys []geom.Point) bool {
@@ -483,8 +331,8 @@ func belowAll(p geom.Point, ys []geom.Point) bool {
 // extractTop removes and returns the topmost stored point of id's subtree,
 // bubbling up a replacement from below when the donor Y-set falls under
 // B/2 (the bubble-up operation of Section 3.3.2). ok is false if the
-// subtree stores nothing.
-func (t *Tree) extractTop(sc *scratch, id eio.PageID) (geom.Point, bool, error) {
+// subtree stores nothing. The node structures it opens work in ss.
+func (t *Tree) extractTop(sc *scratch, ss *smallstruct.Scratch, id eio.PageID) (geom.Point, bool, error) {
 	defer sc.release(sc.used)
 	n, err := t.readNode(sc, id)
 	if err != nil {
@@ -506,7 +354,7 @@ func (t *Tree) extractTop(sc *scratch, id eio.PageID) (geom.Point, bool, error) 
 		}
 		return n.keys[best].p, true, nil
 	}
-	q := t.openQ(sc, n.q)
+	q := smallstruct.OpenScratch(t.store, n.q, t.alpha, ss)
 	top, ok, err := q.MaxY()
 	if err != nil || !ok {
 		return geom.Point{}, false, err
@@ -517,7 +365,7 @@ func (t *Tree) extractTop(sc *scratch, id eio.PageID) (geom.Point, bool, error) 
 	i := routeChild(n, top)
 	n.entries[i].ysize--
 	if 2*int(n.entries[i].ysize) < t.b {
-		r, ok2, err := t.extractTop(sc, n.entries[i].child)
+		r, ok2, err := t.extractTop(sc, ss, n.entries[i].child)
 		if err != nil {
 			return geom.Point{}, false, err
 		}
@@ -532,91 +380,4 @@ func (t *Tree) extractTop(sc *scratch, id eio.PageID) (geom.Point, bool, error) 
 		return geom.Point{}, false, err
 	}
 	return top, true, nil
-}
-
-// Delete removes p, reporting whether it was present. The point is removed
-// wherever it lives (a Y-set along the path or the leaf), the depleted
-// Y-set is refilled by a bubble-up, the key leaves the base tree, and a
-// global rebuild runs once the live count halves (Section 3.3.2).
-//
-// Like Insert it is one descent: the path is loaded once — looking, at each
-// internal node until the point is found, into the Y-set it would be in —
-// edited in memory and written once, deepest first. Only a bubble-up
-// re-reads, after the nodes below it are written, so it sees (and rewrites)
-// their new contents, not a stale path copy.
-func (t *Tree) Delete(p geom.Point) (bool, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	m, err := t.loadMeta(sc)
-	if err != nil {
-		return false, err
-	}
-	var holder *node          // the node whose Q stores p, if one does
-	var hq smallstruct.Struct // its Q, the catalog still loaded in sc.small
-	var n *node
-	for id := m.root; ; id = n.entries[n.idx].child {
-		if n, err = t.readNode(sc, id); err != nil {
-			return false, err
-		}
-		if n.level == 0 {
-			break
-		}
-		n.idx = routeChild(n, p)
-		n.entries[n.idx].weight--
-		n.dirty = true
-		if holder == nil {
-			q := t.openQ(sc, n.q)
-			ys, err := t.ySet(sc, &q, n, n.idx)
-			if err != nil {
-				return false, err
-			}
-			if slices.Contains(ys, p) {
-				holder, hq = n, q
-			}
-		}
-	}
-	pos := lowerBoundKey(n, p)
-	if pos >= len(n.keys) || n.keys[pos].p != p {
-		if holder != nil {
-			return false, fmt.Errorf("epst: delete: %v is stored but has no key", p)
-		}
-		return false, nil
-	}
-	n.keys = slices.Delete(n.keys, pos, pos+1)
-	n.dirty = true
-
-	for i := sc.used - 1; i >= 0; i-- {
-		n := sc.nodes[i]
-		if n == holder {
-			e := &n.entries[n.idx]
-			if err := hq.Remove(p); err != nil {
-				return false, err
-			}
-			e.ysize--
-			if 2*int(e.ysize) < t.b {
-				r, ok, err := t.extractTop(sc, e.child)
-				if err != nil {
-					return false, err
-				}
-				if ok {
-					if err := hq.Add(r); err != nil {
-						return false, err
-					}
-					e.ysize++
-				}
-			}
-		}
-		if err := t.writeBack(sc, n); err != nil {
-			return false, err
-		}
-	}
-
-	m.live--
-	if m.live*2 < m.basis {
-		if err := t.rebuild(sc, &m); err != nil {
-			return false, err
-		}
-		return true, nil
-	}
-	return true, t.storeMeta(sc, &m)
 }

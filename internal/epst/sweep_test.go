@@ -1,8 +1,10 @@
 package epst
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,6 +71,37 @@ var (
 	})
 )
 
+// sweepRunOps is the run the run sweep applies: ten inserts packed into the
+// first leaf's x-range, enough to split it; a duplicate insert; and a
+// delete, in point order.
+func sweepRunOps() []runOp {
+	pts := sweepPoints()
+	ops := []runOp{{p: pts[3]}, {del: true, p: pts[9]}}
+	for i := 0; i < 10; i++ {
+		ops = append(ops, runOp{p: geom.Point{X: int64(2 + 3*i), Y: int64(500 + 37*i)}})
+	}
+	slices.SortStableFunc(ops, func(a, b runOp) int { return a.p.Compare(b.p) })
+	return ops
+}
+
+// sweepRun applies sweepRunOps as one Run.
+var sweepRun = sweepScript(func(tr *Tree) error {
+	return tr.Run(func(r *Run) error {
+		for _, op := range sweepRunOps() {
+			if !op.del {
+				if err := r.Insert(op.p); err != nil && !errors.Is(err, ErrDuplicate) {
+					return err
+				}
+			} else if found, err := r.Delete(op.p); err != nil {
+				return err
+			} else if !found {
+				return fmt.Errorf("delete target %v missing", op.p)
+			}
+		}
+		return nil
+	})
+})
+
 func sweepWorkload(name string, op, prefix func(eio.Store, eio.PageID) error) eiotest.Workload {
 	return eiotest.Workload{
 		Name:     name,
@@ -101,6 +134,65 @@ func TestRecoverySweep(t *testing.T) {
 	}
 	eiotest.Sweep(t, sweepWorkload("epst-insert", sweepInsert, sweepDelete))
 	eiotest.Sweep(t, sweepWorkload("epst-delete", sweepDelete, sweepInsert))
+}
+
+// TestRunRecoverySweep is TestRecoverySweep for a multi-update Run inside
+// one transaction — inserts that split a leaf, a duplicate and a delete,
+// with the nodes of the shared path held and written back between them.
+// Every crash point recovers to the state before the run or after it, and
+// an error rolls back to the pre-run image.
+func TestRunRecoverySweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("recovery sweep in -short mode")
+	}
+	// The run does split: it leaves more leaves than it found.
+	st := eio.NewMemStore(128)
+	tr, err := Build(st, Options{}, sweepPoints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := tr.countLeaves()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sweepRun(st, tr.HeaderID()); err != nil {
+		t.Fatal(err)
+	}
+	after, err := tr.countLeaves()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after <= before {
+		t.Fatalf("the run left %d leaves of %d: it was meant to split one", after, before)
+	}
+	eiotest.Sweep(t, sweepWorkload("epst-run", sweepRun, sweepInsert))
+}
+
+// countLeaves counts the tree's leaves.
+func (t *Tree) countLeaves() (int, error) {
+	sc := new(scratch)
+	m, err := t.loadMeta(sc)
+	if err != nil {
+		return 0, err
+	}
+	var walk func(id eio.PageID) (int, error)
+	walk = func(id eio.PageID) (int, error) {
+		defer sc.release(sc.used)
+		n, err := t.readNode(sc, id)
+		if err != nil || n.level == 0 {
+			return 1, err
+		}
+		total := 0
+		for _, e := range n.entries {
+			k, err := walk(e.child)
+			if err != nil {
+				return 0, err
+			}
+			total += k
+		}
+		return total, nil
+	}
+	return walk(m.root)
 }
 
 // TestFaultSweep fails every store operation of a build/insert/delete/query

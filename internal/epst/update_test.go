@@ -1,7 +1,9 @@
 package epst
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rangesearch/internal/eio"
@@ -28,7 +30,7 @@ func bubbles(t *testing.T, tr *Tree, p geom.Point) bool {
 		}
 		i := routeChild(n, p)
 		q := tr.openQ(sc, n.q)
-		ys, err := tr.ySet(sc, &q, n, i)
+		ys, err := tr.ySet(nil, &q, n, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,8 +130,10 @@ func TestUpdateTouchesEachPageOnce(t *testing.T) {
 
 // TestUpdateIOPinned pins what one seeded stream of 2 000 updates (half
 // inserts, half deletes, on a bulk-loaded tree that keeps its size) costs
-// in store operations at height 1 and at height 2, B = 16. The numbers are
-// exact and deterministic; a change that moves them is either a deliberate
+// in store operations at height 1 and at height 2, B = 16: applied one
+// update at a time, and applied as point-sorted runs of 64 through Run,
+// the batch a group commit makes of it. The numbers are exact and
+// deterministic; a change that moves them is either a deliberate
 // improvement — re-pin, and say why in EXPERIMENTS.md — or a regression
 // caught here rather than in a benchmark weeks later. Before the
 // single-descent update the same streams cost 40 668 + 12 358 (height 1,
@@ -138,10 +142,13 @@ func TestUpdateTouchesEachPageOnce(t *testing.T) {
 func TestUpdateIOPinned(t *testing.T) {
 	for _, c := range []struct {
 		preload, height int
+		run             int // updates per Run; 0: Insert and Delete
 		reads, writes   uint64
 	}{
-		{50, 1, 14832, 10916},
-		{200, 2, 22493, 13943},
+		{50, 1, 0, 14832, 10916},
+		{200, 2, 0, 22493, 13943},
+		{50, 1, 64, 1080, 1321},
+		{200, 2, 64, 3627, 3105},
 	} {
 		rng := rand.New(rand.NewSource(int64(c.preload)))
 		store := eio.NewMemStore(256)
@@ -155,15 +162,12 @@ func TestUpdateIOPinned(t *testing.T) {
 		}
 		live := append([]geom.Point(nil), pts[:c.preload]...)
 		fresh := pts[c.preload:]
-		store.ResetStats()
-		for op := 0; op < 2000; op++ {
+		ops := make([]runOp, 2000)
+		for op := range ops {
 			if op%2 == 0 {
-				p := fresh[0]
+				ops[op] = runOp{p: fresh[0]}
+				live = append(live, fresh[0])
 				fresh = fresh[1:]
-				live = append(live, p)
-				if err := tr.Insert(p); err != nil {
-					t.Fatal(err)
-				}
 				continue
 			}
 			j := rng.Intn(len(live))
@@ -171,17 +175,42 @@ func TestUpdateIOPinned(t *testing.T) {
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
 			fresh = append(fresh, p)
-			if ok, err := tr.Delete(p); err != nil || !ok {
-				t.Fatal(ok, err)
+			ops[op] = runOp{del: true, p: p}
+		}
+		store.ResetStats()
+		if c.run == 0 {
+			for _, op := range ops {
+				if !op.del {
+					if err := tr.Insert(op.p); err != nil {
+						t.Fatal(err)
+					}
+				} else if ok, err := tr.Delete(op.p); err != nil || !ok {
+					t.Fatal(ok, err)
+				}
+			}
+		} else {
+			for from := 0; from < len(ops); from += c.run {
+				run := slices.Clone(ops[from:min(from+c.run, len(ops))])
+				slices.SortStableFunc(run, func(a, b runOp) int { return a.p.Compare(b.p) })
+				for i, res := range applyRun(t, tr, run) {
+					if res != (runResult{found: run[i].del}) {
+						t.Fatalf("%+v answered %+v", run[i], res)
+					}
+				}
 			}
 		}
 		if h, _ := tr.Height(); h != c.height {
 			t.Fatalf("the stream took the tree to height %d", h)
 		}
 		st := store.Stats()
-		t.Logf("height %d: %d reads + %d writes over 2000 updates = %.2f I/Os per update", c.height, st.Reads, st.Writes, float64(st.IOs())/2000)
+		how := "single updates"
+		if c.run > 0 {
+			how = fmt.Sprintf("sorted runs of %d", c.run)
+		}
+		t.Logf("height %d, %s: %d reads + %d writes over 2000 updates = %.2f reads + %.2f writes = %.2f I/Os per update",
+			c.height, how, st.Reads, st.Writes, float64(st.Reads)/2000, float64(st.Writes)/2000, float64(st.IOs())/2000)
 		if st.Reads != c.reads || st.Writes != c.writes {
-			t.Errorf("height %d: 2000 updates cost %d reads and %d writes, pinned at %d and %d", c.height, st.Reads, st.Writes, c.reads, c.writes)
+			t.Errorf("height %d, %s: 2000 updates cost %d reads and %d writes, pinned at %d and %d", c.height, how, st.Reads, st.Writes, c.reads, c.writes)
 		}
 	}
 }
@@ -189,14 +218,16 @@ func TestUpdateIOPinned(t *testing.T) {
 // TestUpdateAllocFree: a warm Insert or Delete that splits nothing
 // allocates nothing — the path is decoded into recycled nodes, every record
 // is written through the buffer it was read into, and the node structures
-// work in the operation's scratch.
+// work in the operation's scratch — and neither does a warm run of 64
+// updates, whose held nodes keep their Y-sets and queued edits in recycled
+// slices.
 func TestUpdateAllocFree(t *testing.T) {
 	if !eiotest.PoolsRecycle() {
 		t.Skip("sync.Pool does not recycle on this build (race detector): the per-operation scratch is sometimes rebuilt")
 	}
 	rng := rand.New(rand.NewSource(19))
 	store := eio.NewMemStore(1024) // B = 64
-	pts := distinctPoints(rng, 4001, 1<<20)
+	pts := distinctPoints(rng, 4033, 1<<20)
 	tr, err := Build(store, Options{}, pts[:4000])
 	if err != nil {
 		t.Fatal(err)
@@ -235,6 +266,39 @@ func TestUpdateAllocFree(t *testing.T) {
 	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Errorf("Delete+Insert of the top point: %v allocs per pair, want 0", n)
+	}
+	// A point-sorted run of 64: 32 fresh points, each inserted and deleted
+	// again. It splits nothing, and from the second run on every node
+	// structure's buffer ends each run as it began.
+	ops := make([]runOp, 0, 64)
+	for _, p := range pts[4001:] {
+		ops = append(ops, runOp{p: p}, runOp{del: true, p: p})
+	}
+	slices.SortStableFunc(ops, func(a, b runOp) int { return a.p.Compare(b.p) })
+	apply := func(r *Run) error {
+		for _, op := range ops {
+			if !op.del {
+				if err := r.Insert(op.p); err != nil {
+					return err
+				}
+			} else if ok, err := r.Delete(op.p); err != nil || !ok {
+				return fmt.Errorf("delete %v: %v, %v", op.p, ok, err)
+			}
+		}
+		return nil
+	}
+	cycle = func() {
+		if err := tr.Run(apply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	pages := store.Stats().Allocs
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a run of 64: %v allocs per run, want 0", n)
+	}
+	if a := store.Stats().Allocs; a != pages {
+		t.Errorf("the runs allocated %d pages; they were meant to split nothing", a-pages)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)

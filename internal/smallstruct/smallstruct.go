@@ -489,7 +489,7 @@ func (s *Struct) Insert(p geom.Point) error {
 			return fmt.Errorf("smallstruct: insert %v: %w", p, ErrDuplicate)
 		}
 	}
-	return s.update(sc, edit{p: p})
+	return s.update(sc, Edit{P: p})
 }
 
 // Delete removes p, reporting whether it was present.
@@ -512,34 +512,40 @@ func (s *Struct) Delete(p geom.Point) (bool, error) {
 			return false, err
 		}
 	}
-	return true, s.update(sc, edit{p: p, del: true})
+	return true, s.update(sc, Edit{P: p, Del: true})
 }
 
 // Add is Insert for a caller that knows p is not stored, Remove is Delete
 // for one that knows it is, Swap is Add(in) then Remove(out) in one catalog
-// write. They skip the membership probe: the priority search tree has just
-// fetched the Y-set the point would be in. Vouching wrongly corrupts.
-func (s *Struct) Add(p geom.Point) error    { return s.vouched(edit{p: p}) }
-func (s *Struct) Remove(p geom.Point) error { return s.vouched(edit{p: p, del: true}) }
+// write, and Apply is any sequence of such edits in one catalog write. They
+// skip the membership probe: the priority search tree has just fetched the
+// Y-set the point would be in. Vouching wrongly corrupts.
+func (s *Struct) Add(p geom.Point) error    { return s.Apply(Edit{P: p}) }
+func (s *Struct) Remove(p geom.Point) error { return s.Apply(Edit{P: p, Del: true}) }
 func (s *Struct) Swap(in, out geom.Point) error {
-	return s.vouched(edit{p: in}, edit{p: out, del: true})
+	return s.Apply(Edit{P: in}, Edit{P: out, Del: true})
 }
 
-func (s *Struct) vouched(edits ...edit) error {
+// Apply applies edits in order, exactly as the same Adds and Removes one
+// at a time would — the same buffer contents and the same rebuild moments —
+// but loads and writes the catalog once (twice when an edit before the last
+// fills the buffer: the rebuild writes it too).
+func (s *Struct) Apply(edits ...Edit) error {
 	sc := s.borrow()
 	defer s.release(sc)
 	return s.update(sc, edits...)
 }
 
-// edit is one buffered update.
-type edit struct {
-	p   geom.Point
-	del bool
+// Edit is one vouched update: an insertion of P, or its deletion when Del
+// is set.
+type Edit struct {
+	P   geom.Point
+	Del bool
 }
 
 // update applies edits in order and writes the catalog once (twice when an
 // edit before the last fills the buffer: the rebuild writes it too).
-func (s *Struct) update(sc *Scratch, edits ...edit) error {
+func (s *Struct) update(sc *Scratch, edits ...Edit) error {
 	view, err := s.loadCatalog(sc)
 	if err != nil {
 		return err
@@ -550,13 +556,13 @@ func (s *Struct) update(sc *Scratch, edits ...edit) error {
 		// An insertion cancels p's tombstone (reinsertion after delete), a
 		// deletion cancels p's buffered insertion; otherwise it is buffered.
 		from, to := &cat.dels, &cat.ins
-		if e.del {
+		if e.Del {
 			from, to = to, from
 		}
-		if i := slices.Index(*from, e.p); i >= 0 {
+		if i := slices.Index(*from, e.P); i >= 0 {
 			*from = slices.Delete(*from, i, i+1)
 			dirty = true
-		} else if *to = append(*to, e.p); len(cat.ins)+len(cat.dels) >= s.bufferCap() {
+		} else if *to = append(*to, e.P); len(cat.ins)+len(cat.dels) >= s.bufferCap() {
 			if err := s.rebuild(sc, cat); err != nil {
 				return err
 			}
