@@ -40,9 +40,11 @@ sweep:
 	$(GO) test ./internal/... -run 'Sweep|CrashRecoveryProperty|TxCacheCoherence|TxCommitForcesOnlyLog|TxRunWrite' -v
 
 # Short coverage-guided fuzz of the hostile-input parsers: WAL records,
-# whole WAL rings under recovery, anchors, whole store files, and the rsserve wire-protocol decoders.
+# whole WAL rings under recovery, anchors, whole store files, and the rsserve wire-protocol decoders;
+# and of the sweep construction against its point-by-point reference.
 # CI runs this; longer runs are manual.
 fuzz-short:
+	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzSchemeQuery' -fuzztime 10s
 	$(GO) test ./internal/eio -run '^$$' -fuzz 'FuzzWALRecord' -fuzztime 10s
 	$(GO) test ./internal/eio -run '^$$' -fuzz 'FuzzWALRing' -fuzztime 10s
 	$(GO) test ./internal/eio -run '^$$' -fuzz 'FuzzAnchor' -fuzztime 10s

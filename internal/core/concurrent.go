@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -236,11 +237,26 @@ func (c *Concurrent) Apply(ops []BatchOp, sp *trace.Span) []BatchResult {
 	}
 	res := make([]BatchResult, len(ops))
 	run := make([]pendingOp, len(ops))
-	for i, op := range ops {
-		run[i] = pendingOp{BatchOp: op, res: &res[i], sp: sp}
+	// Sort indexes, not the ops; the index tiebreak makes the order stable.
+	var perm []int32
+	if len(ops) > 1 {
+		perm = make([]int32, len(ops))
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		slices.SortFunc(perm, func(a, b int32) int {
+			if c := CompareOps(ops[a], ops[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
 	}
-	if len(run) > 1 {
-		slices.SortStableFunc(run, func(a, b pendingOp) int { return CompareOps(a.BatchOp, b.BatchOp) })
+	for j := range run {
+		i := j
+		if perm != nil {
+			i = int(perm[j])
+		}
+		run[j] = pendingOp{BatchOp: ops[i], res: &res[i], sp: sp}
 	}
 	first, last := &run[0], &run[len(run)-1]
 	last.done = make(chan struct{})

@@ -13,9 +13,11 @@
 // inside the catalog record; when the buffer reaches Θ(B) entries the whole
 // structure is rebuilt with the sweep-line algorithm, costing O(N/B + 1)
 // I/Os — O(1) amortized per update for N = O(B²). (The paper's in-place
-// O(B)-I/O construction streams with a priority queue; we rebuild through
-// memory, which transfers the same O(N/B) blocks — and, like the paper's,
-// merges what is already ordered on disk instead of sorting; see gather.)
+// O(B)-I/O construction sweeps with a priority queue; we rebuild through
+// memory, which transfers the same O(N/B) blocks. Like the paper's, it uses
+// the order already on disk instead of sorting: gather hands each new block
+// over as a few ascending runs, and the sweep's queue holds only the
+// heights at which a block turns light or empty; see sweep.Work.Build.)
 //
 // The structure stores a *set* of points: duplicate insertions are
 // rejected. This is what its only client, the external priority search
@@ -80,11 +82,10 @@ type Scratch struct {
 	rec         eio.RecordBuf // the catalog record last read
 	holds       eio.PageID    // the catalog view describes; NilPage: none
 	view        catalogView   // over rec, or over enc once the catalog was rewritten
-	dead        []geom.Point  // tombstones that can hide a point of the running query
+	dead        []geom.Point  // tombstones that can hide a point of the running query or MaxY
 	order       []int32       // MaxY: block indices by decreasing topY
 	probe       []geom.Point  // update path: result of the membership probe
 	cat         catalogData   // update path: decoded catalog (slices reused)
-	next        catalogData   // rebuild: the catalog under construction
 	enc         []byte        // update path: encoded catalog
 	*rebuildMem               // attached while a rebuild (or Create, or All) runs
 }
@@ -94,6 +95,7 @@ type Scratch struct {
 // waits in spareRebuild and a rebuild that finds it taken makes its own.
 type rebuildMem struct {
 	work sweep.Work   // the live set and the construction's arrays
+	next catalogData  // the catalog under construction
 	sel  []geom.Point // one x-bucket, then one block being written
 	cuts []geom.Point // the chunk boundaries inside that bucket
 	runs []int        // where each old initial block's survivors start
@@ -264,10 +266,11 @@ func (s *Struct) SetBufferCap(n int) {
 }
 
 // writeScheme runs the sweep construction over the input prepared in
-// sc.work, writes the blocks and returns the new catalog (in sc.next). It
-// never touches existing blocks: callers replacing a catalog must commit
-// the new one first and free the old blocks afterwards (see rebuild), so a
-// failure mid-rewrite leaves the committed catalog's pages intact.
+// sc.work, writes the blocks and returns the new catalog (in rebuildMem's
+// next). It never touches existing blocks: callers replacing a catalog must
+// commit the new one first and free the old blocks afterwards (see
+// rebuild), so a failure mid-rewrite leaves the committed catalog's pages
+// intact.
 func (s *Struct) writeScheme(sc *Scratch) (*catalogData, error) {
 	sch, err := sc.work.Build(s.b, s.alpha)
 	if err != nil {
@@ -403,7 +406,7 @@ func (s *Struct) query3(sc *Scratch, dst []geom.Point, cat catalogView, q geom.Q
 		return dst, nil
 	}
 	// Only a tombstone inside q can hide a point inside q.
-	dead := sc.dead[:0]
+	dead := slices.Grow(sc.dead[:0], cat.nd)
 	for i := 0; i < cat.nd; i++ {
 		if p := cat.del(i); q.Contains(p) {
 			dead = append(dead, p)
@@ -586,7 +589,10 @@ func (s *Struct) update(sc *Scratch, edits ...Edit) error {
 // insertions that fall into its range is a bucket, the buckets are in x
 // order, so a point's chunk follows from its bucket's first rank and from
 // which chunk boundaries inside the bucket it lies above; the boundary
-// points are found by selection. It sorts cat.ins and cat.dels in place.
+// points are found by selection. So each new block's ids are pieces of one
+// or two ascending runs plus the few insertions in its range, and Build
+// sorts each block in about one pass. It sorts cat.ins and cat.dels in
+// place.
 func (s *Struct) gather(sc *Scratch, cat *catalogData) error {
 	w := &sc.work
 	w.Pts, sc.runs = w.Pts[:0], sc.runs[:0]
@@ -754,6 +760,15 @@ func (s *Struct) MaxY() (geom.Point, bool, error) {
 			best, found = p, true
 		}
 	}
+	// The tombstones in (y, x) order, searched for each point the scan
+	// below meets: a refill pulls the tops out one at a time and leaves
+	// each one's tombstone at the top of its blocks, so it meets many.
+	dead := slices.Grow(sc.dead[:0], cat.nd)
+	for i := 0; i < cat.nd; i++ {
+		dead = append(dead, cat.del(i))
+	}
+	slices.SortFunc(dead, geom.Point.CompareY)
+	sc.dead = dead
 	// Visit blocks in decreasing topY until the bound says stop. The
 	// catalog is small (O(B) entries), so selection is done in memory:
 	// insertion sort, stable like the catalog order it starts from.
@@ -780,9 +795,17 @@ func (s *Struct) MaxY() (geom.Point, bool, error) {
 		if err := s.readBlock(sc, &m); err != nil {
 			return best, found, err
 		}
-		for j := 0; j < int(m.count); j++ {
-			if p := eio.GetPoint(sc.page, j*eio.PointSize); better(p) && !cat.isDead(p) {
+		// Contents ascend in (y, x), the order better compares in: the
+		// first live point from the top is the block's best, and once a
+		// point is no better than best, nothing below it is.
+		for j := int(m.count) - 1; j >= 0; j-- {
+			p := eio.GetPoint(sc.page, j*eio.PointSize)
+			if !better(p) {
+				break
+			}
+			if _, isDead := slices.BinarySearchFunc(dead, p, geom.Point.CompareY); !isDead {
 				best, found = p, true
+				break
 			}
 		}
 	}
@@ -812,7 +835,8 @@ func (s *Struct) rebuild(sc *Scratch, cat *catalogData) error {
 			return fmt.Errorf("smallstruct: free old block: %w", err)
 		}
 	}
-	sc.cat, sc.next = sc.next, sc.cat
+	sc.cat.blocks = append(sc.cat.blocks[:0], ncat.blocks...)
+	sc.cat.ins, sc.cat.dels = sc.cat.ins[:0], sc.cat.dels[:0]
 	return nil
 }
 

@@ -239,6 +239,48 @@ func TestMaxY(t *testing.T) {
 		}
 	}
 	check(-1)
+
+	// Tombstones on the top points of several blocks, more than B/2 of
+	// them, as a priority search tree's refill leaves when it pulls the
+	// tops out one at a time: first the top B/2+1 points of initial blocks
+	// 0, 2 and 4, then the maximum, again and again.
+	pts := distinctPoints(rng, 200, 250)
+	s, err = Create(store, 2, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := s.B()
+	s.SetBufferCap(8 * b) // no rebuild clears them
+	m = model{}
+	for _, p := range pts {
+		m[p] = true
+	}
+	geom.SortByX(pts)
+	for _, blk := range []int{0, 2, 4} {
+		chunk := slices.Clone(pts[blk*b : (blk+1)*b])
+		slices.SortFunc(chunk, func(p, q geom.Point) int { return q.CompareY(p) })
+		for _, p := range chunk[:b/2+1] {
+			if _, err := s.Delete(p); err != nil {
+				t.Fatal(err)
+			}
+			delete(m, p)
+			check(-2)
+		}
+	}
+	for i := 0; i < 2*b; i++ {
+		p, ok, err := s.MaxY()
+		if err != nil || !ok {
+			t.Fatal(ok, err)
+		}
+		if _, err := s.Delete(p); err != nil {
+			t.Fatal(err)
+		}
+		delete(m, p)
+		check(-3)
+	}
+	if view, err := s.loadCatalog(new(Scratch)); err != nil || view.nd < b/2 {
+		t.Fatalf("%d tombstones (%v), want ≥ %d", view.nd, err, b/2)
+	}
 }
 
 func TestAllAndContains(t *testing.T) {

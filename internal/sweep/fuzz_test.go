@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"rangesearch/internal/geom"
@@ -10,7 +11,8 @@ import (
 // FuzzSchemeQuery decodes an arbitrary byte string into a point set and a
 // 3-sided query, builds the sweep scheme, and checks the answer against
 // brute force and — on the distinct points of the input, where the scheme
-// is unique — the whole scheme against buildReference. Run with
+// is unique — the whole scheme, built from the points in input order and
+// from a shuffled copy, against buildReference. Run with
 // `go test -fuzz=FuzzSchemeQuery ./internal/sweep`.
 func FuzzSchemeQuery(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(4), uint8(2))
@@ -80,6 +82,23 @@ func FuzzSchemeQuery(f *testing.F) {
 		}
 		if err := sameScheme(merged, sorted); err != nil {
 			t.Fatalf("b=%d alpha=%d, %d distinct points: %v", b, alpha, len(distinct), err)
+		}
+		var w Work
+		w.SetPoints(distinct, b)
+		rng := rand.New(rand.NewSource(int64(len(raw))<<16 | int64(b8)<<8 | int64(alpha8)))
+		rng.Shuffle(len(w.Pts), func(i, j int) {
+			w.Pts[i], w.Pts[j] = w.Pts[j], w.Pts[i]
+			w.Block[i], w.Block[j] = w.Block[j], w.Block[i]
+		})
+		shuffled, err := w.Build(b, alpha)
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		for i := range shuffled.blocks {
+			shuffled.blocks[i].Points = shuffled.AppendPoints(nil, i)
+		}
+		if err := sameScheme(shuffled, sorted); err != nil {
+			t.Fatalf("shuffled, b=%d alpha=%d, %d distinct points: %v", b, alpha, len(distinct), err)
 		}
 	})
 }

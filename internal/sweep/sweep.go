@@ -89,20 +89,23 @@ func Build(points []geom.Point, b, alpha int) (*Scheme, error) {
 // ready; a reused Work builds without allocating once it has grown.
 type Work struct {
 	// Pts holds the points in any order; a point's index is its id. Build
-	// merges the runs of ascending (y, x) order Pts consists of.
+	// sorts each initial block's ids by (y, x) on their own, with a natural
+	// merge sort, so an order in which each block's points form a few
+	// ascending runs (as smallstruct's is) costs about one pass.
 	Pts []geom.Point
 	// Block maps a point id to its block of the initial x-partition, blocks
-	// numbered by ascending x, at most b points each. Build overwrites it.
+	// numbered by ascending x, at most b points each.
 	Block []int32
 
-	order []int32 // ids by ascending (y, x)
-	ids   []int32 // arena of the entries' id lists
-	tmp   []int32 // coalesce: the sort's other half (the global sort borrows ids)
-	runs  []int32 // sort: run boundaries
-	ents  []entry // ents[i] belongs to blocks[i]
-	stack []int32 // entries whose invariant must be re-examined
-	run   []int32 // the light run under repair
-	sch   Scheme
+	ids    []int32 // arena of the entries' id lists
+	tmp    []int32 // sorting: the other half
+	runs   []int32 // sort: run boundaries
+	ents   []entry // ents[i] belongs to blocks[i]
+	head   int32   // the first active entry
+	events []event // min-heap on y
+	stack  []int32 // entries whose invariant must be re-examined
+	run    []int32 // the light run under repair
+	sch    Scheme
 }
 
 // SetPoints makes points, sorted by x and cut into blocks of b, w's input.
@@ -125,9 +128,24 @@ type entry struct {
 	queued     bool
 }
 
+// event is a sweep position at which entry k turns light or empty.
+type event struct {
+	y int64
+	k int32
+}
+
 // Build runs the sweep over w.Pts from the initial partition w.Block. The
 // Scheme it returns lives in w: it is valid until w is built again, and its
 // blocks carry no Points — read them with AppendPoints.
+//
+// The sweep rises through the y-groups (the points sharing one y), but
+// stops only where an entry turns light or empty: everywhere else every
+// touched entry is heavy, or light in a run shorter than α that has not
+// changed since it was last repaired, so the repair loop would do nothing.
+// Those heights are fixed when an entry is made, so they wait in a heap;
+// at each one a walk of the active list brings every entry's live count
+// up to the line and collects the touched entries in list order — the
+// x order in which a (y, x)-ordered pass over the group would meet them.
 func (w *Work) Build(b, alpha int) (*Scheme, error) {
 	if b < 2 {
 		return nil, fmt.Errorf("sweep: block size %d < 2", b)
@@ -141,60 +159,73 @@ func (w *Work) Build(b, alpha int) (*Scheme, error) {
 	if n == 0 {
 		return s, nil
 	}
-	// The initial blocks' y-lists are the global order, bucketed by block.
-	// Coalesced lists are appended behind them in w.ids, α live suffixes at
-	// a time: at most n/(α−1) + b ids more.
-	w.ids = slices.Grow(w.ids[:0], 2*n+b)[:n]
-	order := slices.Grow(w.order[:0], n)[:n]
-	for i := range order {
-		order[i] = int32(i)
-	}
-	w.sortIDs(order, w.ids)
-	w.order = order
-	s.maxY = pts[order[n-1]].Y
-	w.ents = w.ents[:0]
-	for _, k := range w.Block {
+	// Bucket the ids by initial block in one stable counting pass, then
+	// sort each bucket on its own. Coalesced lists are appended behind
+	// them in w.ids, α live suffixes at a time: at most n/(α−1) + b ids
+	// more.
+	w.ents, w.events, w.head = w.ents[:0], w.events[:0], 0
+	s.maxY = pts[0].Y
+	for id, k := range w.Block {
 		for int(k) >= len(w.ents) {
 			w.ents = append(w.ents, entry{prev: int32(len(w.ents)) - 1, next: int32(len(w.ents)) + 1})
+			s.blocks = append(s.blocks, Block{XLo: geom.MaxCoord, XHi: geom.MinCoord, Initial: true})
 		}
 		w.ents[k].live++
+		blk, p := &s.blocks[k], pts[id]
+		blk.XLo, blk.XHi = min(blk.XLo, p.X), max(blk.XHi, p.X)
+		s.maxY = max(s.maxY, p.Y)
 	}
 	w.ents[len(w.ents)-1].next = -1
-	off := 0
+	w.ids = slices.Grow(w.ids[:0], 2*n+b)[:n]
+	off, most := 0, 0
 	for k := range w.ents {
 		e := &w.ents[k]
 		e.ids = w.ids[off : off : off+e.live]
 		off += e.live
-		s.blocks = append(s.blocks, Block{XLo: geom.MaxCoord, XHi: geom.MinCoord, Initial: true})
+		most = max(most, e.live)
 	}
-	for _, id := range order {
-		k := w.Block[id]
-		w.ents[k].ids = append(w.ents[k].ids, id)
-		blk := &s.blocks[k]
-		blk.XLo, blk.XHi = min(blk.XLo, pts[id].X), max(blk.XHi, pts[id].X)
+	for id, k := range w.Block {
+		w.ents[k].ids = append(w.ents[k].ids, int32(id))
 	}
+	w.tmp = slices.Grow(w.tmp[:0], most)[:most]
 	for k := range w.ents {
+		w.sortIDs(w.ents[k].ids, w.tmp)
 		s.blocks[k].ids = w.ents[k].ids
+		w.pushEvents(int32(k))
 	}
 
-	// Sweep: process points in ascending y, whole y-groups at a time. From
-	// here on Block[id] is the entry that currently owns the point.
-	for gi := 0; gi < n; {
-		y := pts[order[gi]].Y
-		stack := w.stack[:0]
-		for ; gi < n && pts[order[gi]].Y == y; gi++ {
-			k := w.Block[order[gi]]
-			e := &w.ents[k]
-			e.live--
-			if !e.queued {
-				e.queued = true
-				stack = append(stack, k)
-			}
-		}
-		if gi == n {
+	for len(w.events) > 0 {
+		y := w.events[0].y
+		if y >= s.maxY {
 			// Final group: no threshold above it is meaningful, skip
 			// invariant restoration (it would only create empty blocks).
 			break
+		}
+		due := false // an event of an entry still active
+		for len(w.events) > 0 && w.events[0].y == y {
+			if k := w.popEvent(); !w.ents[k].retired {
+				due = true
+			}
+		}
+		if !due {
+			continue
+		}
+		stack := w.stack[:0]
+		for k := w.head; k >= 0; k = w.ents[k].next {
+			e := &w.ents[k]
+			i := len(e.ids) - e.live
+			for i < len(e.ids) && pts[e.ids[i]].Y < y {
+				i++
+			}
+			j := i
+			for j < len(e.ids) && pts[e.ids[j]].Y == y {
+				j++
+			}
+			e.live = len(e.ids) - j
+			if j > i {
+				e.queued = true
+				stack = append(stack, k)
+			}
 		}
 		for len(stack) > 0 {
 			k := stack[len(stack)-1]
@@ -240,10 +271,65 @@ func (w *Work) Build(b, alpha int) (*Scheme, error) {
 	return s, nil
 }
 
-// sortIDs orders ids by the (y, x) order of their points, with tmp (as long
-// as ids) to work in: a natural merge sort — the ascending runs ids already
-// consists of are merged pairwise, pass after pass — so k sorted runs cost
-// O(n log k) comparisons and a sorted input n. It is stable.
+// pushEvents queues the heights at which the new entry k, all of whose ids
+// are live, turns light and turns empty: the y of its (⌊(b−1)/α⌋+1)-th
+// highest point and of its highest. An entry light from the start turns
+// "light" at its lowest point, where the sweep first examines it.
+func (w *Work) pushEvents(k int32) {
+	ids := w.ents[k].ids
+	if len(ids) == 0 {
+		return
+	}
+	light := max(len(ids)-1-(w.sch.b-1)/w.sch.alpha, 0)
+	yl, ye := w.Pts[ids[light]].Y, w.Pts[ids[len(ids)-1]].Y
+	w.pushEvent(event{yl, k})
+	if ye != yl {
+		w.pushEvent(event{ye, k})
+	}
+}
+
+// pushEvent and popEvent keep w.events a binary min-heap on y.
+func (w *Work) pushEvent(ev event) {
+	h := append(w.events, ev)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].y <= ev.y {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	w.events = h
+}
+
+func (w *Work) popEvent() int32 {
+	h := w.events
+	k, last := h[0].k, len(h)-1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h[c+1].y < h[c].y {
+			c++
+		}
+		if h[i].y <= h[c].y {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	w.events = h
+	return k
+}
+
+// sortIDs orders ids by the (y, x) order of their points, with tmp (at
+// least as long as ids) to work in: a natural merge sort — the ascending
+// runs ids already consists of are merged pairwise, pass after pass — so k
+// sorted runs cost O(n log k) comparisons and a sorted input n. It is
+// stable.
 func (w *Work) sortIDs(ids, tmp []int32) {
 	pts, n := w.Pts, int32(len(ids))
 	runs := append(w.runs[:0], 0)
@@ -293,6 +379,8 @@ func (w *Work) retire(k int32, y int64) {
 	w.sch.blocks[k].RetiredAt, w.sch.blocks[k].YRet = true, y
 	if e.prev >= 0 {
 		w.ents[e.prev].next = e.next
+	} else {
+		w.head = e.next
 	}
 	if e.next >= 0 {
 		w.ents[e.next].prev = e.prev
@@ -335,18 +423,18 @@ func (w *Work) coalesce(run []int32, y int64) int32 {
 	blk.ids = w.ids[from:len(w.ids):len(w.ids)]
 	w.tmp = slices.Grow(w.tmp[:0], len(blk.ids))[:len(blk.ids)]
 	w.sortIDs(blk.ids, w.tmp)
-	for _, id := range blk.ids {
-		w.Block[id] = ne
-	}
 	w.sch.blocks = append(w.sch.blocks, blk)
 	first, last := w.ents[run[0]].prev, w.ents[run[len(run)-1]].next
 	w.ents = append(w.ents, entry{prev: first, next: last, ids: blk.ids, live: len(blk.ids)})
 	if first >= 0 {
 		w.ents[first].next = ne
+	} else {
+		w.head = ne
 	}
 	if last >= 0 {
 		w.ents[last].prev = ne
 	}
+	w.pushEvents(ne)
 	return ne
 }
 

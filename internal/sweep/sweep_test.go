@@ -279,6 +279,85 @@ func TestBuildMatchesReference(t *testing.T) {
 	}
 }
 
+// TestBuildIgnoresInputOrder: Build's scheme depends on each point's
+// block, not on where in Pts the point sits — whether the ids are shuffled
+// or laid out as smallstruct's gather hands them over: every block's
+// survivors ascending in (y, x), block after block, then the buffered
+// insertions in x order.
+func TestBuildIgnoresInputOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var w Work
+	for _, b := range []int{2, 16, 256} {
+		sizes := []int{1, b - 1, b, b + 1, 3*b + b/2, b * b / 3, b * b}
+		if testing.Short() && b == 256 {
+			sizes = sizes[:5]
+		}
+		for _, alpha := range []int{2, 3, 4} {
+			for _, n := range sizes {
+				pts := distinctGrid(rng, n, int64(n)/4+2)
+				want, err := buildReference(pts, b, alpha)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, shape := range []string{"shuffled", "gathered"} {
+					w.SetPoints(pts, b)
+					if shape == "shuffled" {
+						rng.Shuffle(n, func(i, j int) {
+							w.Pts[i], w.Pts[j] = w.Pts[j], w.Pts[i]
+							w.Block[i], w.Block[j] = w.Block[j], w.Block[i]
+						})
+					} else {
+						gatherShape(rng, &w, rng.Intn(b/2+1))
+					}
+					got, err := w.Build(b, alpha)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range got.blocks {
+						got.blocks[i].Points = got.AppendPoints(nil, i)
+					}
+					if err := sameScheme(got, want); err != nil {
+						t.Fatalf("%s b=%d alpha=%d n=%d: %v", shape, b, alpha, n, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// gatherShape reorders w's input (as SetPoints left it) the way
+// smallstruct's gather lays it out: ins randomly chosen points go last, in
+// x order; the others are grouped by block, each block ascending in (y, x).
+func gatherShape(rng *rand.Rand, w *Work, ins int) {
+	type tagged struct {
+		p   geom.Point
+		k   int32
+		ins bool
+	}
+	all := make([]tagged, len(w.Pts))
+	for i, p := range w.Pts {
+		all[i] = tagged{p: p, k: w.Block[i]}
+	}
+	for _, i := range rng.Perm(len(all))[:min(ins, len(all))] {
+		all[i].ins = true
+	}
+	sort.SliceStable(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		switch {
+		case a.ins != b.ins:
+			return b.ins
+		case a.ins:
+			return false // insertions keep their x order
+		case a.k != b.k:
+			return a.k < b.k
+		}
+		return a.p.YLess(b.p)
+	})
+	for i, e := range all {
+		w.Pts[i], w.Block[i] = e.p, e.k
+	}
+}
+
 // TestWorkReuse: one Work builds different inputs back to back, each
 // result equal to a fresh construction, and a warm Work allocates nothing.
 func TestWorkReuse(t *testing.T) {
