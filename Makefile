@@ -41,7 +41,9 @@ sweep:
 
 # Short coverage-guided fuzz of the hostile-input parsers: WAL records,
 # whole WAL rings under recovery, anchors, whole store files, and the rsserve wire-protocol decoders;
-# and of the sweep construction against its point-by-point reference.
+# of the sweep construction against its point-by-point reference; and of
+# FileStore's in-memory allocation state against a map model, crashes
+# included.
 # CI runs this; longer runs are manual.
 fuzz-short:
 	$(GO) test ./internal/sweep -run '^$$' -fuzz 'FuzzSchemeQuery' -fuzztime 10s
@@ -49,6 +51,7 @@ fuzz-short:
 	$(GO) test ./internal/eio -run '^$$' -fuzz 'FuzzWALRing' -fuzztime 10s
 	$(GO) test ./internal/eio -run '^$$' -fuzz 'FuzzAnchor' -fuzztime 10s
 	$(GO) test ./internal/eio -run '^$$' -fuzz 'FuzzVerifyFile' -fuzztime 10s
+	$(GO) test ./internal/eio -run '^$$' -fuzz 'FuzzFileStoreOps' -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz 'FuzzDecodeRequest' -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz 'FuzzDecodeIdem' -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz 'FuzzDecodeTrace' -fuzztime 10s

@@ -1,9 +1,12 @@
 package rangesearch
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"rangesearch/internal/bench"
@@ -312,8 +315,12 @@ func BenchmarkOpEPSTUpdateDurable(b *testing.B) {
 // points in [0, 2²⁰)², each run what one BATCH request becomes. One
 // iteration is one whole load onto a fresh store; the metrics are per
 // loaded point: FileStore reads and writes (the pool's misses and dirty
-// evictions reaching the file), pool misses, and page_ops — every page
-// read and write the tree makes, the pool's hits and misses together.
+// evictions reaching the file), pool misses, page_ops — every page read and
+// write the tree makes, the pool's hits and misses together — and
+// syscalls/point, the process's read and write system calls during the
+// loads (/proc/self/io syscr + syscw; omitted where that file is
+// unreadable), which also counts the file traffic eio.Stats does not: the
+// zero pages and free-list nodes of the allocator.
 func BenchmarkOpBatchLoad(b *testing.B) {
 	const runs, runLen = 8, 4096
 	pts := bench.Uniform(23, runs*runLen, 1<<20)
@@ -322,7 +329,8 @@ func BenchmarkOpBatchLoad(b *testing.B) {
 		ops[i] = core.BatchOp{P: p}
 	}
 	var file eio.Stats
-	var misses, pageOps uint64
+	var misses, pageOps, syscalls uint64
+	_, sysOK := ioSyscalls()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -346,6 +354,7 @@ func BenchmarkOpBatchLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 		pool.ResetStats()
+		sys0, _ := ioSyscalls()
 		b.StartTimer()
 		for lo := 0; lo < len(ops); lo += runLen {
 			for _, r := range c.Apply(ops[lo:lo+runLen], nil) {
@@ -355,6 +364,8 @@ func BenchmarkOpBatchLoad(b *testing.B) {
 			}
 		}
 		b.StopTimer()
+		sys1, _ := ioSyscalls()
+		syscalls += sys1 - sys0
 		st := fs.Stats()
 		file.Reads += st.Reads
 		file.Writes += st.Writes
@@ -371,6 +382,34 @@ func BenchmarkOpBatchLoad(b *testing.B) {
 	b.ReportMetric(float64(file.Writes)/n, "file_writes/point")
 	b.ReportMetric(float64(misses)/n, "pool_misses/point")
 	b.ReportMetric(float64(pageOps)/n, "page_ops/point")
+	if sysOK {
+		b.ReportMetric(float64(syscalls)/n, "syscalls/point")
+	}
+}
+
+// ioSyscalls returns the read and write system calls this process has
+// made (syscr + syscw of /proc/self/io), and false where the file is
+// unreadable.
+func ioSyscalls() (uint64, bool) {
+	data, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, false
+	}
+	var n uint64
+	found := 0
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		k, v, ok := bytes.Cut(line, []byte(": "))
+		if !ok || (string(k) != "syscr" && string(k) != "syscw") {
+			continue
+		}
+		c, err := strconv.ParseUint(string(bytes.TrimSpace(v)), 10, 64)
+		if err != nil {
+			return 0, false
+		}
+		n += c
+		found++
+	}
+	return n, found == 2
 }
 
 // ioCounter counts the page reads and writes passing through it.

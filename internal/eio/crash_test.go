@@ -16,9 +16,11 @@ import (
 // crashes at a random point (the last unsynced write torn), reopens the file and asserts the recovery
 // contract: the superblock is valid, every page committed by the last Sync
 // either reads back exactly or — only for the single torn page — fails
-// with ErrChecksum, and the store remains allocatable.
+// with ErrChecksum, a page freed twice is refused, and the store remains
+// allocatable. Every allocated page reads as zeros before anything writes
+// it, whether or not a Sync has written its zero page yet.
 func TestCrashRecoveryProperty(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
+	for seed := int64(0); seed < 32; seed++ {
 		seed := seed
 		t.Run("", func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -40,6 +42,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				}
 			}
 
+			zeroCheck := make([]byte, 128)
 			nops := 40 + rng.Intn(120)
 			for i := 0; i < nops; i++ {
 				switch r := rng.Float64(); {
@@ -49,6 +52,9 @@ func TestCrashRecoveryProperty(t *testing.T) {
 						t.Fatal(err)
 					}
 					current[id] = make([]byte, 128)
+					if err := cs.Read(id, zeroCheck); err != nil || !bytes.Equal(zeroCheck, current[id]) {
+						t.Fatalf("seed %d: fresh page %d does not read as zeros: %v", seed, id, err)
+					}
 				case r < 0.75:
 					id := randLive(rng, current)
 					data := make([]byte, 128)
@@ -113,11 +119,37 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				}
 			}
 
+			// A page on the recovered free list, and a synced page freed
+			// once, cannot be freed again.
+			if free := freeList(fs2); len(free) > 0 {
+				if err := fs2.Free(free[rng.Intn(len(free))]); !errors.Is(err, ErrBadPage) {
+					t.Fatalf("seed %d: free of a page on the recovered free list: want ErrBadPage, got %v", seed, err)
+				}
+			}
+			if len(durable) > 0 {
+				id := randLive(rng, durable)
+				if err := fs2.Free(id); err != nil {
+					t.Fatalf("seed %d: free of synced page %d: %v", seed, id, err)
+				}
+				if err := fs2.Free(id); !errors.Is(err, ErrBadPage) {
+					t.Fatalf("seed %d: double free of page %d: want ErrBadPage, got %v", seed, id, err)
+				}
+				delete(durable, id)
+			}
+
 			// The recovered store must keep allocating (a truncated free
-			// list leaks pages but never blocks allocation).
+			// list leaks pages but never blocks allocation), and what it
+			// hands out reads as zeros.
 			for i := 0; i < 5; i++ {
-				if _, err := fs2.Alloc(); err != nil {
+				id, err := fs2.Alloc()
+				if err != nil {
 					t.Fatalf("seed %d: alloc after recovery: %v", seed, err)
+				}
+				if _, ok := durable[id]; ok {
+					t.Fatalf("seed %d: alloc after recovery handed out synced page %d", seed, id)
+				}
+				if err := fs2.Read(id, buf); err != nil || !bytes.Equal(buf, make([]byte, 128)) {
+					t.Fatalf("seed %d: page %d allocated after recovery does not read as zeros: %v", seed, id, err)
 				}
 			}
 		})

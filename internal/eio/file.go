@@ -1,11 +1,13 @@
 package eio
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"syscall"
 )
@@ -31,12 +33,21 @@ import (
 //     the first 8 bytes, free flag in the trailer), chained from the
 //     superblock's free-list head.
 //
+// The allocation state lives in memory between flushes: one state byte per
+// page id, the free list as a stack, the pages allocated but not yet
+// written, and the free-list nodes not yet written. Alloc and Free touch no
+// file; the zero page of a fresh allocation and the node of a free are
+// written, in ascending page id, just before anything exposes the on-disk
+// state (Sync, Close, LivePageIDs, EnsurePage), so the image each Sync
+// leaves is the one eager writes would have left. OpenFileStore walks the
+// on-disk free list once to rebuild that state.
+//
 // Durability follows the classic write-ahead discipline at page
 // granularity: page writes go to the file immediately, but the superblock
 // — and therefore the committed allocation state — only advances on Sync
 // or Close. After a crash, reopening recovers the state as of the last
-// Sync; pages allocated later are unreferenced tail garbage and pages
-// freed later simply remain allocated.
+// Sync; pages allocated later are unreferenced tail garbage (or still
+// free-list nodes) and pages freed later simply remain allocated.
 //
 // Format v1 (no checksums, single superblock in page slot 0) was last
 // written by the first build of this repository; opening such a file is
@@ -46,9 +57,22 @@ type FileStore struct {
 	f        *os.File
 	pageSize int
 	npages   uint64 // total pages ever allocated, incl. reserved page 0
-	freeHead PageID
-	nfree    uint64
-	seq      uint64 // superblock sequence number of the last flush
+	// state holds one pageState per page id below npages, so Read, Write
+	// and Free learn a page's allocation state without touching the file.
+	state []pageState
+	// free is the free list, head last: Alloc pops it and Free pushes onto
+	// it. free[:synced] are on disk as nodes linking each entry to the one
+	// below it; the nodes from synced up are written by the next flush.
+	free   []PageID
+	synced int
+	// fresh holds pages allocated since the last flush. Those still in
+	// pageFresh at the flush get their zero page then; an id may appear
+	// twice, and one written or freed since is skipped.
+	fresh []PageID
+	// pend is the flush's scratch list of slots to write, kept between
+	// flushes.
+	pend []pendingSlot
+	seq  uint64 // superblock sequence number of the last flush
 	// onDisk is the allocation state each superblock slot holds (zero for a
 	// slot that did not parse): Sync and Close rewrite a slot only while
 	// one of the two is behind the state in memory.
@@ -62,6 +86,26 @@ type FileStore struct {
 	// run is WriteRun's transfer buffer, maxRunSlots slots, made on first
 	// use (only a WAL writer needs it) and kept.
 	run []byte
+}
+
+// pageState is what FileStore knows about one page id without reading it.
+type pageState uint8
+
+const (
+	// pageLive: the page's image is on disk (or torn there: Read says so).
+	pageLive pageState = iota
+	// pageFresh: allocated and not yet written; it reads as zeros, and the
+	// next flush writes its zero page.
+	pageFresh
+	// pageFree: on the free list.
+	pageFree
+)
+
+// pendingSlot is one slot a flush writes: a zero page with the given
+// trailer flags, holding next — a zero data page, or a free-list node.
+type pendingSlot struct {
+	id, next PageID
+	flags    uint32
 }
 
 // allocState is what a superblock commits besides its sequence number.
@@ -95,7 +139,7 @@ func CreateFileStore(path string, pageSize int) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eio: create file store: %w", err)
 	}
-	fs := &FileStore{f: f, pageSize: pageSize, npages: 1, slot: make([]byte, pageSize+pageTrailerSize)}
+	fs := &FileStore{f: f, pageSize: pageSize, npages: 1, state: make([]pageState, 1), slot: make([]byte, pageSize+pageTrailerSize)}
 	// Write both superblock slots so a fresh store is recoverable even if
 	// the very first update tears one of them.
 	if err := fs.writeSuper(); err == nil {
@@ -157,16 +201,41 @@ func attachFile(f *os.File, path string) (*FileStore, error) {
 	if best < 0 {
 		return nil, fmt.Errorf("eio: %s is not a page store (no valid superblock)", path)
 	}
-	return &FileStore{
+	fs := &FileStore{
 		f:        f,
 		pageSize: bestSuper.pageSize,
 		npages:   bestSuper.npages,
-		freeHead: bestSuper.freeHead,
-		nfree:    bestSuper.nfree,
+		state:    make([]pageState, bestSuper.npages),
 		seq:      bestSuper.seq,
 		onDisk:   onDisk,
 		slot:     make([]byte, bestSuper.pageSize+pageTrailerSize),
-	}, nil
+	}
+	fs.loadFreeList(bestSuper.freeHead)
+	return fs, nil
+}
+
+// loadFreeList walks the on-disk free list from head into memory, one read
+// per node. A node that is not a valid free-list node, a repeated id or an
+// id out of range ends the list, and the rest leaks (VerifyFile reports it
+// as drift): a crash can keep a write to a page but lose the superblock
+// that popped it from the list — possibly a committed image WAL replay put
+// back — so such a page must not be handed out, and its first bytes are no
+// free-list link. A list cut short has its nodes rewritten at the next
+// flush, so the last one links to nothing.
+func (fs *FileStore) loadFreeList(head PageID) {
+	id := head
+	for id != NilPage && uint64(id) < fs.npages && fs.state[id] != pageFree {
+		if flags, err := fs.readSlot(id); err != nil || flags != pageFlagFree {
+			break
+		}
+		fs.state[id] = pageFree
+		fs.free = append(fs.free, id)
+		id = PageID(binary.LittleEndian.Uint64(fs.slot[:8]))
+	}
+	slices.Reverse(fs.free) // the head is the last entry
+	if id == NilPage {
+		fs.synced = len(fs.free)
+	}
 }
 
 // superState is one decoded superblock slot.
@@ -208,8 +277,9 @@ func (fs *FileStore) writeSuper() error {
 	binary.LittleEndian.PutUint64(buf[0:], fileMagicV2)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(fs.pageSize))
 	binary.LittleEndian.PutUint64(buf[16:], fs.npages)
-	binary.LittleEndian.PutUint64(buf[24:], uint64(fs.freeHead))
-	binary.LittleEndian.PutUint64(buf[32:], fs.nfree)
+	cur := fs.allocState()
+	binary.LittleEndian.PutUint64(buf[24:], uint64(cur.freeHead))
+	binary.LittleEndian.PutUint64(buf[32:], cur.nfree)
 	binary.LittleEndian.PutUint64(buf[40:], fs.seq)
 	binary.LittleEndian.PutUint32(buf[48:], crc32c(buf[:48]))
 	slot := fs.seq % 2
@@ -217,13 +287,17 @@ func (fs *FileStore) writeSuper() error {
 	if _, err := fs.f.WriteAt(buf[:], int64(slot)*superSlotSize); err != nil {
 		return fmt.Errorf("eio: write superblock: %w", noSpace(err))
 	}
-	fs.onDisk[slot] = fs.allocState()
+	fs.onDisk[slot] = cur
 	return nil
 }
 
 // allocState returns the allocation state in memory. Callers hold mu.
 func (fs *FileStore) allocState() allocState {
-	return allocState{fs.npages, fs.freeHead, fs.nfree}
+	head := NilPage
+	if n := len(fs.free); n > 0 {
+		head = fs.free[n-1]
+	}
+	return allocState{fs.npages, head, uint64(len(fs.free))}
 }
 
 // commitSuper writes the superblock unless BOTH slots already hold the
@@ -306,7 +380,9 @@ func (fs *FileStore) readSlot(id PageID) (uint32, error) {
 // PageSize implements Store.
 func (fs *FileStore) PageSize() int { return fs.pageSize }
 
-// Alloc implements Store.
+// Alloc implements Store. It pops the free list, or extends the store by
+// one page, with no I/O: the page reads as zeros until it is written, and
+// the next flush writes its zero page if nothing else has.
 func (fs *FileStore) Alloc() (PageID, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -314,39 +390,41 @@ func (fs *FileStore) Alloc() (PageID, error) {
 		return NilPage, fmt.Errorf("eio: alloc on closed store")
 	}
 	fs.stats.Allocs++
-	if fs.freeHead != NilPage {
-		id := fs.freeHead
-		flags, err := fs.readSlot(id)
-		if err != nil {
-			return NilPage, fmt.Errorf("eio: pop free list: %w", err)
-		}
-		if flags == pageFlagFree {
-			// The next pointer lives in the first 8 bytes.
-			fs.freeHead = PageID(binary.LittleEndian.Uint64(fs.slot[:8]))
-			fs.nfree--
-			if err := fs.writeZeroPage(id, NilPage, pageFlagData); err != nil {
-				return NilPage, fmt.Errorf("eio: zero reused page: %w", err)
-			}
-			return id, nil
-		}
-		// A head that holds a data page: a crash kept a write to the page
-		// but lost the superblock that popped it — possibly a committed
-		// image WAL replay put back, so it must not be handed out, and its
-		// first bytes are no free-list link. The list ends here, which
-		// conservatively leaks the remainder (VerifyFile reports it as
-		// drift); allocation continues by extending the file.
-		fs.freeHead, fs.nfree = NilPage, 0
+	var id PageID
+	if n := len(fs.free); n > 0 {
+		id = fs.free[n-1]
+		fs.free = fs.free[:n-1]
+		fs.synced = min(fs.synced, n-1)
+	} else {
+		id = PageID(fs.npages)
+		fs.npages++
+		fs.state = append(fs.state, pageLive)
 	}
-	id := PageID(fs.npages)
-	fs.npages++
-	if err := fs.writeZeroPage(id, NilPage, pageFlagData); err != nil {
-		return NilPage, fmt.Errorf("eio: extend file: %w", err)
+	fs.state[id] = pageFresh
+	if len(fs.fresh) == cap(fs.fresh) {
+		fs.compactFresh()
 	}
+	fs.fresh = append(fs.fresh, id)
 	return id, nil
 }
 
-// Free implements Store. The page is rewritten as a zeroed free-list node with a valid checksum, so a later verification scan can
-// tell freed pages from damaged ones.
+// compactFresh drops repeated ids from fresh, and the ids written or freed
+// since their allocation, so a store that is never synced keeps a list no
+// longer than twice its unwritten allocations. Callers hold mu.
+func (fs *FileStore) compactFresh() {
+	fs.fresh = slices.DeleteFunc(fs.fresh, func(id PageID) bool { return fs.state[id] != pageFresh })
+	slices.Sort(fs.fresh)
+	fs.fresh = slices.Compact(fs.fresh)
+	if len(fs.fresh) > cap(fs.fresh)/2 {
+		fs.fresh = slices.Grow(fs.fresh, len(fs.fresh))
+	}
+}
+
+// Free implements Store. The page joins the free list with no I/O; its
+// free-list node — a zeroed page holding the link, with the free flag in
+// a valid trailer, so a verification scan tells freed pages from damaged
+// ones — is written by the next flush. Freeing a page that is already on
+// the list fails with ErrBadPage.
 func (fs *FileStore) Free(id PageID) error {
 	if id == NilPage {
 		return nil
@@ -356,16 +434,18 @@ func (fs *FileStore) Free(id PageID) error {
 	if err := fs.check(id); err != nil {
 		return err
 	}
-	fs.stats.Frees++
-	if err := fs.writeZeroPage(id, fs.freeHead, pageFlagFree); err != nil {
-		return fmt.Errorf("eio: push free list: %w", err)
+	if fs.state[id] == pageFree {
+		return fmt.Errorf("eio: free page %d: already free: %w", id, ErrBadPage)
 	}
-	fs.freeHead = id
-	fs.nfree++
+	fs.stats.Frees++
+	fs.state[id] = pageFree
+	fs.free = append(fs.free, id)
 	return nil
 }
 
-// Read implements Store. A trailer mismatch fails with ErrChecksum and reading a freed page fails with ErrBadPage.
+// Read implements Store. A trailer mismatch fails with ErrChecksum and
+// reading a freed page fails with ErrBadPage; a page allocated and not yet
+// written reads as zeros without a pread.
 func (fs *FileStore) Read(id PageID, buf []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -376,6 +456,13 @@ func (fs *FileStore) Read(id PageID, buf []byte) error {
 		return fmt.Errorf("eio: read buffer %d bytes: %w", len(buf), ErrPageSize)
 	}
 	fs.stats.Reads++
+	switch fs.state[id] {
+	case pageFresh:
+		clear(buf[:fs.pageSize])
+		return nil
+	case pageFree:
+		return fmt.Errorf("eio: page %d is freed: %w", id, ErrBadPage)
+	}
 	flags, err := fs.readSlot(id)
 	if err != nil {
 		return err
@@ -387,7 +474,9 @@ func (fs *FileStore) Read(id PageID, buf []byte) error {
 	return nil
 }
 
-// Write implements Store.
+// Write implements Store. Writing a page on the free list takes it off the
+// list — recovery or a replica putting a committed image back — so the
+// allocator never hands it out.
 func (fs *FileStore) Write(id PageID, buf []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -398,7 +487,63 @@ func (fs *FileStore) Write(id PageID, buf []byte) error {
 		return fmt.Errorf("eio: write buffer %d bytes: %w", len(buf), ErrPageSize)
 	}
 	fs.stats.Writes++
-	return fs.writePage(id, buf, pageFlagData)
+	if err := fs.writePage(id, buf, pageFlagData); err != nil {
+		return err
+	}
+	fs.setLive(id)
+	return nil
+}
+
+// setLive records that page id's image has been written, taking the page
+// off the free list if it is on it. The entries above it move down
+// one place, so their nodes are rewritten by the next flush. Callers hold
+// mu.
+func (fs *FileStore) setLive(id PageID) {
+	if fs.state[id] == pageFree {
+		i := slices.Index(fs.free, id)
+		fs.free = slices.Delete(fs.free, i, i+1)
+		fs.synced = min(fs.synced, i)
+	}
+	fs.state[id] = pageLive
+}
+
+// flush writes, in ascending page id, the zero page of every page still
+// fresh and every free-list node not yet on disk: after it the file holds
+// the image the allocation state in memory describes, and a superblock
+// may name it. Callers hold mu.
+func (fs *FileStore) flush() error {
+	pend := fs.pend[:0]
+	for _, id := range fs.fresh {
+		if fs.state[id] == pageFresh {
+			pend = append(pend, pendingSlot{id: id, flags: pageFlagData})
+		}
+	}
+	for i := fs.synced; i < len(fs.free); i++ {
+		next := NilPage
+		if i > 0 {
+			next = fs.free[i-1]
+		}
+		pend = append(pend, pendingSlot{id: fs.free[i], next: next, flags: pageFlagFree})
+	}
+	fs.pend = pend
+	if len(pend) == 0 {
+		return nil
+	}
+	slices.SortFunc(pend, func(a, b pendingSlot) int { return cmp.Compare(a.id, b.id) })
+	for _, p := range pend {
+		if p.flags == pageFlagData && fs.state[p.id] != pageFresh {
+			continue // listed twice (allocated, freed, allocated) and written already
+		}
+		if err := fs.writeZeroPage(p.id, p.next, p.flags); err != nil {
+			return fmt.Errorf("eio: flush allocation state: %w", err)
+		}
+		if p.flags == pageFlagData {
+			fs.state[p.id] = pageLive
+		}
+	}
+	fs.fresh = fs.fresh[:0]
+	fs.synced = len(fs.free)
+	return nil
 }
 
 // maxRunSlots bounds WriteRun's transfer buffer: a longer run goes out in
@@ -439,6 +584,9 @@ func (fs *FileStore) WriteRun(first PageID, data []byte) error {
 		if _, err := fs.f.WriteAt(fs.run[:k*ss], fs.off(first)); err != nil {
 			return fmt.Errorf("eio: write pages %d..%d: %w", first, first+PageID(k-1), noSpace(err))
 		}
+		for i := 0; i < k; i++ {
+			fs.setLive(first + PageID(i))
+		}
 		first += PageID(k)
 	}
 	return nil
@@ -456,6 +604,9 @@ func (fs *FileStore) writeRaw(id PageID, prefix []byte) error {
 	}
 	if len(prefix) > fs.slotSize() {
 		prefix = prefix[:fs.slotSize()]
+	}
+	if fs.state[id] == pageFresh {
+		fs.state[id] = pageLive // the torn bytes are the page now: no flush may zero them
 	}
 	if _, err := fs.f.WriteAt(prefix, fs.off(id)); err != nil {
 		return fmt.Errorf("eio: raw write page %d: %w", id, err)
@@ -481,21 +632,24 @@ func (fs *FileStore) ResetStats() {
 func (fs *FileStore) Pages() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return int(fs.npages - 1 - fs.nfree)
+	return int(fs.npages - 1 - uint64(len(fs.free)))
 }
 
-// LivePageIDs implements PageLister by scanning every page slot and
-// reading its trailer flags, in ascending id order. Free-list nodes are
-// skipped; a checksum-bad page is reported as live — it occupies a slot,
-// cannot be trusted to be free, and after crash recovery the only pages
-// still torn are allocations stranded by the crash, which is exactly what
-// Scrub exists to reclaim. Each slot inspected costs one read I/O, as an
-// offline sweep over n pages should.
+// LivePageIDs implements PageLister by flushing the allocation state, then
+// scanning every page slot and reading its trailer flags, in ascending id
+// order. Free-list nodes are skipped; a checksum-bad page is reported as
+// live — it occupies a slot, cannot be trusted to be free, and after crash
+// recovery the only pages still torn are allocations stranded by the
+// crash, which is exactly what Scrub exists to reclaim. Each slot inspected
+// costs one read I/O, as an offline sweep over n pages should.
 func (fs *FileStore) LivePageIDs() ([]PageID, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
 		return nil, fmt.Errorf("eio: access to closed store")
+	}
+	if err := fs.flush(); err != nil {
+		return nil, err
 	}
 	var ids []PageID
 	for id := PageID(1); uint64(id) < fs.npages; id++ {
@@ -519,10 +673,12 @@ func (fs *FileStore) LivePageIDs() ([]PageID, error) {
 // primary chose, not at ids its own allocator would hand out. Gap pages
 // created by the extension (ids the primary allocated and freed before
 // this replica ever saw them) are left as zeroed DATA pages — they leak
-// rather than joining the free list, because a freed page that later
-// arrives in a shipped record would have to be unlinked from the middle
-// of the free chain. Scrub reclaims them if the replica is ever promoted.
-// Calling EnsurePage on a freed page is an error for the same reason.
+// rather than joining the free list, because each of them that later
+// arrives in a shipped record would then come off the middle of the list
+// (Write does that, rewriting every node above it at the next flush).
+// Scrub reclaims them if the replica is ever promoted. Calling EnsurePage
+// on a freed page is an error. It flushes the allocation state first and
+// then inspects the page on disk.
 func (fs *FileStore) EnsurePage(id PageID) error {
 	if id == NilPage {
 		return fmt.Errorf("eio: ensure page: %w", ErrBadPage)
@@ -531,6 +687,9 @@ func (fs *FileStore) EnsurePage(id PageID) error {
 	defer fs.mu.Unlock()
 	if fs.closed {
 		return fmt.Errorf("eio: access to closed store")
+	}
+	if err := fs.flush(); err != nil {
+		return err
 	}
 	if uint64(id) < fs.npages {
 		flags, err := fs.readSlot(id)
@@ -547,16 +706,20 @@ func (fs *FileStore) EnsurePage(id PageID) error {
 			return fmt.Errorf("eio: ensure page %d: %w", next, err)
 		}
 		fs.npages++
+		fs.state = append(fs.state, pageLive)
 	}
 	return nil
 }
 
-// Sync flushes the superblock (if it is behind, see commitSuper) and file
-// contents to stable storage, committing all allocation state written so
-// far.
+// Sync flushes the allocation state, the superblock (if it is behind, see
+// commitSuper) and file contents to stable storage, committing all
+// allocation state so far.
 func (fs *FileStore) Sync() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if err := fs.flush(); err != nil {
+		return err
+	}
 	if err := fs.commitSuper(); err != nil {
 		return err
 	}
@@ -566,7 +729,8 @@ func (fs *FileStore) Sync() error {
 	return nil
 }
 
-// Close implements Store. It persists the superblock before closing.
+// Close implements Store. It persists the allocation state and the
+// superblock before closing.
 func (fs *FileStore) Close() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -574,7 +738,11 @@ func (fs *FileStore) Close() error {
 		return nil
 	}
 	fs.closed = true
-	if err := fs.commitSuper(); err != nil {
+	err := fs.flush()
+	if err == nil {
+		err = fs.commitSuper()
+	}
+	if err != nil {
 		fs.f.Close()
 		return err
 	}

@@ -3,8 +3,10 @@ package eio
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -247,6 +249,148 @@ func FuzzWALRing(f *testing.F) {
 		if got := t2.AppliedLSN(); got != applied || t2.Recovery().Records != records {
 			t.Fatalf("recovery replayed %d records to lsn %d; the chain holds %d records to lsn %d",
 				t2.Recovery().Records, got, records, applied)
+		}
+	})
+}
+
+// FuzzFileStoreOps drives a FileStore with Alloc, Free, Write, Read, Sync,
+// a crash (CloseCrash and reopen), a second Free of a freed page and a
+// Write that puts an image back on a freed page, against a map model. No
+// id is ever live twice, every read returns the page's last write or
+// zeros, and after a crash the store holds the allocation state of the
+// last Sync, or that state plus leaked pages: every page live at that Sync
+// reads back its last write (FileStore writes pages in place at once; only
+// the allocation state waits for Sync) and none is on the free list.
+func FuzzFileStoreOps(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 2, 5, 1, 1, 4, 0, 3, 0, 6, 0, 5, 0, 0, 0, 3, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 4, 0, 0, 0, 5, 0, 7, 3, 3, 0, 4, 0, 5, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const ps = 32
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		path := filepath.Join(t.TempDir(), "ops.db")
+		fs, err := CreateFileStore(path, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { fs.Close() }()
+		live := map[PageID]byte{}   // page -> fill byte of its last write (0: fresh)
+		disk := map[PageID]byte{}   // page -> fill byte the file holds for it
+		synced := map[PageID]bool{} // live as of the last Sync
+		freed := map[PageID]bool{}  // freed since the last reopen, not handed out since
+		buf := make([]byte, ps)
+		pick := func(m map[PageID]byte, arg byte) PageID {
+			ids := make([]PageID, 0, len(m))
+			for id := range m {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			return ids[int(arg)%len(ids)]
+		}
+		pickFreed := func(arg byte) PageID {
+			ids := make([]PageID, 0, len(freed))
+			for id := range freed {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			return ids[int(arg)%len(ids)]
+		}
+		wantRead := func(id PageID, fill byte) {
+			t.Helper()
+			if err := fs.Read(id, buf); err != nil {
+				t.Fatalf("read of live page %d: %v", id, err)
+			}
+			if !bytes.Equal(buf, bytes.Repeat([]byte{fill}, ps)) {
+				t.Fatalf("page %d reads %x, want %#x throughout", id, buf, fill)
+			}
+		}
+		for i := 0; i+1 < len(data); i += 2 {
+			op, arg := data[i]%8, data[i+1]
+			switch {
+			case op == 0 || (op <= 3 && len(live) == 0):
+				id, err := fs.Alloc()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := live[id]; ok {
+					t.Fatalf("Alloc handed out live page %d", id)
+				}
+				live[id] = 0
+				delete(freed, id)
+			case op == 1:
+				id := pick(live, arg)
+				if err := fs.Free(id); err != nil {
+					t.Fatalf("free of live page %d: %v", id, err)
+				}
+				delete(live, id)
+				freed[id] = true
+			case op == 2:
+				id := pick(live, arg)
+				if err := fs.Write(id, bytes.Repeat([]byte{arg}, ps)); err != nil {
+					t.Fatal(err)
+				}
+				live[id], disk[id] = arg, arg
+			case op == 3:
+				id := pick(live, arg)
+				wantRead(id, live[id])
+			case op == 4:
+				if err := fs.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				clear(synced)
+				for id, fill := range live {
+					synced[id], disk[id] = true, fill // a fresh page's zeros are written now
+				}
+			case op == 5:
+				if err := fs.CloseCrash(); err != nil {
+					t.Fatal(err)
+				}
+				if fs, err = OpenFileStore(path); err != nil {
+					t.Fatalf("reopen after crash: %v", err)
+				}
+				clear(live)
+				for id := range synced {
+					live[id] = disk[id]
+					wantRead(id, disk[id])
+				}
+				for _, id := range freeList(fs) {
+					if synced[id] {
+						t.Fatalf("synced page %d is on the free list after the crash", id)
+					}
+				}
+				if fs.Pages() < len(synced) {
+					t.Fatalf("Pages() = %d after the crash, %d were synced", fs.Pages(), len(synced))
+				}
+				clear(freed)
+			case op == 6 && len(freed) > 0:
+				id := pickFreed(arg)
+				if err := fs.Free(id); !errors.Is(err, ErrBadPage) {
+					t.Fatalf("second free of page %d: want ErrBadPage, got %v", id, err)
+				}
+				if err := fs.Read(id, buf); !errors.Is(err, ErrBadPage) {
+					t.Fatalf("read of freed page %d: want ErrBadPage, got %v", id, err)
+				}
+			case op == 7 && len(freed) > 0:
+				id := pickFreed(arg)
+				if err := fs.Write(id, bytes.Repeat([]byte{arg}, ps)); err != nil {
+					t.Fatal(err)
+				}
+				delete(freed, id)
+				live[id], disk[id] = arg, arg
+			}
+		}
+		if err := fs.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if fs, err = OpenFileStore(path); err != nil {
+			t.Fatal(err)
+		}
+		for id, fill := range live {
+			wantRead(id, fill)
+		}
+		if rep, err := VerifyFile(path); err != nil || rep.Damaged() || rep.FreeListNote != "" {
+			t.Fatalf("verify after a clean close: %v\n%s", err, rep)
 		}
 	})
 }

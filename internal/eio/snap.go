@@ -27,25 +27,28 @@ var ErrReadOnly = fmt.Errorf("eio: mutation through read-only snapshot view")
 //     publishes the accumulated writes as the next epoch: over a TxStore
 //     the LSN of the record that made them durable, so one number says
 //     what a reader sees and how far the log has got; over any other store
-//     the current epoch plus one. Before the first overwrite (or free) of
-//     each page since the last commit, SnapStore captures the page's
-//     pre-image into a version chain, so pinned readers keep seeing the
-//     epoch they pinned. Abort discards the capture bookkeeping of an
-//     abandoned batch instead (used when the batch ran inside a
-//     rolled-back TxStore transaction, which restores the inner store by
-//     itself).
+//     the current epoch plus one. Before the first overwrite of each page
+//     since the last commit, SnapStore captures the page's pre-image into a
+//     version chain, so pinned readers keep seeing the epoch they pinned.
+//     Abort discards the capture bookkeeping of an abandoned batch instead
+//     (used when the batch ran inside a rolled-back TxStore transaction,
+//     which restores the inner store by itself).
 //
-// Frees are deferred: Free captures the page's pre-image and hides the page
-// from the writer, but the inner free happens only at a later Commit once no
-// pinned epoch can still read the page. A crash before that point therefore
-// leaks (never corrupts) the page — Scrub reclaims such leaks, the same
-// policy TxStore documents for mid-transaction allocations.
+// Frees are deferred: Free hides the page from the writer, but the inner
+// free happens only at a later Commit once no pinned epoch can still read
+// the page. Free captures nothing: the writer can no longer write the page,
+// so until that inner free the inner page keeps the image every view that
+// can read it expects. A crash before that point leaks (never corrupts) the
+// page — Scrub reclaims such leaks, the same policy TxStore documents for
+// mid-transaction allocations. A page whose inner free has happened, and
+// that the inner store has not handed out again, is refused by Free.
 //
 // Locking is striped by page id: concurrent readers of different pages never
 // contend, and a reader only waits for the writer when both touch the same
 // page at the same instant. Version capture costs the writer one extra inner
-// read per distinct page per batch; readers served from the version chain
-// perform no inner I/O (the SnapStats.VersionReads counter records them).
+// read per distinct page it overwrites per batch; readers served from the
+// version chain perform no inner I/O (the SnapStats.VersionReads counter
+// records them).
 //
 // The Store methods (Write, Alloc, Free, and writer-side Read) must be used
 // by one writer goroutine at a time — exactly the single-writer discipline
@@ -61,14 +64,18 @@ type SnapStore struct {
 	epoch uint64
 	pins  map[uint64]int
 
-	// Writer batch state: pages captured (or allocated) since the last
-	// Commit/Abort, and frees deferred by the current batch. spare holds
-	// the page buffers of versions gc dropped, for the next captures to
-	// reuse (a write-only stream captures and drops the same few pages'
-	// worth every commit); it is bounded and, like batch, guarded by wmu.
-	wmu   sync.Mutex
-	batch map[PageID]bool
-	spare [][]byte
+	// Writer batch state: pages captured, allocated or freed since the last
+	// Commit/Abort, true for the captured ones. spare holds the page
+	// buffers of versions gc dropped, for the next captures to reuse (a
+	// write-only stream captures and drops the same few pages' worth every
+	// commit); it is bounded. released holds the pages whose deferred free
+	// gc has applied to the inner store and that its Alloc has not handed
+	// back since, so a second Free of one fails at the call. All three are
+	// guarded by wmu.
+	wmu      sync.Mutex
+	batch    map[PageID]bool
+	spare    [][]byte
+	released map[PageID]struct{}
 
 	pendingFrees atomic.Int64 // deferred frees not yet applied to inner
 	versionReads atomic.Uint64
@@ -110,11 +117,12 @@ func NewSnapStore(inner Store, stripes int) *SnapStore {
 		stripes = DefaultSnapStripes
 	}
 	s := &SnapStore{
-		inner:   inner,
-		ps:      inner.PageSize(),
-		stripes: make([]snapStripe, stripes),
-		pins:    map[uint64]int{},
-		batch:   map[PageID]bool{},
+		inner:    inner,
+		ps:       inner.PageSize(),
+		stripes:  make([]snapStripe, stripes),
+		pins:     map[uint64]int{},
+		batch:    map[PageID]bool{},
+		released: map[PageID]struct{}{},
 	}
 	if l, ok := inner.(logged); ok {
 		s.epoch = l.AppliedLSN()
@@ -174,11 +182,11 @@ func (s *SnapStore) minPinLocked() uint64 {
 }
 
 // capture saves the pre-image of id (as of the current committed epoch)
-// before its first overwrite or free in this batch. Callers hold wmu; the
-// stripe lock is taken here, which excludes concurrent view reads of id.
+// before its first overwrite in this batch. Callers hold wmu; the stripe
+// lock is taken here, which excludes concurrent view reads of id.
 func (s *SnapStore) capture(id PageID) error {
-	if s.batch[id] {
-		return nil // already captured (or allocated) this batch
+	if _, ok := s.batch[id]; ok {
+		return nil // already captured, allocated or freed this batch
 	}
 	s.emu.Lock()
 	epoch := s.epoch
@@ -250,10 +258,10 @@ func (s *SnapStore) Abort() {
 	s.emu.Lock()
 	epoch := s.epoch
 	s.emu.Unlock()
-	for id := range s.batch {
+	for id, captured := range s.batch {
 		st := s.stripe(id)
 		st.mu.Lock()
-		if vs := st.versions[id]; len(vs) > 0 && vs[len(vs)-1].validThrough == epoch {
+		if vs := st.versions[id]; captured && len(vs) > 0 && vs[len(vs)-1].validThrough == epoch {
 			s.recycle(vs[len(vs)-1:])
 			if len(vs) == 1 {
 				delete(st.versions, id)
@@ -284,7 +292,7 @@ func (s *SnapStore) recycle(vs []pageVersion) {
 }
 
 // gc drops versions unreadable by every pin and applies mature deferred
-// frees to the inner store.
+// frees to the inner store. Callers hold wmu.
 func (s *SnapStore) gc(minPin uint64) error {
 	var firstErr error
 	for i := range s.stripes {
@@ -300,8 +308,12 @@ func (s *SnapStore) gc(minPin uint64) error {
 			}
 			delete(st.freed, id)
 			s.pendingFrees.Add(-1)
-			if err := s.inner.Free(id); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("eio: snap: deferred free of page %d: %w", id, err)
+			if err := s.inner.Free(id); err != nil {
+				if firstErr == nil {
+					firstErr = fmt.Errorf("eio: snap: deferred free of page %d: %w", id, err)
+				}
+			} else {
+				s.released[id] = struct{}{}
 			}
 		}
 		for id, vs := range st.versions {
@@ -337,36 +349,39 @@ func (s *SnapStore) Alloc() (PageID, error) {
 		return NilPage, err
 	}
 	s.wmu.Lock()
-	s.batch[id] = true
+	s.batch[id] = false
+	delete(s.released, id)
 	s.wmu.Unlock()
 	return id, nil
 }
 
-// Free implements Store. The pre-image is captured for pinned readers and
-// the inner free is deferred until no pin can reach the page (see the type
-// comment for the crash-leak trade-off).
+// Free implements Store. The inner free is deferred until no pin can reach
+// the page, and nothing is captured: pinned readers keep reading the inner
+// page, which the writer can no longer change (see the type comment, also
+// for the crash-leak trade-off). The page joins the batch, so Abort undoes
+// the free.
 func (s *SnapStore) Free(id PageID) error {
 	if id == NilPage {
 		return nil
 	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	st := s.stripe(id)
-	st.mu.Lock()
-	if _, ok := st.freed[id]; ok {
-		st.mu.Unlock()
+	if _, ok := s.released[id]; ok {
 		return fmt.Errorf("eio: page %d: %w", id, ErrBadPage)
-	}
-	st.mu.Unlock()
-	if err := s.capture(id); err != nil {
-		return err
 	}
 	s.emu.Lock()
 	epoch := s.epoch
 	s.emu.Unlock()
+	st := s.stripe(id)
 	st.mu.Lock()
+	defer st.mu.Unlock()
+	if _, ok := st.freed[id]; ok {
+		return fmt.Errorf("eio: page %d: %w", id, ErrBadPage)
+	}
+	if _, ok := s.batch[id]; !ok {
+		s.batch[id] = false
+	}
 	st.freed[id] = epoch + 1
-	st.mu.Unlock()
 	s.pendingFrees.Add(1)
 	return nil
 }

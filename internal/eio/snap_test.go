@@ -376,3 +376,189 @@ func TestSnapStoreConcurrentReaders(t *testing.T) {
 		t.Fatalf("leftover snapshot state: %+v", st)
 	}
 }
+
+// newSnapFile is a SnapStore over a FileStore, the inner store whose Read
+// refuses a freed page.
+func newSnapFile(t *testing.T) (*SnapStore, *FileStore) {
+	t.Helper()
+	fs, err := CreateFileStore(t.TempDir()+"/snap.db", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSnapStore(fs, 0)
+	t.Cleanup(func() { s.Close() })
+	return s, fs
+}
+
+// TestSnapStoreFreeKeepsCommittedImage pins why Free needs no capture: a
+// view pinned before the Free reads the committed image from the inner
+// page — no version, no version read — until the pin is released and a
+// Commit applies the inner free.
+func TestSnapStoreFreeKeepsCommittedImage(t *testing.T) {
+	s, fs := newSnapFile(t)
+	ps := s.PageSize()
+	id, _ := s.Alloc()
+	if err := s.Write(id, fill(ps, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	pin := s.Pin()
+	reads := fs.Stats().Reads
+	if err := s.Free(id); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.Stats().Reads; got != reads {
+		t.Fatalf("Free read the page back: %d inner reads", got-reads)
+	}
+	buf := make([]byte, ps)
+	for i := 0; i < 2; i++ { // before and after the Commit that publishes the free
+		if err := s.View(pin).Read(id, buf); err != nil || !bytes.Equal(buf, fill(ps, 7)) {
+			t.Fatalf("pinned view read of the freed page: %v", err)
+		}
+		if _, err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.SnapStats(); st.Versions != 0 || st.VersionReads != 0 || st.PendingFrees != 1 {
+		t.Fatalf("snap stats %+v, want no versions and one pending free", st)
+	}
+	if err := s.Write(id, fill(ps, 8)); !errors.Is(err, ErrBadPage) {
+		t.Fatalf("write of a freed page: want ErrBadPage, got %v", err)
+	}
+	s.Unpin(pin)
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Read(id, buf); !errors.Is(err, ErrBadPage) {
+		t.Fatalf("inner read after the free applied: want ErrBadPage, got %v", err)
+	}
+}
+
+// TestSnapStoreAbortUndoesFree: an aborted batch's Free leaves the page
+// readable and freeable, and a version an earlier batch captured stays.
+func TestSnapStoreAbortUndoesFree(t *testing.T) {
+	s, fs := newSnapFile(t)
+	ps := s.PageSize()
+	id, _ := s.Alloc()
+	if err := s.Write(id, fill(ps, 1)); err != nil {
+		t.Fatal(err)
+	}
+	e1, err := s.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := s.Pin()
+	if err := s.Write(id, fill(ps, 2)); err != nil { // captures 1 for the pin
+		t.Fatal(err)
+	}
+	if err := s.CommitAt(e1); err != nil { // same epoch, pinned: the version stays
+		t.Fatal(err)
+	}
+	if err := s.Free(id); err != nil {
+		t.Fatal(err)
+	}
+	s.Abort()
+	buf := make([]byte, ps)
+	if err := s.Read(id, buf); err != nil || buf[0] != 2 {
+		t.Fatalf("writer read after abort = (%v, %d), want 2", err, buf[0])
+	}
+	if err := s.View(pin).Read(id, buf); err != nil || buf[0] != 1 {
+		t.Fatalf("pinned view read after abort = (%v, %d), want the captured 1", err, buf[0])
+	}
+	if st := s.SnapStats(); st.Versions != 1 || st.PendingFrees != 0 {
+		t.Fatalf("snap stats after abort %+v, want the one version and no pending free", st)
+	}
+	s.Unpin(pin)
+	if err := s.Free(id); err != nil {
+		t.Fatalf("free after abort: %v", err)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Pages() != 0 {
+		t.Fatalf("inner Pages() = %d after the free, want 0", fs.Pages())
+	}
+}
+
+// TestSnapStoreFreeAllocs pins Free on a warm store at zero heap
+// allocations: it records the deferral in maps that already have room.
+func TestSnapStoreFreeAllocs(t *testing.T) {
+	s, _ := newSnapFile(t)
+	ids := make([]PageID, 128)
+	for i := range ids {
+		ids[i], _ = s.Alloc()
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids { // warm the maps, then undo
+		if err := s.Free(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Abort()
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		if err := s.Free(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("SnapStore.Free: %v allocs/op, want 0", n)
+	}
+}
+
+// TestSnapStoreReleasedBounded runs 10 000 alloc/free cycles, with pins
+// holding some frees back, and checks that the pages SnapStore remembers as
+// released are all on the inner free list.
+func TestSnapStoreReleasedBounded(t *testing.T) {
+	s, fs := newSnapFile(t)
+	var live []PageID
+	pin, pinned := uint64(0), false
+	for cycle := 0; cycle < 10000; cycle++ {
+		if cycle%3 != 2 || len(live) == 0 {
+			id, err := s.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, id)
+		} else {
+			i := (cycle * 7919) % len(live)
+			if err := s.Free(live[i]); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:i], live[i+1:]...)
+		}
+		if cycle%5 == 4 {
+			if _, err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cycle%50 == 0 {
+			if pinned {
+				s.Unpin(pin)
+			}
+			pin, pinned = s.Pin(), true
+		}
+	}
+	if pinned {
+		s.Unpin(pin)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	free := freeList(fs)
+	if len(s.released) > len(free) {
+		t.Fatalf("released holds %d ids, the inner store has %d free pages", len(s.released), len(free))
+	}
+	for id := range s.released {
+		if fs.state[id] != pageFree {
+			t.Fatalf("released page %d is not free in the inner store", id)
+		}
+	}
+	if got := fs.Pages(); got != len(live) {
+		t.Fatalf("inner Pages() = %d, want %d", got, len(live))
+	}
+}

@@ -103,8 +103,9 @@ import (
 // state staler than the record it replays (the record and the superblock
 // become durable in the same barrier, and a crash inside it may keep one
 // without the other): ids past the end of the store are materialized
-// (PageEnsurer), and FileStore ends its free list at a head that replay
-// turned back into a data page instead of handing it out.
+// (PageEnsurer), and FileStore takes a page replay writes off its free
+// list (or, reopened after a crash, ends the list at one) instead of
+// handing it out.
 
 // WAL and anchor format constants.
 const (
